@@ -180,6 +180,21 @@ def _emit(text: str, output: Optional[Path]) -> None:
         raise ExportError(f"cannot write output to {output}: {exc}") from exc
 
 
+def _report_profile(profiler: cProfile.Profile, target: Path) -> None:
+    """Print the cumulative-time summary, then write the stats file if
+    one was asked for; OSError becomes a typed ExportError."""
+    stats = pstats.Stats(profiler, stream=sys.stderr)
+    stats.sort_stats(pstats.SortKey.CUMULATIVE)
+    stats.print_stats(_PROFILE_TOP_N)
+    if target == _PROFILE_STDERR:
+        return
+    try:
+        profiler.dump_stats(target)
+    except OSError as exc:
+        raise ExportError(f"cannot write profile to {target}: {exc}") from exc
+    print(f"  [profile stats written to {target}]", file=sys.stderr)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     # `sweep`/`tune` are subcommands with their own flag sets; dispatch
     # before the single-campaign parser so their flags never collide.
@@ -246,14 +261,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     elapsed = time.time() - started
 
-    if profiler is not None:
-        if args.profile != _PROFILE_STDERR:
-            profiler.dump_stats(args.profile)
-            print(f"  [profile stats written to {args.profile}]", file=sys.stderr)
-        stats = pstats.Stats(profiler, stream=sys.stderr)
-        stats.sort_stats(pstats.SortKey.CUMULATIVE)
-        stats.print_stats(_PROFILE_TOP_N)
-
     if not args.quiet:
         rate = config.devices / elapsed if elapsed > 0 else float("inf")
         print(
@@ -267,12 +274,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         text = _render_json(result, None if args.no_timing else elapsed)
     else:
         text = result.describe()
+    # The summary goes out first: the campaign is done, and neither an
+    # unwritable --output nor an unwritable --profile file may cost the
+    # other artifact.
+    status = 0
     try:
         _emit(text, args.output)
     except ExportError as error:
         print(f"error: {error}", file=sys.stderr)
-        return 2
-    return 0
+        status = 2
+    if profiler is not None:
+        try:
+            _report_profile(profiler, args.profile)
+        except ExportError as error:
+            print(f"error: {error}", file=sys.stderr)
+            status = 2
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

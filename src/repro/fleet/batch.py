@@ -1,4 +1,4 @@
-"""Batched fleet-shard dispatch over columnar binding state.
+"""Batched fleet-shard dispatch over the shard's binding table.
 
 The scalar fleet path (PR 7) replays four merged streams through one
 Python callback per event; at 100k devices that is ~10 million dispatch
@@ -6,11 +6,9 @@ round-trips, each touching scattered per-binding objects. This module is
 the batch alternative: the four streams collapse into **one** merged
 batch stream registered through the engine's batch-pop API
 (:meth:`~repro.sim.engine.Simulator.add_batch_stream`), and a single
-*pump* consumes whole runs of consecutive events in one call, filtering
-devices against the contiguous arrays of
-:class:`~repro.fleet.columns.FleetColumns` and executing a **fused**
-fast path that replicates the scalar call chain's observable effects
-with a fraction of its Python-frame and attribute-walk overhead.
+*pump* consumes whole runs of consecutive events in one call,
+dispatching each on the row of :class:`~repro.fleet.columns.
+FleetColumns` that belongs to its device.
 
 Merging the streams is an ordering-preserving transformation. In scalar
 mode the four streams reserve contiguous sequence blocks in
@@ -27,11 +25,44 @@ payoff: the heap carries one cursor instead of four, and the pump is
 re-entered only when a dynamic timer actually preempts it, not on every
 cross-stream alternation.
 
+Every binding starts **array-resident**: its row is its only state and
+no per-device object exists (see :mod:`repro.fleet.columns`). The
+resident handlers cover exactly the events whose whole effect is a
+handful of row writes:
+
+* filtered and dead-on-arrival arrivals (counts only);
+* a live, non-expiring arrival the proxy forwards on arrival — link up
+  and, unless the policy is ONLINE, client room under the prefetch
+  limit (a resident binding never has anything queued ahead of it);
+* DOWN, and UP (a resident binding has no offline read log to replay
+  and nothing queued to flush — the reconnection is the queue report);
+* a user read while the link is up: the moving-average bookkeeping, the
+  limit recompute, and the ranked local consume.
+
+The first event outside that set calls ``materialize(d)`` — the fleet
+runner's per-device wiring plus a replay of the row into the objects —
+and falls through to the object path below, which then owns the binding
+for the rest of the run (one-way: nothing is ever re-absorbed). The
+escapes, each a property of the input or of the row: an arrival that
+must queue at the proxy (link down, no client room, RATE's per-arrival
+credit), an expiring arrival (it would arm a timer, and a row owns
+none), a read while the link is down (it starts an offline read log).
+Bindings that can never take a resident handler are materialized by the
+runner at wiring, before the streams register: all of them when the
+shard cannot fuse (below), and those whose input carries a rank change
+(a change resolves against the durable history of earlier arrivals,
+which a row does not keep). Materializing mid-run schedules nothing and
+reserves no sequence number — fault plans, the only wiring step that
+arms timers, exist only in shards materialized at wiring — so
+``events_processed`` and every tie-break are unchanged by when a
+binding escapes.
+
 Equivalence contract (pinned by ``tests/fleet/test_fleet_batch.py``):
 batched and scalar dispatch produce bit-identical
 :class:`~repro.metrics.streaming.FleetAccumulator` integer counters,
-float sums, and sketch buckets for any policy, fault preset, and seed.
-The fusion rules that make this hold:
+float sums, and sketch buckets for any policy, fault preset, and seed,
+and whichever subset of bindings is materialized, whenever. The fusion
+rules that make this hold for a materialized binding:
 
 * A binding is *fused* only while every guarantee of the fast path
   holds; :meth:`ShardBatchDispatcher.resync` re-derives the
@@ -39,9 +70,9 @@ The fusion rules that make this hold:
   authoritative objects after each scalar fallback. Anything dynamic
   timers can invalidate (crash rebuilds, pending retractions, the
   rank-instability delay stage) routes the binding back through the
-  scalar oracle path. Bindings that can never fuse (fault plan, or a
-  shard-level fusion blocker) skip the resync entirely — their columns
-  are never consulted.
+  scalar oracle path. A shard that cannot fuse at all (fault plans, or
+  an observer / latent link / fixed delay) skips the resync entirely —
+  its columns are never consulted.
 * Fused handlers replicate the scalar code path's *observable* writes
   exactly, and skip only work proven to be a no-op under the fast-path
   guarantees: the ``prefetch_limit`` recompute when ``old_reads`` has
@@ -58,7 +89,7 @@ The fusion rules that make this hold:
 from __future__ import annotations
 
 import math
-from typing import List
+from typing import Callable, List
 
 import numpy as np
 
@@ -66,10 +97,13 @@ from repro.broker.message import Notification
 from repro.errors import SimulationError
 from repro.fleet.columns import FleetColumns
 from repro.fleet.workload import FleetWorkload
+from repro.metrics.streaming import FleetAccumulator
+from repro.proxy.moving_average import IntervalAverage, MovingAverage
 from repro.proxy.policies import PolicyConfig
+from repro.proxy.prefetch import BufferPrefetcher
 from repro.proxy.proxy import LastHopProxy
 from repro.sim.engine import Simulator
-from repro.types import NetworkStatus, PolicyKind, TopicId
+from repro.types import NetworkStatus, PolicyKind
 
 _UP = NetworkStatus.UP
 _DOWN = NetworkStatus.DOWN
@@ -91,11 +125,13 @@ class ShardBatchDispatcher:
     """Drives one fleet shard through the engine's batch-pop API.
 
     Construction wires nothing into the simulator; call
-    :meth:`register_streams` after the per-device objects exist. The
-    dispatcher assumes the fleet runner's wiring shape: one topic per
-    device, no battery model, unlimited device storage,
-    ``report_on_reconnect`` devices, and crash timers (if any) already
-    scheduled — exactly what ``repro.fleet.runner`` builds.
+    :meth:`register_streams` once the bindings that must be materialized
+    at wiring are. The dispatcher assumes the fleet runner's wiring
+    shape: one topic per device, no battery model, unlimited device
+    storage, ``report_on_reconnect`` devices, and crash timers (if any)
+    already scheduled — exactly what ``repro.fleet.runner`` builds.
+    ``materialize(d)`` is the runner's: it builds binding ``d``'s object
+    graph from its row (a no-op once built).
     """
 
     def __init__(
@@ -105,14 +141,10 @@ class ShardBatchDispatcher:
         workload: FleetWorkload,
         proxy: LastHopProxy,
         policy: PolicyConfig,
-        topics: List[TopicId],
-        states: List,
-        links: List,
-        devices: List,
-        stats_list: List,
-        perform_reads: List,
-        set_statuses: List,
-        has_plan: List[bool],
+        cols: FleetColumns,
+        materialize: Callable[[int], None],
+        accumulator: FleetAccumulator,
+        has_plans: bool,
         link_latency: float,
         recorder,
         auditor,
@@ -121,55 +153,46 @@ class ShardBatchDispatcher:
         self.workload = workload
         self.proxy = proxy
         self.policy = policy
-        self.topics = topics
-        self.states = states
-        self.links = links
-        self.devices = devices
-        self.stats_list = stats_list
-        self.perform_reads = perform_reads
-        self.set_statuses = set_statuses
-        self.has_plan = has_plan
+        self.cols = cols
+        self.materialize = materialize
+        #: Resident bindings stream their read ages into the same shared
+        #: pair every ``SketchedStats`` of the shard feeds.
+        self.delay_sketch = accumulator.read_delay_sketch
+        self.delay_moments = accumulator.read_delay_moments
 
-        #: The whole shard qualifies for fusion only without observers
-        #: (recorder/auditor hooks fire on scalar paths only), with a
-        #: zero-latency link (fused forwards deliver synchronously), and
-        #: with the delay stage structurally inactive: a fixed positive
-        #: delay arms per-event timers whose timeouts mutate queues
-        #: outside the pumps.
-        self.fused_shard = (
-            recorder is None
+        #: Whether any binding of the shard may take a fused or resident
+        #: handler: only when nothing can observe intermediate states or
+        #: perturb a delivery — no fault plans (a spec gives every
+        #: device one), no observers (recorder/auditor hooks fire on
+        #: scalar paths only), a zero-latency link (fused forwards
+        #: deliver synchronously), and the delay stage structurally
+        #: inactive (a fixed positive delay arms per-event timers whose
+        #: timeouts mutate queues outside the pumps). False means the
+        #: runner materializes every binding at wiring, every event
+        #: takes the scalar oracle path, and the mirror columns are
+        #: never consulted (so scalar fallbacks skip the resync). Unlike
+        #: ``scalar_only`` this can never be invalidated by dynamic
+        #: timers, so DOWN transitions — which touch no queue state —
+        #: may fuse on it alone.
+        self.can_fuse = can_fuse = (
+            not has_plans
+            and recorder is None
             and auditor is None
             and link_latency == 0.0
             and (policy.delay is None or policy.delay == 0.0)
         )
+        if not can_fuse:
+            cols.scalar_only = bytearray(b"\x01") * cols.devices
         #: Adaptive delay (policy.delay None) stays fused per binding
         #: until its tracker records a rank drop; see :meth:`resync`.
         self.adaptive_delay = policy.delay is None
         self.online_kind = policy.kind is PolicyKind.ONLINE
         #: RATE arrivals earn forwarding credit per event — inherently
         #: scalar; RATE reads still fuse whenever the queues are empty.
-        self.fuse_arrivals = self.fused_shard and policy.kind is not PolicyKind.RATE
-        self.fuse_reads = self.fused_shard
-
-        initial_limit = states[0].prefetch_limit if states else 0
-        self.cols = FleetColumns(workload, initial_limit)
-        if not self.fused_shard:
-            self.cols.scalar_only[:] = 1
-        elif any(has_plan):
-            self.cols.scalar_only[np.asarray(has_plan, dtype=bool)] = 1
-        #: Static per-device fusion eligibility (no fault plan, fused
-        #: shard): unlike ``scalar_only`` this can never be invalidated
-        #: by dynamic timers, so DOWN transitions — which touch no
-        #: queue state — may fuse on it alone. A False here also means
-        #: the binding's columns are never consulted, so its scalar
-        #: fallbacks skip the resync.
-        self.statics: List[bool] = [
-            self.fused_shard and not plan for plan in has_plan
-        ]
-        self.dev_queues = [
-            device._queues[topics[d]] for d, device in enumerate(devices)
-        ]
-        self.dev_consume = [device._consume for device in devices]
+        self.fuse_arrivals = can_fuse and policy.kind is not PolicyKind.RATE
+        #: The resident read's limit recompute (the objects' own lives
+        #: in the proxy).
+        self.limits = BufferPrefetcher(policy)
         #: Whether fused arrivals must keep the proxy's durable history
         #: and delay-tracker bookkeeping. Both exist solely for rank
         #: changes: ``history`` is read when a change resolves its
@@ -346,26 +369,25 @@ class ShardBatchDispatcher:
     # Column resynchronisation
     # ------------------------------------------------------------------
     def resync(self, d: int) -> None:
-        """Re-mirror one binding's columns from the authoritative
-        objects; called after every scalar fallback of a binding that
-        can still fuse (``statics[d]``).
+        """Re-mirror one materialized binding's columns from the
+        authoritative objects; called after every scalar fallback in a
+        shard that can fuse.
 
         Also re-fetches the :class:`TopicState` from the proxy (a crash
         rebuild replaces the state object) and re-derives the
-        ``scalar_only`` gate: sticky conditions (fault plan, recorded
-        rank drops under adaptive delay) keep the binding scalar,
-        transient ones (pending retractions, armed delay timers) clear
-        once drained.
+        ``scalar_only`` gate: sticky conditions (recorded rank drops
+        under adaptive delay) keep the binding scalar, transient ones
+        (pending retractions, armed delay timers) clear once drained.
         """
-        st = self.proxy._states[self.topics[d]]
-        self.states[d] = st
         cols = self.cols
+        st = self.proxy._states[cols.topics[d]]
+        cols.states[d] = st
         cols.network[d] = 1 if st.network is _UP else 0
         cols.queue_size[d] = st.queue_size
         cols.prefetch_limit[d] = st.prefetch_limit
         cols.proxy_queued[d] = st.queued_event_count()
         cols.offline_reads[d] = sum(
-            len(entries) for entries in self.devices[d]._offline_reads.values()
+            len(entries) for entries in cols.clients[d]._offline_reads.values()
         )
         nexp = math.inf
         for queue in (st.outgoing, st.prefetch, st.holding):
@@ -374,9 +396,7 @@ class ShardBatchDispatcher:
                 nexp = heap[0][0]
         cols.next_expiry[d] = nexp
         dirty = (
-            not self.fused_shard
-            or self.has_plan[d]
-            or st.crashed
+            st.crashed
             or bool(st.pending_retractions)
             or bool(st.delay_handles)
             or (self.adaptive_delay and st.tracker.drops > 0)
@@ -399,16 +419,8 @@ class ShardBatchDispatcher:
         m_ranks = self.m_ranks
         m_exps = self.m_exps
         m_pubs = self.m_pubs
-        topics = self.topics
-        states = self.states
-        stats_list = self.stats_list
-        links = self.links
-        dev_queues = self.dev_queues
-        dev_consume = self.dev_consume
-        perform_reads = self.perform_reads
-        set_statuses = self.set_statuses
-        statics = self.statics
         cols = self.cols
+        resident = cols.resident
         scalar_only = cols.scalar_only
         net = cols.network
         qsize = cols.queue_size
@@ -416,15 +428,35 @@ class ShardBatchDispatcher:
         queued = cols.proxy_queued
         nexp = cols.next_expiry
         offline = cols.offline_reads
+        held = cols.held
+        forwarded = cols.forwarded
+        filtered = cols.filtered
+        dead = cols.dead
+        reads = cols.reads
+        empty_reads = cols.empty_reads
+        consumed = cols.consumed
+        delay_sums = cols.read_delay_sum
+        old_reads = cols.old_reads
+        old_times = cols.old_times
+        topics = cols.topics
+        states = cols.states
+        stats_list = cols.stats
+        links = cols.links
+        clients = cols.clients
+        materialize = self.materialize
         notify_batch = self.proxy.notify_batch
         read_batch = self.proxy.read_batch
         on_notification = self.proxy.on_notification
         try_forwarding = self.proxy.try_forwarding
         resync = self.resync
+        can_fuse = self.can_fuse
         fuse_arrivals = self.fuse_arrivals
-        fuse_reads = self.fuse_reads
         online = self.online_kind
         track = self.track_publications
+        window = self.policy.ma_window
+        limit_for = self.limits.limit_for
+        push_sketch = self.delay_sketch.push
+        push_moments = self.delay_moments.push
         seq_mark = sim._seq_next
         i = pos
         end = len(times)
@@ -440,16 +472,36 @@ class ShardBatchDispatcher:
             code = m_codes[i]
             d = m_devs[i]
             if code == _ARRIVE:
+                exp = m_exps[i]
+                if resident[d]:
+                    # Forwarded on arrival (NaN != NaN: the no-expiry
+                    # sentinel): the device now holds it, the proxy's
+                    # estimate grows, nothing else moves.
+                    if (
+                        fuse_arrivals
+                        and exp != exp
+                        and net[d]
+                        and (online or qsize[d] < plimit[d])
+                    ):
+                        entry = (-m_ranks[i], t, m_ints[i])
+                        holding = held[d]
+                        if holding is None:
+                            held[d] = [entry]
+                        else:
+                            holding.append(entry)
+                        qsize[d] += 1
+                        forwarded[d] += 1
+                        i += 1
+                        continue
+                    materialize(d)
+                notification = Notification(
+                    event_id=m_ints[i],
+                    topic=topics[d],
+                    rank=m_ranks[i],
+                    published_at=t,
+                    expires_at=None if exp != exp else exp,
+                )
                 if fuse_arrivals and not scalar_only[d]:
-                    exp = m_exps[i]
-                    expiring = exp == exp  # NaN sentinel check
-                    notification = Notification(
-                        event_id=m_ints[i],
-                        topic=topics[d],
-                        rank=m_ranks[i],
-                        published_at=t,
-                        expires_at=exp if expiring else None,
-                    )
                     if notify_batch(
                         states[d],
                         notification,
@@ -461,34 +513,27 @@ class ShardBatchDispatcher:
                         qsize[d] += 1
                     else:
                         queued[d] += 1
-                        if expiring and exp < nexp[d]:
+                        if exp == exp and exp < nexp[d]:
                             nexp[d] = exp
                 else:
-                    exp = m_exps[i]
-                    on_notification(
-                        Notification(
-                            event_id=m_ints[i],
-                            topic=topics[d],
-                            rank=m_ranks[i],
-                            published_at=t,
-                            expires_at=None if exp != exp else exp,
-                        )
-                    )
-                    if statics[d]:
+                    on_notification(notification)
+                    if can_fuse:
                         resync(d)
             elif code == _OUTAGE_DOWN:
                 # DOWN touches no queue state: the device listener
                 # ignores it and the proxy only records the status, so
-                # any un-planned binding fuses regardless of dirtiness.
-                # (Branch order is by event frequency: a typical
-                # campaign carries several outage transitions per read.)
-                if statics[d]:
+                # any binding of a shard that can fuse fuses regardless
+                # of dirtiness. (Branch order is by event frequency: a
+                # typical campaign carries several outage transitions
+                # per read.)
+                if can_fuse:
                     if net[d]:
-                        links[d]._status = _DOWN
-                        states[d].network = _DOWN
                         net[d] = 0
+                        if not resident[d]:
+                            links[d]._status = _DOWN
+                            states[d].network = _DOWN
                 else:
-                    set_statuses[d](_DOWN)
+                    links[d].set_status(_DOWN)
             elif code == _OUTAGE_UP:
                 # UP fuses when reconnection needs no offline read log
                 # replayed. The listener cascade reduces to the queue
@@ -497,12 +542,18 @@ class ShardBatchDispatcher:
                 # side) followed by the proxy's try_forwarding — a
                 # no-op unless something is queued, in which case the
                 # real flush runs and the columns resync from its
-                # outcome.
-                if statics[d] and not scalar_only[d] and not offline[d]:
+                # outcome. A resident binding has neither a log nor
+                # anything queued.
+                if resident[d]:
+                    if not net[d]:
+                        net[d] = 1
+                        holding = held[d]
+                        qsize[d] = len(holding) if holding else 0
+                elif can_fuse and not scalar_only[d] and not offline[d]:
                     if not net[d]:
                         st = states[d]
                         links[d]._status = _UP
-                        qlen = len(dev_queues[d])
+                        qlen = len(clients[d]._queues[topics[d]])
                         st.queue_size = qlen
                         qsize[d] = qlen
                         st.network = _UP
@@ -513,35 +564,83 @@ class ShardBatchDispatcher:
                             plimit[d] = st.prefetch_limit
                             queued[d] = st.queued_event_count()
                 else:
-                    set_statuses[d](_UP)
-                    if statics[d]:
+                    links[d].set_status(_UP)
+                    if can_fuse:
                         resync(d)
             elif code == _READ:
                 n = m_ints[i]
+                if resident[d]:
+                    if net[d]:
+                        # The READ exchange finds the proxy's queues
+                        # empty, so what is left of it is the
+                        # moving-average bookkeeping, the queue-size
+                        # sync and the limit recompute (read_batch);
+                        # then the device consumes its top-n locally
+                        # (ClientDevice._consume: everything held is at
+                        # or above the threshold and never expires).
+                        reads[d] += 1
+                        sizes = old_reads[d]
+                        if sizes is None:
+                            sizes = old_reads[d] = MovingAverage(window)
+                            gaps = old_times[d] = IntervalAverage(window)
+                        else:
+                            gaps = old_times[d]
+                        sizes.push(float(n))
+                        gaps.push(t)
+                        plimit[d] = limit_for(sizes.value)
+                        holding = held[d]
+                        if holding and n > 0:
+                            qlen = len(holding)
+                            qsize[d] = qlen
+                            if qlen > 1:
+                                holding.sort()
+                            if n >= qlen:
+                                taken = holding
+                                held[d] = None
+                            else:
+                                taken = holding[:n]
+                                del holding[:n]
+                            total = delay_sums[d]
+                            for entry in taken:
+                                age = t - entry[1]
+                                total += age
+                                push_sketch(age)
+                                push_moments(age)
+                            delay_sums[d] = total
+                            consumed[d] += len(taken)
+                        else:
+                            qsize[d] = len(holding) if holding else 0
+                            empty_reads[d] += 1
+                        i += 1
+                        continue
+                    materialize(d)
                 # Fused READ: link up, binding clean, and nothing
                 # queued at the proxy (proxy_queued is a conservative
                 # upper bound, so zero here means truly empty) — the
                 # whole READ exchange reduces to moving-average
                 # bookkeeping plus local consume.
-                if fuse_reads and net[d] and not scalar_only[d] and not queued[d]:
+                if net[d] and not scalar_only[d] and not queued[d]:
                     stats = stats_list[d]
                     stats.reads += 1
                     st = states[d]
-                    qlen = len(dev_queues[d])
+                    client = clients[d]
+                    topic = topics[d]
+                    qlen = len(client._queues[topic])
                     read_batch(st, n, qlen)
                     qsize[d] = qlen
                     plimit[d] = st.prefetch_limit
-                    if not dev_consume[d](topics[d], n):
+                    if not client._consume(topic, n):
                         stats.empty_reads += 1
                 else:
-                    perform_reads[d](topics[d], n)
-                    if statics[d]:
+                    clients[d].perform_read(topics[d], n)
+                    if can_fuse:
                         resync(d)
             elif code == _CHANGE:
                 # Rank changes always take the scalar oracle path: they
                 # mutate shared Notification objects, may arm
                 # retractions, and feed the delay tracker — all of
-                # which the fused gates must then see.
+                # which the fused gates must then see. (The runner
+                # materialized this binding at wiring.)
                 exp = m_exps[i]
                 on_notification(
                     Notification(
@@ -552,13 +651,22 @@ class ShardBatchDispatcher:
                         expires_at=None if exp != exp else exp,
                     )
                 )
-                if statics[d]:
+                if can_fuse:
                     resync(d)
             else:
                 # Filtered / dead-on-arrival: counters only. The scalar
                 # path's trailing try_forwarding is a no-op here
                 # (queues untouched; prefetch_limit already equals the
                 # policy-effective value).
+                if resident[d]:
+                    if fuse_arrivals:
+                        if code == _ARRIVE_FILTERED:
+                            filtered[d] += 1
+                        else:
+                            dead[d] += 1
+                        i += 1
+                        continue
+                    materialize(d)
                 if fuse_arrivals and not scalar_only[d]:
                     stats = stats_list[d]
                     stats.arrivals += 1
@@ -577,7 +685,7 @@ class ShardBatchDispatcher:
                             expires_at=None if exp != exp else exp,
                         )
                     )
-                    if statics[d]:
+                    if can_fuse:
                         resync(d)
             i += 1
             if sim._seq_next != seq_mark:

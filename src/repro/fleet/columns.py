@@ -1,20 +1,29 @@
-"""Columnar mirror of the hot per-binding fleet state.
+"""The shard's binding table: one row per device, local-id indexed.
 
-A fleet shard keeps its authoritative per-device state in slotted
-Python objects (:class:`~repro.proxy.state.TopicState`,
-:class:`~repro.device.link.LastHopLink`, :class:`~repro.device.device.
-ClientDevice`). The batch dispatcher additionally mirrors the fields it
-touches on every event into contiguous numpy arrays indexed by *local*
-device id, so per-event eligibility checks are flat array reads and
-whole-shard questions ("who is online?", "who has prefetch room?") are
-single vectorized masks instead of 100k attribute walks.
+A binding lives in one of two tiers, recorded in ``resident``:
 
-Write-through invariants (pinned by :meth:`FleetColumns.verify_sync`
-and the differential suite):
+* **Array-resident** (``resident[d] == 1``, every binding's initial
+  tier): row ``d`` is the binding's *only* state. No ``TopicState`` /
+  ``LastHopLink`` / ``ClientDevice`` / ``SketchedStats`` exists for it;
+  the batch pump's resident handlers (:mod:`repro.fleet.batch`) read
+  and write the row directly — link status, the proxy's client-queue
+  estimate and prefetch limit, the notifications the device holds, the
+  per-device counts, the ``read_delay_sum`` partial, and the read-size /
+  read-interval averages (created on the binding's first read).
+* **Materialized** (``resident[d] == 0``): the first event the resident
+  handlers cannot express makes the runner build the binding's object
+  graph and replay the row into it (``ShardWiring.materialize`` in
+  :mod:`repro.fleet.runner`). From then on — one-way, for the rest of
+  the run — the objects are authoritative and the first group of
+  columns below is a write-through *mirror* of them, exactly as before
+  the two tiers existed.
 
-* ``network``, ``queue_size`` and ``prefetch_limit`` are **exact**
-  mirrors: every code path that mutates the authoritative field either
-  updates the column in the same step (the fused fast paths) or is
+Mirror invariants of a materialized row (pinned by
+:meth:`FleetColumns.verify_sync` and the differential suite):
+
+* ``network``, ``queue_size`` and ``prefetch_limit`` are **exact**:
+  every code path that mutates the authoritative field either updates
+  the column in the same step (the fused-on-object fast paths) or is
   followed by :meth:`~repro.fleet.batch.ShardBatchDispatcher.resync`
   (every scalar fallback).
 * ``proxy_queued`` is a **conservative upper bound**: fused paths keep
@@ -26,17 +35,24 @@ and the differential suite):
   ``expires_at`` queued at the proxy (``inf`` when nothing expiring is
   queued); it may point at an already-removed event, never past a live
   one.
-* ``scalar_only`` is sticky-conservative: it is set the moment a
-  binding leaves fast-path territory (fault plan attached, crashed,
-  pending retractions, adaptive delay armed by rank drops) and only
-  cleared by a resync that re-verifies every fast-path precondition.
+* ``scalar_only`` is sticky-conservative: set the moment a binding
+  leaves fast-path territory (fault plan attached, crashed, pending
+  retractions, adaptive delay armed by rank drops) and only cleared by
+  a resync that re-verifies every fast-path precondition.
 
-``volume_limit`` and ``wake_phase`` are static per-device heterogeneity
-knobs (the subscription Max and the wake-window offset), carried here
-so shard-level masks can combine them with the dynamic state; the wake
-offsets are re-drawn from the same named substream the workload builder
-used, which reproduces them bit-for-bit without widening the
-shared-memory trace format.
+A resident row has nothing queued at the proxy, no offline read log and
+no fusion blocker by construction, so its ``proxy_queued`` /
+``offline_reads`` / ``scalar_only`` stay 0 and ``next_expiry`` ``inf``.
+
+The resident counts keep what happened *while resident*; after
+materialization the binding's ``SketchedStats`` counts what happens
+next and the fold adds the two (``FleetAccumulator.add_shard``). The
+one float, ``read_delay_sum``, is instead carried over into the stats
+object so its per-device left-to-right association never splits.
+
+Per-item columns are Python lists / ``bytearray`` rather than numpy
+arrays: the pump reads them one element at a time, and every
+``numpy_array[d]`` boxes a fresh scalar.
 """
 
 from __future__ import annotations
@@ -44,134 +60,211 @@ from __future__ import annotations
 import math
 from typing import List
 
-import numpy as np
-
-from repro.fleet.workload import FleetWorkload
-from repro.sim.rng import RandomSource
+from repro.broker.message import DEFAULT_SIZE_BYTES
 from repro.types import NetworkStatus
 
 
 class FleetColumns:
-    """Hot per-binding fields as contiguous arrays, local-id indexed."""
+    """Per-binding state of one shard, as local-id indexed columns."""
 
     __slots__ = (
         "devices",
+        "resident",
         "network",
-        "proxy_queued",
         "queue_size",
         "prefetch_limit",
-        "volume_limit",
-        "wake_phase",
+        "proxy_queued",
         "next_expiry",
         "offline_reads",
         "scalar_only",
+        "held",
+        "forwarded",
+        "filtered",
+        "dead",
+        "reads",
+        "empty_reads",
+        "consumed",
+        "read_delay_sum",
+        "old_reads",
+        "old_times",
+        "topics",
+        "stats",
+        "links",
+        "clients",
+        "states",
     )
 
-    def __init__(self, workload: FleetWorkload, initial_prefetch_limit: int) -> None:
-        n = workload.devices
-        config = workload.config
+    #: Payload bytes of every forward a resident row counts: the
+    #: resident arrival handler builds no ``Notification``, so the
+    #: default size is the only one it can mean.
+    forward_bytes = DEFAULT_SIZE_BYTES
+
+    def __init__(self, devices: int, initial_prefetch_limit: int) -> None:
+        n = devices
         self.devices = n
+        #: 1 while the row is the binding's only state (no objects).
+        self.resident = bytearray(b"\x01") * n
         #: 1 while the binding's last-hop link is UP.
-        self.network = np.ones(n, dtype=np.uint8)
-        #: Events waiting in the binding's three proxy queues.
-        self.proxy_queued = np.zeros(n, dtype=np.int32)
+        self.network = bytearray(b"\x01") * n
         #: The proxy's estimate of the client queue occupancy.
-        self.queue_size = np.zeros(n, dtype=np.int32)
+        self.queue_size: List[int] = [0] * n
         #: The binding's current prefetch budget (policy-effective).
-        self.prefetch_limit = np.full(n, initial_prefetch_limit, dtype=np.int32)
-        #: The subscription's Max — notifications per read (static).
-        self.volume_limit = np.asarray(workload.limits, dtype=np.int32)
-        #: Per-device wake-window offset in hours (static); re-drawn
-        #: from the builder's named substream, sliced to this shard.
-        self.wake_phase = (
-            RandomSource(config.seed)
-            .spawn_numpy("fleet:wake-offsets")
-            .uniform(
-                -config.wake_hour_spread, config.wake_hour_spread,
-                size=config.devices,
-            )[workload.lo : workload.lo + n]
-        )
+        self.prefetch_limit: List[int] = [initial_prefetch_limit] * n
+
+        # -- mirror-only columns (identity values while resident) ------
+        #: Events waiting in the binding's three proxy queues.
+        self.proxy_queued: List[int] = [0] * n
         #: Earliest ``expires_at`` queued at the proxy (inf = none).
-        self.next_expiry = np.full(n, math.inf)
+        self.next_expiry: List[float] = [math.inf] * n
         #: Offline read-log entries buffered on the device.
-        self.offline_reads = np.zeros(n, dtype=np.int32)
+        self.offline_reads: List[int] = [0] * n
         #: Sticky dispatch gate: 1 = route this binding's events through
         #: the scalar oracle path.
-        self.scalar_only = np.zeros(n, dtype=np.uint8)
+        self.scalar_only = bytearray(n)
+
+        # -- resident-tier state ----------------------------------------
+        #: Notifications the device holds unread, as ``(-rank,
+        #: published_at, event_id)`` — the ranked-selection key of
+        #: :class:`~repro.proxy.queues.RankedQueue`, so a plain sort is
+        #: read order. None = nothing held. Only non-expiring
+        #: notifications are ever held here (an expiring arrival
+        #: materializes the binding), so a row owns no timers.
+        self.held: List = [None] * n
+        #: Arrivals accepted and forwarded on arrival (while resident a
+        #: binding's ``accepted`` = ``pushed`` = distinct forwards).
+        self.forwarded: List[int] = [0] * n
+        #: Arrivals filtered by the rank threshold / dead on arrival.
+        self.filtered: List[int] = [0] * n
+        self.dead: List[int] = [0] * n
+        #: On-line user reads (= READ requests), and the empty ones.
+        self.reads: List[int] = [0] * n
+        self.empty_reads: List[int] = [0] * n
+        #: Notifications read by the user.
+        self.consumed: List[int] = [0] * n
+        #: Sum of read ages; moves into the stats object on
+        #: materialization (see the module docstring).
+        self.read_delay_sum: List[float] = [0.0] * n
+        #: ``TopicState.old_reads`` / ``.old_times`` of the binding,
+        #: created on its first read and adopted by the state on
+        #: materialization.
+        self.old_reads: List = [None] * n
+        self.old_times: List = [None] * n
+
+        # -- the object graph (None while resident) ----------------------
+        self.topics: List = [None] * n
+        self.stats: List = [None] * n
+        self.links: List = [None] * n
+        self.clients: List = [None] * n
+        self.states: List = [None] * n
+
+    @property
+    def materialized_share(self) -> float:
+        """Fraction of the shard's bindings that left the resident tier."""
+        if not self.devices:
+            return 0.0
+        return 1.0 - sum(self.resident) / self.devices
 
     # ------------------------------------------------------------------
-    # Write-through setters (narrow, one field each). The batch pumps
-    # write the arrays directly on their hottest paths — same stores,
-    # no call overhead — but every non-pump writer goes through these.
+    # Invariant audit (test surface)
     # ------------------------------------------------------------------
-    def set_network(self, device: int, up: bool) -> None:
-        self.network[device] = 1 if up else 0
+    def verify_sync(self) -> List[str]:
+        """Check both tiers' invariants; returns human-readable
+        violations (empty = in sync).
 
-    def set_queue_size(self, device: int, size: int) -> None:
-        self.queue_size[device] = size
-
-    def set_prefetch_limit(self, device: int, limit: int) -> None:
-        self.prefetch_limit[device] = limit
-
-    def set_proxy_queued(self, device: int, count: int) -> None:
-        self.proxy_queued[device] = count
-
-    def mark_scalar_only(self, device: int) -> None:
-        self.scalar_only[device] = 1
-
-    # ------------------------------------------------------------------
-    # Masks (vectorized views over the whole shard)
-    # ------------------------------------------------------------------
-    def online_mask(self) -> np.ndarray:
-        """Devices whose last hop is currently UP."""
-        return self.network != 0
-
-    def budget_mask(self) -> np.ndarray:
-        """Devices with spare prefetch room on the client."""
-        return self.queue_size < self.prefetch_limit
-
-    def fast_mask(self) -> np.ndarray:
-        """Devices eligible for fused dispatch right now."""
-        return self.scalar_only == 0
-
-    # ------------------------------------------------------------------
-    # Invariant audit (test / --audit surface)
-    # ------------------------------------------------------------------
-    def verify_sync(self, states, devices, topics) -> List[str]:
-        """Check the write-through invariants against the authoritative
-        objects; returns human-readable violations (empty = in sync)."""
+        Materialized rows: the mirror columns against the authoritative
+        objects. Resident rows: the row against itself — the identities
+        that make the replay into objects well defined (no objects yet,
+        nothing proxy-side, every forward either read or still held, the
+        averages present exactly when a read happened).
+        """
         violations: List[str] = []
-        for d, state in enumerate(states):
-            up = state.network is NetworkStatus.UP
-            if bool(self.network[d]) != up:
-                violations.append(
-                    f"device {d}: network column {self.network[d]} vs "
-                    f"authoritative {state.network}"
-                )
-            queued = state.queued_event_count()
-            if int(self.proxy_queued[d]) < queued:
-                violations.append(
-                    f"device {d}: proxy_queued column {self.proxy_queued[d]} "
-                    f"below authoritative {queued}"
-                )
-            if int(self.queue_size[d]) != state.queue_size:
-                violations.append(
-                    f"device {d}: queue_size column {self.queue_size[d]} vs "
-                    f"authoritative {state.queue_size}"
-                )
-            if int(self.prefetch_limit[d]) != state.prefetch_limit:
-                violations.append(
-                    f"device {d}: prefetch_limit column "
-                    f"{self.prefetch_limit[d]} vs authoritative "
-                    f"{state.prefetch_limit}"
-                )
-            hint = float(self.next_expiry[d])
-            for queue in (state.outgoing, state.prefetch, state.holding):
-                for item in queue:
-                    if item.expires_at is not None and item.expires_at < hint:
-                        violations.append(
-                            f"device {d}: next_expiry hint {hint:.3f} past "
-                            f"queued expiry {item.expires_at:.3f}"
-                        )
-                        break
+        for d in range(self.devices):
+            if self.resident[d]:
+                violations.extend(self._verify_resident(d))
+            else:
+                violations.extend(self._verify_mirror(d))
+        return violations
+
+    def _verify_resident(self, d: int) -> List[str]:
+        violations: List[str] = []
+        if any(
+            column[d] is not None
+            for column in (
+                self.topics, self.stats, self.links, self.clients, self.states
+            )
+        ):
+            violations.append(f"device {d}: resident row owns objects")
+        if (
+            self.proxy_queued[d]
+            or self.offline_reads[d]
+            or self.scalar_only[d]
+            or self.next_expiry[d] != math.inf
+        ):
+            violations.append(f"device {d}: resident row has proxy-side state")
+        held = len(self.held[d] or ())
+        if self.forwarded[d] != self.consumed[d] + held:
+            violations.append(
+                f"device {d}: {self.forwarded[d]} forwarded vs "
+                f"{self.consumed[d]} read + {held} held"
+            )
+        if self.queue_size[d] < held:
+            violations.append(
+                f"device {d}: queue_size estimate {self.queue_size[d]} "
+                f"below the {held} notifications held"
+            )
+        if self.empty_reads[d] > self.reads[d]:
+            violations.append(f"device {d}: more empty reads than reads")
+        averages = self.old_reads[d]
+        if (averages is None) != (self.old_times[d] is None) or (
+            averages is None
+        ) != (self.reads[d] == 0):
+            violations.append(
+                f"device {d}: read averages do not match {self.reads[d]} reads"
+            )
+        elif averages is not None and averages.count != min(
+            self.reads[d], averages.window
+        ):
+            violations.append(
+                f"device {d}: read-size window holds {averages.count} of "
+                f"{self.reads[d]} reads"
+            )
+        return violations
+
+    def _verify_mirror(self, d: int) -> List[str]:
+        violations: List[str] = []
+        state = self.states[d]
+        if self.held[d] is not None:
+            violations.append(f"device {d}: materialized row still holds notifications")
+        up = state.network is NetworkStatus.UP
+        if bool(self.network[d]) != up:
+            violations.append(
+                f"device {d}: network column {self.network[d]} vs "
+                f"authoritative {state.network}"
+            )
+        queued = state.queued_event_count()
+        if self.proxy_queued[d] < queued:
+            violations.append(
+                f"device {d}: proxy_queued column {self.proxy_queued[d]} "
+                f"below authoritative {queued}"
+            )
+        if self.queue_size[d] != state.queue_size:
+            violations.append(
+                f"device {d}: queue_size column {self.queue_size[d]} vs "
+                f"authoritative {state.queue_size}"
+            )
+        if self.prefetch_limit[d] != state.prefetch_limit:
+            violations.append(
+                f"device {d}: prefetch_limit column "
+                f"{self.prefetch_limit[d]} vs authoritative "
+                f"{state.prefetch_limit}"
+            )
+        hint = self.next_expiry[d]
+        for queue in (state.outgoing, state.prefetch, state.holding):
+            for item in queue:
+                if item.expires_at is not None and item.expires_at < hint:
+                    violations.append(
+                        f"device {d}: next_expiry hint {hint:.3f} past "
+                        f"queued expiry {item.expires_at:.3f}"
+                    )
+                    break
         return violations

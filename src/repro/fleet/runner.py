@@ -1,10 +1,15 @@
 """Fleet execution: one proxy, thousands of device bindings, one clock.
 
 A shard is one :class:`~repro.sim.engine.Simulator` carrying a single
-:class:`~repro.proxy.proxy.LastHopProxy` with one per-device binding
-(compact :class:`~repro.proxy.state.TopicState`) per device, plus one
+:class:`~repro.proxy.proxy.LastHopProxy` and one binding per device.
+A binding starts as a bare row of the shard's binding table
+(:class:`~repro.fleet.columns.FleetColumns`); its object graph — a
+compact :class:`~repro.proxy.state.TopicState` at the proxy plus a
 :class:`~repro.device.link.LastHopLink` / :class:`~repro.device.device.
-ClientDevice` pair per device.
+ClientDevice` pair and a ``SketchedStats`` — is built by
+:meth:`ShardWiring.materialize` only when something needs it: at wiring
+for every binding of a shard that cannot run on rows alone, mid-run for
+the bindings whose events leave the batch pump's resident handlers.
 
 The shard replays **four fleet-wide merged streams** (arrivals, rank
 changes, reads, network transitions) rather than four streams per
@@ -19,8 +24,9 @@ therefore replays the exact event sequence of :func:`~repro.experiments.
 runner.run_scenario` on that device's trace, which the differential
 tests pin.
 
-Per-device results fold into a :class:`~repro.metrics.streaming.
-FleetAccumulator` as they finish; nothing per-device survives the shard,
+The table (rows plus the materialized bindings' stats) folds into a
+:class:`~repro.metrics.streaming.FleetAccumulator` when the shard
+finishes; nothing per-device survives the shard,
 so parent-side memory is O(shards) no matter how many devices run.
 
 Determinism across sharding: devices never interact (separate topics,
@@ -37,7 +43,7 @@ import gc
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -46,15 +52,18 @@ from repro import obs
 from repro.broker.message import Notification
 from repro.device.device import ClientDevice
 from repro.device.link import LastHopLink
+from repro.errors import ConfigurationError
 from repro.experiments import parallel
 from repro.faults import FaultPlan, FaultSpec
 from repro.fleet import dispatch
 from repro.fleet.batch import ShardBatchDispatcher
+from repro.fleet.columns import FleetColumns
 from repro.fleet.config import FleetScenarioConfig
 from repro.fleet.workload import FleetWorkload, build_fleet_workload
 from repro.metrics.accounting import RunStats
 from repro.metrics.streaming import FleetAccumulator, SketchedStats
 from repro.proxy.policies import PolicyConfig
+from repro.proxy.prefetch import BufferPrefetcher
 from repro.proxy.proxy import LastHopProxy, ProxyConfig
 from repro.sim import trace_shm
 from repro.sim.engine import Simulator
@@ -118,18 +127,18 @@ def _execute_shard(
 ) -> FleetAccumulator:
     """Run one shard's devices on one simulator; fold into an accumulator.
 
-    The per-device wiring mirrors :func:`~repro.experiments.runner.
-    run_scenario` exactly — ctor order, listener registration order,
-    crash timers scheduled before streams — and the merged streams
-    preserve each device's within-device event order, so a device's
-    statistics are identical whether it runs here or through the
+    A binding's wiring (:meth:`ShardWiring.materialize`) mirrors
+    :func:`~repro.experiments.runner.run_scenario` exactly, and the
+    merged streams preserve each device's within-device event order, so
+    a device's statistics are identical whether it runs here — on its
+    row, on objects, or first one then the other — or through the
     single-device runner.
 
     ``use_batch`` picks the dispatch mode (:mod:`repro.fleet.dispatch`):
-    the columnar batched fast path (the default) or the scalar
-    per-callback oracle. Both produce bit-identical integer metrics.
+    the batched fast path over the binding table (the default) or the
+    scalar per-callback oracle, which materializes every binding at
+    wiring. Both produce bit-identical integer metrics.
     """
-    config = workload.config
     spec = fault_spec if fault_spec is not None else faults_mod.active_spec()
     obs_ctx = obs.active()
     recorder = None if obs_ctx is None else obs_ctx.recorder
@@ -143,6 +152,147 @@ def _execute_shard(
         )
 
 
+class ShardWiring:
+    """Builds a binding's object graph the first time something needs it.
+
+    Every binding of a shard starts as a bare row of the shard's
+    :class:`~repro.fleet.columns.FleetColumns`. :meth:`materialize` is
+    the only place the per-device ``SketchedStats`` / ``LastHopLink`` /
+    ``ClientDevice`` / ``TopicState`` are constructed — for every
+    binding at wiring when the shard cannot take the resident handlers
+    (scalar dispatch, fault plans, observers, a latent link, a fixed
+    delay), for a single binding from inside the batch pump otherwise
+    (:mod:`repro.fleet.batch` lists the escapes).
+    """
+
+    __slots__ = (
+        "sim", "proxy", "acc", "workload", "cols", "spec", "link_latency",
+        "recorder",
+    )
+
+    def __init__(
+        self,
+        sim: Simulator,
+        proxy: LastHopProxy,
+        acc: FleetAccumulator,
+        workload: FleetWorkload,
+        cols: FleetColumns,
+        spec: Optional[FaultSpec],
+        link_latency: float,
+        recorder,
+    ) -> None:
+        self.sim = sim
+        self.proxy = proxy
+        self.acc = acc
+        self.workload = workload
+        self.cols = cols
+        #: None when no fault applies; otherwise every device realizes
+        #: its own plan from it.
+        self.spec = spec
+        self.link_latency = link_latency
+        self.recorder = recorder
+
+    def materialize(self, index: int) -> None:
+        """Build binding ``index``'s objects and replay its row into them.
+
+        The wiring mirrors :func:`~repro.experiments.runner.
+        run_scenario` exactly — ctor order, listener registration order,
+        crash timers scheduled at once (only wiring-time calls carry a
+        plan, so they land before the streams register) — and a replay
+        of a fresh row is the identity, so a binding materialized at
+        wiring is wired exactly as if no row had ever existed. One-way
+        and idempotent: a materialized binding is left alone.
+
+        The replay hands over what the binding's future depends on: the
+        link status, the proxy's queue-size estimate and prefetch limit,
+        the read averages (and the expiration threshold derived from
+        them), and the notifications the device holds. The row's counts
+        stay behind — the fold adds them to what the stats object counts
+        from here on — except ``read_delay_sum``, which moves so the
+        per-device float sum keeps accumulating left to right.
+        """
+        cols = self.cols
+        if not cols.resident[index]:
+            return
+        sim = self.sim
+        proxy = self.proxy
+        acc = self.acc
+        config = self.workload.config
+        device_id = self.workload.lo + index
+        plan = (
+            None
+            if self.spec is None
+            else FaultPlan.build(
+                self.spec,
+                seed=derive_seed(config.seed, f"device-{device_id}"),
+                duration=config.duration,
+            )
+        )
+        stats = SketchedStats(
+            delay_sketch=acc.read_delay_sketch,
+            delay_moments=acc.read_delay_moments,
+        )
+        topic = device_topic(device_id)
+        link = LastHopLink(
+            sim, stats, latency=self.link_latency, faults=plan,
+            recorder=self.recorder,
+        )
+        device = ClientDevice(sim, link, stats, faults=plan)
+        device.add_topic(topic, config.threshold)
+        state = proxy.add_binding(
+            topic, transport=link, stats=stats, rank_threshold=config.threshold
+        )
+        device.attach_proxy(proxy)
+        link.add_status_listener(partial(proxy.on_topic_network, topic))
+        if plan is not None:
+            for crash_time in plan.crash_times:
+                sim.schedule_at(
+                    crash_time,
+                    proxy.crash_restart_topic,
+                    topic,
+                    plan.spec.restart_delay,
+                )
+
+        if not cols.network[index]:
+            link._status = NetworkStatus.DOWN
+            state.network = NetworkStatus.DOWN
+        state.queue_size = cols.queue_size[index]
+        state.prefetch_limit = cols.prefetch_limit[index]
+        if cols.old_reads[index] is not None:
+            state.old_reads = cols.old_reads[index]
+            state.old_times = cols.old_times[index]
+            cols.old_reads[index] = cols.old_times[index] = None
+            policy = proxy.policy
+            if policy.expiration_threshold is None:
+                state.expiration_threshold = state.old_times.value_or(
+                    policy.initial_expiration_threshold
+                )
+        held = cols.held[index]
+        if held is not None:
+            queue = device._queues[topic]
+            for neg_rank, published_at, event_id in held:
+                queue.add(
+                    Notification(
+                        event_id=EventId(event_id),
+                        topic=topic,
+                        rank=-neg_rank,
+                        published_at=published_at,
+                    )
+                )
+                device._topic_of[event_id] = topic
+                state.forwarded.add(event_id)
+                stats.forwarded_ids.add(event_id)
+            cols.held[index] = None
+        stats.read_delay_sum = cols.read_delay_sum[index]
+
+        cols.topics[index] = topic
+        cols.stats[index] = stats
+        cols.links[index] = link
+        cols.clients[index] = device
+        cols.states[index] = state
+        cols.resident[index] = 0
+
+
 def _execute_shard_inner(
     workload: FleetWorkload,
     policy: PolicyConfig,
@@ -152,10 +302,8 @@ def _execute_shard_inner(
     auditor,
     use_batch: bool,
 ) -> FleetAccumulator:
-    config = workload.config
     acc = FleetAccumulator()
     sim = Simulator()
-    duration = config.duration
     # The proxy-wide transport/stats slots back the classic `add_topic`
     # alias only; every fleet binding carries its own.
     proxy = LastHopProxy(
@@ -166,126 +314,94 @@ def _execute_shard_inner(
         recorder=recorder,
         auditor=auditor,
     )
-    threshold = config.threshold
-    base_seed = config.seed
+    n = workload.devices
+    cols = FleetColumns(n, BufferPrefetcher(policy).limit_for(None))
     null_faults = spec is None or spec.is_null
-    schedule_at = sim.schedule_at
+    wiring = ShardWiring(
+        sim, proxy, acc, workload, cols,
+        None if null_faults else spec, link_latency, recorder,
+    )
 
-    topics: List[TopicId] = []
-    stats_list: List[SketchedStats] = []
-    devices: List[ClientDevice] = []
-    links: List[LastHopLink] = []
-    states: List = []
-    has_plan: List[bool] = []
-    perform_reads: List = []
-    set_statuses: List = []
-    for index in range(workload.devices):
-        plan = (
-            None
-            if null_faults
-            else FaultPlan.build(
-                spec,
-                seed=derive_seed(base_seed, f"device-{workload.lo + index}"),
-                duration=duration,
-            )
-        )
-        stats = SketchedStats(
-            delay_sketch=acc.read_delay_sketch,
-            delay_moments=acc.read_delay_moments,
-        )
-        topic = device_topic(workload.lo + index)
-        link = LastHopLink(
-            sim, stats, latency=link_latency, faults=plan, recorder=recorder
-        )
-        device = ClientDevice(sim, link, stats, faults=plan)
-        device.add_topic(topic, threshold)
-        state = proxy.add_binding(
-            topic, transport=link, stats=stats, rank_threshold=threshold
-        )
-        device.attach_proxy(proxy)
-        link.add_status_listener(partial(proxy.on_topic_network, topic))
-        if plan is not None:
-            for crash_time in plan.crash_times:
-                schedule_at(
-                    crash_time,
-                    proxy.crash_restart_topic,
-                    topic,
-                    plan.spec.restart_delay,
-                )
-        topics.append(topic)
-        stats_list.append(stats)
-        devices.append(device)
-        links.append(link)
-        states.append(state)
-        has_plan.append(plan is not None)
-        perform_reads.append(device.perform_read)
-        set_statuses.append(link.set_status)
-
+    # Wiring: materialize now whatever can never take a resident
+    # handler. Local-id order, before any stream registers — the crash
+    # timers of fault plans draw their sequence numbers here.
+    eager: Iterable[int] = range(n)
+    dispatcher = None
     if use_batch:
         dispatcher = ShardBatchDispatcher(
             sim=sim,
             workload=workload,
             proxy=proxy,
             policy=policy,
-            topics=topics,
-            states=states,
-            links=links,
-            devices=devices,
-            stats_list=stats_list,
-            perform_reads=perform_reads,
-            set_statuses=set_statuses,
-            has_plan=has_plan,
+            cols=cols,
+            materialize=wiring.materialize,
+            accumulator=acc,
+            has_plans=not null_faults,
             link_latency=link_latency,
             recorder=recorder,
             auditor=auditor,
         )
+        if dispatcher.can_fuse:
+            # A rank change resolves against the durable history of the
+            # binding's earlier arrivals, which a row does not keep.
+            eager = np.flatnonzero(workload.change_counts).tolist()
+    for index in eager:
+        wiring.materialize(index)
+
+    if dispatcher is not None:
         dispatcher.register_streams()
     else:
         _register_fleet_streams(
-            sim, workload, proxy, topics, perform_reads, set_statuses
+            sim,
+            workload,
+            proxy,
+            cols.topics,
+            [device.perform_read for device in cols.clients],
+            [link.set_status for link in cols.links],
         )
 
-    sim.run(until=duration)
+    sim.run(until=workload.config.duration)
 
-    # Final-queue sweep, one per binding: equivalent to
+    # Final-queue sweep over the materialized bindings: equivalent to
     # ``topic_state(t).queued_event_count()`` / ``device.queue_size(t)``
     # but reading the ranked queues' membership dicts directly — at 10k+
-    # bindings the method hops are a measurable slice of the fold.
-    states_map = proxy._states
+    # bindings the method hops are a measurable slice of the fold. A
+    # resident binding has nothing at the proxy and holds its row's
+    # ``held``.
     acc.add_shard(
-        stats_list,
-        [
+        cols,
+        sum(
             len(st.outgoing._items)
             + len(st.prefetch._items)
             + len(st.holding._items)
-            for st in (states_map[topic] for topic in topics)
-        ],
-        [
+            for st in proxy._states.values()
+        ),
+        sum(
             len(device._queues[topic]._items)
-            for device, topic in zip(devices, topics)
-        ],
+            for device, topic in zip(cols.clients, cols.topics)
+            if device is not None
+        )
+        + sum(len(held) for held in cols.held if held),
     )
     acc.events_processed = sim.events_processed
     obs.PROBES.count("events", sim.events_processed)
-    _dismantle_shard(sim, proxy, devices, links)
+    _dismantle_shard(sim, proxy, cols)
     return acc
 
 
 def _dismantle_shard(
-    sim: Simulator,
-    proxy: LastHopProxy,
-    devices: List[ClientDevice],
-    links: List[LastHopLink],
+    sim: Simulator, proxy: LastHopProxy, cols: FleetColumns
 ) -> None:
     """Break the shard's reference cycles so plain refcounting frees it.
 
-    The device ↔ link ↔ proxy ↔ simulator graph is cyclic (listeners
-    hold bound methods, heap events hold states, devices hold the
-    proxy); with the cyclic collector suspended for the shard's
-    lifetime (:func:`_bulk_allocation`), an unbroken graph would
-    survive until a later full GC sweep — which lands in the middle of
-    the *next* shard (or benchmark round). Everything the caller needs
-    has been folded into the accumulator by now.
+    The device ↔ link ↔ proxy ↔ simulator graph of every materialized
+    binding is cyclic (listeners hold bound methods, heap events hold
+    states, devices hold the proxy); with the cyclic collector
+    suspended for the shard's lifetime (:func:`_bulk_allocation`), an
+    unbroken graph would survive until a later full GC sweep — which
+    lands in the middle of the *next* shard (or benchmark round).
+    Everything the caller needs has been folded into the accumulator by
+    now. Resident rows hold no cycle and need nothing.
     """
     for event in sim._heap:
         stream = event.stream
@@ -295,11 +411,11 @@ def _dismantle_shard(
             stream.entry = None
             event.stream = None
     sim._heap.clear()
-    for link in links:
-        link._listeners.clear()
-        link._device = None
-    for device in devices:
-        device._proxy = None
+    for link, device in zip(cols.links, cols.clients):
+        if link is not None:
+            link._listeners.clear()
+            link._device = None
+            device._proxy = None
     proxy._states.clear()
 
 
@@ -471,6 +587,11 @@ def run_fleet(
     if workload is None:
         with obs.PROBES.phase("fleet-build"):
             workload = build_fleet_workload(config)
+    elif workload.config != config:
+        raise ConfigurationError(
+            "run_fleet: the workload passed in was built from a different "
+            f"config ({workload.config!r}) than the one being run ({config!r})"
+        )
     accumulator = parallel.run_fleet_shards(
         workload,
         policy,

@@ -31,11 +31,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from operator import itemgetter
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.metrics.accounting import RunStats
 from repro.units import DAY
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only (fleet imports metrics)
+    from repro.fleet.columns import FleetColumns
 
 #: RunStats fields folded by summation (everything scalar; the identity
 #: sets are reduced to their sizes via ``forwarded``/``messages_read``).
@@ -43,6 +46,10 @@ _SUMMED_FIELDS = tuple(
     f.name
     for f in fields(RunStats)
     if f.name not in ("forwarded_ids", "read_ids", "outcome")
+)
+#: The summed fields that are floats: their sums are order-sensitive.
+_FLOAT_FIELDS = frozenset(
+    f.name for f in fields(RunStats) if isinstance(f.default, float)
 )
 
 
@@ -271,41 +278,87 @@ class FleetAccumulator:
 
     def add_shard(
         self,
-        stats_list: List[RunStats],
-        final_proxy_queued: List[int],
-        final_device_queued: List[int],
+        table: "FleetColumns",
+        final_proxy_queued: int,
+        final_device_queued: int,
     ) -> None:
-        """Fold a whole shard of devices in one column-at-a-time pass.
+        """Fold a whole shard's binding table in one pass.
 
         Bit-identical to calling :meth:`add_device` once per device in
-        list order: the integer columns are order-free sums, and the
-        float columns (``read_delay_sum``, battery, crash downtime)
-        associate left-to-right inside ``sum`` exactly as the
-        sequential fold does. The per-device moment pushes stay
+        local-id order on the ``RunStats`` a fully object-backed shard
+        would have produced. Each binding contributes what its row
+        counted while it was array-resident plus what its stats object
+        (None if it never materialized) counted afterwards. The integer
+        columns are order-free sums, so the two tiers simply add. The
+        float columns must associate exactly as the sequential fold
+        does: per device, then left to right over local ids inside
+        ``sum`` — ``read_delay_sum`` of a materialized binding lives in
+        its stats object (the row's partial moved there), and a
+        resident binding's other floats are the 0.0 a never-touched
+        ``RunStats`` holds, which adds nothing wherever it falls in the
+        order. The per-device moment pushes stay
         sequential — Welford's update is order-sensitive, and both
         fleet dispatch modes must describe() identically.
         """
-        self.devices += len(stats_list)
-        self.final_proxy_queued += sum(final_proxy_queued)
-        self.final_device_queued += sum(final_device_queued)
+        self.devices += table.devices
+        self.final_proxy_queued += final_proxy_queued
+        self.final_device_queued += final_device_queued
         counters = self.counters
-        # Column-at-a-time: itemgetter over the instance dicts keeps
-        # the whole per-field reduction in C (RunStats is a plain
-        # dataclass, so every summed field lives in __dict__).
-        dicts = [stats.__dict__ for stats in stats_list]
+        stats_list = table.stats
+        pushed = sum(table.forwarded)
+        filtered = sum(table.filtered)
+        dead = sum(table.dead)
+        reads = sum(table.reads)
+        # While resident, every accepted arrival was forwarded on
+        # arrival as a push, and every read was an on-line READ.
+        counters["arrivals"] += pushed + filtered + dead
+        counters["accepted"] += pushed
+        counters["filtered"] += filtered
+        counters["expired_at_proxy"] += dead
+        counters["pushed"] += pushed
+        counters["bytes_sent"] += pushed * table.forward_bytes
+        counters["reads"] += reads
+        counters["read_requests"] += reads
+        counters["empty_reads"] += sum(table.empty_reads)
+        # Column-at-a-time over the materialized bindings: itemgetter
+        # over the instance dicts keeps the whole per-field reduction in
+        # C (RunStats is a plain dataclass, so every summed field lives
+        # in __dict__). A resident binding would contribute the 0 / 0.0
+        # of an untouched RunStats, which no left-to-right sum notices;
+        # the float start only keeps the float fields float.
+        dicts = [stats.__dict__ for stats in stats_list if stats is not None]
         for name in _SUMMED_FIELDS:
-            counters[name] += sum(map(itemgetter(name), dicts))
+            if name != "read_delay_sum":
+                counters[name] += sum(
+                    map(itemgetter(name), dicts),
+                    0.0 if name in _FLOAT_FIELDS else 0,
+                )
+        counters["read_delay_sum"] += sum(
+            [
+                partial if stats is None else stats.read_delay_sum
+                for stats, partial in zip(stats_list, table.read_delay_sum)
+            ]
+        )
         forwarded = 0
         messages_read = 0
         wasted = 0
         push_reads = self.device_reads.push
         push_waste = self.device_waste.push
-        for stats in stats_list:
-            forwarded_ids = stats.forwarded_ids
-            read_ids = stats.read_ids
-            n_read = len(read_ids)
-            n_wasted = len(forwarded_ids - read_ids)
-            forwarded += len(forwarded_ids)
+        for stats, held, n_forwarded, n_read in zip(
+            stats_list, table.held, table.forwarded, table.consumed
+        ):
+            if stats is None:
+                n_wasted = len(held) if held else 0
+            else:
+                forwarded_ids = stats.forwarded_ids
+                read_ids = stats.read_ids
+                # What the row forwarded and handed over unread is in
+                # ``forwarded_ids``; only what it saw read still counts
+                # from the row.
+                n_forwarded = n_read + len(forwarded_ids)
+                n_read += len(read_ids)
+                n_wasted = len(forwarded_ids - read_ids)
+            forwarded += n_forwarded
             messages_read += n_read
             wasted += n_wasted
             push_reads(float(n_read))
@@ -413,8 +466,7 @@ class FleetAccumulator:
             "int_counters": {
                 name: int(self.counters[name])
                 for name in _SUMMED_FIELDS
-                if name
-                not in ("read_delay_sum", "battery_spent", "crash_downtime")
+                if name not in _FLOAT_FIELDS
             },
             "read_delay_sum": self.counters["read_delay_sum"],
             "sketch_counts": sketch_counts,

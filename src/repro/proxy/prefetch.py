@@ -16,6 +16,7 @@ when they do forward":
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 from repro.proxy.moving_average import IntervalAverage
 from repro.proxy.policies import PolicyConfig
@@ -28,16 +29,33 @@ class BufferPrefetcher:
 
     def __init__(self, policy: PolicyConfig) -> None:
         self._policy = policy
+        #: The limit of every kind whose limit never moves; None under
+        #: UNIFIED, whose limit follows the observed read sizes.
+        self._fixed: Optional[int]
+        if policy.kind is PolicyKind.UNIFIED:
+            self._fixed = None
+        elif policy.kind is PolicyKind.BUFFER:
+            self._fixed = policy.prefetch_limit or 0
+        else:
+            self._fixed = 0
 
     def effective_limit(self, state: TopicState) -> int:
         """Current prefetch limit given the policy and observed reads."""
-        policy = self._policy
-        if policy.kind in (PolicyKind.ON_DEMAND, PolicyKind.RATE, PolicyKind.ONLINE):
-            return 0
-        if policy.kind is PolicyKind.BUFFER:
-            return policy.prefetch_limit or 0
+        fixed = self._fixed
+        if fixed is not None:
+            return fixed
+        return self.limit_for(state.old_reads.value)
+
+    def limit_for(self, mean_read: Optional[float]) -> int:
+        """The limit for a binding known only by its read-size average
+        (None before its first read) — all :meth:`effective_limit`
+        reads of a binding, so array-resident fleet bindings (which
+        have no :class:`TopicState`) share the formula."""
+        fixed = self._fixed
+        if fixed is not None:
+            return fixed
         # UNIFIED: topic.prefetch_limit = moving_average(old_reads) * 2.
-        mean_read = state.mean_read_size
+        policy = self._policy
         if mean_read is None:
             return policy.initial_prefetch_limit
         return max(1, int(round(mean_read * policy.adaptive_limit_multiplier)))

@@ -1,29 +1,38 @@
 """Differential suite: batched fleet dispatch vs the scalar oracle.
 
 ``use_batch=True`` routes a shard through :class:`ShardBatchDispatcher`
-(columnar state, one merged batch stream, fused fast paths);
-``use_batch=False`` replays the identical workload through the scalar
-per-event callbacks. The two modes must be *bit-identical* on every
-integer metric — the batched path is an optimization, never an
-approximation — and, with identical sharding, on the float sums too
-(same devices folded in the same order).
+(one merged batch stream; array-resident bindings handled on their rows
+of the binding table, materialized ones through the fused-on-object
+fast paths); ``use_batch=False`` materializes every binding at wiring
+and replays the identical workload through the scalar per-event
+callbacks. The two modes must be *bit-identical* on every integer
+metric — the batched path is an optimization, never an approximation —
+and, with identical sharding, on the float sums too (same devices
+folded in the same order).
 
 The matrix here sweeps (policy x fault preset x seed), the rich
-workload features the fused gates must punt on (expiring arrivals, rank
-changes, thresholds, link latency), partitioning knobs, and — via
-hypothesis — randomly drawn heterogeneity configs. A final class pins
-the columnar write-through invariants with
-:meth:`FleetColumns.verify_sync` at end of run.
+workload features the resident and fused gates must punt on (expiring
+arrivals, rank changes, thresholds, link latency), partitioning knobs,
+and — via hypothesis — randomly drawn heterogeneity configs.
+``TestMaterializationInvisible`` pins that *when* a binding leaves the
+resident tier is unobservable: any subset materialized before the run
+or mid-pump reproduces the untouched run. A final class pins the
+table's invariants with :meth:`FleetColumns.verify_sync` at end of run,
+per tier, and the rows against a per-device scalar replay.
 """
 
+import functools
 import itertools
+from contextlib import contextmanager
+from typing import NamedTuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.fleet.runner as runner_mod
 from repro import faults
-from repro.fleet import FleetScenarioConfig, run_fleet
+from repro.fleet import FleetScenarioConfig, build_fleet_workload, run_fleet
 from repro.fleet.batch import ShardBatchDispatcher
 from repro.proxy.policies import PolicyConfig
 from repro.units import DAY
@@ -41,6 +50,14 @@ POLICIES = {
 }
 
 PRESETS = [None, "lossy", "chaos"]
+
+#: The benchmark's canonical campaign shape (``bench/workloads.py``).
+LIGHT = dict(
+    arrivals=ArrivalConfig(events_per_day=2),
+    reads=ReadConfig(reads_per_day=0.5),
+    outages=OutageConfig(downtime_fraction=0.1),
+    duration=DAY,
+)
 
 
 def _both_signatures(config, policy, *, spec=None, link_latency=0.0):
@@ -76,35 +93,34 @@ class TestDifferentialMatrix:
         _assert_identical(batch, scalar)
 
 
-class TestRichWorkloads:
-    """Workload features that exercise the scalar-fallback gates."""
+def _rich_config(**overrides):
+    base = dict(
+        devices=100,
+        duration=DAY,
+        seed=3,
+        threshold=1.5,
+        arrivals=ArrivalConfig(events_per_day=6.0, expiring_fraction=0.5),
+        reads=ReadConfig(reads_per_day=2.0),
+        outages=OutageConfig(downtime_fraction=0.3),
+        rank_changes=RankChangeConfig(drop_fraction=0.2, boost_fraction=0.2),
+    )
+    base.update(overrides)
+    return FleetScenarioConfig(**base)
 
-    def _rich_config(self, **overrides):
-        base = dict(
-            devices=100,
-            duration=DAY,
-            seed=3,
-            threshold=1.5,
-            arrivals=ArrivalConfig(events_per_day=6.0, expiring_fraction=0.5),
-            reads=ReadConfig(reads_per_day=2.0),
-            outages=OutageConfig(downtime_fraction=0.3),
-            rank_changes=RankChangeConfig(
-                drop_fraction=0.2, boost_fraction=0.2
-            ),
-        )
-        base.update(overrides)
-        return FleetScenarioConfig(**base)
+
+class TestRichWorkloads:
+    """Workload features that exercise the escape and fallback gates."""
 
     @pytest.mark.parametrize("policy_name", sorted(POLICIES))
     def test_expiring_changes_threshold(self, policy_name):
         batch, scalar = _both_signatures(
-            self._rich_config(), POLICIES[policy_name]()
+            _rich_config(), POLICIES[policy_name]()
         )
         _assert_identical(batch, scalar)
 
     def test_rank_churn_with_faults(self):
         batch, scalar = _both_signatures(
-            self._rich_config(),
+            _rich_config(),
             PolicyConfig.unified(),
             spec=faults.FaultSpec.parse("chaos"),
         )
@@ -113,7 +129,7 @@ class TestRichWorkloads:
     def test_link_latency_disables_fusion_not_correctness(self):
         """A latent link unfuses the whole shard; results still match."""
         batch, scalar = _both_signatures(
-            self._rich_config(rank_changes=RankChangeConfig()),
+            _rich_config(rank_changes=RankChangeConfig()),
             PolicyConfig.unified(),
             link_latency=3.0,
         )
@@ -189,55 +205,338 @@ class TestHypothesisHeterogeneity:
         _assert_identical(batch, scalar)
 
 
+class Shard(NamedTuple):
+    """One captured shard run: the accumulator plus the live table."""
+
+    accumulator: object
+    cols: object
+    dispatcher: object  # None under scalar dispatch
+
+
+@contextmanager
+def _patched(owner, name, replacement):
+    original = getattr(owner, name)
+    setattr(owner, name, replacement)
+    try:
+        yield original
+    finally:
+        setattr(owner, name, original)
+
+
+def _run_shard(
+    config,
+    policy,
+    *,
+    spec=None,
+    link_latency=0.0,
+    use_batch=True,
+    materialize=(),
+    at_event=None,
+):
+    """Run one shard in-process, keeping its table for inspection.
+
+    ``materialize`` names local device ids to push out of the resident
+    tier by hand: before ``sim.run`` (``at_event`` None), or from inside
+    the pump right before merged-stream item ``at_event`` fires. The
+    teardown that would clear the object graph is skipped.
+    """
+    captured = {}
+    register = ShardBatchDispatcher.register_streams
+    pump = ShardBatchDispatcher._pump
+
+    def capture_register(dispatcher):
+        captured["dispatcher"] = dispatcher
+        register(dispatcher)
+        if at_event is None:
+            for d in materialize:
+                dispatcher.materialize(d)
+
+    def interrupted_pump(dispatcher, pos, base, cap_time, cap_seq, until, limit):
+        if at_event is not None and "fired" not in captured:
+            if pos < at_event:
+                # End this run right before the drawn item (the engine
+                # re-arms the cursor; no sequence number moves).
+                limit = min(limit, at_event - pos)
+            else:
+                captured["fired"] = True
+                for d in materialize:
+                    dispatcher.materialize(d)
+        return pump(dispatcher, pos, base, cap_time, cap_seq, until, limit)
+
+    def keep(sim, proxy, cols):
+        captured["cols"] = cols
+
+    with _patched(ShardBatchDispatcher, "register_streams", capture_register), \
+            _patched(ShardBatchDispatcher, "_pump", interrupted_pump), \
+            _patched(runner_mod, "_dismantle_shard", keep):
+        accumulator = runner_mod._execute_shard(
+            build_fleet_workload(config), policy, spec, link_latency, use_batch
+        )
+    return Shard(accumulator, captured["cols"], captured.get("dispatcher"))
+
+
+def _outputs(accumulator):
+    return (
+        accumulator.signature(),
+        accumulator.metrics_row(),
+        accumulator.describe(),
+    )
+
+
+MATRIX_CONFIG = dict(devices=120, duration=DAY)
+
+
+def _matrix_case(policy_name, preset, seed):
+    spec = faults.FaultSpec.parse(preset) if preset else None
+    config = FleetScenarioConfig(seed=seed, **MATRIX_CONFIG)
+    return config, POLICIES[policy_name](), spec
+
+
+@functools.lru_cache(maxsize=None)
+def _matrix_reference(policy_name, preset, seed):
+    """Untouched batched run (checked against scalar) of a matrix cell."""
+    config, policy, spec = _matrix_case(policy_name, preset, seed)
+    untouched = _outputs(_run_shard(config, policy, spec=spec).accumulator)
+    scalar = _run_shard(config, policy, spec=spec, use_batch=False)
+    assert untouched == _outputs(scalar.accumulator)
+    return untouched
+
+
+RICH = {
+    "expiring-churn-threshold": dict(),
+    "chaos": dict(preset="chaos"),
+    "latency": dict(link_latency=3.0, rank_changes=RankChangeConfig()),
+}
+
+
+def _rich_case(name):
+    overrides = dict(RICH[name])
+    preset = overrides.pop("preset", None)
+    link_latency = overrides.pop("link_latency", 0.0)
+    config = _rich_config(**overrides)
+    spec = faults.FaultSpec.parse(preset) if preset else None
+    return config, spec, link_latency
+
+
+@functools.lru_cache(maxsize=None)
+def _rich_reference(name, policy_name):
+    config, spec, link_latency = _rich_case(name)
+    policy = POLICIES[policy_name]()
+    untouched = _outputs(
+        _run_shard(config, policy, spec=spec, link_latency=link_latency).accumulator
+    )
+    scalar = _run_shard(
+        config, policy, spec=spec, link_latency=link_latency, use_batch=False
+    )
+    assert untouched == _outputs(scalar.accumulator)
+    return untouched
+
+
+def _draw_escape(data, config):
+    """A hypothesis-drawn (subset, merged-stream index or None)."""
+    subset = data.draw(
+        st.sets(st.integers(0, config.devices - 1)), label="materialized"
+    )
+    events = build_fleet_workload(config).total_events
+    at_event = data.draw(
+        st.one_of(st.none(), st.integers(0, events)), label="at_event"
+    )
+    return sorted(subset), at_event
+
+
+class TestMaterializationInvisible:
+    """When a binding leaves the resident tier cannot be observed."""
+
+    @pytest.mark.parametrize(
+        "policy_name,preset,seed",
+        list(itertools.product(sorted(POLICIES), PRESETS, [0, 7])),
+    )
+    def test_all_materialized_before_run_is_the_object_path(
+        self, policy_name, preset, seed
+    ):
+        """Every binding wired before ``sim.run`` = the pre-table path."""
+        config, policy, spec = _matrix_case(policy_name, preset, seed)
+        eager = _run_shard(
+            config, policy, spec=spec, materialize=range(config.devices)
+        )
+        assert eager.cols.materialized_share == 1.0
+        assert _outputs(eager.accumulator) == _matrix_reference(
+            policy_name, preset, seed
+        )
+
+    @pytest.mark.parametrize(
+        "policy_name,preset,seed",
+        list(itertools.product(sorted(POLICIES), PRESETS, [0, 7])),
+    )
+    @settings(
+        max_examples=4,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_drawn_subset_matrix(self, policy_name, preset, seed, data):
+        config, policy, spec = _matrix_case(policy_name, preset, seed)
+        subset, at_event = _draw_escape(data, config)
+        forced = _run_shard(
+            config, policy, spec=spec, materialize=subset, at_event=at_event
+        )
+        assert _outputs(forced.accumulator) == _matrix_reference(
+            policy_name, preset, seed
+        )
+        if spec is None:  # a faulted shard keeps no mirror to verify
+            assert forced.cols.verify_sync() == []
+
+    @pytest.mark.parametrize(
+        "name,policy_name",
+        [("expiring-churn-threshold", p) for p in sorted(POLICIES)]
+        + [("chaos", "unified"), ("latency", "unified")],
+    )
+    @settings(
+        max_examples=4,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_drawn_subset_rich_workloads(self, name, policy_name, data):
+        config, spec, link_latency = _rich_case(name)
+        subset, at_event = _draw_escape(data, config)
+        forced = _run_shard(
+            config,
+            POLICIES[policy_name](),
+            spec=spec,
+            link_latency=link_latency,
+            materialize=subset,
+            at_event=at_event,
+        )
+        assert _outputs(forced.accumulator) == _rich_reference(name, policy_name)
+
+    def test_light_shard_exercises_both_tiers(self):
+        """The canonical LIGHT shape keeps most bindings resident and
+        pushes some out, so the matrix above covers both tiers."""
+        config = FleetScenarioConfig(devices=600, seed=1, **LIGHT)
+        batch = _run_shard(config, PolicyConfig.unified())
+        assert 0.0 < batch.cols.materialized_share < 1.0
+        scalar = _run_shard(config, PolicyConfig.unified(), use_batch=False)
+        assert scalar.cols.materialized_share == 1.0
+        assert _outputs(batch.accumulator) == _outputs(scalar.accumulator)
+
+
+def _device_view(shard, d):
+    """Everything one binding did and holds, whichever tier it ended in
+    (row counts plus object counts, as the fold adds them)."""
+    cols = shard.cols
+    stats, state = cols.stats[d], cols.states[d]
+    view = {
+        "up": bool(cols.network[d]),
+        "queue_size": cols.queue_size[d],
+        "prefetch_limit": cols.prefetch_limit[d],
+        "arrivals": cols.forwarded[d] + cols.filtered[d] + cols.dead[d],
+        "accepted": cols.forwarded[d],
+        "filtered": cols.filtered[d],
+        "expired_at_proxy": cols.dead[d],
+        "pushed": cols.forwarded[d],
+        "reads": cols.reads[d],
+        "read_requests": cols.reads[d],
+        "empty_reads": cols.empty_reads[d],
+        "read_delay_sum": cols.read_delay_sum[d],
+    }
+    if stats is None:
+        view["messages_read"] = cols.consumed[d]
+        view["held"] = sorted(entry[2] for entry in cols.held[d] or ())
+        sizes = cols.old_reads[d]
+    else:
+        for name in (
+            "arrivals", "accepted", "filtered", "expired_at_proxy", "pushed",
+            "reads", "read_requests", "empty_reads",
+        ):
+            view[name] += getattr(stats, name)
+        view["read_delay_sum"] = stats.read_delay_sum
+        view["messages_read"] = cols.consumed[d] + len(stats.read_ids)
+        view["held"] = sorted(
+            item.event_id for item in cols.clients[d].unread(cols.topics[d])
+        )
+        # The mirror is only kept for bindings that can fuse; the
+        # objects are what the scalar replay is compared on.
+        view["up"] = cols.links[d].up
+        view["queue_size"] = state.queue_size
+        view["prefetch_limit"] = state.prefetch_limit
+        sizes = state.old_reads
+    view["read_sizes"] = None if sizes is None or not sizes.count else sizes._ordered()
+    return view
+
+
 class TestColumnSync:
-    """The columnar mirror must match the authoritative objects."""
+    """The binding table must be consistent with itself, with the
+    objects of its materialized bindings, and with a scalar replay."""
 
-    def _captured_dispatcher(self, monkeypatch, config, policy):
-        """Run one shard, capturing the dispatcher and skipping the
-        teardown that would clear the state it mirrors."""
-        import repro.fleet.runner as runner_mod
-        from repro.fleet.workload import build_fleet_workload
+    CONFIG = FleetScenarioConfig(
+        devices=80,
+        duration=DAY,
+        seed=2,
+        arrivals=ArrivalConfig(events_per_day=4.0, expiring_fraction=0.4),
+        reads=ReadConfig(reads_per_day=1.0),
+        outages=OutageConfig(downtime_fraction=0.3),
+    )
 
-        captured = {}
-        original = ShardBatchDispatcher.register_streams
+    def test_columns_in_sync_at_end_of_run(self):
+        shard = _run_shard(self.CONFIG, PolicyConfig.unified())
+        cols = shard.cols
+        assert 0.0 < cols.materialized_share < 1.0
+        assert cols.verify_sync() == []
 
-        def capture(dispatcher):
-            captured["dispatcher"] = dispatcher
-            return original(dispatcher)
+        # Row vs replay: materializing a resident row at the end must
+        # yield objects that agree with the row it was replayed from —
+        # and recompute the row's prefetch limit from the replayed
+        # averages.
+        resident = [d for d in range(cols.devices) if cols.resident[d]]
+        held = {d: len(cols.held[d] or ()) for d in resident}
+        for d in resident:
+            shard.dispatcher.materialize(d)
+        assert cols.materialized_share == 1.0
+        assert cols.verify_sync() == []
+        limits = shard.dispatcher.limits
+        for d in resident:
+            state, client = cols.states[d], cols.clients[d]
+            assert client.queue_size(cols.topics[d]) == held[d]
+            assert limits.effective_limit(state) == cols.prefetch_limit[d]
+            assert len(cols.stats[d].forwarded_ids) == held[d]
 
-        monkeypatch.setattr(
-            ShardBatchDispatcher, "register_streams", capture
-        )
-        monkeypatch.setattr(
-            runner_mod, "_dismantle_shard", lambda *args: None
-        )
-        workload = build_fleet_workload(config)
-        runner_mod._execute_shard(workload, policy, use_batch=True)
-        return captured["dispatcher"]
+    @pytest.mark.parametrize("policy_name", sorted(POLICIES))
+    def test_rows_match_scalar_replay_per_device(self, policy_name):
+        """Per device, row + objects = what the scalar oracle's objects
+        say, down to the held ids and the read-size window."""
+        policy = POLICIES[policy_name]()
+        batch = _run_shard(self.CONFIG, policy)
+        scalar = _run_shard(self.CONFIG, policy, use_batch=False)
+        for d in range(self.CONFIG.devices):
+            assert _device_view(batch, d) == _device_view(scalar, d), d
 
-    def test_columns_in_sync_at_end_of_run(self, monkeypatch):
+    def test_adaptive_threshold_survives_materialization(self):
+        """A binding that reads for days while resident and is then
+        pushed out by its first expiring arrival must classify that
+        arrival against the read interval it learned on its row."""
         config = FleetScenarioConfig(
-            devices=80,
-            duration=DAY,
-            seed=2,
-            arrivals=ArrivalConfig(events_per_day=4.0, expiring_fraction=0.4),
-            reads=ReadConfig(reads_per_day=1.0),
-            outages=OutageConfig(downtime_fraction=0.3),
+            devices=150,
+            duration=4 * DAY,
+            seed=5,
+            arrivals=ArrivalConfig(
+                events_per_day=2.0, expiring_fraction=0.3,
+                expiration_mean=DAY / 12,
+            ),
+            reads=ReadConfig(reads_per_day=6.0),
+            outages=OutageConfig(downtime_fraction=0.05),
         )
-        dispatcher = self._captured_dispatcher(
-            monkeypatch, config, PolicyConfig.unified()
-        )
-        violations = dispatcher.cols.verify_sync(
-            dispatcher.states, dispatcher.devices, dispatcher.topics
-        )
-        assert violations == []
+        batch = _run_shard(config, PolicyConfig.unified())
+        scalar = _run_shard(config, PolicyConfig.unified(), use_batch=False)
+        assert batch.accumulator.counters["expired_at_proxy"] > 0
+        assert _outputs(batch.accumulator) == _outputs(scalar.accumulator)
+        for d in range(config.devices):
+            assert _device_view(batch, d) == _device_view(scalar, d), d
 
-    def test_no_rank_changes_skips_publication_tracking(self, monkeypatch):
+    def test_no_rank_changes_skips_publication_tracking(self):
         """The history/tracker fast-path gate reflects the workload."""
         plain = FleetScenarioConfig(devices=10, duration=DAY, seed=0)
-        dispatcher = self._captured_dispatcher(
-            monkeypatch, plain, PolicyConfig.unified()
-        )
+        dispatcher = _run_shard(plain, PolicyConfig.unified()).dispatcher
         assert dispatcher.track_publications is False
 
         churn = FleetScenarioConfig(
@@ -246,7 +545,5 @@ class TestColumnSync:
             seed=0,
             rank_changes=RankChangeConfig(drop_fraction=0.3),
         )
-        dispatcher = self._captured_dispatcher(
-            monkeypatch, churn, PolicyConfig.unified()
-        )
+        dispatcher = _run_shard(churn, PolicyConfig.unified()).dispatcher
         assert dispatcher.track_publications is True

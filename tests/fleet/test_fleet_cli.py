@@ -106,6 +106,22 @@ class TestFleetCli:
         assert "error: cannot write output" in err
         assert "Traceback" not in err
 
+    def test_unwritable_profile_is_typed_error_after_summary(
+        self, tmp_path, capsys
+    ):
+        # Regression: cProfile.dump_stats on an unwritable FILE used to
+        # die with a raw FileNotFoundError traceback after the campaign
+        # had finished, and the summary was never printed.
+        target = tmp_path / "no-such-dir" / "fleet.prof"
+        rc = fleet_cli.main(
+            ["--devices", "5", "--quiet", "--profile", str(target)]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "devices             5" in captured.out
+        assert "error: cannot write profile" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_workload_overrides_change_outcome(self, capsys):
         fleet_cli.main(["--devices", "12", "--format", "json", "--quiet"])
         base = json.loads(capsys.readouterr().out)

@@ -1,0 +1,80 @@
+"""Host-noise-free footprint gate: live traced bytes per fleet binding.
+
+Peak RSS is the benchmark's memory metric, but it carries the
+interpreter, the allocator's high-water mark and the host. This gate
+counts what the shard itself keeps alive — ``tracemalloc`` started after
+the workload columns exist, read just before the shard is torn down,
+divided by the device count — so a per-binding allocation creeping back
+into the resident tier fails here at 1 % resolution on any host.
+
+The shape is the benchmark's ``fleet_wide`` / ``fleet_lossy`` at a tenth
+of the size (3 000 LIGHT devices, seed 1, unified policy). Reference
+figures, measured with this exact protocol on CPython 3.11:
+
+* clean shard — 8 367 B/device with one object graph per binding (the
+  commit before the binding table became array-resident); 2 424 B/device
+  with ~14 % of the bindings materialized. The gate is 4 KB.
+* ``faults=lossy`` shard — every binding carries a plan and is
+  materialized at wiring, so the table must cost next to nothing on top
+  of the object graphs: 8 755 B/device before, 8 629 B/device now. The
+  gate is the earlier figure plus 5 %.
+"""
+
+import gc
+import tracemalloc
+
+import repro.fleet.runner as runner_mod
+from repro.faults import FaultSpec
+from repro.fleet import FleetScenarioConfig, build_fleet_workload
+from repro.proxy.policies import PolicyConfig
+from repro.units import DAY
+from repro.workload.arrivals import ArrivalConfig
+from repro.workload.outages import OutageConfig
+from repro.workload.reads import ReadConfig
+
+DEVICES = 3_000
+
+CLEAN_GATE_BYTES = 4 * 1024
+LOSSY_OBJECT_GRAPH_BYTES = 8_755
+
+
+def _live_bytes_per_device(monkeypatch, spec=None):
+    config = FleetScenarioConfig(
+        devices=DEVICES,
+        seed=1,
+        duration=DAY,
+        arrivals=ArrivalConfig(events_per_day=2),
+        reads=ReadConfig(reads_per_day=0.5),
+        outages=OutageConfig(downtime_fraction=0.1),
+    )
+    workload = build_fleet_workload(config)
+    seen = {}
+    dismantle = runner_mod._dismantle_shard
+
+    def snapshot_then_dismantle(*args):
+        seen["live"], _peak = tracemalloc.get_traced_memory()
+        seen["materialized"] = args[-1].materialized_share
+        dismantle(*args)
+
+    monkeypatch.setattr(runner_mod, "_dismantle_shard", snapshot_then_dismantle)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        runner_mod._execute_shard(workload, PolicyConfig.unified(), spec)
+    finally:
+        tracemalloc.stop()
+    return seen["live"] / DEVICES, seen["materialized"]
+
+
+def test_clean_light_shard_stays_under_4_kb_per_device(monkeypatch):
+    per_device, materialized = _live_bytes_per_device(monkeypatch)
+    assert 0.0 < materialized < 0.5
+    assert per_device <= CLEAN_GATE_BYTES, f"{per_device:.0f} B/device"
+
+
+def test_lossy_shard_pays_nothing_for_the_table(monkeypatch):
+    per_device, materialized = _live_bytes_per_device(
+        monkeypatch, FaultSpec.parse("lossy")
+    )
+    assert materialized == 1.0
+    assert per_device <= 1.05 * LOSSY_OBJECT_GRAPH_BYTES, f"{per_device:.0f} B/device"

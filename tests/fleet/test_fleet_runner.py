@@ -9,6 +9,7 @@ aggregation) must be invisible at the level of one device's outcome.
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.experiments.runner import run_scenario
 from repro.fleet import FleetScenarioConfig, build_fleet_workload, run_fleet
 from repro.fleet.runner import device_topic
@@ -115,3 +116,13 @@ class TestRunFleet:
         with_reuse = run_fleet(config, PolicyConfig.unified(), workload=workload)
         without = run_fleet(config, PolicyConfig.unified())
         assert with_reuse.accumulator.signature() == without.accumulator.signature()
+
+    def test_workload_from_another_config_is_refused(self):
+        """A reused workload must be the one ``config`` builds: running
+        20 devices under a result that claims 50 is a silent lie."""
+        config = FleetScenarioConfig(devices=50, seed=1)
+        other = build_fleet_workload(
+            FleetScenarioConfig(devices=20, seed=9, duration=DAY / 2)
+        )
+        with pytest.raises(ConfigurationError, match="different config"):
+            run_fleet(config, PolicyConfig.unified(), workload=other)
