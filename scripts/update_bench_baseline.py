@@ -5,7 +5,7 @@ The committed baseline is the perf trajectory ``scripts/bench_compare.py``
 gates CI against. After an intentional performance change, regenerate it
 with::
 
-    python scripts/update_bench_baseline.py             # micro + sweep_1d
+    python scripts/update_bench_baseline.py             # micro + fleet
     python scripts/update_bench_baseline.py -k micro    # subset
     python scripts/update_bench_baseline.py --all       # every benchmark
 
@@ -30,7 +30,7 @@ REPO = Path(__file__).resolve().parent.parent
 BASELINE = REPO / "benchmarks" / "BENCH_core.json"
 
 #: Default selection mirrors the CI bench-smoke job.
-DEFAULT_SELECT = "micro or sweep_1d or fleet"
+DEFAULT_SELECT = "micro or fleet"
 
 
 def main(argv=None) -> int:

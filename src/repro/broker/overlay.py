@@ -14,8 +14,6 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterable, Optional, Set, Tuple
 
-import networkx as nx
-
 from repro.broker.broker import Broker
 from repro.broker.message import Notification
 from repro.broker.topics import TopicRegistry
@@ -28,6 +26,10 @@ class BrokerOverlay:
     """A set of brokers joined by latency-weighted links."""
 
     def __init__(self, sim: Simulator) -> None:
+        # networkx is an optional dependency (the ``overlay`` extra) and
+        # costs ~14 MB to import; only code that builds an overlay pays.
+        import networkx as nx
+
         self._sim = sim
         self._graph = nx.Graph()
         self._brokers: Dict[NodeId, Broker] = {}
@@ -86,6 +88,8 @@ class BrokerOverlay:
         cached = self._path_cache.get(key)
         if cached is not None:
             return cached
+        import networkx as nx
+
         try:
             latency = nx.shortest_path_length(self._graph, a, b, weight="weight")
         except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:

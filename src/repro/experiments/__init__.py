@@ -3,57 +3,34 @@
 * :mod:`~repro.experiments.runner` — wires a frozen trace into a full
   simulator (proxy + link + device) and executes paired runs: the
   on-line baseline and the policy under test over identical events.
-* :mod:`~repro.experiments.sweep` — generic parameter sweeps with
-  optional seed replication.
-* :mod:`~repro.experiments.parallel` — deterministic fan-out of sweep
-  grids across worker processes (``jobs=N``).
+* :mod:`~repro.experiments.parallel` — deterministic fan-out of figure
+  grids and fleet shards across worker processes (``jobs=N``).
 * :mod:`~repro.experiments.figures` — one module per paper figure plus
   the ablations; each regenerates the corresponding data series.
 * :mod:`~repro.experiments.report` — plain-text tables/series output.
 * :mod:`~repro.experiments.cli` — ``repro-lasthop`` command-line entry.
 """
 
-from repro.experiments.parallel import (
-    BatchCell,
-    PairedOutcome,
-    PairedTask,
-    ScenarioBatchTask,
-    execute_batch,
-    group_paired_tasks,
-    parallel_map,
-    run_pair_grid,
-)
+from repro.experiments.parallel import parallel_map
 from repro.experiments.runner import (
     PairedResult,
     RunResult,
-    configure_baseline_cache,
     run_baseline,
     run_paired,
     run_paired_config,
     run_scenario,
 )
-from repro.experiments.sweep import SweepPoint, sweep_1d
 from repro.experiments.report import Table, render_series, render_table
 
 __all__ = [
-    "BatchCell",
-    "PairedOutcome",
     "PairedResult",
-    "PairedTask",
     "RunResult",
-    "ScenarioBatchTask",
-    "SweepPoint",
     "Table",
-    "configure_baseline_cache",
-    "execute_batch",
-    "group_paired_tasks",
     "parallel_map",
     "render_series",
     "render_table",
     "run_baseline",
-    "run_pair_grid",
     "run_paired",
     "run_paired_config",
     "run_scenario",
-    "sweep_1d",
 ]

@@ -27,7 +27,6 @@ from typing import List, Optional
 from repro import faults, obs
 from repro.errors import ConfigurationError, ExportError
 from repro.experiments import validate as validate_module
-from repro.sim import trace_cache
 from repro.experiments.ascii_plot import MARKERS, plot_table_columns
 from repro.experiments.export import export_tables
 from repro.experiments.figures import ALL_FIGURES
@@ -172,17 +171,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         ),
     )
     parser.add_argument(
-        "--trace-cache",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help=(
-            "directory for the on-disk trace cache; paired runs, repeated "
-            "invocations, and all --jobs workers reuse built traces stored "
-            "there (created if missing)"
-        ),
-    )
-    parser.add_argument(
         "--trace-out",
         type=Path,
         default=None,
@@ -223,7 +211,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         action="store_true",
         help=(
             "collect per-phase timing/counter probes (trace-build, "
-            "baseline, variant, scatter) and append an observability "
+            "baseline, variant) and append an observability "
             "summary table to the output"
         ),
     )
@@ -249,7 +237,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    trace_cache.configure(args.trace_cache)
+    if args.jobs < 0:
+        parser.error("--jobs must be >= 0 (0 = one per CPU)")
 
     fault_spec = None
     if args.faults is not None:

@@ -99,8 +99,8 @@ def paired_replicates(
 
     Routes through :func:`repro.experiments.runner.run_paired`, whose
     per-process baseline LRU shares the on-line baseline run across
-    every policy variant evaluated against the same trace/threshold —
-    the figure-module counterpart of the grouped sweep executor.
+    every policy variant evaluated against the same trace/threshold,
+    so a policy sweep simulates each baseline once.
     """
     metrics: List[PairedMetrics] = []
     for seed in seeds:

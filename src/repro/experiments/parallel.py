@@ -2,7 +2,8 @@
 
 Every figure of the paper is a grid of independent ``(x, seed)`` paired
 runs — each builds its own trace, simulator, and statistics, so the grid
-is embarrassingly parallel. This module fans such grids across a
+is embarrassingly parallel. :func:`parallel_map` fans such grids (and
+the fleet layer's shard tasks) across a
 :class:`concurrent.futures.ProcessPoolExecutor` while keeping the output
 **deterministic**: results are merged in submission order, so a parallel
 run is bit-for-bit identical to the serial one (same floats, same
@@ -10,33 +11,19 @@ ordering), only faster.
 
 Design constraints, and how they are met:
 
-* **Picklable work items.** Sweep callers pass arbitrary callables
-  (``make_config`` / ``make_policy`` are often lambdas), which do not
-  pickle. The engine therefore evaluates those factories in the parent
-  and ships only frozen dataclasses across the process boundary:
-  a :class:`PairedTask` carries the built :class:`ScenarioConfig` and
-  :class:`PolicyConfig`; the compact :class:`PairedOutcome` comes back.
+* **Picklable work items.** Callers pass a module-level function and
+  tuples of frozen dataclasses / plain values; nothing else crosses the
+  process boundary.
 * **Deterministic merge.** Futures are submitted in grid order and
   harvested in that same order; stragglers simply make the harvest
   block, never reorder it.
 * **Shared per-scenario work.** The paper runs "two scenarios for each
   randomized set of discrete events", but a policy sweep evaluates many
-  policies against one scenario — re-running the identical on-line
-  baseline for every cell. :func:`run_pair_grid` therefore groups the
-  grid by ``(ScenarioConfig, seed)`` into :class:`ScenarioBatchTask`
-  units: a worker builds the trace once, runs the baseline once, and
-  evaluates every policy variant of the group against that cached
-  baseline — roughly halving simulated runs for policy sweeps. Outcomes
-  are scattered back into grid order, so the result (and the streaming
-  ``on_result`` order) is bit-for-bit identical to per-cell execution.
-* **No rebuilt traces.** Workers build traces through
-  :func:`repro.workload.scenario.build_trace_cached`, so the baseline
-  and policy runs of a pair — and every policy variant sweeping against
-  a fixed scenario — share one trace per ``(config, seed)``. When the
-  parent has configured an on-disk cache (:mod:`repro.sim.trace_cache`,
-  the CLI's ``--trace-cache``), a pool initializer forwards it so all
-  workers — and later invocations — share built traces across process
-  boundaries too.
+  policies against one scenario. Figure measure functions build traces
+  through :func:`repro.workload.scenario.build_trace_cached` and run
+  baselines through :func:`repro.experiments.runner.run_baseline`, both
+  per-process LRUs, so cells that land on one worker share one trace
+  and one baseline run per ``(config, seed)``.
 * **Chunked submission.** Many small tasks are shipped per future
   (``chunksize``), amortizing pickling/IPC overhead and keeping
   contiguous grid cells on the same worker — which is exactly what the
@@ -51,15 +38,11 @@ from __future__ import annotations
 import os
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import faults, obs
-from repro.experiments.runner import run_baseline, run_paired, run_scenario
-from repro.metrics.waste_loss import pair_metrics
 from repro.proxy.policies import PolicyConfig
-from repro.sim import trace_cache, trace_shm
-from repro.workload.scenario import ScenarioConfig, build_trace_cached
+from repro.sim import trace_shm
 
 #: Upper bound on automatic chunk sizes: keeps the in-order harvest
 #: streaming results at a reasonable cadence even on huge grids.
@@ -91,29 +74,24 @@ def resolve_chunksize(chunksize: Optional[int], tasks: int, workers: int) -> int
 
 
 def _worker_init(
-    trace_cache_dir: Optional[str],
     obs_config: Optional["obs.ObsConfig"] = None,
     fault_spec: Optional["faults.FaultSpec"] = None,
     shm_traces: Optional[Dict[str, str]] = None,
 ) -> None:
     """Process-pool initializer: inherit the parent's process-wide setup.
 
-    Worker processes start with fresh module state, so the parent's
-    :func:`repro.sim.trace_cache.configure` call would otherwise not
-    reach them — and every worker would regenerate traces the disk
-    cache already holds. The observability configuration rides along
-    for the same reason: an ``--audit`` run must audit inside every
-    worker, not just the parent (each worker gets its own ring buffer
-    and transition counter; an invariant violation raised in a worker
-    propagates through the future exactly like any other error). The
-    fault spec (``--faults``) likewise: a lossy sweep must inject the
-    same faults whether a cell runs inline or in a worker.
+    Worker processes start with fresh module state. The observability
+    configuration rides along because an ``--audit`` run must audit
+    inside every worker, not just the parent (each worker gets its own
+    ring buffer and transition counter; an invariant violation raised
+    in a worker propagates through the future exactly like any other
+    error). The fault spec (``--faults``) likewise: a lossy sweep must
+    inject the same faults whether a cell runs inline or in a worker.
 
-    ``shm_traces`` maps trace content keys to shared-memory segment
+    ``shm_traces`` maps fleet shard keys to the shared-memory segment
     names the parent published (:mod:`repro.sim.trace_shm`); workers
-    attach those columns zero-copy instead of rebuilding the trace.
+    attach those columns zero-copy.
     """
-    trace_cache.configure(trace_cache_dir)
     obs.configure(obs_config)
     faults.configure(fault_spec)
     trace_shm.configure(shm_traces)
@@ -148,8 +126,8 @@ def parallel_map(
     worker keeps its per-process trace/baseline caches warm.
 
     ``shm_traces`` (key→segment name) is forwarded to every worker's
-    initializer so published traces attach zero-copy; inline execution
-    ignores it (the parent already holds the traces).
+    initializer so published fleet shards attach zero-copy; inline
+    execution ignores it (the parent already holds the columns).
     """
     tasks = [task if isinstance(task, tuple) else (task,) for task in tasks]
     effective = resolve_jobs(jobs, len(tasks))
@@ -163,16 +141,10 @@ def parallel_map(
         return results
     chunk = resolve_chunksize(chunksize, len(tasks), effective)
     chunks = [tasks[start : start + chunk] for start in range(0, len(tasks), chunk)]
-    cache_dir = trace_cache.active_dir()
     with ProcessPoolExecutor(
         max_workers=effective,
         initializer=_worker_init,
-        initargs=(
-            None if cache_dir is None else str(cache_dir),
-            obs.active_config(),
-            faults.active_spec(),
-            shm_traces,
-        ),
+        initargs=(obs.active_config(), faults.active_spec(), shm_traces),
     ) as pool:
         futures = [pool.submit(_run_chunk, fn, part) for part in chunks]
         index = 0
@@ -183,154 +155,6 @@ def parallel_map(
                     on_result(index, value)
                 index += 1
     return results
-
-
-@dataclass(frozen=True)
-class PairedTask:
-    """One picklable ``(x, seed)`` cell of a sweep grid.
-
-    The scenario and policy are fully built in the parent (factories may
-    be lambdas), so the worker only replays frozen configuration.
-    """
-
-    x: float
-    seed: int
-    config: ScenarioConfig
-    policy: PolicyConfig
-
-
-@dataclass(frozen=True)
-class PairedOutcome:
-    """Compact picklable result of one paired run."""
-
-    x: float
-    seed: int
-    waste: float
-    loss: float
-    forwarded: int
-    messages_read: int
-
-
-@dataclass(frozen=True)
-class BatchCell:
-    """One sweep cell inside a :class:`ScenarioBatchTask`.
-
-    ``index`` is the cell's position in the original task grid, used to
-    scatter batched outcomes back into grid order.
-    """
-
-    index: int
-    x: float
-    seed: int
-    policy: PolicyConfig
-
-
-@dataclass(frozen=True)
-class ScenarioBatchTask:
-    """Every cell of a sweep grid that shares one ``(config, seed)``.
-
-    A worker builds the trace once, runs the on-line baseline once, and
-    evaluates each cell's policy against that shared baseline.
-    """
-
-    config: ScenarioConfig
-    seed: int
-    cells: Tuple[BatchCell, ...]
-
-
-def group_paired_tasks(tasks: Sequence[PairedTask]) -> List[ScenarioBatchTask]:
-    """Group grid cells by ``(ScenarioConfig, seed)``, preserving order.
-
-    Batches appear in order of each scenario's first occurrence in the
-    grid; cells within a batch keep grid order. A policy sweep (fixed
-    scenario, varying policy) collapses to one batch per seed; a
-    scenario sweep degenerates to single-cell batches, which execute
-    exactly like the per-cell path.
-    """
-    groups: "OrderedDict[Tuple[ScenarioConfig, int], List[BatchCell]]" = OrderedDict()
-    for index, task in enumerate(tasks):
-        cell = BatchCell(index=index, x=task.x, seed=task.seed, policy=task.policy)
-        groups.setdefault((task.config, task.seed), []).append(cell)
-    return [
-        ScenarioBatchTask(config=config, seed=seed, cells=tuple(cells))
-        for (config, seed), cells in groups.items()
-    ]
-
-
-def execute_pair(task: PairedTask) -> PairedOutcome:
-    """Worker: run one paired (baseline, policy) cell of a sweep grid."""
-    with obs.PROBES.phase("trace-build"):
-        trace = build_trace_cached(task.config, seed=task.seed)
-    result = run_paired(trace, task.policy, threshold=task.config.threshold)
-    metrics = result.metrics
-    return PairedOutcome(
-        x=task.x,
-        seed=task.seed,
-        waste=metrics.waste,
-        loss=metrics.loss,
-        forwarded=metrics.forwarded,
-        messages_read=metrics.messages_read,
-    )
-
-
-def execute_batch(batch: ScenarioBatchTask) -> Tuple[PairedOutcome, ...]:
-    """Worker: run every cell of one scenario batch against one baseline.
-
-    The trace is built (or fetched) once, the on-line baseline simulated
-    once, and each policy variant compared against it — identical
-    arithmetic to ``run_paired`` per cell, minus the redundant baseline
-    re-executions.
-    """
-    with obs.PROBES.phase("trace-build"):
-        trace = build_trace_cached(batch.config, seed=batch.seed)
-    threshold = batch.config.threshold
-    baseline = run_baseline(trace, threshold=threshold)
-    outcomes = []
-    for cell in batch.cells:
-        with obs.PROBES.phase("variant"):
-            candidate = run_scenario(trace, cell.policy, threshold=threshold)
-        metrics = pair_metrics(baseline.stats, candidate.stats)
-        outcomes.append(
-            PairedOutcome(
-                x=cell.x,
-                seed=cell.seed,
-                waste=metrics.waste,
-                loss=metrics.loss,
-                forwarded=metrics.forwarded,
-                messages_read=metrics.messages_read,
-            )
-        )
-    return tuple(outcomes)
-
-
-def publish_grid_traces(
-    tasks: Sequence[PairedTask], jobs: Optional[int]
-) -> Optional[trace_shm.ShmTraceSet]:
-    """Build and publish the grid's traces for zero-copy worker attach.
-
-    Returns None when the grid will run inline (nothing to hand off).
-    The parent builds each unique ``(config, seed)`` trace once — via
-    :func:`build_trace_cached`, so its own LRU and any disk cache are
-    honoured — and publishes the columns to shared memory. The caller
-    owns the returned set and must ``unlink()`` it (or use it as a
-    context manager) once the pool has drained.
-    """
-    if resolve_jobs(jobs, len(tasks)) <= 1:
-        return None
-    fault_spec = faults.active_spec()
-    shm_set = trace_shm.ShmTraceSet()
-    try:
-        for task in tasks:
-            key = trace_cache.trace_key(task.config, task.seed, faults=fault_spec)
-            if key in shm_set.mapping:
-                continue
-            with obs.PROBES.phase("trace-build"):
-                trace = build_trace_cached(task.config, seed=task.seed)
-            shm_set.publish(key, trace)
-    except Exception:
-        shm_set.unlink()
-        raise
-    return shm_set
 
 
 class FleetWorkloadCache:
@@ -384,24 +208,22 @@ def run_fleet_policy_batch(
 ):
     """Execute several policy variants over ONE fleet workload's shards.
 
-    The fleet analogue of :class:`ScenarioBatchTask`: a sweep evaluates
-    many policies against one ``(scenario, seed)`` cell, and the
-    expensive shared work — the vectorized workload build (done by the
-    caller, once) and the shard-column shared-memory publication (done
-    here, once) — must not be repeated per policy. Returns one folded
-    :class:`~repro.metrics.streaming.FleetAccumulator` per policy, in
-    ``policies`` order.
+    A sweep evaluates many policies against one ``(scenario, seed)``
+    cell, and the expensive shared work — the vectorized workload build
+    (done by the caller, once) and the shard-column shared-memory
+    publication (done here, once) — must not be repeated per policy.
+    Returns one folded :class:`~repro.metrics.streaming.FleetAccumulator`
+    per policy, in ``policies`` order.
 
     The workload (a :class:`repro.fleet.workload.FleetWorkload`) is
     sliced into contiguous device ranges. Inline (``jobs<=1``) each
     slice runs sequentially on its own simulator; with workers, each
     slice's columns are published to shared memory
-    (:mod:`repro.sim.trace_shm` — the same segment format as grid
-    traces) exactly once and every policy's shard tasks attach them
-    zero-copy. Per policy, shard accumulators merge in shard order, so
-    the folded results are deterministic; device outcomes are
-    independent, so each is also invariant to ``(shards, jobs)`` up to
-    documented float reassociation.
+    (:mod:`repro.sim.trace_shm`) exactly once and every policy's shard
+    tasks attach them zero-copy. Per policy, shard accumulators merge in
+    shard order, so the folded results are deterministic; device
+    outcomes are independent, so each is also invariant to
+    ``(shards, jobs)`` up to documented float reassociation.
 
     ``use_batch`` selects between the columnar batched dispatcher and
     the scalar per-event path (its differential oracle). It arrives
@@ -499,68 +321,3 @@ def run_fleet_shards(
         link_latency=link_latency,
         use_batch=use_batch,
     )[0]
-
-
-def run_pair_grid(
-    tasks: Sequence[PairedTask],
-    jobs: Optional[int] = 1,
-    on_result: Optional[Callable[[int, PairedOutcome], None]] = None,
-    group: bool = True,
-    chunksize: Optional[int] = None,
-) -> List[PairedOutcome]:
-    """Run a grid of paired cells; outcomes in task order.
-
-    With ``group`` (the default) the grid executes as scenario batches
-    (:func:`group_paired_tasks`), sharing one trace build and one
-    baseline run per ``(config, seed)``. Results — including the
-    streaming ``on_result(index, outcome)`` order — are bit-for-bit
-    identical to the per-cell path (``group=False``); grouping only
-    removes redundant, deterministic re-computation.
-
-    With workers, the parent publishes every unique trace of the grid
-    to shared memory first (:func:`publish_grid_traces`); workers attach
-    the columns zero-copy instead of rebuilding. Attached columns are
-    byte-identical to a local build, so outcomes do not depend on the
-    handoff path.
-    """
-    tasks = list(tasks)
-    shm_set = publish_grid_traces(tasks, jobs)
-    shm_traces = None if shm_set is None else dict(shm_set.mapping)
-    try:
-        if not group:
-            return parallel_map(
-                execute_pair,
-                [(task,) for task in tasks],
-                jobs=jobs,
-                on_result=on_result,
-                chunksize=chunksize,
-                shm_traces=shm_traces,
-            )
-        batches = group_paired_tasks(tasks)
-        results: List[Optional[PairedOutcome]] = [None] * len(tasks)
-        emitted = 0
-
-        def _scatter(batch_index: int, outcomes: Tuple[PairedOutcome, ...]) -> None:
-            # Batches harvest in submission order; once every batch covering
-            # the next grid index has landed, stream the contiguous prefix.
-            nonlocal emitted
-            with obs.PROBES.phase("scatter"):
-                for cell, outcome in zip(batches[batch_index].cells, outcomes):
-                    results[cell.index] = outcome
-                while emitted < len(results) and results[emitted] is not None:
-                    if on_result is not None:
-                        on_result(emitted, results[emitted])
-                    emitted += 1
-
-        parallel_map(
-            execute_batch,
-            [(batch,) for batch in batches],
-            jobs=jobs,
-            on_result=_scatter,
-            chunksize=chunksize,
-            shm_traces=shm_traces,
-        )
-        return results  # type: ignore[return-value]
-    finally:
-        if shm_set is not None:
-            shm_set.unlink()

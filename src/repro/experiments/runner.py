@@ -11,10 +11,8 @@ the run keyword arguments — never on the policy under evaluation — so
 sweeping a policy knob against a fixed scenario re-executes the same
 baseline for every cell. :func:`run_baseline` memoizes it in a small
 per-process LRU; ``run_paired`` (and therefore ``run_paired_config`` and
-the serial sweep path) consults that cache, and the grouped sweep
-executor in :mod:`repro.experiments.parallel` shares the same entry
-across a whole batch. Baseline runs are deterministic, so cached reuse
-is bit-for-bit identical to re-execution.
+every figure's measure function) consults that cache. Baseline runs are
+deterministic, so cached reuse is bit-for-bit identical to re-execution.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ from repro.proxy.schedule import DeliverySchedule
 from repro.sim.engine import Simulator
 from repro.sim.trace import Trace
 from repro.types import EventId, TopicId, TopicType
-from repro.workload.scenario import ScenarioConfig, build_trace, build_trace_cached
+from repro.workload.scenario import ScenarioConfig, build_trace_cached
 
 #: Topic id used for single-topic trace replays.
 DEFAULT_TOPIC = TopicId("experiment/topic")
@@ -301,20 +299,6 @@ _BASELINE_CACHE: "OrderedDict[tuple, Tuple[Trace, RunResult]]" = OrderedDict()
 #: dozen distinct traces within any submission window.
 BASELINE_CACHE_SIZE: int = 16
 
-_baseline_cache_enabled: bool = True
-
-
-def configure_baseline_cache(enabled: bool) -> None:
-    """Enable or disable the per-process baseline LRU (tests/benchmarks).
-
-    Disabling also clears it. Results are identical either way — the
-    cache only skips re-executing deterministic baseline runs.
-    """
-    global _baseline_cache_enabled
-    _baseline_cache_enabled = enabled
-    if not enabled:
-        _BASELINE_CACHE.clear()
-
 
 def clear_baseline_cache() -> None:
     """Drop every cached baseline run."""
@@ -336,11 +320,6 @@ def run_baseline(trace: Trace, threshold: float = 0.0, **kwargs) -> RunResult:
     reads it.
     """
     probes = obs.PROBES
-    if not _baseline_cache_enabled:
-        with probes.phase("baseline"):
-            return run_scenario(
-                trace, PolicyConfig.online(), threshold=threshold, **kwargs
-            )
     fault_spec = kwargs.get("faults")
     if fault_spec is None:
         fault_spec = faults_mod.active_spec()
@@ -398,17 +377,13 @@ def run_paired_config(
     config: ScenarioConfig,
     policy: PolicyConfig,
     seed: Optional[int] = None,
-    cache_trace: bool = True,
     **kwargs,
 ) -> PairedResult:
     """Build the trace from a :class:`ScenarioConfig`, then run paired.
 
-    ``cache_trace`` reuses the per-process trace cache so sweeping
-    several policies against one ``(config, seed)`` builds the trace
-    once; trace generation is deterministic, so results are identical
-    either way.
+    The trace comes from the per-process trace LRU, so sweeping several
+    policies against one ``(config, seed)`` builds it once.
     """
-    builder = build_trace_cached if cache_trace else build_trace
     with obs.PROBES.phase("trace-build"):
-        trace = builder(config, seed=seed)
+        trace = build_trace_cached(config, seed=seed)
     return run_paired(trace, policy, threshold=config.threshold, **kwargs)

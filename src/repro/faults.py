@@ -26,10 +26,10 @@ flag) builds no plan at all, and every fault-aware code path reduces to
 the exact pre-fault behaviour — figure tables, the validate scorecard,
 and cache keys stay byte-identical.
 
-Process-wide configuration mirrors :mod:`repro.sim.trace_cache` and
-:mod:`repro.obs`: :func:`configure` installs the active spec (the CLI's
-``--faults``), :func:`active_spec` reads it, and the parallel executor
-re-applies it inside worker processes.
+Process-wide configuration mirrors :mod:`repro.obs`: :func:`configure`
+installs the active spec (the CLI's ``--faults``), :func:`active_spec`
+reads it, and the parallel executor re-applies it inside worker
+processes.
 """
 
 from __future__ import annotations

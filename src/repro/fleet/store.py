@@ -4,8 +4,7 @@ A sweep campaign (:mod:`repro.fleet.sweep`) evaluates a grid of
 ``(scenario, seed, policy)`` cells, each an expensive fleet run. The
 store makes campaigns *resumable* and their results *queryable*: every
 completed cell lands as one immutable row keyed by a canonical config
-hash — the same construction as the trace cache key
-(:func:`repro.sim.trace_cache.trace_key`) — so
+hash (:func:`cell_key` over :func:`canonical_json`), so
 
 * a cell's identity is a pure function of its configuration (scenario
   with the seed applied, policy variant, fault spec, store format
@@ -50,6 +49,7 @@ and still deterministic for a deterministic campaign sequence.
 from __future__ import annotations
 
 import dataclasses
+import enum
 import hashlib
 import json
 import sqlite3
@@ -58,7 +58,6 @@ from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Set, Union
 
 from repro.errors import ConfigurationError, ExportError
-from repro.sim.trace_cache import _canonical_default
 
 #: Bumped whenever the schema grows; files written by an *older* format
 #: upgrade in place on open (all steps so far add tables, never touch
@@ -80,18 +79,23 @@ CELL_KEY_FORMAT_VERSION = 1
 def canonical_json(payload: object) -> str:
     """Canonical (sorted, compact) JSON used for keys and stored rows.
 
-    Dataclasses are serialized via ``asdict``; enum and Path fields use
-    the same stable encoding as the trace-cache key, so a policy's
-    ``PolicyKind`` hashes identically in both subsystems.
+    Dataclasses are serialized via ``asdict``. Enum members encode as
+    ``ClassName.MEMBER`` (so two enums sharing a value string still key
+    differently) and ``Path`` fields as their string.
     """
     def _default(value: object) -> object:
         # Dataclasses may sit anywhere in the payload (a campaign spec
         # nests configs inside plain dicts), so the encoder unwraps them
-        # wherever it meets one, then falls back to the trace-cache
-        # encoding for enums/Paths.
+        # wherever it meets one.
         if dataclasses.is_dataclass(value) and not isinstance(value, type):
             return dataclasses.asdict(value)
-        return _canonical_default(value)
+        if isinstance(value, enum.Enum):
+            return f"{type(value).__name__}.{value.name}"
+        if isinstance(value, Path):
+            return str(value)
+        raise TypeError(
+            f"Object of type {type(value).__name__} is not JSON serializable"
+        )
 
     try:
         return json.dumps(

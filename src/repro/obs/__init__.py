@@ -10,15 +10,15 @@ Three cooperating pieces, all off by default and individually cheap:
   full structural-invariant battery runs against the live state, and a
   violation raises with the trailing trace records attached;
 * :data:`~repro.obs.probes.PROBES` — per-phase wall-clock/counter
-  probes over the experiment pipeline (trace-build, baseline, variant,
-  scatter), summarized by :func:`summarize_obs`.
+  probes over the experiment pipeline (trace-build, baseline,
+  variant), summarized by :func:`summarize_obs`.
 
-The pieces are wired process-globally via :func:`configure` (mirroring
-:mod:`repro.sim.trace_cache`), so the experiment runner picks them up
-without threading parameters through every figure module, and the
-parallel executor can re-apply the same configuration inside worker
-processes. When nothing is configured, every instrumented site reduces
-to a single ``if`` on a ``None`` or a false flag.
+The pieces are wired process-globally via :func:`configure`, so the
+experiment runner picks them up without threading parameters through
+every figure module, and the parallel executor can re-apply the same
+configuration inside worker processes. When nothing is configured,
+every instrumented site reduces to a single ``if`` on a ``None`` or a
+false flag.
 """
 
 from __future__ import annotations

@@ -1,11 +1,10 @@
 """Per-phase timing and counter probes for the experiment pipeline.
 
-The sweep/figure pipeline has four coarse phases per cell — trace
-build, on-line baseline run, policy-variant run, and (for grouped
-grids) the scatter merge. :data:`PROBES` accumulates wall-clock time
-and call counts per phase, plus free-form counters (cache hits, runs,
-events processed), so a slow sweep can be attributed to the phase that
-actually ate the time.
+The figure pipeline has three coarse phases per cell — trace build,
+on-line baseline run, and policy-variant run. :data:`PROBES`
+accumulates wall-clock time and call counts per phase, plus free-form
+counters (cache hits, runs, events processed), so a slow grid can be
+attributed to the phase that actually ate the time.
 
 Probes are process-local and disabled by default; every instrumented
 site costs a single ``enabled`` check when off. They are intentionally

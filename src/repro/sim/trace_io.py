@@ -10,9 +10,8 @@ parallel arrays mirroring :class:`repro.sim.trace.TraceColumns`, so
 loading builds the numpy columns directly instead of materializing one
 object per record. Version 2 also marks the regeneration of every
 stream by the vectorized workload generators (and the re-framed
-substream seed derivation), so version-1 documents — including any
-``--trace-cache`` directory written before the bump — are rejected
-rather than silently replayed alongside incompatible new traces.
+substream seed derivation), so version-1 documents are rejected rather
+than silently replayed alongside incompatible new traces.
 """
 
 from __future__ import annotations

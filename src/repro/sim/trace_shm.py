@@ -1,11 +1,12 @@
-"""Zero-copy trace handoff to worker processes via shared memory.
+"""Zero-copy fleet-shard handoff to worker processes via shared memory.
 
-A sweep parent that already holds the traces its grid needs can publish
-them once into :class:`multiprocessing.shared_memory.SharedMemory`
-segments; every ``--jobs`` worker then *attaches* the columnar arrays as
-read-only numpy views over the same physical pages instead of
-regenerating the trace (CPU) or deserializing a JSON copy per process
-(CPU + one private copy per worker).
+A fleet parent that has built a workload publishes each shard's columns
+once into a :class:`multiprocessing.shared_memory.SharedMemory` segment
+(packed as a :class:`~repro.sim.trace.Trace`); every ``--jobs`` worker
+then *attaches* the columnar arrays as read-only numpy views over the
+same physical pages instead of receiving a pickled private copy per
+task. Figure grids do not use this: a worker builds a single-device
+trace in about a millisecond.
 
 Layout of one segment::
 
@@ -19,12 +20,10 @@ each column; the columns themselves follow in the fixed
 :data:`COLUMN_SPEC` order, each 8 bytes per element, so offsets are
 implied and every view is aligned.
 
-Publication is keyed by :func:`repro.sim.trace_cache.trace_key` — the
-same content key the disk cache uses — and the key→segment mapping rides
-to workers through the pool initializer
-(:mod:`repro.experiments.parallel`). Workers consult the mapping inside
-``build_trace_cached`` after the in-process LRU and before the disk
-cache.
+Publication is keyed by a caller-chosen string (``fleet-shard-<n>``),
+and the key→segment mapping rides to workers through the pool
+initializer (:mod:`repro.experiments.parallel`); the shard worker in
+:mod:`repro.fleet.runner` resolves its key with :func:`load`.
 """
 
 from __future__ import annotations
@@ -178,7 +177,7 @@ class ShmTraceSet:
         self.mapping: Dict[str, str] = {}
 
     def publish(self, key: str, trace: Trace) -> str:
-        """Publish ``trace`` under a content ``key``; returns the name."""
+        """Publish ``trace`` under ``key``; returns the segment name."""
         existing = self.mapping.get(key)
         if existing is not None:
             return existing
@@ -249,8 +248,7 @@ def active_mapping() -> Optional[Mapping[str, str]]:
 def load(key: str) -> Optional[Trace]:
     """The published trace for ``key``, attached at most once, or None.
 
-    A vanished segment (the parent unlinked early) degrades to a miss:
-    the caller falls through to the disk cache or a rebuild.
+    A vanished segment (the parent unlinked early) degrades to a miss.
     """
     if _MAPPING is None:
         return None

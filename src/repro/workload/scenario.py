@@ -16,7 +16,6 @@ from typing import Optional, Tuple
 
 from repro import faults as faults_mod
 from repro.errors import ConfigurationError
-from repro.sim import trace_cache, trace_shm
 from repro.sim.rng import RandomSource
 from repro.sim.trace import Trace, TraceColumns
 from repro.units import YEAR
@@ -135,41 +134,18 @@ def build_trace_cached(config: ScenarioConfig, seed: Optional[int] = None) -> Tr
     hit returns the exact trace a fresh build would produce. Callers
     must treat the returned trace as frozen (the runner already does:
     each run materializes its own Notification objects).
-
-    When a process-wide :mod:`repro.sim.trace_cache` directory is
-    configured (``--trace-cache`` on the CLI), misses additionally
-    consult that on-disk cache before regenerating, and newly built
-    traces are persisted there — so paired runs, repeated sweeps, and
-    every ``--jobs`` worker across invocations share one build.
-
-    In a ``--jobs`` worker whose parent published the grid's traces to
-    shared memory (:mod:`repro.sim.trace_shm`), misses attach the
-    published columns zero-copy before consulting the disk cache.
     """
     effective_seed = config.seed if seed is None else seed
-    # The active fault spec rides into both cache keys: trace contents
-    # never depend on it, but fault runs keeping their own entries means
-    # a chaos sweep can never hand a clean reproduction its cache slots
-    # (and vice versa). A null spec is None here, so fault-free keys —
-    # in memory and on disk — are exactly the pre-fault ones.
-    fault_spec = faults_mod.active_spec()
-    key = (config, effective_seed, fault_spec)
+    # The active fault spec rides into the key: trace contents never
+    # depend on it, but fault runs keeping their own entries means a
+    # chaos sweep and a clean reproduction never share a trace object.
+    # A null spec is None here, so fault-free keys are the pre-fault ones.
+    key = (config, effective_seed, faults_mod.active_spec())
     cached = _TRACE_CACHE.get(key)
     if cached is not None:
         _TRACE_CACHE.move_to_end(key)
         return cached
-    trace = None
-    if trace_shm.active_mapping() is not None:
-        trace = trace_shm.load(
-            trace_cache.trace_key(config, effective_seed, faults=fault_spec)
-        )
-    disk = trace_cache.active()
-    if trace is None and disk is not None:
-        trace = disk.load(config, effective_seed, faults=fault_spec)
-    if trace is None:
-        trace = build_trace(config, seed=seed)
-        if disk is not None:
-            disk.store(config, effective_seed, trace, faults=fault_spec)
+    trace = build_trace(config, seed=seed)
     _TRACE_CACHE[key] = trace
     while len(_TRACE_CACHE) > TRACE_CACHE_SIZE:
         _TRACE_CACHE.popitem(last=False)

@@ -35,6 +35,19 @@ class TestRun:
         with pytest.raises(SystemExit):
             cli.main(["not-a-figure"])
 
+    def test_negative_jobs_rejected_like_the_fleet_cli(self, capsys):
+        # Was silently "one worker per CPU"; `fleet --jobs -3` has always
+        # been this error. 0 keeps that meaning.
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["fig2", "--days", "2", "--quiet", "--jobs", "-3"])
+        assert exit_info.value.code == 2
+        assert "--jobs must be >= 0 (0 = one per CPU)" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["fleet", "--devices", "4", "--quiet", "--jobs", "-3"])
+        assert exit_info.value.code == 2
+        assert "--jobs must be >= 0 (0 = one per CPU)" in capsys.readouterr().err
+        assert cli.main(["fig2", "--days", "1", "--quiet", "--jobs", "0"]) == 0
+
     def test_run_figure_helper_returns_text(self):
         text = cli.run_figure("fig1", days=2.0, quiet=True)
         assert "Figure 1" in text

@@ -7,6 +7,7 @@ Full-scale numbers live in EXPERIMENTS.md.
 
 import pytest
 
+from repro.experiments import runner
 from repro.experiments.figures import (
     ablation_rank_delay,
     ablation_rate_vs_buffer,
@@ -18,7 +19,9 @@ from repro.experiments.figures import (
     fig5_expiration_loss,
     fig6_expiration_threshold,
 )
+from repro.sim.engine import Simulator
 from repro.units import DAY, HOUR
+from repro.workload import scenario
 
 DAYS_30 = 30 * DAY
 DAYS_60 = 60 * DAY
@@ -190,3 +193,54 @@ class TestAblations:
         for workload, (waste, loss) in unified.items():
             assert waste < 35.0, workload
             assert loss < 35.0, workload
+
+
+class TestSharedWorkCounts:
+    """How much simulation the default grids cost, counted not timed.
+
+    ``figure_grid`` in ``bench/`` divides by these numbers; a change
+    that quietly stops sharing baselines or traces between cells shows
+    up here as a count instead of as a slower benchmark.
+    """
+
+    def test_default_grids_share_traces_and_baselines(self, monkeypatch):
+        counts = {"runs": 0, "builds": 0, "cells": 0}
+        sim_run, build_trace = Simulator.run, scenario.build_trace
+
+        def counting_run(self, *args, **kwargs):
+            counts["runs"] += 1
+            return sim_run(self, *args, **kwargs)
+
+        def counting_build(*args, **kwargs):
+            counts["builds"] += 1
+            return build_trace(*args, **kwargs)
+
+        monkeypatch.setattr(Simulator, "run", counting_run)
+        monkeypatch.setattr(scenario, "build_trace", counting_build)
+
+        def counting_progress(_line):
+            counts["cells"] += 1
+
+        def count(module, config):
+            before = dict(counts)
+            module.run(config, progress=counting_progress)
+            return tuple(counts[k] - before[k] for k in ("runs", "builds", "cells"))
+
+        # Cold at the start only, as one figure_grid repetition is: fig3
+        # finds two of its seven traces still in the LRU fig2 filled.
+        runner.clear_baseline_cache()
+        scenario.clear_trace_cache()
+        try:
+            per_figure = [
+                count(fig2_overflow_loss,
+                      fig2_overflow_loss.Fig2Config(duration=DAY, seeds=(0,))),
+                count(fig3_buffer_prefetch,
+                      fig3_buffer_prefetch.Fig3Config(duration=DAY, seeds=(0,))),
+                count(fig6_expiration_threshold,
+                      fig6_expiration_threshold.Fig6Config(duration=DAY, seeds=(0,))),
+            ]
+        finally:
+            runner.clear_baseline_cache()
+            scenario.clear_trace_cache()
+        assert per_figure == [(216, 108, 108), (91, 5, 84), (45, 5, 40)]
+        assert tuple(map(sum, zip(*per_figure))) == (352, 118, 232)

@@ -1,4 +1,4 @@
-"""Tests for the parallel sweep execution engine.
+"""Tests for the parallel grid execution engine.
 
 The load-bearing property is determinism: for any ``jobs`` value the
 grid must come back in task order with bit-identical floats, so every
@@ -7,23 +7,15 @@ figure's output is independent of how it was scheduled.
 
 import pytest
 
-from repro.experiments.figures import fig1_overflow_waste
+from repro.experiments.figures import fig1_overflow_waste, fig3_buffer_prefetch
+from repro.experiments.figures.common import measure_grid
 from repro.experiments.parallel import (
     MAX_AUTO_CHUNK,
-    PairedTask,
-    execute_batch,
-    execute_pair,
-    group_paired_tasks,
     parallel_map,
     resolve_chunksize,
     resolve_jobs,
-    run_pair_grid,
 )
-from repro.experiments.sweep import sweep_1d
-from repro.proxy.policies import PolicyConfig
 from repro.units import DAY
-
-from tests.conftest import make_config
 
 
 def _square(x):
@@ -109,147 +101,6 @@ class TestParallelMap:
         assert seen == [(i, i * i) for i in range(20)]
 
 
-def _grid_tasks():
-    """A small fig1-style (x, seed) grid: overflow, on-line policy."""
-    tasks = []
-    for reads_per_day in (1.0, 2.0, 4.0):
-        for seed in (0, 1):
-            tasks.append(
-                PairedTask(
-                    x=reads_per_day,
-                    seed=seed,
-                    config=make_config(days=3.0, reads_per_day=reads_per_day),
-                    policy=PolicyConfig.online(),
-                )
-            )
-    return tasks
-
-
-def _policy_sweep_tasks():
-    """A policy sweep: many policies against few (scenario, seed) pairs."""
-    policies = [
-        PolicyConfig.online(),
-        PolicyConfig.on_demand(),
-        PolicyConfig.buffer(prefetch_limit=4),
-        PolicyConfig.buffer(prefetch_limit=16),
-        PolicyConfig.unified(),
-    ]
-    tasks = []
-    for x, policy in enumerate(policies):
-        for seed in (0, 1):
-            tasks.append(
-                PairedTask(
-                    x=float(x),
-                    seed=seed,
-                    config=make_config(days=3.0, outage_fraction=0.5),
-                    policy=policy,
-                )
-            )
-    return tasks
-
-
-class TestGrouping:
-    def test_policy_sweep_collapses_to_one_batch_per_seed(self):
-        batches = group_paired_tasks(_policy_sweep_tasks())
-        assert len(batches) == 2  # one per seed
-        assert sorted(batch.seed for batch in batches) == [0, 1]
-        assert all(len(batch.cells) == 5 for batch in batches)
-
-    def test_scenario_sweep_degenerates_to_singleton_batches(self):
-        tasks = _grid_tasks()
-        batches = group_paired_tasks(tasks)
-        assert len(batches) == len(tasks)
-        assert all(len(batch.cells) == 1 for batch in batches)
-
-    def test_cell_indices_cover_the_grid(self):
-        tasks = _policy_sweep_tasks()
-        batches = group_paired_tasks(tasks)
-        indices = sorted(
-            cell.index for batch in batches for cell in batch.cells
-        )
-        assert indices == list(range(len(tasks)))
-
-    def test_execute_batch_matches_execute_pair(self):
-        tasks = _policy_sweep_tasks()
-        (batch, _other) = group_paired_tasks(tasks)
-        batched = execute_batch(batch)
-        per_cell = tuple(execute_pair(tasks[cell.index]) for cell in batch.cells)
-        assert batched == per_cell
-
-
-class TestRunPairGrid:
-    def test_parallel_equals_serial(self):
-        tasks = _grid_tasks()
-        serial = run_pair_grid(tasks, jobs=1)
-        parallel = run_pair_grid(tasks, jobs=4)
-        assert parallel == serial  # bit-for-bit: same floats, same order
-
-    def test_deterministic_across_repeats(self):
-        tasks = _grid_tasks()
-        assert run_pair_grid(tasks, jobs=2) == run_pair_grid(tasks, jobs=2)
-
-    def test_worker_matches_inline_execution(self):
-        task = _grid_tasks()[0]
-        inline = execute_pair(task)
-        (shipped,) = run_pair_grid([task], jobs=1)
-        assert shipped == inline
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_grouped_equals_per_cell(self, jobs):
-        tasks = _policy_sweep_tasks()
-        grouped = run_pair_grid(tasks, jobs=jobs, group=True)
-        per_cell = run_pair_grid(tasks, jobs=jobs, group=False)
-        assert grouped == per_cell
-
-    def test_grouped_on_result_streams_in_grid_order(self):
-        tasks = _policy_sweep_tasks()
-        seen = []
-        outcomes = run_pair_grid(
-            tasks,
-            jobs=1,
-            group=True,
-            on_result=lambda index, outcome: seen.append((index, outcome)),
-        )
-        assert seen == list(enumerate(outcomes))
-
-
-class TestSweepEquivalence:
-    def test_parallel_sweep_equals_serial(self):
-        # The ISSUE's acceptance bar: identical SweepPoint lists for a
-        # paper figure configuration (fig2-style overflow-loss sweep).
-        kwargs = dict(
-            xs=[1.0, 2.0, 4.0],
-            make_config=lambda uf: make_config(days=5.0, reads_per_day=uf),
-            make_policy=lambda _x: PolicyConfig.online(),
-            seeds=(0, 1),
-        )
-        serial = sweep_1d(**kwargs)
-        parallel = sweep_1d(jobs=4, **kwargs)
-        assert parallel == serial
-
-    def test_same_grid_twice_is_identical(self):
-        kwargs = dict(
-            xs=[2.0, 8.0],
-            make_config=lambda uf: make_config(days=5.0, reads_per_day=uf),
-            make_policy=lambda _x: PolicyConfig.unified(),
-            seeds=(0, 1, 2),
-            jobs=2,
-        )
-        assert sweep_1d(**kwargs) == sweep_1d(**kwargs)
-
-    def test_progress_streams_in_x_order_with_workers(self):
-        lines = []
-        sweep_1d(
-            xs=[1.0, 4.0],
-            make_config=lambda uf: make_config(days=3.0, reads_per_day=uf),
-            make_policy=lambda _x: PolicyConfig.online(),
-            seeds=(0, 1),
-            progress=lines.append,
-            jobs=4,
-        )
-        assert [line.split(":")[0] for line in lines] == ["x=1", "x=4"]
-
-
 class TestFigureEquivalence:
     def test_fig1_table_identical_for_any_jobs(self):
         config = fig1_overflow_waste.Fig1Config(
@@ -262,39 +113,30 @@ class TestFigureEquivalence:
         assert parallel.rows == serial.rows
         assert parallel.headers == serial.headers
 
-
-class TestPublishGridTraces:
-    def test_inline_grid_publishes_nothing(self):
-        from repro.experiments.parallel import publish_grid_traces
-
-        assert publish_grid_traces(_grid_tasks(), jobs=1) is None
-        assert publish_grid_traces([], jobs=8) is None
-
-    def test_one_segment_per_unique_scenario(self):
-        from repro.experiments.parallel import publish_grid_traces
-
-        tasks = _policy_sweep_tasks()  # 5 policies x 2 seeds, one scenario
-        shm_set = publish_grid_traces(tasks, jobs=2)
-        assert shm_set is not None
-        with shm_set:
-            assert len(shm_set) == 2  # one per (config, seed)
-
-    def test_published_trace_matches_local_build(self):
-        from repro.experiments.parallel import publish_grid_traces
-        from repro.sim import trace_cache, trace_shm
-        from repro.workload.scenario import build_trace
-
-        task = _grid_tasks()[0]
-        shm_set = publish_grid_traces([task] * 2, jobs=2)
-        assert shm_set is not None
-        with shm_set:
-            key = trace_cache.trace_key(task.config, task.seed, faults=None)
-            trace_shm.configure(dict(shm_set.mapping))
-            try:
-                attached = trace_shm.load(key)
-                assert attached == build_trace(task.config, seed=task.seed)
-            finally:
-                # Release the view before teardown so the segment's
-                # buffer has no live exports when it is closed.
-                del attached
-                trace_shm.configure(None)
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("chunksize", [1, 4])
+    def test_fig3_grid_identical_for_any_jobs_and_chunksize(self, jobs, chunksize):
+        # fig3 is the baseline-sharing figure: every prefetch limit pairs
+        # against the same (scenario, seed) baseline, so how cells are
+        # chunked onto workers decides which LRU entries get reused —
+        # and must not decide a single float.
+        config = fig3_buffer_prefetch.Fig3Config(
+            duration=2.0 * DAY,
+            prefetch_limits=(1, 8, 64),
+            outage_fractions=(0.1, 0.5),
+        )
+        tasks = [
+            (config, outage_fraction, limit)
+            for limit in config.prefetch_limits
+            for outage_fraction in config.outage_fractions
+        ]
+        reference = [fig3_buffer_prefetch.measure_point(*task) for task in tasks]
+        assert (
+            measure_grid(
+                fig3_buffer_prefetch.measure_point,
+                tasks,
+                jobs=jobs,
+                chunksize=chunksize,
+            )
+            == reference
+        )

@@ -6,12 +6,12 @@ from repro.device.battery import Battery
 from repro.experiments import runner as runner_module
 from repro.experiments.runner import (
     clear_baseline_cache,
-    configure_baseline_cache,
     run_baseline,
     run_paired,
     run_paired_config,
     run_scenario,
 )
+from repro.faults import PRESETS
 from repro.metrics.analytic import expected_overflow_waste
 from repro.metrics.waste_loss import compute_waste
 from repro.proxy.gc import ProxyGarbageCollector
@@ -114,7 +114,6 @@ class TestBaselineCache:
     def _fresh_cache(self):
         clear_baseline_cache()
         yield
-        configure_baseline_cache(True)
         clear_baseline_cache()
 
     def test_repeat_baseline_is_cached(self, outage_trace):
@@ -146,20 +145,23 @@ class TestBaselineCache:
         assert first is not second
         assert first.stats.forwarded == second.stats.forwarded
 
-    def test_disabled_cache_reruns(self, outage_trace):
-        configure_baseline_cache(False)
-        first = run_baseline(outage_trace)
-        second = run_baseline(outage_trace)
-        assert first is not second
-        assert first.stats.read_ids == second.stats.read_ids
-
-    def test_cached_and_uncached_results_identical(self, outage_trace):
-        cached = run_baseline(outage_trace)
-        configure_baseline_cache(False)
-        uncached = run_baseline(outage_trace)
-        assert cached.stats.read_ids == uncached.stats.read_ids
-        assert cached.stats.forwarded_ids == uncached.stats.forwarded_ids
-        assert cached.events_processed == uncached.events_processed
+    @pytest.mark.parametrize(
+        "faults", [None, PRESETS["lossy"]], ids=["clean", "lossy"]
+    )
+    def test_baseline_equals_direct_online_run(self, outage_trace, faults):
+        # The reference is the uncached path itself, so no switch is
+        # needed to get it: first call (miss) and repeat (hit) must both
+        # equal a direct on-line run over the same trace and kwargs.
+        kwargs = {} if faults is None else {"faults": faults}
+        direct = run_scenario(
+            outage_trace, PolicyConfig.online(), threshold=1.0, **kwargs
+        )
+        for _ in range(2):
+            cached = run_baseline(outage_trace, threshold=1.0, **kwargs)
+            assert cached.stats == direct.stats
+            assert cached.events_processed == direct.events_processed
+        if faults is not None:
+            assert direct.stats != run_baseline(outage_trace, threshold=1.0).stats
 
     def test_eviction_respects_lru_bound(self):
         config = make_config(days=2.0)

@@ -2,8 +2,8 @@
 
 With ``--faults none`` (or no ``--faults`` at all) every figure table
 and the validate scorecard must be byte-identical to a build without
-the fault subsystem in the loop — across serial/parallel execution,
-grouped/per-cell sweeps, and the baseline cache. The "reliable" preset
+the fault subsystem in the loop — across serial and parallel
+execution. The "reliable" preset
 (protocol engaged, zero fault rates) must converge to the same metrics.
 Higher loss rates must never reduce retries or the loss metric
 (pathwise metamorphic monotonicity).
@@ -14,12 +14,7 @@ import pytest
 from repro import faults
 from repro.experiments.figures import fig3_buffer_prefetch, fig6_expiration_threshold
 from repro.experiments.export import export_tables
-from repro.experiments.runner import (
-    clear_baseline_cache,
-    configure_baseline_cache,
-    run_paired,
-)
-from repro.experiments.sweep import sweep_1d
+from repro.experiments.runner import clear_baseline_cache, run_paired
 from repro.faults import PRESETS, FaultSpec
 from repro.proxy.policies import PolicyConfig
 from repro.units import DAY
@@ -35,16 +30,15 @@ def _clean_state():
     clear_trace_cache()
     yield
     faults.configure(None)
-    configure_baseline_cache(True)
     clear_baseline_cache()
     clear_trace_cache()
 
 
-def _fig3_tables():
+def _fig3_tables(jobs=1):
     config = fig3_buffer_prefetch.Fig3Config(
         duration=2 * DAY, prefetch_limits=(1, 8), seeds=(0,)
     )
-    result = fig3_buffer_prefetch.run(config)
+    result = fig3_buffer_prefetch.run(config, jobs=jobs)
     tables = [result] if not isinstance(result, (list, tuple)) else list(result)
     return export_tables(tables, "text")
 
@@ -56,46 +50,22 @@ def _fig6_tables():
     return export_tables(tables, "text")
 
 
-def _sweep(jobs=1, group=True):
-    return sweep_1d(
-        xs=[1.0, 4.0],
-        make_config=lambda _x: make_config(days=2.0, outage_fraction=0.5),
-        make_policy=lambda x: PolicyConfig.buffer(prefetch_limit=int(x)),
-        seeds=(0, 1),
-        jobs=jobs,
-        group=group,
-    )
-
-
 class TestNullPlanIdentity:
     def test_fig3_byte_identical_under_null_spec(self):
         baseline = _fig3_tables()
         faults.configure(FaultSpec.none())
         assert _fig3_tables() == baseline
 
+    def test_fig3_byte_identical_under_null_spec_in_workers(self):
+        # The pool initializer re-applies the spec inside each worker.
+        baseline = _fig3_tables()
+        faults.configure(FaultSpec.none())
+        assert _fig3_tables(jobs=2) == baseline
+
     def test_fig6_byte_identical_under_null_spec(self):
         baseline = _fig6_tables()
         faults.configure(FaultSpec.none())
         assert _fig6_tables() == baseline
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize("group", [True, False])
-    def test_sweep_identical_under_null_spec(self, jobs, group):
-        reference = _sweep(jobs=jobs, group=group)
-        clear_baseline_cache()
-        clear_trace_cache()
-        faults.configure(FaultSpec.none())
-        assert _sweep(jobs=jobs, group=group) == reference
-
-    @pytest.mark.parametrize("cache", [True, False])
-    def test_sweep_identical_without_baseline_cache(self, cache):
-        configure_baseline_cache(cache)
-        reference = _sweep()
-        clear_baseline_cache()
-        clear_trace_cache()
-        faults.configure(FaultSpec.none())
-        configure_baseline_cache(cache)
-        assert _sweep() == reference
 
     def test_validate_scorecard_identical_under_null_spec(self):
         from repro.experiments import validate as validate_module

@@ -180,6 +180,50 @@ class TestPolicyParsing:
             policy_variant_from_spec(spec)
 
 
+class TestCanonicalJson:
+    """The encoder every cell key and stored row goes through."""
+
+    def test_enum_encodes_as_class_and_member_name(self):
+        from repro.types import PolicyKind
+
+        assert canonical_json({"kind": PolicyKind.ONLINE}) == (
+            '{"kind":"PolicyKind.ONLINE"}'
+        )
+
+    def test_path_encodes_as_string(self):
+        from pathlib import Path
+
+        assert canonical_json([Path("a") / "b"]) == '["a/b"]'
+
+    def test_nested_dataclass_unwrapped_and_sorted(self):
+        @dataclasses.dataclass(frozen=True)
+        class Inner:
+            z: int = 1
+            a: float = 0.5
+
+        @dataclasses.dataclass(frozen=True)
+        class Outer:
+            inner: Inner = Inner()
+
+        assert canonical_json({"spec": Outer(), "top": Inner()}) == (
+            '{"spec":{"inner":{"a":0.5,"z":1}},"top":{"a":0.5,"z":1}}'
+        )
+
+    def test_unknown_type_is_a_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="not content-hashable"):
+            canonical_json({"bad": object()})
+
+    def test_equal_configs_give_equal_text(self):
+        one = PolicyConfig.buffer(prefetch_limit=8)
+        other = PolicyConfig.buffer(prefetch_limit=8)
+        assert one is not other
+        assert canonical_json(one) == canonical_json(other)
+        assert canonical_json(one) != canonical_json(
+            PolicyConfig.buffer(prefetch_limit=16)
+        )
+        assert '"kind":"PolicyKind.BUFFER"' in canonical_json(one)
+
+
 class TestSweepStore:
     def _row(self, key="k1", campaign="c1"):
         return SweepRow(

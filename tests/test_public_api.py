@@ -1,6 +1,50 @@
 """The public API surface: imports, README snippet, and __all__ hygiene."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import repro
+
+SRC = Path(repro.__file__).resolve().parents[1]
+
+#: Runs in a child interpreter: networkx is an optional dependency, so
+#: nothing short of building a BrokerOverlay may import it.
+_IMPORT_PROBE = """
+import sys
+{block}
+import repro, repro.fleet, repro.experiments.cli
+from repro import PolicyConfig, ScenarioConfig, build_trace, run_paired
+from repro.units import DAY
+trace = build_trace(ScenarioConfig(duration=2 * DAY), seed=42)
+print(run_paired(trace, PolicyConfig.unified()).metrics.describe())
+assert "networkx" not in sys.modules or sys.modules["networkx"] is None
+"""
+
+
+def _run_import_probe(block: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE.format(block=block)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestOptionalNetworkx:
+    def test_imports_and_quickstart_work_without_networkx(self):
+        # sys.modules[name] = None makes `import networkx` raise
+        # ImportError, i.e. a machine with only the declared numpy.
+        out = _run_import_probe('sys.modules["networkx"] = None')
+        assert "waste" in out and "loss" in out
+
+    def test_importing_the_package_does_not_load_networkx(self):
+        _run_import_probe("")
 
 
 class TestSurface:

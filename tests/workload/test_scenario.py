@@ -80,6 +80,26 @@ class TestBuildTrace:
         )
         clear_trace_cache()
 
+    def test_build_trace_cached_separates_fault_entries(self):
+        """A chaos sweep and a clean run never share an LRU slot, while
+        the traces themselves stay identical (faults are run-time)."""
+        from repro import faults
+        from repro.faults import FaultSpec
+
+        clear_trace_cache()
+        config = make_config(days=5.0, outage_fraction=0.3)
+        try:
+            clean = build_trace_cached(config, seed=0)
+            faults.configure(FaultSpec(loss_rate=0.2))
+            lossy = build_trace_cached(config, seed=0)
+            faults.configure(FaultSpec.none())
+            assert build_trace_cached(config, seed=0) is clean
+        finally:
+            faults.configure(None)
+            clear_trace_cache()
+        assert clean is not lossy
+        assert clean == lossy
+
     def test_metadata_records_parameters(self):
         trace = build_trace(make_config(days=10.0, outage_fraction=0.5), seed=3)
         assert trace.metadata["event_frequency"] == 32.0
