@@ -114,16 +114,36 @@ def test_bench_trace_generation(benchmark):
 
 @pytest.mark.benchmark(group="micro")
 def test_bench_trace_generation_scalar(benchmark):
-    """The retired scalar generators, kept benchmarked so the trajectory
-    records what the columnar pipeline buys (and the fallback's cost)."""
-    from repro.workload.methods import use_method
+    """The scalar reference generators, kept benchmarked so the
+    trajectory records what the columnar pipeline buys. Same four
+    generators and substreams as :func:`build_trace`, minus validation."""
+    from repro.workload.arrivals import generate_arrival_columns
+    from repro.workload.outages import generate_outage_columns
+    from repro.workload.ranks import generate_rank_change_columns
+    from repro.workload.reads import generate_read_columns
+
+    config = _TRACE_BENCH_CONFIG
+    duration = config.duration
 
     def build_scalar():
-        with use_method("scalar"):
-            return build_trace(_TRACE_BENCH_CONFIG, 3)
+        rng = RandomSource(3)
+        arrivals = generate_arrival_columns(
+            config.arrivals, duration, rng.spawn("arrivals"), method="scalar"
+        )
+        generate_read_columns(
+            config.reads, duration, rng.spawn("reads"), method="scalar"
+        )
+        generate_outage_columns(
+            config.outages, duration, rng.spawn("outages"), method="scalar"
+        )
+        generate_rank_change_columns(
+            config.rank_changes, arrivals, duration, rng.spawn("rank-changes"),
+            method="scalar",
+        )
+        return arrivals
 
-    trace = benchmark(build_scalar)
-    assert len(trace.arrivals) > 2_000
+    arrivals = benchmark(build_scalar)
+    assert arrivals.times.size > 2_000
 
 
 @pytest.mark.benchmark(group="micro")

@@ -227,7 +227,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             fault_spec = faults.FaultSpec.parse(args.faults)
         except ConfigurationError as error:
             parser.error(f"--faults: {error}")
-    faults.configure(fault_spec)
     obs.configure(
         obs.ObsConfig(audit_interval=args.audit) if args.audit is not None else None
     )

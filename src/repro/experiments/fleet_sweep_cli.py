@@ -38,6 +38,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -309,11 +310,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             fault_spec = faults.FaultSpec.parse(args.faults)
         except ConfigurationError as error:
             parser.error(f"--faults: {error}")
-    faults.configure(fault_spec)
+        if fault_spec.is_null:
+            # `--faults none` keys cells exactly like omitting the flag.
+            fault_spec = None
     obs.configure(None)
 
     try:
-        config = build_sweep_config(args)
+        config = replace(build_sweep_config(args), faults=fault_spec)
         config.validate()
     except ConfigurationError as error:
         parser.error(str(error))

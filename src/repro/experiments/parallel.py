@@ -13,7 +13,9 @@ Design constraints, and how they are met:
 
 * **Picklable work items.** Callers pass a module-level function and
   tuples of frozen dataclasses / plain values; nothing else crosses the
-  process boundary.
+  process boundary. A fleet shard task names the shared-memory segment
+  holding its columns and carries its fault spec and dispatch mode, so
+  a worker needs no state beyond its task.
 * **Deterministic merge.** Futures are submitted in grid order and
   harvested in that same order; stragglers simply make the harvest
   block, never reorder it.
@@ -38,7 +40,7 @@ from __future__ import annotations
 import os
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro import faults, obs
 from repro.proxy.policies import PolicyConfig
@@ -76,7 +78,6 @@ def resolve_chunksize(chunksize: Optional[int], tasks: int, workers: int) -> int
 def _worker_init(
     obs_config: Optional["obs.ObsConfig"] = None,
     fault_spec: Optional["faults.FaultSpec"] = None,
-    shm_traces: Optional[Dict[str, str]] = None,
 ) -> None:
     """Process-pool initializer: inherit the parent's process-wide setup.
 
@@ -85,16 +86,12 @@ def _worker_init(
     inside every worker, not just the parent (each worker gets its own
     ring buffer and transition counter; an invariant violation raised
     in a worker propagates through the future exactly like any other
-    error). The fault spec (``--faults``) likewise: a lossy sweep must
-    inject the same faults whether a cell runs inline or in a worker.
-
-    ``shm_traces`` maps fleet shard keys to the shared-memory segment
-    names the parent published (:mod:`repro.sim.trace_shm`); workers
-    attach those columns zero-copy.
+    error). The fault spec (``--faults``) likewise: a lossy figure grid
+    must inject the same faults whether a cell runs inline or in a
+    worker. Fleet shard tasks carry their spec as an argument instead.
     """
     obs.configure(obs_config)
     faults.configure(fault_spec)
-    trace_shm.configure(shm_traces)
 
 
 def _run_chunk(fn: Callable[..., Any], chunk: Sequence[Tuple[Any, ...]]) -> List[Any]:
@@ -108,7 +105,6 @@ def parallel_map(
     jobs: Optional[int] = 1,
     on_result: Optional[Callable[[int, Any], None]] = None,
     chunksize: Optional[int] = None,
-    shm_traces: Optional[Dict[str, str]] = None,
 ) -> List[Any]:
     """Evaluate ``fn(*task)`` for every task, optionally across processes.
 
@@ -124,10 +120,6 @@ def parallel_map(
     (``None`` = automatic, see :func:`resolve_chunksize`): fewer, fatter
     futures amortize pickling/IPC, and contiguous cells landing on one
     worker keeps its per-process trace/baseline caches warm.
-
-    ``shm_traces`` (key→segment name) is forwarded to every worker's
-    initializer so published fleet shards attach zero-copy; inline
-    execution ignores it (the parent already holds the columns).
     """
     tasks = [task if isinstance(task, tuple) else (task,) for task in tasks]
     effective = resolve_jobs(jobs, len(tasks))
@@ -144,7 +136,7 @@ def parallel_map(
     with ProcessPoolExecutor(
         max_workers=effective,
         initializer=_worker_init,
-        initargs=(obs.active_config(), faults.active_spec(), shm_traces),
+        initargs=(obs.active_config(), faults.active_spec()),
     ) as pool:
         futures = [pool.submit(_run_chunk, fn, part) for part in chunks]
         index = 0
@@ -220,17 +212,16 @@ def run_fleet_policy_batch(
     slice runs sequentially on its own simulator; with workers, each
     slice's columns are published to shared memory
     (:mod:`repro.sim.trace_shm`) exactly once and every policy's shard
-    tasks attach them zero-copy. Per policy, shard accumulators merge in
-    shard order, so the folded results are deterministic; device
-    outcomes are independent, so each is also invariant to
-    ``(shards, jobs)`` up to documented float reassociation.
+    task carries its segment's name and attaches it zero-copy. Per
+    policy, shard accumulators merge in shard order, so the folded
+    results are deterministic; device outcomes are independent, so each
+    is also invariant to ``(shards, jobs)`` up to documented float
+    reassociation.
 
-    ``use_batch`` selects between the columnar batched dispatcher and
-    the scalar per-event path (its differential oracle). It arrives
-    here already resolved to a bool — :func:`repro.fleet.runner
-    .run_fleet` and :func:`repro.fleet.sweep.run_fleet_sweep` apply the
-    ``repro.fleet.dispatch`` default — so workers inherit the parent's
-    decision rather than consulting their own process-local flag.
+    ``fault_spec`` (None = fault-free) and ``use_batch`` (the columnar
+    batched dispatcher, or the scalar per-event path that is its
+    differential oracle) ride in every shard task, so a worker runs
+    exactly what the caller asked for.
 
     Fleet imports stay inside the function: :mod:`repro.fleet.runner`
     imports this module at import time, so importing it here at module
@@ -243,7 +234,6 @@ def run_fleet_policy_batch(
     policies = list(policies)
     if not policies:
         return []
-    spec = fault_spec if fault_spec is not None else faults.active_spec()
     bounds = shard_bounds(workload.devices, shards)
     effective = resolve_jobs(jobs, len(bounds) * len(policies))
     if effective <= 1:
@@ -255,28 +245,23 @@ def run_fleet_policy_batch(
                     workload.shard(lo, hi)
                 )
                 total.merge(
-                    _execute_shard(piece, policy, spec, link_latency, use_batch)
+                    _execute_shard(piece, policy, fault_spec, link_latency, use_batch)
                 )
             totals.append(total)
         return totals
 
     shm_set = trace_shm.ShmTraceSet()
     try:
-        segments = []
-        for s, (lo, hi) in enumerate(bounds):
-            piece = workload.shard(lo, hi)
-            key = f"fleet-shard-{s}"
-            shm_set.publish(key, piece.to_trace())
-            segments.append((key, lo, hi))
+        names = [
+            shm_set.publish(f"fleet-shard-{s}", workload.shard(lo, hi).to_trace())
+            for s, (lo, hi) in enumerate(bounds)
+        ]
         tasks = [
-            (
-                key, lo, hi, workload.config, policy, spec, link_latency,
-                use_batch,
-            )
+            (name, workload.config, policy, fault_spec, link_latency, use_batch)
             # Policy-major: each policy's shards are contiguous, so the
             # in-order harvest below folds them without buffering.
             for policy in policies
-            for key, lo, hi in segments
+            for name in names
         ]
         results = parallel_map(
             _execute_shard_from_shm,
@@ -284,7 +269,6 @@ def run_fleet_policy_batch(
             jobs=effective,
             # One shard per future: shards are already the coarse unit.
             chunksize=1,
-            shm_traces=dict(shm_set.mapping),
         )
     finally:
         shm_set.unlink()
@@ -296,28 +280,3 @@ def run_fleet_policy_batch(
             total.merge(next(harvest))
         totals.append(total)
     return totals
-
-
-def run_fleet_shards(
-    workload,
-    policy: PolicyConfig,
-    shards: int = 1,
-    jobs: Optional[int] = 1,
-    fault_spec: Optional["faults.FaultSpec"] = None,
-    link_latency: float = 0.0,
-    use_batch: bool = True,
-):
-    """Execute a fleet workload across shards; fold into one accumulator.
-
-    The single-policy face of :func:`run_fleet_policy_batch` — see
-    there for the sharding, handoff, and determinism contract.
-    """
-    return run_fleet_policy_batch(
-        workload,
-        [policy],
-        shards=shards,
-        jobs=jobs,
-        fault_spec=fault_spec,
-        link_latency=link_latency,
-        use_batch=use_batch,
-    )[0]

@@ -27,9 +27,9 @@ the exact pre-fault behaviour — figure tables, the validate scorecard,
 and cache keys stay byte-identical.
 
 Process-wide configuration mirrors :mod:`repro.obs`: :func:`configure`
-installs the active spec (the CLI's ``--faults``), :func:`active_spec`
+installs the active spec (the figure CLI's ``--faults``), :func:`active_spec`
 reads it, and the parallel executor re-applies it inside worker
-processes.
+processes. The fleet layer ignores it and takes its spec as an argument.
 """
 
 from __future__ import annotations

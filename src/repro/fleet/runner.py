@@ -29,6 +29,9 @@ The table (rows plus the materialized bindings' stats) folds into a
 finishes; nothing per-device survives the shard,
 so parent-side memory is O(shards) no matter how many devices run.
 
+A shard's fault spec (None = fault-free) and dispatch mode are
+arguments; the only process-wide state it reads is :mod:`repro.obs`.
+
 Determinism across sharding: devices never interact (separate topics,
 links, fault plans hashed on the device's derived seed), so each
 device's outcome depends only on its own trace and plan — not on which
@@ -40,14 +43,14 @@ jobs)`` partitioning; float sums merge up to reassociation.
 from __future__ import annotations
 
 import gc
+import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, Iterable, Iterator, List, Optional, Union
+from typing import Dict, Iterable, Iterator, List, Optional
 
 import numpy as np
 
-from repro import faults as faults_mod
 from repro import obs
 from repro.broker.message import Notification
 from repro.device.device import ClientDevice
@@ -55,7 +58,6 @@ from repro.device.link import LastHopLink
 from repro.errors import ConfigurationError
 from repro.experiments import parallel
 from repro.faults import FaultPlan, FaultSpec
-from repro.fleet import dispatch
 from repro.fleet.batch import ShardBatchDispatcher
 from repro.fleet.columns import FleetColumns
 from repro.fleet.config import FleetScenarioConfig
@@ -123,7 +125,7 @@ def _execute_shard(
     policy: PolicyConfig,
     fault_spec: Optional[FaultSpec] = None,
     link_latency: float = 0.0,
-    use_batch: Union[None, bool, str] = None,
+    use_batch: bool = True,
 ) -> FleetAccumulator:
     """Run one shard's devices on one simulator; fold into an accumulator.
 
@@ -134,12 +136,11 @@ def _execute_shard(
     row, on objects, or first one then the other — or through the
     single-device runner.
 
-    ``use_batch`` picks the dispatch mode (:mod:`repro.fleet.dispatch`):
-    the batched fast path over the binding table (the default) or the
-    scalar per-callback oracle, which materializes every binding at
-    wiring. Both produce bit-identical integer metrics.
+    ``use_batch`` picks the dispatch mode: the batched fast path over
+    the binding table (the default) or the scalar per-callback oracle,
+    which materializes every binding at wiring. Both produce
+    bit-identical integer metrics.
     """
-    spec = fault_spec if fault_spec is not None else faults_mod.active_spec()
     obs_ctx = obs.active()
     recorder = None if obs_ctx is None else obs_ctx.recorder
     auditor = None if obs_ctx is None else obs_ctx.auditor
@@ -147,8 +148,8 @@ def _execute_shard(
 
     with _bulk_allocation():
         return _execute_shard_inner(
-            workload, policy, spec, link_latency, recorder, auditor,
-            dispatch.resolve(use_batch),
+            workload, policy, fault_spec, link_latency, recorder, auditor,
+            use_batch,
         )
 
 
@@ -530,29 +531,34 @@ def _register_fleet_streams(
 
 
 def _execute_shard_from_shm(
-    key: str,
-    lo: int,
-    hi: int,
+    name: str,
     config: FleetScenarioConfig,
     policy: PolicyConfig,
     fault_spec: Optional[FaultSpec],
     link_latency: float,
     use_batch: bool = True,
 ) -> FleetAccumulator:
-    """Worker entry: attach the shard's columns from shared memory.
+    """Worker entry: run the shard published as segment ``name``.
 
-    A vanished segment (parent unlinked early) degrades to a rebuild:
-    generation is deterministic in the config, so ``build_fleet_workload
-    (config).shard(lo, hi)`` reproduces the same columns byte-for-byte.
-    ``use_batch`` arrives resolved in the parent — the worker process
-    must not consult its own (default-initialized) dispatch flag.
+    The columns are attached zero-copy and the handle is closed before
+    returning. A missing or malformed segment raises
+    :class:`~repro.errors.ConfigurationError` naming it.
     """
-    packed = trace_shm.load(key)
-    if packed is not None:
-        workload = FleetWorkload.from_trace(config, packed)
-    else:
-        workload = build_fleet_workload(config).shard(lo, hi)
-    return _execute_shard(workload, policy, fault_spec, link_latency, use_batch)
+    packed, handle = trace_shm.read_trace(name)
+    try:
+        return _execute_shard(
+            FleetWorkload.from_trace(config, packed),
+            policy, fault_spec, link_latency, use_batch,
+        )
+    except BaseException as exc:
+        # The traceback keeps the failed shard's frames, and through
+        # their locals views into the segment, alive; drop them so the
+        # handle can close.
+        traceback.clear_frames(exc.__traceback__)
+        raise
+    finally:
+        del packed
+        handle.close()
 
 
 def run_fleet(
@@ -564,7 +570,7 @@ def run_fleet(
     faults: Optional[FaultSpec] = None,
     link_latency: float = 0.0,
     workload: Optional[FleetWorkload] = None,
-    use_batch: Union[None, bool, str] = None,
+    use_batch: bool = True,
 ) -> FleetResult:
     """Run a whole fleet campaign; results invariant to ``(shards, jobs)``.
 
@@ -572,18 +578,16 @@ def run_fleet(
     sharded into contiguous device ranges; ``jobs`` worker processes
     execute shards with the columns handed off through shared memory.
     ``faults`` applies the same :class:`FaultSpec` to every device, each
-    realizing its own plan from its derived seed; None falls back to the
-    process-wide spec (the CLI's ``--faults``). Pass ``workload`` to
-    reuse an already-built :func:`build_fleet_workload` result (it must
-    match ``config``). ``use_batch`` selects batched (default) or
-    scalar shard dispatch (:mod:`repro.fleet.dispatch`); both produce
-    bit-identical integer metrics.
+    realizing its own plan from its derived seed; None runs fault-free.
+    Pass ``workload`` to reuse an already-built
+    :func:`build_fleet_workload` result (it must match ``config``).
+    ``use_batch`` selects batched (default) or scalar shard dispatch;
+    both produce bit-identical integer metrics.
     """
     config.validate()
     if policy is None:
         policy = PolicyConfig()
     policy.validate()
-    spec = faults if faults is not None else faults_mod.active_spec()
     if workload is None:
         with obs.PROBES.phase("fleet-build"):
             workload = build_fleet_workload(config)
@@ -592,14 +596,14 @@ def run_fleet(
             "run_fleet: the workload passed in was built from a different "
             f"config ({workload.config!r}) than the one being run ({config!r})"
         )
-    accumulator = parallel.run_fleet_shards(
+    (accumulator,) = parallel.run_fleet_policy_batch(
         workload,
-        policy,
+        [policy],
         shards=shards,
         jobs=jobs,
-        fault_spec=spec,
+        fault_spec=faults,
         link_latency=link_latency,
-        use_batch=dispatch.resolve(use_batch),
+        use_batch=use_batch,
     )
     return FleetResult(
         config=config,

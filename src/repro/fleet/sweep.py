@@ -19,7 +19,9 @@ of such a curve; this module runs the whole grid:
   FleetAccumulator.metrics_row` lands in an append-only sqlite store
   (:mod:`repro.fleet.store`), keyed by a canonical config hash, so a
   half-finished campaign resumes by skipping completed cells — and the
-  resumed rows are bit-identical to an uninterrupted run's.
+  resumed rows are bit-identical to an uninterrupted run's. The fault
+  spec is the config's ``faults`` field and part of every key; nothing
+  process-wide is consulted.
 
 Loss at fleet scale
 -------------------
@@ -45,11 +47,9 @@ from collections import OrderedDict
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro import faults as faults_mod
 from repro.errors import ConfigurationError
 from repro.experiments import parallel
 from repro.faults import FaultSpec
-from repro.fleet import dispatch
 from repro.fleet.config import FleetScenarioConfig
 from repro.fleet.store import (
     SweepRow,
@@ -335,7 +335,7 @@ def run_fleet_sweep(
     jobs: int = 1,
     resume: bool = False,
     max_cells: Optional[int] = None,
-    use_batch: object = None,
+    use_batch: bool = True,
     link_latency: float = 0.0,
     progress: Optional[Callable[[str], None]] = None,
 ) -> SweepOutcome:
@@ -351,16 +351,8 @@ def run_fleet_sweep(
     incremental runs use this).
     """
     config.validate()
-    if config.faults is None:
-        # The ambient process-wide spec (the CLI's --faults, worker
-        # inits) changes every metric, so it must participate in the
-        # cell identity too — fold it into the config before keying.
-        ambient = faults_mod.active_spec()
-        if ambient is not None:
-            config = replace(config, faults=ambient)
     if max_cells is not None and max_cells < 1:
         raise ConfigurationError(f"max_cells must be >= 1, got {max_cells}")
-    use_batch_resolved = dispatch.resolve(use_batch)
 
     campaign = config.campaign_key()
     store.register_campaign(campaign, config.spec_json())
@@ -395,7 +387,7 @@ def run_fleet_sweep(
             jobs=jobs,
             fault_spec=config.faults,
             link_latency=link_latency,
-            use_batch=use_batch_resolved,
+            use_batch=use_batch,
         )
         for cell, accumulator in zip(pending, accumulators):
             store.append(_build_row(campaign, cell, accumulator))

@@ -35,7 +35,7 @@ Why the trajectory is reproducible
 ----------------------------------
 
 Every evaluation is one sweep cell — ``(seeded scenario, named policy
-variant, fault spec)`` hashed by :func:`repro.fleet.store.cell_key` —
+variant, TuneConfig.faults)`` hashed by :func:`repro.fleet.store.cell_key` —
 routed through :func:`repro.experiments.parallel.run_fleet_policy_batch`
 and appended to the :class:`~repro.fleet.store.SweepStore`. Cells are
 pure functions of their key (the PR 9 contract), objectives are computed
@@ -70,14 +70,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro import faults as faults_mod
 from repro.errors import ConfigurationError
 from repro.experiments import parallel
 from repro.faults import FaultSpec
-from repro.fleet import dispatch
 from repro.fleet.config import FleetScenarioConfig
 from repro.fleet.store import (
     BestRow,
@@ -676,7 +674,7 @@ def run_fleet_tune(
     jobs: int = 1,
     resume: bool = False,
     max_evals: Optional[int] = None,
-    use_batch: object = None,
+    use_batch: bool = True,
     link_latency: float = 0.0,
     progress: Optional[Callable[[str], None]] = None,
 ) -> TuneOutcome:
@@ -691,15 +689,8 @@ def run_fleet_tune(
     ``best`` table (kept only if strictly better than the stored one).
     """
     config.validate()
-    if config.faults is None:
-        # Ambient process-wide spec changes every metric; fold it into
-        # the identity exactly like the sweep layer does.
-        ambient = faults_mod.active_spec()
-        if ambient is not None:
-            config = replace(config, faults=ambient)
     if max_evals is not None and max_evals < 1:
         raise ConfigurationError(f"max_evals must be >= 1, got {max_evals}")
-    use_batch_resolved = dispatch.resolve(use_batch)
 
     campaign = config.campaign_key()
     store.register_campaign(campaign, config.spec_json())
@@ -736,7 +727,7 @@ def run_fleet_tune(
             jobs=jobs,
             fault_spec=config.faults,
             link_latency=link_latency,
-            use_batch=use_batch_resolved,
+            use_batch=use_batch,
         )
         row = SweepRow(
             cell_key=key,

@@ -237,22 +237,46 @@ class FleetWorkload:
 
     @classmethod
     def from_trace(cls, config: FleetScenarioConfig, trace: Trace) -> "FleetWorkload":
-        """Unpack a :meth:`to_trace` segment attached in a worker."""
+        """Unpack a :meth:`to_trace` segment attached in a worker;
+        inconsistent per-device counts raise :class:`ConfigurationError`.
+        """
         meta = trace.metadata
         cols = trace.columns
+        streams = (cols.arrivals, cols.reads, cols.outages, cols.rank_changes)
+        try:
+            devices = int(meta["fleet_devices"])
+            counts = [
+                np.asarray(meta[f"{kind}_counts"], dtype=np.int64)
+                for kind in ("arrival", "read", "outage", "change")
+            ]
+            limits = np.asarray(meta["limits"], dtype=np.int64)
+            lo = int(meta["fleet_lo"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"packed fleet shard metadata is malformed: {exc!r}"
+            ) from None
+        if any(array.shape != (devices,) for array in (*counts, limits)) or any(
+            column.size != int(per_device.sum())
+            for per_device, stream in zip(counts, streams)
+            for column in stream
+        ):
+            raise ConfigurationError(
+                f"packed fleet shard: per-device arrays must hold {devices} "
+                f"entries whose sums match the column lengths"
+            )
         return cls(
             config=config,
-            lo=int(meta["fleet_lo"]),
-            devices=int(meta["fleet_devices"]),
+            lo=lo,
+            devices=devices,
             arrivals=cols.arrivals,
-            arrival_counts=np.asarray(meta["arrival_counts"], dtype=np.int64),
+            arrival_counts=counts[0],
             reads=cols.reads,
-            read_counts=np.asarray(meta["read_counts"], dtype=np.int64),
+            read_counts=counts[1],
             outages=cols.outages,
-            outage_counts=np.asarray(meta["outage_counts"], dtype=np.int64),
+            outage_counts=counts[2],
             rank_changes=cols.rank_changes,
-            change_counts=np.asarray(meta["change_counts"], dtype=np.int64),
-            limits=np.asarray(meta["limits"], dtype=np.int64),
+            change_counts=counts[3],
+            limits=limits,
         )
 
 

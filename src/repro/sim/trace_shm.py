@@ -20,10 +20,12 @@ each column; the columns themselves follow in the fixed
 :data:`COLUMN_SPEC` order, each 8 bytes per element, so offsets are
 implied and every view is aligned.
 
-Publication is keyed by a caller-chosen string (``fleet-shard-<n>``),
-and the key→segment mapping rides to workers through the pool
-initializer (:mod:`repro.experiments.parallel`); the shard worker in
-:mod:`repro.fleet.runner` resolves its key with :func:`load`.
+The parent publishes through :class:`ShmTraceSet`, which returns each
+segment's name; the name travels inside the shard task
+(:mod:`repro.experiments.parallel`) and the worker in
+:mod:`repro.fleet.runner` attaches it with :func:`read_trace`, which
+raises :class:`~repro.errors.ConfigurationError` naming a missing or
+malformed segment.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import secrets
 import struct
 import sys
 from multiprocessing import shared_memory
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -128,26 +130,65 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
     return shm
 
 
+def _read_header(name: str, buf: memoryview) -> Tuple[dict, int]:
+    """The segment's validated header and the offset of its first column.
+
+    Every check runs before a view exists, so a malformed segment can be
+    closed at once.
+    """
+    size = len(buf)
+    if size < _LEN_STRUCT.size:
+        raise ConfigurationError(
+            f"shared trace {name}: {size}-byte segment has no header length"
+        )
+    (header_len,) = _LEN_STRUCT.unpack_from(buf, 0)
+    if _LEN_STRUCT.size + header_len > size:
+        raise ConfigurationError(
+            f"shared trace {name}: header length {header_len} does not fit "
+            f"the {size}-byte segment"
+        )
+    try:
+        header = json.loads(bytes(buf[_LEN_STRUCT.size : _LEN_STRUCT.size + header_len]))
+    except ValueError:  # JSONDecodeError and UnicodeDecodeError
+        header = None
+    if not (
+        isinstance(header, dict)
+        and isinstance(header.get("duration"), (int, float))
+        and isinstance(header.get("metadata"), dict)
+        and isinstance(header.get("counts"), list)
+        and len(header["counts"]) == len(COLUMN_SPEC)
+        and all(type(c) is int and c >= 0 for c in header["counts"])
+    ):
+        raise ConfigurationError(
+            f"shared trace {name}: header is not a JSON object with a numeric "
+            f"duration, a metadata object and {len(COLUMN_SPEC)} column counts"
+        )
+    offset = _aligned(_LEN_STRUCT.size + header_len)
+    end = offset + 8 * sum(header["counts"])  # every COLUMN_SPEC dtype is 8 bytes
+    if end > size:
+        raise ConfigurationError(
+            f"shared trace {name}: columns end at byte {end}, past the "
+            f"{size}-byte segment"
+        )
+    return header, offset
+
+
 def read_trace(name: str) -> Tuple[Trace, shared_memory.SharedMemory]:
     """Attach a published trace as read-only zero-copy column views.
 
     Returns the trace and the segment handle; the caller must keep the
     handle referenced for as long as the trace is in use (the arrays
-    view its buffer directly).
+    view its buffer directly). A missing or malformed segment raises
+    :class:`~repro.errors.ConfigurationError` naming it.
     """
-    shm = _attach_segment(name)
     try:
-        (header_len,) = _LEN_STRUCT.unpack_from(shm.buf, 0)
-        header = json.loads(bytes(shm.buf[_LEN_STRUCT.size : _LEN_STRUCT.size + header_len]))
-        counts = header["counts"]
-        if len(counts) != len(COLUMN_SPEC):
-            raise ConfigurationError(
-                f"shared trace {name} has {len(counts)} columns, "
-                f"expected {len(COLUMN_SPEC)}"
-            )
-        offset = _aligned(_LEN_STRUCT.size + header_len)
+        shm = _attach_segment(name)
+    except FileNotFoundError:
+        raise ConfigurationError(f"shared trace {name} does not exist") from None
+    try:
+        header, offset = _read_header(name, shm.buf)
         views: Dict[str, Dict[str, np.ndarray]] = {}
-        for (stream, column, dtype), count in zip(COLUMN_SPEC, counts):
+        for (stream, column, dtype), count in zip(COLUMN_SPEC, header["counts"]):
             array = np.frombuffer(shm.buf, dtype=np.dtype(dtype), count=count, offset=offset)
             array.flags.writeable = False
             views.setdefault(stream, {})[column] = array
@@ -208,59 +249,3 @@ class ShmTraceSet:
 
     def __len__(self) -> int:
         return len(self.mapping)
-
-
-# ----------------------------------------------------------------------
-# Worker-side registry
-# ----------------------------------------------------------------------
-
-#: key → segment name, configured by the pool initializer.
-_MAPPING: Optional[Mapping[str, str]] = None
-
-#: key → (trace, segment handle); the handle keeps the mapping alive for
-#: the lifetime of the attached trace views.
-_ATTACHED: Dict[str, Tuple[Trace, shared_memory.SharedMemory]] = {}
-
-
-def configure(mapping: Optional[Mapping[str, str]]) -> None:
-    """Install (or, with None, clear) the process-wide key→segment map."""
-    global _MAPPING
-    while _ATTACHED:
-        _, entry = _ATTACHED.popitem()
-        shm = entry[1]
-        # Drop our trace reference first so the buffer's numpy exports
-        # die with it and close() can actually release the mapping.
-        del entry
-        try:
-            shm.close()
-        # A trace attached earlier may still be referenced (e.g. by a
-        # cache); BufferError just means its views outlive this remap.
-        except (OSError, BufferError):  # pragma: no cover
-            pass
-    _MAPPING = mapping
-
-
-def active_mapping() -> Optional[Mapping[str, str]]:
-    """The process-wide key→segment map, or None when not configured."""
-    return _MAPPING
-
-
-def load(key: str) -> Optional[Trace]:
-    """The published trace for ``key``, attached at most once, or None.
-
-    A vanished segment (the parent unlinked early) degrades to a miss.
-    """
-    if _MAPPING is None:
-        return None
-    name = _MAPPING.get(key)
-    if name is None:
-        return None
-    cached = _ATTACHED.get(key)
-    if cached is not None:
-        return cached[0]
-    try:
-        trace, shm = read_trace(name)
-    except (FileNotFoundError, OSError):
-        return None
-    _ATTACHED[key] = (trace, shm)
-    return trace

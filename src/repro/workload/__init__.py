@@ -14,8 +14,9 @@ populated with (Section 3), plus rank-change events (Section 3.4).
   :class:`~repro.sim.trace.Trace`.
 
 Every generator has a vectorized (numpy, default) and a scalar
-(reference) implementation selected via :mod:`~repro.workload.methods`;
-the ``generate_*_columns`` variants return columnar arrays directly.
+(reference) implementation, selected per call by its ``method``
+argument (:mod:`~repro.workload.methods` names them); the
+``generate_*_columns`` variants return columnar arrays directly.
 """
 
 from repro.workload.arrivals import (
@@ -24,7 +25,7 @@ from repro.workload.arrivals import (
     generate_arrival_columns,
     generate_arrivals,
 )
-from repro.workload.methods import SCALAR, VECTORIZED, use_method
+from repro.workload.methods import SCALAR, VECTORIZED
 from repro.workload.outages import OutageConfig, generate_outage_columns, generate_outages
 from repro.workload.ranks import (
     RankChangeConfig,
@@ -54,5 +55,4 @@ __all__ = [
     "generate_rank_changes",
     "generate_read_columns",
     "generate_reads",
-    "use_method",
 ]

@@ -1,4 +1,4 @@
-"""Generation-method selection for the workload generators.
+"""Generation-method names for the workload generators.
 
 Every generator has two implementations that draw from the same named
 substreams but through different engines:
@@ -7,17 +7,17 @@ substreams but through different engines:
   :class:`numpy.random.Generator` substreams, producing columnar arrays.
 * ``scalar`` — the original per-event :class:`random.Random` loops,
   kept as the reference implementation for equivalence tests and as a
-  readable specification of each process.
+  readable specification of each process; a caller selects it by
+  passing ``method="scalar"``.
 
 The two methods produce *different draws* (PCG64 vs Mersenne Twister)
-but the same distributions; switching the default is a trace-format
+but the same distributions; changing the default is a trace-format
 event (see ``repro.sim.trace_io.FORMAT_VERSION``), never a silent one.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.errors import ConfigurationError
 
@@ -26,37 +26,13 @@ SCALAR = "scalar"
 
 _METHODS = (VECTORIZED, SCALAR)
 
-_active: str = VECTORIZED
-
-
-def active_method() -> str:
-    """The process-wide default generation method."""
-    return _active
-
-
-def set_method(method: str) -> None:
-    """Set the process-wide default generation method."""
-    global _active
-    _active = resolve(method)
-
 
 def resolve(method: Optional[str]) -> str:
-    """Validate an explicit method, or fall back to the active default."""
+    """Validate an explicit method; None means :data:`VECTORIZED`."""
     if method is None:
-        return _active
+        return VECTORIZED
     if method not in _METHODS:
         raise ConfigurationError(
             f"unknown generation method {method!r}; expected one of {_METHODS}"
         )
     return method
-
-
-@contextmanager
-def use_method(method: str) -> Iterator[None]:
-    """Temporarily switch the default method (tests and benchmarks)."""
-    previous = _active
-    set_method(method)
-    try:
-        yield
-    finally:
-        set_method(previous)

@@ -14,7 +14,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from repro import faults as faults_mod
 from repro.errors import ConfigurationError
 from repro.sim.rng import RandomSource
 from repro.sim.trace import Trace, TraceColumns
@@ -133,14 +132,12 @@ def build_trace_cached(config: ScenarioConfig, seed: Optional[int] = None) -> Tr
     Trace generation is deterministic in ``(config, seed)``, so a cache
     hit returns the exact trace a fresh build would produce. Callers
     must treat the returned trace as frozen (the runner already does:
-    each run materializes its own Notification objects).
+    each run materializes its own Notification objects). Faults act at
+    run time and never change a trace, so runs under any fault spec
+    share one entry; :func:`repro.experiments.runner.run_baseline` keys
+    its results on the spec.
     """
-    effective_seed = config.seed if seed is None else seed
-    # The active fault spec rides into the key: trace contents never
-    # depend on it, but fault runs keeping their own entries means a
-    # chaos sweep and a clean reproduction never share a trace object.
-    # A null spec is None here, so fault-free keys are the pre-fault ones.
-    key = (config, effective_seed, faults_mod.active_spec())
+    key = (config, config.seed if seed is None else seed)
     cached = _TRACE_CACHE.get(key)
     if cached is not None:
         _TRACE_CACHE.move_to_end(key)

@@ -10,11 +10,10 @@ from repro.experiments import fleet_cli
 
 @pytest.fixture(autouse=True)
 def _reset_process_state():
-    """The CLI configures process-wide faults/obs; leave them clean."""
+    """The CLI configures process-wide obs; leave it clean."""
     yield
-    from repro import faults, obs
+    from repro import obs
 
-    faults.configure(None)
     obs.configure(None)
 
 

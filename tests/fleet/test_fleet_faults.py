@@ -7,11 +7,28 @@ pure function of the campaign config, and a device's plan does not
 depend on which shard runs it.
 """
 
+import json
+from contextlib import contextmanager
+
 import pytest
 
+from repro import faults
+from repro.experiments import fleet_cli
 from repro.experiments.runner import run_scenario
 from repro.faults import PRESETS, FaultPlan
-from repro.fleet import FleetScenarioConfig, build_fleet_workload, run_fleet
+from repro.fleet import (
+    FleetScenarioConfig,
+    FleetSweepConfig,
+    SweepStore,
+    TuneConfig,
+    TuneParam,
+    build_fleet_workload,
+    dump_rows,
+    parse_policy_token,
+    run_fleet,
+    run_fleet_sweep,
+    run_fleet_tune,
+)
 from repro.proxy.policies import PolicyConfig
 from repro.sim.rng import derive_seed
 from repro.units import DAY
@@ -73,3 +90,94 @@ class TestPerDevicePlans:
         plain = run_fleet(config, PolicyConfig.unified())
         none = run_fleet(config, PolicyConfig.unified(), faults=PRESETS["none"])
         assert plain.accumulator.signature() == none.accumulator.signature()
+
+
+@contextmanager
+def _process_wide(spec):
+    """Install ``spec`` as the process-wide regime for the block."""
+    faults.configure(spec)
+    try:
+        yield
+    finally:
+        faults.configure(None)
+
+
+_SCENARIO = FleetScenarioConfig(devices=6, duration=DAY, seed=2)
+
+
+class TestExplicitSpecOnly:
+    """The fleet layer runs the spec it is passed — None is fault-free —
+    whatever :func:`repro.faults.configure` installed for the figures."""
+
+    def test_run_fleet(self):
+        clean = run_fleet(_SCENARIO, PolicyConfig.unified())
+        with _process_wide(PRESETS["lossy"]):
+            ambient = run_fleet(_SCENARIO, PolicyConfig.unified(), shards=2, jobs=2)
+        assert ambient.accumulator.signature() == clean.accumulator.signature()
+
+    def test_run_fleet_sweep(self, tmp_path):
+        config = FleetSweepConfig(
+            base=_SCENARIO,
+            policies=(parse_policy_token("online"), parse_policy_token("unified")),
+        )
+        with SweepStore(tmp_path / "clean.sqlite") as store:
+            clean = dump_rows(run_fleet_sweep(config, store).rows)
+        with _process_wide(PRESETS["lossy"]):
+            with SweepStore(tmp_path / "ambient.sqlite") as store:
+                ambient = dump_rows(run_fleet_sweep(config, store).rows)
+        assert ambient == clean
+
+    def test_run_fleet_tune(self, tmp_path):
+        config = TuneConfig(
+            base=_SCENARIO,
+            space=(TuneParam("ma_window", lo=2, hi=8, integer=True),),
+            preset="unified",
+            seeds=(0,),
+            samples=2,
+            survivors=1,
+            refine_rounds=0,
+        )
+        with SweepStore(tmp_path / "clean.sqlite") as store:
+            clean = dump_rows(run_fleet_tune(config, store).rows)
+        with _process_wide(PRESETS["lossy"]):
+            with SweepStore(tmp_path / "ambient.sqlite") as store:
+                ambient = dump_rows(run_fleet_tune(config, store).rows)
+        assert ambient == clean
+
+    @pytest.mark.parametrize("command", ["fleet", "sweep", "tune"])
+    def test_cli_applies_faults_without_installing_them(
+        self, command, tmp_path, capsys
+    ):
+        argv = ["--devices", "6", "--faults", "lossy", "--quiet"]
+        if command == "fleet":
+            argv += ["--format", "json"]
+        else:
+            argv = [command, "--store", str(tmp_path / "s.sqlite"),
+                    "--seeds", "0", "--dump-rows", *argv]
+        if command == "tune":
+            argv += ["--int-param", "ma_window=2:8", "--samples", "2",
+                     "--survivors", "1", "--refine-rounds", "0"]
+        assert fleet_cli.main(argv) == 0
+        assert faults.active_spec() is None
+        lines = capsys.readouterr().out.strip().splitlines()
+        if command == "fleet":
+            assert json.loads("".join(lines))["counters"]["delivery_drops"] > 0
+        else:
+            assert all(
+                json.loads(line)["metrics"]["int_counters"]["delivery_drops"] > 0
+                for line in lines
+            )
+
+    @pytest.mark.parametrize("command", ["sweep", "tune"])
+    def test_cli_faults_none_keys_like_no_flag(self, command, tmp_path, capsys):
+        argv = [command, "--devices", "6", "--seeds", "0", "--dump-rows",
+                "--quiet"]
+        if command == "tune":
+            argv += ["--int-param", "ma_window=2:8", "--samples", "2",
+                     "--survivors", "1", "--refine-rounds", "0"]
+        dumps = []
+        for store, extra in (("plain", []), ("none", ["--faults", "none"])):
+            store_path = str(tmp_path / f"{store}.sqlite")
+            assert fleet_cli.main([*argv, "--store", store_path, *extra]) == 0
+            dumps.append(capsys.readouterr().out)
+        assert dumps[0] == dumps[1]

@@ -7,14 +7,19 @@ shard count (7 over 30 devices) on purpose: equal splits can hide
 off-by-one boundary errors.
 """
 
+import glob
 import math
 
 import pytest
 
+from repro.errors import ConfigurationError
+from repro.experiments.parallel import run_fleet_policy_batch
 from repro.faults import PRESETS
 from repro.fleet import FleetScenarioConfig, build_fleet_workload, run_fleet
-from repro.fleet.workload import shard_bounds
+from repro.fleet.runner import _execute_shard, _execute_shard_from_shm
+from repro.fleet.workload import FleetWorkload, shard_bounds
 from repro.proxy.policies import PolicyConfig
+from repro.sim.trace_shm import ShmTraceSet
 from repro.units import DAY
 
 
@@ -97,14 +102,65 @@ class TestShardViews:
         assert rebuilt.arrivals.times.tolist() == piece.arrivals.times.tolist()
         assert rebuilt.outages.starts.tolist() == piece.outages.starts.tolist()
 
-    def test_worker_fallback_rebuild_matches(self):
-        """A vanished shm segment degrades to a deterministic rebuild."""
-        from repro.fleet.runner import _execute_shard, _execute_shard_from_shm
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("limits", [8, 8]),
+            ("read_counts", None),
+            ("arrival_counts", [0, 0, 0, 0, 0, 0]),
+        ],
+    )
+    def test_from_trace_rejects_inconsistent_metadata(self, field, value):
+        config = FleetScenarioConfig(devices=9, duration=DAY, seed=8)
+        packed = build_fleet_workload(config).shard(2, 8).to_trace()
+        packed.metadata[field] = value
+        with pytest.raises(ConfigurationError, match="packed fleet shard"):
+            FleetWorkload.from_trace(config, packed)
 
+    def test_attached_shard_matches_direct(self):
         config = FleetScenarioConfig(devices=8, duration=DAY, seed=3)
-        workload = build_fleet_workload(config)
-        direct = _execute_shard(workload.shard(2, 6), PolicyConfig.unified())
-        fallback = _execute_shard_from_shm(
-            "no-such-segment", 2, 6, config, PolicyConfig.unified(), None, 0.0
+        piece = build_fleet_workload(config).shard(2, 6)
+        direct = _execute_shard(piece, PolicyConfig.unified())
+        with ShmTraceSet() as published:
+            name = published.publish("piece", piece.to_trace())
+            attached = _execute_shard_from_shm(
+                name, config, PolicyConfig.unified(), None, 0.0
+            )
+        assert attached.signature() == direct.signature()
+
+    def test_missing_segment_is_typed_error(self):
+        config = FleetScenarioConfig(devices=8, duration=DAY, seed=3)
+        with pytest.raises(ConfigurationError, match="repro-trace-gone"):
+            _execute_shard_from_shm(
+                "repro-trace-gone", config, PolicyConfig.unified(), None, 0.0
+            )
+
+
+def _segments():
+    return set(glob.glob("/dev/shm/repro-trace-*"))
+
+
+class TestPooledSegments:
+    """No shared-memory segment outlives a pooled campaign."""
+
+    WORKLOAD = dict(devices=12, duration=DAY, seed=5)
+
+    def test_none_left_after_success(self):
+        workload = build_fleet_workload(FleetScenarioConfig(**self.WORKLOAD))
+        before = _segments()
+        run_fleet_policy_batch(
+            workload, [PolicyConfig.unified()], shards=2, jobs=2
         )
-        _signatures_match(direct.signature(), fallback.signature())
+        assert _segments() == before
+
+    def test_none_left_when_every_worker_raises(self):
+        # A negative latency keeps the shard off the fused path, so
+        # wiring builds a LastHopLink, which rejects it.
+        workload = build_fleet_workload(FleetScenarioConfig(**self.WORKLOAD))
+        before = _segments()
+        with pytest.raises(ConfigurationError, match="latency"):
+            run_fleet_policy_batch(
+                workload, [PolicyConfig.unified()], shards=2, jobs=2,
+                link_latency=-1.0,
+            )
+        assert _segments() == before

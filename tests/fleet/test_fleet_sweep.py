@@ -27,7 +27,8 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError, ExportError
 from repro.experiments import fleet_cli, fleet_sweep_cli
 from repro.experiments import cli as main_cli
-from repro.experiments.parallel import run_fleet_policy_batch, run_fleet_shards
+from repro.experiments.parallel import run_fleet_policy_batch
+from repro.fleet import run_fleet
 from repro.fleet.config import FleetScenarioConfig
 from repro.fleet.store import (
     STORE_FORMAT_VERSION,
@@ -51,11 +52,10 @@ from repro.proxy.policies import PolicyConfig
 
 @pytest.fixture(autouse=True)
 def _reset_process_state():
-    """CLIs configure process-wide faults/obs; leave them clean."""
+    """CLIs configure process-wide obs; leave it clean."""
     yield
-    from repro import faults, obs
+    from repro import obs
 
-    faults.configure(None)
     obs.configure(None)
 
 
@@ -398,15 +398,18 @@ class TestRunFleetSweep:
                 run_fleet_sweep(_tiny_config(), store, max_cells=0)
 
     def test_matches_isolated_single_policy_runs(self, tmp_path):
-        """Stored rows == one isolated run_fleet_shards per policy: the
+        """Stored rows == one isolated run_fleet per policy: the
         shared workload build changes throughput, never metrics."""
         config = _tiny_config(axes=(), seeds=(0,))
         with SweepStore(tmp_path / "s.sqlite") as store:
             outcome = run_fleet_sweep(config, store, shards=2)
-        workload = build_fleet_workload(config.base.with_changes(seed=0))
+        scenario = config.base.with_changes(seed=0)
+        workload = build_fleet_workload(scenario)
         by_name = {row.policy_name: row for row in outcome.rows}
         for variant in config.policies:
-            alone = run_fleet_shards(workload, variant.policy, shards=2)
+            alone = run_fleet(
+                scenario, variant.policy, shards=2, workload=workload
+            ).accumulator
             assert by_name[variant.name].metrics_json == canonical_json(
                 alone.metrics_row()
             )
@@ -441,7 +444,7 @@ class TestPolicyBatch:
         policies = [PolicyConfig.online(), PolicyConfig.unified()]
         batch = run_fleet_policy_batch(workload, policies, shards=2)
         for policy, acc in zip(policies, batch):
-            alone = run_fleet_shards(workload, policy, shards=2)
+            (alone,) = run_fleet_policy_batch(workload, [policy], shards=2)
             assert acc.signature() == alone.signature()
 
     def test_worker_path_matches_inline(self):

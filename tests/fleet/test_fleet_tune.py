@@ -42,11 +42,10 @@ from repro.fleet.tune import (
 
 @pytest.fixture(autouse=True)
 def _reset_process_state():
-    """CLIs configure process-wide faults/obs; leave them clean."""
+    """CLIs configure process-wide obs; leave it clean."""
     yield
-    from repro import faults, obs
+    from repro import obs
 
-    faults.configure(None)
     obs.configure(None)
 
 

@@ -1,10 +1,15 @@
 """Tests for the zero-copy shared-memory trace handoff."""
 
 import glob
+import json
+import secrets
+import struct
+from contextlib import contextmanager
+from multiprocessing import shared_memory
 
-import numpy as np
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.sim import trace_shm
 from repro.sim.rng import RandomSource
 from repro.sim.trace import Trace
@@ -15,12 +20,6 @@ from repro.workload.scenario import ScenarioConfig, build_trace
 @pytest.fixture
 def trace():
     return build_trace(ScenarioConfig(duration=5 * DAY, seed=3))
-
-
-@pytest.fixture(autouse=True)
-def _clean_worker_state():
-    yield
-    trace_shm.configure(None)
 
 
 def _shm_files():
@@ -102,30 +101,71 @@ class TestShmTraceSet:
         assert _shm_files() == before
 
 
-class TestWorkerRegistry:
-    def test_unconfigured_load_misses(self):
-        assert trace_shm.active_mapping() is None
-        assert trace_shm.load("anything") is None
+@contextmanager
+def _raw_segment(payload: bytes):
+    """A segment holding exactly ``payload``, unlinked afterwards."""
+    shm = shared_memory.SharedMemory(
+        name=f"repro-trace-{secrets.token_hex(8)}", create=True, size=len(payload)
+    )
+    try:
+        shm.buf[: len(payload)] = payload
+        yield shm.name
+    finally:
+        shm.close()
+        shm.unlink()
 
-    def test_load_attaches_once(self, trace):
-        with trace_shm.ShmTraceSet() as published:
-            published.publish("key", trace)
-            trace_shm.configure(dict(published.mapping))
-            first = trace_shm.load("key")
-            assert first == trace
-            # Second load returns the already-attached instance.
-            assert trace_shm.load("key") is first
 
-    def test_unknown_key_misses(self, trace):
-        with trace_shm.ShmTraceSet() as published:
-            published.publish("key", trace)
-            trace_shm.configure(dict(published.mapping))
-            assert trace_shm.load("other-key") is None
+def _with_header(header: bytes) -> bytes:
+    return struct.pack("<Q", len(header)) + header
 
-    def test_vanished_segment_degrades_to_miss(self, trace):
-        published = trace_shm.ShmTraceSet()
-        published.publish("key", trace)
-        mapping = dict(published.mapping)
-        published.unlink()  # parent tore down before the worker attached
-        trace_shm.configure(mapping)
-        assert trace_shm.load("key") is None
+
+_VALID_HEADER = {"duration": 1.0, "metadata": {}, "counts": [0] * 11}
+
+
+class TestMalformedSegments:
+    """Every bad segment is a ConfigurationError naming it."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [struct.pack("<Q", 1_000) + b"{}", b"\x01\x00\x00"],
+        ids=["past-end", "shorter-than-length-field"],
+    )
+    def test_header_length_past_segment(self, payload):
+        with _raw_segment(payload) as name:
+            with pytest.raises(ConfigurationError, match=f"{name}: .*header length"):
+                trace_shm.read_trace(name)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b"\x80\x81\x82\x83",
+            b"not json",
+            b"[1, 2]",
+            json.dumps({"duration": 1.0, "metadata": {}}).encode(),
+            json.dumps({**_VALID_HEADER, "counts": [0] * 10}).encode(),
+            json.dumps({**_VALID_HEADER, "counts": [-1] + [0] * 10}).encode(),
+            json.dumps({**_VALID_HEADER, "metadata": []}).encode(),
+        ],
+        ids=[
+            "non-utf8", "not-json", "not-object", "no-counts",
+            "column-count", "negative-count", "metadata-not-object",
+        ],
+    )
+    def test_header_not_a_trace_header(self, header):
+        with _raw_segment(_with_header(header)) as name:
+            with pytest.raises(ConfigurationError, match=f"{name}.*header is not"):
+                trace_shm.read_trace(name)
+
+    def test_column_past_segment(self):
+        header = json.dumps({**_VALID_HEADER, "counts": [4] + [0] * 10}).encode()
+        payload = _with_header(header)
+        # Padding plus room for three of the four promised arrival times.
+        payload += b"\x00" * (-len(payload) % 8 + 3 * 8)
+        with _raw_segment(payload) as name:
+            with pytest.raises(ConfigurationError, match=f"{name}.*past the"):
+                trace_shm.read_trace(name)
+
+    def test_missing_segment(self):
+        name = f"repro-trace-{secrets.token_hex(8)}"
+        with pytest.raises(ConfigurationError, match=f"{name} does not exist"):
+            trace_shm.read_trace(name)

@@ -38,27 +38,21 @@ def _sorted(array: np.ndarray) -> bool:
 
 class TestMethodSwitch:
     def test_default_is_vectorized(self):
-        assert methods.active_method() == methods.VECTORIZED
-
-    def test_use_method_restores_on_exit(self):
-        with methods.use_method(methods.SCALAR):
-            assert methods.active_method() == methods.SCALAR
-        assert methods.active_method() == methods.VECTORIZED
+        assert methods.resolve(None) == methods.VECTORIZED
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown generation method"):
             methods.resolve("simd")
 
     def test_explicit_method_overrides_default(self):
-        rng = RandomSource(3)
-        explicit = generate_arrival_columns(
-            ArrivalConfig(events_per_day=8.0), 10 * DAY, rng, method="scalar"
-        )
-        with methods.use_method(methods.SCALAR):
-            ambient = generate_arrival_columns(
-                ArrivalConfig(events_per_day=8.0), 10 * DAY, RandomSource(3)
-            )
-        assert np.array_equal(explicit.times, ambient.times)
+        def times(method):
+            return generate_arrival_columns(
+                ArrivalConfig(events_per_day=8.0), 10 * DAY, RandomSource(3),
+                method=method,
+            ).times
+
+        assert np.array_equal(times(None), times(methods.VECTORIZED))
+        assert not np.array_equal(times(methods.SCALAR), times(None))
 
 
 @pytest.mark.parametrize("method", METHODS)

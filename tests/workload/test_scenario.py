@@ -80,25 +80,42 @@ class TestBuildTrace:
         )
         clear_trace_cache()
 
-    def test_build_trace_cached_separates_fault_entries(self):
-        """A chaos sweep and a clean run never share an LRU slot, while
-        the traces themselves stay identical (faults are run-time)."""
+    def test_build_trace_cached_shares_trace_across_fault_specs(self):
+        """Faults act at run time, so every spec shares one cached trace;
+        the baseline LRU keeps one result per spec, each equal to a
+        direct on-line run."""
         from repro import faults
+        from repro.experiments.runner import (
+            clear_baseline_cache,
+            run_baseline,
+            run_scenario,
+        )
         from repro.faults import FaultSpec
+        from repro.proxy.policies import PolicyConfig
 
         clear_trace_cache()
+        clear_baseline_cache()
         config = make_config(days=5.0, outage_fraction=0.3)
+        lossy_spec = FaultSpec(loss_rate=0.2)
         try:
             clean = build_trace_cached(config, seed=0)
-            faults.configure(FaultSpec(loss_rate=0.2))
+            clean_base = run_baseline(clean)
+            faults.configure(lossy_spec)
             lossy = build_trace_cached(config, seed=0)
-            faults.configure(FaultSpec.none())
-            assert build_trace_cached(config, seed=0) is clean
+            lossy_base = run_baseline(lossy)
         finally:
             faults.configure(None)
             clear_trace_cache()
-        assert clean is not lossy
-        assert clean == lossy
+            clear_baseline_cache()
+        assert lossy is clean
+        assert lossy_base is not clean_base
+        direct = {
+            spec: run_scenario(clean, PolicyConfig.online(), faults=spec).stats
+            for spec in (FaultSpec.none(), lossy_spec)
+        }
+        assert clean_base.stats == direct[FaultSpec.none()]
+        assert lossy_base.stats == direct[lossy_spec]
+        assert lossy_base.stats != clean_base.stats
 
     def test_metadata_records_parameters(self):
         trace = build_trace(make_config(days=10.0, outage_fraction=0.5), seed=3)
