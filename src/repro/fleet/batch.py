@@ -691,7 +691,5 @@ class ShardBatchDispatcher:
             if sim._seq_next != seq_mark:
                 seq_mark = sim._seq_next
                 if heap:
-                    top = heap[0]
-                    cap_time = top.time
-                    cap_seq = top.seq
+                    cap_time, cap_seq, _top = heap[0]
         return i - pos

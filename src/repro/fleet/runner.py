@@ -404,7 +404,7 @@ def _dismantle_shard(
     Everything the caller needs has been folded into the accumulator by
     now. Resident rows hold no cycle and need nothing.
     """
-    for event in sim._heap:
+    for _time, _seq, event in sim._heap:
         stream = event.stream
         if stream is not None:
             # Streams the duration cap left unexhausted still hold the

@@ -20,6 +20,13 @@ Two scheduling surfaces share one timeline:
   exactly the FIFO order that up-front ``schedule_at`` calls in the same
   program order would have produced — paired runs stay bit-for-bit
   identical.
+
+Heap entries are ``(time, seq, event)`` tuples, so every sift compares
+in C. ``seq`` is unique per pending entry, so a comparison never
+reaches the event. Code that reads the heap directly (the batch pump,
+``audit``, the fleet runner's teardown) unpacks the tuple. The event's
+own ``time``/``seq`` fields must equal its tuple's; ``audit`` checks
+that.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro._compat import DATACLASS_SLOTS
@@ -45,19 +52,24 @@ BatchPump = Callable[[int, int, float, int, float, int], int]
 _NO_LIMIT = sys.maxsize
 
 
-@dataclass(order=True, **DATACLASS_SLOTS)
+#: One engine heap entry: ``(time, seq, event)``.
+HeapEntry = Tuple[float, int, "_ScheduledEvent"]
+
+
+@dataclass(eq=False, **DATACLASS_SLOTS)
 class _ScheduledEvent:
-    """Internal heap entry. Ordered by (time, seq) for determinism."""
+    """A pending event. The heap orders its ``(time, seq, event)``
+    entry, so the event itself is never compared."""
 
     time: float
     seq: int
-    callback: Callback = field(compare=False)
-    args: tuple = field(compare=False, default=())
-    cancelled: bool = field(compare=False, default=False)
+    callback: Callback
+    args: tuple = ()
+    cancelled: bool = False
     #: Owning static stream for lazily merged entries; None for dynamic
     #: timers. Stream cursor entries are reused across the stream's
     #: items, so they are never exposed through an :class:`EventHandle`.
-    stream: Optional["_StaticStream"] = field(compare=False, default=None)
+    stream: Optional["_StaticStream"] = None
 
 
 class _StaticStream:
@@ -170,7 +182,7 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = start_time
-        self._heap: List[_ScheduledEvent] = []
+        self._heap: List[HeapEntry] = []
         self._seq_next = 0
         self._stream_backlog = 0
         self._events_processed = 0
@@ -219,7 +231,7 @@ class Simulator:
         seq = self._seq_next
         self._seq_next += 1
         event = _ScheduledEvent(time=time, seq=seq, callback=callback, args=args)
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, seq, event))
         return EventHandle(event)
 
     def add_stream(self, items: Iterable[StreamItem]) -> int:
@@ -252,7 +264,7 @@ class Simulator:
         self._seq_next += len(items)
         entry = _ScheduledEvent(time=time, seq=base, callback=callback, args=args)
         entry.stream = _StaticStream(items, base, entry)
-        heapq.heappush(self._heap, entry)
+        heapq.heappush(self._heap, (time, base, entry))
         self._stream_backlog += len(items) - 1
         return len(items)
 
@@ -277,7 +289,8 @@ class Simulator:
           ``sim._now = times[i]`` before each item's side effects.
         * If an item's processing schedules new events (detectable as a
           change of ``sim._seq_next``), refresh ``cap_time, cap_seq``
-          from ``sim._heap[0]`` before testing the next item — a newly
+          from the first two fields of the ``(time, seq, event)`` tuple
+          ``sim._heap[0]`` before testing the next item — a newly
           scheduled timer may preempt the rest of the run.
         * Return the number of items consumed (always >= 1: the first
           item was the global minimum and within ``until`` when the
@@ -303,7 +316,7 @@ class Simulator:
         self._seq_next += len(times)
         entry = _ScheduledEvent(time=first, seq=base, callback=_batch_cursor_callback)
         entry.stream = _BatchStream(times, pump, base, entry)
-        heapq.heappush(self._heap, entry)
+        heapq.heappush(self._heap, (first, base, entry))
         self._stream_backlog += len(times) - 1
         return len(times)
 
@@ -339,9 +352,9 @@ class Simulator:
             )
         entry = stream.entry
         entry.time = time
-        entry.seq = stream.base + pos
+        entry.seq = seq = stream.base + pos
         self._stream_backlog -= 1
-        heapq.heappush(self._heap, entry)
+        heapq.heappush(self._heap, (time, seq, entry))
 
     def _advance_stream(self, stream: _StaticStream) -> None:
         """Load the stream's next item into its heap cursor, if any."""
@@ -369,17 +382,17 @@ class Simulator:
                 f"at t={entry.time:.3f}; streams must be pre-sorted"
             )
         entry.time = time
-        entry.seq = stream.base + pos
+        entry.seq = seq = stream.base + pos
         entry.callback = callback
         entry.args = args
         stream.pos = pos + 1
         self._stream_backlog -= 1
-        heapq.heappush(self._heap, entry)
+        heapq.heappush(self._heap, (time, seq, entry))
 
     def step(self) -> bool:
         """Fire the next pending event. Returns False if none remain."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            _time, _seq, event = heapq.heappop(self._heap)
             if event.cancelled:
                 continue
             stream = event.stream
@@ -425,11 +438,10 @@ class Simulator:
             heappush = heapq.heappush
             isfinite = math.isfinite
             while heap:
-                event = heap[0]
+                time, _seq, event = heap[0]
                 if event.cancelled:
                     heappop(heap)
                     continue
-                time = event.time
                 if until is not None and time > until:
                     break
                 heappop(heap)
@@ -440,8 +452,7 @@ class Simulator:
                     # entry (and within ``until``), re-checking the cap
                     # whenever one of its items schedules a new event.
                     if heap:
-                        top = heap[0]
-                        cap_time, cap_seq = top.time, top.seq
+                        cap_time, cap_seq, _top = heap[0]
                     else:
                         cap_time, cap_seq = math.inf, 0
                     consumed = stream.pump(
@@ -490,12 +501,12 @@ class Simulator:
                     if next_time > time:
                         # Hand the cursor back to the heap for lazy merge.
                         event.time = next_time
-                        event.seq = stream.base + pos
+                        event.seq = seq = stream.base + pos
                         event.callback = callback
                         event.args = args
                         stream.pos = pos + 1
                         self._stream_backlog -= 1
-                        heappush(heap, event)
+                        heappush(heap, (next_time, seq, event))
                         break
                     stream.pos = pos = pos + 1
                     self._stream_backlog -= 1
@@ -519,6 +530,9 @@ class Simulator:
         * **heap monotonicity** — every heap entry respects the binary
           min-heap property over ``(time, seq)``, so the next event
           popped really is the earliest pending one;
+        * **entry/event agreement** — each ``(time, seq, event)`` entry
+          carries its event's own ``time`` and ``seq``, so the heap
+          orders the event where it will fire;
         * **no past events** — no pending entry is scheduled before the
           current clock (``schedule_at`` forbids it; corruption here
           means time would run backwards);
@@ -530,17 +544,23 @@ class Simulator:
         violations: List[str] = []
         heap = self._heap
         now = self._now
-        for index, entry in enumerate(heap):
+        for index, (time, seq, event) in enumerate(heap):
             if index > 0:
-                parent = heap[(index - 1) >> 1]
-                if (entry.time, entry.seq) < (parent.time, parent.seq):
+                parent_time, parent_seq, _parent = heap[(index - 1) >> 1]
+                if (time, seq) < (parent_time, parent_seq):
                     violations.append(
                         f"engine heap property broken at index {index}: "
-                        f"t={entry.time:.3f} sorts before parent t={parent.time:.3f}"
+                        f"t={time:.3f} sorts before parent t={parent_time:.3f}"
                     )
-            if entry.time < now:
+            if (time, seq) != (event.time, event.seq):
                 violations.append(
-                    f"engine heap holds an entry at t={entry.time:.3f} "
+                    f"engine heap entry at index {index} keys (t={time:.3f}, "
+                    f"seq={seq}) but its event is (t={event.time:.3f}, "
+                    f"seq={event.seq})"
+                )
+            if time < now:
+                violations.append(
+                    f"engine heap holds an entry at t={time:.3f} "
                     f"before the clock t={now:.3f}"
                 )
         if self._stream_backlog < 0:
@@ -558,7 +578,7 @@ class Simulator:
         streams are unaffected. Returns the number of entries removed.
         """
         before = len(self._heap)
-        live = [e for e in self._heap if not e.cancelled]
+        live = [entry for entry in self._heap if not entry[2].cancelled]
         heapq.heapify(live)
         # In place: run() iterates an alias of the heap list, and a GC
         # sweep may compact mid-run.

@@ -135,7 +135,18 @@ class TestEngineAudit:
         sim = Simulator()
         for t in (5.0, 1.0, 3.0, 2.0):
             sim.schedule_at(t, lambda: None)
-        sim._heap.sort(key=lambda entry: -entry.time)
+        sim._heap.sort(key=lambda entry: -entry[0])
         violations = sim.audit()
         assert violations
         assert any("heap property" in v for v in violations)
+
+    def test_entry_disagreeing_with_its_event_detected(self):
+        sim = Simulator()
+        for t in (1.0, 2.0, 3.0):
+            sim.schedule_at(t, lambda: None)
+        time, seq, event = sim._heap[-1]
+        event.time = time + 10.0  # the event moved; its heap key did not
+        violations = sim.audit()
+        assert len(violations) == 1
+        assert f"seq={seq}" in violations[0]
+        assert "its event is" in violations[0]

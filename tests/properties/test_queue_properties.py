@@ -2,14 +2,17 @@
 
 The heap-based ``top_n`` / ``highest_ranked`` / iteration replaced full
 ``sorted(..., key=_selection_key)`` calls; these properties drive random
-queues through duplicate ranks, re-queues (rank churn), removals, and
-expirations and assert the incremental answers are exactly what the old
-sort-based reference produced.
+queues through duplicate ranks, re-queues (rank churn), removals,
+expirations and reads interleaved with them (a read drops stale heap
+entries, so it is a mutation too) and assert the incremental answers
+are exactly what the old sort-based reference produced.
 
 As in the real system, an event's ``published_at`` and ``expires_at``
 are fixed at first publication; a repeated "add" of a known id models a
 re-queue (with a possible rank change) of the same notification object.
 """
+
+import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,10 +33,19 @@ _ops = st.lists(
         st.tuples(st.just("remove"), st.integers(0, 15)),
         st.tuples(st.just("rerank"), st.integers(0, 15), _ranks),
         st.tuples(st.just("prune"), st.sampled_from([3.0, 6.0, 9.0, 20.0])),
+        # Reads drop stale entries and push live ones back, so they
+        # mutate the heap too and run interleaved with the mutations.
+        st.tuples(st.just("top_n"), st.integers(0, 20)),
+        st.tuples(st.just("highest_ranked"), st.integers(0, 20)),
+        st.tuples(st.just("peek")),
+        st.tuples(st.just("iterate"), st.integers(0, 20)),
     ),
     min_size=1,
     max_size=80,
 )
+
+#: The ops whose second field is an event id.
+_ID_OPS = ("add", "remove", "rerank")
 
 
 def _published_at(event_id: int) -> float:
@@ -44,8 +56,9 @@ def _published_at(event_id: int) -> float:
 def _apply(ops):
     """Run ops against the queue and a plain-dict reference model.
 
-    Checks the prune result and the amortized staleness bound after
-    every operation; returns the final (queue, model) pair.
+    Checks every read and prune result against the model at that point,
+    and the amortized staleness bound after every operation; returns
+    the final (queue, model) pair.
     """
     queue = RankedQueue()
     model = {}
@@ -87,6 +100,17 @@ def _apply(ops):
             assert pruned == expected
             for event_id in expected:
                 del model[event_id]
+        elif op[0] == "top_n":
+            assert queue.top_n(op[1]) == _reference(model, op[1])
+        elif op[0] == "highest_ranked":
+            # The same queue twice: each member must still count once.
+            assert highest_ranked(op[1], queue, queue) == _reference(model, op[1])
+        elif op[0] == "peek":
+            best = _reference(model, 1)
+            assert queue.peek_highest() is (best[0] if best else None)
+        elif op[0] == "iterate":
+            prefix = list(itertools.islice(queue, op[1]))
+            assert prefix == _reference(model, op[1])
         assert queue.stale_entries <= len(queue) + 16
     return queue, model
 
@@ -116,7 +140,7 @@ def test_highest_ranked_union_matches_sorted_reference(ops_a, ops_b, n):
     # most one queue (same-object duplicates are covered elsewhere), but
     # ranks and publication times still collide across the queues.
     ops_b = [
-        (op[0], op[1] + 16, *op[2:]) if op[0] != "prune" else op for op in ops_b
+        (op[0], op[1] + 16, *op[2:]) if op[0] in _ID_OPS else op for op in ops_b
     ]
     queue_a, model_a = _apply(ops_a)
     queue_b, model_b = _apply(ops_b)

@@ -379,8 +379,7 @@ def _reference_pump(sim, times, on_item):
             on_item(i)
             if sim._seq_next != seq_mark:
                 if sim._heap:
-                    top = sim._heap[0]
-                    cap_time, cap_seq = top.time, top.seq
+                    cap_time, cap_seq, _event = sim._heap[0]
                 seq_mark = sim._seq_next
             consumed += 1
             i += 1
