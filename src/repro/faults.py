@@ -45,6 +45,8 @@ from repro.errors import ConfigurationError
 from repro.sim.rng import RandomSource
 from repro.units import DAY
 
+_sha256 = hashlib.sha256
+
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -190,7 +192,7 @@ class FaultPlan:
     other random stream.
     """
 
-    __slots__ = ("spec", "seed", "crash_times")
+    __slots__ = ("spec", "seed", "crash_times", "_prefix")
 
     def __init__(
         self, spec: FaultSpec, seed: int, crash_times: Tuple[float, ...] = ()
@@ -198,6 +200,7 @@ class FaultPlan:
         self.spec = spec
         self.seed = seed
         self.crash_times = crash_times
+        self._prefix = f"{seed}:faults:"
 
     @classmethod
     def build(
@@ -212,6 +215,13 @@ class FaultPlan:
         if spec is None or spec.is_null:
             return None
         spec.validate()
+        return cls.realize(spec, seed, duration)
+
+    @classmethod
+    def realize(cls, spec: FaultSpec, seed: int, duration: float) -> "FaultPlan":
+        """:meth:`build` minus the null check and the validation, for a
+        caller realizing one already-checked, non-null spec for many
+        seeds (a fleet shard, once per device)."""
         crash_times: Tuple[float, ...] = ()
         if spec.crashes_per_day > 0 and duration > 0:
             rng = RandomSource(seed).spawn("faults:crashes")
@@ -228,10 +238,14 @@ class FaultPlan:
     # ------------------------------------------------------------------
     # Hash-derived decisions
     # ------------------------------------------------------------------
-    def _unit(self, *parts: object) -> float:
-        """Uniform [0, 1) draw, a pure function of (seed, parts)."""
-        key = ":".join(str(part) for part in (self.seed, "faults") + parts)
-        digest = hashlib.sha256(key.encode("utf-8")).digest()
+    def _unit(self, site: str) -> float:
+        """Uniform [0, 1) draw, a pure function of (seed, site).
+
+        The hashed key is ``"<seed>:faults:<site>"``, where ``site`` is
+        the draw's colon-joined identifying parts (``"drop:<event
+        id>:<attempt>"``); the seed half is built once per plan.
+        """
+        digest = _sha256((self._prefix + site).encode()).digest()
         return int.from_bytes(digest[:8], "big") / 2.0**64
 
     def drop_delivery(self, event_id: int, attempt: int) -> bool:
@@ -243,19 +257,19 @@ class FaultPlan:
         the loss rate.
         """
         rate = self.spec.loss_rate
-        return rate > 0.0 and self._unit("drop", int(event_id), attempt) < rate
+        return rate > 0.0 and self._unit(f"drop:{int(event_id)}:{attempt}") < rate
 
     def duplicate_delivery(self, event_id: int) -> bool:
         """Whether a successfully delivered notification arrives twice."""
         rate = self.spec.duplicate_rate
-        return rate > 0.0 and self._unit("dup", int(event_id)) < rate
+        return rate > 0.0 and self._unit(f"dup:{int(event_id)}") < rate
 
     def delivery_jitter(self, event_id: int, attempt: int) -> float:
         """Extra delivery latency (s), exponential with the spec's mean."""
         mean = self.spec.jitter_mean
         if mean <= 0.0:
             return 0.0
-        u = self._unit("jitter", int(event_id), attempt)
+        u = self._unit(f"jitter:{int(event_id)}:{attempt}")
         return -mean * math.log(1.0 - u)
 
     def retry_backoff(self, attempt: int) -> float:
@@ -280,7 +294,7 @@ class FaultPlan:
         extras = [
             entry
             for entry in entries
-            if self._unit("report", topic, repr(float(entry[0]))) < rate
+            if self._unit(f"report:{topic}:{float(entry[0])!r}") < rate
         ]
         corrupted.extend(extras)
         return corrupted, len(extras)

@@ -39,6 +39,19 @@ handful of row writes:
 * a user read while the link is up: the moving-average bookkeeping, the
   limit recompute, and the ranked local consume.
 
+Under a crash-free fault spec a forward runs the resident ack–retry
+ladder: :meth:`ShardBatchDispatcher._attempt` is
+:meth:`~repro.device.link.LastHopLink._attempt` on the row — the same
+:class:`~repro.faults.FaultPlan` draws in the same order, the same
+``sim.schedule`` calls for a retry, a jittered landing and a duplicate,
+retries parked while the link is down and resumed (zero-delay, in
+parked order) on UP — so sequence numbers, tie-breaks and
+``events_processed`` are the link's by construction. The draws are
+SHA-256 hashes, which no vector op computes, and an arithmetic
+resolution would have to re-derive every ``(time, seq)`` tie; the row
+schedules the link's timers instead. A timer that fires after its
+binding materialized hands the attempt or the landing to the objects.
+
 The first event outside that set calls ``materialize(d)`` — the fleet
 runner's per-device wiring plus a replay of the row into the objects —
 and falls through to the object path below, which then owns the binding
@@ -49,11 +62,12 @@ credit), an expiring arrival (it would arm a timer, and a row owns
 none), a read while the link is down (it starts an offline read log).
 Bindings that can never take a resident handler are materialized by the
 runner at wiring, before the streams register: all of them when the
-shard cannot fuse (below), and those whose input carries a rank change
-(a change resolves against the durable history of earlier arrivals,
-which a row does not keep). Materializing mid-run schedules nothing and
-reserves no sequence number — fault plans, the only wiring step that
-arms timers, exist only in shards materialized at wiring — so
+shard cannot keep rows (below), and those whose input carries a rank
+change (a change resolves against the durable history of earlier
+arrivals, which a row does not keep). Materializing mid-run schedules
+nothing and reserves no sequence number — crash plans, the only wiring
+step that arms timers, exist only in shards materialized at wiring, and
+a row's in-flight timers keep their sequence numbers — so
 ``events_processed`` and every tie-break are unchanged by when a
 binding escapes.
 
@@ -70,9 +84,9 @@ rules that make this hold for a materialized binding:
   authoritative objects after each scalar fallback. Anything dynamic
   timers can invalidate (crash rebuilds, pending retractions, the
   rank-instability delay stage) routes the binding back through the
-  scalar oracle path. A shard that cannot fuse at all (fault plans, or
-  an observer / latent link / fixed delay) skips the resync entirely —
-  its columns are never consulted.
+  scalar oracle path. A shard that cannot fuse at all (a fault spec,
+  an observer, a latent link, a fixed delay) skips the resync entirely
+  — its materialized bindings' columns are never consulted.
 * Fused handlers replicate the scalar code path's *observable* writes
   exactly, and skip only work proven to be a no-op under the fast-path
   guarantees: the ``prefetch_limit`` recompute when ``old_reads`` has
@@ -89,13 +103,14 @@ rules that make this hold for a materialized binding:
 from __future__ import annotations
 
 import math
-from typing import Callable, List
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from repro.broker.message import Notification
 from repro.errors import SimulationError
-from repro.fleet.columns import FleetColumns
+from repro.faults import FaultPlan, FaultSpec
+from repro.fleet.columns import FleetColumns, row_notification
 from repro.fleet.workload import FleetWorkload
 from repro.metrics.streaming import FleetAccumulator
 from repro.proxy.moving_average import IntervalAverage, MovingAverage
@@ -103,10 +118,11 @@ from repro.proxy.policies import PolicyConfig
 from repro.proxy.prefetch import BufferPrefetcher
 from repro.proxy.proxy import LastHopProxy
 from repro.sim.engine import Simulator
-from repro.types import NetworkStatus, PolicyKind
+from repro.types import DeliveryMode, NetworkStatus, PolicyKind
 
 _UP = NetworkStatus.UP
 _DOWN = NetworkStatus.DOWN
+_PUSHED = DeliveryMode.PUSHED
 
 #: Merged-stream event codes. Arrival classification (live / filtered /
 #: dead-on-arrival) is precomputed vectorized at build time and encoded
@@ -131,7 +147,8 @@ class ShardBatchDispatcher:
     storage, ``report_on_reconnect`` devices, and crash timers (if any)
     already scheduled — exactly what ``repro.fleet.runner`` builds.
     ``materialize(d)`` is the runner's: it builds binding ``d``'s object
-    graph from its row (a no-op once built).
+    graph from its row (a no-op once built); so is ``plan_for(d)``,
+    binding ``d``'s fault plan under ``spec`` (a non-null spec, or None).
     """
 
     def __init__(
@@ -144,7 +161,8 @@ class ShardBatchDispatcher:
         cols: FleetColumns,
         materialize: Callable[[int], None],
         accumulator: FleetAccumulator,
-        has_plans: bool,
+        spec: Optional[FaultSpec],
+        plan_for: Callable[[int], FaultPlan],
         link_latency: float,
         recorder,
         auditor,
@@ -155,34 +173,38 @@ class ShardBatchDispatcher:
         self.policy = policy
         self.cols = cols
         self.materialize = materialize
+        self.plan_for = plan_for
         #: Resident bindings stream their read ages into the same shared
         #: pair every ``SketchedStats`` of the shard feeds.
         self.delay_sketch = accumulator.read_delay_sketch
         self.delay_moments = accumulator.read_delay_moments
 
-        #: Whether any binding of the shard may take a fused or resident
-        #: handler: only when nothing can observe intermediate states or
-        #: perturb a delivery — no fault plans (a spec gives every
-        #: device one), no observers (recorder/auditor hooks fire on
-        #: scalar paths only), a zero-latency link (fused forwards
-        #: deliver synchronously), and the delay stage structurally
-        #: inactive (a fixed positive delay arms per-event timers whose
-        #: timeouts mutate queues outside the pumps). False means the
-        #: runner materializes every binding at wiring, every event
-        #: takes the scalar oracle path, and the mirror columns are
-        #: never consulted (so scalar fallbacks skip the resync). Unlike
-        #: ``scalar_only`` this can never be invalidated by dynamic
-        #: timers, so DOWN transitions — which touch no queue state —
-        #: may fuse on it alone.
-        self.can_fuse = can_fuse = (
-            not has_plans
-            and recorder is None
+        # Nothing can observe intermediate states or perturb a
+        # delivery outside the pump: no observers (recorder/auditor
+        # hooks fire on scalar paths only), a zero-latency link, and the
+        # delay stage structurally inactive (a fixed positive delay arms
+        # per-event timers whose timeouts mutate queues outside the
+        # pumps).
+        quiet = (
+            recorder is None
             and auditor is None
             and link_latency == 0.0
             and (policy.delay is None or policy.delay == 0.0)
         )
-        if not can_fuse:
-            cols.scalar_only = bytearray(b"\x01") * cols.devices
+        #: Whether bindings may stay array-resident: a quiet shard whose
+        #: spec, if any, arms no proxy crash (crash timers must draw
+        #: their sequence numbers at wiring, before the streams). False
+        #: means the runner materializes every binding at wiring.
+        self.keeps_rows = quiet and (spec is None or spec.crashes_per_day == 0)
+        #: Whether materialized bindings may take the fused-on-object
+        #: handlers: a quiet shard with no fault spec (those handlers
+        #: assume the plan-free link). False means every event of a
+        #: materialized binding takes the scalar oracle path, and the
+        #: mirror columns are never consulted (so scalar fallbacks skip
+        #: the resync). Unlike ``scalar_only`` this can never be
+        #: invalidated by dynamic timers, so DOWN transitions — which
+        #: touch no queue state — may fuse on it alone.
+        self.can_fuse = can_fuse = quiet and spec is None
         #: Adaptive delay (policy.delay None) stays fused per binding
         #: until its tracker records a rank drop; see :meth:`resync`.
         self.adaptive_delay = policy.delay is None
@@ -190,6 +212,10 @@ class ShardBatchDispatcher:
         #: RATE arrivals earn forwarding credit per event — inherently
         #: scalar; RATE reads still fuse whenever the queues are empty.
         self.fuse_arrivals = can_fuse and policy.kind is not PolicyKind.RATE
+        #: Resident arrivals likewise: a row has no credit line.
+        self.row_arrivals = (
+            self.keeps_rows and policy.kind is not PolicyKind.RATE
+        )
         #: The resident read's limit recompute (the objects' own lives
         #: in the proxy).
         self.limits = BufferPrefetcher(policy)
@@ -444,6 +470,9 @@ class ShardBatchDispatcher:
         links = cols.links
         clients = cols.clients
         materialize = self.materialize
+        # Fault row state: None in a clean shard.
+        forward = None if cols.plans is None else self._forward
+        parked = cols.parked
         notify_batch = self.proxy.notify_batch
         read_batch = self.proxy.read_batch
         on_notification = self.proxy.on_notification
@@ -451,6 +480,7 @@ class ShardBatchDispatcher:
         resync = self.resync
         can_fuse = self.can_fuse
         fuse_arrivals = self.fuse_arrivals
+        row_arrivals = self.row_arrivals
         online = self.online_kind
         track = self.track_publications
         window = self.policy.ma_window
@@ -473,52 +503,58 @@ class ShardBatchDispatcher:
             d = m_devs[i]
             if code == _ARRIVE:
                 exp = m_exps[i]
-                if resident[d]:
+                if (
+                    resident[d]
+                    and row_arrivals
+                    and exp != exp
+                    and net[d]
+                    and (online or qsize[d] < plimit[d])
+                ):
                     # Forwarded on arrival (NaN != NaN: the no-expiry
-                    # sentinel): the device now holds it, the proxy's
-                    # estimate grows, nothing else moves.
-                    if (
-                        fuse_arrivals
-                        and exp != exp
-                        and net[d]
-                        and (online or qsize[d] < plimit[d])
-                    ):
-                        entry = (-m_ranks[i], t, m_ints[i])
+                    # sentinel): the proxy's estimate grows and the
+                    # device holds it — at once on a clean link, once
+                    # it lands under a fault spec.
+                    entry = (-m_ranks[i], t, m_ints[i])
+                    qsize[d] += 1
+                    forwarded[d] += 1
+                    if forward is None:
                         holding = held[d]
                         if holding is None:
                             held[d] = [entry]
                         else:
                             holding.append(entry)
-                        qsize[d] += 1
-                        forwarded[d] += 1
                         i += 1
                         continue
-                    materialize(d)
-                notification = Notification(
-                    event_id=m_ints[i],
-                    topic=topics[d],
-                    rank=m_ranks[i],
-                    published_at=t,
-                    expires_at=None if exp != exp else exp,
-                )
-                if fuse_arrivals and not scalar_only[d]:
-                    if notify_batch(
-                        states[d],
-                        notification,
-                        bool(net[d]),
-                        qsize[d] < plimit[d],
-                        online,
-                        track,
-                    ):
-                        qsize[d] += 1
-                    else:
-                        queued[d] += 1
-                        if exp == exp and exp < nexp[d]:
-                            nexp[d] = exp
+                    # The ladder may arm timers: on to the cap refresh.
+                    forward(d, entry)
                 else:
-                    on_notification(notification)
-                    if can_fuse:
-                        resync(d)
+                    if resident[d]:
+                        materialize(d)
+                    notification = Notification(
+                        event_id=m_ints[i],
+                        topic=topics[d],
+                        rank=m_ranks[i],
+                        published_at=t,
+                        expires_at=None if exp != exp else exp,
+                    )
+                    if fuse_arrivals and not scalar_only[d]:
+                        if notify_batch(
+                            states[d],
+                            notification,
+                            bool(net[d]),
+                            qsize[d] < plimit[d],
+                            online,
+                            track,
+                        ):
+                            qsize[d] += 1
+                        else:
+                            queued[d] += 1
+                            if exp == exp and exp < nexp[d]:
+                                nexp[d] = exp
+                    else:
+                        on_notification(notification)
+                        if can_fuse:
+                            resync(d)
             elif code == _OUTAGE_DOWN:
                 # DOWN touches no queue state: the device listener
                 # ignores it and the proxy only records the status, so
@@ -526,12 +562,13 @@ class ShardBatchDispatcher:
                 # of dirtiness. (Branch order is by event frequency: a
                 # typical campaign carries several outage transitions
                 # per read.)
-                if can_fuse:
+                if resident[d]:
+                    net[d] = 0
+                elif can_fuse:
                     if net[d]:
                         net[d] = 0
-                        if not resident[d]:
-                            links[d]._status = _DOWN
-                            states[d].network = _DOWN
+                        links[d]._status = _DOWN
+                        states[d].network = _DOWN
                 else:
                     links[d].set_status(_DOWN)
             elif code == _OUTAGE_UP:
@@ -543,10 +580,16 @@ class ShardBatchDispatcher:
                 # no-op unless something is queued, in which case the
                 # real flush runs and the columns resync from its
                 # outcome. A resident binding has neither a log nor
-                # anything queued.
+                # anything queued; under a fault spec its parked
+                # retries resume first, as LastHopLink.set_status
+                # resumes them before its listeners.
                 if resident[d]:
                     if not net[d]:
                         net[d] = 1
+                        if parked is not None and parked[d] is not None:
+                            for entry, attempt in parked[d]:
+                                sim.schedule(0.0, self._attempt, d, entry, attempt)
+                            parked[d] = None
                         holding = held[d]
                         qsize[d] = len(holding) if holding else 0
                 elif can_fuse and not scalar_only[d] and not offline[d]:
@@ -619,7 +662,7 @@ class ShardBatchDispatcher:
                 # upper bound, so zero here means truly empty) — the
                 # whole READ exchange reduces to moving-average
                 # bookkeeping plus local consume.
-                if net[d] and not scalar_only[d] and not queued[d]:
+                if can_fuse and net[d] and not scalar_only[d] and not queued[d]:
                     stats = stats_list[d]
                     stats.reads += 1
                     st = states[d]
@@ -659,7 +702,7 @@ class ShardBatchDispatcher:
                 # (queues untouched; prefetch_limit already equals the
                 # policy-effective value).
                 if resident[d]:
-                    if fuse_arrivals:
+                    if row_arrivals:
                         if code == _ARRIVE_FILTERED:
                             filtered[d] += 1
                         else:
@@ -693,3 +736,82 @@ class ShardBatchDispatcher:
                 if heap:
                     cap_time, cap_seq, _top = heap[0]
         return i - pos
+
+    # ------------------------------------------------------------------
+    # The resident ack–retry ladder (shards with a crash-free spec)
+    # ------------------------------------------------------------------
+    def _forward(self, d: int, entry) -> None:
+        """Ship a resident forward over row ``d``'s faulted link: the id
+        is not landed until the ladder lands it."""
+        inflight = self.cols.inflight
+        landing = inflight[d]
+        if landing is None:
+            inflight[d] = [entry[2]]
+        else:
+            landing.append(entry[2])
+        self._attempt(d, entry, 1)
+
+    def _attempt(self, d: int, entry, attempt: int) -> None:
+        """:meth:`LastHopLink._attempt <repro.device.link.LastHopLink.
+        _attempt>` on row ``d``, draw for draw and schedule for
+        schedule, counting into the row's fault counters."""
+        cols = self.cols
+        if not cols.resident[d]:
+            cols.links[d]._attempt(
+                row_notification(cols.topics[d], entry), _PUSHED, attempt
+            )
+            return
+        if not cols.network[d]:
+            parked = cols.parked[d]
+            if parked is None:
+                cols.parked[d] = [(entry, attempt)]
+            else:
+                parked.append((entry, attempt))
+            return
+        plan = self.plan_for(d)
+        event_id = entry[2]
+        if plan.drop_delivery(event_id, attempt):
+            cols.delivery_drops[d] += 1
+            if attempt > plan.spec.max_retries:
+                cols.delivery_failures[d] += 1
+                return
+            cols.delivery_retries[d] += 1
+            self.sim.schedule(
+                plan.retry_backoff(attempt), self._attempt, d, entry, attempt + 1
+            )
+            return
+        delay = plan.delivery_jitter(event_id, attempt)
+        if delay > 0:
+            self.sim.schedule(delay, self._land, d, entry)
+        else:
+            self._land(d, entry)
+        if plan.duplicate_delivery(event_id):
+            cols.duplicates_delivered[d] += 1
+            if delay > 0:
+                self.sim.schedule(delay, self._land, d, entry)
+            else:
+                self._land(d, entry)
+
+    def _land(self, d: int, entry) -> None:
+        """:meth:`ClientDevice.receive <repro.device.device.ClientDevice.
+        receive>` on row ``d``."""
+        cols = self.cols
+        if not cols.resident[d]:
+            cols.clients[d].receive(row_notification(cols.topics[d], entry), _PUSHED)
+            return
+        landing = cols.inflight[d]
+        event_id = entry[2]
+        if landing is None or event_id not in landing:
+            # The duplicate copy: it lands right after the first (the
+            # next sequence number at the same time, or synchronously),
+            # so the first is still held and the device dedups it.
+            cols.duplicates_deduped[d] += 1
+            return
+        landing.remove(event_id)
+        if not landing:
+            cols.inflight[d] = None
+        holding = cols.held[d]
+        if holding is None:
+            cols.held[d] = [entry]
+        else:
+            holding.append(entry)

@@ -36,13 +36,23 @@ Mirror invariants of a materialized row (pinned by
   queued); it may point at an already-removed event, never past a live
   one.
 * ``scalar_only`` is sticky-conservative: set the moment a binding
-  leaves fast-path territory (fault plan attached, crashed, pending
-  retractions, adaptive delay armed by rank drops) and only cleared by
-  a resync that re-verifies every fast-path precondition.
+  leaves fast-path territory (pending retractions, adaptive delay
+  armed by rank drops) and only cleared by a resync that re-verifies
+  every fast-path precondition. Only a shard that can fuse consults it.
 
 A resident row has nothing queued at the proxy, no offline read log and
 no fusion blocker by construction, so its ``proxy_queued`` /
 ``offline_reads`` / ``scalar_only`` stay 0 and ``next_expiry`` ``inf``.
+
+A shard with a fault spec allocates a second group of row state, which
+clean shards never pay for: the deliveries forwarded but not landed (in
+flight on the ack–retry ladder, or abandoned), the retries parked while
+the link is down, the five delivery-fault counters, and the device's
+:class:`~repro.faults.FaultPlan` (built on its first draw). The batch
+pump's resident ladder (:mod:`repro.fleet.batch`) runs on them; only a
+crash-free spec keeps rows resident at all, so nothing here models a
+crash. A faulted shard never fuses, so its materialized rows keep no
+mirror: their objects are read directly.
 
 The resident counts keep what happened *while resident*; after
 materialization the binding's ``SketchedStats`` counts what happens
@@ -58,10 +68,23 @@ arrays: the pump reads them one element at a time, and every
 from __future__ import annotations
 
 import math
-from typing import List
+from typing import List, Optional
 
-from repro.broker.message import DEFAULT_SIZE_BYTES
-from repro.types import NetworkStatus
+from repro.broker.message import DEFAULT_SIZE_BYTES, Notification
+from repro.metrics.accounting import DELIVERY_FAULT_FIELDS
+from repro.types import EventId, NetworkStatus, TopicId
+
+
+def row_notification(topic: TopicId, entry) -> Notification:
+    """The notification a row's ``(-rank, published_at, event_id)``
+    entry stands for (rows hold only default-size, non-expiring ones)."""
+    neg_rank, published_at, event_id = entry
+    return Notification(
+        event_id=EventId(event_id),
+        topic=topic,
+        rank=-neg_rank,
+        published_at=published_at,
+    )
 
 
 class FleetColumns:
@@ -92,14 +115,19 @@ class FleetColumns:
         "links",
         "clients",
         "states",
-    )
+        "inflight",
+        "parked",
+        "plans",
+    ) + DELIVERY_FAULT_FIELDS
 
     #: Payload bytes of every forward a resident row counts: the
     #: resident arrival handler builds no ``Notification``, so the
     #: default size is the only one it can mean.
     forward_bytes = DEFAULT_SIZE_BYTES
 
-    def __init__(self, devices: int, initial_prefetch_limit: int) -> None:
+    def __init__(
+        self, devices: int, initial_prefetch_limit: int, faulted: bool = False
+    ) -> None:
         n = devices
         self.devices = n
         #: 1 while the row is the binding's only state (no objects).
@@ -157,6 +185,19 @@ class FleetColumns:
         self.clients: List = [None] * n
         self.states: List = [None] * n
 
+        # -- fault row state (each column None in a clean shard) --------
+        #: Event ids forwarded but not landed on the device: in flight
+        #: on the ladder, or abandoned. None = none.
+        self.inflight: Optional[List] = [None] * n if faulted else None
+        #: Retries that fired while the link was down, as ``(entry,
+        #: attempt)`` in firing order; resumed on UP. None = none.
+        self.parked: Optional[List] = [None] * n if faulted else None
+        #: The device's FaultPlan, built on first use.
+        self.plans: Optional[List] = [None] * n if faulted else None
+        #: One count column per ``DELIVERY_FAULT_FIELDS`` name.
+        for name in DELIVERY_FAULT_FIELDS:
+            setattr(self, name, [0] * n if faulted else None)
+
     @property
     def materialized_share(self) -> float:
         """Fraction of the shard's bindings that left the resident tier."""
@@ -172,17 +213,25 @@ class FleetColumns:
         violations (empty = in sync).
 
         Materialized rows: the mirror columns against the authoritative
-        objects. Resident rows: the row against itself — the identities
-        that make the replay into objects well defined (no objects yet,
-        nothing proxy-side, every forward either read or still held, the
-        averages present exactly when a read happened).
+        objects (a faulted shard keeps no mirror: there, only that the
+        row handed everything over). Resident rows: the row against
+        itself — the identities that make the replay into objects well
+        defined (no objects yet, nothing proxy-side, every forward read,
+        held or not landed, retries parked only while the link is down,
+        the averages present exactly when a read happened).
         """
         violations: List[str] = []
         for d in range(self.devices):
             if self.resident[d]:
                 violations.extend(self._verify_resident(d))
-            else:
+            elif self.plans is None:
                 violations.extend(self._verify_mirror(d))
+            elif (
+                self.held[d] is not None
+                or self.inflight[d] is not None
+                or self.parked[d] is not None
+            ):
+                violations.append(f"device {d}: materialized row kept deliveries")
         return violations
 
     def _verify_resident(self, d: int) -> List[str]:
@@ -202,12 +251,23 @@ class FleetColumns:
         ):
             violations.append(f"device {d}: resident row has proxy-side state")
         held = len(self.held[d] or ())
-        if self.forwarded[d] != self.consumed[d] + held:
+        landing = 0
+        if self.plans is not None:
+            inflight = self.inflight[d] or ()
+            landing = len(inflight)
+            parked = self.parked[d] or ()
+            if parked and self.network[d]:
+                violations.append(f"device {d}: retries parked while the link is up")
+            if any(entry[2] not in inflight for entry, _attempt in parked):
+                violations.append(f"device {d}: a parked retry is not in flight")
+        if self.forwarded[d] != self.consumed[d] + held + landing:
             violations.append(
                 f"device {d}: {self.forwarded[d]} forwarded vs "
-                f"{self.consumed[d]} read + {held} held"
+                f"{self.consumed[d]} read + {held} held + {landing} not landed"
             )
-        if self.queue_size[d] < held:
+        # A landing after the last queue report can lift what the device
+        # holds above the proxy's estimate; only a clean row is exact.
+        if self.plans is None and self.queue_size[d] < held:
             violations.append(
                 f"device {d}: queue_size estimate {self.queue_size[d]} "
                 f"below the {held} notifications held"

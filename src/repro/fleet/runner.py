@@ -59,7 +59,7 @@ from repro.errors import ConfigurationError
 from repro.experiments import parallel
 from repro.faults import FaultPlan, FaultSpec
 from repro.fleet.batch import ShardBatchDispatcher
-from repro.fleet.columns import FleetColumns
+from repro.fleet.columns import FleetColumns, row_notification
 from repro.fleet.config import FleetScenarioConfig
 from repro.fleet.workload import FleetWorkload, build_fleet_workload
 from repro.metrics.accounting import RunStats
@@ -70,7 +70,7 @@ from repro.proxy.proxy import LastHopProxy, ProxyConfig
 from repro.sim import trace_shm
 from repro.sim.engine import Simulator
 from repro.sim.rng import derive_seed
-from repro.types import EventId, NetworkStatus, TopicId
+from repro.types import DeliveryMode, EventId, NetworkStatus, TopicId
 
 
 def device_topic(device: int) -> TopicId:
@@ -161,9 +161,9 @@ class ShardWiring:
     the only place the per-device ``SketchedStats`` / ``LastHopLink`` /
     ``ClientDevice`` / ``TopicState`` are constructed — for every
     binding at wiring when the shard cannot take the resident handlers
-    (scalar dispatch, fault plans, observers, a latent link, a fixed
-    delay), for a single binding from inside the batch pump otherwise
-    (:mod:`repro.fleet.batch` lists the escapes).
+    (scalar dispatch, a fault spec that arms proxy crashes, observers, a
+    latent link, a fixed delay), for a single binding from inside the
+    batch pump otherwise (:mod:`repro.fleet.batch` lists the escapes).
     """
 
     __slots__ = (
@@ -187,30 +187,48 @@ class ShardWiring:
         self.acc = acc
         self.workload = workload
         self.cols = cols
-        #: None when no fault applies; otherwise every device realizes
-        #: its own plan from it.
+        #: None when no fault applies; otherwise a validated spec from
+        #: which every device realizes its own plan (:meth:`plan`).
         self.spec = spec
         self.link_latency = link_latency
         self.recorder = recorder
+
+    def plan(self, index: int) -> FaultPlan:
+        """Binding ``index``'s fault plan under the shard's spec, realized
+        on first use and then shared by its row and its objects."""
+        plans = self.cols.plans
+        plan = plans[index]
+        if plan is None:
+            config = self.workload.config
+            plan = plans[index] = FaultPlan.realize(
+                self.spec,
+                derive_seed(config.seed, f"device-{self.workload.lo + index}"),
+                config.duration,
+            )
+        return plan
 
     def materialize(self, index: int) -> None:
         """Build binding ``index``'s objects and replay its row into them.
 
         The wiring mirrors :func:`~repro.experiments.runner.
         run_scenario` exactly — ctor order, listener registration order,
-        crash timers scheduled at once (only wiring-time calls carry a
-        plan, so they land before the streams register) — and a replay
-        of a fresh row is the identity, so a binding materialized at
-        wiring is wired exactly as if no row had ever existed. One-way
-        and idempotent: a materialized binding is left alone.
+        crash timers scheduled at once (only a shard materialized whole
+        at wiring has crash plans, so they land before the streams
+        register) — and a replay of a fresh row is the identity, so a
+        binding materialized at wiring is wired exactly as if no row had
+        ever existed. One-way and idempotent: a materialized binding is
+        left alone.
 
         The replay hands over what the binding's future depends on: the
         link status, the proxy's queue-size estimate and prefetch limit,
         the read averages (and the expiration threshold derived from
-        them), and the notifications the device holds. The row's counts
-        stay behind — the fold adds them to what the stats object counts
-        from here on — except ``read_delay_sum``, which moves so the
-        per-device float sum keeps accumulating left to right.
+        them), the notifications the device holds, and under a fault
+        spec the deliveries not landed (forwarded, so into the forwarded
+        sets; their timers route to the objects from now on) and the
+        parked retries (onto the link). The row's counts stay behind —
+        the fold adds them to what the stats object counts from here on
+        — except ``read_delay_sum``, which moves so the per-device float
+        sum keeps accumulating left to right.
         """
         cols = self.cols
         if not cols.resident[index]:
@@ -220,15 +238,7 @@ class ShardWiring:
         acc = self.acc
         config = self.workload.config
         device_id = self.workload.lo + index
-        plan = (
-            None
-            if self.spec is None
-            else FaultPlan.build(
-                self.spec,
-                seed=derive_seed(config.seed, f"device-{device_id}"),
-                duration=config.duration,
-            )
-        )
+        plan = None if self.spec is None else self.plan(index)
         stats = SketchedStats(
             delay_sketch=acc.read_delay_sketch,
             delay_moments=acc.read_delay_moments,
@@ -271,19 +281,26 @@ class ShardWiring:
         held = cols.held[index]
         if held is not None:
             queue = device._queues[topic]
-            for neg_rank, published_at, event_id in held:
-                queue.add(
-                    Notification(
-                        event_id=EventId(event_id),
-                        topic=topic,
-                        rank=-neg_rank,
-                        published_at=published_at,
-                    )
-                )
+            for entry in held:
+                event_id = entry[2]
+                queue.add(row_notification(topic, entry))
                 device._topic_of[event_id] = topic
                 state.forwarded.add(event_id)
                 stats.forwarded_ids.add(event_id)
             cols.held[index] = None
+        if plan is not None:
+            landing = cols.inflight[index]
+            if landing is not None:
+                state.forwarded.update(landing)
+                stats.forwarded_ids.update(landing)
+                cols.inflight[index] = None
+            waiting = cols.parked[index]
+            if waiting is not None:
+                link._parked = [
+                    (row_notification(topic, entry), DeliveryMode.PUSHED, attempt)
+                    for entry, attempt in waiting
+                ]
+                cols.parked[index] = None
         stats.read_delay_sum = cols.read_delay_sum[index]
 
         cols.topics[index] = topic
@@ -316,16 +333,20 @@ def _execute_shard_inner(
         auditor=auditor,
     )
     n = workload.devices
-    cols = FleetColumns(n, BufferPrefetcher(policy).limit_for(None))
-    null_faults = spec is None or spec.is_null
+    if spec is not None and spec.is_null:
+        spec = None
+    if spec is not None:
+        spec.validate()
+    cols = FleetColumns(
+        n, BufferPrefetcher(policy).limit_for(None), faulted=spec is not None
+    )
     wiring = ShardWiring(
-        sim, proxy, acc, workload, cols,
-        None if null_faults else spec, link_latency, recorder,
+        sim, proxy, acc, workload, cols, spec, link_latency, recorder
     )
 
     # Wiring: materialize now whatever can never take a resident
-    # handler. Local-id order, before any stream registers — the crash
-    # timers of fault plans draw their sequence numbers here.
+    # handler. Local-id order, before any stream registers — crash
+    # timers draw their sequence numbers here.
     eager: Iterable[int] = range(n)
     dispatcher = None
     if use_batch:
@@ -337,12 +358,13 @@ def _execute_shard_inner(
             cols=cols,
             materialize=wiring.materialize,
             accumulator=acc,
-            has_plans=not null_faults,
+            spec=spec,
+            plan_for=wiring.plan,
             link_latency=link_latency,
             recorder=recorder,
             auditor=auditor,
         )
-        if dispatcher.can_fuse:
+        if dispatcher.keeps_rows:
             # A rank change resolves against the durable history of the
             # binding's earlier arrivals, which a row does not keep.
             eager = np.flatnonzero(workload.change_counts).tolist()

@@ -169,3 +169,15 @@ class RunStats:
                 f"{self.lost_in_crash} arrivals lost)",
             ]
         return "\n".join(lines)
+
+
+#: The :class:`RunStats` counters of the ack–retry delivery path (the
+#: link's drops, retries, abandons and duplicates; the device's dedup).
+#: A fleet shard under a crash-free fault spec keeps them per row.
+DELIVERY_FAULT_FIELDS = (
+    "delivery_drops",
+    "delivery_retries",
+    "delivery_failures",
+    "duplicates_delivered",
+    "duplicates_deduped",
+)

@@ -34,7 +34,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.errors import ConfigurationError
-from repro.metrics.accounting import RunStats
+from repro.metrics.accounting import DELIVERY_FAULT_FIELDS, RunStats
 from repro.units import DAY
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only (fleet imports metrics)
@@ -289,7 +289,10 @@ class FleetAccumulator:
         would have produced. Each binding contributes what its row
         counted while it was array-resident plus what its stats object
         (None if it never materialized) counted afterwards. The integer
-        columns are order-free sums, so the two tiers simply add. The
+        columns are order-free sums, so the two tiers simply add; under
+        a fault spec that includes the rows' delivery-fault counters,
+        and a resident row's waste is everything it forwarded and did
+        not see read — held, in flight, or abandoned. The
         float columns must associate exactly as the sequential fold
         does: per device, then left to right over local ids inside
         ``sum`` — ``read_delay_sum`` of a materialized binding lives in
@@ -320,6 +323,9 @@ class FleetAccumulator:
         counters["reads"] += reads
         counters["read_requests"] += reads
         counters["empty_reads"] += sum(table.empty_reads)
+        if table.plans is not None:
+            for name in DELIVERY_FAULT_FIELDS:
+                counters[name] += sum(getattr(table, name))
         # Column-at-a-time over the materialized bindings: itemgetter
         # over the instance dicts keeps the whole per-field reduction in
         # C (RunStats is a plain dataclass, so every summed field lives
@@ -344,11 +350,12 @@ class FleetAccumulator:
         wasted = 0
         push_reads = self.device_reads.push
         push_waste = self.device_waste.push
-        for stats, held, n_forwarded, n_read in zip(
-            stats_list, table.held, table.forwarded, table.consumed
+        for stats, n_forwarded, n_read in zip(
+            stats_list, table.forwarded, table.consumed
         ):
             if stats is None:
-                n_wasted = len(held) if held else 0
+                # Held, in flight, or abandoned on the ladder.
+                n_wasted = n_forwarded - n_read
             else:
                 forwarded_ids = stats.forwarded_ids
                 read_ids = stats.read_ids

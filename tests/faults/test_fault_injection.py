@@ -173,6 +173,39 @@ class TestFaultPlan:
         )
         assert clean_plan.corrupt_read_report("t", entries) == (entries, 0)
 
+    def test_draws_are_pinned(self):
+        """Hard-coded outcomes: any change to the hashed key string (or
+        to how a digest becomes a uniform) fails here, not only in the
+        benchmark digests."""
+        plan = FaultPlan.build(
+            FaultSpec(
+                loss_rate=0.5,
+                duplicate_rate=0.5,
+                jitter_mean=2.0,
+                report_duplicate_rate=0.5,
+            ),
+            seed=12345,
+            duration=100.0,
+        )
+        assert [
+            plan.drop_delivery(event_id, attempt)
+            for event_id, attempt in [
+                (1, 1), (1, 2), (2, 1), (3, 1), (3, 2), (7, 4), (42, 1), (42, 2),
+            ]
+        ] == [True, False, True, False, True, False, True, False]
+        assert [plan.duplicate_delivery(e) for e in (1, 2, 3, 7, 42, 99)] == [
+            True, False, True, True, True, True,
+        ]
+        assert [
+            plan.delivery_jitter(event_id, attempt)
+            for event_id, attempt in [(1, 1), (2, 1), (42, 3)]
+        ] == [1.705294500459576, 0.7917410074256439, 1.6018733600546047]
+        entries = [(10.0, 2), (250.5, 1), (3600.0, 4), (7200.25, 0)]
+        assert plan.corrupt_read_report("device/3", entries) == (
+            entries + [(10.0, 2), (3600.0, 4)],
+            2,
+        )
+
 
 def wired_link(spec, seed=0):
     sim = Simulator()

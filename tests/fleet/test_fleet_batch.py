@@ -49,7 +49,26 @@ POLICIES = {
     "unified": PolicyConfig.unified,
 }
 
-PRESETS = [None, "lossy", "chaos"]
+PRESETS = [None, "lossy", "chaos", "reliable", "slow-ladder"]
+
+#: A crash-free spec whose ack–retry ladder outlasts outages: with a
+#: 600 s backoff and 30 s of mean jitter, bindings that escape mid-run
+#: regularly hand over deliveries still in flight and retries parked
+#: while the link is down (``lossy`` almost never does).
+SLOW_LADDER = (
+    '{"loss_rate": 0.7, "max_retries": 2, "retry_base": 600, '
+    '"retry_cap": 3600, "jitter_mean": 30}'
+)
+
+
+def _spec(preset):
+    """The fault spec a ``PRESETS`` entry names (None = fault-free)."""
+    if preset is None:
+        return None
+    return faults.FaultSpec.parse(
+        SLOW_LADDER if preset == "slow-ladder" else preset
+    )
+
 
 #: The benchmark's canonical campaign shape (``bench/workloads.py``).
 LIGHT = dict(
@@ -85,7 +104,7 @@ class TestDifferentialMatrix:
         list(itertools.product(sorted(POLICIES), PRESETS, [0, 7])),
     )
     def test_batch_matches_scalar(self, policy_name, preset, seed):
-        spec = faults.FaultSpec.parse(preset) if preset else None
+        spec = _spec(preset)
         config = FleetScenarioConfig(devices=120, duration=DAY, seed=seed)
         batch, scalar = _both_signatures(
             config, POLICIES[policy_name](), spec=spec
@@ -287,7 +306,7 @@ MATRIX_CONFIG = dict(devices=120, duration=DAY)
 
 
 def _matrix_case(policy_name, preset, seed):
-    spec = faults.FaultSpec.parse(preset) if preset else None
+    spec = _spec(preset)
     config = FleetScenarioConfig(seed=seed, **MATRIX_CONFIG)
     return config, POLICIES[policy_name](), spec
 
@@ -383,8 +402,7 @@ class TestMaterializationInvisible:
         assert _outputs(forced.accumulator) == _matrix_reference(
             policy_name, preset, seed
         )
-        if spec is None:  # a faulted shard keeps no mirror to verify
-            assert forced.cols.verify_sync() == []
+        assert forced.cols.verify_sync() == []
 
     @pytest.mark.parametrize(
         "name,policy_name",
@@ -418,6 +436,69 @@ class TestMaterializationInvisible:
         assert 0.0 < batch.cols.materialized_share < 1.0
         scalar = _run_shard(config, PolicyConfig.unified(), use_batch=False)
         assert scalar.cols.materialized_share == 1.0
+        assert _outputs(batch.accumulator) == _outputs(scalar.accumulator)
+
+    @pytest.mark.parametrize("preset", ["lossy", "reliable"])
+    def test_light_faulted_shard_exercises_both_tiers(self, preset):
+        """A crash-free fault spec keeps most bindings on their rows
+        too: the ack–retry ladder itself never escapes."""
+        config = FleetScenarioConfig(devices=600, seed=1, **LIGHT)
+        batch = _run_shard(config, PolicyConfig.unified(), spec=_spec(preset))
+        assert 0.0 < batch.cols.materialized_share < 0.5
+        assert batch.cols.verify_sync() == []
+        scalar = _run_shard(
+            config, PolicyConfig.unified(), spec=_spec(preset), use_batch=False
+        )
+        assert scalar.cols.materialized_share == 1.0
+        assert _outputs(batch.accumulator) == _outputs(scalar.accumulator)
+
+    def test_crash_spec_materializes_at_wiring(self):
+        """Crash timers draw their sequence numbers at wiring, so a spec
+        that arms proxy crashes keeps no binding on its row."""
+        config = FleetScenarioConfig(devices=200, seed=1, **LIGHT)
+        materialized_at_wiring = []
+        register = ShardBatchDispatcher.register_streams
+
+        def note_share(dispatcher):
+            materialized_at_wiring.append(dispatcher.cols.materialized_share)
+            register(dispatcher)
+
+        with _patched(ShardBatchDispatcher, "register_streams", note_share):
+            shard = _run_shard(config, PolicyConfig.unified(), spec=_spec("chaos"))
+        assert shard.dispatcher.keeps_rows is False
+        assert materialized_at_wiring == [1.0]
+        assert shard.cols.verify_sync() == []
+
+    def test_escapes_inherit_in_flight_and_parked_deliveries(self):
+        """Non-vacuity of the handoff: on the slow ladder, bindings that
+        escape mid-run carry deliveries in flight and retries parked
+        into their objects, and the run still equals scalar dispatch."""
+        config = FleetScenarioConfig(
+            devices=150,
+            duration=2 * DAY,
+            seed=4,
+            arrivals=ArrivalConfig(events_per_day=4.0),
+            reads=ReadConfig(reads_per_day=2.0),
+            outages=OutageConfig(downtime_fraction=0.3),
+        )
+        spec = _spec("slow-ladder")
+        handed = {"in_flight": 0, "parked": 0}
+        materialize = runner_mod.ShardWiring.materialize
+
+        def count_handoff(wiring, index):
+            cols = wiring.cols
+            if wiring.sim._running and cols.resident[index]:
+                handed["in_flight"] += bool(cols.inflight[index])
+                handed["parked"] += bool(cols.parked[index])
+            materialize(wiring, index)
+
+        with _patched(runner_mod.ShardWiring, "materialize", count_handoff):
+            batch = _run_shard(config, PolicyConfig.unified(), spec=spec)
+        assert handed["in_flight"] > 0 and handed["parked"] > 0, handed
+        assert batch.cols.verify_sync() == []
+        scalar = _run_shard(
+            config, PolicyConfig.unified(), spec=spec, use_batch=False
+        )
         assert _outputs(batch.accumulator) == _outputs(scalar.accumulator)
 
 

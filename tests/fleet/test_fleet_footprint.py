@@ -12,12 +12,13 @@ of the size (3 000 LIGHT devices, seed 1, unified policy). Reference
 figures, measured with this exact protocol on CPython 3.11:
 
 * clean shard — 8 367 B/device with one object graph per binding (the
-  commit before the binding table became array-resident); 2 424 B/device
-  with ~14 % of the bindings materialized. The gate is 4 KB.
-* ``faults=lossy`` shard — every binding carries a plan and is
-  materialized at wiring, so the table must cost next to nothing on top
-  of the object graphs: 8 755 B/device before, 8 629 B/device now. The
-  gate is the earlier figure plus 5 %.
+  commit before the binding table became array-resident); 2 421 B/device
+  with ~14.7 % of the bindings materialized. The gate is 4 KB.
+* ``faults=lossy`` shard — 8 590 B/device while every binding of a
+  faulted shard was materialized at wiring; 2 653 B/device since the
+  ack–retry ladder runs on the rows, with the same ~14.7 % materialized
+  (the fault row state and a plan per forwarding row are the ~230
+  B/device over clean). The gate is the clean one.
 """
 
 import gc
@@ -35,7 +36,6 @@ from repro.workload.reads import ReadConfig
 DEVICES = 3_000
 
 CLEAN_GATE_BYTES = 4 * 1024
-LOSSY_OBJECT_GRAPH_BYTES = 8_755
 
 
 def _live_bytes_per_device(monkeypatch, spec=None):
@@ -72,9 +72,9 @@ def test_clean_light_shard_stays_under_4_kb_per_device(monkeypatch):
     assert per_device <= CLEAN_GATE_BYTES, f"{per_device:.0f} B/device"
 
 
-def test_lossy_shard_pays_nothing_for_the_table(monkeypatch):
+def test_lossy_shard_stays_on_its_rows(monkeypatch):
     per_device, materialized = _live_bytes_per_device(
         monkeypatch, FaultSpec.parse("lossy")
     )
-    assert materialized == 1.0
-    assert per_device <= 1.05 * LOSSY_OBJECT_GRAPH_BYTES, f"{per_device:.0f} B/device"
+    assert 0.0 < materialized < 0.5
+    assert per_device <= CLEAN_GATE_BYTES, f"{per_device:.0f} B/device"
