@@ -31,13 +31,22 @@ resident handlers cover exactly the events whose whole effect is a
 handful of row writes:
 
 * filtered and dead-on-arrival arrivals (counts only);
-* a live, non-expiring arrival the proxy forwards on arrival — link up
-  and, unless the policy is ONLINE, client room under the prefetch
-  limit (a resident binding never has anything queued ahead of it);
-* DOWN, and UP (a resident binding has no offline read log to replay
-  and nothing queued to flush — the reconnection is the queue report);
-* a user read while the link is up: the moving-average bookkeeping, the
-  limit recompute, and the ranked local consume.
+* a live, non-expiring arrival: forwarded on arrival when the link is
+  up and, unless the policy is ONLINE, the client has room under the
+  prefetch limit (then nothing is queued ahead of it); otherwise pushed
+  onto the row's proxy queue;
+* DOWN, and UP: the queue report, the offline read log replayed as
+  ``on_read_report`` replays it (a monotone merge into the interval
+  average), the limit recompute, then the queue flushed highest-first
+  as pushes — whole under ONLINE, up to the limit otherwise;
+* a user read while the link is up: the moving-average bookkeeping and
+  the limit recompute; when the queue is non-empty, ``on_read``'s
+  exchange on tuples (the top N queued merged with the top N held, the
+  device's copy winning rank ties; the queue's share of the first N is
+  pulled, then the queue tops the client up to the new limit, pulled
+  too); then the ranked local consume;
+* a user read while the link is down: a log entry and the local
+  consume.
 
 Under a crash-free fault spec a forward runs the resident ack–retry
 ladder: :meth:`ShardBatchDispatcher._attempt` is
@@ -52,22 +61,28 @@ resolution would have to re-derive every ``(time, seq)`` tie; the row
 schedules the link's timers instead. A timer that fires after its
 binding materialized hands the attempt or the landing to the objects.
 
+The queue and the log are a clean shard's: under a fault spec an
+arrival the proxy must queue, or a read while the link is down, still
+escapes (a queued forward would have to interleave with landings still
+in flight).
+
 The first event outside that set calls ``materialize(d)`` — the fleet
 runner's per-device wiring plus a replay of the row into the objects —
 and falls through to the object path below, which then owns the binding
 for the rest of the run (one-way: nothing is ever re-absorbed). The
-escapes, each a property of the input or of the row: an arrival that
-must queue at the proxy (link down, no client room, RATE's per-arrival
-credit), an expiring arrival (it would arm a timer, and a row owns
-none), a read while the link is down (it starts an offline read log).
+escapes, each a property of the input or of the row: a RATE arrival (it
+earns per-arrival credit, which a row has no line for), an expiring
+arrival (it would arm a timer, and a row owns none), and a faulted
+row's queued arrival or offline read.
 Bindings that can never take a resident handler are materialized by the
 runner at wiring, before the streams register: all of them when the
 shard cannot keep rows (below), and those whose input carries a rank
 change (a change resolves against the durable history of earlier
 arrivals, which a row does not keep). Materializing mid-run schedules
-nothing and reserves no sequence number — crash plans, the only wiring
-step that arms timers, exist only in shards materialized at wiring, and
-a row's in-flight timers keep their sequence numbers — so
+nothing and reserves no sequence number — held and queued entries never
+expire, crash plans, the only wiring step that arms timers, exist only
+in shards materialized at wiring, and a row's in-flight timers keep
+their sequence numbers — so
 ``events_processed`` and every tie-break are unchanged by when a
 binding escapes.
 
@@ -103,6 +118,7 @@ rules that make this hold for a materialized binding:
 from __future__ import annotations
 
 import math
+from heapq import heappop, heappush
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -455,10 +471,15 @@ class ShardBatchDispatcher:
         nexp = cols.next_expiry
         offline = cols.offline_reads
         held = cols.held
+        waiting_at = cols.proxy_queue
+        logs = cols.read_log
+        accepted = cols.accepted
         forwarded = cols.forwarded
+        pulled = cols.pulled
         filtered = cols.filtered
         dead = cols.dead
         reads = cols.reads
+        outage_reads = cols.outage_reads
         empty_reads = cols.empty_reads
         consumed = cols.consumed
         delay_sums = cols.read_delay_sum
@@ -470,8 +491,10 @@ class ShardBatchDispatcher:
         links = cols.links
         clients = cols.clients
         materialize = self.materialize
-        # Fault row state: None in a clean shard.
+        # Fault row state: None in a clean shard, whose rows instead
+        # queue arrivals and log offline reads.
         forward = None if cols.plans is None else self._forward
+        clean = forward is None
         parked = cols.parked
         notify_batch = self.proxy.notify_batch
         read_batch = self.proxy.read_batch
@@ -503,30 +526,42 @@ class ShardBatchDispatcher:
             d = m_devs[i]
             if code == _ARRIVE:
                 exp = m_exps[i]
+                # NaN != NaN: the no-expiry sentinel. A clean row takes
+                # every such arrival; a faulted one only those the proxy
+                # forwards on arrival.
                 if (
                     resident[d]
                     and row_arrivals
                     and exp != exp
-                    and net[d]
-                    and (online or qsize[d] < plimit[d])
+                    and (clean or net[d] and (online or qsize[d] < plimit[d]))
                 ):
-                    # Forwarded on arrival (NaN != NaN: the no-expiry
-                    # sentinel): the proxy's estimate grows and the
-                    # device holds it — at once on a clean link, once
-                    # it lands under a fault spec.
                     entry = (-m_ranks[i], t, m_ints[i])
-                    qsize[d] += 1
-                    forwarded[d] += 1
-                    if forward is None:
-                        holding = held[d]
-                        if holding is None:
-                            held[d] = [entry]
+                    accepted[d] += 1
+                    if net[d] and (online or qsize[d] < plimit[d]):
+                        # Forwarded on arrival: the proxy's estimate
+                        # grows and the device holds it — at once on a
+                        # clean link, once it lands under a fault spec.
+                        qsize[d] += 1
+                        forwarded[d] += 1
+                        if clean:
+                            holding = held[d]
+                            if holding is None:
+                                held[d] = [entry]
+                            else:
+                                holding.append(entry)
+                            i += 1
+                            continue
+                        # The ladder may arm timers: on to the cap refresh.
+                        forward(d, entry)
+                    else:
+                        # Link down or no client room: the proxy queues it.
+                        waiting = waiting_at[d]
+                        if waiting is None:
+                            waiting_at[d] = [entry]
                         else:
-                            holding.append(entry)
+                            heappush(waiting, entry)
                         i += 1
                         continue
-                    # The ladder may arm timers: on to the cap refresh.
-                    forward(d, entry)
                 else:
                     if resident[d]:
                         materialize(d)
@@ -579,10 +614,11 @@ class ShardBatchDispatcher:
                 # side) followed by the proxy's try_forwarding — a
                 # no-op unless something is queued, in which case the
                 # real flush runs and the columns resync from its
-                # outcome. A resident binding has neither a log nor
-                # anything queued; under a fault spec its parked
-                # retries resume first, as LastHopLink.set_status
-                # resumes them before its listeners.
+                # outcome. A resident binding runs the same cascade on
+                # its row: under a fault spec its parked retries resume
+                # first, as LastHopLink.set_status resumes them before
+                # its listeners; then the queue report, the log replay
+                # and the proxy's flush of its queue.
                 if resident[d]:
                     if not net[d]:
                         net[d] = 1
@@ -591,7 +627,42 @@ class ShardBatchDispatcher:
                                 sim.schedule(0.0, self._attempt, d, entry, attempt)
                             parked[d] = None
                         holding = held[d]
-                        qsize[d] = len(holding) if holding else 0
+                        size = len(holding) if holding else 0
+                        log = logs[d]
+                        if log is not None:
+                            # on_read_report: the log is in event order,
+                            # which its sort by time leaves unchanged.
+                            logs[d] = None
+                            sizes = old_reads[d]
+                            if sizes is None:
+                                sizes = old_reads[d] = MovingAverage(window)
+                                gaps = old_times[d] = IntervalAverage(window)
+                            else:
+                                gaps = old_times[d]
+                            for when, count in log:
+                                sizes.push(float(count))
+                                last = gaps.last
+                                if last is None or when >= last:
+                                    gaps.push(when)
+                            plimit[d] = limit_for(sizes.value)
+                        waiting = waiting_at[d]
+                        if waiting:
+                            # try_forwarding: outgoing (ONLINE) goes
+                            # whole, prefetch up to the limit; pushes.
+                            budget = plimit[d]
+                            sent = []
+                            while waiting and (online or size < budget):
+                                sent.append(heappop(waiting))
+                                size += 1
+                            if not waiting:
+                                waiting_at[d] = None
+                            if sent:
+                                forwarded[d] += len(sent)
+                                if holding is None:
+                                    held[d] = sent
+                                else:
+                                    holding.extend(sent)
+                        qsize[d] = size
                 elif can_fuse and not scalar_only[d] and not offline[d]:
                     if not net[d]:
                         st = states[d]
@@ -613,28 +684,73 @@ class ShardBatchDispatcher:
             elif code == _READ:
                 n = m_ints[i]
                 if resident[d]:
-                    if net[d]:
-                        # The READ exchange finds the proxy's queues
-                        # empty, so what is left of it is the
-                        # moving-average bookkeeping, the queue-size
-                        # sync and the limit recompute (read_batch);
-                        # then the device consumes its top-n locally
+                    if net[d] or clean:
+                        reads[d] += 1
+                        holding = held[d]
+                        if net[d]:
+                            # on_read: the moving-average bookkeeping,
+                            # the queue-size sync and the limit
+                            # recompute (read_batch) ...
+                            sizes = old_reads[d]
+                            if sizes is None:
+                                sizes = old_reads[d] = MovingAverage(window)
+                                gaps = old_times[d] = IntervalAverage(window)
+                            else:
+                                gaps = old_times[d]
+                            sizes.push(float(n))
+                            gaps.push(t)
+                            budget = plimit[d] = limit_for(sizes.value)
+                            size = len(holding) if holding else 0
+                            waiting = waiting_at[d]
+                            if waiting:
+                                # ... and, with something queued, the
+                                # exchange: slot by slot through the
+                                # top n, the device's top entry wins
+                                # rank ties and the queue's is pulled;
+                                # then the queue tops the client up to
+                                # the limit (pulled too: in the READ).
+                                if size > 1:
+                                    holding.sort()
+                                sent = []
+                                kept = 0
+                                slots = n
+                                while slots and waiting:
+                                    if (
+                                        kept < size
+                                        and holding[kept][0] <= waiting[0][0]
+                                    ):
+                                        kept += 1
+                                    else:
+                                        sent.append(heappop(waiting))
+                                    slots -= 1
+                                size += len(sent)
+                                while size < budget and waiting:
+                                    sent.append(heappop(waiting))
+                                    size += 1
+                                if not waiting:
+                                    waiting_at[d] = None
+                                if sent:
+                                    forwarded[d] += len(sent)
+                                    pulled[d] += len(sent)
+                                    if holding is None:
+                                        holding = held[d] = sent
+                                    else:
+                                        holding.extend(sent)
+                            qsize[d] = size
+                        else:
+                            # Offline: the device logs the read for the
+                            # next UP's report.
+                            outage_reads[d] += 1
+                            log = logs[d]
+                            if log is None:
+                                logs[d] = [(t, n)]
+                            else:
+                                log.append((t, n))
+                        # The device consumes its top-n locally
                         # (ClientDevice._consume: everything held is at
                         # or above the threshold and never expires).
-                        reads[d] += 1
-                        sizes = old_reads[d]
-                        if sizes is None:
-                            sizes = old_reads[d] = MovingAverage(window)
-                            gaps = old_times[d] = IntervalAverage(window)
-                        else:
-                            gaps = old_times[d]
-                        sizes.push(float(n))
-                        gaps.push(t)
-                        plimit[d] = limit_for(sizes.value)
-                        holding = held[d]
                         if holding and n > 0:
                             qlen = len(holding)
-                            qsize[d] = qlen
                             if qlen > 1:
                                 holding.sort()
                             if n >= qlen:
@@ -652,7 +768,6 @@ class ShardBatchDispatcher:
                             delay_sums[d] = total
                             consumed[d] += len(taken)
                         else:
-                            qsize[d] = len(holding) if holding else 0
                             empty_reads[d] += 1
                         i += 1
                         continue

@@ -9,7 +9,12 @@ A binding lives in one of two tiers, recorded in ``resident``:
   and write the row directly — link status, the proxy's client-queue
   estimate and prefetch limit, the notifications the device holds, the
   per-device counts, the ``read_delay_sum`` partial, and the read-size /
-  read-interval averages (created on the binding's first read).
+  read-interval averages (created on the binding's first read). A
+  clean shard's row (no fault spec) also keeps the proxy's queue for the
+  binding — the arrivals it could not forward, standing for
+  ``outgoing`` under ONLINE and ``prefetch`` otherwise — and the
+  device's offline read log, so outages and full buffers stay on the
+  row.
 * **Materialized** (``resident[d] == 0``): the first event the resident
   handlers cannot express makes the runner build the binding's object
   graph and replay the row into it (``ShardWiring.materialize`` in
@@ -21,11 +26,12 @@ A binding lives in one of two tiers, recorded in ``resident``:
 Mirror invariants of a materialized row (pinned by
 :meth:`FleetColumns.verify_sync` and the differential suite):
 
-* ``network``, ``queue_size`` and ``prefetch_limit`` are **exact**:
-  every code path that mutates the authoritative field either updates
-  the column in the same step (the fused-on-object fast paths) or is
-  followed by :meth:`~repro.fleet.batch.ShardBatchDispatcher.resync`
-  (every scalar fallback).
+* ``network``, ``queue_size``, ``prefetch_limit`` and ``offline_reads``
+  are **exact**: every code path that mutates the authoritative field
+  either updates the column in the same step (the fused-on-object fast
+  paths) or is followed by
+  :meth:`~repro.fleet.batch.ShardBatchDispatcher.resync` (every scalar
+  fallback).
 * ``proxy_queued`` is a **conservative upper bound**: fused paths keep
   it exact, but dynamic expiration timers (which fire outside the
   pumps) may shrink the real queues first. Stale-high is safe — it only
@@ -40,9 +46,18 @@ Mirror invariants of a materialized row (pinned by
   armed by rank drops) and only cleared by a resync that re-verifies
   every fast-path precondition. Only a shard that can fuse consults it.
 
-A resident row has nothing queued at the proxy, no offline read log and
-no fusion blocker by construction, so its ``proxy_queued`` /
-``offline_reads`` / ``scalar_only`` stay 0 and ``next_expiry`` ``inf``.
+The mirror columns are written only from objects: a resident row keeps
+its queue and log in ``proxy_queue`` / ``read_log``, so its
+``proxy_queued`` / ``offline_reads`` / ``scalar_only`` stay 0 and
+``next_expiry`` ``inf`` until ``materialize`` hands both over.
+
+Resident-row invariants (also :meth:`FleetColumns.verify_sync`): the
+queue is non-empty only while the link is down or, outside ONLINE, the
+client has no room (``queue_size >= prefetch_limit``) — the only states
+in which the proxy would keep an arrival; the log is non-empty only
+while the link is down (UP replays it); every accepted arrival was
+forwarded or is queued; every forward was read, is held or (under
+faults) has not landed.
 
 A shard with a fault spec allocates a second group of row state, which
 clean shards never pay for: the deliveries forwarded but not landed (in
@@ -51,10 +66,12 @@ the link is down, the five delivery-fault counters, and the device's
 :class:`~repro.faults.FaultPlan` (built on its first draw). The batch
 pump's resident ladder (:mod:`repro.fleet.batch`) runs on them; only a
 crash-free spec keeps rows resident at all, so nothing here models a
-crash. A faulted shard never fuses, so its materialized rows keep no
-mirror: their objects are read directly.
+crash. A faulted row never queues an arrival or logs a read — both
+still escape — so its ``proxy_queue`` / ``read_log`` stay None. A
+faulted shard never fuses, so its materialized rows keep no mirror:
+their objects are read directly.
 
-The resident counts keep what happened *while resident*; after
+The row's counts keep what happened *while resident*; after
 materialization the binding's ``SketchedStats`` counts what happens
 next and the fold adds the two (``FleetAccumulator.add_shard``). The
 one float, ``read_delay_sum``, is instead carried over into the stats
@@ -92,6 +109,7 @@ class FleetColumns:
 
     __slots__ = (
         "devices",
+        "online",
         "resident",
         "network",
         "queue_size",
@@ -101,10 +119,15 @@ class FleetColumns:
         "offline_reads",
         "scalar_only",
         "held",
+        "proxy_queue",
+        "read_log",
+        "accepted",
         "forwarded",
+        "pulled",
         "filtered",
         "dead",
         "reads",
+        "outage_reads",
         "empty_reads",
         "consumed",
         "read_delay_sum",
@@ -126,10 +149,18 @@ class FleetColumns:
     forward_bytes = DEFAULT_SIZE_BYTES
 
     def __init__(
-        self, devices: int, initial_prefetch_limit: int, faulted: bool = False
+        self,
+        devices: int,
+        initial_prefetch_limit: int,
+        faulted: bool = False,
+        online: bool = False,
     ) -> None:
         n = devices
         self.devices = n
+        #: Whether the shard's policy is ONLINE: a row's proxy queue is
+        #: then the binding's ``outgoing`` (flushed whole on UP), else
+        #: its ``prefetch`` (flushed up to the prefetch limit).
+        self.online = online
         #: 1 while the row is the binding's only state (no objects).
         self.resident = bytearray(b"\x01") * n
         #: 1 while the binding's last-hop link is UP.
@@ -158,14 +189,26 @@ class FleetColumns:
         #: notifications are ever held here (an expiring arrival
         #: materializes the binding), so a row owns no timers.
         self.held: List = [None] * n
-        #: Arrivals accepted and forwarded on arrival (while resident a
-        #: binding's ``accepted`` = ``pushed`` = distinct forwards).
+        #: The proxy's queue for the binding: a heap of the same
+        #: ``(-rank, published_at, event_id)`` entries, so ``heappop``
+        #: is ``RankedQueue.pop_highest``. None = nothing queued.
+        self.proxy_queue: List = [None] * n
+        #: The device's offline read log, ``(time, n)`` per read while
+        #: the link is down, in event order. None = empty.
+        self.read_log: List = [None] * n
+        #: Live arrivals the proxy accepted (forwarded or queued).
+        self.accepted: List[int] = [0] * n
+        #: Distinct forwards, and how many of them a READ pulled (the
+        #: rest were pushed).
         self.forwarded: List[int] = [0] * n
+        self.pulled: List[int] = [0] * n
         #: Arrivals filtered by the rank threshold / dead on arrival.
         self.filtered: List[int] = [0] * n
         self.dead: List[int] = [0] * n
-        #: On-line user reads (= READ requests), and the empty ones.
+        #: User reads, those made while the link was down (the rest
+        #: were READ requests), and the empty ones.
         self.reads: List[int] = [0] * n
+        self.outage_reads: List[int] = [0] * n
         self.empty_reads: List[int] = [0] * n
         #: Notifications read by the user.
         self.consumed: List[int] = [0] * n
@@ -173,7 +216,8 @@ class FleetColumns:
         #: materialization (see the module docstring).
         self.read_delay_sum: List[float] = [0.0] * n
         #: ``TopicState.old_reads`` / ``.old_times`` of the binding,
-        #: created on its first read and adopted by the state on
+        #: created when its first read reaches the proxy (a READ, or a
+        #: replayed log entry) and adopted by the state on
         #: materialization.
         self.old_reads: List = [None] * n
         self.old_times: List = [None] * n
@@ -212,26 +256,28 @@ class FleetColumns:
         """Check both tiers' invariants; returns human-readable
         violations (empty = in sync).
 
-        Materialized rows: the mirror columns against the authoritative
-        objects (a faulted shard keeps no mirror: there, only that the
-        row handed everything over). Resident rows: the row against
+        Materialized rows: that the row handed all its row state over,
+        and the mirror columns against the authoritative objects (a
+        faulted shard keeps no mirror). Resident rows: the row against
         itself — the identities that make the replay into objects well
-        defined (no objects yet, nothing proxy-side, every forward read,
-        held or not landed, retries parked only while the link is down,
-        the averages present exactly when a read happened).
+        defined (no objects yet, no mirror state, a queue only where the
+        proxy would keep one, a log only while the link is down, every
+        accepted arrival forwarded or queued, every forward read, held
+        or not landed, retries parked only while the link is down, the
+        averages present exactly when a read reached the proxy).
         """
         violations: List[str] = []
+        row_state = [self.held, self.proxy_queue, self.read_log]
+        if self.plans is not None:
+            row_state += [self.inflight, self.parked]
         for d in range(self.devices):
             if self.resident[d]:
                 violations.extend(self._verify_resident(d))
-            elif self.plans is None:
+                continue
+            if any(column[d] is not None for column in row_state):
+                violations.append(f"device {d}: materialized row kept row state")
+            if self.plans is None:
                 violations.extend(self._verify_mirror(d))
-            elif (
-                self.held[d] is not None
-                or self.inflight[d] is not None
-                or self.parked[d] is not None
-            ):
-                violations.append(f"device {d}: materialized row kept deliveries")
         return violations
 
     def _verify_resident(self, d: int) -> List[str]:
@@ -249,14 +295,31 @@ class FleetColumns:
             or self.scalar_only[d]
             or self.next_expiry[d] != math.inf
         ):
-            violations.append(f"device {d}: resident row has proxy-side state")
+            violations.append(f"device {d}: resident row has mirror state")
+        up = self.network[d]
         held = len(self.held[d] or ())
+        queued = len(self.proxy_queue[d] or ())
+        logged = len(self.read_log[d] or ())
+        if queued and up and (
+            self.online or self.queue_size[d] < self.prefetch_limit[d]
+        ):
+            violations.append(
+                f"device {d}: {queued} queued at the proxy while the link "
+                f"is up with room"
+            )
+        if logged and up:
+            violations.append(f"device {d}: offline read log kept while the link is up")
+        if self.accepted[d] != self.forwarded[d] + queued:
+            violations.append(
+                f"device {d}: {self.accepted[d]} accepted vs "
+                f"{self.forwarded[d]} forwarded + {queued} queued"
+            )
         landing = 0
         if self.plans is not None:
             inflight = self.inflight[d] or ()
             landing = len(inflight)
             parked = self.parked[d] or ()
-            if parked and self.network[d]:
+            if parked and up:
                 violations.append(f"device {d}: retries parked while the link is up")
             if any(entry[2] not in inflight for entry, _attempt in parked):
                 violations.append(f"device {d}: a parked retry is not in flight")
@@ -272,34 +335,43 @@ class FleetColumns:
                 f"device {d}: queue_size estimate {self.queue_size[d]} "
                 f"below the {held} notifications held"
             )
-        if self.empty_reads[d] > self.reads[d]:
-            violations.append(f"device {d}: more empty reads than reads")
+        reads = self.reads[d]
+        if self.empty_reads[d] > reads or self.outage_reads[d] > reads:
+            violations.append(f"device {d}: more empty or outage reads than reads")
+        # Every read reached the proxy but those still in the log.
+        reported = reads - logged
         averages = self.old_reads[d]
         if (averages is None) != (self.old_times[d] is None) or (
             averages is None
-        ) != (self.reads[d] == 0):
+        ) != (reported == 0):
             violations.append(
-                f"device {d}: read averages do not match {self.reads[d]} reads"
+                f"device {d}: read averages do not match {reported} reported reads"
             )
         elif averages is not None and averages.count != min(
-            self.reads[d], averages.window
+            reported, averages.window
         ):
             violations.append(
                 f"device {d}: read-size window holds {averages.count} of "
-                f"{self.reads[d]} reads"
+                f"{reported} reported reads"
             )
         return violations
 
     def _verify_mirror(self, d: int) -> List[str]:
         violations: List[str] = []
         state = self.states[d]
-        if self.held[d] is not None:
-            violations.append(f"device {d}: materialized row still holds notifications")
         up = state.network is NetworkStatus.UP
         if bool(self.network[d]) != up:
             violations.append(
                 f"device {d}: network column {self.network[d]} vs "
                 f"authoritative {state.network}"
+            )
+        logged = sum(
+            len(entries) for entries in self.clients[d]._offline_reads.values()
+        )
+        if self.offline_reads[d] != logged:
+            violations.append(
+                f"device {d}: offline_reads column {self.offline_reads[d]} vs "
+                f"{logged} logged on the device"
             )
         queued = state.queued_event_count()
         if self.proxy_queued[d] < queued:

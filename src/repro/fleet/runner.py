@@ -70,7 +70,7 @@ from repro.proxy.proxy import LastHopProxy, ProxyConfig
 from repro.sim import trace_shm
 from repro.sim.engine import Simulator
 from repro.sim.rng import derive_seed
-from repro.types import DeliveryMode, EventId, NetworkStatus, TopicId
+from repro.types import DeliveryMode, EventId, NetworkStatus, PolicyKind, TopicId
 
 
 def device_topic(device: int) -> TopicId:
@@ -222,10 +222,12 @@ class ShardWiring:
         The replay hands over what the binding's future depends on: the
         link status, the proxy's queue-size estimate and prefetch limit,
         the read averages (and the expiration threshold derived from
-        them), the notifications the device holds, and under a fault
-        spec the deliveries not landed (forwarded, so into the forwarded
-        sets; their timers route to the objects from now on) and the
-        parked retries (onto the link). The row's counts stay behind —
+        them), the notifications the device holds, the proxy's queue
+        (into ``outgoing`` under ONLINE, ``prefetch`` otherwise) and the
+        device's offline read log (each also setting its mirror count),
+        and under a fault spec the deliveries not landed (forwarded, so
+        into the forwarded sets; their timers route to the objects from
+        now on) and the parked retries (onto the link). The row's counts stay behind —
         the fold adds them to what the stats object counts from here on
         — except ``read_delay_sum``, which moves so the per-device float
         sum keeps accumulating left to right.
@@ -288,6 +290,18 @@ class ShardWiring:
                 state.forwarded.add(event_id)
                 stats.forwarded_ids.add(event_id)
             cols.held[index] = None
+        waiting = cols.proxy_queue[index]
+        if waiting is not None:
+            queue = state.outgoing if cols.online else state.prefetch
+            for entry in waiting:
+                queue.add(row_notification(topic, entry))
+            cols.proxy_queued[index] = len(waiting)
+            cols.proxy_queue[index] = None
+        log = cols.read_log[index]
+        if log is not None:
+            device._offline_reads[topic] = log
+            cols.offline_reads[index] = len(log)
+            cols.read_log[index] = None
         if plan is not None:
             landing = cols.inflight[index]
             if landing is not None:
@@ -338,7 +352,10 @@ def _execute_shard_inner(
     if spec is not None:
         spec.validate()
     cols = FleetColumns(
-        n, BufferPrefetcher(policy).limit_for(None), faulted=spec is not None
+        n,
+        BufferPrefetcher(policy).limit_for(None),
+        faulted=spec is not None,
+        online=policy.kind is PolicyKind.ONLINE,
     )
     wiring = ShardWiring(
         sim, proxy, acc, workload, cols, spec, link_latency, recorder
@@ -389,8 +406,8 @@ def _execute_shard_inner(
     # ``topic_state(t).queued_event_count()`` / ``device.queue_size(t)``
     # but reading the ranked queues' membership dicts directly — at 10k+
     # bindings the method hops are a measurable slice of the fold. A
-    # resident binding has nothing at the proxy and holds its row's
-    # ``held``.
+    # resident binding has its row's ``proxy_queue`` at the proxy and
+    # holds its row's ``held``.
     acc.add_shard(
         cols,
         sum(
@@ -398,7 +415,8 @@ def _execute_shard_inner(
             + len(st.prefetch._items)
             + len(st.holding._items)
             for st in proxy._states.values()
-        ),
+        )
+        + sum(len(waiting) for waiting in cols.proxy_queue if waiting),
         sum(
             len(device._queues[topic]._items)
             for device, topic in zip(cols.clients, cols.topics)

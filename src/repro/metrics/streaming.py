@@ -308,20 +308,26 @@ class FleetAccumulator:
         self.final_device_queued += final_device_queued
         counters = self.counters
         stats_list = table.stats
-        pushed = sum(table.forwarded)
+        accepted = sum(table.accepted)
+        sent = sum(table.forwarded)
+        pulled = sum(table.pulled)
         filtered = sum(table.filtered)
         dead = sum(table.dead)
         reads = sum(table.reads)
-        # While resident, every accepted arrival was forwarded on
-        # arrival as a push, and every read was an on-line READ.
-        counters["arrivals"] += pushed + filtered + dead
-        counters["accepted"] += pushed
+        outage_reads = sum(table.outage_reads)
+        # While resident, a forward was pulled inside a READ or pushed
+        # otherwise, and a read was a READ request unless the link was
+        # down.
+        counters["arrivals"] += accepted + filtered + dead
+        counters["accepted"] += accepted
         counters["filtered"] += filtered
         counters["expired_at_proxy"] += dead
-        counters["pushed"] += pushed
-        counters["bytes_sent"] += pushed * table.forward_bytes
+        counters["pushed"] += sent - pulled
+        counters["pulled"] += pulled
+        counters["bytes_sent"] += sent * table.forward_bytes
         counters["reads"] += reads
-        counters["read_requests"] += reads
+        counters["read_requests"] += reads - outage_reads
+        counters["reads_during_outage"] += outage_reads
         counters["empty_reads"] += sum(table.empty_reads)
         if table.plans is not None:
             for name in DELIVERY_FAULT_FIELDS:

@@ -7,6 +7,9 @@ outage interplay) all manifest within days to weeks.
 
 from __future__ import annotations
 
+import sys
+from typing import Callable
+
 import pytest
 
 from repro.sim.engine import Simulator
@@ -56,6 +59,43 @@ def make_config(
         ),
         threshold=threshold,
     )
+
+
+def calls_per_event(monkeypatch, action: Callable[[], object]) -> float:
+    """Python and C calls per fired event inside ``Simulator.run``.
+
+    Runs ``action()`` with every ``Simulator.run`` it makes counting
+    ``call`` / ``c_call`` events via ``sys.setprofile``. Host time cannot
+    resolve per-event cost reliably in CI; this count is deterministic
+    for a given interpreter.
+    """
+    counted = {"calls": 0, "events": 0}
+    run = Simulator.run
+
+    def counting_run(self, until=None):
+        calls = 0
+
+        def profile(_frame, event, _arg):
+            nonlocal calls
+            if event == "call" or event == "c_call":
+                calls += 1
+
+        before = self.events_processed
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            run(self, until)
+        finally:
+            sys.setprofile(previous)
+        counted["calls"] += calls
+        counted["events"] += self.events_processed - before
+
+    monkeypatch.setattr(Simulator, "run", counting_run)
+    try:
+        action()
+    finally:
+        monkeypatch.setattr(Simulator, "run", run)
+    return counted["calls"] / counted["events"]
 
 
 @pytest.fixture

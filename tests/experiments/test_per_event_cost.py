@@ -1,55 +1,44 @@
-"""Gate: the paper's object path costs the same per event at any duration.
+"""Gates: per-event cost, counted in calls rather than timed.
 
-Every table in ``results/`` is a one-virtual-year run. A read path that
-pays for queue depth (copying a lazy-deletion heap that grows with
-simulated time, popping through the stale entries earlier reads left)
-makes a year cost 50-110x a month for 12x the events. Host time cannot
-resolve that reliably in CI, so this counts instead: Python and C calls
-inside ``Simulator.run`` per fired event, via ``sys.setprofile``. The
-count is deterministic for a given interpreter, and a flat read path
-keeps it within a few percent from 30 days to a year.
+Host time cannot resolve per-event cost reliably in CI, so these count
+Python and C calls inside ``Simulator.run`` per fired event
+(:func:`tests.conftest.calls_per_event`, via ``sys.setprofile``); the
+count is deterministic for a given interpreter.
+
+* **The paper's object path costs the same per event at any duration.**
+  Every table in ``results/`` is a one-virtual-year run. A read path
+  that pays for queue depth (copying a lazy-deletion heap that grows
+  with simulated time, popping through the stale entries earlier reads
+  left) makes a year cost 50-110x a month for 12x the events; a flat
+  read path keeps calls per event within a few percent from 30 days to
+  a year.
+* **A deep clean fleet shard stays on its rows.** Its bindings queue
+  arrivals through outages and full buffers and read while their links
+  are down; the batch pump's resident handlers run all of it on the
+  binding table, a few calls per event. A binding pushed onto its
+  object graph costs several times that.
 """
-
-import sys
 
 import pytest
 
 from repro.experiments.runner import run_scenario
+from repro.fleet import FleetScenarioConfig, run_fleet
 from repro.proxy.policies import PolicyConfig
-from repro.sim.engine import Simulator
 from repro.units import DAY
+from repro.workload.arrivals import ArrivalConfig
+from repro.workload.outages import OutageConfig
+from repro.workload.reads import ReadConfig
 from repro.workload.scenario import ScenarioConfig, build_trace
+from tests.conftest import calls_per_event
 
 #: Year-over-month ceiling on calls per event. A flat path measures
 #: ~1.01; the copying read path measured 3.45-5.77.
 MAX_GROWTH = 1.2
 
-
-def _calls_per_event(monkeypatch, trace, policy):
-    counted = {}
-    run = Simulator.run
-
-    def counting_run(self, until=None):
-        calls = 0
-
-        def profile(_frame, event, _arg):
-            nonlocal calls
-            if event == "call" or event == "c_call":
-                calls += 1
-
-        previous = sys.getprofile()
-        sys.setprofile(profile)
-        try:
-            run(self, until)
-        finally:
-            sys.setprofile(previous)
-        counted["calls"] = calls
-        counted["events"] = self.events_processed
-
-    monkeypatch.setattr(Simulator, "run", counting_run)
-    run_scenario(trace, policy)
-    monkeypatch.setattr(Simulator, "run", run)
-    return counted["calls"] / counted["events"]
+#: Ceiling on calls per event of the deep clean fleet shard below. On
+#: its rows it measures 3.9-4.5; with outages and full buffers
+#: materializing every binding it measured 29-52.
+FLEET_MAX_CALLS = 15.0
 
 
 @pytest.fixture(scope="module")
@@ -66,9 +55,35 @@ def traces():
     ids=lambda policy: policy.kind.value,
 )
 def test_calls_per_event_flat_from_month_to_year(monkeypatch, traces, policy):
-    month = _calls_per_event(monkeypatch, traces[30], policy)
-    year = _calls_per_event(monkeypatch, traces[365], policy)
+    month = calls_per_event(monkeypatch, lambda: run_scenario(traces[30], policy))
+    year = calls_per_event(monkeypatch, lambda: run_scenario(traces[365], policy))
     assert year <= MAX_GROWTH * month, (
         f"{policy.describe()}: {year:.2f} calls/event over a year vs "
         f"{month:.2f} over 30 days"
+    )
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [
+        PolicyConfig.online(),
+        PolicyConfig.on_demand(),
+        PolicyConfig.unified(),
+        PolicyConfig.buffer(prefetch_limit=8),
+    ],
+    ids=lambda policy: policy.kind.value,
+)
+def test_deep_fleet_shard_calls_per_event(monkeypatch, policy):
+    """40 devices x 14 days of the benchmark's ``fleet_deep`` shape."""
+    config = FleetScenarioConfig(
+        devices=40,
+        seed=3,
+        duration=14 * DAY,
+        arrivals=ArrivalConfig(events_per_day=32),
+        reads=ReadConfig(reads_per_day=4),
+        outages=OutageConfig(downtime_fraction=0.3),
+    )
+    per_event = calls_per_event(monkeypatch, lambda: run_fleet(config, policy))
+    assert per_event <= FLEET_MAX_CALLS, (
+        f"{policy.describe()}: {per_event:.2f} calls/event on the deep shard"
     )

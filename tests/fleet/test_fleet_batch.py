@@ -78,6 +78,19 @@ LIGHT = dict(
     duration=DAY,
 )
 
+#: The benchmark's ``fleet_deep`` shape over three days: every binding
+#: queues arrivals through its outages and full buffers and reads while
+#: its link is down, all on its row.
+DEEP = dict(
+    arrivals=ArrivalConfig(events_per_day=32),
+    reads=ReadConfig(reads_per_day=4),
+    outages=OutageConfig(downtime_fraction=0.3),
+    duration=3 * DAY,
+)
+
+#: The policies whose rows queue and log (RATE arrivals escape).
+QUEUEING_POLICIES = ["buffer", "on_demand", "online", "unified"]
+
 
 def _both_signatures(config, policy, *, spec=None, link_latency=0.0):
     batch = run_fleet(
@@ -109,6 +122,14 @@ class TestDifferentialMatrix:
         batch, scalar = _both_signatures(
             config, POLICIES[policy_name](), spec=spec
         )
+        _assert_identical(batch, scalar)
+
+    @pytest.mark.parametrize(
+        "policy_name,seed", list(itertools.product(QUEUEING_POLICIES, [0, 7]))
+    )
+    def test_deep_clean_shape_matches_scalar(self, policy_name, seed):
+        config = FleetScenarioConfig(devices=30, seed=seed, **DEEP)
+        batch, scalar = _both_signatures(config, POLICIES[policy_name]())
         _assert_identical(batch, scalar)
 
 
@@ -429,11 +450,19 @@ class TestMaterializationInvisible:
         assert _outputs(forced.accumulator) == _rich_reference(name, policy_name)
 
     def test_light_shard_exercises_both_tiers(self):
-        """The canonical LIGHT shape keeps most bindings resident and
-        pushes some out, so the matrix above covers both tiers."""
-        config = FleetScenarioConfig(devices=600, seed=1, **LIGHT)
+        """The canonical LIGHT shape with a few expiring arrivals keeps
+        most bindings resident and pushes the bindings those arrivals
+        reach out, so one run covers both tiers."""
+        config = FleetScenarioConfig(
+            devices=600,
+            seed=1,
+            **dict(
+                LIGHT,
+                arrivals=ArrivalConfig(events_per_day=2, expiring_fraction=0.05),
+            ),
+        )
         batch = _run_shard(config, PolicyConfig.unified())
-        assert 0.0 < batch.cols.materialized_share < 1.0
+        assert 0.0 < batch.cols.materialized_share < 0.5
         scalar = _run_shard(config, PolicyConfig.unified(), use_batch=False)
         assert scalar.cols.materialized_share == 1.0
         assert _outputs(batch.accumulator) == _outputs(scalar.accumulator)
@@ -502,6 +531,40 @@ class TestMaterializationInvisible:
         assert _outputs(batch.accumulator) == _outputs(scalar.accumulator)
 
 
+    def test_escapes_inherit_proxy_queue_and_read_log(self):
+        """Non-vacuity of the clean handoff: rows materialized mid-pump
+        hand a non-empty proxy queue and offline read log to their
+        objects, and the run still equals scalar dispatch."""
+        config = FleetScenarioConfig(devices=40, seed=3, **DEEP)
+        middle = build_fleet_workload(config).total_events // 2
+        handed = {"queue": 0, "log": 0}
+        materialize = runner_mod.ShardWiring.materialize
+
+        def count_handoff(wiring, index):
+            cols = wiring.cols
+            if wiring.sim._running and cols.resident[index]:
+                handed["queue"] += bool(cols.proxy_queue[index])
+                handed["log"] += bool(cols.read_log[index])
+            materialize(wiring, index)
+
+        with _patched(runner_mod.ShardWiring, "materialize", count_handoff):
+            batch = _run_shard(
+                config,
+                PolicyConfig.unified(),
+                materialize=range(config.devices),
+                at_event=middle,
+            )
+        assert handed["queue"] > 0 and handed["log"] > 0, handed
+        assert batch.cols.materialized_share == 1.0
+        assert batch.cols.verify_sync() == []
+        scalar = _run_shard(config, PolicyConfig.unified(), use_batch=False)
+        assert _outputs(batch.accumulator) == _outputs(scalar.accumulator)
+        # A device reads a fixed size, so only the read-interval window
+        # shows whether the handed-over log reached the proxy.
+        for d in range(config.devices):
+            assert _device_view(batch, d) == _device_view(scalar, d), d
+
+
 def _device_view(shard, d):
     """Everything one binding did and holds, whichever tier it ended in
     (row counts plus object counts, as the fold adds them)."""
@@ -511,38 +574,52 @@ def _device_view(shard, d):
         "up": bool(cols.network[d]),
         "queue_size": cols.queue_size[d],
         "prefetch_limit": cols.prefetch_limit[d],
-        "arrivals": cols.forwarded[d] + cols.filtered[d] + cols.dead[d],
-        "accepted": cols.forwarded[d],
+        "arrivals": cols.accepted[d] + cols.filtered[d] + cols.dead[d],
+        "accepted": cols.accepted[d],
         "filtered": cols.filtered[d],
         "expired_at_proxy": cols.dead[d],
-        "pushed": cols.forwarded[d],
+        "pushed": cols.forwarded[d] - cols.pulled[d],
+        "pulled": cols.pulled[d],
         "reads": cols.reads[d],
-        "read_requests": cols.reads[d],
+        "read_requests": cols.reads[d] - cols.outage_reads[d],
+        "reads_during_outage": cols.outage_reads[d],
         "empty_reads": cols.empty_reads[d],
         "read_delay_sum": cols.read_delay_sum[d],
     }
     if stats is None:
         view["messages_read"] = cols.consumed[d]
         view["held"] = sorted(entry[2] for entry in cols.held[d] or ())
-        sizes = cols.old_reads[d]
+        view["queued"] = sorted(entry[2] for entry in cols.proxy_queue[d] or ())
+        view["read_log"] = list(cols.read_log[d] or ())
+        sizes, gaps = cols.old_reads[d], cols.old_times[d]
     else:
         for name in (
             "arrivals", "accepted", "filtered", "expired_at_proxy", "pushed",
-            "reads", "read_requests", "empty_reads",
+            "pulled", "reads", "read_requests", "reads_during_outage",
+            "empty_reads",
         ):
             view[name] += getattr(stats, name)
         view["read_delay_sum"] = stats.read_delay_sum
         view["messages_read"] = cols.consumed[d] + len(stats.read_ids)
-        view["held"] = sorted(
-            item.event_id for item in cols.clients[d].unread(cols.topics[d])
+        client, topic = cols.clients[d], cols.topics[d]
+        view["held"] = sorted(item.event_id for item in client.unread(topic))
+        view["queued"] = sorted(
+            item.event_id
+            for queue in (state.outgoing, state.prefetch, state.holding)
+            for item in queue
         )
+        view["read_log"] = list(client._offline_reads.get(topic, ()))
         # The mirror is only kept for bindings that can fuse; the
         # objects are what the scalar replay is compared on.
         view["up"] = cols.links[d].up
         view["queue_size"] = state.queue_size
         view["prefetch_limit"] = state.prefetch_limit
-        sizes = state.old_reads
+        sizes, gaps = state.old_reads, state.old_times
     view["read_sizes"] = None if sizes is None or not sizes.count else sizes._ordered()
+    view["read_gaps"] = (
+        None if gaps is None or gaps.last is None
+        else (gaps.last, gaps._gaps._ordered())
+    )
     return view
 
 
@@ -585,11 +662,26 @@ class TestColumnSync:
     @pytest.mark.parametrize("policy_name", sorted(POLICIES))
     def test_rows_match_scalar_replay_per_device(self, policy_name):
         """Per device, row + objects = what the scalar oracle's objects
-        say, down to the held ids and the read-size window."""
+        say, down to the held and queued ids, the read log and the
+        read-size and read-interval windows."""
         policy = POLICIES[policy_name]()
         batch = _run_shard(self.CONFIG, policy)
         scalar = _run_shard(self.CONFIG, policy, use_batch=False)
         for d in range(self.CONFIG.devices):
+            assert _device_view(batch, d) == _device_view(scalar, d), d
+
+    @pytest.mark.parametrize("policy_name", QUEUEING_POLICIES)
+    def test_deep_rows_match_scalar_replay_per_device(self, policy_name):
+        """The deep shape never leaves the rows, and every row — its
+        proxy queue and read log included — is what the scalar oracle's
+        objects hold."""
+        config = FleetScenarioConfig(devices=30, seed=3, **DEEP)
+        policy = POLICIES[policy_name]()
+        batch = _run_shard(config, policy)
+        assert batch.cols.materialized_share == 0.0
+        assert batch.cols.verify_sync() == []
+        scalar = _run_shard(config, policy, use_batch=False)
+        for d in range(config.devices):
             assert _device_view(batch, d) == _device_view(scalar, d), d
 
     def test_adaptive_threshold_survives_materialization(self):
