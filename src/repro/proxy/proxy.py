@@ -31,7 +31,7 @@ from repro.proxy.delay import DelayTracker
 from repro.proxy.policies import PolicyConfig
 from repro.proxy.prefetch import BufferPrefetcher, RatePrefetcher
 from repro.proxy.schedule import DeliverySchedule
-from repro.proxy.queues import highest_ranked
+from repro.proxy.queues import RankedQueue, highest_ranked
 from repro.proxy.state import TopicState
 from repro.sim.engine import Simulator
 from repro.types import DeliveryMode, EventId, NetworkStatus, PolicyKind, TopicId, TopicType
@@ -956,7 +956,12 @@ class LastHopProxy:
             self._auditor.maybe_audit(self._sim, state)
 
     def _teardown_volatile(self, state: TopicState) -> None:
-        """Cancel a binding's timers and drop its in-flight state."""
+        """Cancel a binding's timers and drop its in-flight state.
+
+        The queues go too: with their expiration timers cancelled they
+        would otherwise hold events past their deadlines for the whole
+        downtime. Restart rebuilds them from the history.
+        """
         for handle in state.expiration_handles.values():
             handle.cancel()
         state.expiration_handles.clear()
@@ -967,6 +972,9 @@ class LastHopProxy:
             state.quiet_wakeup.cancel()
             state.quiet_wakeup = None
         state.pending_retractions.clear()
+        state.outgoing = RankedQueue()
+        state.prefetch = RankedQueue()
+        state.holding = RankedQueue()
 
     def _rebuild_state(self, old: TopicState) -> Tuple[TopicState, int]:
         """Replace one binding's state from its durable history.

@@ -13,6 +13,7 @@ from repro.device.link import LastHopLink
 from repro.errors import ConfigurationError, ProxyError
 from repro.experiments.runner import ReplicationSpec, run_scenario
 from repro.faults import PRESETS, FaultPlan, FaultSpec, active_spec, configure
+from repro.proxy.invariants import check_topic_state
 from repro.proxy.policies import PolicyConfig
 from repro.proxy.proxy import LastHopProxy, ProxyConfig
 from repro.sim.engine import Simulator
@@ -377,6 +378,25 @@ class TestCrashRestart:
         proxy.crash()
         state = proxy.topic_state(TOPIC)
         assert state.queued_event_count() == 1
+
+    def test_downtime_queues_hold_no_expired_events(self):
+        """A crash takes the queues down with their expiration timers, so
+        nothing sits queued past its deadline while the proxy is down."""
+        sim, stats, link, device, proxy = wired_proxy(
+            policy=PolicyConfig.online()
+        )
+        link.set_status(NetworkStatus.DOWN)
+        proxy.on_notification(note(event_id=1, expires_at=1.0))
+        proxy.on_notification(note(event_id=2))
+        proxy.crash(restart_delay=5.0)
+        sim.run(until=2.0)
+        state = proxy.topic_state(TOPIC)
+        assert check_topic_state(state, sim.now) == []
+        assert state.queued_event_count() == 0
+        sim.run(until=6.0)
+        assert not proxy.crashed
+        state = proxy.topic_state(TOPIC)
+        assert [m.event_id for m in state.outgoing] == [EventId(2)]
 
 
 class TestRunnerIntegration:
