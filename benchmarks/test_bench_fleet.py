@@ -79,9 +79,9 @@ def test_bench_fleet_dispatch_micro(benchmark, dispatch):
     The workload is generated once outside the timed region, so this
     micro benchmark moves with the dispatch machinery alone — wiring,
     stream registration, the pump (or the scalar callback path), and
-    the fold — and pins the batched path's advantage over the scalar
-    oracle. Runs both modes so a regression in either is caught by the
-    baseline gate even though the fleet default is ``batch``.
+    the fold — and pins the pump's advantage over the scalar oracle.
+    Runs both so a regression in either is caught by the baseline gate,
+    though only the pump runs outside the differential tests.
     """
     workload = build_fleet_workload(_fleet_config(2_000))
     use_batch = dispatch == "batch"

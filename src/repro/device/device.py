@@ -195,26 +195,6 @@ class ClientDevice:
             )
             self._expiry_handles[notification.event_id] = handle
 
-    def receive_batch(self, notification: Notification) -> None:
-        """Fused receive for batched fleet dispatch.
-
-        The dispatcher guarantees what :meth:`receive` would otherwise
-        re-check: the device is alive (no battery model), the event id
-        is fresh (first delivery of a new arrival — duplicates require a
-        fault plan, which disables fusion), and storage is unlimited —
-        leaving the queue insert, the topic index, and the expiry timer.
-        """
-        queue = self._queues[notification.topic]
-        queue.add(notification)
-        self._topic_of[notification.event_id] = notification.topic
-        if notification.expires_at is not None:
-            handle = self._sim.schedule_at(
-                max(self._sim.now, notification.expires_at),
-                self._expire,
-                notification.event_id,
-            )
-            self._expiry_handles[notification.event_id] = handle
-
     def retract(self, event_id: EventId) -> None:
         """Discard a rank-dropped notification announced by the proxy."""
         if self.dead:

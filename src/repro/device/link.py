@@ -192,18 +192,6 @@ class LastHopLink:
             else:
                 self._device.receive(notification, mode)
 
-    def deliver_batch(self, notification: Notification) -> None:
-        """Fused delivery for batched fleet dispatch.
-
-        The caller (:meth:`repro.proxy.proxy.LastHopProxy._forward_batch`
-        via the batch dispatcher) guarantees the link is up, carries no
-        fault plan, and has zero latency — so metering plus a direct
-        device hand-off replicates :meth:`deliver` exactly.
-        """
-        self.deliveries += 1
-        self.bytes_carried += notification.size_bytes
-        self._device.receive_batch(notification)
-
     def retract(self, event_id: EventId) -> None:
         """Carry a rank-drop retraction to the device.
 

@@ -94,12 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "audit proxy invariants every N transitions "
                             "(bare --audit audits every one)"
                         ))
-    parser.add_argument("--dispatch", choices=["batch", "scalar"],
-                        default="batch",
-                        help=(
-                            "event dispatch mode: columnar batched shards "
-                            "(default) or the scalar per-event oracle"
-                        ))
     parser.add_argument("--profile", type=Path, nargs="?", const=_PROFILE_STDERR,
                         default=None, metavar="FILE",
                         help=(
@@ -250,7 +244,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 shards=args.shards,
                 jobs=args.jobs,
                 faults=fault_spec,
-                use_batch=args.dispatch == "batch",
             )
         finally:
             if profiler is not None:

@@ -170,12 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
                             f"({', '.join(sorted(faults.PRESETS))}) or a JSON "
                             "FaultSpec object, hashed per-device"
                         ))
-    parser.add_argument("--dispatch", choices=["batch", "scalar"],
-                        default="batch",
-                        help=(
-                            "event dispatch mode: columnar batched shards "
-                            "(default) or the scalar per-event oracle"
-                        ))
     # Output.
     parser.add_argument("--format", choices=["text", "json"], default="text",
                         help="summary format (default: text)")
@@ -441,7 +435,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 jobs=args.jobs,
                 resume=args.resume,
                 max_evals=args.max_evals,
-                use_batch=args.dispatch == "batch",
                 progress=progress,
             )
     except ConfigurationError as error:

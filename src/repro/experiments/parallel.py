@@ -14,7 +14,7 @@ Design constraints, and how they are met:
 * **Picklable work items.** Callers pass a module-level function and
   tuples of frozen dataclasses / plain values; nothing else crosses the
   process boundary. A fleet shard task names the shared-memory segment
-  holding its columns and carries its fault spec and dispatch mode, so
+  holding its columns and carries its fault spec and link latency, so
   a worker needs no state beyond its task.
 * **Deterministic merge.** Futures are submitted in grid order and
   harvested in that same order; stragglers simply make the harvest
@@ -196,7 +196,6 @@ def run_fleet_policy_batch(
     jobs: Optional[int] = 1,
     fault_spec: Optional["faults.FaultSpec"] = None,
     link_latency: float = 0.0,
-    use_batch: bool = True,
 ):
     """Execute several policy variants over ONE fleet workload's shards.
 
@@ -218,10 +217,9 @@ def run_fleet_policy_batch(
     is also invariant to ``(shards, jobs)`` up to documented float
     reassociation.
 
-    ``fault_spec`` (None = fault-free) and ``use_batch`` (the columnar
-    batched dispatcher, or the scalar per-event path that is its
-    differential oracle) ride in every shard task, so a worker runs
-    exactly what the caller asked for.
+    ``fault_spec`` (None = fault-free) and ``link_latency`` ride in
+    every shard task, so a worker runs exactly what the caller asked
+    for. Every shard runs on the batch pump.
 
     Fleet imports stay inside the function: :mod:`repro.fleet.runner`
     imports this module at import time, so importing it here at module
@@ -245,7 +243,7 @@ def run_fleet_policy_batch(
                     workload.shard(lo, hi)
                 )
                 total.merge(
-                    _execute_shard(piece, policy, fault_spec, link_latency, use_batch)
+                    _execute_shard(piece, policy, fault_spec, link_latency)
                 )
             totals.append(total)
         return totals
@@ -257,7 +255,7 @@ def run_fleet_policy_batch(
             for s, (lo, hi) in enumerate(bounds)
         ]
         tasks = [
-            (name, workload.config, policy, fault_spec, link_latency, use_batch)
+            (name, workload.config, policy, fault_spec, link_latency)
             # Policy-major: each policy's shards are contiguous, so the
             # in-order harvest below folds them without buffering.
             for policy in policies

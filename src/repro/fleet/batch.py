@@ -68,8 +68,12 @@ in flight).
 
 The first event outside that set calls ``materialize(d)`` — the fleet
 runner's per-device wiring plus a replay of the row into the objects —
-and falls through to the object path below, which then owns the binding
-for the rest of the run (one-way: nothing is ever re-absorbed). The
+and hands the event to the binding's scalar callbacks
+(``proxy.on_notification``, ``links[d].set_status``,
+``clients[d].perform_read``), which own the binding for the rest of the
+run (one-way: nothing is ever re-absorbed). From then on the row's
+``network``, ``queue_size`` and ``prefetch_limit`` are stale, so the
+pump tests ``resident[d]`` before it reads any of them. The
 escapes, each a property of the input or of the row: a RATE arrival (it
 earns per-arrival credit, which a row has no line for), an expiring
 arrival (it would arm a timer, and a row owns none), and a faulted
@@ -87,37 +91,16 @@ their sequence numbers — so
 binding escapes.
 
 Equivalence contract (pinned by ``tests/fleet/test_fleet_batch.py``):
-batched and scalar dispatch produce bit-identical
-:class:`~repro.metrics.streaming.FleetAccumulator` integer counters,
-float sums, and sketch buckets for any policy, fault preset, and seed,
-and whichever subset of bindings is materialized, whenever. The fusion
-rules that make this hold for a materialized binding:
-
-* A binding is *fused* only while every guarantee of the fast path
-  holds; :meth:`ShardBatchDispatcher.resync` re-derives the
-  ``scalar_only`` gate (and every mirrored column) from the
-  authoritative objects after each scalar fallback. Anything dynamic
-  timers can invalidate (crash rebuilds, pending retractions, the
-  rank-instability delay stage) routes the binding back through the
-  scalar oracle path. A shard that cannot fuse at all (a fault spec,
-  an observer, a latent link, a fixed delay) skips the resync entirely
-  — its materialized bindings' columns are never consulted.
-* Fused handlers replicate the scalar code path's *observable* writes
-  exactly, and skip only work proven to be a no-op under the fast-path
-  guarantees: the ``prefetch_limit`` recompute when ``old_reads`` has
-  not moved, the ``state.delay`` refresh while the tracker has no
-  drops, and the schedule-then-cancel expiration-timer pair on
-  immediately forwarded notifications (cancelled entries never count
-  toward ``events_processed``, and skipping a reservation shifts later
-  sequence numbers uniformly, preserving every relative order).
-* Conservative columns fail safe: ``proxy_queued`` may read high after
-  a dynamic expiration fired, which only demotes that binding's next
-  READ/UP event to the scalar path — never the reverse.
+the pump and the scalar oracle — the fleet runner's private
+``_execute_shard(..., use_batch=False)``, which materializes every
+binding at wiring and registers the four scalar streams — produce
+bit-identical :class:`~repro.metrics.streaming.FleetAccumulator` integer
+counters, float sums, and sketch buckets for any policy, fault preset,
+and seed, and whichever subset of bindings is materialized, whenever.
 """
 
 from __future__ import annotations
 
-import math
 from heapq import heappop, heappush
 from typing import Callable, List, Optional
 
@@ -195,56 +178,31 @@ class ShardBatchDispatcher:
         self.delay_sketch = accumulator.read_delay_sketch
         self.delay_moments = accumulator.read_delay_moments
 
-        # Nothing can observe intermediate states or perturb a
-        # delivery outside the pump: no observers (recorder/auditor
-        # hooks fire on scalar paths only), a zero-latency link, and the
-        # delay stage structurally inactive (a fixed positive delay arms
-        # per-event timers whose timeouts mutate queues outside the
-        # pumps).
-        quiet = (
+        #: Whether bindings may stay array-resident. Nothing may observe
+        #: intermediate states or perturb a delivery outside the pump:
+        #: no observers (recorder/auditor hooks fire on the scalar
+        #: callbacks only), a zero-latency link, the delay stage
+        #: structurally inactive (a fixed positive delay arms per-event
+        #: timers whose timeouts mutate queues outside the pump), and a
+        #: spec, if any, that arms no proxy crash (crash timers must
+        #: draw their sequence numbers at wiring, before the streams).
+        #: False means the runner materializes every binding at wiring.
+        self.keeps_rows = (
             recorder is None
             and auditor is None
             and link_latency == 0.0
             and (policy.delay is None or policy.delay == 0.0)
+            and (spec is None or spec.crashes_per_day == 0)
         )
-        #: Whether bindings may stay array-resident: a quiet shard whose
-        #: spec, if any, arms no proxy crash (crash timers must draw
-        #: their sequence numbers at wiring, before the streams). False
-        #: means the runner materializes every binding at wiring.
-        self.keeps_rows = quiet and (spec is None or spec.crashes_per_day == 0)
-        #: Whether materialized bindings may take the fused-on-object
-        #: handlers: a quiet shard with no fault spec (those handlers
-        #: assume the plan-free link). False means every event of a
-        #: materialized binding takes the scalar oracle path, and the
-        #: mirror columns are never consulted (so scalar fallbacks skip
-        #: the resync). Unlike ``scalar_only`` this can never be
-        #: invalidated by dynamic timers, so DOWN transitions — which
-        #: touch no queue state — may fuse on it alone.
-        self.can_fuse = can_fuse = quiet and spec is None
-        #: Adaptive delay (policy.delay None) stays fused per binding
-        #: until its tracker records a rank drop; see :meth:`resync`.
-        self.adaptive_delay = policy.delay is None
         self.online_kind = policy.kind is PolicyKind.ONLINE
-        #: RATE arrivals earn forwarding credit per event — inherently
-        #: scalar; RATE reads still fuse whenever the queues are empty.
-        self.fuse_arrivals = can_fuse and policy.kind is not PolicyKind.RATE
-        #: Resident arrivals likewise: a row has no credit line.
+        #: RATE arrivals earn forwarding credit per event, and a row has
+        #: no credit line.
         self.row_arrivals = (
             self.keeps_rows and policy.kind is not PolicyKind.RATE
         )
         #: The resident read's limit recompute (the objects' own lives
         #: in the proxy).
         self.limits = BufferPrefetcher(policy)
-        #: Whether fused arrivals must keep the proxy's durable history
-        #: and delay-tracker bookkeeping. Both exist solely for rank
-        #: changes: ``history`` is read when a change resolves its
-        #: original arrival (and by crash rebuilds, which imply a fault
-        #: plan and hence a never-fused binding), and the tracker's
-        #: publication count is only consulted once a drop has been
-        #: recorded. A shard whose workload carries no change events can
-        #: therefore skip both writes on the fused path;
-        #: :meth:`register_streams` clears this when that holds.
-        self.track_publications = True
 
         # Merged columnar stream (filled by register_streams). Plain
         # lists: per-item reads in the pump stay unboxed.
@@ -378,7 +336,6 @@ class ShardBatchDispatcher:
         na = a_times.size
         nc = c_times.size
         nr = r_times.size
-        self.track_publications = nc > 0
         zr = np.zeros(nr)
         zo = np.zeros(o_times.size)
         times = np.concatenate([a_times, c_times, r_times, o_times])
@@ -408,44 +365,6 @@ class ShardBatchDispatcher:
         self.sim.add_batch_stream(self.m_times, self._pump)
 
     # ------------------------------------------------------------------
-    # Column resynchronisation
-    # ------------------------------------------------------------------
-    def resync(self, d: int) -> None:
-        """Re-mirror one materialized binding's columns from the
-        authoritative objects; called after every scalar fallback in a
-        shard that can fuse.
-
-        Also re-fetches the :class:`TopicState` from the proxy (a crash
-        rebuild replaces the state object) and re-derives the
-        ``scalar_only`` gate: sticky conditions (recorded rank drops
-        under adaptive delay) keep the binding scalar, transient ones
-        (pending retractions, armed delay timers) clear once drained.
-        """
-        cols = self.cols
-        st = self.proxy._states[cols.topics[d]]
-        cols.states[d] = st
-        cols.network[d] = 1 if st.network is _UP else 0
-        cols.queue_size[d] = st.queue_size
-        cols.prefetch_limit[d] = st.prefetch_limit
-        cols.proxy_queued[d] = st.queued_event_count()
-        cols.offline_reads[d] = sum(
-            len(entries) for entries in cols.clients[d]._offline_reads.values()
-        )
-        nexp = math.inf
-        for queue in (st.outgoing, st.prefetch, st.holding):
-            heap = queue._expiry
-            if heap and heap[0][0] < nexp:
-                nexp = heap[0][0]
-        cols.next_expiry[d] = nexp
-        dirty = (
-            st.crashed
-            or bool(st.pending_retractions)
-            or bool(st.delay_handles)
-            or (self.adaptive_delay and st.tracker.drops > 0)
-        )
-        cols.scalar_only[d] = 1 if dirty else 0
-
-    # ------------------------------------------------------------------
     # The pump (engine batch-pop contract; see Simulator.add_batch_stream)
     # ------------------------------------------------------------------
     def _pump(
@@ -463,13 +382,9 @@ class ShardBatchDispatcher:
         m_pubs = self.m_pubs
         cols = self.cols
         resident = cols.resident
-        scalar_only = cols.scalar_only
         net = cols.network
         qsize = cols.queue_size
         plimit = cols.prefetch_limit
-        queued = cols.proxy_queued
-        nexp = cols.next_expiry
-        offline = cols.offline_reads
         held = cols.held
         waiting_at = cols.proxy_queue
         logs = cols.read_log
@@ -486,8 +401,6 @@ class ShardBatchDispatcher:
         old_reads = cols.old_reads
         old_times = cols.old_times
         topics = cols.topics
-        states = cols.states
-        stats_list = cols.stats
         links = cols.links
         clients = cols.clients
         materialize = self.materialize
@@ -496,16 +409,9 @@ class ShardBatchDispatcher:
         forward = None if cols.plans is None else self._forward
         clean = forward is None
         parked = cols.parked
-        notify_batch = self.proxy.notify_batch
-        read_batch = self.proxy.read_batch
         on_notification = self.proxy.on_notification
-        try_forwarding = self.proxy.try_forwarding
-        resync = self.resync
-        can_fuse = self.can_fuse
-        fuse_arrivals = self.fuse_arrivals
         row_arrivals = self.row_arrivals
         online = self.online_kind
-        track = self.track_publications
         window = self.policy.ma_window
         limit_for = self.limits.limit_for
         push_sketch = self.delay_sketch.push
@@ -565,56 +471,24 @@ class ShardBatchDispatcher:
                 else:
                     if resident[d]:
                         materialize(d)
-                    notification = Notification(
-                        event_id=m_ints[i],
-                        topic=topics[d],
-                        rank=m_ranks[i],
-                        published_at=t,
-                        expires_at=None if exp != exp else exp,
+                    on_notification(
+                        Notification(
+                            event_id=m_ints[i],
+                            topic=topics[d],
+                            rank=m_ranks[i],
+                            published_at=t,
+                            expires_at=None if exp != exp else exp,
+                        )
                     )
-                    if fuse_arrivals and not scalar_only[d]:
-                        if notify_batch(
-                            states[d],
-                            notification,
-                            bool(net[d]),
-                            qsize[d] < plimit[d],
-                            online,
-                            track,
-                        ):
-                            qsize[d] += 1
-                        else:
-                            queued[d] += 1
-                            if exp == exp and exp < nexp[d]:
-                                nexp[d] = exp
-                    else:
-                        on_notification(notification)
-                        if can_fuse:
-                            resync(d)
             elif code == _OUTAGE_DOWN:
-                # DOWN touches no queue state: the device listener
-                # ignores it and the proxy only records the status, so
-                # any binding of a shard that can fuse fuses regardless
-                # of dirtiness. (Branch order is by event frequency: a
-                # typical campaign carries several outage transitions
-                # per read.)
+                # (Branch order is by event frequency: a typical
+                # campaign carries several outage transitions per read.)
                 if resident[d]:
                     net[d] = 0
-                elif can_fuse:
-                    if net[d]:
-                        net[d] = 0
-                        links[d]._status = _DOWN
-                        states[d].network = _DOWN
                 else:
                     links[d].set_status(_DOWN)
             elif code == _OUTAGE_UP:
-                # UP fuses when reconnection needs no offline read log
-                # replayed. The listener cascade reduces to the queue
-                # report (clean bindings track the device queue
-                # exactly, so the report itself is the whole device
-                # side) followed by the proxy's try_forwarding — a
-                # no-op unless something is queued, in which case the
-                # real flush runs and the columns resync from its
-                # outcome. A resident binding runs the same cascade on
+                # A resident binding runs the link's listener cascade on
                 # its row: under a fault spec its parked retries resume
                 # first, as LastHopLink.set_status resumes them before
                 # its listeners; then the queue report, the log replay
@@ -663,24 +537,8 @@ class ShardBatchDispatcher:
                                 else:
                                     holding.extend(sent)
                         qsize[d] = size
-                elif can_fuse and not scalar_only[d] and not offline[d]:
-                    if not net[d]:
-                        st = states[d]
-                        links[d]._status = _UP
-                        qlen = len(clients[d]._queues[topics[d]])
-                        st.queue_size = qlen
-                        qsize[d] = qlen
-                        st.network = _UP
-                        net[d] = 1
-                        if queued[d]:
-                            try_forwarding(st)
-                            qsize[d] = st.queue_size
-                            plimit[d] = st.prefetch_limit
-                            queued[d] = st.queued_event_count()
                 else:
                     links[d].set_status(_UP)
-                    if can_fuse:
-                        resync(d)
             elif code == _READ:
                 n = m_ints[i]
                 if resident[d]:
@@ -690,7 +548,7 @@ class ShardBatchDispatcher:
                         if net[d]:
                             # on_read: the moving-average bookkeeping,
                             # the queue-size sync and the limit
-                            # recompute (read_batch) ...
+                            # recompute ...
                             sizes = old_reads[d]
                             if sizes is None:
                                 sizes = old_reads[d] = MovingAverage(window)
@@ -772,33 +630,10 @@ class ShardBatchDispatcher:
                         i += 1
                         continue
                     materialize(d)
-                # Fused READ: link up, binding clean, and nothing
-                # queued at the proxy (proxy_queued is a conservative
-                # upper bound, so zero here means truly empty) — the
-                # whole READ exchange reduces to moving-average
-                # bookkeeping plus local consume.
-                if can_fuse and net[d] and not scalar_only[d] and not queued[d]:
-                    stats = stats_list[d]
-                    stats.reads += 1
-                    st = states[d]
-                    client = clients[d]
-                    topic = topics[d]
-                    qlen = len(client._queues[topic])
-                    read_batch(st, n, qlen)
-                    qsize[d] = qlen
-                    plimit[d] = st.prefetch_limit
-                    if not client._consume(topic, n):
-                        stats.empty_reads += 1
-                else:
-                    clients[d].perform_read(topics[d], n)
-                    if can_fuse:
-                        resync(d)
+                clients[d].perform_read(topics[d], n)
             elif code == _CHANGE:
-                # Rank changes always take the scalar oracle path: they
-                # mutate shared Notification objects, may arm
-                # retractions, and feed the delay tracker — all of
-                # which the fused gates must then see. (The runner
-                # materialized this binding at wiring.)
+                # The runner materialized this binding at wiring: a
+                # change resolves against the proxy's durable history.
                 exp = m_exps[i]
                 on_notification(
                     Notification(
@@ -809,13 +644,8 @@ class ShardBatchDispatcher:
                         expires_at=None if exp != exp else exp,
                     )
                 )
-                if can_fuse:
-                    resync(d)
             else:
-                # Filtered / dead-on-arrival: counters only. The scalar
-                # path's trailing try_forwarding is a no-op here
-                # (queues untouched; prefetch_limit already equals the
-                # policy-effective value).
+                # Filtered / dead-on-arrival: counters only on a row.
                 if resident[d]:
                     if row_arrivals:
                         if code == _ARRIVE_FILTERED:
@@ -825,26 +655,16 @@ class ShardBatchDispatcher:
                         i += 1
                         continue
                     materialize(d)
-                if fuse_arrivals and not scalar_only[d]:
-                    stats = stats_list[d]
-                    stats.arrivals += 1
-                    if code == _ARRIVE_FILTERED:
-                        stats.filtered += 1
-                    else:
-                        stats.expired_at_proxy += 1
-                else:
-                    exp = m_exps[i]
-                    on_notification(
-                        Notification(
-                            event_id=m_ints[i],
-                            topic=topics[d],
-                            rank=m_ranks[i],
-                            published_at=t,
-                            expires_at=None if exp != exp else exp,
-                        )
+                exp = m_exps[i]
+                on_notification(
+                    Notification(
+                        event_id=m_ints[i],
+                        topic=topics[d],
+                        rank=m_ranks[i],
+                        published_at=t,
+                        expires_at=None if exp != exp else exp,
                     )
-                    if can_fuse:
-                        resync(d)
+                )
             i += 1
             if sim._seq_next != seq_mark:
                 seq_mark = sim._seq_next

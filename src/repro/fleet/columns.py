@@ -19,37 +19,11 @@ A binding lives in one of two tiers, recorded in ``resident``:
   handlers cannot express makes the runner build the binding's object
   graph and replay the row into it (``ShardWiring.materialize`` in
   :mod:`repro.fleet.runner`). From then on — one-way, for the rest of
-  the run — the objects are authoritative and the first group of
-  columns below is a write-through *mirror* of them, exactly as before
-  the two tiers existed.
-
-Mirror invariants of a materialized row (pinned by
-:meth:`FleetColumns.verify_sync` and the differential suite):
-
-* ``network``, ``queue_size``, ``prefetch_limit`` and ``offline_reads``
-  are **exact**: every code path that mutates the authoritative field
-  either updates the column in the same step (the fused-on-object fast
-  paths) or is followed by
-  :meth:`~repro.fleet.batch.ShardBatchDispatcher.resync` (every scalar
-  fallback).
-* ``proxy_queued`` is a **conservative upper bound**: fused paths keep
-  it exact, but dynamic expiration timers (which fire outside the
-  pumps) may shrink the real queues first. Stale-high is safe — it only
-  sends the next READ/UP event for that device down the scalar path,
-  which resyncs.
-* ``next_expiry`` is a **conservative lower bound** on the earliest
-  ``expires_at`` queued at the proxy (``inf`` when nothing expiring is
-  queued); it may point at an already-removed event, never past a live
-  one.
-* ``scalar_only`` is sticky-conservative: set the moment a binding
-  leaves fast-path territory (pending retractions, adaptive delay
-  armed by rank drops) and only cleared by a resync that re-verifies
-  every fast-path precondition. Only a shard that can fuse consults it.
-
-The mirror columns are written only from objects: a resident row keeps
-its queue and log in ``proxy_queue`` / ``read_log``, so its
-``proxy_queued`` / ``offline_reads`` / ``scalar_only`` stay 0 and
-``next_expiry`` ``inf`` until ``materialize`` hands both over.
+  the run — the objects are the binding's only state and take its
+  events on the scalar callbacks. The row keeps its counts (below) and
+  points at the objects through ``topics`` / ``stats`` / ``links`` /
+  ``clients``; its ``network``, ``queue_size`` and ``prefetch_limit``
+  go stale and are never read again.
 
 Resident-row invariants (also :meth:`FleetColumns.verify_sync`): the
 queue is non-empty only while the link is down or, outside ONLINE, the
@@ -67,9 +41,7 @@ the link is down, the five delivery-fault counters, and the device's
 pump's resident ladder (:mod:`repro.fleet.batch`) runs on them; only a
 crash-free spec keeps rows resident at all, so nothing here models a
 crash. A faulted row never queues an arrival or logs a read — both
-still escape — so its ``proxy_queue`` / ``read_log`` stay None. A
-faulted shard never fuses, so its materialized rows keep no mirror:
-their objects are read directly.
+still escape — so its ``proxy_queue`` / ``read_log`` stay None.
 
 The row's counts keep what happened *while resident*; after
 materialization the binding's ``SketchedStats`` counts what happens
@@ -84,12 +56,11 @@ arrays: the pump reads them one element at a time, and every
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional
 
 from repro.broker.message import DEFAULT_SIZE_BYTES, Notification
 from repro.metrics.accounting import DELIVERY_FAULT_FIELDS
-from repro.types import EventId, NetworkStatus, TopicId
+from repro.types import EventId, TopicId
 
 
 def row_notification(topic: TopicId, entry) -> Notification:
@@ -114,10 +85,6 @@ class FleetColumns:
         "network",
         "queue_size",
         "prefetch_limit",
-        "proxy_queued",
-        "next_expiry",
-        "offline_reads",
-        "scalar_only",
         "held",
         "proxy_queue",
         "read_log",
@@ -137,7 +104,6 @@ class FleetColumns:
         "stats",
         "links",
         "clients",
-        "states",
         "inflight",
         "parked",
         "plans",
@@ -163,25 +129,16 @@ class FleetColumns:
         self.online = online
         #: 1 while the row is the binding's only state (no objects).
         self.resident = bytearray(b"\x01") * n
+
+        # -- resident-tier state ----------------------------------------
+        # The first three go stale on materialization; the counts below
+        # them keep what happened while resident.
         #: 1 while the binding's last-hop link is UP.
         self.network = bytearray(b"\x01") * n
         #: The proxy's estimate of the client queue occupancy.
         self.queue_size: List[int] = [0] * n
         #: The binding's current prefetch budget (policy-effective).
         self.prefetch_limit: List[int] = [initial_prefetch_limit] * n
-
-        # -- mirror-only columns (identity values while resident) ------
-        #: Events waiting in the binding's three proxy queues.
-        self.proxy_queued: List[int] = [0] * n
-        #: Earliest ``expires_at`` queued at the proxy (inf = none).
-        self.next_expiry: List[float] = [math.inf] * n
-        #: Offline read-log entries buffered on the device.
-        self.offline_reads: List[int] = [0] * n
-        #: Sticky dispatch gate: 1 = route this binding's events through
-        #: the scalar oracle path.
-        self.scalar_only = bytearray(n)
-
-        # -- resident-tier state ----------------------------------------
         #: Notifications the device holds unread, as ``(-rank,
         #: published_at, event_id)`` — the ranked-selection key of
         #: :class:`~repro.proxy.queues.RankedQueue`, so a plain sort is
@@ -227,7 +184,6 @@ class FleetColumns:
         self.stats: List = [None] * n
         self.links: List = [None] * n
         self.clients: List = [None] * n
-        self.states: List = [None] * n
 
         # -- fault row state (each column None in a clean shard) --------
         #: Event ids forwarded but not landed on the device: in flight
@@ -256,46 +212,36 @@ class FleetColumns:
         """Check both tiers' invariants; returns human-readable
         violations (empty = in sync).
 
-        Materialized rows: that the row handed all its row state over,
-        and the mirror columns against the authoritative objects (a
-        faulted shard keeps no mirror). Resident rows: the row against
-        itself — the identities that make the replay into objects well
-        defined (no objects yet, no mirror state, a queue only where the
-        proxy would keep one, a log only while the link is down, every
-        accepted arrival forwarded or queued, every forward read, held
-        or not landed, retries parked only while the link is down, the
-        averages present exactly when a read reached the proxy).
+        Materialized rows: that the row handed all its row state over
+        (the objects are then the binding's only state). Resident rows:
+        the row against itself — the identities that make the replay
+        into objects well defined (no objects yet, a queue only where
+        the proxy would keep one, a log only while the link is down,
+        every accepted arrival forwarded or queued, every forward read,
+        held or not landed, retries parked only while the link is down,
+        the averages present exactly when a read reached the proxy).
         """
         violations: List[str] = []
-        row_state = [self.held, self.proxy_queue, self.read_log]
+        row_state = [
+            self.held, self.proxy_queue, self.read_log,
+            self.old_reads, self.old_times,
+        ]
         if self.plans is not None:
             row_state += [self.inflight, self.parked]
         for d in range(self.devices):
             if self.resident[d]:
                 violations.extend(self._verify_resident(d))
-                continue
-            if any(column[d] is not None for column in row_state):
+            elif any(column[d] is not None for column in row_state):
                 violations.append(f"device {d}: materialized row kept row state")
-            if self.plans is None:
-                violations.extend(self._verify_mirror(d))
         return violations
 
     def _verify_resident(self, d: int) -> List[str]:
         violations: List[str] = []
         if any(
             column[d] is not None
-            for column in (
-                self.topics, self.stats, self.links, self.clients, self.states
-            )
+            for column in (self.topics, self.stats, self.links, self.clients)
         ):
             violations.append(f"device {d}: resident row owns objects")
-        if (
-            self.proxy_queued[d]
-            or self.offline_reads[d]
-            or self.scalar_only[d]
-            or self.next_expiry[d] != math.inf
-        ):
-            violations.append(f"device {d}: resident row has mirror state")
         up = self.network[d]
         held = len(self.held[d] or ())
         queued = len(self.proxy_queue[d] or ())
@@ -354,49 +300,4 @@ class FleetColumns:
                 f"device {d}: read-size window holds {averages.count} of "
                 f"{reported} reported reads"
             )
-        return violations
-
-    def _verify_mirror(self, d: int) -> List[str]:
-        violations: List[str] = []
-        state = self.states[d]
-        up = state.network is NetworkStatus.UP
-        if bool(self.network[d]) != up:
-            violations.append(
-                f"device {d}: network column {self.network[d]} vs "
-                f"authoritative {state.network}"
-            )
-        logged = sum(
-            len(entries) for entries in self.clients[d]._offline_reads.values()
-        )
-        if self.offline_reads[d] != logged:
-            violations.append(
-                f"device {d}: offline_reads column {self.offline_reads[d]} vs "
-                f"{logged} logged on the device"
-            )
-        queued = state.queued_event_count()
-        if self.proxy_queued[d] < queued:
-            violations.append(
-                f"device {d}: proxy_queued column {self.proxy_queued[d]} "
-                f"below authoritative {queued}"
-            )
-        if self.queue_size[d] != state.queue_size:
-            violations.append(
-                f"device {d}: queue_size column {self.queue_size[d]} vs "
-                f"authoritative {state.queue_size}"
-            )
-        if self.prefetch_limit[d] != state.prefetch_limit:
-            violations.append(
-                f"device {d}: prefetch_limit column "
-                f"{self.prefetch_limit[d]} vs authoritative "
-                f"{state.prefetch_limit}"
-            )
-        hint = self.next_expiry[d]
-        for queue in (state.outgoing, state.prefetch, state.holding):
-            for item in queue:
-                if item.expires_at is not None and item.expires_at < hint:
-                    violations.append(
-                        f"device {d}: next_expiry hint {hint:.3f} past "
-                        f"queued expiry {item.expires_at:.3f}"
-                    )
-                    break
         return violations

@@ -12,6 +12,8 @@ offsets, and per-device outage severity.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Tuple
 
@@ -21,6 +23,24 @@ from repro.workload.arrivals import ArrivalConfig
 from repro.workload.outages import OutageConfig
 from repro.workload.ranks import RankChangeConfig
 from repro.workload.reads import ReadConfig
+
+#: Fields that must hold a finite real number (never a bool).
+_REAL_FIELDS = (
+    "duration", "threshold", "rate_sigma", "read_rate_sigma",
+    "downtime_sigma", "wake_hour_spread",
+)
+
+#: Nested workload configs and the class each must be an instance of.
+_NESTED_FIELDS = (
+    ("arrivals", ArrivalConfig),
+    ("reads", ReadConfig),
+    ("outages", OutageConfig),
+    ("rank_changes", RankChangeConfig),
+)
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -59,6 +79,38 @@ class FleetScenarioConfig:
     wake_hour_spread: float = 3.0
 
     def validate(self) -> None:
+        # Types first: sweep axes, grid files and tune bases set fields
+        # from JSON, which can hold any of its types in any field.
+        for name in ("devices", "seed"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {value!r}"
+                )
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)
+            ):
+                raise ConfigurationError(
+                    f"{name} must be a finite number, got {value!r}"
+                )
+        for name, kind in _NESTED_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ConfigurationError(
+                    f"{name} must be of type {kind.__name__}, got {value!r}"
+                )
+        if not isinstance(self.volume_limits, tuple) or not all(
+            _is_int(limit) for limit in self.volume_limits
+        ):
+            raise ConfigurationError(
+                f"volume_limits must be a tuple of integers, got "
+                f"{self.volume_limits!r}"
+            )
+
         if self.devices < 1:
             raise ConfigurationError(
                 f"devices must be at least 1, got {self.devices}"

@@ -29,8 +29,11 @@ The table (rows plus the materialized bindings' stats) folds into a
 finishes; nothing per-device survives the shard,
 so parent-side memory is O(shards) no matter how many devices run.
 
-A shard's fault spec (None = fault-free) and dispatch mode are
-arguments; the only process-wide state it reads is :mod:`repro.obs`.
+A shard's fault spec (None = fault-free) is an argument; the only
+process-wide state it reads is :mod:`repro.obs`. Every shard runs
+through the batch pump; the scalar oracle the tests compare it against
+(every binding materialized at wiring, four scalar streams) is reached
+only through the private ``_execute_shard(..., use_batch=False)``.
 
 Determinism across sharding: devices never interact (separate topics,
 links, fault plans hashed on the device's derived seed), so each
@@ -136,10 +139,10 @@ def _execute_shard(
     row, on objects, or first one then the other — or through the
     single-device runner.
 
-    ``use_batch`` picks the dispatch mode: the batched fast path over
-    the binding table (the default) or the scalar per-callback oracle,
-    which materializes every binding at wiring. Both produce
-    bit-identical integer metrics.
+    ``use_batch=False`` runs the scalar oracle instead of the batch
+    pump: every binding materialized at wiring, every event on a scalar
+    callback. It exists for the differential tests, which pin both to
+    bit-identical outputs; no public entry point reaches it.
     """
     obs_ctx = obs.active()
     recorder = None if obs_ctx is None else obs_ctx.recorder
@@ -161,8 +164,8 @@ class ShardWiring:
     the only place the per-device ``SketchedStats`` / ``LastHopLink`` /
     ``ClientDevice`` / ``TopicState`` are constructed — for every
     binding at wiring when the shard cannot take the resident handlers
-    (scalar dispatch, a fault spec that arms proxy crashes, observers, a
-    latent link, a fixed delay), for a single binding from inside the
+    (the scalar oracle, a fault spec that arms proxy crashes, observers,
+    a latent link, a fixed delay), for a single binding from inside the
     batch pump otherwise (:mod:`repro.fleet.batch` lists the escapes).
     """
 
@@ -224,13 +227,14 @@ class ShardWiring:
         the read averages (and the expiration threshold derived from
         them), the notifications the device holds, the proxy's queue
         (into ``outgoing`` under ONLINE, ``prefetch`` otherwise) and the
-        device's offline read log (each also setting its mirror count),
-        and under a fault spec the deliveries not landed (forwarded, so
-        into the forwarded sets; their timers route to the objects from
-        now on) and the parked retries (onto the link). The row's counts stay behind —
-        the fold adds them to what the stats object counts from here on
-        — except ``read_delay_sum``, which moves so the per-device float
-        sum keeps accumulating left to right.
+        device's offline read log, and under a fault spec the
+        deliveries not landed (forwarded, so into the forwarded sets;
+        their timers route to the objects from now on) and the parked
+        retries (onto the link). The row's counts stay behind — the fold
+        adds them to what the stats object counts from here on — except
+        ``read_delay_sum``, which moves so the per-device float sum keeps
+        accumulating left to right. The row's link status, queue-size
+        estimate and prefetch limit are left stale.
         """
         cols = self.cols
         if not cols.resident[index]:
@@ -295,12 +299,10 @@ class ShardWiring:
             queue = state.outgoing if cols.online else state.prefetch
             for entry in waiting:
                 queue.add(row_notification(topic, entry))
-            cols.proxy_queued[index] = len(waiting)
             cols.proxy_queue[index] = None
         log = cols.read_log[index]
         if log is not None:
             device._offline_reads[topic] = log
-            cols.offline_reads[index] = len(log)
             cols.read_log[index] = None
         if plan is not None:
             landing = cols.inflight[index]
@@ -321,7 +323,6 @@ class ShardWiring:
         cols.stats[index] = stats
         cols.links[index] = link
         cols.clients[index] = device
-        cols.states[index] = state
         cols.resident[index] = 0
 
 
@@ -576,7 +577,6 @@ def _execute_shard_from_shm(
     policy: PolicyConfig,
     fault_spec: Optional[FaultSpec],
     link_latency: float,
-    use_batch: bool = True,
 ) -> FleetAccumulator:
     """Worker entry: run the shard published as segment ``name``.
 
@@ -588,7 +588,7 @@ def _execute_shard_from_shm(
     try:
         return _execute_shard(
             FleetWorkload.from_trace(config, packed),
-            policy, fault_spec, link_latency, use_batch,
+            policy, fault_spec, link_latency,
         )
     except BaseException as exc:
         # The traceback keeps the failed shard's frames, and through
@@ -610,7 +610,6 @@ def run_fleet(
     faults: Optional[FaultSpec] = None,
     link_latency: float = 0.0,
     workload: Optional[FleetWorkload] = None,
-    use_batch: bool = True,
 ) -> FleetResult:
     """Run a whole fleet campaign; results invariant to ``(shards, jobs)``.
 
@@ -621,8 +620,7 @@ def run_fleet(
     realizing its own plan from its derived seed; None runs fault-free.
     Pass ``workload`` to reuse an already-built
     :func:`build_fleet_workload` result (it must match ``config``).
-    ``use_batch`` selects batched (default) or scalar shard dispatch;
-    both produce bit-identical integer metrics.
+    Every shard runs on the batch pump over its binding table.
     """
     config.validate()
     if policy is None:
@@ -643,7 +641,6 @@ def run_fleet(
         jobs=jobs,
         fault_spec=faults,
         link_latency=link_latency,
-        use_batch=use_batch,
     )
     return FleetResult(
         config=config,

@@ -335,7 +335,6 @@ def run_fleet_sweep(
     jobs: int = 1,
     resume: bool = False,
     max_cells: Optional[int] = None,
-    use_batch: bool = True,
     link_latency: float = 0.0,
     progress: Optional[Callable[[str], None]] = None,
 ) -> SweepOutcome:
@@ -387,7 +386,6 @@ def run_fleet_sweep(
             jobs=jobs,
             fault_spec=config.faults,
             link_latency=link_latency,
-            use_batch=use_batch,
         )
         for cell, accumulator in zip(pending, accumulators):
             store.append(_build_row(campaign, cell, accumulator))

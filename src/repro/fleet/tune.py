@@ -674,7 +674,6 @@ def run_fleet_tune(
     jobs: int = 1,
     resume: bool = False,
     max_evals: Optional[int] = None,
-    use_batch: bool = True,
     link_latency: float = 0.0,
     progress: Optional[Callable[[str], None]] = None,
 ) -> TuneOutcome:
@@ -727,7 +726,6 @@ def run_fleet_tune(
             jobs=jobs,
             fault_spec=config.faults,
             link_latency=link_latency,
-            use_batch=use_batch,
         )
         row = SweepRow(
             cell_key=key,

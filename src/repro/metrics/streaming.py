@@ -300,8 +300,8 @@ class FleetAccumulator:
         resident binding's other floats are the 0.0 a never-touched
         ``RunStats`` holds, which adds nothing wherever it falls in the
         order. The per-device moment pushes stay
-        sequential — Welford's update is order-sensitive, and both
-        fleet dispatch modes must describe() identically.
+        sequential — Welford's update is order-sensitive, and the batch
+        pump and the scalar oracle must describe() identically.
         """
         self.devices += table.devices
         self.final_proxy_queued += final_proxy_queued

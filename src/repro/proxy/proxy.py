@@ -367,114 +367,6 @@ class LastHopProxy:
                     break
                 state.outgoing.add(event)
 
-    # ------------------------------------------------------------------
-    # Batched fast-path entries (fleet dispatch; repro.fleet.batch)
-    # ------------------------------------------------------------------
-    def notify_batch(
-        self,
-        state: TopicState,
-        notification: Notification,
-        up: bool,
-        room: bool,
-        online: bool,
-        track: bool = True,
-    ) -> bool:
-        """Fused NOTIFICATION fast path for batched fleet dispatch.
-
-        Replicates :meth:`on_notification` for a *live, genuinely new*
-        arrival under the dispatcher's guarantees: proxy and binding not
-        crashed, rank at or above the threshold, not expired at arrival,
-        no recorder/auditor attached, no delivery schedule, the delay
-        stage inactive (fixed zero, or adaptive with no recorded drops),
-        a non-RATE policy, and — while the link is up — an empty
-        outgoing queue and no pending retractions. ``up`` and ``room``
-        mirror the caller's columnar link status and prefetch-budget
-        check; ``room`` implies the prefetch queue is empty (the
-        dispatcher's standing invariant), which is re-checked cheaply
-        here. Skipped no-ops relative to the scalar chain: the
-        ``state.delay`` refresh (tracker has no drops), the
-        ``prefetch_limit`` recompute (``old_reads`` unchanged since its
-        last write), and the schedule-then-cancel expiration-timer pair
-        on immediate forwards. ``track=False`` additionally skips the
-        durable-history insert and the delay-tracker publication count;
-        both exist solely for rank changes (crash rebuilds read history
-        too, but imply a fault plan and hence a never-fused binding), so
-        the caller may clear it only when its workload carries none.
-        Returns True iff the notification was forwarded to the device
-        (the client queue grew by one).
-        """
-        stats = state.stats
-        stats.arrivals += 1
-        stats.accepted += 1
-        if track:
-            state.history[notification.event_id] = notification
-            state.tracker.record_publication()
-        expires_at = notification.expires_at
-        if online:
-            # "send to client ASAP" — no volume budget applies.
-            if up:
-                self._forward_batch(state, notification)
-                return True
-            state.outgoing.add(notification)
-            if expires_at is not None:
-                self._schedule_expiration(state, notification)
-            return False
-        if expires_at is None:
-            if up and room and not state.prefetch:
-                self._forward_batch(state, notification)
-                return True
-            state.prefetch.add(notification)
-            return False
-        now = self._sim.now
-        state.exp_times.push(expires_at - notification.published_at)
-        if expires_at - now < state.expiration_threshold:
-            # Expires too soon to be worth prefetching.
-            self._schedule_expiration(state, notification)
-            state.holding.add(notification)
-            return False
-        if up and room and not state.prefetch:
-            self._forward_batch(state, notification)
-            return True
-        self._schedule_expiration(state, notification)
-        state.prefetch.add(notification)
-        return False
-
-    def read_batch(self, state: TopicState, n: int, queue_size: int) -> None:
-        """Fused READ fast path for batched fleet dispatch.
-
-        Replicates :meth:`on_read` when all three proxy queues are empty
-        (the dispatcher's ``proxy_queued`` column is a conservative
-        upper bound, so a zero there proves it): pruning, candidate
-        selection, and forwarding all reduce to no-ops, leaving the
-        moving-average bookkeeping, the client queue-size sync, and the
-        ``prefetch_limit`` recompute — which must run here because
-        ``old_reads`` just moved.
-        """
-        policy = self._config.policy
-        state.stats.read_requests += 1
-        state.old_reads.push(float(n))
-        state.old_times.push(self._sim.now)
-        if policy.expiration_threshold is None:
-            state.expiration_threshold = state.old_times.value_or(
-                policy.initial_expiration_threshold
-            )
-        state.queue_size = queue_size
-        state.prefetch_limit = self._buffer.effective_limit(state)
-
-    def _forward_batch(self, state: TopicState, event: Notification) -> None:
-        """:meth:`_do_forward` minus the scalar path's no-ops: the mode
-        is always PUSHED (never inside a READ), no recorder fires, and
-        no expiration handle exists to cancel (the fused arrival path
-        never armed one before an immediate forward)."""
-        state.transport.deliver_batch(event)
-        state.queue_size += 1
-        event_id = event.event_id
-        state.forwarded.add(event_id)
-        stats = state.stats
-        stats.forwarded_ids.add(event_id)
-        stats.bytes_sent += event.size_bytes
-        stats.pushed += 1
-
     def _schedule_expiration(self, state: TopicState, notification: Notification) -> None:
         fire_at = max(self._sim.now, notification.expires_at or self._sim.now)
         handle = self._sim.schedule_at(

@@ -1,24 +1,27 @@
-"""Differential suite: batched fleet dispatch vs the scalar oracle.
+"""Differential suite: the batch pump vs the scalar oracle.
 
-``use_batch=True`` routes a shard through :class:`ShardBatchDispatcher`
-(one merged batch stream; array-resident bindings handled on their rows
-of the binding table, materialized ones through the fused-on-object
-fast paths); ``use_batch=False`` materializes every binding at wiring
-and replays the identical workload through the scalar per-event
-callbacks. The two modes must be *bit-identical* on every integer
-metric — the batched path is an optimization, never an approximation —
-and, with identical sharding, on the float sums too (same devices
-folded in the same order).
+``_execute_shard(..., use_batch=True)`` — what every public entry point
+runs — routes a shard through :class:`ShardBatchDispatcher` (one merged
+batch stream; array-resident bindings handled on their rows of the
+binding table, materialized ones on the scalar callbacks);
+``use_batch=False`` is the oracle: it materializes every binding at
+wiring and replays the identical workload through the scalar per-event
+callbacks. The two must be *bit-identical* on every integer metric —
+the pump is an optimization, never an approximation — and, with
+identical sharding, on the float sums too (same devices folded in the
+same order).
 
 The matrix here sweeps (policy x fault preset x seed), the rich
-workload features the resident and fused gates must punt on (expiring
+workload features the resident handlers must punt on (expiring
 arrivals, rank changes, thresholds, link latency), partitioning knobs,
-and — via hypothesis — randomly drawn heterogeneity configs.
+CLI-shaped campaigns compared on their rendered JSON, and — via
+hypothesis — randomly drawn heterogeneity configs.
 ``TestMaterializationInvisible`` pins that *when* a binding leaves the
 resident tier is unobservable: any subset materialized before the run
-or mid-pump reproduces the untouched run. A final class pins the
-table's invariants with :meth:`FleetColumns.verify_sync` at end of run,
-per tier, and the rows against a per-device scalar replay.
+or mid-pump reproduces the untouched run, and a materialized row is
+never read again. A final class pins the table's invariants with
+:meth:`FleetColumns.verify_sync` at end of run, per tier, and the rows
+against a per-device scalar replay.
 """
 
 import functools
@@ -32,8 +35,10 @@ from hypothesis import strategies as st
 
 import repro.fleet.runner as runner_mod
 from repro import faults
+from repro.experiments import fleet_cli
 from repro.fleet import FleetScenarioConfig, build_fleet_workload, run_fleet
 from repro.fleet.batch import ShardBatchDispatcher
+from repro.fleet.runner import FleetResult, _execute_shard
 from repro.proxy.policies import PolicyConfig
 from repro.units import DAY
 from repro.workload.arrivals import ArrivalConfig
@@ -93,13 +98,12 @@ QUEUEING_POLICIES = ["buffer", "on_demand", "online", "unified"]
 
 
 def _both_signatures(config, policy, *, spec=None, link_latency=0.0):
-    batch = run_fleet(
-        config, policy, faults=spec, link_latency=link_latency, use_batch=True
-    ).accumulator
-    scalar = run_fleet(
-        config, policy, faults=spec, link_latency=link_latency, use_batch=False
-    ).accumulator
-    return batch, scalar
+    """The pump's and the oracle's accumulators for one unsharded run."""
+    workload = build_fleet_workload(config)
+    return tuple(
+        _execute_shard(workload, policy, spec, link_latency, use_batch)
+        for use_batch in (True, False)
+    )
 
 
 def _assert_identical(batch, scalar):
@@ -166,31 +170,30 @@ class TestRichWorkloads:
         )
         _assert_identical(batch, scalar)
 
-    def test_link_latency_disables_fusion_not_correctness(self):
-        """A latent link unfuses the whole shard; results still match."""
-        batch, scalar = _both_signatures(
-            _rich_config(rank_changes=RankChangeConfig()),
-            PolicyConfig.unified(),
-            link_latency=3.0,
+    def test_link_latency_materializes_at_wiring(self):
+        """A latent link keeps no binding on its row: the pump hands
+        every event to the objects, and results still match."""
+        config = _rich_config(rank_changes=RankChangeConfig())
+        batch = _run_shard(config, PolicyConfig.unified(), link_latency=3.0)
+        assert batch.dispatcher.keeps_rows is False
+        assert batch.cols.materialized_share == 1.0
+        scalar = _run_shard(
+            config, PolicyConfig.unified(), link_latency=3.0, use_batch=False
         )
-        _assert_identical(batch, scalar)
+        _assert_identical(batch.accumulator, scalar.accumulator)
 
 
 class TestPartitioning:
-    """The dispatch knob composes with shards/jobs transparently."""
+    """Sharding and worker pools compose with the pump transparently."""
 
     @pytest.mark.parametrize("shards,jobs", [(3, 1), (4, 2)])
     def test_sharded_batch_matches_unsharded_scalar(self, shards, jobs):
         config = FleetScenarioConfig(devices=60, duration=DAY, seed=11)
-        reference = run_fleet(
-            config, PolicyConfig.unified(), use_batch=False
-        ).accumulator.signature()
+        reference = _execute_shard(
+            build_fleet_workload(config), PolicyConfig.unified(), use_batch=False
+        ).signature()
         sharded = run_fleet(
-            config,
-            PolicyConfig.unified(),
-            shards=shards,
-            jobs=jobs,
-            use_batch=True,
+            config, PolicyConfig.unified(), shards=shards, jobs=jobs
         ).accumulator.signature()
         ref_float = reference.pop("read_delay_sum")
         cand_float = sharded.pop("read_delay_sum")
@@ -198,6 +201,57 @@ class TestPartitioning:
         assert abs(cand_float - ref_float) <= 1e-9 * max(
             1.0, abs(ref_float)
         )
+
+
+class TestCampaignEquivalence:
+    """``fleet --format json`` campaigns, rendered by the CLI's own
+    renderer, byte-identical between the pump and the oracle. Each
+    campaign is spelled as ``fleet`` CLI flags so the config, policy and
+    spec are exactly what the CLI would run.
+
+    Clean: the plain rows. Lossy: the rows running the ack–retry ladder
+    (drops, retries, jittered and duplicate landings). Slow ladder:
+    backoffs and jitter long enough that bindings escaping mid-run hand
+    over deliveries still in flight and retries parked by an outage.
+    Deep: the ``fleet_deep`` shape under on_demand, where every row
+    queues arrivals at the proxy, runs READ exchanges against that queue
+    and logs reads while its link is down.
+    """
+
+    CAMPAIGNS = {
+        "clean": ["--devices", "1500"],
+        "lossy": ["--devices", "1500", "--faults", "lossy"],
+        "slow-ladder": ["--devices", "1500", "--faults", SLOW_LADDER],
+        "deep": [
+            "--devices", "60", "--days", "14", "--events-per-day", "32",
+            "--reads-per-day", "4", "--downtime", "0.3",
+            "--policy", "on_demand",
+        ],
+    }
+
+    @pytest.mark.parametrize("name", sorted(CAMPAIGNS))
+    def test_rendered_json_identical(self, name):
+        args = fleet_cli.build_parser().parse_args(self.CAMPAIGNS[name])
+        config = fleet_cli._fleet_config(args)
+        policy = fleet_cli.POLICIES[args.policy]()
+        spec = None if args.faults is None else faults.FaultSpec.parse(args.faults)
+        workload = build_fleet_workload(config)
+        batch, scalar = (
+            fleet_cli._render_json(
+                FleetResult(
+                    config=config,
+                    policy=policy,
+                    accumulator=_execute_shard(
+                        workload, policy, spec, 0.0, use_batch
+                    ),
+                    shards=1,
+                    jobs=1,
+                ),
+                None,
+            )
+            for use_batch in (True, False)
+        )
+        assert batch == scalar
 
 
 # One strategy per heterogeneity axis; hypothesis shrinks toward the
@@ -250,7 +304,8 @@ class Shard(NamedTuple):
 
     accumulator: object
     cols: object
-    dispatcher: object  # None under scalar dispatch
+    proxy: object
+    dispatcher: object  # None under the scalar oracle
 
 
 @contextmanager
@@ -305,14 +360,18 @@ def _run_shard(
 
     def keep(sim, proxy, cols):
         captured["cols"] = cols
+        captured["proxy"] = proxy
 
     with _patched(ShardBatchDispatcher, "register_streams", capture_register), \
             _patched(ShardBatchDispatcher, "_pump", interrupted_pump), \
             _patched(runner_mod, "_dismantle_shard", keep):
-        accumulator = runner_mod._execute_shard(
+        accumulator = _execute_shard(
             build_fleet_workload(config), policy, spec, link_latency, use_batch
         )
-    return Shard(accumulator, captured["cols"], captured.get("dispatcher"))
+    return Shard(
+        accumulator, captured["cols"], captured["proxy"],
+        captured.get("dispatcher"),
+    )
 
 
 def _outputs(accumulator):
@@ -467,6 +526,50 @@ class TestMaterializationInvisible:
         assert scalar.cols.materialized_share == 1.0
         assert _outputs(batch.accumulator) == _outputs(scalar.accumulator)
 
+    @pytest.mark.parametrize(
+        "shape", ["light-expiring", "rate-light", "rich"]
+    )
+    def test_materialized_rows_are_never_read(self, shape):
+        """Once a binding's objects exist its row's link status,
+        queue-size estimate and prefetch limit are resident-only state:
+        garbage written there right after the handoff changes nothing."""
+        if shape == "light-expiring":
+            config = FleetScenarioConfig(
+                devices=600,
+                seed=1,
+                **dict(
+                    LIGHT,
+                    arrivals=ArrivalConfig(
+                        events_per_day=2, expiring_fraction=0.05
+                    ),
+                ),
+            )
+            policy = PolicyConfig.unified()
+        elif shape == "rate-light":
+            config = FleetScenarioConfig(devices=300, seed=1, **LIGHT)
+            policy = PolicyConfig.rate()
+        else:
+            config = _rich_config()
+            policy = PolicyConfig.unified()
+        materialize = runner_mod.ShardWiring.materialize
+        scribbled = []
+
+        def scribble(wiring, index):
+            cols = wiring.cols
+            fresh = cols.resident[index]
+            materialize(wiring, index)
+            if fresh:
+                cols.network[index] ^= 1
+                cols.queue_size[index] = 10**6
+                cols.prefetch_limit[index] = -1
+                scribbled.append(index)
+
+        with _patched(runner_mod.ShardWiring, "materialize", scribble):
+            batch = _run_shard(config, policy)
+        assert scribbled
+        scalar = _run_shard(config, policy, use_batch=False)
+        assert _outputs(batch.accumulator) == _outputs(scalar.accumulator)
+
     @pytest.mark.parametrize("preset", ["lossy", "reliable"])
     def test_light_faulted_shard_exercises_both_tiers(self, preset):
         """A crash-free fault spec keeps most bindings on their rows
@@ -501,7 +604,7 @@ class TestMaterializationInvisible:
     def test_escapes_inherit_in_flight_and_parked_deliveries(self):
         """Non-vacuity of the handoff: on the slow ladder, bindings that
         escape mid-run carry deliveries in flight and retries parked
-        into their objects, and the run still equals scalar dispatch."""
+        into their objects, and the run still equals the scalar oracle."""
         config = FleetScenarioConfig(
             devices=150,
             duration=2 * DAY,
@@ -534,7 +637,7 @@ class TestMaterializationInvisible:
     def test_escapes_inherit_proxy_queue_and_read_log(self):
         """Non-vacuity of the clean handoff: rows materialized mid-pump
         hand a non-empty proxy queue and offline read log to their
-        objects, and the run still equals scalar dispatch."""
+        objects, and the run still equals the scalar oracle."""
         config = FleetScenarioConfig(devices=40, seed=3, **DEEP)
         middle = build_fleet_workload(config).total_events // 2
         handed = {"queue": 0, "log": 0}
@@ -569,7 +672,7 @@ def _device_view(shard, d):
     """Everything one binding did and holds, whichever tier it ended in
     (row counts plus object counts, as the fold adds them)."""
     cols = shard.cols
-    stats, state = cols.stats[d], cols.states[d]
+    stats = cols.stats[d]
     view = {
         "up": bool(cols.network[d]),
         "queue_size": cols.queue_size[d],
@@ -602,6 +705,7 @@ def _device_view(shard, d):
         view["read_delay_sum"] = stats.read_delay_sum
         view["messages_read"] = cols.consumed[d] + len(stats.read_ids)
         client, topic = cols.clients[d], cols.topics[d]
+        state = shard.proxy.topic_state(topic)
         view["held"] = sorted(item.event_id for item in client.unread(topic))
         view["queued"] = sorted(
             item.event_id
@@ -609,8 +713,6 @@ def _device_view(shard, d):
             for item in queue
         )
         view["read_log"] = list(client._offline_reads.get(topic, ()))
-        # The mirror is only kept for bindings that can fuse; the
-        # objects are what the scalar replay is compared on.
         view["up"] = cols.links[d].up
         view["queue_size"] = state.queue_size
         view["prefetch_limit"] = state.prefetch_limit
@@ -624,8 +726,8 @@ def _device_view(shard, d):
 
 
 class TestColumnSync:
-    """The binding table must be consistent with itself, with the
-    objects of its materialized bindings, and with a scalar replay."""
+    """The binding table must be consistent with itself, hand its row
+    state to the objects, and agree with a scalar replay."""
 
     CONFIG = FleetScenarioConfig(
         devices=80,
@@ -654,7 +756,8 @@ class TestColumnSync:
         assert cols.verify_sync() == []
         limits = shard.dispatcher.limits
         for d in resident:
-            state, client = cols.states[d], cols.clients[d]
+            state = shard.proxy.topic_state(cols.topics[d])
+            client = cols.clients[d]
             assert client.queue_size(cols.topics[d]) == held[d]
             assert limits.effective_limit(state) == cols.prefetch_limit[d]
             assert len(cols.stats[d].forwarded_ids) == held[d]
@@ -705,18 +808,3 @@ class TestColumnSync:
         assert _outputs(batch.accumulator) == _outputs(scalar.accumulator)
         for d in range(config.devices):
             assert _device_view(batch, d) == _device_view(scalar, d), d
-
-    def test_no_rank_changes_skips_publication_tracking(self):
-        """The history/tracker fast-path gate reflects the workload."""
-        plain = FleetScenarioConfig(devices=10, duration=DAY, seed=0)
-        dispatcher = _run_shard(plain, PolicyConfig.unified()).dispatcher
-        assert dispatcher.track_publications is False
-
-        churn = FleetScenarioConfig(
-            devices=10,
-            duration=DAY,
-            seed=0,
-            rank_changes=RankChangeConfig(drop_fraction=0.3),
-        )
-        dispatcher = _run_shard(churn, PolicyConfig.unified()).dispatcher
-        assert dispatcher.track_publications is True

@@ -674,6 +674,24 @@ class TestSweepCli:
             fleet_sweep_cli.main(argv)
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "axis",
+        [
+            'devices="x"', "devices=1.5", "devices=true",
+            "duration=null", "duration=NaN", "duration=Infinity",
+            'threshold="1"', "arrivals=1",
+        ],
+    )
+    def test_rejects_wrongly_typed_axis_values(self, tmp_path, capsys, axis):
+        argv = ["--store", str(tmp_path / "s.sqlite"), "--devices", "5",
+                "--axis", axis, "--quiet"]
+        with pytest.raises(SystemExit) as excinfo:
+            fleet_sweep_cli.main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: " + axis.partition("=")[0] in err
+        assert "Traceback" not in err
+
     def test_unopenable_store_is_typed_error(self, tmp_path, capsys):
         rc = fleet_sweep_cli.main(
             ["--store", str(tmp_path / "no-dir" / "s.sqlite"),
