@@ -4,22 +4,12 @@
 Sweeps the last-hop forwarding policy — from always-push to never-push,
 through rate-based and buffer-based prefetching at several limits — on
 one frozen trace, and prints the trade-off table the paper's evaluation
-is about. Also demonstrates the device-constraint models: the same
-unified policy run with a storage cap and a battery budget.
+is about.
 
 Run:  python examples/last_hop_tradeoff.py
 """
 
-from repro import (
-    Battery,
-    PolicyConfig,
-    ScenarioConfig,
-    StoragePolicy,
-    build_trace,
-    run_paired,
-    run_scenario,
-)
-from repro.metrics.waste_loss import pair_metrics
+from repro import PolicyConfig, ScenarioConfig, build_trace, run_paired
 from repro.units import DAY
 from repro.workload import ArrivalConfig, OutageConfig, ReadConfig
 
@@ -58,37 +48,6 @@ def main() -> None:
             f"{label:22s} {result.metrics.waste_percent:8.1f} "
             f"{result.metrics.loss_percent:8.1f} {stats.forwarded:10d} "
             f"{stats.bytes_sent / 1024:8.0f}"
-        )
-
-    print()
-    print("device constraints (§2.3), unified policy:")
-    constrained = [
-        ("no constraints", {}),
-        ("storage cap: 12 messages", {"storage": StoragePolicy(max_messages=12)}),
-        (
-            "battery: 1000 units",
-            {"battery": Battery(capacity=1000.0, receive_cost=1.0, read_cost=0.1)},
-        ),
-    ]
-    # Loss is judged against the *unconstrained* on-line baseline: the
-    # constraint is part of the policy side of the trade-off.
-    baseline = run_scenario(trace, PolicyConfig.online())
-    for label, kwargs in constrained:
-        result = run_scenario(trace, PolicyConfig.unified(), **kwargs)
-        metrics = pair_metrics(baseline.stats, result.stats)
-        stats = result.stats
-        extras = []
-        if stats.displaced:
-            extras.append(f"displaced {stats.displaced}")
-        if stats.battery_spent:
-            extras.append(
-                f"battery spent {stats.battery_spent:.0f}, "
-                f"outcome {stats.outcome.value}"
-            )
-        print(
-            f"  {label:26s} waste {metrics.waste_percent:5.1f} %  "
-            f"loss {metrics.loss_percent:5.1f} %  "
-            f"{'  '.join(extras)}"
         )
 
 

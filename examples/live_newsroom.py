@@ -3,8 +3,8 @@
 
 Ties together the pieces the other examples use in isolation:
 
-* a :class:`~repro.broker.drivers.PoissonPublisher` emits stories with
-  a working-day diurnal profile through the real broker overlay;
+* a newsroom publishes stories with a working-day diurnal profile,
+  each handed to the user's proxy as it is published;
 * the user's topic is ON-LINE with a §2.2 delivery schedule — at most
   12 pushes per day, night quiet hours (23:00–07:00) — so routine
   stories never buzz the phone at 3 a.m.;
@@ -18,28 +18,26 @@ from collections import Counter
 import math
 
 from repro import (
-    BrokerOverlay,
     ClientDevice,
     DeliverySchedule,
     DiurnalProfile,
     LastHopLink,
     LastHopProxy,
+    Notification,
     PolicyConfig,
     ProxyConfig,
-    Publisher,
     QuietHours,
     RandomSource,
     RunStats,
     Simulator,
-    Subscriber,
     TopicType,
 )
-from repro.broker.drivers import PoissonPublisher
-from repro.types import DeliveryMode, NodeId, TopicId
+from repro.types import DeliveryMode, TopicId
 from repro.units import DAY, HOUR
 from repro.workload.arrivals import ArrivalConfig
+from repro.workload.diurnal import generate_diurnal_arrivals
 
-TOPIC = "news/headlines"
+TOPIC = TopicId("news/headlines")
 DAYS = 30
 
 
@@ -48,37 +46,39 @@ def main() -> None:
     stats = RunStats()
     rng = RandomSource(seed=17)
 
-    overlay = BrokerOverlay(sim)
-    hub = overlay.add_broker(NodeId("hub"))
-    newsroom = Publisher(NodeId("newsroom"), hub, sim)
-    newsroom.advertise(TOPIC, "Headlines")
-
     link = LastHopLink(sim, stats)
     device = ClientDevice(sim, link, stats)
-    device.add_topic(TopicId(TOPIC))
+    device.add_topic(TOPIC)
     schedule = DeliverySchedule(
         quiet_hours=QuietHours(windows=((0.0, 7.0), (23.0, 24.0))),
         max_pushes_per_day=12,
         urgent_threshold=4.5,
     )
     proxy = LastHopProxy(sim, link, ProxyConfig(PolicyConfig.unified()), stats)
-    proxy.add_topic(TopicId(TOPIC), topic_type=TopicType.ONLINE, schedule=schedule)
+    proxy.add_topic(TOPIC, topic_type=TopicType.ONLINE, schedule=schedule)
     device.attach_proxy(proxy)
     link.add_status_listener(proxy.on_network)
-    Subscriber(NodeId("phone-proxy"), hub).subscribe(
-        TOPIC, lambda n, _s: proxy.on_notification(n)
-    )
 
-    # Live publishing: ~40 stories/day shaped by the working day.
-    PoissonPublisher(
-        sim,
-        newsroom,
-        TOPIC,
+    # Publishing: ~40 stories/day shaped by the working day.
+    stories = generate_diurnal_arrivals(
         ArrivalConfig(events_per_day=40.0, expiring_fraction=1.0,
                       expiration_mean=2 * DAY),
+        DiurnalProfile.working_day(),
+        DAYS * DAY,
         rng.spawn("newsroom"),
-        profile=DiurnalProfile.working_day(),
     )
+    for story in stories:
+        sim.schedule_at(
+            story.time,
+            proxy.on_notification,
+            Notification(
+                event_id=story.event_id,
+                topic=TOPIC,
+                rank=story.rank,
+                published_at=story.time,
+                expires_at=story.expires_at,
+            ),
+        )
 
     # Observe when pushes land on the device, and which were urgent.
     push_hours = Counter()
@@ -105,7 +105,7 @@ def main() -> None:
             sim.schedule_at(
                 day * DAY + check_hour * HOUR,
                 device.perform_read,
-                TopicId(TOPIC),
+                TOPIC,
                 8,
             )
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""The paper's Slashdot example (§2.2), end to end through the broker.
+"""The paper's Slashdot example (§2.2), end to end through the last hop.
 
 "If one wanted to subscribe to the 'Slashdot' topic, the two thresholds
 used in concert would allow one to request the highest-ranked stories
@@ -8,31 +8,29 @@ and comments above threshold 4.5 (out of 5 maximum), but not more than
 can come back from a month-long vacation and read the most important
 bits from the past month."
 
-This example wires a publisher, a two-broker overlay, a last-hop proxy,
-and a mobile device; publishes a month of stories while the device is
-off the grid; and then performs the single post-vacation read.
+This example wires a last-hop proxy and a mobile device; hands the proxy
+a month of stories while the device is off the grid; and then performs
+the single post-vacation read.
 
 Run:  python examples/slashdot_vacation.py
 """
 
 from repro import (
-    BrokerOverlay,
     ClientDevice,
     LastHopLink,
     LastHopProxy,
     NetworkStatus,
+    Notification,
     PolicyConfig,
     ProxyConfig,
-    Publisher,
     RandomSource,
     RunStats,
     Simulator,
-    Subscriber,
 )
-from repro.types import NodeId, TopicId
+from repro.types import EventId, TopicId
 from repro.units import DAY, HOUR
 
-TOPIC = "news/slashdot"
+TOPIC = TopicId("news/slashdot")
 THRESHOLD = 4.5
 MAX_PER_READ = 30
 
@@ -42,36 +40,22 @@ def main() -> None:
     stats = RunStats()
     rng = RandomSource(seed=7)
 
-    # The wired pub/sub substrate: Slashdot publishes at a core broker,
-    # the user's proxy subscribes at an edge broker.
-    overlay = BrokerOverlay(sim)
-    core = overlay.add_broker(NodeId("core"))
-    edge = overlay.add_broker(NodeId("edge"))
-    overlay.connect(NodeId("core"), NodeId("edge"), latency=0.040)
-    slashdot = Publisher(NodeId("slashdot"), core, sim)
-    slashdot.advertise(TOPIC, "News for nerds, stuff that matters")
-
     # The last hop: proxy -> link -> device.
     link = LastHopLink(sim, stats)
     device = ClientDevice(sim, link, stats)
-    device.add_topic(TopicId(TOPIC), threshold=THRESHOLD)
+    device.add_topic(TOPIC, threshold=THRESHOLD)
     proxy = LastHopProxy(sim, link, ProxyConfig(PolicyConfig.on_demand()), stats)
-    proxy.add_topic(TopicId(TOPIC), rank_threshold=THRESHOLD)
+    proxy.add_topic(TOPIC, rank_threshold=THRESHOLD)
     device.attach_proxy(proxy)
     link.add_status_listener(proxy.on_network)
-    subscriber = Subscriber(NodeId("proxy-for-phone"), edge)
-    subscriber.subscribe(
-        TOPIC,
-        lambda notification, _sub: proxy.on_notification(notification),
-        max_per_read=MAX_PER_READ,
-        threshold=THRESHOLD,
-    )
 
     # The user leaves on vacation: the device is unreachable for a month.
     link.set_status(NetworkStatus.DOWN)
 
     # A month of Slashdot: ~40 stories/day with uniform ranks and
     # week-long expirations for ordinary stories; editor's picks last.
+    # The routing substrate is a black box (§2): each story reaches the
+    # proxy as it is published.
     def publish_month():
         for day in range(30):
             for _ in range(40):
@@ -81,16 +65,20 @@ def main() -> None:
 
     published = 0
     for time, rank, expires in sorted(publish_month()):
-        sim.schedule_at(
-            time,
-            lambda r=rank, e=expires: slashdot.publish(TOPIC, rank=r, expires_in=e),
-        )
         published += 1
+        story = Notification(
+            event_id=EventId(published),
+            topic=TOPIC,
+            rank=rank,
+            published_at=time,
+            expires_at=None if expires is None else time + expires,
+        )
+        sim.schedule_at(time, proxy.on_notification, story)
 
     # Back home after 30 days: the link returns, the user reads once.
     sim.schedule_at(30 * DAY + 1 * HOUR, link.set_status, NetworkStatus.UP)
     sim.run(until=30 * DAY + 2 * HOUR)
-    outcome = device.perform_read(TopicId(TOPIC), MAX_PER_READ)
+    outcome = device.perform_read(TOPIC, MAX_PER_READ)
 
     print(f"published stories          : {published}")
     print(f"accepted above threshold   : {stats.accepted}")

@@ -16,23 +16,24 @@ the warnings that matter.
 Run:  python examples/storm_warning.py
 """
 
+import dataclasses
+import itertools
+
 from repro import (
-    BrokerOverlay,
     ClientDevice,
     LastHopLink,
     LastHopProxy,
+    Notification,
     PolicyConfig,
     ProxyConfig,
-    Publisher,
     RandomSource,
     RunStats,
     Simulator,
-    Subscriber,
 )
-from repro.types import NodeId, TopicId
+from repro.types import EventId, TopicId
 from repro.units import DAY, HOUR
 
-TOPIC = "news/weather/tromso"
+TOPIC = TopicId("news/weather/tromso")
 THRESHOLD = 4.0
 
 
@@ -41,60 +42,58 @@ def main() -> None:
     stats = RunStats()
     rng = RandomSource(seed=3)
 
-    overlay = BrokerOverlay(sim)
-    hub = overlay.add_broker(NodeId("hub"))
-    met = Publisher(NodeId("met.no"), hub, sim)
-    met.advertise(TOPIC, "Tromsø weather")
-
     link = LastHopLink(sim, stats)
     device = ClientDevice(sim, link, stats)
-    device.add_topic(TopicId(TOPIC), threshold=THRESHOLD)
+    device.add_topic(TOPIC, threshold=THRESHOLD)
     proxy = LastHopProxy(
         sim, link, ProxyConfig(PolicyConfig.buffer(prefetch_limit=8)), stats
     )
-    proxy.add_topic(TopicId(TOPIC), rank_threshold=THRESHOLD)
+    proxy.add_topic(TOPIC, rank_threshold=THRESHOLD)
     device.attach_proxy(proxy)
     link.add_status_listener(proxy.on_network)
-    Subscriber(NodeId("phone-proxy"), hub).subscribe(
-        TOPIC,
-        lambda n, _s: proxy.on_notification(n),
-        threshold=THRESHOLD,
-    )
+
+    # The routing substrate is a black box (§2): the weather service's
+    # notifications reach the proxy as they are published.
+    event_ids = itertools.count(1)
+    published = {}
+
+    def publish(rank, expires_in, payload):
+        notification = Notification(
+            event_id=EventId(next(event_ids)),
+            topic=TOPIC,
+            rank=rank,
+            published_at=sim.now,
+            expires_at=sim.now + expires_in,
+            payload=payload,
+        )
+        published[payload] = notification
+        proxy.on_notification(notification)
+
+    def change_rank(payload, new_rank):
+        # A rank change is re-announced under the original event id.
+        update = dataclasses.replace(published[payload], rank=new_rank)
+        proxy.on_notification(update)
 
     # A week of routine forecasts: rank ~2, valid for six hours.
     for day in range(7):
         for hour in range(0, 24, 3):
             time = day * DAY + hour * HOUR
             rank = rng.uniform(1.0, 3.0)
-            sim.schedule_at(
-                time,
-                lambda r=rank: met.publish(
-                    TOPIC, rank=r, expires_in=6 * HOUR, payload="routine forecast"
-                ),
-            )
-
-    events = {}
-
-    def publish_warning(key, rank, payload):
-        events[key] = met.publish(TOPIC, rank=rank, expires_in=4 * DAY, payload=payload)
+            sim.schedule_at(time, publish, rank, 6 * HOUR, "routine forecast")
 
     # Day 2: a storm warning, correctly ranked — goes straight through.
-    sim.schedule_at(2 * DAY, publish_warning, "storm", 4.9, "STORM WARNING")
+    sim.schedule_at(2 * DAY, publish, 4.9, 4 * DAY, "STORM WARNING")
     # Day 4: a mis-ranked warning (2.5), corrected to 4.8 an hour later.
-    sim.schedule_at(4 * DAY, publish_warning, "misranked", 2.5, "gale warning")
-    sim.schedule_at(
-        4 * DAY + HOUR, lambda: met.change_rank(events["misranked"].event_id, 4.8)
-    )
+    sim.schedule_at(4 * DAY, publish, 2.5, 4 * DAY, "gale warning")
+    sim.schedule_at(4 * DAY + HOUR, change_rank, "gale warning", 4.8)
     # Day 5: a false alarm at 4.7, retracted below threshold an hour later.
-    sim.schedule_at(5 * DAY, publish_warning, "false-alarm", 4.7, "false alarm")
-    sim.schedule_at(
-        5 * DAY + HOUR, lambda: met.change_rank(events["false-alarm"].event_id, 0.5)
-    )
+    sim.schedule_at(5 * DAY, publish, 4.7, 4 * DAY, "false alarm")
+    sim.schedule_at(5 * DAY + HOUR, change_rank, "false alarm", 0.5)
 
     # The user checks messages half a day after the false alarm was
     # retracted; both genuine warnings are still in force.
     sim.run(until=5 * DAY + 12 * HOUR)
-    outcome = device.perform_read(TopicId(TOPIC), 8)
+    outcome = device.perform_read(TOPIC, 8)
 
     print(f"forecasts published        : {stats.arrivals}")
     print(f"accepted above threshold 4 : {stats.accepted}")

@@ -19,31 +19,24 @@ The layers, bottom-up:
 * :mod:`repro.sim` — deterministic discrete-event engine, seeded RNG,
   frozen traces;
 * :mod:`repro.workload` — arrival/read/outage/rank-change generators;
-* :mod:`repro.broker` — the topic-based routing substrate (publishers,
-  subscriptions, broker overlay);
+* :mod:`repro.broker` — the :class:`Notification` message type that
+  crosses the routing substrate (the paper treats routing as a black
+  box);
 * :mod:`repro.proxy` — the volume-limiting last-hop proxy (the paper's
   Figure 7 algorithm and the forwarding-policy spectrum);
-* :mod:`repro.device` — the mobile device, last-hop link, battery and
-  storage constraints;
-* :mod:`repro.context` — location-parameterized re-subscription;
+* :mod:`repro.device` — the mobile device and the last-hop link;
 * :mod:`repro.metrics` — waste/loss accounting;
 * :mod:`repro.experiments` — the harness regenerating every figure of
   the paper's evaluation.
 """
 
-from repro.broker.client_api import Publisher, Subscriber
 from repro.broker.message import Notification
-from repro.broker.overlay import BrokerOverlay
-from repro.broker.subscriptions import Subscription
-from repro.device.battery import Battery
 from repro.device.cooperation import AdHocNetwork, DeviceGroup
 from repro.device.device import ClientDevice
 from repro.device.link import LastHopLink
-from repro.device.storage import StoragePolicy
 from repro.errors import ExportError, ReproError
 from repro.experiments.runner import (
     PairedResult,
-    ReplicationSpec,
     RunResult,
     run_paired,
     run_paired_config,
@@ -53,11 +46,9 @@ from repro.faults import PRESETS as FAULT_PRESETS
 from repro.faults import FaultPlan, FaultSpec
 from repro.metrics.accounting import RunStats
 from repro.metrics.analytic import expected_expiration_waste, expected_overflow_waste
-from repro.metrics.cost import TariffModel, price_run
 from repro.metrics.waste_loss import PairedMetrics, compute_loss, compute_waste
 from repro.proxy.policies import PolicyConfig
 from repro.proxy.proxy import LastHopProxy, ProxyConfig
-from repro.proxy.replication import ReplicatedProxy
 from repro.proxy.schedule import DeliverySchedule, QuietHours
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomSource
@@ -71,8 +62,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AdHocNetwork",
-    "Battery",
-    "BrokerOverlay",
     "ClientDevice",
     "DeliverySchedule",
     "DeviceGroup",
@@ -90,20 +79,13 @@ __all__ = [
     "PolicyConfig",
     "PolicyKind",
     "ProxyConfig",
-    "Publisher",
     "QuietHours",
     "RandomSource",
-    "ReplicatedProxy",
     "ReproError",
-    "ReplicationSpec",
     "RunResult",
     "RunStats",
     "ScenarioConfig",
     "Simulator",
-    "StoragePolicy",
-    "Subscriber",
-    "Subscription",
-    "TariffModel",
     "Trace",
     "TopicType",
     "build_trace",
@@ -112,7 +94,6 @@ __all__ = [
     "expected_expiration_waste",
     "expected_overflow_waste",
     "load_trace",
-    "price_run",
     "run_paired",
     "run_paired_config",
     "run_scenario",

@@ -1,37 +1,17 @@
-"""Topic-based publish/subscribe routing substrate.
+"""The notification carried end to end through the routing substrate.
 
 The paper treats the wide-area routing infrastructure as "a black box
 that offers the standard pub/sub operations: advertising (or
 withdrawing) topics, publishing notifications, and subscribing to (or
 unsubscribing from) them", with the only requirement that notifications
 and subscription notices carry the volume-limiting attribute pairs
-(Rank/Expiration and Max/Threshold). This package implements that black
-box as an in-process broker overlay:
+(Rank/Expiration and Max/Threshold). The reproduction keeps only what
+crosses that box into the last hop:
 
 * :mod:`~repro.broker.message` — the :class:`Notification` carried end
   to end, annotated with rank and expiration.
-* :mod:`~repro.broker.topics` — topic registry with advertise/withdraw.
-* :mod:`~repro.broker.subscriptions` — subscriptions carrying Max,
-  Threshold, delivery mode, and context parameters.
-* :mod:`~repro.broker.broker` / :mod:`~repro.broker.overlay` — broker
-  nodes joined into a routed overlay with per-hop latency.
-* :mod:`~repro.broker.client_api` — publisher and subscriber handles.
 """
 
-from repro.broker.broker import Broker
-from repro.broker.client_api import Publisher, Subscriber
 from repro.broker.message import Notification
-from repro.broker.overlay import BrokerOverlay
-from repro.broker.subscriptions import Subscription
-from repro.broker.topics import TopicDescriptor, TopicRegistry
 
-__all__ = [
-    "Broker",
-    "BrokerOverlay",
-    "Notification",
-    "Publisher",
-    "Subscriber",
-    "Subscription",
-    "TopicDescriptor",
-    "TopicRegistry",
-]
+__all__ = ["Notification"]

@@ -19,7 +19,7 @@ from typing import Optional
 from repro._compat import DATACLASS_SLOTS
 from repro.types import EventId, TopicId
 
-#: Nominal payload size used for bandwidth/battery accounting when the
+#: Nominal payload size used for bandwidth accounting when the
 #: publisher does not specify one. 512 bytes is in the ballpark of an
 #: SMS-era notification with headers.
 DEFAULT_SIZE_BYTES: int = 512

@@ -1,29 +1,20 @@
 """The mobile device side of the last hop.
 
-Models the paper's §2.3 device constraints:
+Models the paper's §2.3 device:
 
 * :mod:`~repro.device.device` — the client device with its notification
   queue and per-topic read behaviour (Max / Threshold ranked reads);
 * :mod:`~repro.device.link` — the last-hop link whose availability is
   driven by the outage schedule and which meters every transfer;
-* :mod:`~repro.device.battery` — a battery budget debited per message,
-  beyond which "the device is inoperable";
-* :mod:`~repro.device.storage` — a storage cap under which "the device
-  may need to delete low-ranked unread messages to make room for new
-  ones";
 * :mod:`~repro.device.cooperation` — multi-device cache sharing (the
   paper's §4 future work).
 """
 
-from repro.device.battery import Battery
 from repro.device.device import ClientDevice, ReadOutcome
 from repro.device.link import LastHopLink
-from repro.device.storage import StoragePolicy
 
 __all__ = [
-    "Battery",
     "ClientDevice",
     "LastHopLink",
     "ReadOutcome",
-    "StoragePolicy",
 ]

@@ -136,8 +136,6 @@ class DeviceGroup:
             now = self._sim.now
             candidates: List[Tuple[Notification, ClientDevice]] = []
             for peer in self._devices[1:]:
-                if peer.dead:
-                    continue
                 # Lazy iteration: the threshold cut-off stops after the
                 # acceptable prefix instead of materializing (and rank-
                 # sorting) the peer's whole cache on every read.

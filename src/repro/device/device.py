@@ -1,10 +1,10 @@
 """The mobile client device.
 
 Holds the per-topic queue of unread notifications, expires them locally,
-honours the storage cap and battery budget, and implements the user's
-ranked Max/Threshold reads. A read first runs the paper's READ exchange
-with the proxy (when the link is up) so the proxy can ship better data,
-then consumes the top-N acceptable notifications from the local queue.
+and implements the user's ranked Max/Threshold reads. A read first runs
+the paper's READ exchange with the proxy (when the link is up) so the
+proxy can ship better data, then consumes the top-N acceptable
+notifications from the local queue.
 """
 
 from __future__ import annotations
@@ -13,15 +13,13 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.broker.message import Notification
-from repro.device.battery import Battery
 from repro.device.link import LastHopLink
-from repro.device.storage import StoragePolicy
-from repro.errors import BatteryExhaustedError, ConfigurationError, DeviceError
+from repro.errors import ConfigurationError, DeviceError
 from repro.faults import FaultPlan
 from repro.metrics.accounting import RunStats
 from repro.proxy.queues import RankedQueue
 from repro.sim.engine import EventHandle, Simulator
-from repro.types import DeliveryMode, EventId, NetworkStatus, RunOutcome, TopicId
+from repro.types import DeliveryMode, EventId, NetworkStatus, TopicId
 
 
 @dataclass(frozen=True)
@@ -47,17 +45,12 @@ class ClientDevice:
         sim: Simulator,
         link: LastHopLink,
         stats: Optional[RunStats] = None,
-        battery: Optional[Battery] = None,
-        storage: StoragePolicy = StoragePolicy(),
         report_on_reconnect: bool = True,
         faults: Optional[FaultPlan] = None,
     ) -> None:
-        storage.validate()
         self._sim = sim
         self._link = link
         self._stats = stats if stats is not None else RunStats()
-        self._battery = battery
-        self._storage = storage
         #: Per-run fault realization; used only to corrupt the offline
         #: read-report log (stale/duplicated entries). None = no faults.
         self._faults = faults
@@ -69,7 +62,6 @@ class ClientDevice:
         #: on reconnection so its adaptive moving averages see them.
         self._offline_reads: Dict[TopicId, List[Tuple[float, int]]] = {}
         self._proxy = None
-        self.dead = False
         #: When the link comes back up, announce current per-topic queue
         #: occupancy to the proxy. Mobile devices must announce
         #: themselves on reconnection anyway (that is how the proxy
@@ -94,10 +86,6 @@ class ClientDevice:
             raise ConfigurationError(f"topic {topic!r} already tracked by device")
         self._queues[topic] = RankedQueue()
         self._thresholds[topic] = threshold
-
-    @property
-    def battery(self) -> Optional[Battery]:
-        return self._battery
 
     # ------------------------------------------------------------------
     # Queue inspection
@@ -154,8 +142,6 @@ class ClientDevice:
     # ------------------------------------------------------------------
     def receive(self, notification: Notification, mode: DeliveryMode) -> None:
         """Accept one notification from the last hop."""
-        if self.dead:
-            return
         queue = self._queue(notification.topic)
         known_topic = self._topic_of.get(notification.event_id)
         if known_topic is not None:
@@ -166,25 +152,11 @@ class ClientDevice:
                     f"event {notification.event_id} already tracked under topic "
                     f"{known_topic!r}, cannot also arrive on {notification.topic!r}"
                 )
-            # Duplicate delivery (a retry raced its ack, a fault-plan
-            # duplicate, or a replication failover re-shipped): the copy
-            # is discarded here, making deliveries idempotent at the
-            # device while the first copy is still unread.
+            # Duplicate delivery (a retry raced its ack, or a fault-plan
+            # duplicate): the copy is discarded here, making deliveries
+            # idempotent at the device while the first copy is unread.
             self._stats.duplicates_deduped += 1
             return
-        if self._battery is not None:
-            try:
-                self._battery.drain_receive(notification.size_bytes)
-            except BatteryExhaustedError:
-                self._die()
-                return
-        for victim in self._storage.evict_for(queue, notification):
-            if victim.event_id == notification.event_id:
-                # The newcomer is the lowest-ranked: drop it outright.
-                self._stats.displaced += 1
-                return
-            self._drop(victim.event_id)
-            self._stats.displaced += 1
         queue.add(notification)
         self._topic_of[notification.event_id] = notification.topic
         if notification.expires_at is not None:
@@ -197,8 +169,6 @@ class ClientDevice:
 
     def retract(self, event_id: EventId) -> None:
         """Discard a rank-dropped notification announced by the proxy."""
-        if self.dead:
-            return
         if self._drop(event_id):
             self._stats.retracted_on_device += 1
 
@@ -217,15 +187,11 @@ class ClientDevice:
         if self._drop(event_id):
             self._stats.expired_on_device += 1
 
-    def _die(self) -> None:
-        self.dead = True
-        self._stats.outcome = RunOutcome.BATTERY_DEAD
-
     def _on_link_status(self, status: NetworkStatus) -> None:
         """Reconnection hook: report queue occupancy to the proxy."""
         if status is not NetworkStatus.UP:
             return
-        if self.dead or not self._report_on_reconnect or self._proxy is None:
+        if not self._report_on_reconnect or self._proxy is None:
             return
         for topic, queue in self._queues.items():
             self._proxy.on_queue_report(topic, len(queue))
@@ -251,10 +217,6 @@ class ClientDevice:
         situation prefetching exists to prepare for.
         """
         self._stats.reads += 1
-        if self.dead:
-            self._stats.empty_reads += 1
-            return ReadOutcome(consumed=(), fetched=0, offline=True)
-
         fetched = 0
         offline = not self._link.up
         if offline:
@@ -294,9 +256,4 @@ class ClientDevice:
             if handle is not None:
                 handle.cancel()
             self._stats.record_read(item.event_id, now - item.published_at)
-        if self._battery is not None and consumed:
-            try:
-                self._battery.drain_read(len(consumed))
-            except BatteryExhaustedError:
-                self._die()
         return consumed

@@ -24,24 +24,8 @@ class ConfigurationError(ReproError):
     """A scenario, workload, or policy configuration is invalid."""
 
 
-class RoutingError(ReproError):
-    """The broker overlay could not route a message or subscription."""
-
-
-class UnknownTopicError(RoutingError):
-    """An operation referenced a topic that was never advertised."""
-
-
-class SubscriptionError(ReproError):
-    """A subscribe/unsubscribe call was malformed or redundant."""
-
-
 class DeviceError(ReproError):
     """The client device was driven into an invalid state."""
-
-
-class BatteryExhaustedError(DeviceError):
-    """The device battery budget has been spent; the device is inoperable."""
 
 
 class ExportError(ReproError):
@@ -50,7 +34,3 @@ class ExportError(ReproError):
 
 class ProxyError(ReproError):
     """The last-hop proxy was driven into an invalid state."""
-
-
-class ReplicationError(ProxyError):
-    """Primary/backup proxy replication failed or was misused."""

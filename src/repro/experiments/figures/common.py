@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.broker.subscriptions import UNLIMITED
 from repro.experiments.parallel import parallel_map
 from repro.experiments.runner import run_paired
 from repro.metrics.waste_loss import PairedMetrics
@@ -36,8 +35,9 @@ OUTAGES_PER_DAY: float = 4.0
 #: Lognormal shape of outage durations (see module docstring).
 OUTAGE_DURATION_SIGMA: float = 0.5
 
-#: Read request size for "Max = ∞" experiments (paper Figure 4).
-MAX_UNLIMITED: int = UNLIMITED
+#: Read request size for "Max = ∞" experiments (paper Figure 4): the
+#: user reads everything available.
+MAX_UNLIMITED: int = 2**31 - 1
 
 
 def scenario(

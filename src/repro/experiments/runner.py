@@ -17,7 +17,6 @@ deterministic, so cached reuse is bit-for-bit identical to re-execution.
 
 from __future__ import annotations
 
-import dataclasses
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -25,18 +24,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro import obs
 from repro import faults as faults_mod
 from repro.broker.message import Notification
-from repro.device.battery import Battery
 from repro.device.device import ClientDevice
 from repro.device.link import LastHopLink
-from repro.device.storage import StoragePolicy
-from repro.errors import ConfigurationError
 from repro.faults import FaultPlan, FaultSpec
 from repro.metrics.accounting import RunStats
 from repro.metrics.waste_loss import PairedMetrics, pair_metrics
-from repro.proxy.gc import GcConfig, ProxyGarbageCollector
 from repro.proxy.policies import PolicyConfig
 from repro.proxy.proxy import LastHopProxy, ProxyConfig
-from repro.proxy.replication import ReplicatedProxy
 from repro.proxy.schedule import DeliverySchedule
 from repro.sim.engine import Simulator
 from repro.sim.trace import Trace
@@ -45,18 +39,6 @@ from repro.workload.scenario import ScenarioConfig, build_trace_cached
 
 #: Topic id used for single-topic trace replays.
 DEFAULT_TOPIC = TopicId("experiment/topic")
-
-
-@dataclass(frozen=True)
-class ReplicationSpec:
-    """Run the scenario behind a replicated proxy pair.
-
-    ``fail_primary_at`` injects a primary crash at that simulation time
-    (None = the primary survives the whole run).
-    """
-
-    replication_delay: float = 0.050
-    fail_primary_at: Optional[float] = None
 
 
 def register_trace_streams(
@@ -166,11 +148,7 @@ def run_scenario(
     threshold: float = 0.0,
     topic: TopicId = DEFAULT_TOPIC,
     topic_type: TopicType = TopicType.ON_DEMAND,
-    battery: Optional[Battery] = None,
-    storage: StoragePolicy = StoragePolicy(),
     link_latency: float = 0.0,
-    gc_interval: Optional[float] = None,
-    replication: Optional[ReplicationSpec] = None,
     schedule: Optional[DeliverySchedule] = None,
     faults: Optional[FaultSpec] = None,
 ) -> RunResult:
@@ -178,11 +156,6 @@ def run_scenario(
 
     ``threshold`` is the subscription's qualitative limit, applied both
     at the proxy (rank filtering) and at the device (read filtering).
-    ``gc_interval`` attaches the background garbage collector; None
-    leaves it off (the default keeps runs bit-for-bit comparable with
-    and without GC, since GC only reclaims memory). ``replication``
-    swaps the single proxy for a primary/backup pair, optionally
-    crashing the primary mid-run.
 
     When process-wide observability is configured (:func:`repro.obs.
     configure` — the CLI's ``--trace-out`` / ``--audit`` / ``--obs``),
@@ -206,19 +179,8 @@ def run_scenario(
         seed=int(trace.metadata.get("seed", 0) or 0),
         duration=trace.duration,
     )
-    if plan is not None and plan.crash_times and replication is not None:
-        raise ConfigurationError(
-            "proxy crash injection (crashes_per_day > 0) cannot be combined "
-            "with replication; the replicated pair models its own failover"
-        )
     sim = Simulator()
     stats = RunStats()
-
-    # Batteries are mutable; copy so paired runs (and repeated calls)
-    # each drain their own budget rather than sharing one.
-    if battery is not None:
-        battery = dataclasses.replace(battery)
-
     link = LastHopLink(
         sim,
         stats,
@@ -226,42 +188,26 @@ def run_scenario(
         faults=plan,
         recorder=None if obs_ctx is None else obs_ctx.recorder,
     )
-    device = ClientDevice(
-        sim, link, stats, battery=battery, storage=storage, faults=plan
-    )
+    device = ClientDevice(sim, link, stats, faults=plan)
     device.add_topic(topic, threshold)
-    if replication is None:
-        proxy = LastHopProxy(
-            sim,
-            link,
-            ProxyConfig(policy=policy),
-            stats,
-            recorder=None if obs_ctx is None else obs_ctx.recorder,
-            auditor=None if obs_ctx is None else obs_ctx.auditor,
-        )
-    else:
-        proxy = ReplicatedProxy(
-            sim,
-            link,
-            ProxyConfig(policy=policy),
-            stats,
-            replication_delay=replication.replication_delay,
-        )
+    proxy = LastHopProxy(
+        sim,
+        link,
+        ProxyConfig(policy=policy),
+        stats,
+        recorder=None if obs_ctx is None else obs_ctx.recorder,
+        auditor=None if obs_ctx is None else obs_ctx.auditor,
+    )
     proxy.add_topic(
         topic, topic_type=topic_type, rank_threshold=threshold, schedule=schedule
     )
     device.attach_proxy(proxy)
     link.add_status_listener(proxy.on_network)
-    if replication is not None and replication.fail_primary_at is not None:
-        sim.schedule_at(replication.fail_primary_at, proxy.fail_primary)
     if plan is not None:
         for crash_time in plan.crash_times:
             sim.schedule_at(
                 crash_time, proxy.crash_restart, plan.spec.restart_delay
             )
-    collector = None
-    if gc_interval is not None:
-        collector = ProxyGarbageCollector(sim, proxy, GcConfig(interval=gc_interval))
 
     register_trace_streams(
         sim, trace, topic, proxy.on_notification, device.perform_read, link.set_status
@@ -270,13 +216,6 @@ def run_scenario(
     try:
         sim.run(until=trace.duration)
     finally:
-        # Detach the GC timer and settle battery accounting even when a
-        # callback raises mid-run, so a caught error cannot leave a live
-        # periodic timer (or unaccounted drain) behind.
-        if collector is not None:
-            collector.stop()
-        if battery is not None:
-            stats.battery_spent = battery.spent
         probes.count("events", sim.events_processed)
 
     state = proxy.topic_state(topic)
@@ -313,8 +252,7 @@ def run_baseline(trace: Trace, threshold: float = 0.0, **kwargs) -> RunResult:
     equality there), the threshold, the *effective* fault spec (an
     explicit ``faults`` kwarg, else the process-wide one — which is not
     part of the kwargs and would otherwise alias entries across
-    ``--faults`` settings), and the run kwargs. Unhashable kwargs (e.g.
-    a mutable :class:`Battery`) bypass the cache. The returned
+    ``--faults`` settings), and the run kwargs. The returned
     :class:`RunResult` may be shared between callers and must be
     treated as read-only — the paired metrics computation only ever
     reads it.
@@ -326,13 +264,7 @@ def run_baseline(trace: Trace, threshold: float = 0.0, **kwargs) -> RunResult:
     elif fault_spec.is_null:
         fault_spec = None  # normalize: null spec == no faults
     key = (id(trace), float(threshold), fault_spec, tuple(sorted(kwargs.items())))
-    try:
-        entry = _BASELINE_CACHE.get(key)
-    except TypeError:  # unhashable kwarg value — run uncached
-        with probes.phase("baseline"):
-            return run_scenario(
-                trace, PolicyConfig.online(), threshold=threshold, **kwargs
-            )
+    entry = _BASELINE_CACHE.get(key)
     if entry is not None and entry[0] is trace:
         _BASELINE_CACHE.move_to_end(key)
         probes.count("baseline-cache-hits")

@@ -142,9 +142,9 @@ class ShardBatchDispatcher:
     Construction wires nothing into the simulator; call
     :meth:`register_streams` once the bindings that must be materialized
     at wiring are. The dispatcher assumes the fleet runner's wiring
-    shape: one topic per device, no battery model, unlimited device
-    storage, ``report_on_reconnect`` devices, and crash timers (if any)
-    already scheduled — exactly what ``repro.fleet.runner`` builds.
+    shape: one topic per device, ``report_on_reconnect`` devices, and
+    crash timers (if any) already scheduled — exactly what
+    ``repro.fleet.runner`` builds.
     ``materialize(d)`` is the runner's: it builds binding ``d``'s object
     graph from its row (a no-op once built); so is ``plan_for(d)``,
     binding ``d``'s fault plan under ``spec`` (a non-null spec, or None).

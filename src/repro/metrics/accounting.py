@@ -3,7 +3,7 @@
 One :class:`RunStats` instance is threaded through the proxy, link, and
 device of a scenario run. It records message identities (needed for the
 paper's set-comparison loss metric) and volume/energy counters (needed
-for the waste metric and the device-constraint accounting of §2.3).
+for the waste metric).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Set
 
-from repro.types import DeliveryMode, EventId, RunOutcome
+from repro.types import DeliveryMode, EventId
 
 
 @dataclass
@@ -60,7 +60,9 @@ class RunStats:
     expired_on_device: int = 0
     #: Notifications that expired while still queued at the proxy.
     expired_at_proxy: int = 0
-    #: Notifications evicted from the device by the storage cap.
+    #: Always 0: no device model evicts. Kept because every summed
+    #: RunStats field lands in the fleet signature's ``int_counters``,
+    #: so dropping it would move every stored digest and sweep row.
     displaced: int = 0
     #: Forwarded notifications removed from the device by a retraction.
     retracted_on_device: int = 0
@@ -68,9 +70,10 @@ class RunStats:
     dropped_before_forward: int = 0
 
     # Device constraints -------------------------------------------------
-    #: Battery units drained (0 when no battery model is attached).
+    #: Always 0.0: no device model drains a battery. Kept because every
+    #: summed RunStats field lands in ``fleet --format json``'s
+    #: ``counters``, so dropping it would change that output.
     battery_spent: float = 0.0
-    outcome: RunOutcome = RunOutcome.COMPLETED
 
     # Fault injection (all zero unless a FaultPlan is active) -------------
     #: Last-hop delivery attempts lost by the fault plan.

@@ -45,7 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only (fleet imports metrics)
 _SUMMED_FIELDS = tuple(
     f.name
     for f in fields(RunStats)
-    if f.name not in ("forwarded_ids", "read_ids", "outcome")
+    if f.name not in ("forwarded_ids", "read_ids")
 )
 #: The summed fields that are floats: their sums are order-sensitive.
 _FLOAT_FIELDS = frozenset(
@@ -223,7 +223,7 @@ class FleetAccumulator:
     ``add_device`` consumes one device's :class:`RunStats`; ``merge``
     folds another accumulator (one shard's worth) in. All integer
     counters and sketch bins are exact under any partitioning; float
-    sums (``read_delay_sum``, ``bytes``, battery) merge up to
+    sums (``read_delay_sum``, ``bytes``) merge up to
     reassociation (~1e-9 relative), which the shard-invariance tests
     pin. Merge shards in a fixed order for bit-level determinism.
     """

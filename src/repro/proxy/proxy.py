@@ -12,9 +12,9 @@ three main routines:
 * :meth:`LastHopProxy.on_network` — ``NETWORK(status)``, called when the
   last-hop link goes up or down.
 
-Unlike the pseudo-code, which "did not include garbage collection", the
-proxy cancels dead timers and exposes :meth:`collect_garbage` so that
-year-long runs stay bounded (see :mod:`repro.proxy.gc`).
+Like the pseudo-code, which "did not include garbage collection", the
+proxy keeps every event's history entry for the whole run, so late rank
+changes always find the event they name.
 """
 
 from __future__ import annotations
@@ -705,8 +705,7 @@ class LastHopProxy:
                 self._recorder.expire_at_proxy(
                     self._sim.now, state.topic, event.event_id, "timer"
                 )
-        # History is retained so late rank changes still match; the GC
-        # horizon (collect_garbage) reclaims it eventually.
+        # History is retained so late rank changes still match.
         if self._auditor is not None:
             self._auditor.maybe_audit(self._sim, state)
 
@@ -738,10 +737,9 @@ class LastHopProxy:
 
         All timers (expirations, delay stage, quiet wake-ups) and
         in-flight volatile state (pending retractions) are torn down;
-        only the durable event history and forwarded set survive —
-        exactly the data :meth:`collect_garbage` is contracted to
-        retain. With ``restart_delay`` > 0 the proxy stays down for that
-        long (arrivals are lost, reads come back empty) before
+        only the durable event history and forwarded set survive. With
+        ``restart_delay`` > 0 the proxy stays down for that long
+        (arrivals are lost, reads come back empty) before
         :meth:`restart` rebuilds it; with 0 it restarts immediately.
         """
         if self._crashed:
@@ -929,58 +927,3 @@ class LastHopProxy:
                 state.prefetch.add(event)
         state.prefetch_limit = self._buffer.effective_limit(state)
         return state, requeued
-
-    # ------------------------------------------------------------------
-    # Garbage collection (the paper notes it omitted this)
-    # ------------------------------------------------------------------
-    def collect_garbage(self, history_horizon: Optional[float] = None) -> int:
-        """Drop stale bookkeeping; returns entries reclaimed.
-
-        See :func:`repro.proxy.gc.collect` for the scheduled variant.
-        ``history_horizon`` prunes history entries older than the given
-        number of seconds that are no longer queued anywhere.
-        """
-        if self._crashed:
-            # History and the forwarded set are exactly what restart
-            # rebuilds from; never prune them while the process is down.
-            return 0
-        reclaimed = 0
-        now = self._sim.now
-        for state in self._states.values():
-            if state.crashed:
-                # Same contract as the whole-proxy check, per binding.
-                continue
-            retracted = state.retracted
-            for queue in (state.outgoing, state.prefetch, state.holding):
-                # Queues self-compact on mutation past the same threshold
-                # (RankedQueue.compact_if_stale); this sweep only mops up
-                # queues that went idle right after heavy churn.
-                reclaimed += queue.compact_if_stale()
-            if history_horizon is not None:
-                cutoff = now - history_horizon
-                doomed = [
-                    event_id
-                    for event_id, event in state.history.items()
-                    if event.published_at < cutoff and not state.in_any_queue(event_id)
-                    and event_id not in state.delay_handles
-                ]
-                for event_id in doomed:
-                    del state.history[event_id]
-                    state.forwarded.discard(event_id)
-                    # A drop-before-forward leaves its expiration timer
-                    # armed; cancel it with the history entry or the
-                    # handle map (and the engine heap) grow per-event
-                    # forever on year-long runs.
-                    handle = state.expiration_handles.pop(event_id, None)
-                    if handle is not None:
-                        handle.cancel()
-                        reclaimed += 1
-                    # Retraction bookkeeping is per-event too: once the
-                    # history forgets the event, no late rank change can
-                    # re-retract it, so its dedup entry is dead weight.
-                    if event_id in retracted:
-                        retracted.remove(event_id)
-                        reclaimed += 1
-                reclaimed += len(doomed)
-        reclaimed += self._sim.drain_cancelled()
-        return reclaimed

@@ -50,7 +50,7 @@ class RankedQueue:
     #: mostly stale and gets rebuilt; rebuilding at that point costs
     #: O(M) against the Ω(M) lazy deletions that caused it, so the
     #: amortized overhead per mutation is O(1). The rule is written
-    #: out in :meth:`add`, :meth:`remove` and :meth:`compact_if_stale`.
+    #: out in :meth:`add` and :meth:`remove`.
     _COMPACT_SLACK = 16
 
     def __init__(self, items: Iterable[Notification] = ()) -> None:
@@ -81,7 +81,7 @@ class RankedQueue:
         )
         if notification.expires_at is not None:
             heapq.heappush(self._expiry, (notification.expires_at, notification.event_id))
-        # compact_if_stale(), inlined: this runs on every mutation.
+        # Checked inline: this runs on every mutation.
         if len(heap) > 2 * len(items) + self._COMPACT_SLACK:
             self.compact()
 
@@ -192,22 +192,6 @@ class RankedQueue:
             if item.expires_at is not None
         ]
         heapq.heapify(self._expiry)
-
-    def compact_if_stale(self, slack: Optional[int] = None) -> int:
-        """Compact when stale entries outnumber live ones (amortized).
-
-        :meth:`add` and :meth:`remove` run the same check inline, so a
-        rank-churn workload keeps the heap within a constant factor of
-        the live membership without any external sweep. Returns the
-        number of heap entries reclaimed (0 when below the threshold).
-        """
-        if slack is None:
-            slack = self._COMPACT_SLACK
-        if len(self._heap) <= 2 * len(self._items) + slack:
-            return 0
-        before = len(self._heap) + len(self._expiry)
-        self.compact()
-        return before - (len(self._heap) + len(self._expiry))
 
     @property
     def stale_entries(self) -> int:

@@ -39,6 +39,11 @@ class QuietHours:
 
     windows: Tuple[Tuple[float, float], ...] = ()
 
+    def __post_init__(self) -> None:
+        # Tuples whatever sequence the caller passed: the on-line
+        # baseline cache keys on the run keywords, schedule included.
+        object.__setattr__(self, "windows", tuple(map(tuple, self.windows)))
+
     def validate(self) -> None:
         previous_end = 0.0
         for start, end in self.windows:

@@ -156,13 +156,6 @@ class TopicState:
         """Events currently waiting in any proxy queue."""
         return len(self.outgoing) + len(self.prefetch) + len(self.holding)
 
-    def in_any_queue(self, event_id: EventId) -> bool:
-        return (
-            event_id in self.outgoing
-            or event_id in self.prefetch
-            or event_id in self.holding
-        )
-
     def remove_everywhere(self, event_id: EventId) -> bool:
         """Remove an event from all three queues; True if it was queued."""
         removed = False

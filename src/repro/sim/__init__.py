@@ -16,7 +16,6 @@ This package provides the engine the paper's evaluation is built on:
 """
 
 from repro.sim.engine import EventHandle, Simulator
-from repro.sim.process import Process, ProcessExit
 from repro.sim.rng import RandomSource
 from repro.sim.trace import (
     ArrivalRecord,
@@ -30,8 +29,6 @@ __all__ = [
     "ArrivalRecord",
     "EventHandle",
     "OutageRecord",
-    "Process",
-    "ProcessExit",
     "RandomSource",
     "RankChangeRecord",
     "ReadRecord",

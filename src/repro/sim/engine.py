@@ -569,22 +569,6 @@ class Simulator:
             )
         return violations
 
-    def drain_cancelled(self) -> int:
-        """Compact the heap by discarding cancelled entries.
-
-        Long runs that cancel many timers (e.g. expiration timeouts for
-        messages that were read first) can call this to bound memory.
-        Stream cursor entries are never cancelled, so lazily merged
-        streams are unaffected. Returns the number of entries removed.
-        """
-        before = len(self._heap)
-        live = [entry for entry in self._heap if not entry[2].cancelled]
-        heapq.heapify(live)
-        # In place: run() iterates an alias of the heap list, and a GC
-        # sweep may compact mid-run.
-        self._heap[:] = live
-        return before - len(live)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Simulator(now={self._now:.3f}, pending={self.pending}, "

@@ -464,6 +464,20 @@ class Trace:
                     f"rank change at t={changes.times[index]} references "
                     f"unknown event {int(changes.event_ids[index])}"
                 )
+            # A change replayed before its event's publication would let
+            # the proxy forward (and the user read) an unpublished event.
+            order = np.argsort(arrivals.event_ids)
+            arrived_at = arrivals.times[order][
+                np.searchsorted(arrivals.event_ids[order], changes.event_ids)
+            ]
+            early = ~(changes.times >= arrived_at)  # NaN-proof
+            if early.any():
+                index = _first_index(early)
+                raise ConfigurationError(
+                    f"rank change at t={changes.times[index]} precedes the "
+                    f"arrival of event {int(changes.event_ids[index])} at "
+                    f"t={arrived_at[index]}"
+                )
 
     @staticmethod
     def _check_sorted(label: str, times: np.ndarray) -> None:

@@ -85,6 +85,17 @@ def _column(stream: dict, key: str, expected_len: int = -1) -> list:
     return values
 
 
+def _int_column(stream: dict, key: str, expected_len: int) -> list:
+    """An integer column; numpy would silently truncate 2.7 or ``true``."""
+    values = _column(stream, key, expected_len)
+    for value in values:
+        if type(value) is not int and not (
+            type(value) is float and value.is_integer()
+        ):
+            raise ValueError(f"column {key!r} holds {value!r}, not an integer")
+    return values
+
+
 def trace_from_dict(data: dict) -> Trace:
     """Rebuild a trace from :func:`trace_to_dict` output (validated)."""
     if not isinstance(data, dict):
@@ -110,7 +121,7 @@ def trace_from_dict(data: dict) -> Trace:
         columns = TraceColumns(
             arrivals=ArrivalColumns.build(
                 arrival_times,
-                _column(arrivals, "event_id", len(arrival_times)),
+                _int_column(arrivals, "event_id", len(arrival_times)),
                 _column(arrivals, "rank", len(arrival_times)),
                 [
                     math.nan if e is None else float(e)
@@ -118,20 +129,24 @@ def trace_from_dict(data: dict) -> Trace:
                 ],
             ),
             reads=ReadColumns.build(
-                read_times, _column(reads, "count", len(read_times))
+                read_times, _int_column(reads, "count", len(read_times))
             ),
             outages=OutageColumns.build(
                 outage_starts, _column(outages, "end", len(outage_starts))
             ),
             rank_changes=RankChangeColumns.build(
                 change_times,
-                _column(changes, "event_id", len(change_times)),
+                _int_column(changes, "event_id", len(change_times)),
                 _column(changes, "new_rank", len(change_times)),
             ),
         )
+        metadata = dict(data.get("metadata", {}))
+        seed = metadata.get("seed")
+        if seed is not None and type(seed) is not int:
+            raise ValueError(f"metadata seed {seed!r} is not an integer")
         trace = Trace(
             duration=float(data["duration"]),
-            metadata=dict(data.get("metadata", {})),
+            metadata=metadata,
             columns=columns,
         )
     except (KeyError, TypeError, ValueError) as exc:

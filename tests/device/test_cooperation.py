@@ -111,13 +111,6 @@ class TestGroupReads:
         outcome = group.perform_read(TOPIC, 5)
         assert outcome.count == 0
 
-    def test_dead_peer_not_consulted(self):
-        _sim, _stats, group, (reader, peer) = build_group()
-        peer.receive(note(1, rank=4.0), DeliveryMode.PUSHED)
-        peer.dead = True
-        outcome = group.perform_read(TOPIC, 5)
-        assert outcome.count == 0
-
     def test_group_queue_size(self):
         _sim, _stats, group, (reader, peer) = build_group()
         reader.receive(note(1), DeliveryMode.PUSHED)

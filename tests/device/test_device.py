@@ -3,16 +3,14 @@
 import pytest
 
 from repro.broker.message import Notification
-from repro.device.battery import Battery
 from repro.device.device import ClientDevice
 from repro.device.link import LastHopLink
-from repro.device.storage import StoragePolicy
 from repro.errors import ConfigurationError, DeviceError
 from repro.metrics.accounting import RunStats
 from repro.proxy.policies import PolicyConfig
 from repro.proxy.proxy import LastHopProxy, ProxyConfig
 from repro.sim.engine import Simulator
-from repro.types import DeliveryMode, EventId, NetworkStatus, RunOutcome, TopicId
+from repro.types import DeliveryMode, EventId, NetworkStatus, TopicId
 
 TOPIC = TopicId("t")
 
@@ -27,11 +25,11 @@ def note(event_id, rank=1.0, published_at=0.0, expires_at=None):
     )
 
 
-def build(threshold=0.0, battery=None, storage=StoragePolicy(), with_proxy=None):
+def build(threshold=0.0, with_proxy=None):
     sim = Simulator()
     stats = RunStats()
     link = LastHopLink(sim, stats)
-    device = ClientDevice(sim, link, stats, battery=battery, storage=storage)
+    device = ClientDevice(sim, link, stats)
     device.add_topic(TOPIC, threshold)
     if with_proxy is not None:
         proxy = LastHopProxy(sim, link, ProxyConfig(policy=with_proxy), stats)
@@ -135,48 +133,6 @@ class TestReads:
         sim.run()
         device.perform_read(TOPIC, 1)
         assert stats.mean_read_age == pytest.approx(100.0)
-
-
-class TestStorageCap:
-    def test_eviction_counts_displaced(self):
-        _sim, _link, device, stats, _ = build(storage=StoragePolicy(max_messages=2))
-        device.receive(note(1, rank=1.0), DeliveryMode.PUSHED)
-        device.receive(note(2, rank=2.0), DeliveryMode.PUSHED)
-        device.receive(note(3, rank=3.0), DeliveryMode.PUSHED)
-        assert device.queue_size(TOPIC) == 2
-        assert stats.displaced == 1
-        assert device.top_events(TOPIC, 2) == [(EventId(3), 3.0), (EventId(2), 2.0)]
-
-    def test_low_ranked_incoming_dropped(self):
-        _sim, _link, device, stats, _ = build(storage=StoragePolicy(max_messages=2))
-        device.receive(note(1, rank=4.0), DeliveryMode.PUSHED)
-        device.receive(note(2, rank=5.0), DeliveryMode.PUSHED)
-        device.receive(note(3, rank=0.5), DeliveryMode.PUSHED)
-        assert device.queue_size(TOPIC) == 2
-        assert EventId(3) not in {eid for eid, _ in device.top_events(TOPIC, 5)}
-
-
-class TestBatteryDeath:
-    def test_device_dies_when_battery_exhausted(self):
-        _sim, _link, device, stats, _ = build(
-            battery=Battery(capacity=2.0, receive_cost=1.0)
-        )
-        device.receive(note(1), DeliveryMode.PUSHED)
-        device.receive(note(2), DeliveryMode.PUSHED)
-        device.receive(note(3), DeliveryMode.PUSHED)  # exceeds budget
-        assert device.dead
-        assert stats.outcome is RunOutcome.BATTERY_DEAD
-        assert device.queue_size(TOPIC) == 2
-
-    def test_dead_device_reads_nothing(self):
-        _sim, _link, device, _stats, _ = build(
-            battery=Battery(capacity=1.0, receive_cost=1.0)
-        )
-        device.receive(note(1), DeliveryMode.PUSHED)
-        device.receive(note(2), DeliveryMode.PUSHED)
-        assert device.dead
-        outcome = device.perform_read(TOPIC, 5)
-        assert outcome.count == 0
 
 
 class TestReconnectReport:

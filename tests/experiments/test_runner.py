@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.device.battery import Battery
 from repro.experiments import runner as runner_module
 from repro.experiments.runner import (
     clear_baseline_cache,
@@ -14,9 +13,8 @@ from repro.experiments.runner import (
 from repro.faults import PRESETS
 from repro.metrics.analytic import expected_overflow_waste
 from repro.metrics.waste_loss import compute_waste
-from repro.proxy.gc import ProxyGarbageCollector
 from repro.proxy.policies import PolicyConfig
-from repro.types import RunOutcome
+from repro.proxy.schedule import DeliverySchedule, QuietHours
 
 from tests.conftest import make_config
 from repro.workload.scenario import build_trace
@@ -27,7 +25,6 @@ class TestSingleRuns:
         result = run_scenario(overflow_trace, PolicyConfig.online())
         assert result.stats.forwarded == result.stats.accepted
         assert result.stats.accepted == len(overflow_trace.arrivals)
-        assert result.stats.outcome is RunOutcome.COMPLETED
 
     def test_on_demand_has_zero_waste(self, outage_trace):
         result = run_scenario(outage_trace, PolicyConfig.on_demand())
@@ -53,60 +50,6 @@ class TestSingleRuns:
         assert a.stats.read_ids == b.stats.read_ids
         assert a.stats.forwarded_ids == b.stats.forwarded_ids
         assert a.events_processed == b.events_processed
-
-    def test_gc_does_not_change_results(self, outage_trace):
-        plain = run_scenario(outage_trace, PolicyConfig.unified())
-        with_gc = run_scenario(outage_trace, PolicyConfig.unified(), gc_interval=86400.0)
-        assert plain.stats.read_ids == with_gc.stats.read_ids
-        assert plain.stats.forwarded_ids == with_gc.stats.forwarded_ids
-
-
-class TestCleanupOnError:
-    """run_scenario must release resources even when a callback raises."""
-
-    @staticmethod
-    def _raise(*_args, **_kwargs):
-        raise RuntimeError("injected read failure")
-
-    def test_gc_detached_when_callback_raises(self, overflow_trace, monkeypatch):
-        stopped = []
-        original_stop = ProxyGarbageCollector.stop
-
-        def recording_stop(self):
-            stopped.append(self)
-            original_stop(self)
-
-        monkeypatch.setattr(ProxyGarbageCollector, "stop", recording_stop)
-        monkeypatch.setattr(
-            "repro.device.device.ClientDevice.perform_read", self._raise
-        )
-        with pytest.raises(RuntimeError, match="injected"):
-            run_scenario(overflow_trace, PolicyConfig.online(), gc_interval=3600.0)
-        assert len(stopped) == 1
-        assert stopped[0]._handle is None
-
-    def test_battery_accounted_when_callback_raises(
-        self, overflow_trace, monkeypatch
-    ):
-        recorded = []
-        original_stats = runner_module.RunStats
-
-        def recording_stats():
-            stats = original_stats()
-            recorded.append(stats)
-            return stats
-
-        monkeypatch.setattr(runner_module, "RunStats", recording_stats)
-        monkeypatch.setattr(
-            "repro.device.device.ClientDevice.perform_read", self._raise
-        )
-        battery = Battery(capacity=1e9, receive_cost=1.0)
-        with pytest.raises(RuntimeError, match="injected"):
-            run_scenario(overflow_trace, PolicyConfig.online(), battery=battery)
-        assert len(recorded) == 1
-        # The on-line policy forwarded (and drained) before the read blew
-        # up; the finally block must still settle the accounting.
-        assert recorded[0].battery_spent > 0.0
 
 
 class TestBaselineCache:
@@ -138,12 +81,12 @@ class TestBaselineCache:
         assert first is not second
         assert first.stats.read_ids == second.stats.read_ids
 
-    def test_unhashable_kwargs_bypass_cache(self, outage_trace):
-        battery = Battery(capacity=1e9, receive_cost=1.0)
-        first = run_baseline(outage_trace, battery=battery)
-        second = run_baseline(outage_trace, battery=battery)
-        assert first is not second
-        assert first.stats.forwarded == second.stats.forwarded
+    def test_schedule_with_list_windows_is_cached(self, outage_trace):
+        def schedule():
+            return DeliverySchedule(quiet_hours=QuietHours(windows=[[0.0, 7.0]]))
+
+        first = run_baseline(outage_trace, schedule=schedule())
+        assert run_baseline(outage_trace, schedule=schedule()) is first
 
     @pytest.mark.parametrize(
         "faults", [None, PRESETS["lossy"]], ids=["clean", "lossy"]

@@ -11,7 +11,7 @@ from repro.broker.message import Notification
 from repro.device.device import ClientDevice
 from repro.device.link import LastHopLink
 from repro.errors import ConfigurationError, ProxyError
-from repro.experiments.runner import ReplicationSpec, run_scenario
+from repro.experiments.runner import run_scenario
 from repro.faults import PRESETS, FaultPlan, FaultSpec, active_spec, configure
 from repro.proxy.invariants import check_topic_state
 from repro.proxy.policies import PolicyConfig
@@ -344,7 +344,6 @@ class TestCrashRestart:
         assert stats.lost_in_crash == 1
         response = proxy.on_read(TOPIC, 4, queue_size=0, client_events=[])
         assert response.sent == ()
-        assert proxy.collect_garbage() == 0  # never prune durable state down
         sim.run(until=10.0)
         assert not proxy.crashed
         assert stats.crash_downtime == pytest.approx(5.0)
@@ -405,16 +404,6 @@ class TestRunnerIntegration:
         from repro.workload.scenario import build_trace
 
         return build_trace(make_config(days=3.0, outage_fraction=0.4), seed=1)
-
-    def test_crashes_with_replication_rejected(self):
-        trace = self._trace()
-        with pytest.raises(ConfigurationError):
-            run_scenario(
-                trace,
-                PolicyConfig.unified(),
-                faults=FaultSpec(crashes_per_day=4.0),
-                replication=ReplicationSpec(),
-            )
 
     def test_lossy_run_completes_with_retries(self):
         trace = self._trace()

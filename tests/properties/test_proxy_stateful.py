@@ -120,10 +120,6 @@ class ProxyMachine(RuleBasedStateMachine):
     def queue_report(self, size):
         self.proxy.on_queue_report(TOPIC, size)
 
-    @rule()
-    def garbage_collect(self):
-        self.proxy.collect_garbage(history_horizon=1000.0)
-
     @rule(delay=st.sampled_from([0.0, 5.0, 50.0]))
     def crash_restart(self, delay):
         """Crash the proxy; recovery rebuilds from retained history.

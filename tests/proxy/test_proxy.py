@@ -255,7 +255,7 @@ class TestExpirations:
         assert [n.event_id for n in response.sent] == [2]
         assert response.candidates == 1  # the expired event never competed
         assert proxy.stats.expired_at_proxy == 1
-        assert not proxy.topic_state(TOPIC).in_any_queue(EventId(1))
+        assert proxy.topic_state(TOPIC).queued_event_count() == 0
 
     def test_read_pruning_not_double_counted_by_timer(self):
         sim, _transport, proxy = build(PolicyConfig.on_demand())
@@ -275,7 +275,7 @@ class TestRankChanges:
         proxy.on_notification(note(1, rank=3.0))
         proxy.on_notification(note(1, rank=1.0))  # rank-change announcement
         state = proxy.topic_state(TOPIC)
-        assert not state.in_any_queue(EventId(1))
+        assert state.queued_event_count() == 0
         assert proxy.stats.dropped_before_forward == 1
         response = proxy.on_read(TOPIC, 5, queue_size=0)
         assert response.sent == ()
@@ -432,23 +432,3 @@ class TestTopicManagement:
         _sim, _transport, proxy = build(PolicyConfig.online())
         assert proxy.topics == [TOPIC]
 
-
-class TestGarbageCollection:
-    def test_collect_garbage_prunes_old_history(self):
-        sim, _transport, proxy = build(PolicyConfig.online())
-        for i in range(10):
-            proxy.on_notification(note(i, rank=1.0))
-        state = proxy.topic_state(TOPIC)
-        assert len(state.history) == 10
-        sim.run(until=1000.0)
-        reclaimed = proxy.collect_garbage(history_horizon=100.0)
-        assert reclaimed >= 10
-        assert len(state.history) == 0
-
-    def test_collect_garbage_keeps_queued_events(self):
-        sim, _transport, proxy = build(PolicyConfig.on_demand())
-        proxy.on_notification(note(1, rank=1.0))
-        sim.run(until=1000.0)
-        proxy.collect_garbage(history_horizon=100.0)
-        state = proxy.topic_state(TOPIC)
-        assert EventId(1) in state.history  # still queued; must survive

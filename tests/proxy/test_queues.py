@@ -287,15 +287,6 @@ class TestMaintenance:
         best = queue.top_n(3)
         assert [m.rank for m in best] == sorted((m.rank for m in items), reverse=True)[:3]
 
-    def test_compact_if_stale_reports_reclaimed_entries(self):
-        queue = RankedQueue([note(i, float(i), expires_at=100.0) for i in range(20)])
-        for i in range(15):
-            queue.remove(EventId(i))
-        assert queue.compact_if_stale() == 0  # 15 stale <= 5 live + 16 slack
-        # Forcing the threshold reclaims the stale entries of both heaps.
-        assert queue.compact_if_stale(slack=-1) == 30
-        assert queue.stale_entries == 0
-
 
 @given(
     st.lists(

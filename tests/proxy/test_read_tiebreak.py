@@ -49,7 +49,7 @@ def test_rank_tie_keeps_client_copy():
     assert response.sent == ()
     assert transport.delivered == []
     # The candidate stays queued at the proxy for a later read.
-    assert proxy.topic_state(TOPIC).in_any_queue(EventId(1))
+    assert proxy.topic_state(TOPIC).queued_event_count() == 1
 
 
 def test_strictly_better_candidate_still_ships():

@@ -28,11 +28,6 @@ class TestQueues:
         state.holding.add(note(3))
         assert state.queued_event_count() == 3
 
-    def test_in_any_queue(self, state):
-        state.holding.add(note(5))
-        assert state.in_any_queue(EventId(5))
-        assert not state.in_any_queue(EventId(6))
-
     def test_remove_everywhere(self, state):
         state.outgoing.add(note(1))
         state.prefetch.add(note(1))  # set semantics allow duplication

@@ -94,15 +94,6 @@ class TestCancellation:
         sim.run()
         assert fired == []
 
-    def test_drain_cancelled_compacts_heap(self, sim):
-        handles = [sim.schedule(float(i + 1), lambda: None) for i in range(10)]
-        for handle in handles[:7]:
-            handle.cancel()
-        removed = sim.drain_cancelled()
-        assert removed == 7
-        assert sim.pending == 3
-
-
 class TestNonFiniteTimes:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_schedule_rejects_non_finite_delay(self, sim, bad):
@@ -234,16 +225,6 @@ class TestStreams:
         sim.schedule(3.0, lambda: None)
         sim.run()
         assert sim.events_processed == 3
-
-    def test_drain_cancelled_preserves_stream_cursor(self, sim):
-        fired = []
-        handles = [sim.schedule(10.0, lambda: None) for _ in range(4)]
-        for handle in handles:
-            handle.cancel()
-        sim.add_stream([(1.0, fired.append, ("a",)), (2.0, fired.append, ("b",))])
-        assert sim.drain_cancelled() == 4
-        sim.run()
-        assert fired == ["a", "b"]
 
     def test_stream_equivalent_to_schedule_at(self):
         # The documented contract: add_stream == schedule_at per item in

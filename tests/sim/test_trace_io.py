@@ -6,10 +6,12 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.runner import run_paired
+from repro.experiments.trace_cli import main
 from repro.proxy.policies import PolicyConfig
 from repro.sim.trace_io import load_trace, save_trace, trace_from_dict, trace_to_dict
+from repro.units import DAY
 from repro.workload.ranks import RankChangeConfig
-from repro.workload.scenario import build_trace
+from repro.workload.scenario import ScenarioConfig, build_trace
 
 from tests.conftest import make_config
 
@@ -91,3 +93,54 @@ class TestErrors:
         path.write_text("[1, 2, 3]", encoding="utf-8")
         with pytest.raises(ConfigurationError, match="JSON object"):
             load_trace(path)
+
+
+def _add_change(data, time, event_id):
+    changes = data["rank_changes"]
+    changes["time"].insert(0, time)
+    changes["event_id"].insert(0, event_id)
+    changes["new_rank"].insert(0, 0.5)
+
+
+def _last_arrival(data):
+    return data["arrivals"]["time"][-1], data["arrivals"]["event_id"][-1]
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        # A rank change replayed before its event's publication.
+        lambda data: _add_change(data, 1.0, _last_arrival(data)[1]),
+        lambda data: _add_change(data, -5.0, _last_arrival(data)[1]),
+        # Non-integral numbers and booleans in integer columns.
+        lambda data: data["reads"]["count"].__setitem__(0, 2.7),
+        lambda data: data["reads"]["count"].__setitem__(0, True),
+        lambda data: data["arrivals"]["event_id"].__setitem__(
+            -1, _last_arrival(data)[1] + 0.9
+        ),
+        lambda data: _add_change(
+            data, _last_arrival(data)[0] + 1.0, _last_arrival(data)[1] + 0.9
+        ),
+        lambda data: data["metadata"].update(seed="abc"),
+        lambda data: data["metadata"].update(seed=True),
+    ],
+    ids=[
+        "change-before-arrival",
+        "change-at-negative-time",
+        "fractional-read-count",
+        "boolean-read-count",
+        "fractional-arrival-id",
+        "fractional-change-id",
+        "string-seed",
+        "boolean-seed",
+    ],
+)
+def test_malformed_loaded_trace_rejected(mutate, tmp_path, capsys):
+    data = trace_to_dict(build_trace(ScenarioConfig(duration=2 * DAY), seed=1))
+    mutate(data)
+    with pytest.raises(ConfigurationError):
+        trace_from_dict(data)
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
