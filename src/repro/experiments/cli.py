@@ -215,18 +215,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "summary table to the output"
         ),
     )
-    parser.add_argument(
-        "--faults",
-        type=str,
-        default=None,
-        metavar="SPEC",
-        help=(
-            "inject deterministic last-hop faults: a preset name "
-            f"({', '.join(sorted(faults.PRESETS))}) or a JSON object of "
-            "FaultSpec fields (e.g. '{\"loss_rate\": 0.1}'); 'none' and "
-            "an omitted flag are byte-identical"
-        ),
-    )
+    add_faults_option(parser)
     parser.add_argument(
         "--quiet", action="store_true", help="suppress progress lines on stderr"
     )
@@ -240,13 +229,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.jobs < 0:
         parser.error("--jobs must be >= 0 (0 = one per CPU)")
 
-    fault_spec = None
-    if args.faults is not None:
-        try:
-            fault_spec = faults.FaultSpec.parse(args.faults)
-        except ConfigurationError as error:
-            parser.error(f"--faults: {error}")
-    faults.configure(fault_spec)
+    faults.configure(parse_faults_option(parser, args.faults))
 
     if args.audit is not None and args.audit < 1:
         parser.error("--audit interval must be >= 1")
@@ -284,13 +267,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.figure == "validate":
-        output = run_validation(args.days, args.quiet)
+        try:
+            output = run_validation(args.days, args.quiet)
+        except ConfigurationError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
         failures = output.count("[FAIL]")
         try:
             epilogue = _obs_epilogue(args, fmt="text")
             if epilogue:
                 output = output + "\n\n" + epilogue
-            _emit(output, args.output)
+            emit(output, args.output)
         except ExportError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
@@ -303,6 +290,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                        fmt=args.format, with_plots=args.plot, jobs=args.jobs)
             for name in names
         ]
+    except ConfigurationError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     except obs.InvariantViolation as error:
         # The audit already attached the violated invariants and the
         # trailing trace records to the message; the ring buffer still
@@ -317,7 +307,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         epilogue = _obs_epilogue(args, fmt=args.format)
         if epilogue:
             chunks.append(epilogue)
-        _emit("\n\n".join(chunks), args.output)
+        emit("\n\n".join(chunks), args.output)
     except ExportError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -343,7 +333,45 @@ def _obs_epilogue(args, fmt: str) -> Optional[str]:
     return None
 
 
-def _emit(text: str, output: Optional[Path]) -> None:
+def add_faults_option(parser: argparse.ArgumentParser) -> None:
+    """Add the ``--faults SPEC`` option every campaign CLI shares."""
+    parser.add_argument(
+        "--faults",
+        type=str,
+        default=None,
+        metavar="SPEC",
+        help=(
+            "inject deterministic last-hop faults: a preset name "
+            f"({', '.join(sorted(faults.PRESETS))}) or a JSON object of "
+            "FaultSpec fields (e.g. '{\"loss_rate\": 0.1}'); 'none' and "
+            "an omitted flag are byte-identical"
+        ),
+    )
+
+
+def parse_faults_option(
+    parser: argparse.ArgumentParser, text: Optional[str]
+) -> Optional[faults.FaultSpec]:
+    """The spec ``--faults`` names, or None when omitted or null.
+
+    A null spec normalizes to None so ``--faults none`` keys cells and
+    configures the process exactly like omitting the flag.
+    """
+    if text is None:
+        return None
+    try:
+        spec = faults.FaultSpec.parse(text)
+    except ConfigurationError as error:
+        parser.error(f"--faults: {error}")
+    return None if spec.is_null else spec
+
+
+def emit(text: str, output: Optional[Path]) -> None:
+    """Print ``text`` or write it to ``output``.
+
+    An unwritable ``output`` raises a typed ExportError, so a CLI that
+    ran for an hour ends on its clean error path, not a traceback.
+    """
     if output is None:
         print(text)
         return

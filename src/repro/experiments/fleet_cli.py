@@ -29,8 +29,9 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from repro import faults, obs
+from repro import obs
 from repro.errors import ConfigurationError, ExportError
+from repro.experiments.cli import add_faults_option, emit, parse_faults_option
 from repro.fleet import FleetScenarioConfig, run_fleet
 from repro.proxy.policies import PolicyConfig
 from repro.units import DAY
@@ -82,12 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="device partitions (default 1)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for shards (0 = one per CPU)")
-    parser.add_argument("--faults", type=str, default=None, metavar="SPEC",
-                        help=(
-                            "fault preset name "
-                            f"({', '.join(sorted(faults.PRESETS))}) or a JSON "
-                            "FaultSpec object, hashed per-device"
-                        ))
+    add_faults_option(parser)
     parser.add_argument("--audit", type=int, nargs="?", const=1, default=None,
                         metavar="N",
                         help=(
@@ -158,22 +154,6 @@ def _render_json(result, elapsed: Optional[float]) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _emit(text: str, output: Optional[Path]) -> None:
-    """Print or write the summary; OSError becomes a typed ExportError.
-
-    A campaign can run for an hour before this line; an unwritable
-    ``--output`` must surface as the CLI's clean error path, not a raw
-    traceback.
-    """
-    if output is None:
-        print(text)
-        return
-    try:
-        output.write_text(text + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise ExportError(f"cannot write output to {output}: {exc}") from exc
-
-
 def _report_profile(profiler: cProfile.Profile, target: Path) -> None:
     """Print the cumulative-time summary, then write the stats file if
     one was asked for; OSError becomes a typed ExportError."""
@@ -215,12 +195,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.audit is not None and args.audit < 1:
         parser.error("--audit interval must be >= 1")
 
-    fault_spec = None
-    if args.faults is not None:
-        try:
-            fault_spec = faults.FaultSpec.parse(args.faults)
-        except ConfigurationError as error:
-            parser.error(f"--faults: {error}")
+    fault_spec = parse_faults_option(parser, args.faults)
     obs.configure(
         obs.ObsConfig(audit_interval=args.audit) if args.audit is not None else None
     )
@@ -271,7 +246,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     # other artifact.
     status = 0
     try:
-        _emit(text, args.output)
+        emit(text, args.output)
     except ExportError as error:
         print(f"error: {error}", file=sys.stderr)
         status = 2

@@ -42,8 +42,9 @@ from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from repro import faults, obs
+from repro import obs
 from repro.errors import ConfigurationError, ExportError
+from repro.experiments.cli import add_faults_option, emit, parse_faults_option
 from repro.fleet.config import FleetScenarioConfig
 from repro.fleet.store import SweepStore, dump_rows
 from repro.fleet.sweep import (
@@ -123,12 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "stop after N newly computed cells (campaign "
                             "stays resumable)"
                         ))
-    parser.add_argument("--faults", type=str, default=None, metavar="SPEC",
-                        help=(
-                            "fault preset name "
-                            f"({', '.join(sorted(faults.PRESETS))}) or a JSON "
-                            "FaultSpec object, hashed per-device"
-                        ))
+    add_faults_option(parser)
     # Output.
     parser.add_argument("--format", choices=["text", "json"], default="text",
                         help="summary format (default: text)")
@@ -274,16 +270,6 @@ def build_sweep_config(args: argparse.Namespace) -> FleetSweepConfig:
     )
 
 
-def _emit(text: str, output: Optional[Path]) -> None:
-    if output is None:
-        print(text)
-        return
-    try:
-        output.write_text(text + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise ExportError(f"cannot write output to {output}: {exc}") from exc
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -298,15 +284,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.max_cells is not None and args.max_cells < 1:
         parser.error("--max-cells must be >= 1")
 
-    fault_spec = None
-    if args.faults is not None:
-        try:
-            fault_spec = faults.FaultSpec.parse(args.faults)
-        except ConfigurationError as error:
-            parser.error(f"--faults: {error}")
-        if fault_spec.is_null:
-            # `--faults none` keys cells exactly like omitting the flag.
-            fault_spec = None
+    fault_spec = parse_faults_option(parser, args.faults)
     obs.configure(None)
 
     try:
@@ -356,7 +334,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             text = render_summary_text(summaries)
     try:
-        _emit(text, args.output)
+        emit(text, args.output)
     except ExportError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -33,7 +33,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from repro import faults, obs
+from repro import obs
 from repro.errors import ConfigurationError, ExportError
 from repro.fleet.config import FleetScenarioConfig
 from repro.fleet.store import SweepStore, dump_rows
@@ -49,6 +49,7 @@ from repro.fleet.tune import (
     run_fleet_tune,
     trajectory_jsonl,
 )
+from repro.experiments.cli import add_faults_option, emit, parse_faults_option
 from repro.experiments.fleet_sweep_cli import _split_axis_values
 from repro.units import DAY
 from repro.workload.arrivals import ArrivalConfig
@@ -164,12 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "stop after N newly computed cells (campaign "
                             "stays resumable)"
                         ))
-    parser.add_argument("--faults", type=str, default=None, metavar="SPEC",
-                        help=(
-                            "fault preset name "
-                            f"({', '.join(sorted(faults.PRESETS))}) or a JSON "
-                            "FaultSpec object, hashed per-device"
-                        ))
+    add_faults_option(parser)
     # Output.
     parser.add_argument("--format", choices=["text", "json"], default="text",
                         help="summary format (default: text)")
@@ -348,16 +344,6 @@ def render_outcome_json(outcome: TuneOutcome) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _emit(text: str, output: Optional[Path]) -> None:
-    if output is None:
-        print(text)
-        return
-    try:
-        output.write_text(text + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise ExportError(f"cannot write output to {output}: {exc}") from exc
-
-
 def _run_report(args: argparse.Namespace) -> int:
     try:
         with SweepStore(args.store) as store, \
@@ -371,7 +357,7 @@ def _run_report(args: argparse.Namespace) -> int:
         else render_report_text(diffs)
     )
     try:
-        _emit(text, args.output)
+        emit(text, args.output)
     except ExportError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -404,15 +390,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.dump_rows and args.trajectory:
         parser.error("--dump-rows and --trajectory are mutually exclusive")
 
-    fault_spec = None
-    if args.faults is not None:
-        try:
-            fault_spec = faults.FaultSpec.parse(args.faults)
-        except ConfigurationError as error:
-            parser.error(f"--faults: {error}")
-        if fault_spec.is_null:
-            # `--faults none` keys cells exactly like omitting the flag.
-            fault_spec = None
+    fault_spec = parse_faults_option(parser, args.faults)
     obs.configure(None)
 
     try:
@@ -462,7 +440,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         text = render_outcome_text(outcome)
     try:
-        _emit(text, args.output)
+        emit(text, args.output)
     except ExportError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -158,7 +158,8 @@ class FleetWorkloadCache:
     candidates against the *same* seeded scenarios, and the vectorized
     workload build is the only per-evaluation cost that does not depend
     on the policy. One cache entry per campaign seed makes repeat
-    visits free, which is what the evaluations-per-second bench pins.
+    visits free; ``tests/experiments/test_parallel.py`` counts the
+    builds.
 
     ``FleetScenarioConfig`` is frozen and hashable, so the config is
     its own key; entries evict least-recently-used beyond ``maxsize``.

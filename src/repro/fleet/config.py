@@ -23,6 +23,7 @@ from repro.workload.arrivals import ArrivalConfig
 from repro.workload.outages import OutageConfig
 from repro.workload.ranks import RankChangeConfig
 from repro.workload.reads import ReadConfig
+from repro.workload.scenario import check_expected_counts
 
 #: Fields that must hold a finite real number (never a bool).
 _REAL_FIELDS = (
@@ -123,6 +124,9 @@ class FleetScenarioConfig:
         self.reads.validate()
         self.outages.validate()
         self.rank_changes.validate()
+        check_expected_counts(
+            self.duration, self.arrivals, self.reads, self.outages
+        )
         if self.threshold < 0:
             raise ConfigurationError(
                 f"threshold must be non-negative, got {self.threshold}"

@@ -16,9 +16,6 @@ EventId = NewType("EventId", int)
 #: Identifier of a topic, e.g. ``"news/weather/tromso"``.
 TopicId = NewType("TopicId", str)
 
-#: Identifier of a node (subscriber, proxy, or device).
-NodeId = NewType("NodeId", str)
-
 
 class TopicType(enum.Enum):
     """How the user wants notifications on a topic delivered (paper §2.2).

@@ -16,6 +16,7 @@ original per-event loop kept as the reference.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -64,9 +65,10 @@ class ArrivalConfig:
     expiration_spread: float = 0.5
 
     def validate(self) -> None:
-        if self.events_per_day < 0:
+        if not 0.0 <= self.events_per_day < math.inf:
             raise ConfigurationError(
-                f"events_per_day must be non-negative, got {self.events_per_day}"
+                f"events_per_day must be finite and non-negative, got "
+                f"{self.events_per_day}"
             )
         if not 0.0 <= self.expiring_fraction <= 1.0:
             raise ConfigurationError(

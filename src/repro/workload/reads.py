@@ -47,9 +47,10 @@ class ReadConfig:
     wake_jitter_std: float = 30.0 * MINUTE
 
     def validate(self) -> None:
-        if self.reads_per_day < 0:
+        if not 0.0 <= self.reads_per_day < math.inf:
             raise ConfigurationError(
-                f"reads_per_day must be non-negative, got {self.reads_per_day}"
+                f"reads_per_day must be finite and non-negative, got "
+                f"{self.reads_per_day}"
             )
         if self.read_count < 1:
             raise ConfigurationError(f"read_count must be at least 1, got {self.read_count}")

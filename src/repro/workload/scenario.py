@@ -10,6 +10,7 @@ events that both forwarding-policy scenarios replay.
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
@@ -17,11 +18,45 @@ from typing import Optional, Tuple
 from repro.errors import ConfigurationError
 from repro.sim.rng import RandomSource
 from repro.sim.trace import Trace, TraceColumns
-from repro.units import YEAR
+from repro.units import DAY, YEAR
 from repro.workload.arrivals import ArrivalConfig, generate_arrival_columns
 from repro.workload.outages import OutageConfig, generate_outage_columns
 from repro.workload.ranks import RankChangeConfig, generate_rank_change_columns
 from repro.workload.reads import ReadConfig, generate_read_columns
+
+
+#: Most events of one process a device may expect over a run. Far more
+#: than memory holds, and far inside the ~9.2e18 that numpy's Poisson
+#: and array-size limits take, even after a fleet's per-device rate
+#: multipliers.
+MAX_EXPECTED_EVENTS = 1e12
+
+
+def check_expected_counts(
+    duration: float,
+    arrivals: ArrivalConfig,
+    reads: ReadConfig,
+    outages: OutageConfig,
+) -> None:
+    """Reject finite rates whose per-device event count no draw can take.
+
+    Call after the nested configs validated, so every rate is finite.
+    """
+    per_day = {
+        "events_per_day": arrivals.events_per_day,
+        "reads_per_day": reads.reads_per_day,
+        "outages_per_day": (
+            outages.outages_per_day if outages.downtime_fraction > 0 else 0.0
+        ),
+    }
+    for name, rate in per_day.items():
+        expected = rate * duration / DAY
+        if expected > MAX_EXPECTED_EVENTS:
+            raise ConfigurationError(
+                f"{name}={rate:g} over {duration / DAY:g} days expects "
+                f"{expected:.3g} events per device, more than "
+                f"{MAX_EXPECTED_EVENTS:g}"
+            )
 
 
 @dataclass(frozen=True)
@@ -43,12 +78,17 @@ class ScenarioConfig:
     threshold: float = 0.0
 
     def validate(self) -> None:
-        if self.duration <= 0:
-            raise ConfigurationError(f"duration must be positive, got {self.duration}")
+        if not 0.0 < self.duration < math.inf:
+            raise ConfigurationError(
+                f"duration must be positive and finite, got {self.duration}"
+            )
         self.arrivals.validate()
         self.reads.validate()
         self.outages.validate()
         self.rank_changes.validate()
+        check_expected_counts(
+            self.duration, self.arrivals, self.reads, self.outages
+        )
         if self.threshold < 0:
             raise ConfigurationError(f"threshold must be non-negative, got {self.threshold}")
 

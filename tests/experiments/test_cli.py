@@ -181,3 +181,26 @@ class TestOutputErrors:
                          "--trace-out", str(target)])
         assert code == 2
         assert "cannot write trace export" in capsys.readouterr().err
+
+
+class TestWorkloadInputErrors:
+    @pytest.mark.parametrize("argv", [
+        ["fleet", "--events-per-day", "nan"],
+        ["fleet", "--events-per-day", "inf"],
+        ["fleet", "--reads-per-day", "nan"],
+        ["fleet", "--reads-per-day", "inf"],
+        ["fleet", "--reads-per-day", "1e300"],
+        ["fleet", "--days", "1e300"],
+        ["fig1", "--days", "nan"],
+        ["fig1", "--days", "inf"],
+        ["fig1", "--days", "0"],
+        ["fig1", "--days", "-1"],
+        ["fig1", "--days", "1e300"],
+    ], ids=" ".join)
+    def test_bad_workload_input_is_exit_code_not_traceback(self, argv, capsys):
+        try:
+            code = cli.main(argv + ["--quiet"])
+        except SystemExit as exit_info:
+            code = exit_info.code
+        assert code == 2
+        assert "error:" in capsys.readouterr().err

@@ -11,10 +11,17 @@ from repro.experiments.figures import fig1_overflow_waste, fig3_buffer_prefetch
 from repro.experiments.figures.common import measure_grid
 from repro.experiments.parallel import (
     MAX_AUTO_CHUNK,
+    FleetWorkloadCache,
     parallel_map,
     resolve_chunksize,
     resolve_jobs,
 )
+from repro.fleet import sweep as fleet_sweep
+from repro.fleet import workload as fleet_workload
+from repro.fleet.config import FleetScenarioConfig
+from repro.fleet.store import SweepStore
+from repro.fleet.sweep import FleetSweepConfig, parse_policy_token, run_fleet_sweep
+from repro.fleet.tune import TuneConfig, TuneParam, run_fleet_tune
 from repro.units import DAY
 
 
@@ -140,3 +147,80 @@ class TestFigureEquivalence:
             )
             == reference
         )
+
+
+class TestFleetWorkloadCache:
+    def test_hits_builds_and_lru_eviction(self):
+        a, b, c = (FleetScenarioConfig(devices=4, seed=seed) for seed in range(3))
+        cache = FleetWorkloadCache(maxsize=2)
+        first_a = cache.get(a)
+        cache.get(b)
+        assert cache.get(a) is first_a        # hit; a is now most recent
+        cache.get(c)                          # evicts b, the least recent
+        assert cache.get(a) is first_a
+        assert (cache.builds, cache.hits) == (3, 2)
+        cache.get(b)                          # rebuilt after eviction
+        assert (cache.builds, cache.hits) == (4, 2)
+        assert cache.get(b).devices == 4
+
+    @pytest.mark.parametrize("maxsize", [0, -1])
+    def test_rejects_empty_cache(self, maxsize):
+        with pytest.raises(ValueError, match="maxsize"):
+            FleetWorkloadCache(maxsize=maxsize)
+
+
+class TestSharedWorkloadBuilds:
+    """Fleet workload builds per campaign, counted not timed.
+
+    The vectorized build is the one per-cell cost that does not depend
+    on the policy. A tune campaign must build each seed's workload once
+    however many candidates it evaluates, and a sweep once per
+    ``(scenario, seed)`` group however many policies share it.
+    """
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        seen = []
+        build = fleet_workload.build_fleet_workload
+
+        def counting_build(config):
+            seen.append(config)
+            return build(config)
+
+        monkeypatch.setattr(fleet_workload, "build_fleet_workload", counting_build)
+        monkeypatch.setattr(fleet_sweep, "build_fleet_workload", counting_build)
+        return seen
+
+    def test_tune_builds_each_seed_once(self, builds, tmp_path):
+        config = TuneConfig(
+            base=FleetScenarioConfig(devices=8),
+            space=(
+                TuneParam("ma_window", lo=2, hi=16, integer=True),
+                TuneParam("delay", choices=(0.0, 60.0)),
+            ),
+            preset="unified",
+            seeds=(0, 1),
+            screen_seeds=1,
+            samples=3,
+            survivors=2,
+            refine_rounds=1,
+        )
+        with SweepStore(tmp_path / "tune.sqlite") as store:
+            outcome = run_fleet_tune(config, store)
+        assert sorted(scenario.seed for scenario in builds) == [0, 1]
+        assert outcome.computed > 2 * len(builds)
+
+    def test_sweep_builds_each_group_once(self, builds, tmp_path):
+        config = FleetSweepConfig(
+            base=FleetScenarioConfig(devices=12),
+            policies=tuple(
+                parse_policy_token(token)
+                for token in ("online", "unified", "buffer:8")
+            ),
+            seeds=(0, 1),
+            axes=(("devices", (12, 24)),),
+        )
+        with SweepStore(tmp_path / "sweep.sqlite") as store:
+            outcome = run_fleet_sweep(config, store)
+        assert outcome.computed == 12
+        assert len(builds) == len(set(builds)) == 4
