@@ -45,15 +45,11 @@ class LastHopLink:
         self,
         sim: Simulator,
         stats: Optional[RunStats] = None,
-        latency: float = 0.0,
         faults: Optional[FaultPlan] = None,
         recorder: Optional["TraceRecorder"] = None,
     ) -> None:
-        if latency < 0:
-            raise ConfigurationError(f"latency must be non-negative, got {latency}")
         self._sim = sim
         self._stats = stats if stats is not None else RunStats()
-        self._latency = latency
         self._status = NetworkStatus.UP
         self._device = None
         self._listeners: List[StatusListener] = []
@@ -75,7 +71,7 @@ class LastHopLink:
         """Connect the mobile device this link serves.
 
         A link carries exactly one device: attaching a second one would
-        silently reroute deliveries scheduled for the first (latency
+        silently reroute deliveries scheduled for the first (jittered
         deliveries capture the device at send time, immediate ones at
         receive time — a split-brain bug). Re-attaching the same device
         is an idempotent no-op.
@@ -131,10 +127,7 @@ class LastHopLink:
         if self._faults is None:
             self.deliveries += 1
             self.bytes_carried += notification.size_bytes
-            if self._latency > 0:
-                self._sim.schedule(self._latency, self._device.receive, notification, mode)
-            else:
-                self._device.receive(notification, mode)
+            self._device.receive(notification, mode)
             return
         self._attempt(notification, mode, 1)
 
@@ -174,7 +167,7 @@ class LastHopLink:
             )
             return
         self.deliveries += 1
-        delay = self._latency + plan.delivery_jitter(notification.event_id, attempt)
+        delay = plan.delivery_jitter(notification.event_id, attempt)
         if delay > 0:
             self._sim.schedule(delay, self._device.receive, notification, mode)
         else:
@@ -203,10 +196,7 @@ class LastHopLink:
         self._require_up("retract")
         self.retractions += 1
         self.bytes_carried += RETRACTION_SIZE_BYTES
-        if self._latency > 0:
-            self._sim.schedule(self._latency, self._device.retract, event_id)
-        else:
-            self._device.retract(event_id)
+        self._device.retract(event_id)
 
     def _require_up(self, action: str) -> None:
         if self._device is None:

@@ -7,7 +7,7 @@
   grids and fleet shards across worker processes (``jobs=N``).
 * :mod:`~repro.experiments.figures` — one module per paper figure plus
   the ablations; each regenerates the corresponding data series.
-* :mod:`~repro.experiments.report` — plain-text tables/series output.
+* :mod:`~repro.experiments.report` — plain-text table output.
 * :mod:`~repro.experiments.cli` — ``repro-lasthop`` command-line entry.
 """
 
@@ -20,14 +20,13 @@ from repro.experiments.runner import (
     run_paired_config,
     run_scenario,
 )
-from repro.experiments.report import Table, render_series, render_table
+from repro.experiments.report import Table, render_table
 
 __all__ = [
     "PairedResult",
     "RunResult",
     "Table",
     "parallel_map",
-    "render_series",
     "render_table",
     "run_baseline",
     "run_paired",

@@ -212,7 +212,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         help=(
             "collect per-phase timing/counter probes (trace-build, "
             "baseline, variant) and append an observability "
-            "summary table to the output"
+            "summary table to the output; implies --jobs 1 "
+            "(worker-process probes are not collected)"
         ),
     )
     add_faults_option(parser)
@@ -238,10 +239,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error("--trace-capacity requires --trace-out")
         if args.trace_capacity < 1:
             parser.error("--trace-capacity must be >= 1")
-    if args.trace_out is not None and args.jobs != 1:
+    if (args.trace_out is not None or args.obs) and args.jobs != 1:
+        flag = "--trace-out" if args.trace_out is not None else "--obs"
         print(
-            "warning: --trace-out collects this process's ring buffer only; "
-            "forcing --jobs 1 so worker-process records are not lost",
+            f"warning: {flag} collects from this process only; forcing "
+            "--jobs 1 so what worker processes record is not lost",
             file=sys.stderr,
         )
         args.jobs = 1

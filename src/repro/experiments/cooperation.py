@@ -29,7 +29,7 @@ from repro.proxy.proxy import LastHopProxy, ProxyConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomSource
 from repro.sim.trace import Trace
-from repro.types import EventId, TopicId
+from repro.types import TopicId
 from repro.workload.outages import OutageConfig, generate_outages
 
 

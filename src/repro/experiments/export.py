@@ -10,10 +10,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from pathlib import Path
-from typing import List, Sequence, Union
+from typing import Sequence, Union
 
-from repro.errors import ExportError
 from repro.experiments.report import Table
 
 
@@ -78,35 +76,3 @@ def export_tables(
         f"unknown export format {fmt!r} (use text, csv, json, or jsonl)"
     )
 
-
-def write_export(
-    tables: Union[Table, Sequence[Table]],
-    path: Union[str, Path],
-    fmt: str = "csv",
-) -> None:
-    """Export tables straight to a file.
-
-    Raises :class:`~repro.errors.ExportError` when the target cannot be
-    written (missing directory, permissions, read-only mount) — the
-    output path is user input, not an internal bug.
-    """
-    rendered = export_tables(tables, fmt)
-    try:
-        Path(path).write_text(rendered, encoding="utf-8")
-    except OSError as exc:
-        raise ExportError(f"cannot write export to {path}: {exc}") from exc
-
-
-def load_json_tables(path: Union[str, Path]) -> List[Table]:
-    """Read tables back from a JSON export."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    tables = []
-    for entry in data:
-        table = Table(
-            title=entry["title"], headers=list(entry["headers"]),
-            notes=list(entry.get("notes", [])),
-        )
-        for row in entry["rows"]:
-            table.add_row(*row)
-        tables.append(table)
-    return tables

@@ -6,8 +6,7 @@ Every module exposes:
   parameters (one-year runs, the published sweep values);
 * ``run(config)`` returning one or more
   :class:`~repro.experiments.report.Table` objects with the regenerated
-  series;
-* ``main()`` printing the tables, used by the CLI.
+  series — the one entry point; the CLI (``repro-lasthop``) calls it.
 
 Benchmarks and tests pass reduced ``duration``/sweep values through the
 config; EXPERIMENTS.md records full-scale results.

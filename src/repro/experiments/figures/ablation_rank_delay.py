@@ -171,11 +171,3 @@ def run(
                     f"retractions {point.retractions:.0f}"
                 )
     return table
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run(progress=print).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -117,11 +117,3 @@ def run(
                     f"loss {metrics.loss_percent:.1f} %"
                 )
     return table
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run(progress=print).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -156,11 +156,3 @@ def run(
                     f"waste {percent(point.waste):.1f} %"
                 )
     return table
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run(progress=print).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

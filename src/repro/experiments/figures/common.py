@@ -72,7 +72,6 @@ def measure_grid(
     measure: Callable[..., Any],
     tasks: Sequence[Tuple[Any, ...]],
     jobs: Optional[int] = 1,
-    chunksize: Optional[int] = None,
 ) -> List[Any]:
     """Shared figure entry point: evaluate ``measure(*task)`` per cell.
 
@@ -82,11 +81,11 @@ def measure_grid(
     ``jobs``). ``measure`` must be a module-level function and the task
     elements picklable when ``jobs`` exceeds 1; the frozen ``*Config``
     dataclasses the figure modules pass satisfy that. Cells ship to
-    workers in contiguous chunks (``chunksize``, automatic by default),
-    which amortizes IPC and keeps each worker's per-process trace and
-    baseline LRUs hot across neighbouring cells.
+    workers in contiguous chunks of automatic size, which amortizes IPC
+    and keeps each worker's per-process trace and baseline LRUs hot
+    across neighbouring cells.
     """
-    return parallel_map(measure, tasks, jobs=jobs, chunksize=chunksize)
+    return parallel_map(measure, tasks, jobs=jobs)
 
 
 def paired_replicates(

@@ -15,8 +15,8 @@ No expirations, no outages, on-line policy (loss is zero by definition).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Tuple
 
 from repro.experiments.figures.common import (
     EVENT_FREQUENCY,
@@ -114,32 +114,3 @@ def run(
         )
         table.add_row(*row)
     return table
-
-
-def curves(
-    config: Fig1Config = Fig1Config(), jobs: Optional[int] = 1
-) -> Dict[float, List[float]]:
-    """The figure as {user frequency: [waste fraction per Max]}."""
-    wastes = iter(
-        measure_grid(
-            measure_point,
-            [
-                (config, user_frequency, max_per_read)
-                for user_frequency in config.user_frequencies
-                for max_per_read in config.max_values
-            ],
-            jobs=jobs,
-        )
-    )
-    return {
-        user_frequency: [next(wastes) for _max in config.max_values]
-        for user_frequency in config.user_frequencies
-    }
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run(progress=print).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

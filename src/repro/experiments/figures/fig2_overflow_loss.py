@@ -13,7 +13,7 @@ fraction ∈ [0, 1]. Event frequency 32/day, Max = 8, no expirations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.experiments.figures.common import (
     EVENT_FREQUENCY,
@@ -103,32 +103,3 @@ def run(
                 )
         table.add_row(*row)
     return table
-
-
-def curves(
-    config: Fig2Config = Fig2Config(), jobs: Optional[int] = 1
-) -> Dict[float, List[float]]:
-    """The figure as {user frequency: [loss fraction per outage level]}."""
-    losses = iter(
-        measure_grid(
-            measure_point,
-            [
-                (config, user_frequency, outage_fraction)
-                for user_frequency in config.user_frequencies
-                for outage_fraction in config.outage_fractions
-            ],
-            jobs=jobs,
-        )
-    )
-    return {
-        user_frequency: [next(losses) for _outage in config.outage_fractions]
-        for user_frequency in config.user_frequencies
-    }
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run(progress=print).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

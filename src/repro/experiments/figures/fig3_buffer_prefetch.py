@@ -16,7 +16,7 @@ frequency 2/day, no expirations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.experiments.figures.common import (
     EVENT_FREQUENCY,
@@ -122,35 +122,3 @@ def run(
         loss_table.add_row(*loss_row)
         waste_table.add_row(*waste_row)
     return loss_table, waste_table
-
-
-def curves(
-    config: Fig3Config = Fig3Config(), jobs: Optional[int] = 1
-) -> Dict[float, List[PairedMetrics]]:
-    """The figure as {outage fraction: [metrics per prefetch limit]}."""
-    results = iter(
-        measure_grid(
-            measure_point,
-            [
-                (config, outage_fraction, limit)
-                for outage_fraction in config.outage_fractions
-                for limit in config.prefetch_limits
-            ],
-            jobs=jobs,
-        )
-    )
-    return {
-        outage_fraction: [next(results) for _limit in config.prefetch_limits]
-        for outage_fraction in config.outage_fractions
-    }
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    loss_table, waste_table = run(progress=print)
-    print(loss_table.render())
-    print()
-    print(waste_table.render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -16,7 +16,7 @@ policy, no outages, every notification expires (exponential lifetimes).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.experiments.figures.common import (
     EVENT_FREQUENCY,
@@ -108,32 +108,3 @@ def run(
                 )
         table.add_row(*row)
     return table
-
-
-def curves(
-    config: Fig4Config = Fig4Config(), jobs: Optional[int] = 1
-) -> Dict[float, List[float]]:
-    """The figure as {user frequency: [waste fraction per expiration]}."""
-    wastes = iter(
-        measure_grid(
-            measure_point,
-            [
-                (config, user_frequency, expiration_mean)
-                for user_frequency in config.user_frequencies
-                for expiration_mean in config.expiration_means
-            ],
-            jobs=jobs,
-        )
-    )
-    return {
-        user_frequency: [next(wastes) for _mean in config.expiration_means]
-        for user_frequency in config.user_frequencies
-    }
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(run(progress=print).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -24,7 +24,7 @@ and the threshold pinned to the x value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.experiments.figures.common import (
     EVENT_FREQUENCY,
@@ -139,35 +139,3 @@ def run(
         waste_table.add_row(*waste_row)
         loss_table.add_row(*loss_row)
     return waste_table, loss_table
-
-
-def curves(
-    config: Fig6Config = Fig6Config(), jobs: Optional[int] = 1
-) -> Dict[float, List[PairedMetrics]]:
-    """The figure as {expiration mean: [metrics per threshold]}."""
-    results = iter(
-        measure_grid(
-            measure_point,
-            [
-                (config, expiration_mean, threshold)
-                for expiration_mean in config.expiration_means
-                for threshold in config.thresholds
-            ],
-            jobs=jobs,
-        )
-    )
-    return {
-        expiration_mean: [next(results) for _threshold in config.thresholds]
-        for expiration_mean in config.expiration_means
-    }
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    waste_table, loss_table = run(progress=print)
-    print(waste_table.render())
-    print()
-    print(loss_table.render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -33,7 +33,7 @@ from repro import obs
 from repro.errors import ConfigurationError, ExportError
 from repro.experiments.cli import add_faults_option, emit, parse_faults_option
 from repro.fleet import FleetScenarioConfig, run_fleet
-from repro.proxy.policies import PolicyConfig
+from repro.fleet.sweep import SWEEP_POLICY_PRESETS
 from repro.units import DAY
 from repro.workload.arrivals import ArrivalConfig
 from repro.workload.outages import OutageConfig
@@ -44,15 +44,6 @@ _PROFILE_STDERR = Path("-")
 
 #: Functions shown in the ``--profile`` cumulative-time summary.
 _PROFILE_TOP_N = 25
-
-#: ``--policy`` choices -> PolicyConfig constructors.
-POLICIES = {
-    "online": PolicyConfig.online,
-    "on_demand": PolicyConfig.on_demand,
-    "buffer": PolicyConfig.buffer,
-    "rate": PolicyConfig.rate,
-    "unified": PolicyConfig.unified,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="target per-device downtime fraction in [0, 1]")
     parser.add_argument("--threshold", type=float, default=0.0,
                         help="subscription rank threshold (default 0)")
-    parser.add_argument("--policy", choices=sorted(POLICIES), default="unified",
+    parser.add_argument("--policy", choices=sorted(SWEEP_POLICY_PRESETS),
+                        default="unified",
                         help="proxy policy preset (default: unified)")
     parser.add_argument("--shards", type=int, default=1,
                         help="device partitions (default 1)")
@@ -206,7 +198,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigurationError as error:
         parser.error(str(error))
 
-    policy = POLICIES[args.policy]()
+    policy = SWEEP_POLICY_PRESETS[args.policy]()
     profiler = cProfile.Profile() if args.profile is not None else None
     started = time.time()
     try:

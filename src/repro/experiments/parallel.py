@@ -14,8 +14,8 @@ Design constraints, and how they are met:
 * **Picklable work items.** Callers pass a module-level function and
   tuples of frozen dataclasses / plain values; nothing else crosses the
   process boundary. A fleet shard task names the shared-memory segment
-  holding its columns and carries its fault spec and link latency, so
-  a worker needs no state beyond its task.
+  holding its columns and carries its fault spec, so a worker needs no
+  state beyond its task.
 * **Deterministic merge.** Futures are submitted in grid order and
   harvested in that same order; stragglers simply make the harvest
   block, never reorder it.
@@ -103,17 +103,12 @@ def parallel_map(
     fn: Callable[..., Any],
     tasks: Sequence[Tuple[Any, ...]],
     jobs: Optional[int] = 1,
-    on_result: Optional[Callable[[int, Any], None]] = None,
     chunksize: Optional[int] = None,
 ) -> List[Any]:
     """Evaluate ``fn(*task)`` for every task, optionally across processes.
 
     Results come back as a list in task order regardless of completion
     order — the deterministic merge the figure pipeline depends on.
-    ``on_result(index, value)`` is invoked in task order as results
-    become available (progress reporting); with ``jobs=1`` it streams
-    after each task, with workers it streams as the in-order harvest
-    advances.
 
     When ``jobs`` exceeds 1, ``fn`` must be a module-level function and
     every task element picklable. ``chunksize`` tasks ship per future
@@ -123,14 +118,8 @@ def parallel_map(
     """
     tasks = [task if isinstance(task, tuple) else (task,) for task in tasks]
     effective = resolve_jobs(jobs, len(tasks))
-    results: List[Any] = []
     if effective <= 1:
-        for index, task in enumerate(tasks):
-            value = fn(*task)
-            results.append(value)
-            if on_result is not None:
-                on_result(index, value)
-        return results
+        return [fn(*task) for task in tasks]
     chunk = resolve_chunksize(chunksize, len(tasks), effective)
     chunks = [tasks[start : start + chunk] for start in range(0, len(tasks), chunk)]
     with ProcessPoolExecutor(
@@ -139,14 +128,7 @@ def parallel_map(
         initargs=(obs.active_config(), faults.active_spec()),
     ) as pool:
         futures = [pool.submit(_run_chunk, fn, part) for part in chunks]
-        index = 0
-        for future in futures:
-            for value in future.result():
-                results.append(value)
-                if on_result is not None:
-                    on_result(index, value)
-                index += 1
-    return results
+        return [value for future in futures for value in future.result()]
 
 
 class FleetWorkloadCache:
@@ -196,7 +178,6 @@ def run_fleet_policy_batch(
     shards: int = 1,
     jobs: Optional[int] = 1,
     fault_spec: Optional["faults.FaultSpec"] = None,
-    link_latency: float = 0.0,
 ):
     """Execute several policy variants over ONE fleet workload's shards.
 
@@ -218,9 +199,9 @@ def run_fleet_policy_batch(
     is also invariant to ``(shards, jobs)`` up to documented float
     reassociation.
 
-    ``fault_spec`` (None = fault-free) and ``link_latency`` ride in
-    every shard task, so a worker runs exactly what the caller asked
-    for. Every shard runs on the batch pump.
+    ``fault_spec`` (None = fault-free) rides in every shard task, so a
+    worker runs exactly what the caller asked for. Every shard runs on
+    the batch pump.
 
     Fleet imports stay inside the function: :mod:`repro.fleet.runner`
     imports this module at import time, so importing it here at module
@@ -243,9 +224,7 @@ def run_fleet_policy_batch(
                 piece = workload if (lo, hi) == (0, workload.devices) else (
                     workload.shard(lo, hi)
                 )
-                total.merge(
-                    _execute_shard(piece, policy, fault_spec, link_latency)
-                )
+                total.merge(_execute_shard(piece, policy, fault_spec))
             totals.append(total)
         return totals
 
@@ -256,7 +235,7 @@ def run_fleet_policy_batch(
             for s, (lo, hi) in enumerate(bounds)
         ]
         tasks = [
-            (name, workload.config, policy, fault_spec, link_latency)
+            (name, workload.config, policy, fault_spec)
             # Policy-major: each policy's shards are contiguous, so the
             # in-order harvest below folds them without buffering.
             for policy in policies

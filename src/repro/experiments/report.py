@@ -1,8 +1,7 @@
 """Plain-text rendering of experiment results.
 
 The paper's figures are line plots; in a terminal we report the same
-data as tables (one row per x value, one column per curve) and as
-gnuplot-style series blocks.
+data as tables (one row per x value, one column per curve).
 """
 
 from __future__ import annotations
@@ -85,26 +84,3 @@ def obs_summary_table(summary: dict) -> Table:
         table.notes.append("nothing recorded (probes disabled?)")
     return table
 
-
-def render_series(
-    title: str,
-    x_label: str,
-    xs: Sequence[float],
-    curves: Sequence[tuple],
-) -> str:
-    """Render gnuplot-style data blocks: one block per curve.
-
-    ``curves`` is a sequence of (curve label, y values) pairs; each y
-    sequence must align with ``xs``.
-    """
-    lines = [f"# {title}"]
-    for label, ys in curves:
-        if len(ys) != len(xs):
-            raise ValueError(
-                f"curve {label!r} has {len(ys)} points but {len(xs)} x values"
-            )
-        lines.append(f'\n# curve: {label}')
-        lines.append(f"# {x_label}\tvalue")
-        for x, y in zip(xs, ys):
-            lines.append(f"{x:g}\t{y:.4f}")
-    return "\n".join(lines)

@@ -148,7 +148,6 @@ def run_scenario(
     threshold: float = 0.0,
     topic: TopicId = DEFAULT_TOPIC,
     topic_type: TopicType = TopicType.ON_DEMAND,
-    link_latency: float = 0.0,
     schedule: Optional[DeliverySchedule] = None,
     faults: Optional[FaultSpec] = None,
 ) -> RunResult:
@@ -184,7 +183,6 @@ def run_scenario(
     link = LastHopLink(
         sim,
         stats,
-        latency=link_latency,
         faults=plan,
         recorder=None if obs_ctx is None else obs_ctx.recorder,
     )

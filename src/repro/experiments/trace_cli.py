@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ExportError
 from repro.experiments.runner import run_paired
 from repro.proxy.policies import PolicyConfig
 from repro.sim.trace_io import load_trace, save_trace
@@ -38,14 +38,19 @@ def parse_policy(spec: str) -> PolicyConfig:
         return PolicyConfig.on_demand()
     if name == "rate":
         return PolicyConfig.rate()
-    if name == "unified":
-        if argument:
-            return PolicyConfig.unified(expiration_threshold=float(argument))
-        return PolicyConfig.unified()
-    if name == "buffer":
-        if not argument:
-            raise ConfigurationError("buffer policy needs a limit: buffer:16")
-        return PolicyConfig.buffer(prefetch_limit=int(argument))
+    if name == "buffer" and not argument:
+        raise ConfigurationError("buffer policy needs a limit: buffer:16")
+    try:
+        if name == "unified":
+            if argument:
+                return PolicyConfig.unified(expiration_threshold=float(argument))
+            return PolicyConfig.unified()
+        if name == "buffer":
+            return PolicyConfig.buffer(prefetch_limit=int(argument))
+    except ValueError:
+        raise ConfigurationError(
+            f"policy {spec!r}: {argument!r} is not a number"
+        ) from None
     raise ConfigurationError(
         f"unknown policy {spec!r} (use online, on-demand, rate, unified[:T], buffer:N)"
     )
@@ -135,7 +140,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigurationError as error:
+    except (ConfigurationError, ExportError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

@@ -9,7 +9,7 @@ where the crossover falls) must hold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.experiments.figures.common import scenario

@@ -162,7 +162,6 @@ class ShardBatchDispatcher:
         accumulator: FleetAccumulator,
         spec: Optional[FaultSpec],
         plan_for: Callable[[int], FaultPlan],
-        link_latency: float,
         recorder,
         auditor,
     ) -> None:
@@ -181,16 +180,15 @@ class ShardBatchDispatcher:
         #: Whether bindings may stay array-resident. Nothing may observe
         #: intermediate states or perturb a delivery outside the pump:
         #: no observers (recorder/auditor hooks fire on the scalar
-        #: callbacks only), a zero-latency link, the delay stage
-        #: structurally inactive (a fixed positive delay arms per-event
-        #: timers whose timeouts mutate queues outside the pump), and a
-        #: spec, if any, that arms no proxy crash (crash timers must
-        #: draw their sequence numbers at wiring, before the streams).
+        #: callbacks only), the delay stage structurally inactive (a
+        #: fixed positive delay arms per-event timers whose timeouts
+        #: mutate queues outside the pump), and a spec, if any, that
+        #: arms no proxy crash (crash timers must draw their sequence
+        #: numbers at wiring, before the streams).
         #: False means the runner materializes every binding at wiring.
         self.keeps_rows = (
             recorder is None
             and auditor is None
-            and link_latency == 0.0
             and (policy.delay is None or policy.delay == 0.0)
             and (spec is None or spec.crashes_per_day == 0)
         )

@@ -127,7 +127,6 @@ def _execute_shard(
     workload: FleetWorkload,
     policy: PolicyConfig,
     fault_spec: Optional[FaultSpec] = None,
-    link_latency: float = 0.0,
     use_batch: bool = True,
 ) -> FleetAccumulator:
     """Run one shard's devices on one simulator; fold into an accumulator.
@@ -151,8 +150,7 @@ def _execute_shard(
 
     with _bulk_allocation():
         return _execute_shard_inner(
-            workload, policy, fault_spec, link_latency, recorder, auditor,
-            use_batch,
+            workload, policy, fault_spec, recorder, auditor, use_batch
         )
 
 
@@ -165,14 +163,11 @@ class ShardWiring:
     ``ClientDevice`` / ``TopicState`` are constructed — for every
     binding at wiring when the shard cannot take the resident handlers
     (the scalar oracle, a fault spec that arms proxy crashes, observers,
-    a latent link, a fixed delay), for a single binding from inside the
+    a fixed delay), for a single binding from inside the
     batch pump otherwise (:mod:`repro.fleet.batch` lists the escapes).
     """
 
-    __slots__ = (
-        "sim", "proxy", "acc", "workload", "cols", "spec", "link_latency",
-        "recorder",
-    )
+    __slots__ = ("sim", "proxy", "acc", "workload", "cols", "spec", "recorder")
 
     def __init__(
         self,
@@ -182,7 +177,6 @@ class ShardWiring:
         workload: FleetWorkload,
         cols: FleetColumns,
         spec: Optional[FaultSpec],
-        link_latency: float,
         recorder,
     ) -> None:
         self.sim = sim
@@ -193,7 +187,6 @@ class ShardWiring:
         #: None when no fault applies; otherwise a validated spec from
         #: which every device realizes its own plan (:meth:`plan`).
         self.spec = spec
-        self.link_latency = link_latency
         self.recorder = recorder
 
     def plan(self, index: int) -> FaultPlan:
@@ -250,10 +243,7 @@ class ShardWiring:
             delay_moments=acc.read_delay_moments,
         )
         topic = device_topic(device_id)
-        link = LastHopLink(
-            sim, stats, latency=self.link_latency, faults=plan,
-            recorder=self.recorder,
-        )
+        link = LastHopLink(sim, stats, faults=plan, recorder=self.recorder)
         device = ClientDevice(sim, link, stats, faults=plan)
         device.add_topic(topic, config.threshold)
         state = proxy.add_binding(
@@ -330,7 +320,6 @@ def _execute_shard_inner(
     workload: FleetWorkload,
     policy: PolicyConfig,
     spec: Optional[FaultSpec],
-    link_latency: float,
     recorder,
     auditor,
     use_batch: bool,
@@ -358,9 +347,7 @@ def _execute_shard_inner(
         faulted=spec is not None,
         online=policy.kind is PolicyKind.ONLINE,
     )
-    wiring = ShardWiring(
-        sim, proxy, acc, workload, cols, spec, link_latency, recorder
-    )
+    wiring = ShardWiring(sim, proxy, acc, workload, cols, spec, recorder)
 
     # Wiring: materialize now whatever can never take a resident
     # handler. Local-id order, before any stream registers — crash
@@ -378,7 +365,6 @@ def _execute_shard_inner(
             accumulator=acc,
             spec=spec,
             plan_for=wiring.plan,
-            link_latency=link_latency,
             recorder=recorder,
             auditor=auditor,
         )
@@ -576,7 +562,6 @@ def _execute_shard_from_shm(
     config: FleetScenarioConfig,
     policy: PolicyConfig,
     fault_spec: Optional[FaultSpec],
-    link_latency: float,
 ) -> FleetAccumulator:
     """Worker entry: run the shard published as segment ``name``.
 
@@ -587,8 +572,7 @@ def _execute_shard_from_shm(
     packed, handle = trace_shm.read_trace(name)
     try:
         return _execute_shard(
-            FleetWorkload.from_trace(config, packed),
-            policy, fault_spec, link_latency,
+            FleetWorkload.from_trace(config, packed), policy, fault_spec
         )
     except BaseException as exc:
         # The traceback keeps the failed shard's frames, and through
@@ -608,7 +592,6 @@ def run_fleet(
     shards: int = 1,
     jobs: int = 1,
     faults: Optional[FaultSpec] = None,
-    link_latency: float = 0.0,
     workload: Optional[FleetWorkload] = None,
 ) -> FleetResult:
     """Run a whole fleet campaign; results invariant to ``(shards, jobs)``.
@@ -640,7 +623,6 @@ def run_fleet(
         shards=shards,
         jobs=jobs,
         fault_spec=faults,
-        link_latency=link_latency,
     )
     return FleetResult(
         config=config,

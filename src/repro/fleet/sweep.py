@@ -335,7 +335,6 @@ def run_fleet_sweep(
     jobs: int = 1,
     resume: bool = False,
     max_cells: Optional[int] = None,
-    link_latency: float = 0.0,
     progress: Optional[Callable[[str], None]] = None,
 ) -> SweepOutcome:
     """Run (or resume) a sweep campaign into ``store``.
@@ -385,7 +384,6 @@ def run_fleet_sweep(
             shards=shards,
             jobs=jobs,
             fault_spec=config.faults,
-            link_latency=link_latency,
         )
         for cell, accumulator in zip(pending, accumulators):
             store.append(_build_row(campaign, cell, accumulator))

@@ -88,6 +88,8 @@ from repro.fleet.store import (
 from repro.fleet.sweep import (
     LOSS_BASELINE,
     PolicyVariant,
+    SweepCell,
+    _build_row,
     parse_policy_token,
     policy_preset_constructor,
     policy_variant_from_spec,
@@ -674,7 +676,6 @@ def run_fleet_tune(
     jobs: int = 1,
     resume: bool = False,
     max_evals: Optional[int] = None,
-    link_latency: float = 0.0,
     progress: Optional[Callable[[str], None]] = None,
 ) -> TuneOutcome:
     """Run (or resume) an auto-tuning campaign into ``store``.
@@ -725,16 +726,9 @@ def run_fleet_tune(
             shards=shards,
             jobs=jobs,
             fault_spec=config.faults,
-            link_latency=link_latency,
         )
-        row = SweepRow(
-            cell_key=key,
-            campaign_key=campaign,
-            scenario_json=canonical_json(scenario),
-            policy_name=variant.name,
-            policy_json=canonical_json(variant.policy),
-            seed=seed,
-            metrics_json=canonical_json(accumulator.metrics_row()),
+        row = _build_row(
+            campaign, SweepCell(scenario, seed, variant, key), accumulator
         )
         store.append(row)
         counters["computed"] += 1
@@ -846,15 +840,12 @@ class BestDiff:
 
 
 def diff_best(
-    current: Sequence[BestRow],
-    baseline: Sequence[BestRow],
-    *,
-    rel_tol: float = 1e-9,
+    current: Sequence[BestRow], baseline: Sequence[BestRow]
 ) -> List[BestDiff]:
     """Compare two stores' best-known variants, family by family.
 
-    ``rel_tol`` absorbs float-reassociation noise across platforms; a
-    deterministic re-run of the same campaign lands on ``unchanged``.
+    A 1e-9 tolerance absorbs float-reassociation noise across platforms;
+    a deterministic re-run of the same campaign lands on ``unchanged``.
     Families sort by key, so the report is byte-stable.
     """
     current_by_key = {row.family_key: row for row in current}
@@ -870,9 +861,7 @@ def diff_best(
             diffs.append(BestDiff(key, cur.label, "new", cur, None, None))
             continue
         delta = cur.objective - base.objective
-        if math.isclose(
-            cur.objective, base.objective, rel_tol=rel_tol, abs_tol=rel_tol
-        ):
+        if math.isclose(cur.objective, base.objective, rel_tol=1e-9, abs_tol=1e-9):
             status = "unchanged"
         elif cur.objective < base.objective:
             status = "improved"

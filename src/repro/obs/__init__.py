@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.obs.audit import DEFAULT_CONTEXT, Auditor
-from repro.obs.probes import PROBES, PhaseProbes, PhaseSummary, summary_rows
+from repro.obs.probes import PROBES, PhaseProbes, PhaseSummary
 from repro.obs.recorder import DEFAULT_CAPACITY, TraceRecorder, load_jsonl
 from repro.obs.records import (
     BudgetExhaustRecord,
@@ -77,7 +77,6 @@ __all__ = [
     "configure",
     "load_jsonl",
     "summarize_obs",
-    "summary_rows",
 ]
 
 
@@ -93,7 +92,6 @@ class ObsConfig:
     """
 
     audit_interval: Optional[int] = None
-    audit_context: int = DEFAULT_CONTEXT
     trace_capacity: Optional[int] = None
     probes: bool = False
 
@@ -114,22 +112,14 @@ class ObsContext:
     def __init__(self, config: ObsConfig) -> None:
         self.config = config
         capacity = config.trace_capacity
-        if (
-            capacity is None
-            and config.audit_interval is not None
-            and config.audit_context > 0
-        ):
+        if capacity is None and config.audit_interval is not None:
             # Auditing wants trailing context even without --trace-out.
             capacity = DEFAULT_CAPACITY
         self.recorder: Optional[TraceRecorder] = (
             TraceRecorder(capacity) if capacity is not None else None
         )
         self.auditor: Optional[Auditor] = (
-            Auditor(
-                interval=config.audit_interval,
-                recorder=self.recorder,
-                context=config.audit_context,
-            )
+            Auditor(interval=config.audit_interval, recorder=self.recorder)
             if config.audit_interval is not None
             else None
         )

@@ -43,23 +43,16 @@ class Auditor:
     several runs in sequence — it keeps only counters.
     """
 
-    __slots__ = ("interval", "transitions", "audits", "_countdown", "_recorder",
-                 "_context")
+    __slots__ = ("interval", "transitions", "audits", "_countdown", "_recorder")
 
     def __init__(
-        self,
-        interval: int = 1,
-        recorder: Optional[TraceRecorder] = None,
-        context: int = DEFAULT_CONTEXT,
+        self, interval: int = 1, recorder: Optional[TraceRecorder] = None
     ) -> None:
         if interval < 1:
             raise ConfigurationError(f"audit interval must be >= 1, got {interval}")
-        if context < 0:
-            raise ConfigurationError(f"audit context must be >= 0, got {context}")
         self.interval = interval
         self._countdown = interval
         self._recorder = recorder
-        self._context = context
         #: Proxy transitions observed (audited or not).
         self.transitions = 0
         #: Full invariant sweeps performed.
@@ -84,7 +77,7 @@ class Auditor:
 
     def _raise(self, state: "TopicState", now: float, violations: List[str]) -> None:
         context: List[ObsRecord] = (
-            self._recorder.last(self._context) if self._recorder is not None else []
+            self._recorder.last(DEFAULT_CONTEXT) if self._recorder is not None else []
         )
         lines = [
             f"topic {state.topic!r} violates invariants at t={now:.3f} "

@@ -17,7 +17,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List
 
 
 @dataclass(frozen=True)
@@ -27,10 +27,6 @@ class PhaseSummary:
     name: str
     calls: int
     total_seconds: float
-
-    @property
-    def mean_seconds(self) -> float:
-        return self.total_seconds / self.calls if self.calls else 0.0
 
 
 class PhaseProbes:
@@ -102,15 +98,3 @@ class PhaseProbes:
 #: The process-wide probe registry every instrumented site consults.
 PROBES = PhaseProbes()
 
-
-def summary_rows(summary: Dict[str, object]) -> List[Tuple[str, int, float]]:
-    """Flatten a :meth:`PhaseProbes.summary` into (phase, calls, seconds)
-    rows followed by (counter, value, 0.0) rows — the table layout the
-    report module renders."""
-    rows: List[Tuple[str, int, float]] = []
-    phases = summary.get("phases", {})
-    for name, entry in phases.items():
-        rows.append((name, int(entry["calls"]), float(entry["seconds"])))
-    for name, value in summary.get("counters", {}).items():
-        rows.append((name, int(value), 0.0))
-    return rows

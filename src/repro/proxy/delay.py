@@ -6,22 +6,24 @@ wheat from the chaff. […] It is clear that this delay would be computed
 based on the expiration history of past events, but finding the right
 formula demands data from a deployed pub/sub system."
 
-The paper leaves the formula open; we provide a reasonable one as the
-default — a high percentile of recently observed publication-to-drop
-delays, zero while no drops have been observed — plus the hook to plug
-in any other formula.
+The paper leaves the formula open; we provide a reasonable one — a high
+percentile of recently observed publication-to-drop delays, zero while
+no drops have been observed.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional
+from typing import List
 
-from repro.errors import ConfigurationError
 from repro.units import DAY
 
-#: Signature of a pluggable delay formula: observed drop delays -> delay.
-DelayFunction = Callable[["DelayTracker"], float]
+#: Recent drop delays the percentile is taken over.
+DROP_WINDOW: int = 50
+#: Nearest-rank percentile of the window that sets the delay.
+DELAY_PERCENTILE: float = 0.95
+#: Cap on the recommended delay.
+MAX_DELAY: float = DAY
 
 
 class DelayTracker:
@@ -31,21 +33,7 @@ class DelayTracker:
     ``current_delay`` is the paper's ``delay_function(topic.history)``.
     """
 
-    def __init__(
-        self,
-        window: int = 50,
-        percentile: float = 0.95,
-        max_delay: float = DAY,
-        formula: Optional[DelayFunction] = None,
-    ) -> None:
-        if not 0.0 < percentile <= 1.0:
-            raise ConfigurationError(f"percentile must be in (0, 1], got {percentile}")
-        if max_delay < 0:
-            raise ConfigurationError(f"max_delay must be non-negative, got {max_delay}")
-        self._window = window
-        self._percentile = percentile
-        self._max_delay = max_delay
-        self._formula = formula
+    def __init__(self) -> None:
         # List-backed ring (oldest at _drop_start once full): cheaper to
         # allocate than a deque, which matters with one tracker per
         # fleet binding.
@@ -78,64 +66,30 @@ class DelayTracker:
         """Record that a rank drop arrived ``delay`` seconds after its
         event was published."""
         self._drops += 1
-        self._push_delay(max(0.0, publication_to_drop_delay))
-
-    def _push_delay(self, delay: float) -> None:
-        if len(self._drop_delays) == self._window:
+        delay = max(0.0, publication_to_drop_delay)
+        if len(self._drop_delays) == DROP_WINDOW:
             start = self._drop_start
             self._drop_delays[start] = delay
-            self._drop_start = start + 1 if start + 1 < self._window else 0
+            self._drop_start = start + 1 if start + 1 < DROP_WINDOW else 0
         else:
             self._drop_delays.append(delay)
 
     def current_delay(self) -> float:
         """Recommended delay before events become prefetchable.
 
-        Default formula: zero until a drop has been observed ("assuming
-        that bad messages are detected quickly" there is no reason to
-        delay a topic that never retracts); afterwards, the configured
-        percentile of recent drop delays, capped at ``max_delay``.
+        Zero until a drop has been observed ("assuming that bad messages
+        are detected quickly" there is no reason to delay a topic that
+        never retracts); afterwards, the :data:`DELAY_PERCENTILE` of the
+        last :data:`DROP_WINDOW` drop delays, capped at :data:`MAX_DELAY`.
         """
-        if self._formula is not None:
-            return min(self._max_delay, max(0.0, self._formula(self)))
         if not self._drop_delays:
             return 0.0
         ordered = sorted(self._drop_delays)
-        # Nearest-rank percentile: ceil(p·n) − 1. The old int(p·n) was
-        # biased high at small windows (p=0.5 over 2 samples picked the
-        # max); nearest-rank makes p=0.5 the statistical median and
-        # p=1.0 the max for every n.
+        # Nearest-rank percentile: ceil(p·n) − 1; int(p·n) is biased
+        # high (over 20 samples it picks the max).
         index = max(0, min(len(ordered) - 1,
-                           math.ceil(self._percentile * len(ordered)) - 1))
-        return min(self._max_delay, ordered[index])
-
-    def merge(self, other: "DelayTracker") -> None:
-        """Fold another tracker's history in after this one's.
-
-        Publication/drop counts add exactly. The drop-delay window keeps
-        the newest ``window`` delays of the concatenation (self's, then
-        ``other``'s), so ``current_delay`` afterwards equals a single
-        tracker that observed both histories in that order. Nearest-rank
-        percentiles over the merged window are exact — the window stores
-        raw delays, not a sketch — but which delays survive depends on
-        the fold order; fold shards in a fixed order for determinism.
-        """
-        self._publications += other._publications
-        self._drops += other._drops
-        other_delays = other._drop_delays
-        if other._drop_start:
-            other_delays = (
-                other_delays[other._drop_start :]
-                + other_delays[: other._drop_start]
-            )
-        for delay in other_delays:
-            self._push_delay(delay)
-
-    def reset(self) -> None:
-        self._drop_delays.clear()
-        self._drop_start = 0
-        self._publications = 0
-        self._drops = 0
+                           math.ceil(DELAY_PERCENTILE * len(ordered)) - 1))
+        return min(MAX_DELAY, ordered[index])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

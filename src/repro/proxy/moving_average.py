@@ -91,25 +91,6 @@ class MovingAverage:
             return list(self._values)
         return self._values[self._start :] + self._values[: self._start]
 
-    def merge(self, other: "MovingAverage") -> None:
-        """Fold another average's window in after this one's.
-
-        Cross-shard folding: the result is exactly the state this
-        average would hold had it observed its own values followed by
-        ``other``'s (only the newest ``window`` observations of that
-        concatenation survive, as always). Merging is therefore
-        associative over shard order but not commutative — fold shards
-        in a fixed order to keep results deterministic.
-        """
-        for value in other._ordered():
-            self.push(value)
-
-    def reset(self) -> None:
-        self._values.clear()
-        self._start = 0
-        self._sum = 0.0
-        self._evictions = 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MovingAverage(window={self._window}, value={self.value})"
 
@@ -158,10 +139,6 @@ class IntervalAverage:
 
     def value_or(self, default: float) -> float:
         return self._gaps.value_or(default)
-
-    def reset(self) -> None:
-        self._gaps.reset()
-        self._last = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"IntervalAverage(value={self.value})"

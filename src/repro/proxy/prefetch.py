@@ -112,7 +112,3 @@ class RatePrefetcher:
         whole = int(math.floor(self._credit))
         self._credit -= whole
         return whole
-
-    def reset(self) -> None:
-        self._credit = 0.0
-        self._arrival_intervals.reset()

@@ -20,7 +20,7 @@ changes always find the event they name.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 from repro.broker.message import Notification
 from repro.errors import ConfigurationError, ProxyError
@@ -122,11 +122,6 @@ class LastHopProxy:
     @property
     def policy(self) -> PolicyConfig:
         return self._config.policy
-
-    @property
-    def retracted_count(self) -> int:
-        """Retraction-dedup entries currently held (GC-bounded)."""
-        return sum(len(state.retracted) for state in self._states.values())
 
     def add_topic(
         self,

@@ -96,10 +96,6 @@ class RankedQueue:
             self.compact()
         return item
 
-    def discard(self, notification: Notification) -> Optional[Notification]:
-        """Set-notation convenience: ``queue \\ event``."""
-        return self.remove(notification.event_id)
-
     def reorder(self, notification: Notification) -> None:
         """Re-key a member whose rank changed. No-op if absent."""
         if notification.event_id in self._items:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.units import DAY, HOUR
@@ -52,11 +52,6 @@ class QuietHours:
             if start < previous_end:
                 raise ConfigurationError("quiet windows overlap or are unsorted")
             previous_end = end
-
-    def is_quiet(self, time: float) -> bool:
-        """Whether ``time`` (absolute simulation seconds) is quiet."""
-        hour = math.fmod(time, DAY) / HOUR
-        return any(start <= hour < end for start, end in self.windows)
 
     def quiet_end(self, time: float) -> Optional[float]:
         """Absolute time the current quiet window ends, or None if the
@@ -89,10 +84,6 @@ class DeliverySchedule:
             raise ConfigurationError(
                 f"urgent_threshold must be non-negative, got {self.urgent_threshold}"
             )
-
-    @property
-    def restricts_pushes(self) -> bool:
-        return self.quiet_hours is not None or self.max_pushes_per_day is not None
 
     def is_urgent(self, rank: float) -> bool:
         """Whether a notification interrupts regardless of topic mode."""

@@ -180,8 +180,8 @@ class Simulator:
         assert sim.now == 5.0
     """
 
-    def __init__(self, start_time: float = 0.0) -> None:
-        self._now = start_time
+    def __init__(self) -> None:
+        self._now = 0.0
         self._heap: List[HeapEntry] = []
         self._seq_next = 0
         self._stream_backlog = 0

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -522,13 +522,6 @@ class Trace:
             yield start, NetworkStatus.DOWN
             if end < self.duration:
                 yield end, NetworkStatus.UP
-
-    def link_is_up(self, time: float) -> bool:
-        """Whether the link is up at ``time`` (linear scan; tests only)."""
-        outages = self.columns.outages
-        return not bool(
-            ((outages.starts <= time) & (time < outages.ends)).any()
-        )
 
     def describe(self) -> str:
         """One-line human summary for logs and reports."""

@@ -21,7 +21,7 @@ import math
 from pathlib import Path
 from typing import Union
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ExportError
 from repro.sim.trace import (
     ArrivalColumns,
     OutageColumns,
@@ -156,16 +156,23 @@ def trace_from_dict(data: dict) -> Trace:
 
 
 def save_trace(trace: Trace, path: Union[str, Path]) -> None:
-    """Write a trace to a JSON file."""
+    """Write a trace to a JSON file; an unwritable ``path`` raises
+    :class:`~repro.errors.ExportError`."""
     path = Path(path)
-    path.write_text(json.dumps(trace_to_dict(trace)), encoding="utf-8")
+    try:
+        path.write_text(json.dumps(trace_to_dict(trace)), encoding="utf-8")
+    except OSError as exc:
+        raise ExportError(f"cannot write trace to {path}: {exc}") from exc
 
 
 def load_trace(path: Union[str, Path]) -> Trace:
-    """Read a trace back from a JSON file."""
+    """Read a trace back from a JSON file; an unreadable or malformed
+    file raises :class:`~repro.errors.ConfigurationError`."""
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read trace {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path} is not valid JSON: {exc}") from exc
     return trace_from_dict(data)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -190,11 +190,3 @@ def generate_diurnal_arrivals(
         ).to_records()
     )
 
-
-def hourly_histogram(arrivals: Sequence[ArrivalRecord]) -> List[int]:
-    """Count arrivals per hour-of-day (analysis helper for tests/plots)."""
-    histogram = [0] * 24
-    for arrival in arrivals:
-        hour = int(math.fmod(arrival.time, DAY) // HOUR)
-        histogram[hour] += 1
-    return histogram

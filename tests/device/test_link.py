@@ -5,6 +5,7 @@ import pytest
 from repro.broker.message import Notification
 from repro.device.link import RETRACTION_SIZE_BYTES, LastHopLink
 from repro.errors import ConfigurationError, ProxyError
+from repro.faults import FaultPlan, FaultSpec
 from repro.sim.engine import Simulator
 from repro.types import DeliveryMode, EventId, NetworkStatus, TopicId
 
@@ -46,16 +47,24 @@ class TestDelivery:
         link.deliver(note(), DeliveryMode.PUSHED)
         assert len(device.received) == 1
 
-    def test_latency_defers_delivery(self):
+    def test_fault_jitter_defers_delivery_and_duplicate(self):
         sim = Simulator()
-        link = LastHopLink(sim, latency=0.5)
+        plan = FaultPlan(
+            FaultSpec(loss_rate=0.0, duplicate_rate=1.0, jitter_mean=0.5), seed=3
+        )
+        link = LastHopLink(sim, faults=plan)
+        landings = []
         device = RecordingDevice()
+        device.receive = lambda notification, mode: landings.append(
+            (sim.now, notification.event_id, mode)
+        )
         link.attach_device(device)
-        link.deliver(note(), DeliveryMode.PUSHED)
-        assert device.received == []
+        link.deliver(note(1), DeliveryMode.PUSHED)
+        assert landings == []
+        jitter = plan.delivery_jitter(EventId(1), 1)
+        assert jitter > 0
         sim.run()
-        assert len(device.received) == 1
-        assert sim.now == pytest.approx(0.5)
+        assert landings == [(jitter, EventId(1), DeliveryMode.PUSHED)] * 2
 
     def test_deliver_while_down_raises(self, wired):
         _sim, link, _device = wired
@@ -100,10 +109,6 @@ class TestStatus:
         link.set_status(NetworkStatus.DOWN)
         with pytest.raises(ProxyError):
             link.retract(EventId(1))
-
-    def test_negative_latency_rejected(self):
-        with pytest.raises(ConfigurationError):
-            LastHopLink(Simulator(), latency=-0.1)
 
 
 class TestAttachment:

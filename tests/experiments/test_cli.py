@@ -95,6 +95,20 @@ class TestObservability:
         for phase in ("trace-build", "baseline", "variant"):
             assert phase in out
 
+    def test_obs_forces_single_job(self, capsys):
+        # Probes count inside pool workers and never reach the parent,
+        # so --obs must run the grid in this process.
+        assert cli.main(
+            ["fig3", "--days", "2", "--quiet", "--obs", "--jobs", "2"]
+        ) == 0
+        captured = capsys.readouterr()
+        assert "forcing --jobs 1" in captured.err
+        runs = [
+            line.split() for line in captured.out.splitlines()
+            if line.split()[:1] == ["runs"]
+        ]
+        assert runs and int(runs[0][1]) > 0
+
     def test_jsonl_format(self, capsys):
         import json
 

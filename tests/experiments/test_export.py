@@ -4,13 +4,8 @@ import json
 
 import pytest
 
-from repro.experiments.export import (
-    export_tables,
-    load_json_tables,
-    table_to_csv,
-    tables_to_json,
-    write_export,
-)
+from repro.experiments.cli import emit
+from repro.experiments.export import export_tables, table_to_csv, tables_to_json
 from repro.experiments.report import Table
 
 
@@ -33,13 +28,10 @@ class TestCsv:
 
 
 class TestJson:
-    def test_json_round_trip(self, table, tmp_path):
-        path = tmp_path / "tables.json"
-        write_export([table], path, fmt="json")
-        loaded = load_json_tables(path)
-        assert len(loaded) == 1
-        assert loaded[0].title == "Demo"
-        assert loaded[0].rows == table.rows
+    def test_json_round_trip(self, table):
+        (loaded,) = json.loads(tables_to_json([table]))
+        assert loaded["title"] == "Demo"
+        assert loaded["rows"] == [list(row) for row in table.rows]
 
     def test_json_is_valid(self, table):
         json.loads(tables_to_json([table]))
@@ -110,11 +102,11 @@ class TestWriteErrors:
         from repro.errors import ExportError
 
         target = tmp_path / "no" / "such" / "dir" / "out.csv"
-        with pytest.raises(ExportError, match="cannot write export"):
-            write_export(table, target)
+        with pytest.raises(ExportError, match="cannot write output"):
+            emit(export_tables(table, "csv"), target)
 
     def test_unwritable_target_raises_export_error(self, table, tmp_path):
         from repro.errors import ExportError
 
         with pytest.raises(ExportError):
-            write_export(table, tmp_path)  # a directory is not writable
+            emit(export_tables(table, "csv"), tmp_path)  # a directory

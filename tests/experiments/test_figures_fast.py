@@ -53,7 +53,7 @@ class TestFig1:
         config = fig1_overflow_waste.Fig1Config(
             duration=DAYS_30, max_values=(1, 8, 64), user_frequencies=(2.0,)
         )
-        points = fig1_overflow_waste.curves(config)[2.0]
+        points = fig1_overflow_waste.run(config).column("uf=2")
         assert points[0] > points[1] > points[2]
 
 
@@ -62,18 +62,18 @@ class TestFig2:
         config = fig2_overflow_loss.Fig2Config(
             duration=DAYS_30, outage_fractions=(0.0, 1.0), user_frequencies=(2.0,)
         )
-        losses = fig2_overflow_loss.curves(config)[2.0]
-        assert losses[0] == pytest.approx(0.0, abs=0.02)
+        losses = fig2_overflow_loss.run(config).column("uf=2")
+        assert losses[0] == pytest.approx(0.0, abs=2.0)
         assert losses[1] == 0.0  # both policies equally powerless
 
     def test_loss_grows_with_outage(self):
         config = fig2_overflow_loss.Fig2Config(
             duration=DAYS_30, outage_fractions=(0.1, 0.5, 0.9), user_frequencies=(1.0,)
         )
-        losses = fig2_overflow_loss.curves(config)[1.0]
+        losses = fig2_overflow_loss.run(config).column("uf=1")
         assert losses[0] < losses[1] < losses[2]
-        assert losses[1] > 0.2
-        assert losses[2] > 0.5
+        assert losses[1] > 20.0
+        assert losses[2] > 50.0
 
 
 class TestFig3:
@@ -81,15 +81,15 @@ class TestFig3:
         config = fig3_buffer_prefetch.Fig3Config(
             duration=DAYS_30, prefetch_limits=(1, 16, 4096), outage_fractions=(0.5,)
         )
-        points = fig3_buffer_prefetch.curves(config)[0.5]
-        losses = [p.loss for p in points]
-        wastes = [p.waste for p in points]
-        assert losses[0] > losses[1] >= losses[2] - 0.02
-        assert losses[0] > 0.2
-        assert losses[1] < 0.08   # loss collapses by limit 16 ...
-        assert wastes[1] < 0.05   # ... before waste has grown
+        loss_table, waste_table = fig3_buffer_prefetch.run(config)
+        losses = loss_table.column("outage=0.5")
+        wastes = waste_table.column("outage=0.5")
+        assert losses[0] > losses[1] >= losses[2] - 2.0
+        assert losses[0] > 20.0
+        assert losses[1] < 8.0   # loss collapses by limit 16 ...
+        assert wastes[1] < 5.0   # ... before waste has grown
         assert wastes[0] <= wastes[1] <= wastes[2]
-        assert wastes[2] > 0.2  # heading toward the 50 % plateau
+        assert wastes[2] > 20.0  # heading toward the 50 % plateau
 
     def test_sweet_spot_between_16_and_64(self):
         """'Between 16 and 64, both waste and loss are below 1 %' (we
@@ -99,9 +99,12 @@ class TestFig3:
         config = fig3_buffer_prefetch.Fig3Config(
             duration=DAYS_60, prefetch_limits=(16, 64), outage_fractions=(0.3,)
         )
-        for point in fig3_buffer_prefetch.curves(config)[0.3]:
-            assert point.loss < 0.08
-            assert point.waste < 0.08
+        loss_table, waste_table = fig3_buffer_prefetch.run(config)
+        for loss, waste in zip(
+            loss_table.column("outage=0.3"), waste_table.column("outage=0.3")
+        ):
+            assert loss < 8.0
+            assert waste < 8.0
 
 
 class TestFig4:
@@ -111,16 +114,16 @@ class TestFig4:
             expiration_means=(64.0, 16384.0, 262144.0),
             user_frequencies=(4.0,),
         )
-        wastes = fig4_expiration_waste.curves(config)[4.0]
-        assert wastes[0] > 0.95          # short-lived: nearly all wasted
+        wastes = fig4_expiration_waste.run(config).column("uf=4")
+        assert wastes[0] > 95.0          # short-lived: nearly all wasted
         assert wastes[0] > wastes[1] > wastes[2]
 
     def test_frequent_reader_wastes_less(self):
         config = fig4_expiration_waste.Fig4Config(
             duration=DAYS_30, expiration_means=(4096.0,), user_frequencies=(1.0, 32.0)
         )
-        curves = fig4_expiration_waste.curves(config)
-        assert curves[32.0][0] < curves[1.0][0]
+        table = fig4_expiration_waste.run(config)
+        assert table.column("uf=32")[0] < table.column("uf=1")[0]
 
 
 class TestFig5:
@@ -128,17 +131,26 @@ class TestFig5:
         config = fig5_expiration_loss.Fig5Config(
             duration=DAYS_30, expiration_means=(16.0,), user_frequencies=(2.0,)
         )
-        losses = fig5_expiration_loss.curves(config)[2.0]
-        assert losses[0] < 0.05
+        losses = fig5_expiration_loss.run(config).column("uf=2")
+        assert losses[0] < 5.0
 
     def test_loss_rises_into_midrange(self):
         config = fig5_expiration_loss.Fig5Config(
             duration=DAYS_60, expiration_means=(64.0, 65536.0), user_frequencies=(2.0,)
         )
-        losses = fig5_expiration_loss.curves(config)[2.0]
-        assert losses[0] < 0.10
-        assert losses[1] > 0.4
-        assert losses[1] > losses[0] + 0.3
+        losses = fig5_expiration_loss.run(config).column("uf=2")
+        assert losses[0] < 10.0
+        assert losses[1] > 40.0
+        assert losses[1] > losses[0] + 30.0
+
+
+def _fig6_points(config):
+    """(waste %, loss %) per threshold of a one-curve Figure 6 run."""
+    waste_table, loss_table = fig6_expiration_threshold.run(config)
+    return [
+        (waste_row[1], loss_row[1])
+        for waste_row, loss_row in zip(waste_table.rows, loss_table.rows)
+    ]
 
 
 class TestFig6:
@@ -149,11 +161,11 @@ class TestFig6:
             thresholds=(64.0, 262144.0),
             expiration_means=(15360.0,),
         )
-        points = fig6_expiration_threshold.curves(config)[15360.0]
-        assert points[0].waste > 0.4
-        assert points[0].loss < 0.05
-        assert points[1].waste < 0.05
-        assert points[1].loss > 0.3
+        (short_waste, short_loss), (long_waste, long_loss) = _fig6_points(config)
+        assert short_waste > 40.0
+        assert short_loss < 5.0
+        assert long_waste < 5.0
+        assert long_loss > 30.0
 
     def test_long_expiry_gap_contains_read_interval(self):
         """For expirations an order of magnitude above the read interval,
@@ -164,9 +176,9 @@ class TestFig6:
             thresholds=(8 * HOUR, 262144.0),
             expiration_means=(3932160.0,),
         )
-        for point in fig6_expiration_threshold.curves(config)[3932160.0]:
-            assert point.waste < 0.10
-            assert point.loss < 0.10
+        for waste, loss in _fig6_points(config):
+            assert waste < 10.0
+            assert loss < 10.0
 
 
 class TestAblations:

@@ -8,7 +8,6 @@ figure's output is independent of how it was scheduled.
 import pytest
 
 from repro.experiments.figures import fig1_overflow_waste, fig3_buffer_prefetch
-from repro.experiments.figures.common import measure_grid
 from repro.experiments.parallel import (
     MAX_AUTO_CHUNK,
     FleetWorkloadCache,
@@ -79,33 +78,14 @@ class TestParallelMap:
     def test_multi_argument_tasks(self):
         assert parallel_map(_pair, [(1, 2), (3, 4)], jobs=2) == [(1, 2), (3, 4)]
 
-    @pytest.mark.parametrize("jobs", [1, 3])
-    def test_on_result_streams_in_task_order(self, jobs):
-        seen = []
-        parallel_map(
-            _square,
-            [(i,) for i in range(10)],
-            jobs=jobs,
-            on_result=lambda index, value: seen.append((index, value)),
-        )
-        assert seen == [(i, i * i) for i in range(10)]
-
     def test_empty_grid(self):
         assert parallel_map(_square, [], jobs=4) == []
 
     @pytest.mark.parametrize("chunksize", [1, 3, 7, 50])
     def test_chunked_results_in_task_order(self, chunksize):
         tasks = [(i,) for i in range(20)]
-        seen = []
-        results = parallel_map(
-            _square,
-            tasks,
-            jobs=2,
-            chunksize=chunksize,
-            on_result=lambda index, value: seen.append((index, value)),
-        )
+        results = parallel_map(_square, tasks, jobs=2, chunksize=chunksize)
         assert results == [i * i for i in range(20)]
-        assert seen == [(i, i * i) for i in range(20)]
 
 
 class TestFigureEquivalence:
@@ -139,7 +119,7 @@ class TestFigureEquivalence:
         ]
         reference = [fig3_buffer_prefetch.measure_point(*task) for task in tasks]
         assert (
-            measure_grid(
+            parallel_map(
                 fig3_buffer_prefetch.measure_point,
                 tasks,
                 jobs=jobs,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.report import Table, render_series, render_table
+from repro.experiments.report import Table, render_table
 
 
 class TestTable:
@@ -32,17 +32,6 @@ class TestTable:
         text = render_table("T", ["col"], [[1], [100]])
         lines = text.splitlines()
         assert len(lines[2]) == len(lines[4])  # header row vs data row width
-
-
-class TestSeries:
-    def test_series_blocks(self):
-        text = render_series("fig", "x", [1.0, 2.0], [("curve-a", [0.5, 0.25])])
-        assert "# curve: curve-a" in text
-        assert "1\t0.5000" in text
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            render_series("fig", "x", [1.0, 2.0], [("bad", [0.5])])
 
 
 class TestObsSummaryTable:

@@ -71,7 +71,7 @@ class TestBaselineCache:
 
     def test_distinct_kwargs_are_distinct_entries(self, outage_trace):
         assert run_baseline(outage_trace) is not run_baseline(
-            outage_trace, link_latency=0.25
+            outage_trace, schedule=DeliverySchedule(max_pushes_per_day=4)
         )
 
     def test_equal_trace_different_identity_not_shared(self):

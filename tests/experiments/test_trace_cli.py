@@ -72,6 +72,26 @@ class TestCommands:
         assert main(["run", str(path), "--policy", "nope"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "{trace}", "--policy", "buffer:abc"],
+            ["run", "{trace}", "--policy", "unified:abc"],
+            ["info", "{tmp}/missing.json"],
+            ["run", "{tmp}"],
+            ["generate", "{tmp}/no/such/dir/x.json", "--days", "1"],
+        ],
+        ids=["buffer-abc", "unified-abc", "info-missing", "run-directory",
+             "generate-unwritable"],
+    )
+    def test_bad_input_exits_2_with_error_line(self, tmp_path, capsys, argv):
+        trace = tmp_path / "t.json"
+        main(["generate", str(trace), "--days", "2"])
+        capsys.readouterr()
+        argv = [a.format(trace=trace, tmp=tmp_path) for a in argv]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_deterministic_regeneration(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         main(["generate", str(a), "--days", "5", "--seed", "3"])

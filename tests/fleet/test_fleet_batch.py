@@ -13,7 +13,7 @@ same order).
 
 The matrix here sweeps (policy x fault preset x seed), the rich
 workload features the resident handlers must punt on (expiring
-arrivals, rank changes, thresholds, link latency), partitioning knobs,
+arrivals, rank changes, thresholds), partitioning knobs,
 CLI-shaped campaigns compared on their rendered JSON, and — via
 hypothesis — randomly drawn heterogeneity configs.
 ``TestMaterializationInvisible`` pins that *when* a binding leaves the
@@ -39,6 +39,7 @@ from repro.experiments import fleet_cli
 from repro.fleet import FleetScenarioConfig, build_fleet_workload, run_fleet
 from repro.fleet.batch import ShardBatchDispatcher
 from repro.fleet.runner import FleetResult, _execute_shard
+from repro.fleet.sweep import SWEEP_POLICY_PRESETS
 from repro.proxy.policies import PolicyConfig
 from repro.units import DAY
 from repro.workload.arrivals import ArrivalConfig
@@ -97,11 +98,11 @@ DEEP = dict(
 QUEUEING_POLICIES = ["buffer", "on_demand", "online", "unified"]
 
 
-def _both_signatures(config, policy, *, spec=None, link_latency=0.0):
+def _both_signatures(config, policy, *, spec=None):
     """The pump's and the oracle's accumulators for one unsharded run."""
     workload = build_fleet_workload(config)
     return tuple(
-        _execute_shard(workload, policy, spec, link_latency, use_batch)
+        _execute_shard(workload, policy, spec, use_batch)
         for use_batch in (True, False)
     )
 
@@ -170,19 +171,6 @@ class TestRichWorkloads:
         )
         _assert_identical(batch, scalar)
 
-    def test_link_latency_materializes_at_wiring(self):
-        """A latent link keeps no binding on its row: the pump hands
-        every event to the objects, and results still match."""
-        config = _rich_config(rank_changes=RankChangeConfig())
-        batch = _run_shard(config, PolicyConfig.unified(), link_latency=3.0)
-        assert batch.dispatcher.keeps_rows is False
-        assert batch.cols.materialized_share == 1.0
-        scalar = _run_shard(
-            config, PolicyConfig.unified(), link_latency=3.0, use_batch=False
-        )
-        _assert_identical(batch.accumulator, scalar.accumulator)
-
-
 class TestPartitioning:
     """Sharding and worker pools compose with the pump transparently."""
 
@@ -233,7 +221,7 @@ class TestCampaignEquivalence:
     def test_rendered_json_identical(self, name):
         args = fleet_cli.build_parser().parse_args(self.CAMPAIGNS[name])
         config = fleet_cli._fleet_config(args)
-        policy = fleet_cli.POLICIES[args.policy]()
+        policy = SWEEP_POLICY_PRESETS[args.policy]()
         spec = None if args.faults is None else faults.FaultSpec.parse(args.faults)
         workload = build_fleet_workload(config)
         batch, scalar = (
@@ -241,9 +229,7 @@ class TestCampaignEquivalence:
                 FleetResult(
                     config=config,
                     policy=policy,
-                    accumulator=_execute_shard(
-                        workload, policy, spec, 0.0, use_batch
-                    ),
+                    accumulator=_execute_shard(workload, policy, spec, use_batch),
                     shards=1,
                     jobs=1,
                 ),
@@ -323,7 +309,6 @@ def _run_shard(
     policy,
     *,
     spec=None,
-    link_latency=0.0,
     use_batch=True,
     materialize=(),
     at_event=None,
@@ -366,7 +351,7 @@ def _run_shard(
             _patched(ShardBatchDispatcher, "_pump", interrupted_pump), \
             _patched(runner_mod, "_dismantle_shard", keep):
         accumulator = _execute_shard(
-            build_fleet_workload(config), policy, spec, link_latency, use_batch
+            build_fleet_workload(config), policy, spec, use_batch
         )
     return Shard(
         accumulator, captured["cols"], captured["proxy"],
@@ -404,29 +389,23 @@ def _matrix_reference(policy_name, preset, seed):
 RICH = {
     "expiring-churn-threshold": dict(),
     "chaos": dict(preset="chaos"),
-    "latency": dict(link_latency=3.0, rank_changes=RankChangeConfig()),
 }
 
 
 def _rich_case(name):
     overrides = dict(RICH[name])
     preset = overrides.pop("preset", None)
-    link_latency = overrides.pop("link_latency", 0.0)
     config = _rich_config(**overrides)
     spec = faults.FaultSpec.parse(preset) if preset else None
-    return config, spec, link_latency
+    return config, spec
 
 
 @functools.lru_cache(maxsize=None)
 def _rich_reference(name, policy_name):
-    config, spec, link_latency = _rich_case(name)
+    config, spec = _rich_case(name)
     policy = POLICIES[policy_name]()
-    untouched = _outputs(
-        _run_shard(config, policy, spec=spec, link_latency=link_latency).accumulator
-    )
-    scalar = _run_shard(
-        config, policy, spec=spec, link_latency=link_latency, use_batch=False
-    )
+    untouched = _outputs(_run_shard(config, policy, spec=spec).accumulator)
+    scalar = _run_shard(config, policy, spec=spec, use_batch=False)
     assert untouched == _outputs(scalar.accumulator)
     return untouched
 
@@ -487,7 +466,7 @@ class TestMaterializationInvisible:
     @pytest.mark.parametrize(
         "name,policy_name",
         [("expiring-churn-threshold", p) for p in sorted(POLICIES)]
-        + [("chaos", "unified"), ("latency", "unified")],
+        + [("chaos", "unified")],
     )
     @settings(
         max_examples=4,
@@ -496,13 +475,12 @@ class TestMaterializationInvisible:
     )
     @given(data=st.data())
     def test_drawn_subset_rich_workloads(self, name, policy_name, data):
-        config, spec, link_latency = _rich_case(name)
+        config, spec = _rich_case(name)
         subset, at_event = _draw_escape(data, config)
         forced = _run_shard(
             config,
             POLICIES[policy_name](),
             spec=spec,
-            link_latency=link_latency,
             materialize=subset,
             at_event=at_event,
         )

@@ -80,6 +80,8 @@ class TestFleetCli:
             ["--jobs", "-1"],
             ["--faults", "no-such-preset"],
             ["--audit", "0"],
+            # A bare buffer has no limit to run with.
+            ["--policy", "buffer"],
         ],
     )
     def test_rejects_bad_flags(self, argv):

@@ -14,7 +14,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.parallel import run_fleet_policy_batch
-from repro.faults import PRESETS
+from repro.faults import PRESETS, FaultSpec
 from repro.fleet import FleetScenarioConfig, build_fleet_workload, run_fleet
 from repro.fleet.runner import _execute_shard, _execute_shard_from_shm
 from repro.fleet.workload import FleetWorkload, shard_bounds
@@ -124,7 +124,7 @@ class TestShardViews:
         with ShmTraceSet() as published:
             name = published.publish("piece", piece.to_trace())
             attached = _execute_shard_from_shm(
-                name, config, PolicyConfig.unified(), None, 0.0
+                name, config, PolicyConfig.unified(), None
             )
         assert attached.signature() == direct.signature()
 
@@ -132,7 +132,7 @@ class TestShardViews:
         config = FleetScenarioConfig(devices=8, duration=DAY, seed=3)
         with pytest.raises(ConfigurationError, match="repro-trace-gone"):
             _execute_shard_from_shm(
-                "repro-trace-gone", config, PolicyConfig.unified(), None, 0.0
+                "repro-trace-gone", config, PolicyConfig.unified(), None
             )
 
 
@@ -154,13 +154,13 @@ class TestPooledSegments:
         assert _segments() == before
 
     def test_none_left_when_every_worker_raises(self):
-        # A negative latency keeps the shard off the fused path, so
-        # wiring builds a LastHopLink, which rejects it.
+        # The batch hands the spec to its workers unchecked; each
+        # worker's shard validates it and raises.
         workload = build_fleet_workload(FleetScenarioConfig(**self.WORKLOAD))
         before = _segments()
-        with pytest.raises(ConfigurationError, match="latency"):
+        with pytest.raises(ConfigurationError, match="loss_rate"):
             run_fleet_policy_batch(
                 workload, [PolicyConfig.unified()], shards=2, jobs=2,
-                link_latency=-1.0,
+                fault_spec=FaultSpec(loss_rate=2.0),
             )
         assert _segments() == before

@@ -62,7 +62,7 @@ def corrupt_double_queue(proxy):
 class TestAuditCatchesCorruption:
     def test_double_queued_event_caught_next_transition(self):
         recorder = TraceRecorder()
-        auditor = Auditor(interval=1, recorder=recorder, context=8)
+        auditor = Auditor(interval=1, recorder=recorder)
         _sim, proxy = build(auditor, recorder)
         proxy.on_notification(note(0))  # forwarded while up -> one trace record
         corrupt_double_queue(proxy)

@@ -40,10 +40,6 @@ class TestConfigure:
         assert ctx.recorder is not None
         assert ctx.recorder.capacity == obs.DEFAULT_CAPACITY
 
-    def test_audit_without_context_has_no_ring(self):
-        ctx = obs.configure(obs.ObsConfig(audit_interval=1, audit_context=0))
-        assert ctx.recorder is None
-
     def test_probes_flag_controls_global_probes(self):
         obs.configure(obs.ObsConfig(probes=True))
         assert obs.PROBES.enabled is True

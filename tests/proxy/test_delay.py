@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.proxy.delay import DelayTracker
-from repro.units import DAY, HOUR
+from repro.proxy.delay import DROP_WINDOW, MAX_DELAY, DelayTracker
+from repro.units import DAY
 
 
 class TestDefaults:
@@ -16,7 +15,7 @@ class TestDefaults:
         assert tracker.drop_fraction == 0.0
 
     def test_delay_tracks_drop_percentile(self):
-        tracker = DelayTracker(percentile=0.95)
+        tracker = DelayTracker()
         delays = [float(i) for i in range(1, 101)]  # 1..100 s
         for delay in delays:
             tracker.record_publication()
@@ -24,9 +23,9 @@ class TestDefaults:
         assert tracker.current_delay() == pytest.approx(96.0, abs=2.0)
 
     def test_delay_capped(self):
-        tracker = DelayTracker(max_delay=HOUR)
+        tracker = DelayTracker()
         tracker.record_drop(5 * DAY)
-        assert tracker.current_delay() == HOUR
+        assert tracker.current_delay() == MAX_DELAY
 
     def test_negative_drop_delay_clamped(self):
         tracker = DelayTracker()
@@ -42,129 +41,39 @@ class TestDefaults:
         assert tracker.drop_fraction == pytest.approx(0.2)
 
     def test_window_slides(self):
-        tracker = DelayTracker(window=5, percentile=1.0)
-        for delay in (100.0, 1.0, 1.0, 1.0, 1.0, 1.0):
+        tracker = DelayTracker()
+        for delay in [100.0] + [1.0] * DROP_WINDOW:
             tracker.record_drop(delay)
         assert tracker.current_delay() == pytest.approx(1.0)
 
-    def test_reset(self):
-        tracker = DelayTracker()
-        tracker.record_publication()
-        tracker.record_drop(10.0)
-        tracker.reset()
-        assert tracker.current_delay() == 0.0
-        assert tracker.publications == 0
-        assert tracker.drops == 0
-
-
-class TestCustomFormula:
-    def test_formula_hook(self):
-        tracker = DelayTracker(formula=lambda t: 123.0)
-        assert tracker.current_delay() == 123.0
-
-    def test_formula_capped_and_clamped(self):
-        assert DelayTracker(max_delay=10.0, formula=lambda t: 1e9).current_delay() == 10.0
-        assert DelayTracker(formula=lambda t: -5.0).current_delay() == 0.0
-
-    def test_formula_sees_tracker(self):
-        tracker = DelayTracker(formula=lambda t: float(t.drops))
-        tracker.record_drop(1.0)
-        tracker.record_drop(1.0)
-        assert tracker.current_delay() == 2.0
-
-
-class TestValidation:
-    def test_bad_percentile_rejected(self):
-        with pytest.raises(ConfigurationError):
-            DelayTracker(percentile=0.0)
-        with pytest.raises(ConfigurationError):
-            DelayTracker(percentile=1.5)
-
-    def test_negative_max_delay_rejected(self):
-        with pytest.raises(ConfigurationError):
-            DelayTracker(max_delay=-1.0)
-
 
 class TestPercentileBoundaries:
-    """Nearest-rank index ``ceil(p*n) - 1`` at tiny window sizes.
+    """Nearest-rank index ``ceil(p*n) - 1`` at small window sizes.
 
-    The old ``int(p * n)`` index was biased high: over two samples the
-    median picked the max. These pin the nearest-rank semantics for
-    every (n, p) corner the adaptive delay actually visits early in a
-    run, when only a handful of drops have been observed.
+    The old ``int(p * n)`` index was biased high: over twenty samples
+    it picked the max. These pin the nearest-rank semantics for the
+    sample counts the adaptive delay visits early in a run, when only a
+    handful of drops have been observed.
     """
 
     @staticmethod
-    def _tracker(percentile, delays):
-        tracker = DelayTracker(percentile=percentile)
+    def _tracker(delays):
+        tracker = DelayTracker()
         for delay in delays:
             tracker.record_drop(delay)
         return tracker
 
-    @pytest.mark.parametrize("percentile", [0.5, 0.95, 1.0])
-    def test_single_sample_is_that_sample(self, percentile):
-        tracker = self._tracker(percentile, [7.0])
-        assert tracker.current_delay() == pytest.approx(7.0)
+    def test_single_sample_is_that_sample(self):
+        assert self._tracker([7.0]).current_delay() == pytest.approx(7.0)
 
-    def test_two_samples_median_is_lower(self):
-        tracker = self._tracker(0.5, [10.0, 20.0])
-        assert tracker.current_delay() == pytest.approx(10.0)
-
-    @pytest.mark.parametrize("percentile", [0.95, 1.0])
-    def test_two_samples_high_percentile_is_max(self, percentile):
-        tracker = self._tracker(percentile, [10.0, 20.0])
+    def test_two_samples_high_percentile_is_max(self):
+        tracker = self._tracker([10.0, 20.0])
         assert tracker.current_delay() == pytest.approx(20.0)
 
-    def test_three_samples_median_is_middle(self):
-        tracker = self._tracker(0.5, [30.0, 10.0, 20.0])
-        assert tracker.current_delay() == pytest.approx(20.0)
-
-    @pytest.mark.parametrize("percentile", [0.95, 1.0])
-    def test_three_samples_high_percentile_is_max(self, percentile):
-        tracker = self._tracker(percentile, [30.0, 10.0, 20.0])
+    def test_three_samples_high_percentile_is_max(self):
+        tracker = self._tracker([30.0, 10.0, 20.0])
         assert tracker.current_delay() == pytest.approx(30.0)
 
-
-class TestMerge:
-    def test_counts_add_exactly(self):
-        left, right = DelayTracker(), DelayTracker()
-        for _ in range(10):
-            left.record_publication()
-        left.record_drop(100.0)
-        for _ in range(5):
-            right.record_publication()
-        right.record_drop(200.0)
-        right.record_drop(300.0)
-        left.merge(right)
-        assert left.publications == 15
-        assert left.drops == 3
-        assert left.drop_fraction == pytest.approx(0.2)
-
-    def test_merged_percentile_equals_sequential_history(self):
-        """Post-merge current_delay == one tracker that saw both
-        histories in order; the window keeps raw delays, so the
-        nearest-rank percentile over the survivors is exact."""
-        window = 4
-        left = DelayTracker(window=window, percentile=0.5)
-        right = DelayTracker(window=window, percentile=0.5)
-        sequential = DelayTracker(window=window, percentile=0.5)
-        for d in (10.0, 20.0, 30.0):
-            left.record_drop(d)
-            sequential.record_drop(d)
-        for d in (40.0, 50.0, 60.0):
-            right.record_drop(d)
-            sequential.record_drop(d)
-        left.merge(right)
-        assert left.current_delay() == sequential.current_delay()
-
-    def test_merge_respects_donor_ring_rotation(self):
-        """A donor whose ring has wrapped contributes oldest-first."""
-        donor = DelayTracker(window=2, percentile=1.0)
-        for d in (1.0, 2.0, 3.0):  # ring wraps; survivors [2, 3]
-            donor.record_drop(d)
-        target = DelayTracker(window=3, percentile=1.0)
-        target.record_drop(9.0)
-        target.merge(donor)
-        # Window is [9, 2, 3]; one more drop must evict 9 (the oldest).
-        target.record_drop(1.0)
-        assert target.current_delay() == 3.0
+    def test_twenty_samples_is_nearest_rank(self):
+        tracker = self._tracker([float(i) for i in range(20, 0, -1)])
+        assert tracker.current_delay() == pytest.approx(19.0)

@@ -29,12 +29,6 @@ class TestMovingAverage:
         assert ma.value == pytest.approx(25.0)
         assert ma.count == 2
 
-    def test_reset(self):
-        ma = MovingAverage(window=3)
-        ma.push(5.0)
-        ma.reset()
-        assert ma.value is None
-
     def test_window_must_be_positive(self):
         with pytest.raises(ConfigurationError):
             MovingAverage(window=0)
@@ -77,17 +71,6 @@ class TestIntervalAverage:
         ia.push(5.0)
         ia.push(5.0)
         assert ia.value == pytest.approx(0.0)
-
-    def test_reset(self):
-        ia = IntervalAverage()
-        ia.push(1.0)
-        ia.push(2.0)
-        ia.reset()
-        assert ia.value is None
-        ia.push(100.0)  # does not raise after reset
-        ia.push(101.0)
-        assert ia.value == pytest.approx(1.0)
-
 
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=50),
        st.integers(min_value=1, max_value=10))
@@ -141,63 +124,6 @@ class TestRunningSumDrift:
         assert abs(ma.value - expected) <= 1e-9 * scale
 
 
-class TestMerge:
-    def test_merge_equals_sequential_pushes(self):
-        """Merging is exactly 'replay other's window after mine'."""
-        left, right, sequential = (MovingAverage(window=4) for _ in range(3))
-        for v in (1.0, 2.0, 3.0):
-            left.push(v)
-            sequential.push(v)
-        for v in (10.0, 20.0, 30.0):
-            right.push(v)
-            sequential.push(v)
-        left.merge(right)
-        assert left.value == sequential.value
-        assert left.count == sequential.count
-
-    def test_merge_respects_ring_rotation(self):
-        """The donor's window folds in oldest-first even after wrapping."""
-        right = MovingAverage(window=3)
-        for v in (1.0, 2.0, 3.0, 4.0, 5.0):  # window now [3, 4, 5]
-            right.push(v)
-        left = MovingAverage(window=3)
-        left.merge(right)
-        assert left.value == pytest.approx(4.0)
-        # A subsequent push must evict the oldest survivor (3), not 5.
-        left.push(6.0)
-        assert left.value == pytest.approx(5.0)
-
-    def test_merge_empty_is_identity(self):
-        left = MovingAverage(window=3)
-        left.push(7.0)
-        left.merge(MovingAverage(window=3))
-        assert left.value == 7.0
-
-    @given(
-        st.lists(st.floats(0.0, 1e6), max_size=12),
-        st.lists(st.floats(0.0, 1e6), max_size=12),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_merge_matches_concatenation(self, first, second):
-        merged = MovingAverage(window=5)
-        donor = MovingAverage(window=5)
-        replay = MovingAverage(window=5)
-        for v in first:
-            merged.push(v)
-        for v in second:
-            donor.push(v)
-        # Only the newest `window` of the donor survive in the donor
-        # itself, so the replayed reference pushes exactly those.
-        for v in first + second[-5:]:
-            replay.push(v)
-        merged.merge(donor)
-        assert merged.count == replay.count
-        if replay.value is None:
-            assert merged.value is None
-        else:
-            assert merged.value == pytest.approx(replay.value)
-
-
 class TestRingBuffer:
     def test_eviction_order_is_fifo(self):
         ma = MovingAverage(window=3)
@@ -205,13 +131,3 @@ class TestRingBuffer:
             ma.push(v)
         assert ma.value == pytest.approx(3.0)  # window [2, 3, 4]
         assert ma._ordered() == [2.0, 3.0, 4.0]
-
-    def test_reset_clears_ring_position(self):
-        ma = MovingAverage(window=2)
-        for v in (1.0, 2.0, 3.0):
-            ma.push(v)
-        ma.reset()
-        assert ma.value is None
-        ma.push(9.0)
-        assert ma.value == 9.0
-        assert ma._ordered() == [9.0]

@@ -89,10 +89,3 @@ class TestRatePrefetcher:
         prefetcher = RatePrefetcher(PolicyConfig.rate(initial_ratio=1.0))
         s = state()
         assert [prefetcher.earn(s) for _ in range(3)] == [1, 1, 1]
-
-    def test_reset_clears_credit(self):
-        prefetcher = RatePrefetcher(PolicyConfig.rate(initial_ratio=0.7))
-        s = state()
-        prefetcher.earn(s)
-        prefetcher.reset()
-        assert prefetcher.credit == 0.0

@@ -97,12 +97,6 @@ class TestRemoval:
     def test_remove_missing_returns_none(self):
         assert RankedQueue().remove(EventId(9)) is None
 
-    def test_discard_by_notification(self):
-        item = note(3, 1.0)
-        queue = RankedQueue([item])
-        assert queue.discard(item) is item
-        assert not queue
-
     def test_lazy_deletion_skipped_on_pop(self):
         queue = RankedQueue([note(1, 5.0), note(2, 1.0)])
         queue.remove(EventId(1))

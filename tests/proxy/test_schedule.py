@@ -53,14 +53,12 @@ class TestQuietHours:
             QuietHours(windows=((1.0, 5.0), (4.0, 6.0))).validate()
         QuietHours(windows=((0.0, 7.0), (22.0, 24.0))).validate()
 
-    def test_is_quiet_and_quiet_end(self):
+    def test_quiet_end(self):
         quiet = QuietHours(windows=((9.0, 10.0),))
-        assert not quiet.is_quiet(8.5 * HOUR)
-        assert quiet.is_quiet(9.5 * HOUR)
+        assert quiet.quiet_end(8.5 * HOUR) is None
         assert quiet.quiet_end(9.5 * HOUR) == pytest.approx(10.0 * HOUR)
         assert quiet.quiet_end(11.0 * HOUR) is None
         # Second day, same window.
-        assert quiet.is_quiet(DAY + 9.5 * HOUR)
         assert quiet.quiet_end(DAY + 9.5 * HOUR) == pytest.approx(DAY + 10 * HOUR)
 
 

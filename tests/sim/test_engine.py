@@ -12,9 +12,6 @@ class TestScheduling:
     def test_clock_starts_at_zero(self, sim):
         assert sim.now == 0.0
 
-    def test_clock_starts_at_custom_time(self):
-        assert Simulator(start_time=5.0).now == 5.0
-
     def test_events_fire_in_time_order(self, sim):
         fired = []
         sim.schedule(3.0, fired.append, "c")

@@ -145,12 +145,6 @@ class TestDerivedViews:
         trace = Trace(duration=100.0, outages=(OutageRecord(100.0, 120.0),))
         assert list(trace.network_transitions()) == []
 
-    def test_link_is_up(self):
-        trace = Trace(duration=100.0, outages=(OutageRecord(10.0, 20.0),))
-        assert trace.link_is_up(5.0)
-        assert not trace.link_is_up(15.0)
-        assert trace.link_is_up(25.0)
-
     def test_describe_mentions_counts(self):
         trace = Trace(duration=86400.0, arrivals=(arrival(1.0, 1),))
         text = trace.describe()

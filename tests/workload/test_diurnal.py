@@ -1,16 +1,22 @@
 """Unit tests for diurnal arrival generation."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.sim.rng import RandomSource
-from repro.units import DAY
+from repro.units import DAY, HOUR
 from repro.workload.arrivals import ArrivalConfig
-from repro.workload.diurnal import (
-    DiurnalProfile,
-    generate_diurnal_arrivals,
-    hourly_histogram,
-)
+from repro.workload.diurnal import DiurnalProfile, generate_diurnal_arrivals
+
+
+def hourly_histogram(arrivals):
+    """Count arrivals per hour of day."""
+    histogram = [0] * 24
+    for arrival in arrivals:
+        histogram[int(math.fmod(arrival.time, DAY) // HOUR)] += 1
+    return histogram
 
 
 class TestProfile:
