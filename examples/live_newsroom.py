@@ -18,20 +18,18 @@ from collections import Counter
 import math
 
 from repro import (
-    ClientDevice,
     DeliverySchedule,
     DiurnalProfile,
-    LastHopLink,
     LastHopProxy,
     Notification,
     PolicyConfig,
-    ProxyConfig,
     QuietHours,
     RandomSource,
     RunStats,
     Simulator,
     TopicType,
 )
+from repro.experiments.runner import wire_device
 from repro.types import DeliveryMode, TopicId
 from repro.units import DAY, HOUR
 from repro.workload.arrivals import ArrivalConfig
@@ -46,18 +44,16 @@ def main() -> None:
     stats = RunStats()
     rng = RandomSource(seed=17)
 
-    link = LastHopLink(sim, stats)
-    device = ClientDevice(sim, link, stats)
-    device.add_topic(TOPIC)
     schedule = DeliverySchedule(
         quiet_hours=QuietHours(windows=((0.0, 7.0), (23.0, 24.0))),
         max_pushes_per_day=12,
         urgent_threshold=4.5,
     )
-    proxy = LastHopProxy(sim, link, ProxyConfig(PolicyConfig.unified()), stats)
-    proxy.add_topic(TOPIC, topic_type=TopicType.ONLINE, schedule=schedule)
-    device.attach_proxy(proxy)
-    link.add_status_listener(proxy.on_network)
+    proxy = LastHopProxy(sim, PolicyConfig.unified())
+    link, device, _ = wire_device(
+        sim, proxy, TOPIC, 0.0, stats, plan=None, recorder=None,
+        topic_type=TopicType.ONLINE, schedule=schedule,
+    )
 
     # Publishing: ~40 stories/day shaped by the working day.
     stories = generate_diurnal_arrivals(

@@ -16,17 +16,15 @@ Run:  python examples/slashdot_vacation.py
 """
 
 from repro import (
-    ClientDevice,
-    LastHopLink,
     LastHopProxy,
     NetworkStatus,
     Notification,
     PolicyConfig,
-    ProxyConfig,
     RandomSource,
     RunStats,
     Simulator,
 )
+from repro.experiments.runner import wire_device
 from repro.types import EventId, TopicId
 from repro.units import DAY, HOUR
 
@@ -41,13 +39,10 @@ def main() -> None:
     rng = RandomSource(seed=7)
 
     # The last hop: proxy -> link -> device.
-    link = LastHopLink(sim, stats)
-    device = ClientDevice(sim, link, stats)
-    device.add_topic(TOPIC, threshold=THRESHOLD)
-    proxy = LastHopProxy(sim, link, ProxyConfig(PolicyConfig.on_demand()), stats)
-    proxy.add_topic(TOPIC, rank_threshold=THRESHOLD)
-    device.attach_proxy(proxy)
-    link.add_status_listener(proxy.on_network)
+    proxy = LastHopProxy(sim, PolicyConfig.on_demand())
+    link, device, _ = wire_device(
+        sim, proxy, TOPIC, THRESHOLD, stats, plan=None, recorder=None
+    )
 
     # The user leaves on vacation: the device is unreachable for a month.
     link.set_status(NetworkStatus.DOWN)

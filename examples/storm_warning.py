@@ -20,16 +20,14 @@ import dataclasses
 import itertools
 
 from repro import (
-    ClientDevice,
-    LastHopLink,
     LastHopProxy,
     Notification,
     PolicyConfig,
-    ProxyConfig,
     RandomSource,
     RunStats,
     Simulator,
 )
+from repro.experiments.runner import wire_device
 from repro.types import EventId, TopicId
 from repro.units import DAY, HOUR
 
@@ -42,15 +40,10 @@ def main() -> None:
     stats = RunStats()
     rng = RandomSource(seed=3)
 
-    link = LastHopLink(sim, stats)
-    device = ClientDevice(sim, link, stats)
-    device.add_topic(TOPIC, threshold=THRESHOLD)
-    proxy = LastHopProxy(
-        sim, link, ProxyConfig(PolicyConfig.buffer(prefetch_limit=8)), stats
+    proxy = LastHopProxy(sim, PolicyConfig.buffer(prefetch_limit=8))
+    link, device, _ = wire_device(
+        sim, proxy, TOPIC, THRESHOLD, stats, plan=None, recorder=None
     )
-    proxy.add_topic(TOPIC, rank_threshold=THRESHOLD)
-    device.attach_proxy(proxy)
-    link.add_status_listener(proxy.on_network)
 
     # The routing substrate is a black box (§2): the weather service's
     # notifications reach the proxy as they are published.

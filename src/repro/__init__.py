@@ -48,7 +48,7 @@ from repro.metrics.accounting import RunStats
 from repro.metrics.analytic import expected_expiration_waste, expected_overflow_waste
 from repro.metrics.waste_loss import PairedMetrics, compute_loss, compute_waste
 from repro.proxy.policies import PolicyConfig
-from repro.proxy.proxy import LastHopProxy, ProxyConfig
+from repro.proxy.proxy import LastHopProxy
 from repro.proxy.schedule import DeliverySchedule, QuietHours
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomSource
@@ -78,7 +78,6 @@ __all__ = [
     "PairedResult",
     "PolicyConfig",
     "PolicyKind",
-    "ProxyConfig",
     "QuietHours",
     "RandomSource",
     "ReproError",

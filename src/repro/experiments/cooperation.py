@@ -19,13 +19,17 @@ from typing import List, Optional
 
 from repro.broker.message import Notification
 from repro.device.cooperation import AdHocNetwork, DeviceGroup
-from repro.device.device import ClientDevice
 from repro.device.link import LastHopLink
-from repro.experiments.runner import DEFAULT_TOPIC, RunResult, run_baseline
+from repro.experiments.runner import (
+    DEFAULT_TOPIC,
+    RunResult,
+    run_baseline,
+    wire_device,
+)
 from repro.metrics.accounting import RunStats
 from repro.metrics.waste_loss import PairedMetrics, pair_metrics
 from repro.proxy.policies import PolicyConfig
-from repro.proxy.proxy import LastHopProxy, ProxyConfig
+from repro.proxy.proxy import LastHopProxy
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomSource
 from repro.sim.trace import Trace
@@ -87,13 +91,10 @@ def run_cooperative_scenario(
     proxies: List[LastHopProxy] = []
     for index in range(1 + cooperation.n_peers):
         device_policy = policy if index == 0 else peer_policy
-        link = LastHopLink(sim, stats)
-        device = ClientDevice(sim, link, stats)
-        device.add_topic(topic, threshold)
-        proxy = LastHopProxy(sim, link, ProxyConfig(policy=device_policy), stats)
-        proxy.add_topic(topic, rank_threshold=threshold)
-        device.attach_proxy(proxy)
-        link.add_status_listener(proxy.on_network)
+        proxy = LastHopProxy(sim, device_policy)
+        link, device, _ = wire_device(
+            sim, proxy, topic, threshold, stats, None, None
+        )
         group.add_device(device)
         links.append(link)
         proxies.append(proxy)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
@@ -30,8 +31,9 @@ from repro.faults import FaultPlan, FaultSpec
 from repro.metrics.accounting import RunStats
 from repro.metrics.waste_loss import PairedMetrics, pair_metrics
 from repro.proxy.policies import PolicyConfig
-from repro.proxy.proxy import LastHopProxy, ProxyConfig
+from repro.proxy.proxy import LastHopProxy
 from repro.proxy.schedule import DeliverySchedule
+from repro.proxy.state import TopicState
 from repro.sim.engine import Simulator
 from repro.sim.trace import Trace
 from repro.types import EventId, TopicId, TopicType
@@ -62,10 +64,11 @@ def register_trace_streams(
     the same FIFO sequence numbers that per-record schedule_at calls in
     this order would get.
 
-    Shared by the single-device runner and the fleet runner so that a
-    one-device fleet replays a device's trace with exactly the same
-    event ordering as :func:`run_scenario`. Returns the id → original
-    Notification map (the rank-change stream closes over it).
+    The fleet's ``_register_fleet_streams`` merges these same four
+    streams across devices in the same order, so a one-device fleet
+    replays a device's trace with exactly the event ordering of
+    :func:`run_scenario`. Returns the id → original Notification map
+    (the rank-change stream closes over it).
     """
     cols = trace.columns
     originals: Dict[EventId, Notification] = {}
@@ -119,6 +122,54 @@ def register_trace_streams(
         [(time, set_status, (status,)) for time, status in trace.network_transitions()]
     )
     return originals
+
+
+def wire_device(
+    sim: Simulator,
+    proxy: LastHopProxy,
+    topic: TopicId,
+    threshold: float,
+    stats: RunStats,
+    plan: Optional[FaultPlan],
+    recorder,
+    topic_type: TopicType = TopicType.ON_DEMAND,
+    schedule: Optional[DeliverySchedule] = None,
+) -> Tuple[LastHopLink, ClientDevice, TopicState]:
+    """Wire one device to ``proxy`` as a binding on ``topic``.
+
+    Builds the last-hop link and the device, registers the topic on
+    both ends, attaches the device to the proxy and the proxy's
+    ``NETWORK`` handler to the link, and schedules the fault plan's
+    crash timers. ``threshold`` is the subscription's qualitative
+    limit, applied at the proxy (rank filtering) and at the device
+    (read filtering). This is the only place a link/device/binding trio
+    is built, and the order of its steps is part of the contract: it
+    fixes the listener order and the crash timers' sequence numbers, so
+    a device wired here behaves the same in a single-device run and in
+    a fleet shard.
+    """
+    link = LastHopLink(sim, stats, faults=plan, recorder=recorder)
+    device = ClientDevice(sim, link, stats, faults=plan)
+    device.add_topic(topic, threshold)
+    state = proxy.add_binding(
+        topic,
+        transport=link,
+        stats=stats,
+        topic_type=topic_type,
+        rank_threshold=threshold,
+        schedule=schedule,
+    )
+    device.attach_proxy(proxy)
+    link.add_status_listener(partial(proxy.on_topic_network, topic))
+    if plan is not None:
+        for crash_time in plan.crash_times:
+            sim.schedule_at(
+                crash_time,
+                proxy.crash_restart_topic,
+                topic,
+                plan.spec.restart_delay,
+            )
+    return link, device, state
 
 
 @dataclass(frozen=True)
@@ -178,34 +229,19 @@ def run_scenario(
         seed=int(trace.metadata.get("seed", 0) or 0),
         duration=trace.duration,
     )
+    recorder = None if obs_ctx is None else obs_ctx.recorder
     sim = Simulator()
     stats = RunStats()
-    link = LastHopLink(
-        sim,
-        stats,
-        faults=plan,
-        recorder=None if obs_ctx is None else obs_ctx.recorder,
-    )
-    device = ClientDevice(sim, link, stats, faults=plan)
-    device.add_topic(topic, threshold)
     proxy = LastHopProxy(
         sim,
-        link,
-        ProxyConfig(policy=policy),
-        stats,
-        recorder=None if obs_ctx is None else obs_ctx.recorder,
+        policy,
+        recorder=recorder,
         auditor=None if obs_ctx is None else obs_ctx.auditor,
     )
-    proxy.add_topic(
-        topic, topic_type=topic_type, rank_threshold=threshold, schedule=schedule
+    link, device, _ = wire_device(
+        sim, proxy, topic, threshold, stats, plan, recorder,
+        topic_type=topic_type, schedule=schedule,
     )
-    device.attach_proxy(proxy)
-    link.add_status_listener(proxy.on_network)
-    if plan is not None:
-        for crash_time in plan.crash_times:
-            sim.schedule_at(
-                crash_time, proxy.crash_restart, plan.spec.restart_delay
-            )
 
     register_trace_streams(
         sim, trace, topic, proxy.on_notification, device.perform_read, link.set_status
@@ -216,12 +252,12 @@ def run_scenario(
     finally:
         probes.count("events", sim.events_processed)
 
-    state = proxy.topic_state(topic)
     return RunResult(
         stats=stats,
         policy=policy,
         events_processed=sim.events_processed,
-        final_proxy_queued=state.queued_event_count(),
+        # A crash/restart replaces the binding's state, so look it up.
+        final_proxy_queued=proxy.topic_state(topic).queued_event_count(),
         final_device_queued=device.queue_size(topic),
     )
 

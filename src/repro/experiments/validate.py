@@ -266,11 +266,3 @@ def render(results: List[ClaimResult]) -> str:
     lines = [result.render() for result in results]
     lines.append(f"\n{passed}/{len(results)} claims reproduced")
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - CLI glue
-    print(render(run(progress=print)))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

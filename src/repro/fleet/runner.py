@@ -49,27 +49,24 @@ import gc
 import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
 from typing import Dict, Iterable, Iterator, List, Optional
 
 import numpy as np
 
 from repro import obs
 from repro.broker.message import Notification
-from repro.device.device import ClientDevice
-from repro.device.link import LastHopLink
 from repro.errors import ConfigurationError
 from repro.experiments import parallel
+from repro.experiments.runner import wire_device
 from repro.faults import FaultPlan, FaultSpec
 from repro.fleet.batch import ShardBatchDispatcher
 from repro.fleet.columns import FleetColumns, row_notification
 from repro.fleet.config import FleetScenarioConfig
 from repro.fleet.workload import FleetWorkload, build_fleet_workload
-from repro.metrics.accounting import RunStats
 from repro.metrics.streaming import FleetAccumulator, SketchedStats
 from repro.proxy.policies import PolicyConfig
 from repro.proxy.prefetch import BufferPrefetcher
-from repro.proxy.proxy import LastHopProxy, ProxyConfig
+from repro.proxy.proxy import LastHopProxy
 from repro.sim import trace_shm
 from repro.sim.engine import Simulator
 from repro.sim.rng import derive_seed
@@ -131,10 +128,11 @@ def _execute_shard(
 ) -> FleetAccumulator:
     """Run one shard's devices on one simulator; fold into an accumulator.
 
-    A binding's wiring (:meth:`ShardWiring.materialize`) mirrors
-    :func:`~repro.experiments.runner.run_scenario` exactly, and the
-    merged streams preserve each device's within-device event order, so
-    a device's statistics are identical whether it runs here — on its
+    :meth:`ShardWiring.materialize` wires a binding through the same
+    :func:`~repro.experiments.runner.wire_device` that
+    :func:`~repro.experiments.runner.run_scenario` uses, and the merged
+    streams preserve each device's within-device event order, so a
+    device's statistics are identical whether it runs here — on its
     row, on objects, or first one then the other — or through the
     single-device runner.
 
@@ -159,8 +157,9 @@ class ShardWiring:
 
     Every binding of a shard starts as a bare row of the shard's
     :class:`~repro.fleet.columns.FleetColumns`. :meth:`materialize` is
-    the only place the per-device ``SketchedStats`` / ``LastHopLink`` /
-    ``ClientDevice`` / ``TopicState`` are constructed — for every
+    the only place the fleet builds a device's ``SketchedStats`` and,
+    through :func:`~repro.experiments.runner.wire_device`, its
+    ``LastHopLink`` / ``ClientDevice`` / ``TopicState`` — for every
     binding at wiring when the shard cannot take the resident handlers
     (the scalar oracle, a fault spec that arms proxy crashes, observers,
     a fixed delay), for a single binding from inside the
@@ -206,14 +205,15 @@ class ShardWiring:
     def materialize(self, index: int) -> None:
         """Build binding ``index``'s objects and replay its row into them.
 
-        The wiring mirrors :func:`~repro.experiments.runner.
-        run_scenario` exactly — ctor order, listener registration order,
-        crash timers scheduled at once (only a shard materialized whole
-        at wiring has crash plans, so they land before the streams
-        register) — and a replay of a fresh row is the identity, so a
-        binding materialized at wiring is wired exactly as if no row had
-        ever existed. One-way and idempotent: a materialized binding is
-        left alone.
+        The wiring is :func:`~repro.experiments.runner.wire_device`, the
+        same helper :func:`~repro.experiments.runner.run_scenario` uses,
+        so ctor order, listener registration order and crash timers
+        match it exactly (only a shard materialized whole at wiring has
+        crash plans, so the timers land before the streams register).
+        A replay of a fresh row is the identity, so a binding
+        materialized at wiring is wired exactly as if no row had ever
+        existed. One-way and idempotent: a materialized binding is left
+        alone.
 
         The replay hands over what the binding's future depends on: the
         link status, the proxy's queue-size estimate and prefetch limit,
@@ -243,22 +243,9 @@ class ShardWiring:
             delay_moments=acc.read_delay_moments,
         )
         topic = device_topic(device_id)
-        link = LastHopLink(sim, stats, faults=plan, recorder=self.recorder)
-        device = ClientDevice(sim, link, stats, faults=plan)
-        device.add_topic(topic, config.threshold)
-        state = proxy.add_binding(
-            topic, transport=link, stats=stats, rank_threshold=config.threshold
+        link, device, state = wire_device(
+            sim, proxy, topic, config.threshold, stats, plan, self.recorder
         )
-        device.attach_proxy(proxy)
-        link.add_status_listener(partial(proxy.on_topic_network, topic))
-        if plan is not None:
-            for crash_time in plan.crash_times:
-                sim.schedule_at(
-                    crash_time,
-                    proxy.crash_restart_topic,
-                    topic,
-                    plan.spec.restart_delay,
-                )
 
         if not cols.network[index]:
             link._status = NetworkStatus.DOWN
@@ -326,16 +313,7 @@ def _execute_shard_inner(
 ) -> FleetAccumulator:
     acc = FleetAccumulator()
     sim = Simulator()
-    # The proxy-wide transport/stats slots back the classic `add_topic`
-    # alias only; every fleet binding carries its own.
-    proxy = LastHopProxy(
-        sim,
-        None,
-        ProxyConfig(policy=policy),
-        RunStats(),
-        recorder=recorder,
-        auditor=auditor,
-    )
+    proxy = LastHopProxy(sim, policy, recorder=recorder, auditor=auditor)
     n = workload.devices
     if spec is not None and spec.is_null:
         spec = None

@@ -126,13 +126,15 @@ class TraceRecorder:
         self.recorded += 1
         self._buffer.append(DuplicateDeliveryRecord(time, topic, event_id))
 
-    def crash(self, time: float) -> None:
+    def crash(self, time: float, topic: str) -> None:
         self.recorded += 1
-        self._buffer.append(CrashRecord(time))
+        self._buffer.append(CrashRecord(time, topic))
 
-    def recover(self, time: float, downtime: float, requeued: int) -> None:
+    def recover(
+        self, time: float, topic: str, downtime: float, requeued: int
+    ) -> None:
         self.recorded += 1
-        self._buffer.append(RecoverRecord(time, downtime, requeued))
+        self._buffer.append(RecoverRecord(time, topic, downtime, requeued))
 
     # ------------------------------------------------------------------
     # Inspection / export

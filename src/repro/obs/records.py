@@ -135,19 +135,23 @@ class DuplicateDeliveryRecord:
 
 @dataclass(frozen=True, **DATACLASS_SLOTS)
 class CrashRecord:
-    """The proxy process crashed: timers and in-flight state torn down."""
+    """A binding's proxy worker crashed: its timers and in-flight state
+    were torn down."""
 
     kind: ClassVar[str] = "crash"
     time: float
+    topic: str
 
 
 @dataclass(frozen=True, **DATACLASS_SLOTS)
 class RecoverRecord:
-    """The proxy restarted and rebuilt its state from retained history."""
+    """A binding's worker restarted and rebuilt its state from retained
+    history."""
 
     kind: ClassVar[str] = "recover"
     time: float
-    downtime: float  #: seconds the proxy was down
+    topic: str
+    downtime: float  #: seconds the binding was down
     requeued: int  #: history events re-enqueued during recovery
 
 

@@ -24,7 +24,7 @@ buffer-based, rate-based, unified adaptive) are configured through
 
 from repro.proxy.moving_average import IntervalAverage, MovingAverage
 from repro.proxy.policies import PolicyConfig
-from repro.proxy.proxy import LastHopProxy, ProxyConfig, ReadResponse
+from repro.proxy.proxy import LastHopProxy, ReadResponse
 from repro.proxy.queues import RankedQueue
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "LastHopProxy",
     "MovingAverage",
     "PolicyConfig",
-    "ProxyConfig",
     "RankedQueue",
     "ReadResponse",
 ]

@@ -1,16 +1,17 @@
 """The last-hop proxy: the paper's Figure 7 algorithm.
 
 The proxy relays notifications between the fixed pub/sub infrastructure
-and a mobile device. Its three entry points mirror the pseudo-code's
-three main routines:
+and mobile devices, one *binding* per (device, topic), registered with
+:meth:`LastHopProxy.add_binding`. Its three entry points mirror the
+pseudo-code's three main routines:
 
 * :meth:`LastHopProxy.on_notification` — ``NOTIFICATION(event)``, called
   when a new outside event (or a rank change) arrives;
 * :meth:`LastHopProxy.on_read` — ``READ(N, queue_size, client_events)``,
   called when the user reads; "essentially, a read is not a request for
   more data, but a request for 'better' data if it exists";
-* :meth:`LastHopProxy.on_network` — ``NETWORK(status)``, called when the
-  last-hop link goes up or down.
+* :meth:`LastHopProxy.on_topic_network` — ``NETWORK(status)``, called
+  when a binding's last-hop link goes up or down.
 
 Like the pseudo-code, which "did not include garbage collection", the
 proxy keeps every event's history entry for the whole run, so late rank
@@ -19,7 +20,7 @@ changes always find the event they name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 from repro.broker.message import Notification
@@ -50,16 +51,6 @@ class Transport(Protocol):
 
 
 @dataclass(frozen=True)
-class ProxyConfig:
-    """Proxy-wide configuration; per-topic settings live on the topics."""
-
-    policy: PolicyConfig = field(default_factory=PolicyConfig.unified)
-
-    def validate(self) -> None:
-        self.policy.validate()
-
-
-@dataclass(frozen=True)
 class ReadResponse:
     """Outcome of one READ exchange, for callers that want it."""
 
@@ -71,28 +62,28 @@ class ReadResponse:
 
 
 class LastHopProxy:
-    """One proxy instance serving one mobile device.
+    """The last-hop proxy, serving one binding per (device, topic).
 
-    A proxy can manage several topics for its device (our extension; the
-    paper's evaluation uses one). Each topic gets its own
-    :class:`~repro.proxy.state.TopicState`, moving averages, and queues,
-    all governed by the configured forwarding policy.
+    Each binding is registered with :meth:`add_binding` and owns its
+    :class:`~repro.proxy.state.TopicState`, downlink, statistics, moving
+    averages and queues, all governed by the proxy's forwarding policy.
+    A single-device run is a proxy with one binding; a fleet shard is
+    one proxy with thousands. A device with several topics (our
+    extension; the paper's evaluation uses one) has one binding per
+    topic over the same link.
     """
 
     def __init__(
         self,
         sim: Simulator,
-        transport: Transport,
-        config: Optional[ProxyConfig] = None,
-        stats: Optional[RunStats] = None,
+        policy: PolicyConfig,
+        *,
         recorder: Optional[TraceRecorder] = None,
         auditor: Optional[Auditor] = None,
     ) -> None:
+        policy.validate()
         self._sim = sim
-        self._transport = transport
-        self._config = config or ProxyConfig()
-        self._config.validate()
-        self._stats = stats if stats is not None else RunStats()
+        self._policy = policy
         #: Observability hooks (:mod:`repro.obs`): a bounded structured
         #: trace recorder and a sampled invariant auditor. Both default
         #: to None, in which case every instrumented site reduces to a
@@ -100,54 +91,18 @@ class LastHopProxy:
         self._recorder = recorder
         self._auditor = auditor
         self._states: Dict[TopicId, TopicState] = {}
-        self._buffer = BufferPrefetcher(self._config.policy)
-        #: RATE-policy credit shared by classic ``add_topic`` bindings;
-        #: fleet bindings (``add_binding``) each get their own.
-        self._rate = RatePrefetcher(self._config.policy)
+        self._buffer = BufferPrefetcher(policy)
+        #: Inert RATE credit shared by every binding of a non-RATE
+        #: policy, which never consults it.
+        self._rate = RatePrefetcher(policy)
         self._in_read = False
-        #: Crash/restart bookkeeping (fault injection). While crashed
-        #: the proxy drops arrivals, serves empty reads, and arms no
-        #: timers; :meth:`restart` rebuilds volatile state from the
-        #: durable history/forwarded sets.
-        self._crashed = False
-        self._crashed_at = 0.0
 
     # ------------------------------------------------------------------
     # Setup
     # ------------------------------------------------------------------
     @property
-    def stats(self) -> RunStats:
-        return self._stats
-
-    @property
     def policy(self) -> PolicyConfig:
-        return self._config.policy
-
-    def add_topic(
-        self,
-        topic: TopicId,
-        topic_type: TopicType = TopicType.ON_DEMAND,
-        rank_threshold: float = 0.0,
-        delay_tracker: Optional[DelayTracker] = None,
-        schedule: Optional[DeliverySchedule] = None,
-    ) -> TopicState:
-        """Register a topic this proxy relays for its device.
-
-        ``schedule`` attaches §2.2 delivery refinements: quiet hours and
-        a daily push cap (enforced on proactive pushes of on-line
-        topics) and an urgent-interrupt threshold (notifications at or
-        above it are pushed immediately even on an on-demand topic).
-        """
-        return self._register(
-            topic,
-            topic_type=topic_type,
-            rank_threshold=rank_threshold,
-            schedule=schedule,
-            transport=self._transport,
-            stats=self._stats,
-            rate=self._rate,
-            tracker=delay_tracker or DelayTracker(),
-        )
+        return self._policy
 
     def add_binding(
         self,
@@ -162,51 +117,21 @@ class LastHopProxy:
     ) -> TopicState:
         """Register a (device, topic) binding with its own machinery.
 
-        Fleet mode: one proxy serves thousands of devices, each reached
-        over its own last-hop link and accounted in its own
-        :class:`RunStats`. Every binding also gets a private RATE credit
-        line and delay tracker, so one device's behaviour never bleeds
-        into another's adaptive knobs. A binding registered this way
-        behaves exactly like a one-topic classic proxy whose
-        transport/stats happen to be the ones supplied here.
-        """
-        policy = self._config.policy
-        # The credit line is only ever consulted under the RATE kind
-        # (observe_arrival/earn); any other policy shares the proxy's
-        # inert instance instead of paying one allocation per binding.
-        rate = (
-            RatePrefetcher(policy)
-            if policy.kind is PolicyKind.RATE
-            else self._rate
-        )
-        return self._register(
-            topic,
-            topic_type=topic_type,
-            rank_threshold=rank_threshold,
-            schedule=schedule,
-            transport=transport,
-            stats=stats,
-            rate=rate,
-            tracker=delay_tracker or DelayTracker(),
-        )
+        The binding reaches its device over ``transport`` and is
+        accounted in ``stats``. It also gets a private RATE credit line
+        and delay tracker, so one device's behaviour never bleeds into
+        another's adaptive knobs.
 
-    def _register(
-        self,
-        topic: TopicId,
-        *,
-        topic_type: TopicType,
-        rank_threshold: float,
-        schedule: Optional[DeliverySchedule],
-        transport: Transport,
-        stats: RunStats,
-        rate: RatePrefetcher,
-        tracker: DelayTracker,
-    ) -> TopicState:
+        ``schedule`` attaches §2.2 delivery refinements: quiet hours and
+        a daily push cap (enforced on proactive pushes of on-line
+        topics) and an urgent-interrupt threshold (notifications at or
+        above it are pushed immediately even on an on-demand topic).
+        """
         if topic in self._states:
             raise ConfigurationError(f"topic {topic!r} already registered at proxy")
         if schedule is not None:
             schedule.validate()
-        policy = self._config.policy
+        policy = self._policy
         state = TopicState(
             topic=topic,
             topic_type=topic_type,
@@ -216,8 +141,13 @@ class LastHopProxy:
         )
         state.transport = transport
         state.stats = stats
-        state.rate = rate
-        state.tracker = tracker
+        # The credit line is only ever consulted under the RATE kind
+        # (observe_arrival/earn); any other policy shares the proxy's
+        # inert instance instead of paying one allocation per binding.
+        state.rate = (
+            RatePrefetcher(policy) if policy.kind is PolicyKind.RATE else self._rate
+        )
+        state.tracker = delay_tracker or DelayTracker()
         state.expiration_threshold = (
             policy.initial_expiration_threshold
             if policy.expiration_threshold is None
@@ -243,14 +173,10 @@ class LastHopProxy:
     # ------------------------------------------------------------------
     def on_notification(self, notification: Notification) -> None:
         """Handle a new outside event or a rank-change announcement."""
-        if self._crashed:
-            # The proxy process is down; the wide-area substrate has no
-            # last-hop persistence, so the announcement is simply lost.
-            self._stats.lost_in_crash += 1
-            return
         state = self.topic_state(notification.topic)
         if state.crashed:
-            # Only this binding's worker is down (fleet fault mode).
+            # The binding's worker is down; the wide-area substrate has
+            # no last-hop persistence, so the announcement is lost.
             state.stats.lost_in_crash += 1
             return
         existing = state.history.get(notification.event_id)
@@ -321,7 +247,7 @@ class LastHopProxy:
         tracker = state.tracker
         tracker.record_publication()
 
-        policy = self._config.policy
+        policy = self._policy
         online = (
             state.topic_type is TopicType.ONLINE or policy.kind is PolicyKind.ONLINE
         )
@@ -387,7 +313,7 @@ class LastHopProxy:
         queues on the server, making any transfer unnecessary".
         """
         state = self.topic_state(topic)
-        if self._crashed or state.crashed:
+        if state.crashed:
             # The device's READ request times out against a dead proxy;
             # it falls back to its local queue, exactly like an outage.
             return ReadResponse(sent=(), candidates=0)
@@ -397,7 +323,7 @@ class LastHopProxy:
             raise ProxyError(f"READ with negative N: {n}")
         now = self._sim.now
         state.stats.read_requests += 1
-        policy = self._config.policy
+        policy = self._policy
 
         # Bookkeeping that drives the adaptive knobs.
         state.old_reads.push(float(n))
@@ -469,8 +395,6 @@ class LastHopProxy:
         """
         if queue_size < 0:
             raise ProxyError(f"queue report with negative size: {queue_size}")
-        if self._crashed:
-            return
         state = self.topic_state(topic)
         if state.crashed:
             return
@@ -496,11 +420,11 @@ class LastHopProxy:
         reordered device log must never kill the run.
         """
         state = self.topic_state(topic)
-        policy = self._config.policy
+        policy = self._policy
         for _time, n in reads:
             if n < 0:
                 raise ProxyError(f"read report with negative N: {n}")
-        if self._crashed or state.crashed:
+        if state.crashed:
             return
         for time, n in sorted(reads, key=lambda entry: entry[0]):
             state.old_reads.push(float(n))
@@ -515,33 +439,18 @@ class LastHopProxy:
     # ------------------------------------------------------------------
     # NETWORK(status)
     # ------------------------------------------------------------------
-    def on_network(self, status: NetworkStatus) -> None:
-        """Handle a last-hop link transition (all bindings at once)."""
-        for state in self._states.values():
-            state.network = status
-        if self._crashed:
-            # Track the status (restart must see the current link state)
-            # but do nothing with it while the process is down.
-            return
-        if status is NetworkStatus.UP:
-            for state in self._states.values():
-                self.try_forwarding(state)
-        if self._auditor is not None:
-            for state in self._states.values():
-                self._auditor.maybe_audit(self._sim, state)
-
     def on_topic_network(self, topic: TopicId, status: NetworkStatus) -> None:
-        """Handle a link transition on one binding's last hop.
+        """``NETWORK(status)`` for one binding's last hop.
 
-        Fleet mode: each device has its own link with its own outage
-        profile, so transitions arrive per binding rather than
-        proxy-wide. Semantics match :meth:`on_network` restricted to
-        one topic (status is tracked even while crashed; forwarding
-        resumes only on UP; the auditor sees both edges).
+        Each device has its own link with its own outage profile, so
+        transitions arrive per binding. The status is tracked even while
+        the binding is crashed (restart must see the current link
+        state); forwarding resumes only on UP; the auditor sees both
+        edges.
         """
         state = self.topic_state(topic)
         state.network = status
-        if self._crashed or state.crashed:
+        if state.crashed:
             return
         if status is NetworkStatus.UP:
             self.try_forwarding(state)
@@ -553,7 +462,7 @@ class LastHopProxy:
     # ------------------------------------------------------------------
     def try_forwarding(self, state: TopicState) -> None:
         """Flush the outgoing queue, then prefetch into spare client room."""
-        if self._crashed or state.crashed or state.network is not NetworkStatus.UP:
+        if state.crashed or state.network is not NetworkStatus.UP:
             return
         now = self._sim.now
 
@@ -722,85 +631,16 @@ class LastHopProxy:
     # ------------------------------------------------------------------
     # Crash / restart (fault injection)
     # ------------------------------------------------------------------
-    @property
-    def crashed(self) -> bool:
-        """True while the proxy process is down (between crash and restart)."""
-        return self._crashed
-
-    def crash(self, restart_delay: float = 0.0) -> None:
-        """Simulate a proxy process crash.
-
-        All timers (expirations, delay stage, quiet wake-ups) and
-        in-flight volatile state (pending retractions) are torn down;
-        only the durable event history and forwarded set survive. With
-        ``restart_delay`` > 0 the proxy stays down for that long
-        (arrivals are lost, reads come back empty) before
-        :meth:`restart` rebuilds it; with 0 it restarts immediately.
-        """
-        if self._crashed:
-            raise ProxyError("proxy crashed while already down")
-        if restart_delay < 0:
-            raise ConfigurationError(
-                f"restart_delay must be non-negative, got {restart_delay}"
-            )
-        self._crashed = True
-        self._crashed_at = self._sim.now
-        self._stats.proxy_crashes += 1
-        for state in self._states.values():
-            self._teardown_volatile(state)
-        if self._recorder is not None:
-            self._recorder.crash(self._sim.now)
-        if restart_delay > 0:
-            self._sim.schedule(restart_delay, self.restart)
-        else:
-            self.restart()
-
-    def crash_restart(self, restart_delay: float = 0.0) -> None:
-        """Crash now unless already down (the fault plan's crash hook;
-        a crash event landing inside a pending restart window is
-        absorbed by the outage already in progress)."""
-        if self._crashed:
-            return
-        self.crash(restart_delay)
-
-    def restart(self) -> None:
-        """Rebuild the proxy's volatile state after a crash.
-
-        Each topic gets a fresh :class:`~repro.proxy.state.TopicState`
-        seeded from the retained history and forwarded set: every
-        retained event that is unforwarded, unexpired, and still above
-        the rank threshold is re-classified exactly like a new arrival
-        (minus the rank-instability delay stage, whose tracker died with
-        the process) and its expiration timer re-armed. Moving averages,
-        the client queue-size estimate, the push budget, and the
-        retraction dedup set restart cold — the device's reconnection
-        reports and subsequent READs re-teach them.
-        """
-        if not self._crashed:
-            raise ProxyError("restart called on a proxy that is not down")
-        now = self._sim.now
-        requeued = 0
-        for old in list(self._states.values()):
-            _state, count = self._rebuild_state(old)
-            requeued += count
-        self._crashed = False
-        downtime = now - self._crashed_at
-        self._stats.crash_downtime += downtime
-        if self._recorder is not None:
-            self._recorder.recover(now, downtime, requeued)
-        for state in self._states.values():
-            self.try_forwarding(state)
-            if self._auditor is not None:
-                self._auditor.maybe_audit(self._sim, state)
-
-    # -- per-binding fail-stop (fleet fault injection) ------------------
     def crash_topic(self, topic: TopicId, restart_delay: float = 0.0) -> None:
-        """Crash one binding's worker while the rest of the fleet runs.
+        """Simulate a fail-stop crash of one binding's worker.
 
-        Semantics mirror :meth:`crash` scoped to a single binding: its
-        timers and in-flight volatile state are torn down, arrivals for
-        the topic are lost and its reads come back empty until
-        :meth:`restart_topic` rebuilds it from the durable history.
+        The binding's timers (expirations, delay stage, quiet wake-ups)
+        and in-flight volatile state (queues, pending retractions) are
+        torn down; only the durable event history and forwarded set
+        survive. Every other binding keeps running. With
+        ``restart_delay`` > 0 the binding stays down for that long
+        (arrivals are lost, reads come back empty) before
+        :meth:`restart_topic` rebuilds it; with 0 it restarts at once.
         """
         state = self.topic_state(topic)
         if state.crashed:
@@ -814,20 +654,27 @@ class LastHopProxy:
         state.stats.proxy_crashes += 1
         self._teardown_volatile(state)
         if self._recorder is not None:
-            self._recorder.crash(self._sim.now)
+            self._recorder.crash(self._sim.now, topic)
         if restart_delay > 0:
             self._sim.schedule(restart_delay, self.restart_topic, topic)
         else:
             self.restart_topic(topic)
 
     def crash_restart_topic(self, topic: TopicId, restart_delay: float = 0.0) -> None:
-        """Per-binding :meth:`crash_restart`: absorbed if already down."""
+        """Crash now unless already down (the fault plan's crash hook;
+        a crash event landing inside a pending restart window is
+        absorbed by the outage already in progress)."""
         if self.topic_state(topic).crashed:
             return
         self.crash_topic(topic, restart_delay)
 
     def restart_topic(self, topic: TopicId) -> None:
-        """Rebuild one binding's volatile state after :meth:`crash_topic`."""
+        """Rebuild one binding's volatile state after :meth:`crash_topic`.
+
+        Moving averages, the client queue-size estimate, the push budget
+        and the retraction dedup set restart cold; the device's
+        reconnection reports and later READs re-teach them.
+        """
         old = self.topic_state(topic)
         if not old.crashed:
             raise ProxyError("restart called on a proxy that is not down")
@@ -835,7 +682,7 @@ class LastHopProxy:
         state, requeued = self._rebuild_state(old)
         state.stats.crash_downtime += now - old.crashed_at
         if self._recorder is not None:
-            self._recorder.recover(now, now - old.crashed_at, requeued)
+            self._recorder.recover(now, topic, now - old.crashed_at, requeued)
         self.try_forwarding(state)
         if self._auditor is not None:
             self._auditor.maybe_audit(self._sim, state)
@@ -871,7 +718,7 @@ class LastHopProxy:
         iterates in insertion (acceptance) order, so recovery re-enqueues
         deterministically. Returns the fresh state and requeue count.
         """
-        policy = self._config.policy
+        policy = self._policy
         state = TopicState(
             topic=old.topic,
             topic_type=old.topic_type,

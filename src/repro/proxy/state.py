@@ -50,10 +50,7 @@ class TopicState:
         "expiration_handles",
         "delay_handles",
         "pending_retractions",
-        # Per-binding machinery (fleet mode: one proxy, many devices).
-        # The proxy wires these at registration; for the classic
-        # one-device proxy they all alias the proxy-wide instances, so
-        # single-device behaviour is unchanged by construction.
+        # Per-binding machinery, wired by the proxy's add_binding.
         "transport",
         "stats",
         "tracker",
@@ -128,11 +125,8 @@ class TopicState:
         self.tracker = None            #: this binding's DelayTracker
         self.rate = None               #: RATE-policy credit state
         #: Events whose retraction has been sent (or queued), per run.
-        #: Event ids never span topics, so a per-binding set dedups
-        #: exactly like the old proxy-wide one.
         self.retracted: set = set()
-        #: Fail-stop state for *this binding* (fleet fault injection);
-        #: the proxy also keeps a whole-process crashed flag.
+        #: Fail-stop state of this binding's worker (fault injection).
         self.crashed = False
         self.crashed_at = 0.0
 

@@ -96,6 +96,32 @@ def _int_column(stream: dict, key: str, expected_len: int) -> list:
     return values
 
 
+def _rank_column(stream: dict, key: str, expected_len: int) -> list:
+    """A rank column; NaN would compare false against every threshold."""
+    values = _column(stream, key, expected_len)
+    for value in values:
+        if value != value:
+            raise ValueError(f"column {key!r} holds NaN, not a rank")
+    return values
+
+
+def _expires_column(stream: dict, expected_len: int) -> list:
+    """``expires_at`` as floats: null is the never-expires sentinel (NaN
+    in the column), any other entry must be a finite time."""
+    values = []
+    for value in _column(stream, "expires_at", expected_len):
+        if value is None:
+            values.append(math.nan)
+            continue
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(
+                f"column 'expires_at' holds {value!r}, not a finite time or null"
+            )
+        values.append(value)
+    return values
+
+
 def trace_from_dict(data: dict) -> Trace:
     """Rebuild a trace from :func:`trace_to_dict` output (validated)."""
     if not isinstance(data, dict):
@@ -122,11 +148,8 @@ def trace_from_dict(data: dict) -> Trace:
             arrivals=ArrivalColumns.build(
                 arrival_times,
                 _int_column(arrivals, "event_id", len(arrival_times)),
-                _column(arrivals, "rank", len(arrival_times)),
-                [
-                    math.nan if e is None else float(e)
-                    for e in _column(arrivals, "expires_at", len(arrival_times))
-                ],
+                _rank_column(arrivals, "rank", len(arrival_times)),
+                _expires_column(arrivals, len(arrival_times)),
             ),
             reads=ReadColumns.build(
                 read_times, _int_column(reads, "count", len(read_times))
@@ -137,19 +160,19 @@ def trace_from_dict(data: dict) -> Trace:
             rank_changes=RankChangeColumns.build(
                 change_times,
                 _int_column(changes, "event_id", len(change_times)),
-                _column(changes, "new_rank", len(change_times)),
+                _rank_column(changes, "new_rank", len(change_times)),
             ),
         )
         metadata = dict(data.get("metadata", {}))
         seed = metadata.get("seed")
         if seed is not None and type(seed) is not int:
             raise ValueError(f"metadata seed {seed!r} is not an integer")
-        trace = Trace(
-            duration=float(data["duration"]),
-            metadata=metadata,
-            columns=columns,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        duration = float(data["duration"])
+        if not math.isfinite(duration):
+            raise ValueError(f"duration {duration!r} is not finite")
+        trace = Trace(duration=duration, metadata=metadata, columns=columns)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: an integer column entry beyond int64.
         raise ConfigurationError(f"malformed trace data: {exc}") from exc
     trace.validate()
     return trace

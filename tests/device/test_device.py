@@ -1,14 +1,17 @@
 """Unit tests for the mobile client device."""
 
+from functools import partial
+
 import pytest
 
 from repro.broker.message import Notification
 from repro.device.device import ClientDevice
 from repro.device.link import LastHopLink
 from repro.errors import ConfigurationError, DeviceError
+from repro.experiments.runner import wire_device
 from repro.metrics.accounting import RunStats
 from repro.proxy.policies import PolicyConfig
-from repro.proxy.proxy import LastHopProxy, ProxyConfig
+from repro.proxy.proxy import LastHopProxy
 from repro.sim.engine import Simulator
 from repro.types import DeliveryMode, EventId, NetworkStatus, TopicId
 
@@ -28,15 +31,15 @@ def note(event_id, rank=1.0, published_at=0.0, expires_at=None):
 def build(threshold=0.0, with_proxy=None):
     sim = Simulator()
     stats = RunStats()
+    if with_proxy is not None:
+        proxy = LastHopProxy(sim, with_proxy)
+        link, device, _ = wire_device(
+            sim, proxy, TOPIC, threshold, stats, None, None
+        )
+        return sim, link, device, stats, proxy
     link = LastHopLink(sim, stats)
     device = ClientDevice(sim, link, stats)
     device.add_topic(TOPIC, threshold)
-    if with_proxy is not None:
-        proxy = LastHopProxy(sim, link, ProxyConfig(policy=with_proxy), stats)
-        proxy.add_topic(TOPIC, rank_threshold=threshold)
-        device.attach_proxy(proxy)
-        link.add_status_listener(proxy.on_network)
-        return sim, link, device, stats, proxy
     return sim, link, device, stats, None
 
 
@@ -154,12 +157,10 @@ class TestReconnectReport:
         link = LastHopLink(sim, stats)
         device = ClientDevice(sim, link, stats, report_on_reconnect=False)
         device.add_topic(TOPIC)
-        proxy = LastHopProxy(
-            sim, link, ProxyConfig(policy=PolicyConfig.buffer(prefetch_limit=4)), stats
-        )
-        proxy.add_topic(TOPIC)
+        proxy = LastHopProxy(sim, PolicyConfig.buffer(prefetch_limit=4))
+        proxy.add_binding(TOPIC, transport=link, stats=stats)
         device.attach_proxy(proxy)
-        link.add_status_listener(proxy.on_network)
+        link.add_status_listener(partial(proxy.on_topic_network, TOPIC))
         state = proxy.topic_state(TOPIC)
         state.queue_size = 99
         link.set_status(NetworkStatus.DOWN)

@@ -11,23 +11,24 @@ from repro.broker.message import Notification
 from repro.device.device import ClientDevice
 from repro.device.link import LastHopLink
 from repro.errors import ConfigurationError, ProxyError
-from repro.experiments.runner import run_scenario
+from repro.experiments.runner import run_scenario, wire_device
 from repro.faults import PRESETS, FaultPlan, FaultSpec, active_spec, configure
+from repro.obs.recorder import TraceRecorder
 from repro.proxy.invariants import check_topic_state
 from repro.proxy.policies import PolicyConfig
-from repro.proxy.proxy import LastHopProxy, ProxyConfig
+from repro.proxy.proxy import LastHopProxy
 from repro.sim.engine import Simulator
 from repro.sim.trace import Trace
 from repro.metrics.accounting import RunStats
-from repro.types import DeliveryMode, EventId, NetworkStatus, TopicId, TopicType
+from repro.types import DeliveryMode, EventId, NetworkStatus, TopicId
 
 TOPIC = TopicId("faults/topic")
 
 
-def note(event_id=1, rank=1.0, size=512, expires_at=None):
+def note(event_id=1, rank=1.0, size=512, expires_at=None, topic=TOPIC):
     return Notification(
         event_id=EventId(event_id),
-        topic=TOPIC,
+        topic=topic,
         rank=rank,
         published_at=0.0,
         size_bytes=size,
@@ -287,24 +288,16 @@ class TestLinkRetryProtocol:
         assert device.queue_size(TOPIC) == 1  # the copy was discarded
 
 
-def wired_proxy(policy=None, spec=None, seed=0):
+def wired_proxy(policy=None):
     sim = Simulator()
     stats = RunStats()
-    plan = (
-        FaultPlan.build(spec, seed=seed, duration=1000.0)
-        if spec is not None
-        else None
-    )
-    link = LastHopLink(sim, stats, faults=plan)
-    device = ClientDevice(sim, link, stats, faults=plan)
-    device.add_topic(TOPIC)
-    proxy = LastHopProxy(
-        sim, link, ProxyConfig(policy=policy or PolicyConfig.unified()), stats
-    )
-    proxy.add_topic(TOPIC, topic_type=TopicType.ON_DEMAND)
-    device.attach_proxy(proxy)
-    link.add_status_listener(proxy.on_network)
+    proxy = LastHopProxy(sim, policy or PolicyConfig.unified())
+    link, device, _ = wire_device(sim, proxy, TOPIC, 0.0, stats, None, None)
     return sim, stats, link, device, proxy
+
+
+def crashed(proxy, topic=TOPIC):
+    return proxy.topic_state(topic).crashed
 
 
 class TestCrashRestart:
@@ -316,8 +309,8 @@ class TestCrashRestart:
         state = proxy.topic_state(TOPIC)
         queued_before = state.queued_event_count()
         assert queued_before == 5
-        proxy.crash()  # immediate restart
-        assert not proxy.crashed
+        proxy.crash_topic(TOPIC)  # immediate restart
+        assert not crashed(proxy)
         assert stats.proxy_crashes == 1
         state = proxy.topic_state(TOPIC)
         assert state.queued_event_count() == queued_before
@@ -331,42 +324,42 @@ class TestCrashRestart:
         proxy.on_notification(note(event_id=1))
         sim.run(until=1.0)
         assert device.queue_size(TOPIC) == 1
-        proxy.crash()
+        proxy.crash_topic(TOPIC)
         sim.run(until=2.0)
         assert device.queue_size(TOPIC) == 1
         assert stats.duplicates_deduped == 0  # never even re-sent
 
     def test_downtime_drops_arrivals_and_blanks_reads(self):
         sim, stats, link, device, proxy = wired_proxy()
-        proxy.crash(restart_delay=5.0)
-        assert proxy.crashed
+        proxy.crash_topic(TOPIC, restart_delay=5.0)
+        assert crashed(proxy)
         proxy.on_notification(note(event_id=1))
         assert stats.lost_in_crash == 1
         response = proxy.on_read(TOPIC, 4, queue_size=0, client_events=[])
         assert response.sent == ()
         sim.run(until=10.0)
-        assert not proxy.crashed
+        assert not crashed(proxy)
         assert stats.crash_downtime == pytest.approx(5.0)
 
     def test_double_crash_raises_but_hook_absorbs(self):
         sim, stats, link, device, proxy = wired_proxy()
-        proxy.crash(restart_delay=5.0)
+        proxy.crash_topic(TOPIC, restart_delay=5.0)
         with pytest.raises(ProxyError):
-            proxy.crash()
-        proxy.crash_restart(3.0)  # the fault-plan hook: silently absorbed
+            proxy.crash_topic(TOPIC)
+        proxy.crash_restart_topic(TOPIC, 3.0)  # the fault-plan hook: silently absorbed
         assert stats.proxy_crashes == 1
         sim.run(until=10.0)
-        assert not proxy.crashed
+        assert not crashed(proxy)
 
     def test_restart_without_crash_raises(self):
         _sim, _stats, _link, _device, proxy = wired_proxy()
         with pytest.raises(ProxyError):
-            proxy.restart()
+            proxy.restart_topic(TOPIC)
 
     def test_negative_restart_delay_rejected(self):
         _sim, _stats, _link, _device, proxy = wired_proxy()
         with pytest.raises(ConfigurationError):
-            proxy.crash(restart_delay=-1.0)
+            proxy.crash_topic(TOPIC, restart_delay=-1.0)
 
     def test_expired_events_not_requeued_on_restart(self):
         sim, stats, link, device, proxy = wired_proxy()
@@ -374,7 +367,7 @@ class TestCrashRestart:
         proxy.on_notification(note(event_id=1, expires_at=2.0))
         proxy.on_notification(note(event_id=2))
         sim.run(until=5.0)  # the expiring event dies at the proxy
-        proxy.crash()
+        proxy.crash_topic(TOPIC)
         state = proxy.topic_state(TOPIC)
         assert state.queued_event_count() == 1
 
@@ -387,15 +380,97 @@ class TestCrashRestart:
         link.set_status(NetworkStatus.DOWN)
         proxy.on_notification(note(event_id=1, expires_at=1.0))
         proxy.on_notification(note(event_id=2))
-        proxy.crash(restart_delay=5.0)
+        proxy.crash_topic(TOPIC, restart_delay=5.0)
         sim.run(until=2.0)
         state = proxy.topic_state(TOPIC)
         assert check_topic_state(state, sim.now) == []
         assert state.queued_event_count() == 0
         sim.run(until=6.0)
-        assert not proxy.crashed
+        assert not crashed(proxy)
         state = proxy.topic_state(TOPIC)
         assert [m.event_id for m in state.outgoing] == [EventId(2)]
+
+
+A = TopicId("faults/a")
+B = TopicId("faults/b")
+
+
+class TestTwoBindings:
+    """One proxy, two bindings: crashing, restarting or cutting the link
+    of binding A leaves binding B running."""
+
+    def wire(self):
+        sim = Simulator()
+        recorder = TraceRecorder()
+        proxy = LastHopProxy(sim, PolicyConfig.on_demand(), recorder=recorder)
+        stats = {A: RunStats(), B: RunStats()}
+        devices = {}
+        for topic in (A, B):
+            _link, devices[topic], _ = wire_device(
+                sim, proxy, topic, 0.0, stats[topic], None, None
+            )
+        return sim, proxy, stats, devices, recorder
+
+    def test_crash_and_restart_stay_on_their_binding(self):
+        sim, proxy, stats, devices, recorder = self.wire()
+        proxy.on_notification(note(1, topic=A))
+        proxy.on_notification(note(2, topic=A))
+        proxy.on_notification(note(10, rank=1.0, expires_at=3.0, topic=B))
+        proxy.on_notification(note(11, rank=2.0, topic=B))
+        state_b = proxy.topic_state(B)
+
+        proxy.crash_topic(A, 5.0)
+        assert crashed(proxy, A) and not crashed(proxy, B)
+        proxy.on_notification(note(3, topic=A))
+        assert stats[A].lost_in_crash == 1
+        assert proxy.on_read(A, 4, queue_size=0).sent == ()
+
+        # B keeps serving reads and forwarding...
+        proxy.on_notification(note(12, rank=0.5, topic=B))
+        sent = proxy.on_read(B, 1, queue_size=0).sent
+        assert [n.event_id for n in sent] == [EventId(11)]
+        assert devices[B].queue_size(B) == 1
+        # ...and its expiration timer fires during A's downtime.
+        sim.run(until=4.0)
+        assert stats[B].expired_at_proxy == 1
+        assert [n.event_id for n in state_b.prefetch] == [EventId(12)]
+
+        sim.run(until=6.0)
+        assert not crashed(proxy, A)
+        state_a = proxy.topic_state(A)
+        assert sorted(n.event_id for n in state_a.prefetch) == [1, 2]
+        assert stats[A].proxy_crashes == 1
+        assert stats[A].crash_downtime == pytest.approx(5.0)
+        # The restart rebuilt A alone: B's state is the same object.
+        assert proxy.topic_state(B) is state_b
+        assert stats[B].proxy_crashes == 0
+        assert stats[B].lost_in_crash == 0
+        assert [
+            (r.kind, r.topic) for r in recorder.records()
+            if r.kind in ("crash", "recover")
+        ] == [("crash", A), ("recover", A)]
+
+    def test_restart_topic_requeues_only_its_history(self):
+        _sim, proxy, _stats, _devices, _recorder = self.wire()
+        proxy.on_notification(note(1, topic=A))
+        proxy.on_notification(note(10, topic=B))
+        proxy.crash_topic(A, 5.0)
+        proxy.restart_topic(A)
+        assert [n.event_id for n in proxy.topic_state(A).prefetch] == [1]
+        assert [n.event_id for n in proxy.topic_state(B).prefetch] == [10]
+        with pytest.raises(ProxyError):
+            proxy.restart_topic(B)
+
+    def test_network_down_on_one_binding_leaves_the_other_up(self):
+        _sim, proxy, _stats, _devices, _recorder = self.wire()
+        proxy.on_notification(note(10, topic=B))
+        proxy.on_topic_network(A, NetworkStatus.DOWN)
+        assert proxy.topic_state(A).network is NetworkStatus.DOWN
+        assert proxy.topic_state(B).network is NetworkStatus.UP
+        with pytest.raises(ProxyError):
+            proxy.on_read(A, 1, queue_size=0)
+        sent = proxy.on_read(B, 1, queue_size=0).sent
+        assert [n.event_id for n in sent] == [EventId(10)]
 
 
 class TestRunnerIntegration:

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro import faults
+from repro import faults, obs
 from repro.experiments import fleet_cli
 from repro.experiments.runner import run_scenario
 from repro.faults import PRESETS, FaultPlan
@@ -29,6 +29,7 @@ from repro.fleet import (
     run_fleet_sweep,
     run_fleet_tune,
 )
+from repro.fleet.runner import device_topic
 from repro.proxy.policies import PolicyConfig
 from repro.sim.rng import derive_seed
 from repro.units import DAY
@@ -90,6 +91,29 @@ class TestPerDevicePlans:
         plain = run_fleet(config, PolicyConfig.unified())
         none = run_fleet(config, PolicyConfig.unified(), faults=PRESETS["none"])
         assert plain.accumulator.signature() == none.accumulator.signature()
+
+
+class TestCrashRecordsNameTheDevice:
+    def test_crash_and_recover_records_carry_the_binding_topic(self):
+        """A crash in the trace ring says which device's binding it hit."""
+        config = FleetScenarioConfig(devices=20, duration=2 * DAY, seed=1)
+        context = obs.configure(obs.ObsConfig(trace_capacity=100_000))
+        try:
+            result = run_fleet(
+                config, PolicyConfig.unified(), faults=PRESETS["chaos"]
+            )
+            records = [
+                record for record in context.recorder.records()
+                if record.kind in ("crash", "recover")
+            ]
+        finally:
+            obs.configure(None)
+        assert context.recorder.dropped == 0
+        crashes = [record for record in records if record.kind == "crash"]
+        assert len(crashes) == result.accumulator.counters["proxy_crashes"] > 0
+        topics = {record.topic for record in records}
+        assert topics <= {device_topic(d) for d in range(config.devices)}
+        assert len(topics) > 1
 
 
 @contextmanager

@@ -9,11 +9,10 @@ import dataclasses
 import itertools
 
 from repro.broker.message import Notification
-from repro.device.device import ClientDevice
-from repro.device.link import LastHopLink
+from repro.experiments.runner import wire_device
 from repro.metrics.accounting import RunStats
 from repro.proxy.policies import PolicyConfig
-from repro.proxy.proxy import LastHopProxy, ProxyConfig
+from repro.proxy.proxy import LastHopProxy
 from repro.sim.engine import Simulator
 from repro.types import EventId, NetworkStatus, TopicId
 
@@ -28,15 +27,10 @@ class World:
         self.stats = RunStats()
         self._event_ids = itertools.count(1)
 
-        self.link = LastHopLink(self.sim, self.stats)
-        self.device = ClientDevice(self.sim, self.link, self.stats)
-        self.device.add_topic(TOPIC, threshold)
-        self.proxy = LastHopProxy(
-            self.sim, self.link, ProxyConfig(policy=policy), self.stats
+        self.proxy = LastHopProxy(self.sim, policy)
+        self.link, self.device, _ = wire_device(
+            self.sim, self.proxy, TOPIC, threshold, self.stats, None, None
         )
-        self.proxy.add_topic(TOPIC, rank_threshold=threshold)
-        self.device.attach_proxy(self.proxy)
-        self.link.add_status_listener(self.proxy.on_network)
 
     def publish(self, rank, expires_in=None, payload=None):
         now = self.sim.now

@@ -5,6 +5,8 @@ supports many per device, each with its own queues, thresholds, type,
 and schedule. These tests pin the isolation properties.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.broker.message import Notification
@@ -12,7 +14,7 @@ from repro.device.device import ClientDevice
 from repro.device.link import LastHopLink
 from repro.metrics.accounting import RunStats
 from repro.proxy.policies import PolicyConfig
-from repro.proxy.proxy import LastHopProxy, ProxyConfig
+from repro.proxy.proxy import LastHopProxy
 from repro.proxy.schedule import DeliverySchedule
 from repro.sim.engine import Simulator
 from repro.types import EventId, NetworkStatus, TopicId, TopicType
@@ -27,21 +29,25 @@ def world():
     stats = RunStats()
     link = LastHopLink(sim, stats)
     device = ClientDevice(sim, link, stats)
-    proxy = LastHopProxy(
-        sim, link, ProxyConfig(policy=PolicyConfig.unified()), stats
-    )
+    proxy = LastHopProxy(sim, PolicyConfig.unified())
     device.attach_proxy(proxy)
-    link.add_status_listener(proxy.on_network)
 
+    # One binding per topic, both over the device's one link.
     device.add_topic(NEWS, threshold=0.0)
-    proxy.add_topic(NEWS, topic_type=TopicType.ON_DEMAND)
+    proxy.add_binding(
+        NEWS, transport=link, stats=stats, topic_type=TopicType.ON_DEMAND
+    )
     device.add_topic(TRAFFIC, threshold=2.0)
-    proxy.add_topic(
+    proxy.add_binding(
         TRAFFIC,
+        transport=link,
+        stats=stats,
         topic_type=TopicType.ONLINE,
         rank_threshold=2.0,
         schedule=DeliverySchedule(urgent_threshold=4.5),
     )
+    for topic in (NEWS, TRAFFIC):
+        link.add_status_listener(partial(proxy.on_topic_network, topic))
     return sim, stats, link, device, proxy
 
 

@@ -11,11 +11,12 @@ import pytest
 
 from repro.broker.message import Notification
 from repro.errors import ConfigurationError
+from repro.metrics.accounting import RunStats
 from repro.obs.audit import Auditor
 from repro.obs.recorder import TraceRecorder
 from repro.proxy.invariants import InvariantViolation
 from repro.proxy.policies import PolicyConfig
-from repro.proxy.proxy import LastHopProxy, ProxyConfig
+from repro.proxy.proxy import LastHopProxy
 from repro.sim.engine import Simulator
 from repro.types import NetworkStatus, TopicId
 
@@ -39,20 +40,16 @@ def note(event_id, rank=1.0):
 def build(auditor, recorder=None):
     sim = Simulator()
     proxy = LastHopProxy(
-        sim,
-        NullTransport(),
-        ProxyConfig(PolicyConfig.online()),
-        recorder=recorder,
-        auditor=auditor,
+        sim, PolicyConfig.online(), recorder=recorder, auditor=auditor
     )
-    proxy.add_topic(TOPIC)
+    proxy.add_binding(TOPIC, transport=NullTransport(), stats=RunStats())
     return sim, proxy
 
 
 def corrupt_double_queue(proxy):
     """Plant the same event in two queues at once (never legal)."""
     state = proxy.topic_state(TOPIC)
-    proxy.on_network(NetworkStatus.DOWN)
+    proxy.on_topic_network(TOPIC, NetworkStatus.DOWN)
     proxy.on_notification(note(1))  # queued in outgoing while down
     event = next(iter(state.outgoing))
     state.prefetch.add(event)

@@ -80,6 +80,23 @@ class TestExport:
             "until": 4.25,
         }
 
+    def test_crash_and_recover_round_trip_with_topic(self, tmp_path):
+        recorder = TraceRecorder()
+        recorder.crash(3.0, "device/7")
+        recorder.recover(8.0, "device/7", 5.0, 2)
+        out = tmp_path / "trace.jsonl"
+        assert recorder.export_jsonl(out) == 2
+        assert load_jsonl(out) == [
+            {"kind": "crash", "time": 3.0, "topic": "device/7"},
+            {
+                "kind": "recover",
+                "time": 8.0,
+                "topic": "device/7",
+                "downtime": 5.0,
+                "requeued": 2,
+            },
+        ]
+
     def test_export_respects_ring_bound(self, tmp_path):
         recorder = TraceRecorder(capacity=2)
         for i in range(4):

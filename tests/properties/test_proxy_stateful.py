@@ -15,7 +15,7 @@ from repro.broker.message import Notification
 from repro.metrics.accounting import RunStats
 from repro.proxy.invariants import assert_topic_state, check_topic_state
 from repro.proxy.policies import PolicyConfig
-from repro.proxy.proxy import LastHopProxy, ProxyConfig
+from repro.proxy.proxy import LastHopProxy
 from repro.proxy.queues import RankedQueue
 from repro.sim.engine import Simulator
 from repro.types import EventId, NetworkStatus, TopicId
@@ -54,11 +54,14 @@ class ProxyMachine(RuleBasedStateMachine):
         self.sim = Simulator()
         self.transport = RecordingTransport()
         self.stats = RunStats()
-        self.proxy = LastHopProxy(
-            self.sim, self.transport, ProxyConfig(policy=policy), self.stats
-        )
+        self.proxy = LastHopProxy(self.sim, policy)
         self.threshold = threshold
-        self.proxy.add_topic(TOPIC, rank_threshold=threshold)
+        self.proxy.add_binding(
+            TOPIC,
+            transport=self.transport,
+            stats=self.stats,
+            rank_threshold=threshold,
+        )
         self.next_id = 0
         self.known_ids = []
         self.link_up = True
@@ -108,8 +111,8 @@ class ProxyMachine(RuleBasedStateMachine):
     @rule()
     def flap_link(self):
         self.link_up = not self.link_up
-        self.proxy.on_network(
-            NetworkStatus.UP if self.link_up else NetworkStatus.DOWN
+        self.proxy.on_topic_network(
+            TOPIC, NetworkStatus.UP if self.link_up else NetworkStatus.DOWN
         )
 
     @rule(amount=st.floats(min_value=0.1, max_value=200.0))
@@ -121,14 +124,14 @@ class ProxyMachine(RuleBasedStateMachine):
         self.proxy.on_queue_report(TOPIC, size)
 
     @rule(delay=st.sampled_from([0.0, 5.0, 50.0]))
-    def crash_restart(self, delay):
-        """Crash the proxy; recovery rebuilds from retained history.
+    def crash_and_restart(self, delay):
+        """Crash the binding; recovery rebuilds from retained history.
 
-        ``crash_restart`` (the fault-plan hook) absorbs crashes landing
+        ``crash_restart_topic`` (the fault-plan hook) absorbs crashes landing
         while a restart is already pending, so this rule is always
         legal; a pending restart fires inside ``advance_time``.
         """
-        self.proxy.crash_restart(delay)
+        self.proxy.crash_restart_topic(TOPIC, delay)
 
     @rule(data=st.data())
     def duplicate_arrival(self, data):
@@ -281,8 +284,10 @@ TestQueueMachine = QueueMachine.TestCase
 def test_check_topic_state_reports_violations():
     """The checker itself must catch a seeded inconsistency."""
     sim = Simulator()
-    proxy = LastHopProxy(sim, RecordingTransport(), ProxyConfig(PolicyConfig.on_demand()))
-    state = proxy.add_topic(TOPIC)
+    proxy = LastHopProxy(sim, PolicyConfig.on_demand())
+    state = proxy.add_binding(
+        TOPIC, transport=RecordingTransport(), stats=RunStats()
+    )
     item = Notification(event_id=EventId(1), topic=TOPIC, rank=1.0, published_at=0.0)
     state.prefetch.add(item)  # queued but not in history
     state.forwarded.add(item.event_id)  # and simultaneously forwarded

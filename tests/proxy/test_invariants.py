@@ -104,21 +104,16 @@ class TestOnRealRuns:
         # run_scenario does not expose the proxy, so rebuild the wiring
         # here and check invariants at the end of the replay.
         from repro.broker.message import Notification as N
-        from repro.device.device import ClientDevice
-        from repro.device.link import LastHopLink
+        from repro.experiments.runner import wire_device
         from repro.metrics.accounting import RunStats
-        from repro.proxy.proxy import LastHopProxy, ProxyConfig
+        from repro.proxy.proxy import LastHopProxy
         from repro.sim.engine import Simulator
 
         sim = Simulator()
-        stats = RunStats()
-        link = LastHopLink(sim, stats)
-        device = ClientDevice(sim, link, stats)
-        device.add_topic(TOPIC, 1.0)
-        proxy = LastHopProxy(sim, link, ProxyConfig(policy=policy), stats)
-        proxy.add_topic(TOPIC, rank_threshold=1.0)
-        device.attach_proxy(proxy)
-        link.add_status_listener(proxy.on_network)
+        proxy = LastHopProxy(sim, policy)
+        link, device, _ = wire_device(
+            sim, proxy, TOPIC, 1.0, RunStats(), None, None
+        )
         for arrival in trace.arrivals:
             sim.schedule_at(
                 arrival.time,

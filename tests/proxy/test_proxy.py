@@ -10,7 +10,7 @@ from repro.broker.message import Notification
 from repro.errors import ConfigurationError, ProxyError
 from repro.metrics.accounting import RunStats
 from repro.proxy.policies import PolicyConfig
-from repro.proxy.proxy import LastHopProxy, ProxyConfig
+from repro.proxy.proxy import LastHopProxy
 from repro.sim.engine import Simulator
 from repro.types import (
     DeliveryMode,
@@ -43,8 +43,14 @@ def build(policy, topic_type=TopicType.ON_DEMAND, rank_threshold=0.0):
     sim = Simulator()
     transport = FakeTransport()
     stats = RunStats()
-    proxy = LastHopProxy(sim, transport, ProxyConfig(policy=policy), stats)
-    proxy.add_topic(TOPIC, topic_type=topic_type, rank_threshold=rank_threshold)
+    proxy = LastHopProxy(sim, policy)
+    proxy.add_binding(
+        TOPIC,
+        transport=transport,
+        stats=stats,
+        topic_type=topic_type,
+        rank_threshold=rank_threshold,
+    )
     return sim, transport, proxy
 
 
@@ -67,11 +73,11 @@ class TestOnlineForwarding:
 
     def test_queues_while_down_flushes_on_up(self):
         _sim, transport, proxy = build(PolicyConfig.online())
-        proxy.on_network(NetworkStatus.DOWN)
+        proxy.on_topic_network(TOPIC, NetworkStatus.DOWN)
         proxy.on_notification(note(1))
         proxy.on_notification(note(2, rank=5.0))
         assert transport.delivered == []
-        proxy.on_network(NetworkStatus.UP)
+        proxy.on_topic_network(TOPIC, NetworkStatus.UP)
         assert sorted(transport.delivered_ids) == [1, 2]
 
     def test_online_topic_type_forwards_even_under_prefetch_policy(self):
@@ -83,12 +89,12 @@ class TestOnlineForwarding:
 
     def test_expired_while_down_not_forwarded(self):
         sim, transport, proxy = build(PolicyConfig.online())
-        proxy.on_network(NetworkStatus.DOWN)
+        proxy.on_topic_network(TOPIC, NetworkStatus.DOWN)
         proxy.on_notification(note(1, expires_at=10.0))
         sim.run(until=20.0)
-        proxy.on_network(NetworkStatus.UP)
+        proxy.on_topic_network(TOPIC, NetworkStatus.UP)
         assert transport.delivered == []
-        assert proxy.stats.expired_at_proxy == 1
+        assert proxy.topic_state(TOPIC).stats.expired_at_proxy == 1
 
 
 class TestThresholdFiltering:
@@ -97,8 +103,8 @@ class TestThresholdFiltering:
         proxy.on_notification(note(1, rank=1.9))
         proxy.on_notification(note(2, rank=2.0))
         assert transport.delivered_ids == [2]
-        assert proxy.stats.filtered == 1
-        assert proxy.stats.accepted == 1
+        assert proxy.topic_state(TOPIC).stats.filtered == 1
+        assert proxy.topic_state(TOPIC).stats.accepted == 1
 
 
 class TestOnDemand:
@@ -140,7 +146,7 @@ class TestOnDemand:
 
     def test_read_while_down_raises(self):
         _sim, _transport, proxy = build(PolicyConfig.on_demand())
-        proxy.on_network(NetworkStatus.DOWN)
+        proxy.on_topic_network(TOPIC, NetworkStatus.DOWN)
         with pytest.raises(ProxyError):
             proxy.on_read(TOPIC, 2, queue_size=0)
 
@@ -172,8 +178,8 @@ class TestBufferPrefetch:
             proxy.on_notification(note(i, rank=float(i)))
         assert len(transport.delivered) == 2
         proxy.on_queue_report(TOPIC, 0)  # device consumed everything
-        proxy.on_network(NetworkStatus.DOWN)
-        proxy.on_network(NetworkStatus.UP)
+        proxy.on_topic_network(TOPIC, NetworkStatus.DOWN)
+        proxy.on_topic_network(TOPIC, NetworkStatus.UP)
         assert len(transport.delivered) == 4
 
     def test_read_syncs_queue_size(self):
@@ -198,7 +204,7 @@ class TestExpirations:
         sim.run(until=15.0)
         response = proxy.on_read(TOPIC, 5, queue_size=0)
         assert response.sent == ()
-        assert proxy.stats.expired_at_proxy == 1
+        assert proxy.topic_state(TOPIC).stats.expired_at_proxy == 1
 
     def test_holding_queue_for_short_lived(self):
         _sim, transport, proxy = build(
@@ -234,7 +240,7 @@ class TestExpirations:
         sim.run(until=100.0)
         proxy.on_notification(note(1, rank=1.0, published_at=0.0, expires_at=50.0))
         assert transport.delivered == []
-        assert proxy.stats.accepted == 0
+        assert proxy.topic_state(TOPIC).stats.accepted == 0
 
     def test_read_prunes_expired_from_queues(self):
         # A read that lands exactly on an expiry timestamp runs before
@@ -254,7 +260,7 @@ class TestExpirations:
         (response,) = responses
         assert [n.event_id for n in response.sent] == [2]
         assert response.candidates == 1  # the expired event never competed
-        assert proxy.stats.expired_at_proxy == 1
+        assert proxy.topic_state(TOPIC).stats.expired_at_proxy == 1
         assert proxy.topic_state(TOPIC).queued_event_count() == 0
 
     def test_read_pruning_not_double_counted_by_timer(self):
@@ -264,7 +270,7 @@ class TestExpirations:
             0.0, proxy.on_notification, note(1, rank=5.0, expires_at=5.0)
         )
         sim.run(until=10.0)  # lets the (cancelled) expiry timer drain too
-        assert proxy.stats.expired_at_proxy == 1
+        assert proxy.topic_state(TOPIC).stats.expired_at_proxy == 1
 
 
 class TestRankChanges:
@@ -276,7 +282,7 @@ class TestRankChanges:
         proxy.on_notification(note(1, rank=1.0))  # rank-change announcement
         state = proxy.topic_state(TOPIC)
         assert state.queued_event_count() == 0
-        assert proxy.stats.dropped_before_forward == 1
+        assert proxy.topic_state(TOPIC).stats.dropped_before_forward == 1
         response = proxy.on_read(TOPIC, 5, queue_size=0)
         assert response.sent == ()
 
@@ -288,17 +294,17 @@ class TestRankChanges:
         assert transport.delivered_ids == [1]
         proxy.on_notification(note(1, rank=1.0))
         assert transport.retracted == [EventId(1)]
-        assert proxy.stats.retractions_sent == 1
+        assert proxy.topic_state(TOPIC).stats.retractions_sent == 1
 
     def test_retraction_waits_for_link(self):
         _sim, transport, proxy = build(
             PolicyConfig.buffer(prefetch_limit=8), rank_threshold=2.0
         )
         proxy.on_notification(note(1, rank=3.0))
-        proxy.on_network(NetworkStatus.DOWN)
+        proxy.on_topic_network(TOPIC, NetworkStatus.DOWN)
         proxy.on_notification(note(1, rank=1.0))
         assert transport.retracted == []
-        proxy.on_network(NetworkStatus.UP)
+        proxy.on_topic_network(TOPIC, NetworkStatus.UP)
         assert transport.retracted == [EventId(1)]
 
     def test_retractions_flushed_in_drop_order(self):
@@ -310,13 +316,13 @@ class TestRankChanges:
         for i in (1, 2, 3):
             proxy.on_notification(note(i, rank=3.0))
         assert sorted(transport.delivered_ids) == [1, 2, 3]
-        proxy.on_network(NetworkStatus.DOWN)
+        proxy.on_topic_network(TOPIC, NetworkStatus.DOWN)
         for i in (2, 1, 3):  # drops arrive in this order
             proxy.on_notification(note(i, rank=1.0))
         assert transport.retracted == []
-        proxy.on_network(NetworkStatus.UP)
+        proxy.on_topic_network(TOPIC, NetworkStatus.UP)
         assert transport.retracted == [EventId(2), EventId(1), EventId(3)]
-        assert proxy.stats.retractions_sent == 3
+        assert proxy.topic_state(TOPIC).stats.retractions_sent == 3
 
     def test_retraction_sent_once(self):
         _sim, transport, proxy = build(
@@ -334,7 +340,7 @@ class TestRankChanges:
         proxy.on_notification(note(1, rank=5.0))  # boost
         response = proxy.on_read(TOPIC, 1, queue_size=0)
         assert [n.event_id for n in response.sent] == [1]
-        assert proxy.stats.rank_changes == 1
+        assert proxy.topic_state(TOPIC).stats.rank_changes == 1
 
     def test_drop_within_threshold_only_reorders(self):
         _sim, transport, proxy = build(PolicyConfig.on_demand())
@@ -364,7 +370,7 @@ class TestDelayStage:
         sim.run(until=60.0)
         assert transport.delivered == []
         assert transport.retracted == []
-        assert proxy.stats.dropped_before_forward == 1
+        assert proxy.topic_state(TOPIC).stats.dropped_before_forward == 1
 
     def test_expiry_during_delay_never_forwards(self):
         sim, transport, proxy = build(
@@ -414,7 +420,7 @@ class TestTopicManagement:
     def test_duplicate_topic_rejected(self):
         _sim, _transport, proxy = build(PolicyConfig.online())
         with pytest.raises(ConfigurationError):
-            proxy.add_topic(TOPIC)
+            proxy.add_binding(TOPIC, transport=FakeTransport(), stats=RunStats())
 
     def test_unknown_topic_rejected(self):
         _sim, _transport, proxy = build(PolicyConfig.online())

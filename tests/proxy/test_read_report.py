@@ -12,8 +12,9 @@ never kill the run.
 import pytest
 
 from repro.errors import ProxyError
+from repro.metrics.accounting import RunStats
 from repro.proxy.policies import PolicyConfig
-from repro.proxy.proxy import LastHopProxy, ProxyConfig
+from repro.proxy.proxy import LastHopProxy
 from repro.sim.engine import Simulator
 from repro.types import TopicId
 
@@ -30,8 +31,8 @@ class NullTransport:
 
 def build():
     sim = Simulator()
-    proxy = LastHopProxy(sim, NullTransport(), ProxyConfig(PolicyConfig.on_demand()))
-    proxy.add_topic(TOPIC)
+    proxy = LastHopProxy(sim, PolicyConfig.on_demand())
+    proxy.add_binding(TOPIC, transport=NullTransport(), stats=RunStats())
     return sim, proxy
 
 
@@ -89,10 +90,8 @@ class TestReadReportMerge:
         # The unified policy adapts the threshold to the read interval;
         # a merged offline log must feed that average too.
         sim = Simulator()
-        proxy = LastHopProxy(
-            sim, NullTransport(), ProxyConfig(PolicyConfig.unified())
-        )
-        proxy.add_topic(TOPIC)
+        proxy = LastHopProxy(sim, PolicyConfig.unified())
+        proxy.add_binding(TOPIC, transport=NullTransport(), stats=RunStats())
         proxy.on_read_report(TOPIC, [(0.0, 1), (50.0, 1), (100.0, 1)])
         state = proxy.topic_state(TOPIC)
         assert state.expiration_threshold == pytest.approx(50.0)

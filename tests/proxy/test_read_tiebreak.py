@@ -9,7 +9,7 @@ has wastes last-hop bytes without giving the user anything better.
 from repro.broker.message import Notification
 from repro.metrics.accounting import RunStats
 from repro.proxy.policies import PolicyConfig
-from repro.proxy.proxy import LastHopProxy, ProxyConfig
+from repro.proxy.proxy import LastHopProxy
 from repro.sim.engine import Simulator
 from repro.types import DeliveryMode, EventId, TopicId
 
@@ -30,8 +30,8 @@ class FakeTransport:
 def build_on_demand():
     sim = Simulator()
     transport = FakeTransport()
-    proxy = LastHopProxy(sim, transport, ProxyConfig(policy=PolicyConfig.on_demand()), RunStats())
-    proxy.add_topic(TOPIC)
+    proxy = LastHopProxy(sim, PolicyConfig.on_demand())
+    proxy.add_binding(TOPIC, transport=transport, stats=RunStats())
     return sim, transport, proxy
 
 

@@ -6,7 +6,7 @@ from repro.broker.message import Notification
 from repro.errors import ConfigurationError
 from repro.metrics.accounting import RunStats
 from repro.proxy.policies import PolicyConfig
-from repro.proxy.proxy import LastHopProxy, ProxyConfig
+from repro.proxy.proxy import LastHopProxy
 from repro.proxy.schedule import DeliverySchedule, PushBudget, QuietHours
 from repro.sim.engine import Simulator
 from repro.types import EventId, TopicId, TopicType
@@ -30,8 +30,14 @@ class FakeTransport:
 def build(policy, schedule, topic_type=TopicType.ONLINE):
     sim = Simulator()
     transport = FakeTransport()
-    proxy = LastHopProxy(sim, transport, ProxyConfig(policy=policy), RunStats())
-    proxy.add_topic(TOPIC, topic_type=topic_type, schedule=schedule)
+    proxy = LastHopProxy(sim, policy)
+    proxy.add_binding(
+        TOPIC,
+        transport=transport,
+        stats=RunStats(),
+        topic_type=topic_type,
+        schedule=schedule,
+    )
     return sim, transport, proxy
 
 

@@ -1,6 +1,7 @@
 """Unit tests for trace serialization."""
 
 import json
+import math
 
 import pytest
 
@@ -123,6 +124,18 @@ def _last_arrival(data):
         ),
         lambda data: data["metadata"].update(seed="abc"),
         lambda data: data["metadata"].update(seed=True),
+        # Entries a hand edit can write but no generator produces.
+        lambda data: data["reads"]["count"].__setitem__(0, 2**63),
+        lambda data: data["arrivals"]["event_id"].__setitem__(-1, 2**63),
+        lambda data: data["arrivals"]["expires_at"].__setitem__(0, math.inf),
+        lambda data: data["arrivals"]["rank"].__setitem__(0, math.nan),
+        lambda data: (
+            _add_change(
+                data, _last_arrival(data)[0] + 1.0, _last_arrival(data)[1]
+            ),
+            data["rank_changes"]["new_rank"].__setitem__(0, math.nan),
+        ),
+        lambda data: data.update(duration=math.inf),
     ],
     ids=[
         "change-before-arrival",
@@ -133,6 +146,12 @@ def _last_arrival(data):
         "fractional-change-id",
         "string-seed",
         "boolean-seed",
+        "read-count-above-int64",
+        "arrival-id-above-int64",
+        "infinite-expiry",
+        "nan-rank",
+        "nan-new-rank",
+        "infinite-duration",
     ],
 )
 def test_malformed_loaded_trace_rejected(mutate, tmp_path, capsys):
