@@ -24,13 +24,14 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from repro import faults, obs
+from repro import obs
 from repro.errors import ConfigurationError, ExportError
 from repro.experiments import validate as validate_module
 from repro.experiments.ascii_plot import MARKERS, plot_table_columns
 from repro.experiments.export import export_tables
 from repro.experiments.figures import ALL_FIGURES
 from repro.experiments.report import Table, obs_summary_table
+from repro.faults import PRESETS, FaultSpec
 from repro.units import DAY
 
 
@@ -80,15 +81,17 @@ def run_figure(
     fmt: str = "text",
     with_plots: bool = False,
     jobs: Optional[int] = 1,
+    faults: Optional[FaultSpec] = None,
 ) -> str:
     """Run one figure by name; returns the rendered tables.
 
     ``jobs`` fans the figure's measurement grid across that many worker
     processes (``0``/``None`` = one per CPU). Output is identical for
     any value — results merge deterministically in grid order.
+    ``faults`` (the ``--faults`` spec) goes into the figure's config.
     """
     module = ALL_FIGURES[name]
-    config = _figure_config(module, days, seeds)
+    config = dataclasses.replace(_figure_config(module, days, seeds), faults=faults)
     progress = None if quiet else lambda line: print(f"  {line}", file=sys.stderr)
     started = time.time()
     result = module.run(config, progress=progress, jobs=jobs)
@@ -103,9 +106,11 @@ def run_figure(
     return rendered
 
 
-def run_validation(days: Optional[float], quiet: bool) -> str:
-    """Run the reproduction scorecard."""
-    config = validate_module.ValidateConfig()
+def run_validation(
+    days: Optional[float], quiet: bool, faults: Optional[FaultSpec] = None
+) -> str:
+    """Run the reproduction scorecard under ``faults``."""
+    config = validate_module.ValidateConfig(faults=faults)
     if days is not None:
         config = dataclasses.replace(config, duration=days * DAY)
     progress = None if quiet else lambda line: print(f"  {line}", file=sys.stderr)
@@ -230,7 +235,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.jobs < 0:
         parser.error("--jobs must be >= 0 (0 = one per CPU)")
 
-    faults.configure(parse_faults_option(parser, args.faults))
+    fault_spec = parse_faults_option(parser, args.faults)
 
     if args.audit is not None and args.audit < 1:
         parser.error("--audit interval must be >= 1")
@@ -270,7 +275,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.figure == "validate":
         try:
-            output = run_validation(args.days, args.quiet)
+            output = run_validation(args.days, args.quiet, fault_spec)
         except ConfigurationError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
@@ -289,7 +294,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         chunks = [
             run_figure(name, days=args.days, seeds=args.seeds, quiet=args.quiet,
-                       fmt=args.format, with_plots=args.plot, jobs=args.jobs)
+                       fmt=args.format, with_plots=args.plot, jobs=args.jobs,
+                       faults=fault_spec)
             for name in names
         ]
     except ConfigurationError as error:
@@ -344,7 +350,7 @@ def add_faults_option(parser: argparse.ArgumentParser) -> None:
         metavar="SPEC",
         help=(
             "inject deterministic last-hop faults: a preset name "
-            f"({', '.join(sorted(faults.PRESETS))}) or a JSON object of "
+            f"({', '.join(sorted(PRESETS))}) or a JSON object of "
             "FaultSpec fields (e.g. '{\"loss_rate\": 0.1}'); 'none' and "
             "an omitted flag are byte-identical"
         ),
@@ -353,16 +359,16 @@ def add_faults_option(parser: argparse.ArgumentParser) -> None:
 
 def parse_faults_option(
     parser: argparse.ArgumentParser, text: Optional[str]
-) -> Optional[faults.FaultSpec]:
+) -> Optional[FaultSpec]:
     """The spec ``--faults`` names, or None when omitted or null.
 
     A null spec normalizes to None so ``--faults none`` keys cells and
-    configures the process exactly like omitting the flag.
+    fills configs exactly like omitting the flag.
     """
     if text is None:
         return None
     try:
-        spec = faults.FaultSpec.parse(text)
+        spec = FaultSpec.parse(text)
     except ConfigurationError as error:
         parser.error(f"--faults: {error}")
     return None if spec.is_null else spec

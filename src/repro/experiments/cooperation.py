@@ -24,14 +24,16 @@ from repro.experiments.runner import (
     DEFAULT_TOPIC,
     RunResult,
     run_baseline,
+    trace_seed,
     wire_device,
 )
+from repro.faults import FaultPlan, FaultSpec
 from repro.metrics.accounting import RunStats
 from repro.metrics.waste_loss import PairedMetrics, pair_metrics
 from repro.proxy.policies import PolicyConfig
 from repro.proxy.proxy import LastHopProxy
 from repro.sim.engine import Simulator
-from repro.sim.rng import RandomSource
+from repro.sim.rng import RandomSource, derive_seed
 from repro.sim.trace import Trace
 from repro.types import TopicId
 from repro.workload.outages import OutageConfig, generate_outages
@@ -75,12 +77,17 @@ def run_cooperative_scenario(
     cooperation: CooperationConfig = CooperationConfig(),
     threshold: float = 0.0,
     topic: TopicId = DEFAULT_TOPIC,
+    faults: Optional[FaultSpec] = None,
 ) -> CooperativeRunResult:
-    """Replay ``trace`` onto a cooperating device group."""
+    """Replay ``trace`` onto a cooperating device group under ``faults``.
+
+    The reader runs the fault plan ``run_scenario`` would build for
+    ``trace``; peer ``i`` runs one seeded ``derive_seed(seed, "peer-i")``.
+    """
     policy.validate()
     sim = Simulator()
     stats = RunStats()
-    seed = int(trace.metadata.get("seed", 0))
+    seed = trace_seed(trace)
     rng = RandomSource(seed).spawn("cooperation")
     group = DeviceGroup(
         sim, stats, AdHocNetwork(cooperation.adhoc_availability, rng.spawn("adhoc"))
@@ -91,10 +98,13 @@ def run_cooperative_scenario(
     proxies: List[LastHopProxy] = []
     for index in range(1 + cooperation.n_peers):
         device_policy = policy if index == 0 else peer_policy
-        proxy = LastHopProxy(sim, device_policy)
-        link, device, _ = wire_device(
-            sim, proxy, topic, threshold, stats, None, None
+        plan = FaultPlan.build(
+            faults,
+            seed=seed if index == 0 else derive_seed(seed, f"peer-{index}"),
+            duration=trace.duration,
         )
+        proxy = LastHopProxy(sim, device_policy)
+        link, device, _ = wire_device(sim, proxy, topic, threshold, stats, plan, None)
         group.add_device(device)
         links.append(link)
         proxies.append(proxy)
@@ -144,16 +154,18 @@ def run_cooperative_paired(
     policy: PolicyConfig,
     cooperation: CooperationConfig = CooperationConfig(),
     threshold: float = 0.0,
+    faults: Optional[FaultSpec] = None,
 ) -> "CooperativePairedResult":
     """Cooperative run plus the standard single-device on-line baseline.
 
     The baseline goes through the per-process :func:`run_baseline` LRU,
     so cooperation sweeps against a fixed reader trace share one on-line
-    run with each other and with plain ``run_paired`` cells.
+    run with each other and with plain ``run_paired`` cells. Both halves
+    run under ``faults``.
     """
-    baseline = run_baseline(trace, threshold=threshold)
+    baseline = run_baseline(trace, threshold=threshold, faults=faults)
     cooperative = run_cooperative_scenario(
-        trace, policy, cooperation=cooperation, threshold=threshold
+        trace, policy, cooperation=cooperation, threshold=threshold, faults=faults
     )
     return CooperativePairedResult(
         baseline=baseline,

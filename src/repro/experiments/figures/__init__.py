@@ -3,7 +3,9 @@
 Every module exposes:
 
 * a frozen ``*Config`` dataclass whose defaults are the paper's exact
-  parameters (one-year runs, the published sweep values);
+  parameters (one-year runs, the published sweep values), plus a
+  ``faults`` field (the CLI's ``--faults``; None = fault-free) that
+  every run of the figure, baseline and policy alike, is given;
 * ``run(config)`` returning one or more
   :class:`~repro.experiments.report.Table` objects with the regenerated
   series — the one entry point; the CLI (``repro-lasthop``) calls it.

@@ -30,6 +30,7 @@ from repro.experiments.figures.common import (
 )
 from repro.experiments.report import Table
 from repro.experiments.runner import run_paired
+from repro.faults import FaultSpec
 from repro.proxy.policies import PolicyConfig
 from repro.units import YEAR
 from repro.workload.outages import OutageConfig
@@ -53,6 +54,7 @@ class AblationCooperationConfig:
     peer_counts: Tuple[int, ...] = (0, 1, 2)
     adhoc_availabilities: Tuple[float, ...] = (1.0, 0.5)
     seeds: Tuple[int, ...] = (0,)
+    faults: Optional[FaultSpec] = None
 
 
 @dataclass(frozen=True)
@@ -86,7 +88,7 @@ def measure_point(
         trace = build_trace_cached(base, seed=seed)
         policy = PolicyConfig.unified()
         if n_peers == 0:
-            result = run_paired(trace, policy)
+            result = run_paired(trace, policy, faults=config.faults)
             wastes.append(result.metrics.waste)
             losses.append(result.metrics.loss)
             borrowed.append(0.0)
@@ -99,6 +101,7 @@ def measure_point(
                     peer_outage_fraction=config.peer_outage_fraction,
                     adhoc_availability=adhoc_availability,
                 ),
+                faults=config.faults,
             )
             wastes.append(cooperative.metrics.waste)
             losses.append(cooperative.metrics.loss)

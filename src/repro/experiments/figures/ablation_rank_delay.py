@@ -27,6 +27,7 @@ from repro.experiments.figures.common import (
 )
 from repro.experiments.report import Table
 from repro.experiments.runner import run_paired
+from repro.faults import FaultSpec
 from repro.proxy.policies import PolicyConfig
 from repro.units import HOUR, YEAR
 from repro.workload.ranks import RankChangeConfig
@@ -58,6 +59,7 @@ class AblationDelayConfig:
     #: Mean publication-to-drop delay ("bad messages are detected quickly").
     drop_delay_mean: float = HOUR
     seeds: Tuple[int, ...] = (0,)
+    faults: Optional[FaultSpec] = None
 
 
 @dataclass(frozen=True)
@@ -99,7 +101,7 @@ def measure_point(
         )
         trace = build_trace_cached(base, seed=seed)
         policy = PolicyConfig.unified(delay=delay)
-        result = run_paired(trace, policy, threshold=THRESHOLD)
+        result = run_paired(trace, policy, threshold=THRESHOLD, faults=config.faults)
         wastes.append(result.metrics.waste)
         losses.append(result.metrics.loss)
         retractions.append(float(result.policy.stats.retractions_sent))

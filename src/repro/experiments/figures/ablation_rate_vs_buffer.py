@@ -25,6 +25,7 @@ from repro.experiments.figures.common import (
     scenario,
 )
 from repro.experiments.report import Table
+from repro.faults import FaultSpec
 from repro.metrics.waste_loss import PairedMetrics
 from repro.proxy.policies import PolicyConfig
 from repro.units import YEAR
@@ -51,6 +52,7 @@ class AblationRateConfig:
     max_per_read: int = 8
     outage_fractions: Tuple[float, ...] = OUTAGE_FRACTIONS
     seeds: Tuple[int, ...] = (0,)
+    faults: Optional[FaultSpec] = None
 
 
 def measure_point(
@@ -67,6 +69,7 @@ def measure_point(
             ),
             policy,
             config.seeds,
+            faults=config.faults,
         )
     )
 

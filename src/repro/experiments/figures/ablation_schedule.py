@@ -27,6 +27,7 @@ from repro.experiments.figures.common import (
 )
 from repro.experiments.report import Table
 from repro.experiments.runner import run_scenario
+from repro.faults import FaultSpec
 from repro.metrics.waste_loss import pair_metrics
 from repro.proxy.policies import PolicyConfig
 from repro.proxy.schedule import DeliverySchedule, QuietHours
@@ -49,6 +50,7 @@ class AblationScheduleConfig:
     outage_fraction: float = 0.1
     push_caps: Tuple[Optional[int], ...] = PUSH_CAPS
     seeds: Tuple[int, ...] = (0,)
+    faults: Optional[FaultSpec] = None
 
 
 @dataclass(frozen=True)
@@ -85,13 +87,17 @@ def measure_point(
         )
         # Baseline: the UNSCHEDULED on-line topic (the best service).
         baseline = run_scenario(
-            trace, PolicyConfig.online(), topic_type=TopicType.ONLINE
+            trace,
+            PolicyConfig.online(),
+            topic_type=TopicType.ONLINE,
+            faults=config.faults,
         )
         scheduled = run_scenario(
             trace,
             PolicyConfig.unified(),
             topic_type=TopicType.ONLINE,
             schedule=schedule,
+            faults=config.faults,
         )
         metrics = pair_metrics(baseline.stats, scheduled.stats)
         stats = scheduled.stats

@@ -27,6 +27,7 @@ from repro.experiments.figures.common import (
     scenario,
 )
 from repro.experiments.report import Table
+from repro.faults import FaultSpec
 from repro.metrics.waste_loss import PairedMetrics
 from repro.proxy.policies import PolicyConfig
 from repro.units import DAY, HOUR, YEAR
@@ -84,13 +85,14 @@ def policies() -> Dict[str, PolicyConfig]:
 class AblationUnifiedConfig:
     duration: float = YEAR
     seeds: Tuple[int, ...] = (0,)
+    faults: Optional[FaultSpec] = None
 
 
 def measure_cell(
     config: AblationUnifiedConfig, scenario_config: ScenarioConfig, policy: PolicyConfig
 ) -> PairedMetrics:
     return averaged_metrics(
-        paired_replicates(scenario_config, policy, config.seeds)
+        paired_replicates(scenario_config, policy, config.seeds, faults=config.faults)
     )
 
 

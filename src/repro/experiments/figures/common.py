@@ -18,6 +18,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.experiments.parallel import parallel_map
 from repro.experiments.runner import run_paired
+from repro.faults import FaultSpec
 from repro.metrics.waste_loss import PairedMetrics
 from repro.proxy.policies import PolicyConfig
 from repro.units import YEAR
@@ -93,19 +94,23 @@ def paired_replicates(
     policy: PolicyConfig,
     seeds: Sequence[int],
     threshold: float = 0.0,
+    faults: Optional[FaultSpec] = None,
 ) -> List[PairedMetrics]:
     """Paired metrics for each seed replica of one scenario/policy cell.
 
     Routes through :func:`repro.experiments.runner.run_paired`, whose
     per-process baseline LRU shares the on-line baseline run across
-    every policy variant evaluated against the same trace/threshold,
-    so a policy sweep simulates each baseline once.
+    every policy variant evaluated against the same trace/threshold/
+    fault spec, so a policy sweep simulates each baseline once. Both
+    halves of every pair run under ``faults`` (None = fault-free).
     """
     metrics: List[PairedMetrics] = []
     for seed in seeds:
         with obs.PROBES.phase("trace-build"):
             trace = build_trace_cached(config, seed=seed)
-        metrics.append(run_paired(trace, policy, threshold=threshold).metrics)
+        metrics.append(
+            run_paired(trace, policy, threshold=threshold, faults=faults).metrics
+        )
     return metrics
 
 

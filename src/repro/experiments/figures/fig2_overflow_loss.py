@@ -24,6 +24,7 @@ from repro.experiments.figures.common import (
     scenario,
 )
 from repro.experiments.report import Table
+from repro.faults import FaultSpec
 from repro.proxy.policies import PolicyConfig
 from repro.units import YEAR
 
@@ -44,6 +45,7 @@ class Fig2Config:
     outage_fractions: Tuple[float, ...] = OUTAGE_FRACTIONS
     user_frequencies: Tuple[float, ...] = USER_FREQUENCIES
     seeds: Tuple[int, ...] = (0,)
+    faults: Optional[FaultSpec] = None
 
 
 def measure_point(
@@ -60,6 +62,7 @@ def measure_point(
         ),
         PolicyConfig.on_demand(),
         config.seeds,
+        faults=config.faults,
     )
     return mean([m.loss for m in replicates])
 

@@ -27,6 +27,7 @@ from repro.experiments.figures.common import (
     scenario,
 )
 from repro.experiments.report import Table
+from repro.faults import FaultSpec
 from repro.metrics.waste_loss import PairedMetrics
 from repro.proxy.policies import PolicyConfig
 from repro.units import YEAR
@@ -48,6 +49,7 @@ class Fig3Config:
     prefetch_limits: Tuple[int, ...] = PREFETCH_LIMITS
     outage_fractions: Tuple[float, ...] = OUTAGE_FRACTIONS
     seeds: Tuple[int, ...] = (0,)
+    faults: Optional[FaultSpec] = None
 
 
 def measure_point(
@@ -70,6 +72,7 @@ def measure_point(
             ),
             PolicyConfig.buffer(prefetch_limit=prefetch_limit),
             config.seeds,
+            faults=config.faults,
         )
     )
 

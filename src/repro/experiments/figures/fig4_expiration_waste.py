@@ -27,6 +27,7 @@ from repro.experiments.figures.common import (
 )
 from repro.experiments.report import Table
 from repro.experiments.runner import run_scenario
+from repro.faults import FaultSpec
 from repro.metrics.waste_loss import compute_waste
 from repro.proxy.policies import PolicyConfig
 from repro.units import YEAR
@@ -47,6 +48,7 @@ class Fig4Config:
     expiration_means: Tuple[float, ...] = EXPIRATION_MEANS
     user_frequencies: Tuple[float, ...] = USER_FREQUENCIES
     seeds: Tuple[int, ...] = (0,)
+    faults: Optional[FaultSpec] = None
 
 
 def measure_point(
@@ -65,7 +67,7 @@ def measure_point(
             ),
             seed=seed,
         )
-        result = run_scenario(trace, PolicyConfig.online())
+        result = run_scenario(trace, PolicyConfig.online(), faults=config.faults)
         wastes.append(compute_waste(result.stats))
     return sum(wastes) / len(wastes)
 

@@ -29,6 +29,7 @@ from repro.experiments.figures.common import (
     scenario,
 )
 from repro.experiments.report import Table
+from repro.faults import FaultSpec
 from repro.proxy.policies import PolicyConfig
 from repro.units import YEAR
 
@@ -47,6 +48,7 @@ class Fig5Config:
     expiration_means: Tuple[float, ...] = EXPIRATION_MEANS
     user_frequencies: Tuple[float, ...] = USER_FREQUENCIES
     seeds: Tuple[int, ...] = (0,)
+    faults: Optional[FaultSpec] = None
 
 
 def measure_point(
@@ -64,6 +66,7 @@ def measure_point(
         ),
         PolicyConfig.on_demand(),
         config.seeds,
+        faults=config.faults,
     )
     return mean([m.loss for m in replicates])
 

@@ -35,6 +35,7 @@ from repro.experiments.figures.common import (
     scenario,
 )
 from repro.experiments.report import Table
+from repro.faults import FaultSpec
 from repro.metrics.waste_loss import PairedMetrics
 from repro.proxy.policies import PolicyConfig
 from repro.units import YEAR, format_duration
@@ -60,6 +61,7 @@ class Fig6Config:
     thresholds: Tuple[float, ...] = THRESHOLDS
     expiration_means: Tuple[float, ...] = EXPIRATION_MEANS
     seeds: Tuple[int, ...] = (0,)
+    faults: Optional[FaultSpec] = None
 
 
 def measure_point(
@@ -83,6 +85,7 @@ def measure_point(
             ),
             PolicyConfig.unified(expiration_threshold=threshold),
             config.seeds,
+            faults=config.faults,
         )
     )
 

@@ -32,12 +32,14 @@ from typing import List, Optional
 from repro import obs
 from repro.errors import ConfigurationError, ExportError
 from repro.experiments.cli import add_faults_option, emit, parse_faults_option
+from repro.experiments.fleet_sweep_cli import (
+    add_scenario_options,
+    check_run_options,
+    scenario_from_args,
+)
 from repro.fleet import FleetScenarioConfig, run_fleet
 from repro.fleet.sweep import SWEEP_POLICY_PRESETS
 from repro.units import DAY
-from repro.workload.arrivals import ArrivalConfig
-from repro.workload.outages import OutageConfig
-from repro.workload.reads import ReadConfig
 
 #: Sentinel for bare ``--profile`` (summary to stderr, no stats file).
 _PROFILE_STDERR = Path("-")
@@ -54,20 +56,9 @@ def build_parser() -> argparse.ArgumentParser:
             "devices; metrics stream into O(shards) accumulators."
         ),
     )
-    parser.add_argument("--devices", type=int, default=1000,
-                        help="fleet size (default 1000)")
-    parser.add_argument("--days", type=float, default=1.0,
-                        help="virtual run length in days (default 1)")
+    add_scenario_options(parser)
     parser.add_argument("--seed", type=int, default=0,
                         help="campaign seed (default 0)")
-    parser.add_argument("--events-per-day", type=float, default=None,
-                        help="mean notification arrivals per device-day")
-    parser.add_argument("--reads-per-day", type=float, default=None,
-                        help="mean user reads per device-day")
-    parser.add_argument("--downtime", type=float, default=None,
-                        help="target per-device downtime fraction in [0, 1]")
-    parser.add_argument("--threshold", type=float, default=0.0,
-                        help="subscription rank threshold (default 0)")
     parser.add_argument("--policy", choices=sorted(SWEEP_POLICY_PRESETS),
                         default="unified",
                         help="proxy policy preset (default: unified)")
@@ -103,23 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--quiet", action="store_true",
                         help="suppress progress lines on stderr")
     return parser
-
-
-def _fleet_config(args: argparse.Namespace) -> FleetScenarioConfig:
-    overrides = {}
-    if args.events_per_day is not None:
-        overrides["arrivals"] = ArrivalConfig(events_per_day=args.events_per_day)
-    if args.reads_per_day is not None:
-        overrides["reads"] = ReadConfig(reads_per_day=args.reads_per_day)
-    if args.downtime is not None:
-        overrides["outages"] = OutageConfig(downtime_fraction=args.downtime)
-    return FleetScenarioConfig(
-        devices=args.devices,
-        duration=args.days * DAY,
-        seed=args.seed,
-        threshold=args.threshold,
-        **overrides,
-    )
 
 
 def _render_json(result, elapsed: Optional[float]) -> str:
@@ -176,14 +150,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     parser = build_parser()
     args = parser.parse_args(args_list)
-    if args.devices < 1:
-        parser.error("--devices must be >= 1")
-    if args.days <= 0:
-        parser.error("--days must be positive")
-    if args.shards < 1:
-        parser.error("--shards must be >= 1")
-    if args.jobs < 0:
-        parser.error("--jobs must be >= 0 (0 = one per CPU)")
+    check_run_options(parser, args)
     if args.audit is not None and args.audit < 1:
         parser.error("--audit interval must be >= 1")
 
@@ -193,7 +160,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
 
     try:
-        config = _fleet_config(args)
+        config = scenario_from_args(args, FleetScenarioConfig(seed=args.seed))
         config.validate()
     except ConfigurationError as error:
         parser.error(str(error))
@@ -223,7 +190,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not args.quiet:
         rate = config.devices / elapsed if elapsed > 0 else float("inf")
         print(
-            f"  [fleet: {config.devices} devices x {args.days:g} day(s), "
+            f"  [fleet: {config.devices} devices x "
+            f"{config.duration / DAY:g} day(s), "
             f"{args.shards} shard(s), policy={args.policy}, "
             f"{elapsed:.1f} s = {rate:,.0f} devices/s]",
             file=sys.stderr,

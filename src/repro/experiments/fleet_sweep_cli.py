@@ -63,6 +63,56 @@ from repro.workload.outages import OutageConfig
 from repro.workload.reads import ReadConfig
 
 
+def add_scenario_options(parser: argparse.ArgumentParser) -> None:
+    """Add the scenario flags every fleet CLI shares (None keeps the base's value)."""
+    parser.add_argument("--devices", type=int, default=None,
+                        help="fleet size (default 1000)")
+    parser.add_argument("--days", type=float, default=None,
+                        help="virtual run length in days (default 1)")
+    parser.add_argument("--events-per-day", type=float, default=None,
+                        help="mean notification arrivals per device-day")
+    parser.add_argument("--reads-per-day", type=float, default=None,
+                        help="mean user reads per device-day")
+    parser.add_argument("--downtime", type=float, default=None,
+                        help="target per-device downtime fraction in [0, 1]")
+    parser.add_argument("--threshold", type=float, default=None,
+                        help="subscription rank threshold (default 0)")
+
+
+def check_run_options(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> None:
+    """Reject out-of-range scenario and execution flags (exit 2)."""
+    if args.devices is not None and args.devices < 1:
+        parser.error("--devices must be >= 1")
+    if args.days is not None and args.days <= 0:
+        parser.error("--days must be positive")
+    if args.shards < 1:
+        parser.error("--shards must be >= 1")
+    if args.jobs < 0:
+        parser.error("--jobs must be >= 0 (0 = one per CPU)")
+
+
+def scenario_from_args(
+    args: argparse.Namespace, base: FleetScenarioConfig
+) -> FleetScenarioConfig:
+    """``base`` with the :func:`add_scenario_options` flags given applied."""
+    overrides: dict = {}
+    if args.devices is not None:
+        overrides["devices"] = args.devices
+    if args.days is not None:
+        overrides["duration"] = args.days * DAY
+    if args.threshold is not None:
+        overrides["threshold"] = args.threshold
+    if args.events_per_day is not None:
+        overrides["arrivals"] = ArrivalConfig(events_per_day=args.events_per_day)
+    if args.reads_per_day is not None:
+        overrides["reads"] = ReadConfig(reads_per_day=args.reads_per_day)
+    if args.downtime is not None:
+        overrides["outages"] = OutageConfig(downtime_fraction=args.downtime)
+    return base.with_changes(**overrides) if overrides else base
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lasthop fleet sweep",
@@ -78,19 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "JSON grid file with base/axes/policies/seeds; "
                             "flags below override its base scenario knobs"
                         ))
-    # Base scenario knobs (mirror the single-campaign CLI).
-    parser.add_argument("--devices", type=int, default=None,
-                        help="base fleet size (default 1000)")
-    parser.add_argument("--days", type=float, default=None,
-                        help="virtual run length in days (default 1)")
-    parser.add_argument("--events-per-day", type=float, default=None,
-                        help="mean notification arrivals per device-day")
-    parser.add_argument("--reads-per-day", type=float, default=None,
-                        help="mean user reads per device-day")
-    parser.add_argument("--downtime", type=float, default=None,
-                        help="target per-device downtime fraction in [0, 1]")
-    parser.add_argument("--threshold", type=float, default=None,
-                        help="subscription rank threshold (default 0)")
+    add_scenario_options(parser)
     # Grid axes.
     parser.add_argument("--axis", action="append", default=[],
                         metavar="FIELD=V1,V2,...",
@@ -223,22 +261,7 @@ def _load_grid_file(path: Path) -> dict:
 def build_sweep_config(args: argparse.Namespace) -> FleetSweepConfig:
     grid_spec = _load_grid_file(args.grid) if args.grid is not None else {}
 
-    base = _base_from_grid(grid_spec)
-    overrides: dict = {}
-    if args.devices is not None:
-        overrides["devices"] = args.devices
-    if args.days is not None:
-        overrides["duration"] = args.days * DAY
-    if args.threshold is not None:
-        overrides["threshold"] = args.threshold
-    if args.events_per_day is not None:
-        overrides["arrivals"] = ArrivalConfig(events_per_day=args.events_per_day)
-    if args.reads_per_day is not None:
-        overrides["reads"] = ReadConfig(reads_per_day=args.reads_per_day)
-    if args.downtime is not None:
-        overrides["outages"] = OutageConfig(downtime_fraction=args.downtime)
-    if overrides:
-        base = base.with_changes(**overrides)
+    base = scenario_from_args(args, _base_from_grid(grid_spec))
 
     axes: List[Tuple[str, Tuple[object, ...]]] = []
     for name, values in grid_spec.get("axes", []):
@@ -273,14 +296,7 @@ def build_sweep_config(args: argparse.Namespace) -> FleetSweepConfig:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.devices is not None and args.devices < 1:
-        parser.error("--devices must be >= 1")
-    if args.days is not None and args.days <= 0:
-        parser.error("--days must be positive")
-    if args.shards < 1:
-        parser.error("--shards must be >= 1")
-    if args.jobs < 0:
-        parser.error("--jobs must be >= 0 (0 = one per CPU)")
+    check_run_options(parser, args)
     if args.max_cells is not None and args.max_cells < 1:
         parser.error("--max-cells must be >= 1")
 

@@ -50,11 +50,12 @@ from repro.fleet.tune import (
     trajectory_jsonl,
 )
 from repro.experiments.cli import add_faults_option, emit, parse_faults_option
-from repro.experiments.fleet_sweep_cli import _split_axis_values
-from repro.units import DAY
-from repro.workload.arrivals import ArrivalConfig
-from repro.workload.outages import OutageConfig
-from repro.workload.reads import ReadConfig
+from repro.experiments.fleet_sweep_cli import (
+    _split_axis_values,
+    add_scenario_options,
+    check_run_options,
+    scenario_from_args,
+)
 
 #: Space used when no --param/--int-param/--choice flags are given: the
 #: unified policy's initial prefetch limit and moving-average window.
@@ -85,19 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="baseline store for --report")
     parser.add_argument("--fail-on-regression", action="store_true",
                         help="exit 1 when --report finds a regressed family")
-    # Base scenario knobs (mirror the sweep CLI).
-    parser.add_argument("--devices", type=int, default=None,
-                        help="fleet size (default 1000)")
-    parser.add_argument("--days", type=float, default=None,
-                        help="virtual run length in days (default 1)")
-    parser.add_argument("--events-per-day", type=float, default=None,
-                        help="mean notification arrivals per device-day")
-    parser.add_argument("--reads-per-day", type=float, default=None,
-                        help="mean user reads per device-day")
-    parser.add_argument("--downtime", type=float, default=None,
-                        help="target per-device downtime fraction in [0, 1]")
-    parser.add_argument("--threshold", type=float, default=None,
-                        help="subscription rank threshold (default 0)")
+    add_scenario_options(parser)
     # Parameter space.
     parser.add_argument("--preset", type=str, default="unified",
                         choices=sorted(SWEEP_POLICY_PRESETS) + ["buffer"],
@@ -230,22 +219,7 @@ def _parse_choice(raw: str) -> TuneParam:
 
 
 def build_tune_config(args: argparse.Namespace) -> TuneConfig:
-    base = FleetScenarioConfig()
-    overrides: dict = {}
-    if args.devices is not None:
-        overrides["devices"] = args.devices
-    if args.days is not None:
-        overrides["duration"] = args.days * DAY
-    if args.threshold is not None:
-        overrides["threshold"] = args.threshold
-    if args.events_per_day is not None:
-        overrides["arrivals"] = ArrivalConfig(events_per_day=args.events_per_day)
-    if args.reads_per_day is not None:
-        overrides["reads"] = ReadConfig(reads_per_day=args.reads_per_day)
-    if args.downtime is not None:
-        overrides["outages"] = OutageConfig(downtime_fraction=args.downtime)
-    if overrides:
-        base = base.with_changes(**overrides)
+    base = scenario_from_args(args, FleetScenarioConfig())
 
     space: List[TuneParam] = []
     for raw in args.param:
@@ -377,14 +351,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_report(args)
     if args.baseline is not None:
         parser.error("--baseline only makes sense with --report")
-    if args.devices is not None and args.devices < 1:
-        parser.error("--devices must be >= 1")
-    if args.days is not None and args.days <= 0:
-        parser.error("--days must be positive")
-    if args.shards < 1:
-        parser.error("--shards must be >= 1")
-    if args.jobs < 0:
-        parser.error("--jobs must be >= 0 (0 = one per CPU)")
+    check_run_options(parser, args)
     if args.max_evals is not None and args.max_evals < 1:
         parser.error("--max-evals must be >= 1")
     if args.dump_rows and args.trajectory:

@@ -13,9 +13,11 @@ Design constraints, and how they are met:
 
 * **Picklable work items.** Callers pass a module-level function and
   tuples of frozen dataclasses / plain values; nothing else crosses the
-  process boundary. A fleet shard task names the shared-memory segment
-  holding its columns and carries its fault spec, so a worker needs no
-  state beyond its task.
+  process boundary. A figure cell carries its fault spec in its config;
+  a fleet shard task names the shared-memory segment holding its
+  columns and carries its fault spec. Either way a worker needs no
+  state beyond its task, save the observability setup its initializer
+  installs.
 * **Deterministic merge.** Futures are submitted in grid order and
   harvested in that same order; stragglers simply make the harvest
   block, never reorder it.
@@ -42,7 +44,8 @@ from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from repro import faults, obs
+from repro import obs
+from repro.faults import FaultSpec
 from repro.proxy.policies import PolicyConfig
 from repro.sim import trace_shm
 
@@ -75,23 +78,18 @@ def resolve_chunksize(chunksize: Optional[int], tasks: int, workers: int) -> int
     return max(1, min(MAX_AUTO_CHUNK, -(-tasks // (workers * 4))))
 
 
-def _worker_init(
-    obs_config: Optional["obs.ObsConfig"] = None,
-    fault_spec: Optional["faults.FaultSpec"] = None,
-) -> None:
-    """Process-pool initializer: inherit the parent's process-wide setup.
+def _worker_init(obs_config: Optional["obs.ObsConfig"] = None) -> None:
+    """Process-pool initializer: inherit the parent's observability setup.
 
     Worker processes start with fresh module state. The observability
     configuration rides along because an ``--audit`` run must audit
     inside every worker, not just the parent (each worker gets its own
     ring buffer and transition counter; an invariant violation raised
     in a worker propagates through the future exactly like any other
-    error). The fault spec (``--faults``) likewise: a lossy figure grid
-    must inject the same faults whether a cell runs inline or in a
-    worker. Fleet shard tasks carry their spec as an argument instead.
+    error). Nothing else rides along: a task carries everything it
+    runs, its fault spec included.
     """
     obs.configure(obs_config)
-    faults.configure(fault_spec)
 
 
 def _run_chunk(fn: Callable[..., Any], chunk: Sequence[Tuple[Any, ...]]) -> List[Any]:
@@ -125,7 +123,7 @@ def parallel_map(
     with ProcessPoolExecutor(
         max_workers=effective,
         initializer=_worker_init,
-        initargs=(obs.active_config(), faults.active_spec()),
+        initargs=(obs.active_config(),),
     ) as pool:
         futures = [pool.submit(_run_chunk, fn, part) for part in chunks]
         return [value for future in futures for value in future.result()]
@@ -177,7 +175,7 @@ def run_fleet_policy_batch(
     policies: Sequence[PolicyConfig],
     shards: int = 1,
     jobs: Optional[int] = 1,
-    fault_spec: Optional["faults.FaultSpec"] = None,
+    fault_spec: Optional[FaultSpec] = None,
 ):
     """Execute several policy variants over ONE fleet workload's shards.
 

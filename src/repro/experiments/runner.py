@@ -23,7 +23,6 @@ from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
-from repro import faults as faults_mod
 from repro.broker.message import Notification
 from repro.device.device import ClientDevice
 from repro.device.link import LastHopLink
@@ -193,6 +192,11 @@ class PairedResult:
     metrics: PairedMetrics
 
 
+def trace_seed(trace: Trace) -> int:
+    """The seed a run realizes its fault plan from (0 if the trace has none)."""
+    return int(trace.metadata.get("seed", 0) or 0)
+
+
 def run_scenario(
     trace: Trace,
     policy: PolicyConfig,
@@ -214,20 +218,16 @@ def run_scenario(
     the simulated outcome, only raises on a violated invariant.
 
     ``faults`` injects last-hop loss/duplication/jitter, proxy crashes,
-    and read-report corruption per :mod:`repro.faults`; None falls back
-    to the process-wide spec (:func:`repro.faults.configure` — the
-    CLI's ``--faults``). A null spec realizes to no plan at all, so the
-    fault-free path is byte-identical to a run without the parameter.
+    and read-report corruption per :mod:`repro.faults`; None runs
+    fault-free. A null spec realizes to no plan at all, so it is
+    byte-identical to passing None.
     """
     policy.validate()
     obs_ctx = obs.active()
     probes = obs.PROBES
     probes.count("runs")
-    fault_spec = faults if faults is not None else faults_mod.active_spec()
     plan = FaultPlan.build(
-        fault_spec,
-        seed=int(trace.metadata.get("seed", 0) or 0),
-        duration=trace.duration,
+        faults, seed=trace_seed(trace), duration=trace.duration
     )
     recorder = None if obs_ctx is None else obs_ctx.recorder
     sim = Simulator()
@@ -278,26 +278,26 @@ def clear_baseline_cache() -> None:
     _BASELINE_CACHE.clear()
 
 
-def run_baseline(trace: Trace, threshold: float = 0.0, **kwargs) -> RunResult:
+def run_baseline(
+    trace: Trace,
+    threshold: float = 0.0,
+    faults: Optional[FaultSpec] = None,
+    **kwargs,
+) -> RunResult:
     """The on-line baseline run for ``trace``, memoized per process.
 
     Keyed by trace identity (the per-process trace LRU hands out one
     object per ``(config, seed)``, so identity is exactly trace
-    equality there), the threshold, the *effective* fault spec (an
-    explicit ``faults`` kwarg, else the process-wide one — which is not
-    part of the kwargs and would otherwise alias entries across
-    ``--faults`` settings), and the run kwargs. The returned
-    :class:`RunResult` may be shared between callers and must be
-    treated as read-only — the paired metrics computation only ever
-    reads it.
+    equality there), the threshold, the fault spec (a null spec keys
+    like None, since both run fault-free), and the remaining run
+    kwargs. The returned :class:`RunResult` may be shared between
+    callers and must be treated as read-only — the paired metrics
+    computation only ever reads it.
     """
     probes = obs.PROBES
-    fault_spec = kwargs.get("faults")
-    if fault_spec is None:
-        fault_spec = faults_mod.active_spec()
-    elif fault_spec.is_null:
-        fault_spec = None  # normalize: null spec == no faults
-    key = (id(trace), float(threshold), fault_spec, tuple(sorted(kwargs.items())))
+    if faults is not None and faults.is_null:
+        faults = None
+    key = (id(trace), float(threshold), faults, tuple(sorted(kwargs.items())))
     entry = _BASELINE_CACHE.get(key)
     if entry is not None and entry[0] is trace:
         _BASELINE_CACHE.move_to_end(key)
@@ -305,7 +305,8 @@ def run_baseline(trace: Trace, threshold: float = 0.0, **kwargs) -> RunResult:
         return entry[1]
     with probes.phase("baseline"):
         result = run_scenario(
-            trace, PolicyConfig.online(), threshold=threshold, **kwargs
+            trace, PolicyConfig.online(), threshold=threshold, faults=faults,
+            **kwargs,
         )
     # The entry keeps the trace alive, so its id cannot be reused by a
     # different (garbage-collected-and-reallocated) trace while cached.

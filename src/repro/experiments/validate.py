@@ -14,8 +14,9 @@ from typing import Callable, List, Optional
 
 from repro.experiments.figures.common import scenario
 from repro.experiments.runner import run_paired, run_scenario
+from repro.faults import FaultSpec
 from repro.metrics.analytic import expected_overflow_waste
-from repro.metrics.waste_loss import compute_waste
+from repro.metrics.waste_loss import PairedMetrics, compute_waste
 from repro.proxy.policies import PolicyConfig
 from repro.units import DAY, HOUR, YEAR
 from repro.workload.scenario import build_trace_cached
@@ -43,6 +44,19 @@ class ClaimResult:
 class ValidateConfig:
     duration: float = YEAR
     seed: int = 0
+    #: Fault regime every claim's runs see (None = fault-free).
+    faults: Optional[FaultSpec] = None
+
+
+def _paired(config: ValidateConfig, trace, policy: PolicyConfig) -> PairedMetrics:
+    """Paired metrics of ``policy`` on ``trace`` under the config's faults."""
+    return run_paired(trace, policy, faults=config.faults).metrics
+
+
+def _online_waste(config: ValidateConfig, trace) -> float:
+    """Waste of the on-line policy on ``trace`` under the config's faults."""
+    online = run_scenario(trace, PolicyConfig.online(), faults=config.faults)
+    return compute_waste(online.stats)
 
 
 def _check_fig1_formula(config: ValidateConfig) -> ClaimResult:
@@ -50,7 +64,7 @@ def _check_fig1_formula(config: ValidateConfig) -> ClaimResult:
         scenario(duration=config.duration, user_frequency=1.0, max_per_read=4),
         seed=config.seed,
     )
-    measured = compute_waste(run_scenario(trace, PolicyConfig.online()).stats)
+    measured = _online_waste(config, trace)
     expected = expected_overflow_waste(1.0, 4, 32.0)
     return ClaimResult(
         claim_id="FIG1-88",
@@ -63,18 +77,20 @@ def _check_fig1_formula(config: ValidateConfig) -> ClaimResult:
 
 
 def _check_fig2_endpoints(config: ValidateConfig) -> ClaimResult:
-    at_zero = run_paired(
+    at_zero = _paired(
+        config,
         build_trace_cached(
             scenario(duration=config.duration, outage_fraction=0.0), seed=config.seed
         ),
         PolicyConfig.on_demand(),
-    ).metrics.loss
-    at_full = run_paired(
+    ).loss
+    at_full = _paired(
+        config,
         build_trace_cached(
             scenario(duration=config.duration, outage_fraction=1.0), seed=config.seed
         ),
         PolicyConfig.on_demand(),
-    ).metrics.loss
+    ).loss
     return ClaimResult(
         claim_id="FIG2-ENDPOINTS",
         description="on-demand loss vanishes at perfect connectivity and at "
@@ -92,7 +108,7 @@ def _check_fig3_sweet_spot(config: ValidateConfig) -> ClaimResult:
     worst_waste = 0.0
     worst_loss = 0.0
     for limit in (16, 64):
-        metrics = run_paired(trace, PolicyConfig.buffer(prefetch_limit=limit)).metrics
+        metrics = _paired(config, trace, PolicyConfig.buffer(prefetch_limit=limit))
         worst_waste = max(worst_waste, metrics.waste)
         worst_loss = max(worst_loss, metrics.loss)
     # Messages still sitting in the device buffer when the run is cut off
@@ -118,7 +134,7 @@ def _check_fig3_plateau(config: ValidateConfig) -> ClaimResult:
     trace = build_trace_cached(
         scenario(duration=config.duration, outage_fraction=0.3), seed=config.seed
     )
-    metrics = run_paired(trace, PolicyConfig.buffer(prefetch_limit=65536)).metrics
+    metrics = _paired(config, trace, PolicyConfig.buffer(prefetch_limit=65536))
     return ClaimResult(
         claim_id="FIG3-PLATEAU",
         description="'we expect half of all messages to be wasted in the "
@@ -148,8 +164,8 @@ def _check_fig4_crossover(config: ValidateConfig) -> ClaimResult:
         ),
         seed=config.seed,
     )
-    waste_short = compute_waste(run_scenario(short, PolicyConfig.online()).stats)
-    waste_long = compute_waste(run_scenario(long, PolicyConfig.online()).stats)
+    waste_short = _online_waste(config, short)
+    waste_long = _online_waste(config, long)
     return ClaimResult(
         claim_id="FIG4-CROSSOVER",
         description="'most short-lasting notifications typically expire "
@@ -172,7 +188,7 @@ def _check_fig5_rise_and_fall(config: ValidateConfig) -> ClaimResult:
             ),
             seed=config.seed,
         )
-        return run_paired(trace, PolicyConfig.on_demand()).metrics.loss
+        return _paired(config, trace, PolicyConfig.on_demand()).loss
 
     short = loss_at(16.0, 2.0)
     mid = loss_at(65536.0, 2.0)
@@ -201,9 +217,8 @@ def _check_fig6_gap(config: ValidateConfig) -> ClaimResult:
         ),
         seed=config.seed,
     )
-    metrics = run_paired(
-        trace, PolicyConfig.unified(expiration_threshold=8 * HOUR)
-    ).metrics
+    policy = PolicyConfig.unified(expiration_threshold=8 * HOUR)
+    metrics = _paired(config, trace, policy)
     return ClaimResult(
         claim_id="FIG6-GAP",
         description="'user frequency of 2/day results in an average "
@@ -222,7 +237,7 @@ def _check_conclusion(config: ValidateConfig) -> ClaimResult:
             scenario(duration=config.duration, outage_fraction=outage),
             seed=config.seed,
         )
-        metrics = run_paired(trace, PolicyConfig.unified()).metrics
+        metrics = _paired(config, trace, PolicyConfig.unified())
         worst = max(worst, metrics.waste, metrics.loss)
     return ClaimResult(
         claim_id="CONCLUSION",

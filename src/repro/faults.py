@@ -11,7 +11,7 @@ Two layers:
 
 * :class:`FaultSpec` — the frozen, hashable, picklable *description* of
   a fault regime (rates and retry knobs). It is what travels through
-  CLI flags, worker-process initializers, and cache keys.
+  CLI flags, figure and campaign configs, worker tasks, and cache keys.
 * :class:`FaultPlan` — the per-run *realization* of a spec for one
   scenario seed. Every fault decision is a pure function of
   ``(seed, site, event id, attempt)`` via SHA-256 — no shared RNG state
@@ -26,10 +26,10 @@ flag) builds no plan at all, and every fault-aware code path reduces to
 the exact pre-fault behaviour — figure tables, the validate scorecard,
 and cache keys stay byte-identical.
 
-Process-wide configuration mirrors :mod:`repro.obs`: :func:`configure`
-installs the active spec (the figure CLI's ``--faults``), :func:`active_spec`
-reads it, and the parallel executor re-applies it inside worker
-processes. The fleet layer ignores it and takes its spec as an argument.
+There is no process-wide spec: every run takes its spec as an argument
+(a figure's or the scorecard's ``faults`` config field, a fleet
+campaign's ``faults`` argument), so whatever a run injects is named in
+what the run was given.
 """
 
 from __future__ import annotations
@@ -305,26 +305,3 @@ class FaultPlan:
             f"spec={self.spec})"
         )
 
-
-#: Process-wide active fault spec (the CLI's ``--faults``), consulted by
-#: the experiment runner; the parallel executor forwards it to workers.
-_ACTIVE_SPEC: Optional[FaultSpec] = None
-
-
-def configure(spec: Optional[FaultSpec]) -> Optional[FaultSpec]:
-    """Install (or, with None / a null spec, clear) the active regime.
-
-    A null spec normalizes to None so that ``--faults none`` is
-    *literally* the same process state as omitting the flag — the
-    byte-identity guarantee holds by construction, not by luck.
-    """
-    global _ACTIVE_SPEC
-    if spec is not None:
-        spec.validate()
-    _ACTIVE_SPEC = None if spec is None or spec.is_null else spec
-    return _ACTIVE_SPEC
-
-
-def active_spec() -> Optional[FaultSpec]:
-    """The process-wide fault spec, or None when faults are off."""
-    return _ACTIVE_SPEC

@@ -13,7 +13,7 @@ replay loop consume, and what the zero-copy shared-memory handoff to
 ``--jobs`` workers ships. The classic record views
 (:attr:`Trace.arrivals` et al.) are materialized lazily from the columns
 and cached, so record-oriented callers — tests, analysis helpers, the
-broker drivers — keep working unchanged.
+cooperation runner — keep working unchanged.
 """
 
 from __future__ import annotations

@@ -175,7 +175,7 @@ def build_trace_cached(config: ScenarioConfig, seed: Optional[int] = None) -> Tr
     each run materializes its own Notification objects). Faults act at
     run time and never change a trace, so runs under any fault spec
     share one entry; :func:`repro.experiments.runner.run_baseline` keys
-    its results on the spec.
+    its results on the spec each call passes (a null spec as None).
     """
     key = (config, config.seed if seed is None else seed)
     cached = _TRACE_CACHE.get(key)

@@ -130,35 +130,31 @@ class TestObservability:
 
 
 class TestFaultsFlag:
-    @pytest.fixture(autouse=True)
-    def _reset_faults(self):
-        from repro import faults
-
-        yield
-        faults.configure(None)
-
     def test_faults_none_output_matches_omitted(self, capsys):
         assert cli.main(["fig1", "--days", "2", "--quiet"]) == 0
         plain = capsys.readouterr().out
         assert cli.main(["fig1", "--days", "2", "--quiet", "--faults", "none"]) == 0
         assert capsys.readouterr().out == plain
 
-    def test_faults_preset_configures_process_spec(self, capsys):
-        from repro import faults
+    def test_faults_preset_reaches_the_figure_config(self, capsys):
         from repro.faults import PRESETS
 
-        assert cli.main(["fig1", "--days", "2", "--quiet", "--faults", "lossy"]) == 0
-        capsys.readouterr()
-        assert faults.active_spec() == PRESETS["lossy"]
+        assert cli.main(["fig3", "--days", "2", "--quiet", "--faults", "lossy"]) == 0
+        lossy = cli.run_figure("fig3", days=2, quiet=True, faults=PRESETS["lossy"])
+        assert capsys.readouterr().out == lossy + "\n"
+        assert lossy != cli.run_figure("fig3", days=2, quiet=True)
 
     def test_faults_json_spec_accepted(self, capsys):
-        from repro import faults
+        from repro.faults import FaultSpec
 
-        args = ["fig1", "--days", "2", "--quiet",
+        args = ["fig3", "--days", "2", "--quiet",
                 "--faults", '{"loss_rate": 0.2}']
         assert cli.main(args) == 0
-        capsys.readouterr()
-        assert faults.active_spec().loss_rate == 0.2
+        expected = cli.run_figure(
+            "fig3", days=2, quiet=True, faults=FaultSpec(loss_rate=0.2)
+        )
+        assert capsys.readouterr().out == expected + "\n"
+        assert expected != cli.run_figure("fig3", days=2, quiet=True)
 
     def test_unknown_preset_rejected(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -10,6 +10,8 @@ from repro.experiments.cooperation import (
     run_cooperative_paired,
     run_cooperative_scenario,
 )
+from repro.experiments.runner import clear_baseline_cache, run_scenario
+from repro.faults import PRESETS
 from repro.proxy.policies import PolicyConfig
 from repro.types import PolicyKind
 from repro.workload.outages import OutageConfig
@@ -83,3 +85,40 @@ class TestRuns:
                 PolicyConfig.unified(),
                 CooperationConfig(adhoc_availability=2.0),
             )
+
+
+@pytest.fixture(scope="module")
+def half_down_traces():
+    config = make_config(days=10.0, outage_fraction=0.5)
+    return {seed: build_trace(config, seed=seed) for seed in range(3)}
+
+
+class TestFaults:
+    @pytest.mark.parametrize("preset", ["lossy", "chaos"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("policy", ["on_demand", "unified", "online"])
+    def test_zero_peers_matches_run_scenario(
+        self, half_down_traces, preset, seed, policy
+    ):
+        """The reader runs the very plan ``run_scenario`` builds."""
+        trace = half_down_traces[seed]
+        policy_config = getattr(PolicyConfig, policy)()
+        spec = PRESETS[preset]
+        group = run_cooperative_scenario(
+            trace, policy_config, CooperationConfig(n_peers=0), faults=spec
+        )
+        assert group.stats == run_scenario(trace, policy_config, faults=spec).stats
+
+    def test_paired_runs_the_spec_on_both_halves(self, half_down_traces):
+        clear_baseline_cache()
+        try:
+            result = run_cooperative_paired(
+                half_down_traces[0],
+                PolicyConfig.unified(),
+                CooperationConfig(n_peers=1),
+                faults=PRESETS["lossy"],
+            )
+        finally:
+            clear_baseline_cache()
+        assert result.baseline.stats.delivery_drops > 0
+        assert result.cooperative.stats.delivery_drops > 0

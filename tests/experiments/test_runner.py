@@ -10,7 +10,7 @@ from repro.experiments.runner import (
     run_paired_config,
     run_scenario,
 )
-from repro.faults import PRESETS
+from repro.faults import PRESETS, FaultSpec
 from repro.metrics.analytic import expected_overflow_waste
 from repro.metrics.waste_loss import compute_waste
 from repro.proxy.policies import PolicyConfig
@@ -105,6 +105,12 @@ class TestBaselineCache:
             assert cached.events_processed == direct.events_processed
         if faults is not None:
             assert direct.stats != run_baseline(outage_trace, threshold=1.0).stats
+
+    def test_omitted_none_and_null_spec_share_an_entry(self, outage_trace):
+        first = run_baseline(outage_trace)
+        assert run_baseline(outage_trace, faults=None) is first
+        assert run_baseline(outage_trace, faults=FaultSpec.none()) is first
+        assert run_baseline(outage_trace, faults=PRESETS["lossy"]) is not first
 
     def test_eviction_respects_lru_bound(self):
         config = make_config(days=2.0)

@@ -12,7 +12,7 @@ from repro.device.device import ClientDevice
 from repro.device.link import LastHopLink
 from repro.errors import ConfigurationError, ProxyError
 from repro.experiments.runner import run_scenario, wire_device
-from repro.faults import PRESETS, FaultPlan, FaultSpec, active_spec, configure
+from repro.faults import PRESETS, FaultPlan, FaultSpec
 from repro.obs.recorder import TraceRecorder
 from repro.proxy.invariants import check_topic_state
 from repro.proxy.policies import PolicyConfig
@@ -88,16 +88,6 @@ class TestFaultSpec:
     def test_presets_all_validate(self):
         for spec in PRESETS.values():
             spec.validate()
-
-    def test_configure_normalizes_null_to_none(self):
-        try:
-            configure(FaultSpec.none())
-            assert active_spec() is None
-            configure(FaultSpec(loss_rate=0.1))
-            assert active_spec() == FaultSpec(loss_rate=0.1)
-        finally:
-            configure(None)
-        assert active_spec() is None
 
 
 class TestFaultPlan:

@@ -11,7 +11,6 @@ Higher loss rates must never reduce retries or the loss metric
 
 import pytest
 
-from repro import faults
 from repro.experiments.figures import fig3_buffer_prefetch, fig6_expiration_threshold
 from repro.experiments.export import export_tables
 from repro.experiments.runner import clear_baseline_cache, run_paired
@@ -25,26 +24,26 @@ from tests.conftest import make_config
 
 @pytest.fixture(autouse=True)
 def _clean_state():
-    faults.configure(None)
     clear_baseline_cache()
     clear_trace_cache()
     yield
-    faults.configure(None)
     clear_baseline_cache()
     clear_trace_cache()
 
 
-def _fig3_tables(jobs=1):
+def _fig3_tables(jobs=1, faults=None):
     config = fig3_buffer_prefetch.Fig3Config(
-        duration=2 * DAY, prefetch_limits=(1, 8), seeds=(0,)
+        duration=2 * DAY, prefetch_limits=(1, 8), seeds=(0,), faults=faults
     )
     result = fig3_buffer_prefetch.run(config, jobs=jobs)
     tables = [result] if not isinstance(result, (list, tuple)) else list(result)
     return export_tables(tables, "text")
 
 
-def _fig6_tables():
-    config = fig6_expiration_threshold.Fig6Config(duration=2 * DAY, seeds=(0,))
+def _fig6_tables(faults=None):
+    config = fig6_expiration_threshold.Fig6Config(
+        duration=2 * DAY, seeds=(0,), faults=faults
+    )
     result = fig6_expiration_threshold.run(config)
     tables = [result] if not isinstance(result, (list, tuple)) else list(result)
     return export_tables(tables, "text")
@@ -53,27 +52,43 @@ def _fig6_tables():
 class TestNullPlanIdentity:
     def test_fig3_byte_identical_under_null_spec(self):
         baseline = _fig3_tables()
-        faults.configure(FaultSpec.none())
-        assert _fig3_tables() == baseline
+        assert _fig3_tables(faults=FaultSpec.none()) == baseline
 
     def test_fig3_byte_identical_under_null_spec_in_workers(self):
-        # The pool initializer re-applies the spec inside each worker.
+        # The spec rides to each worker inside the config of every cell.
         baseline = _fig3_tables()
-        faults.configure(FaultSpec.none())
-        assert _fig3_tables(jobs=2) == baseline
+        assert _fig3_tables(jobs=2, faults=FaultSpec.none()) == baseline
 
     def test_fig6_byte_identical_under_null_spec(self):
         baseline = _fig6_tables()
-        faults.configure(FaultSpec.none())
-        assert _fig6_tables() == baseline
+        assert _fig6_tables(faults=FaultSpec.none()) == baseline
 
     def test_validate_scorecard_identical_under_null_spec(self):
         from repro.experiments import validate as validate_module
 
         config = validate_module.ValidateConfig(duration=2 * DAY)
         baseline = validate_module.render(validate_module.run(config))
-        faults.configure(FaultSpec.none())
-        assert validate_module.render(validate_module.run(config)) == baseline
+        null = validate_module.ValidateConfig(
+            duration=2 * DAY, faults=FaultSpec.none()
+        )
+        assert validate_module.render(validate_module.run(null)) == baseline
+
+
+class TestSpecAcrossWorkers:
+    def test_chaos_fig3_identical_across_workers_and_not_clean(self):
+        """A non-null spec reaches every worker through the cell's config:
+        the chaos grid split over two processes matches the in-process
+        grid, and both differ from the fault-free grid."""
+        chaos = fig3_buffer_prefetch.Fig3Config(
+            duration=2 * DAY, faults=PRESETS["chaos"]
+        )
+        clean = fig3_buffer_prefetch.Fig3Config(duration=2 * DAY)
+        serial = export_tables(fig3_buffer_prefetch.run(chaos, jobs=1), "text")
+        clear_baseline_cache()
+        clear_trace_cache()
+        parallel = export_tables(fig3_buffer_prefetch.run(chaos, jobs=2), "text")
+        assert parallel == serial
+        assert export_tables(fig3_buffer_prefetch.run(clean), "text") != serial
 
 
 class TestReliablePresetConvergence:

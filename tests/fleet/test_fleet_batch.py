@@ -36,6 +36,7 @@ from hypothesis import strategies as st
 import repro.fleet.runner as runner_mod
 from repro import faults
 from repro.experiments import fleet_cli
+from repro.experiments.fleet_sweep_cli import scenario_from_args
 from repro.fleet import FleetScenarioConfig, build_fleet_workload, run_fleet
 from repro.fleet.batch import ShardBatchDispatcher
 from repro.fleet.runner import FleetResult, _execute_shard
@@ -220,7 +221,7 @@ class TestCampaignEquivalence:
     @pytest.mark.parametrize("name", sorted(CAMPAIGNS))
     def test_rendered_json_identical(self, name):
         args = fleet_cli.build_parser().parse_args(self.CAMPAIGNS[name])
-        config = fleet_cli._fleet_config(args)
+        config = scenario_from_args(args, FleetScenarioConfig(seed=args.seed))
         policy = SWEEP_POLICY_PRESETS[args.policy]()
         spec = None if args.faults is None else faults.FaultSpec.parse(args.faults)
         workload = build_fleet_workload(config)

@@ -8,27 +8,14 @@ depend on which shard runs it.
 """
 
 import json
-from contextlib import contextmanager
 
 import pytest
 
-from repro import faults, obs
+from repro import obs
 from repro.experiments import fleet_cli
 from repro.experiments.runner import run_scenario
 from repro.faults import PRESETS, FaultPlan
-from repro.fleet import (
-    FleetScenarioConfig,
-    FleetSweepConfig,
-    SweepStore,
-    TuneConfig,
-    TuneParam,
-    build_fleet_workload,
-    dump_rows,
-    parse_policy_token,
-    run_fleet,
-    run_fleet_sweep,
-    run_fleet_tune,
-)
+from repro.fleet import FleetScenarioConfig, build_fleet_workload, run_fleet
 from repro.fleet.runner import device_topic
 from repro.proxy.policies import PolicyConfig
 from repro.sim.rng import derive_seed
@@ -116,57 +103,10 @@ class TestCrashRecordsNameTheDevice:
         assert len(topics) > 1
 
 
-@contextmanager
-def _process_wide(spec):
-    """Install ``spec`` as the process-wide regime for the block."""
-    faults.configure(spec)
-    try:
-        yield
-    finally:
-        faults.configure(None)
-
-
-_SCENARIO = FleetScenarioConfig(devices=6, duration=DAY, seed=2)
-
-
 class TestExplicitSpecOnly:
-    """The fleet layer runs the spec it is passed — None is fault-free —
-    whatever :func:`repro.faults.configure` installed for the figures."""
-
-    def test_run_fleet(self):
-        clean = run_fleet(_SCENARIO, PolicyConfig.unified())
-        with _process_wide(PRESETS["lossy"]):
-            ambient = run_fleet(_SCENARIO, PolicyConfig.unified(), shards=2, jobs=2)
-        assert ambient.accumulator.signature() == clean.accumulator.signature()
-
-    def test_run_fleet_sweep(self, tmp_path):
-        config = FleetSweepConfig(
-            base=_SCENARIO,
-            policies=(parse_policy_token("online"), parse_policy_token("unified")),
-        )
-        with SweepStore(tmp_path / "clean.sqlite") as store:
-            clean = dump_rows(run_fleet_sweep(config, store).rows)
-        with _process_wide(PRESETS["lossy"]):
-            with SweepStore(tmp_path / "ambient.sqlite") as store:
-                ambient = dump_rows(run_fleet_sweep(config, store).rows)
-        assert ambient == clean
-
-    def test_run_fleet_tune(self, tmp_path):
-        config = TuneConfig(
-            base=_SCENARIO,
-            space=(TuneParam("ma_window", lo=2, hi=8, integer=True),),
-            preset="unified",
-            seeds=(0,),
-            samples=2,
-            survivors=1,
-            refine_rounds=0,
-        )
-        with SweepStore(tmp_path / "clean.sqlite") as store:
-            clean = dump_rows(run_fleet_tune(config, store).rows)
-        with _process_wide(PRESETS["lossy"]):
-            with SweepStore(tmp_path / "ambient.sqlite") as store:
-                ambient = dump_rows(run_fleet_tune(config, store).rows)
-        assert ambient == clean
+    """The fleet CLIs hand the ``--faults`` spec to the campaign as an
+    argument: it shows in every row, and ``--faults none`` keys like no
+    flag at all."""
 
     @pytest.mark.parametrize("command", ["fleet", "sweep", "tune"])
     def test_cli_applies_faults_without_installing_them(
@@ -182,7 +122,6 @@ class TestExplicitSpecOnly:
             argv += ["--int-param", "ma_window=2:8", "--samples", "2",
                      "--survivors", "1", "--refine-rounds", "0"]
         assert fleet_cli.main(argv) == 0
-        assert faults.active_spec() is None
         lines = capsys.readouterr().out.strip().splitlines()
         if command == "fleet":
             assert json.loads("".join(lines))["counters"]["delivery_drops"] > 0

@@ -84,7 +84,6 @@ class TestBuildTrace:
         """Faults act at run time, so every spec shares one cached trace;
         the baseline LRU keeps one result per spec, each equal to a
         direct on-line run."""
-        from repro import faults
         from repro.experiments.runner import (
             clear_baseline_cache,
             run_baseline,
@@ -100,11 +99,9 @@ class TestBuildTrace:
         try:
             clean = build_trace_cached(config, seed=0)
             clean_base = run_baseline(clean)
-            faults.configure(lossy_spec)
             lossy = build_trace_cached(config, seed=0)
-            lossy_base = run_baseline(lossy)
+            lossy_base = run_baseline(lossy, faults=lossy_spec)
         finally:
-            faults.configure(None)
             clear_trace_cache()
             clear_baseline_cache()
         assert lossy is clean
