@@ -34,7 +34,10 @@ handful of row writes:
 * a live, non-expiring arrival: forwarded on arrival when the link is
   up and, unless the policy is ONLINE, the client has room under the
   prefetch limit (then nothing is queued ahead of it); otherwise pushed
-  onto the row's proxy queue;
+  onto the row's proxy queue. Under a fixed positive delay (§3.4, never
+  ONLINE) the arrival first waits in the delay stage: the pump arms the
+  proxy's delay timer, and :meth:`ShardBatchDispatcher._delay_timeout`
+  forwards or queues the entry on its row when it fires;
 * DOWN, and UP: the queue report, the offline read log replayed as
   ``on_read_report`` replays it (a monotone merge into the interval
   average), the limit recompute, then the queue flushed highest-first
@@ -60,11 +63,13 @@ SHA-256 hashes, which no vector op computes, and an arithmetic
 resolution would have to re-derive every ``(time, seq)`` tie; the row
 schedules the link's timers instead. A timer that fires after its
 binding materialized hands the attempt or the landing to the objects.
+So does a delay timer: the pump arms it where ``_handle_new_event``
+does, and once the binding materialized it runs the proxy's own.
 
 The queue and the log are a clean shard's: under a fault spec an
-arrival the proxy must queue, or a read while the link is down, still
-escapes (a queued forward would have to interleave with landings still
-in flight).
+arrival the proxy must queue (on arrival, or when its delay ends), or a
+read while the link is down, still escapes (a queued forward would have
+to interleave with landings still in flight).
 
 The first event outside that set calls ``materialize(d)`` — the fleet
 runner's per-device wiring plus a replay of the row into the objects —
@@ -76,8 +81,8 @@ run (one-way: nothing is ever re-absorbed). From then on the row's
 pump tests ``resident[d]`` before it reads any of them. The
 escapes, each a property of the input or of the row: a RATE arrival (it
 earns per-arrival credit, which a row has no line for), an expiring
-arrival (it would arm a timer, and a row owns none), and a faulted
-row's queued arrival or offline read.
+arrival (it would arm the expiration timer, which a row does not
+schedule), and a faulted row's queued arrival or offline read.
 Bindings that can never take a resident handler are materialized by the
 runner at wiring, before the streams register: all of them when the
 shard cannot keep rows (below), and those whose input carries a rank
@@ -85,8 +90,8 @@ change (a change resolves against the durable history of earlier
 arrivals, which a row does not keep). Materializing mid-run schedules
 nothing and reserves no sequence number — held and queued entries never
 expire, crash plans, the only wiring step that arms timers, exist only
-in shards materialized at wiring, and a row's in-flight timers keep
-their sequence numbers — so
+in shards materialized at wiring, and a row's in-flight and delay
+timers keep their sequence numbers — so
 ``events_processed`` and every tie-break are unchanged by when a
 binding escapes.
 
@@ -134,6 +139,8 @@ _CHANGE = 3
 _READ = 4
 _OUTAGE_DOWN = 5
 _OUTAGE_UP = 6
+#: A live, non-expiring arrival entering a positive §3.4 delay stage.
+_ARRIVE_DELAYED = 7
 
 
 class ShardBatchDispatcher:
@@ -178,21 +185,22 @@ class ShardBatchDispatcher:
         self.delay_moments = accumulator.read_delay_moments
 
         #: Whether bindings may stay array-resident. Nothing may observe
-        #: intermediate states or perturb a delivery outside the pump:
-        #: no observers (recorder/auditor hooks fire on the scalar
-        #: callbacks only), the delay stage structurally inactive (a
-        #: fixed positive delay arms per-event timers whose timeouts
-        #: mutate queues outside the pump), and a spec, if any, that
-        #: arms no proxy crash (crash timers must draw their sequence
-        #: numbers at wiring, before the streams).
+        #: intermediate states or perturb a delivery outside the pump
+        #: and the row's own timers: no observers (recorder/auditor
+        #: hooks fire on the scalar callbacks only), and a spec, if any,
+        #: that arms no proxy crash (crash timers must draw their
+        #: sequence numbers at wiring, before the streams).
         #: False means the runner materializes every binding at wiring.
         self.keeps_rows = (
             recorder is None
             and auditor is None
-            and (policy.delay is None or policy.delay == 0.0)
             and (spec is None or spec.crashes_per_day == 0)
         )
         self.online_kind = policy.kind is PolicyKind.ONLINE
+        #: The row's §3.4 delay: a fixed positive ``policy.delay``, but 0
+        #: under ONLINE, whose arrivals never reach the stage (an adaptive
+        #: delay is 0 until a rank drop, and rank changes never reach rows).
+        self.delay = 0.0 if self.online_kind or not policy.delay else policy.delay
         #: RATE arrivals earn forwarding credit per event, and a row has
         #: no credit line.
         self.row_arrivals = (
@@ -263,6 +271,8 @@ class ShardBatchDispatcher:
         dead = ~below & (a_exps <= a_times)
         a_codes = np.where(below, _ARRIVE_FILTERED, _ARRIVE).astype(np.uint8)
         a_codes[dead] = _ARRIVE_DEAD
+        if self.delay > 0:
+            a_codes[(a_codes == _ARRIVE) & np.isnan(a_exps)] = _ARRIVE_DELAYED
         a_devs = adev[order]
         a_eids = acols.event_ids[order]
 
@@ -642,6 +652,19 @@ class ShardBatchDispatcher:
                         expires_at=None if exp != exp else exp,
                     )
                 )
+            elif code == _ARRIVE_DELAYED:
+                # _handle_new_event's delay stage on the row: accepted,
+                # then held back by the proxy's own timer. The schedule
+                # draws a sequence number: on to the cap refresh.
+                entry = (-m_ranks[i], t, m_ints[i])
+                if resident[d] and row_arrivals:
+                    accepted[d] += 1
+                    cols.delayed[d] += 1
+                    sim.schedule(self.delay, self._delay_timeout, d, entry)
+                else:
+                    if resident[d]:
+                        materialize(d)
+                    on_notification(row_notification(topics[d], entry))
             else:
                 # Filtered / dead-on-arrival: counters only on a row.
                 if resident[d]:
@@ -669,6 +692,38 @@ class ShardBatchDispatcher:
                 if heap:
                     cap_time, cap_seq, _top = heap[0]
         return i - pos
+
+    def _delay_timeout(self, d: int, entry) -> None:
+        """:meth:`LastHopProxy._delay_timeout <repro.proxy.proxy.
+        LastHopProxy._delay_timeout>` and its ``try_forwarding`` on row
+        ``d``: the entry leaves the delay stage and is forwarded if the
+        link is up with client room (the row's queue is then empty), else
+        queued — or, on a faulted row, which never queues, the binding
+        escapes and its objects take the timeout."""
+        cols = self.cols
+        if cols.resident[d]:
+            cols.delayed[d] -= 1
+            if cols.network[d] and cols.queue_size[d] < cols.prefetch_limit[d]:
+                cols.queue_size[d] += 1
+                cols.forwarded[d] += 1
+                if cols.plans is not None:
+                    self._forward(d, entry)
+                elif cols.held[d] is None:
+                    cols.held[d] = [entry]
+                else:
+                    cols.held[d].append(entry)
+                return
+            if cols.plans is None:
+                if cols.proxy_queue[d] is None:
+                    cols.proxy_queue[d] = [entry]
+                else:
+                    heappush(cols.proxy_queue[d], entry)
+                return
+            self.materialize(d)
+        topic = cols.topics[d]
+        self.proxy._delay_timeout(
+            self.proxy.topic_state(topic), row_notification(topic, entry)
+        )
 
     # ------------------------------------------------------------------
     # The resident ack–retry ladder (shards with a crash-free spec)

@@ -14,7 +14,9 @@ A binding lives in one of two tiers, recorded in ``resident``:
   binding — the arrivals it could not forward, standing for
   ``outgoing`` under ONLINE and ``prefetch`` otherwise — and the
   device's offline read log, so outages and full buffers stay on the
-  row.
+  row. Under a fixed positive delay the row also counts the arrivals
+  waiting in the §3.4 delay stage; the entries themselves ride on the
+  delay timers the pump arms.
 * **Materialized** (``resident[d] == 0``): the first event the resident
   handlers cannot express makes the runner build the binding's object
   graph and replay the row into it (``ShardWiring.materialize`` in
@@ -30,8 +32,8 @@ queue is non-empty only while the link is down or, outside ONLINE, the
 client has no room (``queue_size >= prefetch_limit``) — the only states
 in which the proxy would keep an arrival; the log is non-empty only
 while the link is down (UP replays it); every accepted arrival was
-forwarded or is queued; every forward was read, is held or (under
-faults) has not landed.
+forwarded, is queued or is still delayed; every forward was read, is
+held or (under faults) has not landed.
 
 A shard with a fault spec allocates a second group of row state, which
 clean shards never pay for: the deliveries forwarded but not landed (in
@@ -89,6 +91,7 @@ class FleetColumns:
         "proxy_queue",
         "read_log",
         "accepted",
+        "delayed",
         "forwarded",
         "pulled",
         "filtered",
@@ -144,7 +147,8 @@ class FleetColumns:
         #: :class:`~repro.proxy.queues.RankedQueue`, so a plain sort is
         #: read order. None = nothing held. Only non-expiring
         #: notifications are ever held here (an expiring arrival
-        #: materializes the binding), so a row owns no timers.
+        #: materializes the binding), so no held entry needs an
+        #: expiration timer.
         self.held: List = [None] * n
         #: The proxy's queue for the binding: a heap of the same
         #: ``(-rank, published_at, event_id)`` entries, so ``heappop``
@@ -153,8 +157,12 @@ class FleetColumns:
         #: The device's offline read log, ``(time, n)`` per read while
         #: the link is down, in event order. None = empty.
         self.read_log: List = [None] * n
-        #: Live arrivals the proxy accepted (forwarded or queued).
+        #: Live arrivals the proxy accepted (forwarded, queued or
+        #: delayed).
         self.accepted: List[int] = [0] * n
+        #: Accepted arrivals still in the delay stage (their timers are
+        #: pending).
+        self.delayed: List[int] = [0] * n
         #: Distinct forwards, and how many of them a READ pulled (the
         #: rest were pushed).
         self.forwarded: List[int] = [0] * n
@@ -217,9 +225,10 @@ class FleetColumns:
         the row against itself — the identities that make the replay
         into objects well defined (no objects yet, a queue only where
         the proxy would keep one, a log only while the link is down,
-        every accepted arrival forwarded or queued, every forward read,
-        held or not landed, retries parked only while the link is down,
-        the averages present exactly when a read reached the proxy).
+        every accepted arrival forwarded, queued or delayed, every
+        forward read, held or not landed, retries parked only while the
+        link is down, the averages present exactly when a read reached
+        the proxy).
         """
         violations: List[str] = []
         row_state = [
@@ -255,10 +264,11 @@ class FleetColumns:
             )
         if logged and up:
             violations.append(f"device {d}: offline read log kept while the link is up")
-        if self.accepted[d] != self.forwarded[d] + queued:
+        if self.accepted[d] != self.forwarded[d] + queued + self.delayed[d]:
             violations.append(
                 f"device {d}: {self.accepted[d]} accepted vs "
-                f"{self.forwarded[d]} forwarded + {queued} queued"
+                f"{self.forwarded[d]} forwarded + {queued} queued + "
+                f"{self.delayed[d]} delayed"
             )
         landing = 0
         if self.plans is not None:

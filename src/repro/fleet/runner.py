@@ -161,9 +161,9 @@ class ShardWiring:
     through :func:`~repro.experiments.runner.wire_device`, its
     ``LastHopLink`` / ``ClientDevice`` / ``TopicState`` — for every
     binding at wiring when the shard cannot take the resident handlers
-    (the scalar oracle, a fault spec that arms proxy crashes, observers,
-    a fixed delay), for a single binding from inside the
-    batch pump otherwise (:mod:`repro.fleet.batch` lists the escapes).
+    (the scalar oracle, a fault spec that arms proxy crashes,
+    observers), for a single binding from inside the batch pump or a
+    row timer otherwise (:mod:`repro.fleet.batch` lists the escapes).
     """
 
     __slots__ = ("sim", "proxy", "acc", "workload", "cols", "spec", "recorder")

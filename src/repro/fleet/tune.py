@@ -333,8 +333,10 @@ class TuneConfig:
             )
         # Eagerly reject spaces the preset cannot realize: every domain
         # extreme, one parameter at a time around the midpoint anchor,
-        # must construct and validate (all PolicyConfig constraints are
-        # interval bounds, so valid extremes imply a valid interior).
+        # must construct and validate (every PolicyConfig constraint is
+        # an interval bound or a type / finiteness check that a range's
+        # interior shares with its extremes, so valid extremes imply a
+        # valid interior).
         anchor = self.midpoint_assignment()
         self.variant_for(anchor).validate()
         for param in self.space:

@@ -16,6 +16,8 @@ The paper evaluates a spectrum of last-hop forwarding policies (§3.1):
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -59,6 +61,28 @@ class PolicyConfig:
     ma_window: int = 10
 
     def validate(self) -> None:
+        # Types first: a NaN or infinite time would disable the stage it
+        # sets or fail mid-run, and a limit or window is a count (bool is
+        # an int subclass, never a knob value).
+        for name in ("prefetch_limit", "initial_prefetch_limit", "ma_window"):
+            value = getattr(self, name)
+            if value is not None and (
+                isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            ):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        for name in (
+            "expiration_threshold", "initial_expiration_threshold", "delay",
+            "adaptive_limit_multiplier",
+        ):
+            value = getattr(self, name)
+            if value is not None and (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)
+            ):
+                raise ConfigurationError(
+                    f"{name} must be a finite number, got {value!r}"
+                )
         if self.prefetch_limit is not None and self.prefetch_limit < 0:
             raise ConfigurationError(
                 f"prefetch_limit must be non-negative, got {self.prefetch_limit}"

@@ -24,6 +24,7 @@ never read again. A final class pins the table's invariants with
 against a per-device scalar replay.
 """
 
+import dataclasses
 import functools
 import itertools
 from contextlib import contextmanager
@@ -35,7 +36,7 @@ from hypothesis import strategies as st
 
 import repro.fleet.runner as runner_mod
 from repro import faults
-from repro.experiments import fleet_cli
+from repro.experiments import fleet_cli, fleet_tune_cli
 from repro.experiments.fleet_sweep_cli import scenario_from_args
 from repro.fleet import FleetScenarioConfig, build_fleet_workload, run_fleet
 from repro.fleet.batch import ShardBatchDispatcher
@@ -55,6 +56,17 @@ POLICIES = {
     "rate": PolicyConfig.rate,
     "unified": PolicyConfig.unified,
 }
+
+#: A fixed positive §3.4 delay: the rows arm the delay stage's timers
+#: themselves. Kept apart from ``POLICIES`` so only the cases that
+#: exercise the stage pay for it.
+DELAY_POLICIES = {
+    "buffer-delay60": lambda: PolicyConfig.buffer(prefetch_limit=4, delay=60.0),
+    "unified-delay60": lambda: PolicyConfig.unified(delay=60.0),
+}
+
+#: Every named policy, for the cases parametrized over both lists.
+ALL_POLICIES = {**POLICIES, **DELAY_POLICIES}
 
 PRESETS = [None, "lossy", "chaos", "reliable", "slow-ladder"]
 
@@ -131,11 +143,38 @@ class TestDifferentialMatrix:
         _assert_identical(batch, scalar)
 
     @pytest.mark.parametrize(
-        "policy_name,seed", list(itertools.product(QUEUEING_POLICIES, [0, 7]))
+        "policy_name,preset,seed",
+        list(itertools.product(sorted(DELAY_POLICIES), PRESETS, [0, 7])),
+    )
+    def test_delay_stage_matches_scalar(self, policy_name, preset, seed):
+        config = FleetScenarioConfig(devices=120, duration=DAY, seed=seed)
+        batch, scalar = _both_signatures(
+            config, DELAY_POLICIES[policy_name](), spec=_spec(preset)
+        )
+        _assert_identical(batch, scalar)
+        assert batch.events_processed == scalar.events_processed
+
+    @pytest.mark.parametrize("preset", [None, "lossy"])
+    def test_online_kind_skips_the_delay_stage(self, preset):
+        """ONLINE sends an arrival before the delay stage, so a delay
+        set on it must arm no row timer either."""
+        config = FleetScenarioConfig(devices=120, duration=DAY, seed=0)
+        policy = dataclasses.replace(PolicyConfig.online(), delay=60.0)
+        batch, scalar = _both_signatures(config, policy, spec=_spec(preset))
+        _assert_identical(batch, scalar)
+        assert batch.events_processed == scalar.events_processed
+
+    @pytest.mark.parametrize(
+        "policy_name,seed",
+        list(
+            itertools.product(
+                QUEUEING_POLICIES + sorted(DELAY_POLICIES), [0, 7]
+            )
+        ),
     )
     def test_deep_clean_shape_matches_scalar(self, policy_name, seed):
         config = FleetScenarioConfig(devices=30, seed=seed, **DEEP)
-        batch, scalar = _both_signatures(config, POLICIES[policy_name]())
+        batch, scalar = _both_signatures(config, ALL_POLICIES[policy_name]())
         _assert_identical(batch, scalar)
 
 
@@ -217,6 +256,33 @@ class TestCampaignEquivalence:
             "--policy", "on_demand",
         ],
     }
+
+    #: The ``tune-smoke`` CI campaign: half its cells run ``delay=60``.
+    TUNE_SMOKE = [
+        "--devices", "200", "--int-param", "ma_window=2:16",
+        "--choice", "delay=0,60", "--seeds", "0", "1", "--screen-seeds", "1",
+        "--samples", "3", "--survivors", "2", "--refine-rounds", "1",
+        "--shards", "2", "--dump-rows", "--quiet",
+    ]
+
+    def test_tune_smoke_rows_identical(self, tmp_path):
+        """The tune's store rows, byte for byte, with every shard on the
+        pump and with every shard on the scalar oracle."""
+        dumps = []
+        for use_batch in (True, False):
+            shard = functools.partial(
+                runner_mod._execute_shard, use_batch=use_batch
+            )
+            out = tmp_path / f"rows-{use_batch}.jsonl"
+            with _patched(runner_mod, "_execute_shard", shard):
+                rc = fleet_tune_cli.main(
+                    ["--store", str(tmp_path / f"{use_batch}.sqlite"),
+                     "--output", str(out), *self.TUNE_SMOKE]
+                )
+            assert rc == 0
+            dumps.append(out.read_text())
+        assert '"delay":60' in dumps[0].replace(" ", "")
+        assert dumps[0] == dumps[1]
 
     @pytest.mark.parametrize("name", sorted(CAMPAIGNS))
     def test_rendered_json_identical(self, name):
@@ -374,7 +440,7 @@ MATRIX_CONFIG = dict(devices=120, duration=DAY)
 def _matrix_case(policy_name, preset, seed):
     spec = _spec(preset)
     config = FleetScenarioConfig(seed=seed, **MATRIX_CONFIG)
-    return config, POLICIES[policy_name](), spec
+    return config, ALL_POLICIES[policy_name](), spec
 
 
 @functools.lru_cache(maxsize=None)
@@ -423,13 +489,18 @@ def _draw_escape(data, config):
     return sorted(subset), at_event
 
 
+#: The matrix cells the escape tests redo: every policy on both seeds,
+#: the delay policies (whose rows ``TestDifferentialMatrix`` already
+#: pins on both) on one.
+INVISIBLE_CASES = list(
+    itertools.product(sorted(POLICIES), PRESETS, [0, 7])
+) + list(itertools.product(sorted(DELAY_POLICIES), PRESETS, [0]))
+
+
 class TestMaterializationInvisible:
     """When a binding leaves the resident tier cannot be observed."""
 
-    @pytest.mark.parametrize(
-        "policy_name,preset,seed",
-        list(itertools.product(sorted(POLICIES), PRESETS, [0, 7])),
-    )
+    @pytest.mark.parametrize("policy_name,preset,seed", INVISIBLE_CASES)
     def test_all_materialized_before_run_is_the_object_path(
         self, policy_name, preset, seed
     ):
@@ -443,10 +514,7 @@ class TestMaterializationInvisible:
             policy_name, preset, seed
         )
 
-    @pytest.mark.parametrize(
-        "policy_name,preset,seed",
-        list(itertools.product(sorted(POLICIES), PRESETS, [0, 7])),
-    )
+    @pytest.mark.parametrize("policy_name,preset,seed", INVISIBLE_CASES)
     @settings(
         max_examples=4,
         deadline=None,
@@ -613,6 +681,47 @@ class TestMaterializationInvisible:
         assert _outputs(batch.accumulator) == _outputs(scalar.accumulator)
 
 
+    @pytest.mark.parametrize("preset", [None, "lossy"])
+    def test_escapes_inherit_pending_delay_timers(self, preset):
+        """Non-vacuity of the delay stage's handoff: bindings escape
+        mid-run (an expiring arrival; under faults also a delay ending
+        with no room) while delay timers they armed on their rows are
+        still pending; those timers then fire on the objects, and the
+        run still equals the scalar oracle."""
+        config = FleetScenarioConfig(
+            devices=150,
+            duration=2 * DAY,
+            seed=4,
+            arrivals=ArrivalConfig(events_per_day=8.0, expiring_fraction=0.1),
+            reads=ReadConfig(reads_per_day=2.0),
+            outages=OutageConfig(downtime_fraction=0.3),
+        )
+        policy = PolicyConfig.unified(delay=600.0)
+        handed = {"pending": 0, "fired_on_objects": 0}
+        materialize = runner_mod.ShardWiring.materialize
+        delay_timeout = ShardBatchDispatcher._delay_timeout
+
+        def count_handoff(wiring, index):
+            cols = wiring.cols
+            if wiring.sim._running and cols.resident[index]:
+                handed["pending"] += cols.delayed[index]
+            materialize(wiring, index)
+
+        def count_timeout(dispatcher, d, entry):
+            handed["fired_on_objects"] += not dispatcher.cols.resident[d]
+            delay_timeout(dispatcher, d, entry)
+
+        with _patched(runner_mod.ShardWiring, "materialize", count_handoff), \
+                _patched(ShardBatchDispatcher, "_delay_timeout", count_timeout):
+            batch = _run_shard(config, policy, spec=_spec(preset))
+        assert handed["pending"] > 0 and handed["fired_on_objects"] > 0, handed
+        assert 0.0 < batch.cols.materialized_share < 1.0
+        assert batch.cols.verify_sync() == []
+        scalar = _run_shard(config, policy, spec=_spec(preset), use_batch=False)
+        assert _outputs(batch.accumulator) == _outputs(scalar.accumulator)
+        for d in range(config.devices):
+            assert _device_view(batch, d) == _device_view(scalar, d), d
+
     def test_escapes_inherit_proxy_queue_and_read_log(self):
         """Non-vacuity of the clean handoff: rows materialized mid-pump
         hand a non-empty proxy queue and offline read log to their
@@ -741,24 +850,27 @@ class TestColumnSync:
             assert limits.effective_limit(state) == cols.prefetch_limit[d]
             assert len(cols.stats[d].forwarded_ids) == held[d]
 
-    @pytest.mark.parametrize("policy_name", sorted(POLICIES))
+    @pytest.mark.parametrize("policy_name", sorted(ALL_POLICIES))
     def test_rows_match_scalar_replay_per_device(self, policy_name):
         """Per device, row + objects = what the scalar oracle's objects
         say, down to the held and queued ids, the read log and the
         read-size and read-interval windows."""
-        policy = POLICIES[policy_name]()
+        policy = ALL_POLICIES[policy_name]()
         batch = _run_shard(self.CONFIG, policy)
+        assert batch.cols.verify_sync() == []
         scalar = _run_shard(self.CONFIG, policy, use_batch=False)
         for d in range(self.CONFIG.devices):
             assert _device_view(batch, d) == _device_view(scalar, d), d
 
-    @pytest.mark.parametrize("policy_name", QUEUEING_POLICIES)
+    @pytest.mark.parametrize(
+        "policy_name", QUEUEING_POLICIES + sorted(DELAY_POLICIES)
+    )
     def test_deep_rows_match_scalar_replay_per_device(self, policy_name):
         """The deep shape never leaves the rows, and every row — its
         proxy queue and read log included — is what the scalar oracle's
         objects hold."""
         config = FleetScenarioConfig(devices=30, seed=3, **DEEP)
-        policy = POLICIES[policy_name]()
+        policy = ALL_POLICIES[policy_name]()
         batch = _run_shard(config, policy)
         assert batch.cols.materialized_share == 0.0
         assert batch.cols.verify_sync() == []

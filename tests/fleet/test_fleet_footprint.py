@@ -23,6 +23,10 @@ figures, measured with this exact protocol on CPython 3.11:
   (a faulted row still escapes on a queued arrival or an offline read);
   2 696 B/device with the clean rows' queue, log and three count
   columns allocated beside it. The gate is the clean one.
+* ``unified(delay=60)`` clean shard — 8 558 B/device while a fixed
+  positive delay materialized every binding at wiring; 1 394 B/device
+  once the rows armed the delay stage's timers themselves, with no
+  binding materialized. The gate is the clean one.
 """
 
 import gc
@@ -42,7 +46,7 @@ DEVICES = 3_000
 CLEAN_GATE_BYTES = 4 * 1024
 
 
-def _live_bytes_per_device(monkeypatch, spec=None):
+def _live_bytes_per_device(monkeypatch, spec=None, policy=None):
     config = FleetScenarioConfig(
         devices=DEVICES,
         seed=1,
@@ -64,7 +68,9 @@ def _live_bytes_per_device(monkeypatch, spec=None):
     gc.collect()
     tracemalloc.start()
     try:
-        runner_mod._execute_shard(workload, PolicyConfig.unified(), spec)
+        runner_mod._execute_shard(
+            workload, policy or PolicyConfig.unified(), spec
+        )
     finally:
         tracemalloc.stop()
     return seen["live"] / DEVICES, seen["materialized"]
@@ -81,4 +87,12 @@ def test_lossy_shard_stays_on_its_rows(monkeypatch):
         monkeypatch, FaultSpec.parse("lossy")
     )
     assert 0.0 < materialized < 0.5
+    assert per_device <= CLEAN_GATE_BYTES, f"{per_device:.0f} B/device"
+
+
+def test_delay_shard_stays_on_its_rows(monkeypatch):
+    per_device, materialized = _live_bytes_per_device(
+        monkeypatch, policy=PolicyConfig.unified(delay=60.0)
+    )
+    assert materialized < 0.02
     assert per_device <= CLEAN_GATE_BYTES, f"{per_device:.0f} B/device"

@@ -601,6 +601,7 @@ class TestTuneCli:
             ["--int-param", "ma_window=0:16"],  # preset rejects lo corner
             ["--choice", "delay=not json"],
             ["--choice", "delay="],
+            ["--choice", "delay=0,Infinity"],  # the probe rejects every choice
             ["--param", "no_such_kwarg=0:1"],
             ["--report"],  # needs --baseline
             ["--baseline", "x.sqlite"],  # needs --report

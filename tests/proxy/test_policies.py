@@ -1,5 +1,8 @@
 """Unit tests for forwarding-policy configuration."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -73,6 +76,30 @@ class TestValidation:
     def test_bad_window_rejected(self):
         with pytest.raises(ConfigurationError):
             PolicyConfig(ma_window=0).validate()
+
+    @pytest.mark.parametrize(
+        "name", ["delay", "expiration_threshold", "initial_expiration_threshold"]
+    )
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, True])
+    def test_non_finite_times_rejected(self, name, value):
+        # An infinite delay would fail mid-run when its timer is armed;
+        # a NaN one would silently disable the stage.
+        with pytest.raises(ConfigurationError, match=name):
+            PolicyConfig(**{name: value}).validate()
+
+    @pytest.mark.parametrize(
+        "name", ["ma_window", "prefetch_limit", "initial_prefetch_limit"]
+    )
+    @pytest.mark.parametrize("value", [2.5, 4.0, True, math.nan])
+    def test_non_integral_counts_rejected(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            PolicyConfig(**{name: value}).validate()
+
+    def test_numpy_scalars_accepted(self):
+        PolicyConfig(
+            ma_window=np.int64(4), prefetch_limit=np.int32(8),
+            delay=np.float64(60.0),
+        ).validate()
 
 
 class TestDescribe:
