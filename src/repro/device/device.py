@@ -198,9 +198,7 @@ class ClientDevice:
             backlog = self._offline_reads.pop(topic, None)
             if backlog:
                 if self._faults is not None:
-                    backlog, injected = self._faults.corrupt_read_report(
-                        topic, backlog
-                    )
+                    backlog, injected = self._faults.corrupt_read_report(backlog)
                     self._stats.report_entries_corrupted += injected
                 self._proxy.on_read_report(topic, backlog)
 

@@ -17,9 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro import obs
 from repro.broker.message import Notification
 from repro.device.cooperation import AdHocNetwork, DeviceGroup
 from repro.device.link import LastHopLink
+from repro.errors import ConfigurationError
 from repro.experiments.runner import (
     DEFAULT_TOPIC,
     RunResult,
@@ -83,8 +85,23 @@ def run_cooperative_scenario(
 
     The reader runs the fault plan ``run_scenario`` would build for
     ``trace``; peer ``i`` runs one seeded ``derive_seed(seed, "peer-i")``.
+    Observability is ``run_scenario``'s: every proxy records into the
+    active recorder and samples the active auditor. A trace with rank
+    changes raises :class:`~repro.errors.ConfigurationError`: the group
+    replay does not deliver them, so its paired loss would compare
+    different inputs.
     """
     policy.validate()
+    if trace.num_rank_changes:
+        raise ConfigurationError(
+            "cooperative runs do not replay rank changes; the trace has "
+            f"{trace.num_rank_changes}"
+        )
+    obs_ctx = obs.active()
+    probes = obs.PROBES
+    probes.count("runs")
+    recorder = None if obs_ctx is None else obs_ctx.recorder
+    auditor = None if obs_ctx is None else obs_ctx.auditor
     sim = Simulator()
     stats = RunStats()
     seed = trace_seed(trace)
@@ -103,8 +120,10 @@ def run_cooperative_scenario(
             seed=seed if index == 0 else derive_seed(seed, f"peer-{index}"),
             duration=trace.duration,
         )
-        proxy = LastHopProxy(sim, device_policy)
-        link, device, _ = wire_device(sim, proxy, topic, threshold, stats, plan, None)
+        proxy = LastHopProxy(sim, device_policy, recorder=recorder, auditor=auditor)
+        link, device, _ = wire_device(
+            sim, proxy, topic, threshold, stats, plan, recorder
+        )
         group.add_device(device)
         links.append(link)
         proxies.append(proxy)
@@ -143,7 +162,10 @@ def run_cooperative_scenario(
         for time, status in peer_trace.network_transitions():
             sim.schedule_at(time, links[index].set_status, status)
 
-    sim.run(until=trace.duration)
+    try:
+        sim.run(until=trace.duration)
+    finally:
+        probes.count("events", sim.events_processed)
     return CooperativeRunResult(
         stats=stats, borrowed=group.borrowed_total, events_processed=sim.events_processed
     )

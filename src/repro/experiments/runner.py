@@ -63,11 +63,12 @@ def register_trace_streams(
     the same FIFO sequence numbers that per-record schedule_at calls in
     this order would get.
 
-    The fleet's ``_register_fleet_streams`` merges these same four
-    streams across devices in the same order, so a one-device fleet
-    replays a device's trace with exactly the event ordering of
-    :func:`run_scenario`. Returns the id → original Notification map
-    (the rank-change stream closes over it).
+    This is the only scalar trace replay: the fleet's scalar oracle
+    calls it once per device of a shard, and the fleet's batch pump
+    (:mod:`repro.fleet.batch`) merges these same four streams across
+    devices in the same order, so a fleet device replays its trace with
+    exactly the event ordering of :func:`run_scenario`. Returns the id →
+    original Notification map (the rank-change stream closes over it).
     """
     cols = trace.columns
     originals: Dict[EventId, Notification] = {}

@@ -278,14 +278,17 @@ class FaultPlan:
         return min(spec.retry_base * (2.0 ** (attempt - 1)), spec.retry_cap)
 
     def corrupt_read_report(
-        self, topic: str, entries: Sequence[Tuple[float, int]]
+        self, entries: Sequence[Tuple[float, int]]
     ) -> Tuple[List[Tuple[float, int]], int]:
         """Duplicate some offline-read log entries, appended at the end.
 
         The duplicated copies arrive after newer entries — stale,
         out-of-order, *and* duplicated — which is exactly what the
         proxy's monotone read-report merge must tolerate. Returns the
-        corrupted log and how many entries were injected.
+        corrupted log and how many entries were injected. The draw keys
+        on the entry's time alone: the plan is already the device's, so
+        a device corrupts the same entries under any topic name (a fleet
+        binding's and ``run_scenario``'s).
         """
         rate = self.spec.report_duplicate_rate
         corrupted = list(entries)
@@ -294,7 +297,7 @@ class FaultPlan:
         extras = [
             entry
             for entry in entries
-            if self._unit(f"report:{topic}:{float(entry[0])!r}") < rate
+            if self._unit(f"report:{float(entry[0])!r}") < rate
         ]
         corrupted.extend(extras)
         return corrupted, len(extras)

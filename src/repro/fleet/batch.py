@@ -1,29 +1,31 @@
 """Batched fleet-shard dispatch over the shard's binding table.
 
-The scalar fleet path (PR 7) replays four merged streams through one
+The scalar fleet path replays each device's four trace streams
+(:func:`~repro.experiments.runner.register_trace_streams`) through one
 Python callback per event; at 100k devices that is ~10 million dispatch
 round-trips, each touching scattered per-binding objects. This module is
-the batch alternative: the four streams collapse into **one** merged
-batch stream registered through the engine's batch-pop API
+the batch alternative: every device's streams collapse into **one**
+merged batch stream registered through the engine's batch-pop API
 (:meth:`~repro.sim.engine.Simulator.add_batch_stream`), and a single
 *pump* consumes whole runs of consecutive events in one call,
 dispatching each on the row of :class:`~repro.fleet.columns.
 FleetColumns` that belongs to its device.
 
-Merging the streams is an ordering-preserving transformation. In scalar
-mode the four streams reserve contiguous sequence blocks in
+Merging the streams is an ordering-preserving transformation. A
+device's four streams reserve contiguous sequence blocks in
 registration order (arrivals → rank changes → reads → outages), so the
-engine fires stream events sorted by ``(time, seq)`` — which is exactly
-"by time; at equal times by stream kind in registration order; within a
-kind in within-stream order". A stable sort by time over the four
-kind-ordered streams concatenated in registration order reproduces that
-order precisely, and the merged stream reserves one block with the same
-total length, so dynamic timers (which always draw later sequence
-numbers than the whole block) and pre-registered crash timers (which
-always draw earlier ones) tie-break identically in both modes. The
-payoff: the heap carries one cursor instead of four, and the pump is
-re-entered only when a dynamic timer actually preempts it, not on every
-cross-stream alternation.
+engine fires its events "by time; at equal times by stream kind in
+registration order; within a kind in within-stream order". A stable
+sort by time over the four kind-ordered, device-major streams
+concatenated in registration order keeps that order for every device,
+and the one block it reserves has the total length of the 4·N
+per-device blocks, so dynamic timers (always later sequence numbers)
+and pre-registered crash timers (always earlier) tie-break identically
+in both modes. Only the order between devices at an equal time moves,
+and no shared state sees it (reads, which feed the shard-wide
+``read_delay`` sketch, stay device-major in both). The payoff: the heap
+carries one cursor instead of 4·N, and the pump is re-entered only when
+a dynamic timer preempts it, not on every cross-stream alternation.
 
 Every binding starts **array-resident**: its row is its only state and
 no per-device object exists (see :mod:`repro.fleet.columns`). The
@@ -98,7 +100,8 @@ binding escapes.
 Equivalence contract (pinned by ``tests/fleet/test_fleet_batch.py``):
 the pump and the scalar oracle — the fleet runner's private
 ``_execute_shard(..., use_batch=False)``, which materializes every
-binding at wiring and registers the four scalar streams — produce
+binding at wiring and registers each device's trace through
+:func:`~repro.experiments.runner.register_trace_streams` — produce
 bit-identical :class:`~repro.metrics.streaming.FleetAccumulator` integer
 counters, float sums, and sketch buckets for any policy, fault preset,
 and seed, and whichever subset of bindings is materialized, whenever.
@@ -239,14 +242,14 @@ class ShardBatchDispatcher:
     def register_streams(self) -> None:
         """Register the shard's events as one merged batch stream.
 
-        Each kind is first ordered exactly as ``_register_fleet_streams``
-        orders its stream (stable time argsorts; the outage
-        ``lexsort((is_down, times))``); the kinds are then concatenated
-        in registration order (arrivals → rank changes → reads →
-        outages) and stable-sorted by time, which — see the module
-        docstring — reproduces the scalar engine's ``(time, seq)``
-        firing order event for event. The single reserved sequence
-        block has the same total length as the scalar mode's four, so
+        Each kind is first ordered by stable time argsorts (outages by
+        ``lexsort((is_down, times))``: an UP precedes a DOWN at an equal
+        within-device time, as in ``Trace.network_transitions``), then
+        the kinds are concatenated in registration order and
+        stable-sorted by time, which — see the module docstring — keeps
+        every device's :func:`~repro.experiments.runner.
+        register_trace_streams` firing order. The single reserved
+        sequence block has the scalar mode's total length, so
         ``_seq_next`` (and with it every dynamic timer's tie-breaking)
         advances identically. Arrival classification (below-threshold /
         dead-on-arrival / live) is precomputed with vectorized masks;
@@ -285,24 +288,16 @@ class ShardBatchDispatcher:
             c_ranks = ccols.new_ranks[order]
             # Resolve each change's original arrival so the update
             # notification carries the publication fields the scalar
-            # runner copies from its ``originals`` map. Device-major
-            # event ids are normally ascending (contiguous per-device
-            # blocks); fall back to a dict for exotic traces.
+            # runner copies from its ``originals`` map. Event ids ascend
+            # across the slice (``build_fleet_workload`` numbers them in
+            # device-major order; ``shard`` and ``from_trace`` keep it).
             aeids = acols.event_ids
-            src = None
-            if aeids.size and bool(np.all(np.diff(aeids) > 0)):
-                pos = np.searchsorted(aeids, c_eids)
-                pos = np.minimum(pos, aeids.size - 1)
-                if np.array_equal(aeids[pos], c_eids):
-                    src = pos
-            if src is None:
-                index_of = {
-                    eid: i for i, eid in enumerate(aeids.tolist())
-                }
-                src = np.fromiter(
-                    (index_of[eid] for eid in c_eids.tolist()),
-                    dtype=np.int64,
-                    count=c_eids.size,
+            src = np.minimum(
+                np.searchsorted(aeids, c_eids), max(aeids.size - 1, 0)
+            )
+            if not (aeids.size and np.array_equal(aeids[src], c_eids)):
+                raise SimulationError(
+                    "fleet rank-change stream names an event with no arrival"
                 )
             c_devs = adev[src]
             c_pubs = acols.times[src]

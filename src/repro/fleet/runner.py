@@ -11,18 +11,16 @@ ClientDevice` pair and a ``SketchedStats`` — is built by
 for every binding of a shard that cannot run on rows alone, mid-run for
 the bindings whose events leave the batch pump's resident handlers.
 
-The shard replays **four fleet-wide merged streams** (arrivals, rank
-changes, reads, network transitions) rather than four streams per
-device: the engine's stream heap stays O(1) in the device count, so the
-per-event heap cost does not grow with fleet size. The merged streams
-are the per-device streams of :func:`~repro.experiments.runner.
-register_trace_streams` interleaved by timestamp with device-major,
-stable tie-breaking — devices never interact, so the interleaving
-cannot change any device's outcome, and the four streams register in
-the same relative order as the single-device runner. A one-device fleet
-therefore replays the exact event sequence of :func:`~repro.experiments.
-runner.run_scenario` on that device's trace, which the differential
-tests pin.
+The batch pump replays the shard as **one merged stream**
+(:mod:`repro.fleet.batch`), so the engine heap stays O(1) in the device
+count. The scalar oracle merges nothing: it registers each device's
+own trace, in local-id order, through :func:`~repro.experiments.runner.
+register_trace_streams` — the code :func:`~repro.experiments.runner.
+run_scenario` runs. Both reserve the same total sequence block and keep
+every device's own event order; only the order *between* devices at an
+equal time differs, which nothing shared observes. A one-device fleet
+therefore replays the exact event sequence of ``run_scenario`` on that
+device's trace, which the differential tests pin.
 
 The table (rows plus the materialized bindings' stats) folds into a
 :class:`~repro.metrics.streaming.FleetAccumulator` when the shard
@@ -32,8 +30,8 @@ so parent-side memory is O(shards) no matter how many devices run.
 A shard's fault spec (None = fault-free) is an argument; the only
 process-wide state it reads is :mod:`repro.obs`. Every shard runs
 through the batch pump; the scalar oracle the tests compare it against
-(every binding materialized at wiring, four scalar streams) is reached
-only through the private ``_execute_shard(..., use_batch=False)``.
+(every binding materialized at wiring) is reached only through the
+private ``_execute_shard(..., use_batch=False)``.
 
 Determinism across sharding: devices never interact (separate topics,
 links, fault plans hashed on the device's derived seed), so each
@@ -49,15 +47,14 @@ import gc
 import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from repro import obs
-from repro.broker.message import Notification
 from repro.errors import ConfigurationError
 from repro.experiments import parallel
-from repro.experiments.runner import wire_device
+from repro.experiments.runner import register_trace_streams, wire_device
 from repro.faults import FaultPlan, FaultSpec
 from repro.fleet.batch import ShardBatchDispatcher
 from repro.fleet.columns import FleetColumns, row_notification
@@ -70,7 +67,7 @@ from repro.proxy.proxy import LastHopProxy
 from repro.sim import trace_shm
 from repro.sim.engine import Simulator
 from repro.sim.rng import derive_seed
-from repro.types import DeliveryMode, EventId, NetworkStatus, PolicyKind, TopicId
+from repro.types import DeliveryMode, NetworkStatus, PolicyKind, TopicId
 
 
 def device_topic(device: int) -> TopicId:
@@ -130,16 +127,20 @@ def _execute_shard(
 
     :meth:`ShardWiring.materialize` wires a binding through the same
     :func:`~repro.experiments.runner.wire_device` that
-    :func:`~repro.experiments.runner.run_scenario` uses, and the merged
-    streams preserve each device's within-device event order, so a
-    device's statistics are identical whether it runs here — on its
+    :func:`~repro.experiments.runner.run_scenario` uses, and the pump's
+    merged stream preserves each device's within-device event order, so
+    a device's statistics are identical whether it runs here — on its
     row, on objects, or first one then the other — or through the
     single-device runner.
 
     ``use_batch=False`` runs the scalar oracle instead of the batch
-    pump: every binding materialized at wiring, every event on a scalar
-    callback. It exists for the differential tests, which pin both to
-    bit-identical outputs; no public entry point reaches it.
+    pump: every binding materialized at wiring, then each device's
+    :meth:`~repro.fleet.workload.FleetWorkload.device_trace` registered
+    through :func:`~repro.experiments.runner.register_trace_streams`, so
+    every event lands on a scalar callback exactly as in
+    :func:`~repro.experiments.runner.run_scenario`. It exists for the
+    differential tests, which pin both to bit-identical outputs; no
+    public entry point reaches it.
     """
     obs_ctx = obs.active()
     recorder = None if obs_ctx is None else obs_ctx.recorder
@@ -356,14 +357,15 @@ def _execute_shard_inner(
     if dispatcher is not None:
         dispatcher.register_streams()
     else:
-        _register_fleet_streams(
-            sim,
-            workload,
-            proxy,
-            cols.topics,
-            [device.perform_read for device in cols.clients],
-            [link.set_status for link in cols.links],
-        )
+        for index in range(n):
+            register_trace_streams(
+                sim,
+                workload.device_trace(index),
+                cols.topics[index],
+                proxy.on_notification,
+                cols.clients[index].perform_read,
+                cols.links[index].set_status,
+            )
 
     sim.run(until=workload.config.duration)
 
@@ -423,116 +425,6 @@ def _dismantle_shard(
             link._device = None
             device._proxy = None
     proxy._states.clear()
-
-
-def _register_fleet_streams(
-    sim: Simulator,
-    workload: FleetWorkload,
-    proxy: LastHopProxy,
-    topics: List[TopicId],
-    perform_reads: List,
-    set_statuses: List,
-) -> None:
-    """Register the shard's four merged trace streams.
-
-    Equivalent to calling :func:`~repro.experiments.runner.
-    register_trace_streams` per device, with all devices' items
-    interleaved by timestamp: the stable sorts keep each device's items
-    in within-device order, the streams register in the same arrivals →
-    rank-changes → reads → network order, and devices are independent,
-    so every device observes exactly its single-device event sequence.
-    The payoff is the engine heap: four stream cursors total instead of
-    four per device.
-    """
-    n = workload.devices
-    duration = workload.config.duration
-    on_notification = proxy.on_notification
-
-    acols = workload.arrivals
-    didx = np.repeat(np.arange(n), workload.arrival_counts)
-    order = np.argsort(acols.times, kind="stable")
-    originals: Dict[EventId, Notification] = {}
-    arrival_stream = []
-    append_arrival = arrival_stream.append
-    for d, time, event_id, rank, expires_at in zip(
-        didx[order].tolist(),
-        acols.times[order].tolist(),
-        acols.event_ids[order].tolist(),
-        acols.ranks[order].tolist(),
-        acols.expires_at[order].tolist(),
-    ):
-        notification = Notification(
-            event_id=EventId(event_id),
-            topic=topics[d],
-            rank=rank,
-            published_at=time,
-            # NaN != NaN: the only NaN in the column is the sentinel.
-            expires_at=None if expires_at != expires_at else expires_at,
-        )
-        originals[notification.event_id] = notification
-        append_arrival((time, on_notification, (notification,)))
-    sim.add_stream(arrival_stream)
-
-    ccols = workload.rank_changes
-    order = np.argsort(ccols.times, kind="stable")
-    change_stream = []
-    for time, event_id, new_rank in zip(
-        ccols.times[order].tolist(),
-        ccols.event_ids[order].tolist(),
-        ccols.new_ranks[order].tolist(),
-    ):
-        original = originals[EventId(event_id)]
-        update = Notification(
-            event_id=original.event_id,
-            topic=original.topic,
-            rank=new_rank,
-            published_at=original.published_at,
-            expires_at=original.expires_at,
-        )
-        change_stream.append((time, on_notification, (update,)))
-    sim.add_stream(change_stream)
-
-    rcols = workload.reads
-    ridx = np.repeat(np.arange(n), workload.read_counts)
-    order = np.argsort(rcols.times, kind="stable")
-    sim.add_stream(
-        [
-            (time, perform_reads[d], (topics[d], count))
-            for d, time, count in zip(
-                ridx[order].tolist(),
-                rcols.times[order].tolist(),
-                rcols.counts[order].tolist(),
-            )
-        ]
-    )
-
-    ocols = workload.outages
-    oidx = np.repeat(np.arange(n), workload.outage_counts)
-    # One DOWN per outage start, one UP per end that falls inside the
-    # run — the per-device edge rules of Trace.network_transitions. At
-    # an equal within-device timestamp an UP (previous interval's end)
-    # must precede a DOWN (next interval's start), hence the secondary
-    # sort key; cross-device order at equal times is immaterial.
-    ev_times = np.concatenate([ocols.starts, ocols.ends])
-    ev_dev = np.concatenate([oidx, oidx])
-    is_down = np.concatenate(
-        [np.ones(ocols.starts.size, bool), np.zeros(ocols.ends.size, bool)]
-    )
-    keep = np.ones(ev_times.size, dtype=bool)
-    keep[ocols.starts.size :] = ocols.ends < duration
-    ev_times, ev_dev, is_down = ev_times[keep], ev_dev[keep], is_down[keep]
-    order = np.lexsort((is_down, ev_times))
-    down, up = NetworkStatus.DOWN, NetworkStatus.UP
-    sim.add_stream(
-        [
-            (time, set_statuses[d], (down if goes_down else up,))
-            for time, d, goes_down in zip(
-                ev_times[order].tolist(),
-                ev_dev[order].tolist(),
-                is_down[order].tolist(),
-            )
-        ]
-    )
 
 
 def _execute_shard_from_shm(

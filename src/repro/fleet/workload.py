@@ -126,30 +126,12 @@ class FleetWorkload:
             raise ConfigurationError(
                 f"device index {index} outside slice of {self.devices}"
             )
-        a = self._stream_offsets("arrivals", self.arrival_counts)
-        r = self._stream_offsets("reads", self.read_counts)
-        o = self._stream_offsets("outages", self.outage_counts)
-        c = self._stream_offsets("changes", self.change_counts)
+        one = self.shard(index, index + 1)
         cols = TraceColumns(
-            arrivals=ArrivalColumns(
-                times=self.arrivals.times[a[index] : a[index + 1]],
-                event_ids=self.arrivals.event_ids[a[index] : a[index + 1]],
-                ranks=self.arrivals.ranks[a[index] : a[index + 1]],
-                expires_at=self.arrivals.expires_at[a[index] : a[index + 1]],
-            ),
-            reads=ReadColumns(
-                times=self.reads.times[r[index] : r[index + 1]],
-                counts=self.reads.counts[r[index] : r[index + 1]],
-            ),
-            outages=OutageColumns(
-                starts=self.outages.starts[o[index] : o[index + 1]],
-                ends=self.outages.ends[o[index] : o[index + 1]],
-            ),
-            rank_changes=RankChangeColumns(
-                times=self.rank_changes.times[c[index] : c[index + 1]],
-                event_ids=self.rank_changes.event_ids[c[index] : c[index + 1]],
-                new_ranks=self.rank_changes.new_ranks[c[index] : c[index + 1]],
-            ),
+            arrivals=one.arrivals,
+            reads=one.reads,
+            outages=one.outages,
+            rank_changes=one.rank_changes,
         )
         device = self.lo + index
         return Trace(

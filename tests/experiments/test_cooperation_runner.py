@@ -15,6 +15,7 @@ from repro.faults import PRESETS
 from repro.proxy.policies import PolicyConfig
 from repro.types import PolicyKind
 from repro.workload.outages import OutageConfig
+from repro.workload.ranks import RankChangeConfig
 from repro.workload.scenario import build_trace
 
 from tests.conftest import make_config
@@ -85,6 +86,18 @@ class TestRuns:
                 PolicyConfig.unified(),
                 CooperationConfig(adhoc_availability=2.0),
             )
+
+    def test_rank_changes_rejected(self):
+        """The group replay does not deliver rank changes, so a trace
+        carrying them would pair different inputs: it is refused."""
+        config = dataclasses.replace(
+            make_config(days=10.0),
+            rank_changes=RankChangeConfig(drop_fraction=0.2, boost_fraction=0.2),
+        )
+        trace = build_trace(config, seed=0)
+        assert trace.num_rank_changes > 0
+        with pytest.raises(ConfigurationError, match="rank changes"):
+            run_cooperative_scenario(trace, PolicyConfig.unified())
 
 
 @pytest.fixture(scope="module")

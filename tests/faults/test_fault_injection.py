@@ -157,13 +157,13 @@ class TestFaultPlan:
             FaultSpec(report_duplicate_rate=1.0), seed=2, duration=10.0
         )
         entries = [(10.0, 4), (20.0, 8)]
-        corrupted, injected = plan.corrupt_read_report("t", entries)
+        corrupted, injected = plan.corrupt_read_report(entries)
         assert injected == 2
         assert corrupted == entries + entries  # stale copies at the end
         clean_plan = FaultPlan.build(
             FaultSpec(loss_rate=0.1), seed=2, duration=10.0
         )
-        assert clean_plan.corrupt_read_report("t", entries) == (entries, 0)
+        assert clean_plan.corrupt_read_report(entries) == (entries, 0)
 
     def test_draws_are_pinned(self):
         """Hard-coded outcomes: any change to the hashed key string (or
@@ -193,9 +193,11 @@ class TestFaultPlan:
             for event_id, attempt in [(1, 1), (2, 1), (42, 3)]
         ] == [1.705294500459576, 0.7917410074256439, 1.6018733600546047]
         entries = [(10.0, 2), (250.5, 1), (3600.0, 4), (7200.25, 0)]
-        assert plan.corrupt_read_report("device/3", entries) == (
-            entries + [(10.0, 2), (3600.0, 4)],
-            2,
+        assert plan.corrupt_read_report(entries) == (entries, 0)
+        entries = [(0.0, 1), (1.0, 3), (60.0, 2), (86400.0, 5), (900.0, 1)]
+        assert plan.corrupt_read_report(entries) == (
+            entries + [(0.0, 1), (60.0, 2), (900.0, 1)],
+            3,
         )
 
 

@@ -36,6 +36,7 @@ from hypothesis import strategies as st
 
 import repro.fleet.runner as runner_mod
 from repro import faults
+from repro.errors import SimulationError
 from repro.experiments import fleet_cli, fleet_tune_cli
 from repro.experiments.fleet_sweep_cli import scenario_from_args
 from repro.fleet import FleetScenarioConfig, build_fleet_workload, run_fleet
@@ -210,6 +211,19 @@ class TestRichWorkloads:
             spec=faults.FaultSpec.parse("chaos"),
         )
         _assert_identical(batch, scalar)
+
+    def test_change_without_its_arrival_is_rejected(self):
+        """A rank change whose event id names no arrival of the slice
+        cannot be resolved, and the pump says so before it runs."""
+        workload = build_fleet_workload(_rich_config(devices=10))
+        changes = workload.rank_changes
+        assert changes.event_ids.size
+        workload.rank_changes = changes._replace(
+            event_ids=changes.event_ids + workload.arrivals.event_ids.max() + 1
+        )
+        with pytest.raises(SimulationError, match="no arrival"):
+            _execute_shard(workload, PolicyConfig.unified())
+
 
 class TestPartitioning:
     """Sharding and worker pools compose with the pump transparently."""

@@ -16,21 +16,49 @@ from repro.experiments import fleet_cli
 from repro.experiments.runner import run_scenario
 from repro.faults import PRESETS, FaultPlan
 from repro.fleet import FleetScenarioConfig, build_fleet_workload, run_fleet
-from repro.fleet.runner import device_topic
+from repro.fleet.runner import _execute_shard, device_topic
+from repro.metrics.streaming import FleetAccumulator
 from repro.proxy.policies import PolicyConfig
 from repro.sim.rng import derive_seed
 from repro.units import DAY
+from repro.workload.arrivals import ArrivalConfig
+from repro.workload.outages import OutageConfig
+from repro.workload.reads import ReadConfig
+
+
+#: Every integer RunStats counter a fleet signature carries.
+INT_COUNTERS = sorted(FleetAccumulator().signature()["int_counters"])
+
+
+def _per_device_sum(workload, policy, spec):
+    """The accumulator of ``run_scenario`` over each device's own trace,
+    each on the single-device runner's default topic."""
+    acc = FleetAccumulator()
+    for index in range(workload.devices):
+        single = run_scenario(
+            workload.device_trace(index),
+            policy,
+            threshold=workload.config.threshold,
+            faults=spec,
+        )
+        acc.add_device(
+            single.stats, single.final_proxy_queued, single.final_device_queued
+        )
+        acc.events_processed += single.events_processed
+    return acc
 
 
 class TestOneDeviceFaultDifferential:
+    @pytest.mark.parametrize(
+        "policy", [PolicyConfig.unified(), PolicyConfig.rate()], ids=["unified", "rate"]
+    )
     @pytest.mark.parametrize("preset", ["lossy", "chaos"])
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_matches_run_scenario_under_faults(self, preset, seed):
+    def test_matches_run_scenario_under_faults(self, policy, preset, seed):
         """Same derived seed -> same plan -> bit-identical metrics."""
         spec = PRESETS[preset]
         config = FleetScenarioConfig(devices=1, duration=2 * DAY, seed=seed)
         workload = build_fleet_workload(config)
-        policy = PolicyConfig.unified()
 
         fleet = run_fleet(config, policy, faults=spec)
         single = run_scenario(workload.device_trace(0), policy, faults=spec)
@@ -38,12 +66,51 @@ class TestOneDeviceFaultDifferential:
         acc, stats = fleet.accumulator, single.stats
         assert acc.forwarded == stats.forwarded
         assert acc.messages_read == stats.messages_read
-        assert acc.counters["delivery_drops"] == stats.delivery_drops
-        assert acc.counters["duplicates_delivered"] == stats.duplicates_delivered
-        assert acc.counters["proxy_crashes"] == stats.proxy_crashes
-        assert acc.counters["lost_in_crash"] == stats.lost_in_crash
+        for name in INT_COUNTERS:
+            assert acc.counters[name] == getattr(stats, name), name
         assert acc.counters["read_delay_sum"] == stats.read_delay_sum
         assert acc.events_processed == single.events_processed
+
+
+class TestShardIsPerDeviceReplays:
+    """An N-device shard is N single-device runs: its integer counters,
+    event count and final queues are the sums of ``run_scenario`` over
+    each device's own trace, whatever the fleet around a device — under
+    faults that corrupt read reports too."""
+
+    @pytest.mark.parametrize("preset", [None, "lossy", "chaos"])
+    @pytest.mark.parametrize(
+        "policy",
+        [PolicyConfig.unified(), PolicyConfig.rate(), PolicyConfig.buffer(4)],
+        ids=["unified", "rate", "buffer"],
+    )
+    def test_shard_counters_are_per_device_sums(self, policy, preset):
+        spec = None if preset is None else PRESETS[preset]
+        config = FleetScenarioConfig(
+            devices=12,
+            duration=3 * DAY,
+            seed=3,
+            arrivals=ArrivalConfig(events_per_day=32),
+            reads=ReadConfig(reads_per_day=4),
+            outages=OutageConfig(downtime_fraction=0.3),
+        )
+        workload = build_fleet_workload(config)
+        expected = _per_device_sum(workload, policy, spec).signature()
+        for use_batch in (True, False):
+            got = _execute_shard(workload, policy, spec, use_batch).signature()
+            for key in (
+                "devices",
+                "events_processed",
+                "forwarded",
+                "messages_read",
+                "wasted",
+                "final_proxy_queued",
+                "final_device_queued",
+                "int_counters",
+            ):
+                assert got[key] == expected[key], (use_batch, key)
+        if preset == "chaos":
+            assert expected["int_counters"]["report_entries_corrupted"] > 0
 
 
 class TestPerDevicePlans:

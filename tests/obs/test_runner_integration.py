@@ -9,6 +9,10 @@ phases, and a disabled configuration changes nothing about the outcome.
 import pytest
 
 from repro import obs
+from repro.experiments.cooperation import (
+    CooperationConfig,
+    run_cooperative_scenario,
+)
 from repro.experiments.runner import (
     clear_baseline_cache,
     run_paired_config,
@@ -78,3 +82,40 @@ class TestProbedRun:
         counters = summary["counters"]
         assert counters["runs"] == 2  # baseline + variant
         assert counters["events"] > 0
+
+
+class TestCooperativeRun:
+    """The cooperative runner observes like ``run_scenario``: every
+    proxy of the group records and is audited, and the probes count it."""
+
+    def test_every_proxy_is_audited_and_recorded(self):
+        ctx = obs.configure(
+            obs.ObsConfig(audit_interval=1, trace_capacity=100_000, probes=True)
+        )
+        trace = build_trace(make_config(days=5.0), seed=0)
+        result = run_cooperative_scenario(
+            trace, PolicyConfig.unified(), CooperationConfig(n_peers=2)
+        )
+        assert ctx.auditor.transitions > 0
+        assert ctx.auditor.audits == ctx.auditor.transitions
+        forwards = [
+            r for r in ctx.recorder.records() if type(r).kind == "forward"
+        ]
+        assert len(forwards) == result.stats.pushed + result.stats.pulled
+        counters = obs.summarize_obs()["counters"]
+        assert counters["runs"] == 1
+        assert counters["events"] == result.events_processed
+
+    def test_observability_does_not_change_the_outcome(self):
+        trace = build_trace(make_config(days=5.0), seed=0)
+        cooperation = CooperationConfig(n_peers=2)
+        plain = run_cooperative_scenario(trace, PolicyConfig.unified(), cooperation)
+        obs.configure(
+            obs.ObsConfig(audit_interval=1, trace_capacity=1024, probes=True)
+        )
+        observed = run_cooperative_scenario(
+            trace, PolicyConfig.unified(), cooperation
+        )
+        assert observed.stats == plain.stats
+        assert observed.borrowed == plain.borrowed
+        assert observed.events_processed == plain.events_processed
