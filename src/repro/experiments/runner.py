@@ -1,8 +1,9 @@
 """Scenario execution.
 
-``run_scenario`` replays one frozen :class:`~repro.sim.trace.Trace` into
-a fully wired simulator — proxy, last-hop link, device — under a given
-forwarding policy. ``run_paired`` executes the paper's methodology: the
+``run_scenario`` replays one frozen :class:`~repro.sim.trace.Trace`
+under a given forwarding policy, as a one-device fleet shard: the
+device is a row of the shard's binding table until an event needs its
+proxy/link/device objects. ``run_paired`` executes the paper's methodology: the
 same trace under the on-line baseline and under the policy, yielding the
 waste/loss pair.
 
@@ -63,11 +64,13 @@ def register_trace_streams(
     the same FIFO sequence numbers that per-record schedule_at calls in
     this order would get.
 
-    This is the only scalar trace replay: the fleet's scalar oracle
-    calls it once per device of a shard, and the fleet's batch pump
-    (:mod:`repro.fleet.batch`) merges these same four streams across
-    devices in the same order, so a fleet device replays its trace with
-    exactly the event ordering of :func:`run_scenario`. Returns the id →
+    This is the only scalar trace replay, and the fleet's scalar oracle
+    (``_execute_shard(..., use_batch=False)`` and its one-device form,
+    the reference :func:`run_scenario` is tested against) is its one
+    caller: once per device of a shard. The batch pump
+    (:mod:`repro.fleet.batch`), which :func:`run_scenario` runs, merges
+    these same four streams across devices in the same order, so both
+    replay a device's trace with one event ordering. Returns the id →
     original Notification map (the rank-change stream closes over it).
     """
     cols = trace.columns
@@ -202,12 +205,33 @@ def run_scenario(
     trace: Trace,
     policy: PolicyConfig,
     threshold: float = 0.0,
-    topic: TopicId = DEFAULT_TOPIC,
     topic_type: TopicType = TopicType.ON_DEMAND,
     schedule: Optional[DeliverySchedule] = None,
     faults: Optional[FaultSpec] = None,
 ) -> RunResult:
     """Replay ``trace`` under ``policy`` and return the run's statistics.
+
+    The run is a one-device fleet shard
+    (:func:`repro.fleet.runner._run_device_shard`): the batch pump over
+    one row of the binding table, whose resident handlers cost a few
+    calls per event against the object path's dozens. What the row
+    cannot express escapes through the shard's own materialization onto
+    the proxy/link/device objects, on the same code path:
+
+    * an expiring arrival (the row arms no expiration timer), at the
+      first one — Figs. 4–6;
+    * a rank change (it resolves against the proxy's history), at
+      wiring — ablation-delay;
+    * a RATE arrival (the row has no credit line), at the first one;
+    * observers (``--audit``, ``--trace-out``) and crash specs, at
+      wiring;
+    * an ON-LINE topic type or a delivery schedule, at wiring —
+      ablation-schedule.
+
+    The result is the scalar oracle's field for field — the identity
+    sets, the bits of ``read_delay_sum``, ``events_processed`` and both
+    final queues — which the differential tests pin. The binding is the
+    shard's device 0, so trace records name its topic ``device/0``.
 
     ``threshold`` is the subscription's qualitative limit, applied both
     at the proxy (rank filtering) and at the device (read filtering).
@@ -219,47 +243,25 @@ def run_scenario(
     the simulated outcome, only raises on a violated invariant.
 
     ``faults`` injects last-hop loss/duplication/jitter, proxy crashes,
-    and read-report corruption per :mod:`repro.faults`; None runs
-    fault-free. A null spec realizes to no plan at all, so it is
-    byte-identical to passing None.
+    and read-report corruption per :mod:`repro.faults`, realized from
+    the trace's seed (:func:`trace_seed`); None runs fault-free. A null
+    spec realizes to no plan at all, so it is byte-identical to passing
+    None.
     """
+    # repro.fleet.runner imports this module at import time, so the
+    # fleet imports stay inside the function (as in
+    # parallel.run_fleet_policy_batch).
+    from repro.fleet.runner import _run_device_shard
+    from repro.fleet.workload import FleetWorkload
+
     policy.validate()
-    obs_ctx = obs.active()
-    probes = obs.PROBES
-    probes.count("runs")
-    plan = FaultPlan.build(
-        faults, seed=trace_seed(trace), duration=trace.duration
-    )
-    recorder = None if obs_ctx is None else obs_ctx.recorder
-    sim = Simulator()
-    stats = RunStats()
-    proxy = LastHopProxy(
-        sim,
+    obs.PROBES.count("runs")
+    return _run_device_shard(
+        FleetWorkload.from_traces([trace], threshold),
         policy,
-        recorder=recorder,
-        auditor=None if obs_ctx is None else obs_ctx.auditor,
-    )
-    link, device, _ = wire_device(
-        sim, proxy, topic, threshold, stats, plan, recorder,
-        topic_type=topic_type, schedule=schedule,
-    )
-
-    register_trace_streams(
-        sim, trace, topic, proxy.on_notification, device.perform_read, link.set_status
-    )
-
-    try:
-        sim.run(until=trace.duration)
-    finally:
-        probes.count("events", sim.events_processed)
-
-    return RunResult(
-        stats=stats,
-        policy=policy,
-        events_processed=sim.events_processed,
-        # A crash/restart replaces the binding's state, so look it up.
-        final_proxy_queued=proxy.topic_state(topic).queued_event_count(),
-        final_device_queued=device.queue_size(topic),
+        faults,
+        topic_type=topic_type,
+        schedule=schedule,
     )
 
 

@@ -87,9 +87,11 @@ arrival (it would arm the expiration timer, which a row does not
 schedule), and a faulted row's queued arrival or offline read.
 Bindings that can never take a resident handler are materialized by the
 runner at wiring, before the streams register: all of them when the
-shard cannot keep rows (below), and those whose input carries a rank
-change (a change resolves against the durable history of earlier
-arrivals, which a row does not keep). Materializing mid-run schedules
+shard cannot keep rows (below) or its bindings are not the ON-DEMAND,
+unscheduled kind the row models (a ``run_scenario`` topic type or
+delivery schedule), and those whose input carries a rank change (a
+change resolves against the durable history of earlier arrivals, which
+a row does not keep). Materializing mid-run schedules
 nothing and reserves no sequence number — held and queued entries never
 expire, crash plans, the only wiring step that arms timers, exist only
 in shards materialized at wiring, and a row's in-flight and delay
@@ -105,6 +107,10 @@ binding at wiring and registers each device's trace through
 bit-identical :class:`~repro.metrics.streaming.FleetAccumulator` integer
 counters, float sums, and sketch buckets for any policy, fault preset,
 and seed, and whichever subset of bindings is materialized, whenever.
+On one device — :func:`~repro.experiments.runner.run_scenario`, whose
+rows also record the ids they read — the two return the same
+``RunResult`` field for field
+(``tests/experiments/test_scenario_on_rows.py``).
 """
 
 from __future__ import annotations
@@ -288,18 +294,25 @@ class ShardBatchDispatcher:
             c_ranks = ccols.new_ranks[order]
             # Resolve each change's original arrival so the update
             # notification carries the publication fields the scalar
-            # runner copies from its ``originals`` map. Event ids ascend
-            # across the slice (``build_fleet_workload`` numbers them in
-            # device-major order; ``shard`` and ``from_trace`` keep it).
-            aeids = acols.event_ids
-            src = np.minimum(
-                np.searchsorted(aeids, c_eids), max(aeids.size - 1, 0)
+            # runner copies from its ``originals`` map. The lookup key
+            # is (device, event id): ids are unique within a device but
+            # need not ascend (a hand-written trace) or be unique across
+            # devices (``FleetWorkload.from_traces``).
+            c_devs = np.repeat(np.arange(n), wl.change_counts)[order]
+            ids, index = np.unique(
+                np.concatenate([acols.event_ids, c_eids]), return_inverse=True
             )
-            if not (aeids.size and np.array_equal(aeids[src], c_eids)):
+            a_keys = adev * ids.size + index[: adev.size]
+            c_keys = c_devs * ids.size + index[adev.size :]
+            by_key = np.argsort(a_keys, kind="stable")
+            pos = np.searchsorted(a_keys, c_keys, sorter=by_key)
+            if not (pos < a_keys.size).all() or not np.array_equal(
+                a_keys[by_key[pos]], c_keys
+            ):
                 raise SimulationError(
                     "fleet rank-change stream names an event with no arrival"
                 )
-            c_devs = adev[src]
+            src = by_key[pos]
             c_pubs = acols.times[src]
             c_exps = acols.expires_at[src]
         else:
@@ -325,8 +338,10 @@ class ShardBatchDispatcher:
         is_down = np.concatenate(
             [np.ones(ocols.starts.size, bool), np.zeros(ocols.ends.size, bool)]
         )
-        keep = np.ones(ev_times.size, dtype=bool)
-        keep[ocols.starts.size :] = ocols.ends < duration
+        # Trace.network_transitions' clamp: nothing of an outage that
+        # starts at or after the end of the run, and no UP at or after it.
+        down = ocols.starts < duration
+        keep = np.concatenate([down, down & (ocols.ends < duration)])
         ev_times, ev_dev, is_down = ev_times[keep], ev_dev[keep], is_down[keep]
         order = np.lexsort((is_down, ev_times))
         o_times = ev_times[order]
@@ -400,6 +415,7 @@ class ShardBatchDispatcher:
         outage_reads = cols.outage_reads
         empty_reads = cols.empty_reads
         consumed = cols.consumed
+        read_ids = cols.read_ids
         delay_sums = cols.read_delay_sum
         old_reads = cols.old_reads
         old_times = cols.old_times
@@ -628,6 +644,8 @@ class ShardBatchDispatcher:
                                 push_moments(age)
                             delay_sums[d] = total
                             consumed[d] += len(taken)
+                            if read_ids is not None:
+                                read_ids[d].extend([entry[2] for entry in taken])
                         else:
                             empty_reads[d] += 1
                         i += 1

@@ -47,9 +47,15 @@ still escape — so its ``proxy_queue`` / ``read_log`` stay None.
 
 The row's counts keep what happened *while resident*; after
 materialization the binding's ``SketchedStats`` counts what happens
-next and the fold adds the two (``FleetAccumulator.add_shard``). The
-one float, ``read_delay_sum``, is instead carried over into the stats
-object so its per-device left-to-right association never splits.
+next and the fold adds the two (``FleetAccumulator.add_shard``, or
+``device_stats`` for one binding). The one float, ``read_delay_sum``,
+is instead carried over into the stats object so its per-device
+left-to-right association never splits. A table built with
+``read_ids=True`` — the one-device shard behind ``run_scenario``, whose
+§3.1 loss compares identity sets — also keeps the ids each row read;
+its forwarded ids are then those plus the ids it holds or has not
+landed, since nothing else leaves a row. A fleet campaign's table
+keeps no ids.
 
 Per-item columns are Python lists / ``bytearray`` rather than numpy
 arrays: the pump reads them one element at a time, and every
@@ -110,6 +116,7 @@ class FleetColumns:
         "inflight",
         "parked",
         "plans",
+        "read_ids",
     ) + DELIVERY_FAULT_FIELDS
 
     #: Payload bytes of every forward a resident row counts: the
@@ -123,6 +130,7 @@ class FleetColumns:
         initial_prefetch_limit: int,
         faulted: bool = False,
         online: bool = False,
+        read_ids: bool = False,
     ) -> None:
         n = devices
         self.devices = n
@@ -205,6 +213,12 @@ class FleetColumns:
         #: One count column per ``DELIVERY_FAULT_FIELDS`` name.
         for name in DELIVERY_FAULT_FIELDS:
             setattr(self, name, [0] * n if faulted else None)
+
+        #: Event ids the user read while the row was resident, in read
+        #: order — kept only for a caller that needs the identity sets
+        #: (``device_stats`` in :mod:`repro.metrics.streaming`); None in
+        #: a fleet campaign, whose fold needs only the counts.
+        self.read_ids: Optional[List] = [[] for _ in range(n)] if read_ids else None
 
     @property
     def materialized_share(self) -> float:
@@ -290,6 +304,11 @@ class FleetColumns:
             violations.append(
                 f"device {d}: queue_size estimate {self.queue_size[d]} "
                 f"below the {held} notifications held"
+            )
+        if self.read_ids is not None and len(self.read_ids[d]) != self.consumed[d]:
+            violations.append(
+                f"device {d}: {len(self.read_ids[d])} read ids for "
+                f"{self.consumed[d]} read"
             )
         reads = self.reads[d]
         if self.empty_reads[d] > reads or self.outage_reads[d] > reads:

@@ -15,12 +15,13 @@ The batch pump replays the shard as **one merged stream**
 (:mod:`repro.fleet.batch`), so the engine heap stays O(1) in the device
 count. The scalar oracle merges nothing: it registers each device's
 own trace, in local-id order, through :func:`~repro.experiments.runner.
-register_trace_streams` — the code :func:`~repro.experiments.runner.
-run_scenario` runs. Both reserve the same total sequence block and keep
-every device's own event order; only the order *between* devices at an
-equal time differs, which nothing shared observes. A one-device fleet
-therefore replays the exact event sequence of ``run_scenario`` on that
-device's trace, which the differential tests pin.
+register_trace_streams`. Both reserve the same total sequence block and
+keep every device's own event order; only the order *between* devices
+at an equal time differs, which nothing shared observes.
+:func:`~repro.experiments.runner.run_scenario` is this shard with one
+device (:func:`_run_device_shard`), so a fleet device and a
+single-device run replay one event sequence, which the differential
+tests pin against the oracle.
 
 The table (rows plus the materialized bindings' stats) folds into a
 :class:`~repro.metrics.streaming.FleetAccumulator` when the shard
@@ -47,27 +48,27 @@ import gc
 import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.errors import ConfigurationError
 from repro.experiments import parallel
-from repro.experiments.runner import register_trace_streams, wire_device
+from repro.experiments.runner import RunResult, register_trace_streams, wire_device
 from repro.faults import FaultPlan, FaultSpec
 from repro.fleet.batch import ShardBatchDispatcher
 from repro.fleet.columns import FleetColumns, row_notification
 from repro.fleet.config import FleetScenarioConfig
 from repro.fleet.workload import FleetWorkload, build_fleet_workload
-from repro.metrics.streaming import FleetAccumulator, SketchedStats
+from repro.metrics.streaming import FleetAccumulator, SketchedStats, device_stats
 from repro.proxy.policies import PolicyConfig
 from repro.proxy.prefetch import BufferPrefetcher
 from repro.proxy.proxy import LastHopProxy
+from repro.proxy.schedule import DeliverySchedule
 from repro.sim import trace_shm
 from repro.sim.engine import Simulator
-from repro.sim.rng import derive_seed
-from repro.types import DeliveryMode, NetworkStatus, PolicyKind, TopicId
+from repro.types import DeliveryMode, NetworkStatus, PolicyKind, TopicId, TopicType
 
 
 def device_topic(device: int) -> TopicId:
@@ -126,31 +127,69 @@ def _execute_shard(
     """Run one shard's devices on one simulator; fold into an accumulator.
 
     :meth:`ShardWiring.materialize` wires a binding through the same
-    :func:`~repro.experiments.runner.wire_device` that
-    :func:`~repro.experiments.runner.run_scenario` uses, and the pump's
-    merged stream preserves each device's within-device event order, so
-    a device's statistics are identical whether it runs here — on its
-    row, on objects, or first one then the other — or through the
-    single-device runner.
+    :func:`~repro.experiments.runner.wire_device` the scalar oracle
+    uses, and the pump's merged stream preserves each device's
+    within-device event order, so a device's statistics are identical
+    whether it runs on its row, on objects, or first one then the other
+    — and :func:`~repro.experiments.runner.run_scenario` is this shard
+    with one device (:func:`_run_device_shard`).
 
     ``use_batch=False`` runs the scalar oracle instead of the batch
     pump: every binding materialized at wiring, then each device's
     :meth:`~repro.fleet.workload.FleetWorkload.device_trace` registered
     through :func:`~repro.experiments.runner.register_trace_streams`, so
-    every event lands on a scalar callback exactly as in
-    :func:`~repro.experiments.runner.run_scenario`. It exists for the
+    every event lands on a scalar callback. It exists for the
     differential tests, which pin both to bit-identical outputs; no
     public entry point reaches it.
     """
-    obs_ctx = obs.active()
-    recorder = None if obs_ctx is None else obs_ctx.recorder
-    auditor = None if obs_ctx is None else obs_ctx.auditor
     obs.PROBES.count("fleet-shards")
-
     with _bulk_allocation():
-        return _execute_shard_inner(
-            workload, policy, fault_spec, recorder, auditor, use_batch
-        )
+        acc, sim, proxy, cols = _run_shard(workload, policy, fault_spec, use_batch)
+        acc.add_shard(cols, *_final_queues(proxy, cols))
+        acc.events_processed = sim.events_processed
+        _dismantle_shard(sim, proxy, cols)
+        # Free the shard while the collector is still off: the frees
+        # offset the allocations it counted, so turning it back on does
+        # not start a collection over a heap about to be dropped.
+        del sim, proxy, cols
+    return acc
+
+
+def _run_device_shard(
+    workload: FleetWorkload,
+    policy: PolicyConfig,
+    fault_spec: Optional[FaultSpec] = None,
+    *,
+    topic_type: TopicType = TopicType.ON_DEMAND,
+    schedule: Optional[DeliverySchedule] = None,
+    use_batch: bool = True,
+) -> RunResult:
+    """Run a one-device workload as a shard and report its device.
+
+    This is :func:`~repro.experiments.runner.run_scenario`'s one code
+    path. The row records the ids it reads, so device 0's
+    :class:`~repro.metrics.accounting.RunStats` — identity sets included
+    — comes out of :func:`~repro.metrics.streaming.device_stats`. A
+    topic type other than ON-DEMAND or a delivery schedule is wired into
+    the binding, which then materializes at wiring: the row models
+    neither. It is no ``fleet-shards`` probe, and the collector stays
+    on (one device allocates little). ``use_batch=False`` gives the
+    scalar oracle the differential tests compare it against.
+    """
+    acc, sim, proxy, cols = _run_shard(
+        workload, policy, fault_spec, use_batch,
+        read_ids=True, topic_type=topic_type, schedule=schedule,
+    )
+    proxy_queued, device_queued = _final_queues(proxy, cols)
+    result = RunResult(
+        stats=device_stats(cols, 0),
+        policy=policy,
+        events_processed=sim.events_processed,
+        final_proxy_queued=proxy_queued,
+        final_device_queued=device_queued,
+    )
+    _dismantle_shard(sim, proxy, cols)
+    return result
 
 
 class ShardWiring:
@@ -167,7 +206,10 @@ class ShardWiring:
     row timer otherwise (:mod:`repro.fleet.batch` lists the escapes).
     """
 
-    __slots__ = ("sim", "proxy", "acc", "workload", "cols", "spec", "recorder")
+    __slots__ = (
+        "sim", "proxy", "acc", "workload", "cols", "spec", "recorder",
+        "topic_type", "schedule",
+    )
 
     def __init__(
         self,
@@ -178,6 +220,8 @@ class ShardWiring:
         cols: FleetColumns,
         spec: Optional[FaultSpec],
         recorder,
+        topic_type: TopicType,
+        schedule: Optional[DeliverySchedule],
     ) -> None:
         self.sim = sim
         self.proxy = proxy
@@ -188,6 +232,9 @@ class ShardWiring:
         #: which every device realizes its own plan (:meth:`plan`).
         self.spec = spec
         self.recorder = recorder
+        #: Every binding's topic type and delivery schedule.
+        self.topic_type = topic_type
+        self.schedule = schedule
 
     def plan(self, index: int) -> FaultPlan:
         """Binding ``index``'s fault plan under the shard's spec, realized
@@ -195,11 +242,9 @@ class ShardWiring:
         plans = self.cols.plans
         plan = plans[index]
         if plan is None:
-            config = self.workload.config
+            workload = self.workload
             plan = plans[index] = FaultPlan.realize(
-                self.spec,
-                derive_seed(config.seed, f"device-{self.workload.lo + index}"),
-                config.duration,
+                self.spec, workload.fault_seed(index), workload.config.duration
             )
         return plan
 
@@ -245,7 +290,8 @@ class ShardWiring:
         )
         topic = device_topic(device_id)
         link, device, state = wire_device(
-            sim, proxy, topic, config.threshold, stats, plan, self.recorder
+            sim, proxy, topic, config.threshold, stats, plan, self.recorder,
+            topic_type=self.topic_type, schedule=self.schedule,
         )
 
         if not cols.network[index]:
@@ -304,14 +350,21 @@ class ShardWiring:
         cols.resident[index] = 0
 
 
-def _execute_shard_inner(
+def _run_shard(
     workload: FleetWorkload,
     policy: PolicyConfig,
     spec: Optional[FaultSpec],
-    recorder,
-    auditor,
     use_batch: bool,
-) -> FleetAccumulator:
+    *,
+    read_ids: bool = False,
+    topic_type: TopicType = TopicType.ON_DEMAND,
+    schedule: Optional[DeliverySchedule] = None,
+) -> Tuple[FleetAccumulator, Simulator, LastHopProxy, FleetColumns]:
+    """Wire one shard and run it to the end of its workload; the caller
+    folds the table and dismantles the shard."""
+    obs_ctx = obs.active()
+    recorder = None if obs_ctx is None else obs_ctx.recorder
+    auditor = None if obs_ctx is None else obs_ctx.auditor
     acc = FleetAccumulator()
     sim = Simulator()
     proxy = LastHopProxy(sim, policy, recorder=recorder, auditor=auditor)
@@ -325,8 +378,11 @@ def _execute_shard_inner(
         BufferPrefetcher(policy).limit_for(None),
         faulted=spec is not None,
         online=policy.kind is PolicyKind.ONLINE,
+        read_ids=read_ids,
     )
-    wiring = ShardWiring(sim, proxy, acc, workload, cols, spec, recorder)
+    wiring = ShardWiring(
+        sim, proxy, acc, workload, cols, spec, recorder, topic_type, schedule
+    )
 
     # Wiring: materialize now whatever can never take a resident
     # handler. Local-id order, before any stream registers — crash
@@ -347,9 +403,14 @@ def _execute_shard_inner(
             recorder=recorder,
             auditor=auditor,
         )
-        if dispatcher.keeps_rows:
-            # A rank change resolves against the durable history of the
-            # binding's earlier arrivals, which a row does not keep.
+        if (
+            dispatcher.keeps_rows
+            and topic_type is TopicType.ON_DEMAND
+            and schedule is None
+        ):
+            # The row models the default binding. A rank change resolves
+            # against the durable history of the binding's earlier
+            # arrivals, which a row does not keep.
             eager = np.flatnonzero(workload.change_counts).tolist()
     for index in eager:
         wiring.materialize(index)
@@ -367,16 +428,24 @@ def _execute_shard_inner(
                 cols.links[index].set_status,
             )
 
-    sim.run(until=workload.config.duration)
+    try:
+        sim.run(until=workload.config.duration)
+    finally:
+        obs.PROBES.count("events", sim.events_processed)
+    return acc, sim, proxy, cols
 
-    # Final-queue sweep over the materialized bindings: equivalent to
-    # ``topic_state(t).queued_event_count()`` / ``device.queue_size(t)``
-    # but reading the ranked queues' membership dicts directly — at 10k+
-    # bindings the method hops are a measurable slice of the fold. A
-    # resident binding has its row's ``proxy_queue`` at the proxy and
-    # holds its row's ``held``.
-    acc.add_shard(
-        cols,
+
+def _final_queues(proxy: LastHopProxy, cols: FleetColumns) -> Tuple[int, int]:
+    """What the shard's proxy and devices still queue at the end.
+
+    Equivalent to summing ``topic_state(t).queued_event_count()`` /
+    ``device.queue_size(t)`` over the materialized bindings, but
+    reading the ranked queues' membership dicts directly — at 10k+
+    bindings the method hops are a measurable slice of the fold. A
+    resident binding has its row's ``proxy_queue`` at the proxy and
+    holds its row's ``held``.
+    """
+    return (
         sum(
             len(st.outgoing._items)
             + len(st.prefetch._items)
@@ -391,10 +460,6 @@ def _execute_shard_inner(
         )
         + sum(len(held) for held in cols.held if held),
     )
-    acc.events_processed = sim.events_processed
-    obs.PROBES.count("events", sim.events_processed)
-    _dismantle_shard(sim, proxy, cols)
-    return acc
 
 
 def _dismantle_shard(

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,6 +93,9 @@ class FleetWorkload:
     change_counts: np.ndarray
     #: Per-device volume limit (the subscription Max).
     limits: np.ndarray
+    #: Per-device fault-plan seeds when they are not derived from
+    #: ``config.seed`` (:meth:`from_traces`); see :meth:`fault_seed`.
+    fault_seeds: Optional[List[int]] = None
     _offset_cache: Dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
     # ------------------------------------------------------------------
@@ -113,15 +116,21 @@ class FleetWorkload:
             + self.change_counts.sum()
         )
 
-    def device_trace(self, index: int) -> Trace:
-        """The :class:`Trace` of one device (local ``index`` in the slice).
+    def fault_seed(self, index: int) -> int:
+        """The seed local device ``index`` realizes its fault plan from.
 
-        The metadata carries the device's derived fault seed
-        (``derive_seed(config.seed, "device-<d>")``), so
-        :class:`~repro.faults.FaultPlan` realizations hash on the device
-        identity — independent of shard layout and of every other
-        device.
+        ``derive_seed(config.seed, "device-<d>")`` for global device
+        ``d``, so :class:`~repro.faults.FaultPlan` realizations hash on
+        the device identity — independent of shard layout and of every
+        other device; a :meth:`from_traces` device keeps its trace's.
         """
+        if self.fault_seeds is not None:
+            return self.fault_seeds[index]
+        return derive_seed(self.config.seed, f"device-{self.lo + index}")
+
+    def device_trace(self, index: int) -> Trace:
+        """The :class:`Trace` of one device (local ``index`` in the slice);
+        its metadata carries the device's :meth:`fault_seed`."""
         if not 0 <= index < self.devices:
             raise ConfigurationError(
                 f"device index {index} outside slice of {self.devices}"
@@ -138,7 +147,7 @@ class FleetWorkload:
             duration=self.config.duration,
             columns=cols,
             metadata={
-                "seed": derive_seed(self.config.seed, f"device-{device}"),
+                "seed": self.fault_seed(index),
                 "device": device,
                 "max_per_read": int(self.limits[index]),
                 "threshold": self.config.threshold,
@@ -183,6 +192,69 @@ class FleetWorkload:
             ),
             change_counts=self.change_counts[lo:hi],
             limits=self.limits[lo:hi],
+            fault_seeds=(
+                None if self.fault_seeds is None else self.fault_seeds[lo:hi]
+            ),
+        )
+
+    @classmethod
+    def from_traces(
+        cls, traces: Sequence[Trace], threshold: float = 0.0
+    ) -> "FleetWorkload":
+        """Stack single-device traces as the devices of one workload.
+
+        Device ``d`` replays ``traces[d]`` the way the single-device
+        runner replays it: every binding filters at ``threshold``, the
+        run lasts the traces' common duration, and the fault plan draws
+        on the seed the trace carries (``trace.metadata["seed"]``, 0 if
+        none — :func:`~repro.experiments.runner.trace_seed`). Each
+        trace's event ids stay as they are: the batch pump resolves a
+        rank change within its own device, so ids need neither ascend
+        nor differ across traces. The config carries only what a shard
+        reads (device count, duration, threshold); the volume limit is
+        the largest read count.
+        """
+        durations = {trace.duration for trace in traces}
+        if len(durations) != 1:
+            raise ConfigurationError(
+                f"from_traces needs traces of one duration, got {sorted(durations)}"
+            )
+        (duration,) = durations
+        per_trace = [trace.columns for trace in traces]
+        streams = [
+            type(kind[0])(
+                *(
+                    parts[0] if len(parts) == 1 else np.concatenate(parts)
+                    for parts in zip(*kind)
+                )
+            )
+            for kind in zip(*per_trace)
+        ]
+        counts = [
+            np.array([stream[0].size for stream in kind], dtype=np.int64)
+            for kind in zip(*per_trace)
+        ]
+        return cls(
+            config=FleetScenarioConfig(
+                devices=len(traces), duration=duration, threshold=threshold
+            ),
+            lo=0,
+            devices=len(traces),
+            arrivals=streams[0],
+            arrival_counts=counts[0],
+            reads=streams[1],
+            read_counts=counts[1],
+            outages=streams[2],
+            outage_counts=counts[2],
+            rank_changes=streams[3],
+            change_counts=counts[3],
+            limits=np.array(
+                [int(cols.reads.counts.max(initial=0)) for cols in per_trace],
+                dtype=np.int64,
+            ),
+            fault_seeds=[
+                int(trace.metadata.get("seed", 0) or 0) for trace in traces
+            ],
         )
 
     # ------------------------------------------------------------------
@@ -196,7 +268,8 @@ class FleetWorkload:
         per-device counts and limits ride in the JSON metadata header.
         The packed trace is *not* a valid single-device trace (streams
         are device-major, not globally time-sorted) and must only be
-        unpacked with :meth:`from_trace`.
+        unpacked with :meth:`from_trace`. A :meth:`from_traces` slice's
+        per-trace fault seeds do not ride along: it runs in-process.
         """
         return Trace(
             duration=self.config.duration,

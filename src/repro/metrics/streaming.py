@@ -216,6 +216,54 @@ class SketchedStats(RunStats):
             self.delay_moments.push(age)
 
 
+def device_stats(table: "FleetColumns", d: int) -> RunStats:
+    """Binding ``d``'s :class:`RunStats`: its row plus its stats object.
+
+    The per-device form of :meth:`FleetAccumulator.add_shard`'s
+    arithmetic — what the row counted while resident, added to what the
+    stats object (if the binding materialized) counted afterwards — so
+    ``add_device(device_stats(table, d))`` over every ``d`` folds
+    exactly as ``add_shard(table)`` does. It needs a table that recorded
+    its read ids: a resident row forwarded exactly what it read, still
+    holds, or (under faults) has not landed, since nothing else leaves
+    a row; what moved on materialization is in the stats object's sets.
+    """
+    result = RunStats()
+    stats = table.stats[d]
+    if stats is not None:
+        for name in _SUMMED_FIELDS:
+            setattr(result, name, getattr(stats, name))
+        result.forwarded_ids.update(stats.forwarded_ids)
+        result.read_ids.update(stats.read_ids)
+    else:
+        result.read_delay_sum = table.read_delay_sum[d]
+    accepted = table.accepted[d]
+    sent = table.forwarded[d]
+    pulled = table.pulled[d]
+    reads = table.reads[d]
+    outage_reads = table.outage_reads[d]
+    result.arrivals += accepted + table.filtered[d] + table.dead[d]
+    result.accepted += accepted
+    result.filtered += table.filtered[d]
+    result.expired_at_proxy += table.dead[d]
+    result.pushed += sent - pulled
+    result.pulled += pulled
+    result.bytes_sent += sent * table.forward_bytes
+    result.reads += reads
+    result.read_requests += reads - outage_reads
+    result.reads_during_outage += outage_reads
+    result.empty_reads += table.empty_reads[d]
+    read = table.read_ids[d]
+    result.read_ids.update(read)
+    result.forwarded_ids.update(read)
+    result.forwarded_ids.update(entry[2] for entry in table.held[d] or ())
+    if table.plans is not None:
+        for name in DELIVERY_FAULT_FIELDS:
+            setattr(result, name, getattr(result, name) + getattr(table, name)[d])
+        result.forwarded_ids.update(table.inflight[d] or ())
+    return result
+
+
 @dataclass
 class FleetAccumulator:
     """O(1)-memory fold of per-device run results.
@@ -302,6 +350,8 @@ class FleetAccumulator:
         order. The per-device moment pushes stay
         sequential — Welford's update is order-sensitive, and the batch
         pump and the scalar oracle must describe() identically.
+        :func:`device_stats` is the same arithmetic for one binding; a
+        test folds both ways and pins them equal.
         """
         self.devices += table.devices
         self.final_proxy_queued += final_proxy_queued

@@ -17,10 +17,16 @@ count is deterministic for a given interpreter.
   are down; the batch pump's resident handlers run all of it on the
   binding table, a few calls per event. A binding pushed onto its
   object graph costs several times that.
+* **The paper's overflow cells stay on a row.** ``run_scenario`` is a
+  one-device fleet shard, so a fig2-shaped cell (overflow through
+  outages, no expirations, no rank changes) runs on the pump's resident
+  handlers too: a few calls per event, against 30-odd on the object
+  path it used to take.
 """
 
 import pytest
 
+from repro.experiments.figures.common import scenario
 from repro.experiments.runner import run_scenario
 from repro.fleet import FleetScenarioConfig, run_fleet
 from repro.proxy.policies import PolicyConfig
@@ -41,6 +47,10 @@ MAX_GROWTH = 1.2
 #: every binding it measured 29-52, and 43.1 with the delay stage while
 #: a fixed delay kept the whole shard off its rows.
 FLEET_MAX_CALLS = 15.0
+
+#: Ceiling on calls per event of a fig2-shaped ``run_scenario`` cell. On
+#: its row it measures 2.2-5.5; the object path measured 32-67.
+FIGURE_CELL_MAX_CALLS = 10.0
 
 
 @pytest.fixture(scope="module")
@@ -92,4 +102,26 @@ def test_deep_fleet_shard_calls_per_event(monkeypatch, policy):
     per_event = calls_per_event(monkeypatch, lambda: run_fleet(config, policy))
     assert per_event <= FLEET_MAX_CALLS, (
         f"{policy.describe()}: {per_event:.2f} calls/event on the deep shard"
+    )
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [PolicyConfig.online(), PolicyConfig.on_demand(), PolicyConfig.buffer(prefetch_limit=8)],
+    ids=lambda policy: policy.describe(),
+)
+@pytest.mark.parametrize(
+    "outage, user_frequency", [(0.5, 2.0), (0.1, 8.0)], ids=["o0.5-uf2", "o0.1-uf8"]
+)
+def test_figure_cell_calls_per_event(monkeypatch, policy, outage, user_frequency):
+    """30 days of one Fig. 2 cell through ``run_scenario``."""
+    trace = build_trace(
+        scenario(
+            duration=30 * DAY, user_frequency=user_frequency, outage_fraction=outage
+        ),
+        seed=0,
+    )
+    per_event = calls_per_event(monkeypatch, lambda: run_scenario(trace, policy))
+    assert per_event <= FIGURE_CELL_MAX_CALLS, (
+        f"{policy.describe()}: {per_event:.2f} calls/event on a figure cell"
     )
