@@ -2,7 +2,8 @@
 
 ``run_scenario`` replays one frozen :class:`~repro.sim.trace.Trace`
 under a given forwarding policy, as a one-device fleet shard: the
-device is a row of the shard's binding table until an event needs its
+trace replays as the shard's one merged batch stream, and the device is
+a row of the shard's binding table until an event needs its
 proxy/link/device objects. ``run_paired`` executes the paper's methodology: the
 same trace under the on-line baseline and under the policy, yielding the
 waste/loss pair.
@@ -21,10 +22,9 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro import obs
-from repro.broker.message import Notification
 from repro.device.device import ClientDevice
 from repro.device.link import LastHopLink
 from repro.faults import FaultPlan, FaultSpec
@@ -36,95 +36,11 @@ from repro.proxy.schedule import DeliverySchedule
 from repro.proxy.state import TopicState
 from repro.sim.engine import Simulator
 from repro.sim.trace import Trace
-from repro.types import EventId, TopicId, TopicType
+from repro.types import TopicId, TopicType
 from repro.workload.scenario import ScenarioConfig, build_trace_cached
 
 #: Topic id used for single-topic trace replays.
 DEFAULT_TOPIC = TopicId("experiment/topic")
-
-
-def register_trace_streams(
-    sim: Simulator,
-    trace: Trace,
-    topic: TopicId,
-    on_notification: Callable[[Notification], None],
-    perform_read: Callable,
-    set_status: Callable,
-) -> Dict[EventId, Notification]:
-    """Register a trace's four event streams on a simulator.
-
-    Each run materializes fresh Notification objects: the proxy mutates
-    ranks in place, and paired runs must not observe each other. The
-    four trace streams replay straight from the columnar arrays (no
-    per-record dataclass is ever built on this path — important for
-    workers attached to a shared-memory trace). They are pre-sorted, so
-    they replay as lazy static streams: the engine heap holds one
-    cursor per stream plus the dynamic timers, instead of every trace
-    record up front. Stream registration order matters — it reserves
-    the same FIFO sequence numbers that per-record schedule_at calls in
-    this order would get.
-
-    This is the only scalar trace replay, and the fleet's scalar oracle
-    (``_execute_shard(..., use_batch=False)`` and its one-device form,
-    the reference :func:`run_scenario` is tested against) is its one
-    caller: once per device of a shard. The batch pump
-    (:mod:`repro.fleet.batch`), which :func:`run_scenario` runs, merges
-    these same four streams across devices in the same order, so both
-    replay a device's trace with one event ordering. Returns the id →
-    original Notification map (the rank-change stream closes over it).
-    """
-    cols = trace.columns
-    originals: Dict[EventId, Notification] = {}
-    arrival_stream: List[Tuple[float, Callable, tuple]] = []
-    arrival_cols = cols.arrivals
-    for time, event_id, rank, expires_at in zip(
-        arrival_cols.times.tolist(),
-        arrival_cols.event_ids.tolist(),
-        arrival_cols.ranks.tolist(),
-        arrival_cols.expires_at.tolist(),
-    ):
-        notification = Notification(
-            event_id=EventId(event_id),
-            topic=topic,
-            rank=rank,
-            published_at=time,
-            # NaN != NaN: the only NaN in the column is the sentinel.
-            expires_at=None if expires_at != expires_at else expires_at,
-        )
-        originals[notification.event_id] = notification
-        arrival_stream.append((time, on_notification, (notification,)))
-    sim.add_stream(arrival_stream)
-
-    change_stream: List[Tuple[float, Callable, tuple]] = []
-    change_cols = cols.rank_changes
-    for time, event_id, new_rank in zip(
-        change_cols.times.tolist(),
-        change_cols.event_ids.tolist(),
-        change_cols.new_ranks.tolist(),
-    ):
-        original = originals[EventId(event_id)]
-        update = Notification(
-            event_id=original.event_id,
-            topic=topic,
-            rank=new_rank,
-            published_at=original.published_at,
-            expires_at=original.expires_at,
-        )
-        change_stream.append((time, on_notification, (update,)))
-    sim.add_stream(change_stream)
-
-    sim.add_stream(
-        [
-            (time, perform_read, (topic, count))
-            for time, count in zip(
-                cols.reads.times.tolist(), cols.reads.counts.tolist()
-            )
-        ]
-    )
-    sim.add_stream(
-        [(time, set_status, (status,)) for time, status in trace.network_transitions()]
-    )
-    return originals
 
 
 def wire_device(
@@ -230,8 +146,11 @@ def run_scenario(
 
     The result is the scalar oracle's field for field — the identity
     sets, the bits of ``read_delay_sum``, ``events_processed`` and both
-    final queues — which the differential tests pin. The binding is the
-    shard's device 0, so trace records name its topic ``device/0``.
+    final queues — which the differential tests pin. The oracle, the
+    fleet runner's ``use_batch=False`` shard, schedules the trace one
+    ``schedule_at`` per record where the pump replays it as one batch
+    stream. The binding is the shard's device 0, so trace records name
+    its topic ``device/0``.
 
     ``threshold`` is the subscription's qualitative limit, applied both
     at the proxy (rank filtering) and at the device (read filtering).

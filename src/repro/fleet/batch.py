@@ -1,31 +1,32 @@
 """Batched fleet-shard dispatch over the shard's binding table.
 
-The scalar fleet path replays each device's four trace streams
-(:func:`~repro.experiments.runner.register_trace_streams`) through one
-Python callback per event; at 100k devices that is ~10 million dispatch
-round-trips, each touching scattered per-binding objects. This module is
-the batch alternative: every device's streams collapse into **one**
-merged batch stream registered through the engine's batch-pop API
+The scalar oracle schedules each device's four trace record kinds
+(the fleet runner's ``_schedule_trace``, one ``schedule_at`` per record)
+and fires one Python callback per event; at 100k devices that is ~10
+million dispatch round-trips, each touching scattered per-binding
+objects. This module is the batch alternative: every device's records
+collapse into **one** merged batch stream registered through the
+engine's batch-pop API
 (:meth:`~repro.sim.engine.Simulator.add_batch_stream`), and a single
 *pump* consumes whole runs of consecutive events in one call,
 dispatching each on the row of :class:`~repro.fleet.columns.
 FleetColumns` that belongs to its device.
 
-Merging the streams is an ordering-preserving transformation. A
-device's four streams reserve contiguous sequence blocks in
-registration order (arrivals → rank changes → reads → outages), so the
-engine fires its events "by time; at equal times by stream kind in
-registration order; within a kind in within-stream order". A stable
-sort by time over the four kind-ordered, device-major streams
-concatenated in registration order keeps that order for every device,
-and the one block it reserves has the total length of the 4·N
-per-device blocks, so dynamic timers (always later sequence numbers)
+Merging the records is an ordering-preserving transformation. The
+oracle schedules a device's records kind by kind (arrivals → rank
+changes → reads → outages), so their sequence numbers make the engine
+fire its events "by time; at equal times by kind in that order; within
+a kind in record order". A stable sort by time over the four
+kind-ordered, device-major columns concatenated in that order keeps
+that order for every device, and the one block it reserves has the
+total length of the oracle's per-record sequence numbers, so dynamic
+timers (always later sequence numbers)
 and pre-registered crash timers (always earlier) tie-break identically
 in both modes. Only the order between devices at an equal time moves,
 and no shared state sees it (reads, which feed the shard-wide
 ``read_delay`` sketch, stay device-major in both). The payoff: the heap
-carries one cursor instead of 4·N, and the pump is re-entered only when
-a dynamic timer preempts it, not on every cross-stream alternation.
+carries one cursor instead of every trace record, and the pump is
+re-entered only when a dynamic timer preempts it.
 
 Every binding starts **array-resident**: its row is its only state and
 no per-device object exists (see :mod:`repro.fleet.columns`). The
@@ -102,8 +103,8 @@ binding escapes.
 Equivalence contract (pinned by ``tests/fleet/test_fleet_batch.py``):
 the pump and the scalar oracle — the fleet runner's private
 ``_execute_shard(..., use_batch=False)``, which materializes every
-binding at wiring and registers each device's trace through
-:func:`~repro.experiments.runner.register_trace_streams` — produce
+binding at wiring and schedules each device's trace one record at a
+time — produce
 bit-identical :class:`~repro.metrics.streaming.FleetAccumulator` integer
 counters, float sums, and sketch buckets for any policy, fault preset,
 and seed, and whichever subset of bindings is materialized, whenever.
@@ -239,7 +240,7 @@ class ShardBatchDispatcher:
     # ------------------------------------------------------------------
     @staticmethod
     def _check_times(name: str, times: np.ndarray) -> None:
-        """Vectorized analogue of the scalar streams' lazy per-item
+        """Vectorized analogue of ``schedule_at``'s per-item
         validation: every timestamp finite (sortedness is guaranteed by
         the argsort that produced the order)."""
         if times.size and not np.isfinite(times).all():
@@ -251,11 +252,10 @@ class ShardBatchDispatcher:
         Each kind is first ordered by stable time argsorts (outages by
         ``lexsort((is_down, times))``: an UP precedes a DOWN at an equal
         within-device time, as in ``Trace.network_transitions``), then
-        the kinds are concatenated in registration order and
+        the kinds are concatenated in the oracle's scheduling order and
         stable-sorted by time, which — see the module docstring — keeps
-        every device's :func:`~repro.experiments.runner.
-        register_trace_streams` firing order. The single reserved
-        sequence block has the scalar mode's total length, so
+        every device's firing order under the scalar oracle. The single
+        reserved sequence block has the scalar mode's total length, so
         ``_seq_next`` (and with it every dynamic timer's tie-breaking)
         advances identically. Arrival classification (below-threshold /
         dead-on-arrival / live) is precomputed with vectorized masks;
@@ -387,7 +387,7 @@ class ShardBatchDispatcher:
     # ------------------------------------------------------------------
     def _pump(
         self, pos: int, base: int, cap_time: float, cap_seq: int,
-        until: float, limit: int,
+        until: float,
     ) -> int:
         sim = self.sim
         heap = sim._heap
@@ -438,8 +438,6 @@ class ShardBatchDispatcher:
         seq_mark = sim._seq_next
         i = pos
         end = len(times)
-        if limit < end - pos:
-            end = pos + limit
         while i < end:
             t = times[i]
             if t > until:

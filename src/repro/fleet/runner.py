@@ -13,9 +13,9 @@ the bindings whose events leave the batch pump's resident handlers.
 
 The batch pump replays the shard as **one merged stream**
 (:mod:`repro.fleet.batch`), so the engine heap stays O(1) in the device
-count. The scalar oracle merges nothing: it registers each device's
-own trace, in local-id order, through :func:`~repro.experiments.runner.
-register_trace_streams`. Both reserve the same total sequence block and
+count. The scalar oracle merges nothing: it schedules each device's own
+trace, in local-id order, one ``schedule_at`` per record
+(:func:`_schedule_trace`). Both draw the same total sequence block and
 keep every device's own event order; only the order *between* devices
 at an equal time differs, which nothing shared observes.
 :func:`~repro.experiments.runner.run_scenario` is this shard with one
@@ -48,14 +48,17 @@ import gc
 import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
+from repro.broker.message import Notification
+from repro.device.device import ClientDevice
+from repro.device.link import LastHopLink
 from repro.errors import ConfigurationError
 from repro.experiments import parallel
-from repro.experiments.runner import RunResult, register_trace_streams, wire_device
+from repro.experiments.runner import RunResult, wire_device
 from repro.faults import FaultPlan, FaultSpec
 from repro.fleet.batch import ShardBatchDispatcher
 from repro.fleet.columns import FleetColumns, row_notification
@@ -68,7 +71,10 @@ from repro.proxy.proxy import LastHopProxy
 from repro.proxy.schedule import DeliverySchedule
 from repro.sim import trace_shm
 from repro.sim.engine import Simulator
-from repro.types import DeliveryMode, NetworkStatus, PolicyKind, TopicId, TopicType
+from repro.sim.trace import Trace
+from repro.types import (
+    DeliveryMode, EventId, NetworkStatus, PolicyKind, TopicId, TopicType,
+)
 
 
 def device_topic(device: int) -> TopicId:
@@ -136,9 +142,9 @@ def _execute_shard(
 
     ``use_batch=False`` runs the scalar oracle instead of the batch
     pump: every binding materialized at wiring, then each device's
-    :meth:`~repro.fleet.workload.FleetWorkload.device_trace` registered
-    through :func:`~repro.experiments.runner.register_trace_streams`, so
-    every event lands on a scalar callback. It exists for the
+    :meth:`~repro.fleet.workload.FleetWorkload.device_trace` scheduled
+    record by record (:func:`_schedule_trace`), so every event lands on
+    a scalar callback. It exists for the
     differential tests, which pin both to bit-identical outputs; no
     public entry point reaches it.
     """
@@ -350,6 +356,63 @@ class ShardWiring:
         cols.resident[index] = 0
 
 
+def _schedule_trace(
+    sim: Simulator,
+    trace: Trace,
+    topic: TopicId,
+    proxy: LastHopProxy,
+    device: ClientDevice,
+    link: LastHopLink,
+) -> None:
+    """Schedule every record of one device's trace on the scalar oracle.
+
+    One ``schedule_at`` per record, kind by kind: arrivals, rank
+    changes, reads, link transitions. That order gives every record the
+    sequence number the pump's merged stream reserves for it, so the
+    oracle fires a device's events in the pump's order. Every call
+    builds fresh Notification objects: the proxy mutates ranks in place.
+    """
+    cols = trace.columns
+    schedule_at = sim.schedule_at
+    on_notification = proxy.on_notification
+    originals: Dict[int, Notification] = {}
+    arrivals = cols.arrivals
+    for time, event_id, rank, expires_at in zip(
+        arrivals.times.tolist(),
+        arrivals.event_ids.tolist(),
+        arrivals.ranks.tolist(),
+        arrivals.expires_at.tolist(),
+    ):
+        notification = originals[event_id] = Notification(
+            event_id=EventId(event_id),
+            topic=topic,
+            rank=rank,
+            published_at=time,
+            # NaN != NaN: the only NaN in the column is the sentinel.
+            expires_at=None if expires_at != expires_at else expires_at,
+        )
+        schedule_at(time, on_notification, notification)
+    changes = cols.rank_changes
+    for time, event_id, new_rank in zip(
+        changes.times.tolist(),
+        changes.event_ids.tolist(),
+        changes.new_ranks.tolist(),
+    ):
+        original = originals[event_id]
+        update = Notification(
+            event_id=original.event_id,
+            topic=topic,
+            rank=new_rank,
+            published_at=original.published_at,
+            expires_at=original.expires_at,
+        )
+        schedule_at(time, on_notification, update)
+    for time, count in zip(cols.reads.times.tolist(), cols.reads.counts.tolist()):
+        schedule_at(time, device.perform_read, topic, count)
+    for time, status in trace.network_transitions():
+        schedule_at(time, link.set_status, status)
+
+
 def _run_shard(
     workload: FleetWorkload,
     policy: PolicyConfig,
@@ -419,13 +482,13 @@ def _run_shard(
         dispatcher.register_streams()
     else:
         for index in range(n):
-            register_trace_streams(
+            _schedule_trace(
                 sim,
                 workload.device_trace(index),
                 cols.topics[index],
-                proxy.on_notification,
-                cols.clients[index].perform_read,
-                cols.links[index].set_status,
+                proxy,
+                cols.clients[index],
+                cols.links[index],
             )
 
     try:

@@ -111,14 +111,17 @@ def parse_policy_token(token: str) -> PolicyVariant:
         return PolicyVariant(name=token, policy=SWEEP_POLICY_PRESETS[token]())
     if token.startswith("buffer:"):
         raw = token[len("buffer:"):]
-        # Only a bare non-negative integer: int() would also accept
-        # "+3", " 3", and "1_0", silently minting variant names that
-        # differ from their canonical spelling (and thus distinct store
-        # keys for the same policy).
-        if not (raw.isascii() and raw.isdigit()):
+        # Only a bare non-negative integer without leading zeros: int()
+        # would also accept "+3", " 3", "1_0" and "007", silently
+        # minting variant names that differ from their canonical
+        # spelling (and thus distinct store keys for the same policy).
+        if not (
+            raw.isascii() and raw.isdigit()
+            and (raw == "0" or not raw.startswith("0"))
+        ):
             raise ConfigurationError(
                 f"buffer policy limit must be a bare non-negative "
-                f"integer, got {raw!r}"
+                f"integer without leading zeros, got {raw!r}"
             )
         return PolicyVariant(
             name=token, policy=PolicyConfig.buffer(prefetch_limit=int(raw))
@@ -250,8 +253,22 @@ class FleetSweepConfig:
                 raise ConfigurationError(
                     f"scenario axis {field_name!r} has no values"
                 )
-        for scenario in self.scenario_grid():
+        grid = self.scenario_grid()
+        for scenario in grid:
             scenario.validate()
+        # Dataclass equality (so 0 == 0.0): a repeated value would run
+        # one scenario twice, under one store key or under two.
+        names = [name for name, _ in self.axes]
+        seen = {}
+        combos = itertools.product(*(values for _, values in self.axes))
+        for combo, scenario in zip(combos, grid):
+            label = ", ".join(f"{n}={v!r}" for n, v in zip(names, combo))
+            if scenario in seen:
+                raise ConfigurationError(
+                    f"scenario axes repeat a value: {seen[scenario]} and "
+                    f"{label} are the same scenario"
+                )
+            seen[scenario] = label
 
     # ------------------------------------------------------------------
     def scenario_grid(self) -> List[FleetScenarioConfig]:

@@ -5,8 +5,8 @@ the row cannot express (expiring arrivals, rank changes, RATE credit,
 observers, crash specs, an ON-LINE topic type or a delivery schedule)
 escapes through the shard's own materialization. The reference is the
 shard's scalar oracle on the same one-device workload, which
-materializes the binding at wiring and replays the trace through
-``register_trace_streams``: the two must return the same ``RunResult``
+materializes the binding at wiring and schedules the trace one
+``schedule_at`` per record: the two must return the same ``RunResult``
 field for field — the identity sets, the bits of ``read_delay_sum``,
 ``events_processed`` and both final queues.
 """

@@ -412,17 +412,22 @@ def _run_shard(
             for d in materialize:
                 dispatcher.materialize(d)
 
-    def interrupted_pump(dispatcher, pos, base, cap_time, cap_seq, until, limit):
+    def interrupted_pump(dispatcher, pos, base, cap_time, cap_seq, until):
         if at_event is not None and "fired" not in captured:
             if pos < at_event:
-                # End this run right before the drawn item (the engine
-                # re-arms the cursor; no sequence number moves).
-                limit = min(limit, at_event - pos)
+                # End this run right before the drawn item by capping it
+                # there (the engine re-arms the cursor; no sequence
+                # number moves).
+                if at_event < len(dispatcher.m_times):
+                    cap_time, cap_seq = min(
+                        (cap_time, cap_seq),
+                        (dispatcher.m_times[at_event], base + at_event),
+                    )
             else:
                 captured["fired"] = True
                 for d in materialize:
                     dispatcher.materialize(d)
-        return pump(dispatcher, pos, base, cap_time, cap_seq, until, limit)
+        return pump(dispatcher, pos, base, cap_time, cap_seq, until)
 
     def keep(sim, proxy, cols):
         captured["cols"] = cols

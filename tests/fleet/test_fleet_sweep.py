@@ -21,11 +21,12 @@ import sqlite3
 import tempfile
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, ExportError
 from repro.experiments import fleet_cli, fleet_sweep_cli
+from repro.experiments.fleet_sweep_cli import parse_axis
 from repro.experiments import cli as main_cli
 from repro.experiments.parallel import run_fleet_policy_batch
 from repro.fleet import run_fleet
@@ -113,11 +114,46 @@ class TestSweepConfig:
             dict(axes=(("devices", ()),)),
             dict(axes=(("devices", (12,)), ("devices", (24,)))),
             dict(axes=(("devices", (0,)),)),  # invalid scenario in grid
+            # Repeated cells: one scenario under one key (5, 5) or
+            # under two (0 and 0.0 serialize differently).
+            dict(axes=(("devices", (5, 5)),)),
+            dict(axes=(("threshold", (0, 0.0)),)),
         ],
     )
     def test_validate_rejects_bad_grids(self, kwargs):
         with pytest.raises(ConfigurationError):
             _tiny_config(**kwargs).validate()
+
+    @example(field="devices", values=[5, 5])
+    @example(field="threshold", values=[0, 0.0])
+    @given(
+        field=st.sampled_from(["devices", "threshold"]),
+        values=st.lists(
+            st.one_of(
+                st.integers(min_value=0, max_value=4),
+                st.floats(min_value=0.0, max_value=4.0),
+            ),
+            min_size=1,
+            max_size=4,
+        ).flatmap(
+            # Equal pairs: the first value again, or its float spelling.
+            lambda vs: st.sampled_from([vs, vs + [vs[0]], vs + [float(vs[0])]])
+        ),
+    )
+    def test_axis_values_validate_to_distinct_cells(self, field, values):
+        """A ``--axis`` value list validates to one cell per distinct
+        configuration, each under its own key, or is refused."""
+        axis = parse_axis(f"{field}=" + ",".join(json.dumps(v) for v in values))
+        config = _tiny_config(axes=(axis,))
+        try:
+            config.validate()
+        except ConfigurationError:
+            return
+        cells = config.cells()
+        assert len({cell.key for cell in cells}) == len(cells)
+        assert len({(cell.scenario, cell.variant.name) for cell in cells}) == len(
+            cells
+        )
 
     def test_campaign_key_tracks_spec(self):
         a = _tiny_config()
@@ -152,11 +188,24 @@ class TestPolicyParsing:
             # bare non-negative integer is a valid limit token.
             "buffer:+3", "buffer: 3", "buffer:-1", "buffer:1_0",
             "buffer:³",
+            # buffer:007 would be buffer:7 under a second store key.
+            "buffer:007", "buffer:00",
         ],
     )
     def test_rejects_bad_tokens(self, token):
         with pytest.raises(ConfigurationError):
             parse_policy_token(token)
+
+    @example("007")
+    @given(st.text())
+    def test_buffer_token_is_named_by_its_limit(self, text):
+        """Any accepted ``buffer:`` token spells its limit canonically,
+        so one limit never mints two variant names (two store keys)."""
+        try:
+            variant = parse_policy_token("buffer:" + text)
+        except ConfigurationError:
+            return
+        assert variant.name == f"buffer:{variant.policy.prefetch_limit}"
 
     def test_spec_object_parameterizes_preset(self):
         variant = policy_variant_from_spec(
@@ -666,13 +715,19 @@ class TestSweepCli:
             ["--axis", "devices"],
             ["--axis", "devices=not-json"],
             ["--faults", "no-such-preset"],
+            # Repeated cells: refused before the store is touched.
+            ["--devices", "5", "--axis", "devices=5,5"],
+            ["--devices", "5", "--axis", "threshold=0,0.0"],
+            ["--devices", "5", "--policies", "buffer:7,buffer:007"],
         ],
     )
     def test_rejects_bad_flags(self, tmp_path, extra):
-        argv = ["--store", str(tmp_path / "s.sqlite"), "--quiet", *extra]
+        store = tmp_path / "s.sqlite"
+        argv = ["--store", str(store), "--quiet", *extra]
         with pytest.raises(SystemExit) as excinfo:
             fleet_sweep_cli.main(argv)
         assert excinfo.value.code == 2
+        assert not store.exists()
 
     @pytest.mark.parametrize(
         "axis",

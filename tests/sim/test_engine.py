@@ -105,14 +105,20 @@ class TestNonFiniteTimes:
     def test_rejected_event_leaves_queue_untouched(self, sim):
         with pytest.raises(SimulationError):
             sim.schedule_at(float("nan"), lambda: None)
-        assert sim.pending == 0
+        assert sim._heap == []
+        assert sim._seq_next == 0
 
 
 class TestStreams:
+    """The batch stream's scheduling contract on ``(time, callback,
+    args)`` records replayed through :func:`_reference_pump`: a stream
+    orders exactly like ``schedule_at`` for every record, in order, at
+    the point it is added."""
+
     def test_stream_fires_in_order(self, sim):
         fired = []
-        count = sim.add_stream(
-            [(1.0, fired.append, ("a",)), (2.0, fired.append, ("b",))]
+        count = _add_records(
+            sim, [(1.0, fired.append, ("a",)), (2.0, fired.append, ("b",))]
         )
         assert count == 2
         sim.run()
@@ -120,36 +126,40 @@ class TestStreams:
         assert sim.now == 2.0
 
     def test_empty_stream_is_noop(self, sim):
-        assert sim.add_stream([]) == 0
-        assert sim.pending == 0
+        assert _add_records(sim, []) == 0
+        assert sim._heap == []
 
     def test_stream_merges_with_dynamic_events(self, sim):
         fired = []
         sim.schedule(1.5, fired.append, "dyn")
-        sim.add_stream([(1.0, fired.append, ("s1",)), (2.0, fired.append, ("s2",))])
+        _add_records(
+            sim, [(1.0, fired.append, ("s1",)), (2.0, fired.append, ("s2",))]
+        )
         sim.run()
         assert fired == ["s1", "dyn", "s2"]
 
     def test_stream_ties_resolve_in_schedule_order(self, sim):
         # Events before the stream beat same-time stream items; events
-        # after lose — exactly as if add_stream were per-item schedule_at.
+        # after lose — exactly as if the stream were per-item schedule_at.
         fired = []
         sim.schedule(1.0, fired.append, "before")
-        sim.add_stream([(1.0, fired.append, ("stream",))])
+        _add_records(sim, [(1.0, fired.append, ("stream",))])
         sim.schedule(1.0, fired.append, "after")
         sim.run()
         assert fired == ["before", "stream", "after"]
 
     def test_same_time_stream_items_fire_fifo(self, sim):
         fired = []
-        sim.add_stream([(1.0, fired.append, (label,)) for label in "abcde"])
+        _add_records(sim, [(1.0, fired.append, (label,)) for label in "abcde"])
         sim.run()
         assert fired == list("abcde")
 
     def test_two_streams_tie_in_registration_order(self, sim):
         fired = []
-        sim.add_stream([(1.0, fired.append, ("first",)), (2.0, fired.append, ("x",))])
-        sim.add_stream([(1.0, fired.append, ("second",))])
+        _add_records(
+            sim, [(1.0, fired.append, ("first",)), (2.0, fired.append, ("x",))]
+        )
+        _add_records(sim, [(1.0, fired.append, ("second",))])
         sim.run()
         assert fired == ["first", "second", "x"]
 
@@ -162,21 +172,20 @@ class TestStreams:
             fired.append("arm")
             sim.schedule(1.0, fired.append, "timer")
 
-        sim.add_stream(
-            [(1.0, arm, ()), (2.0, fired.append, ("s2",)), (3.0, fired.append, ("s3",))]
+        _add_records(
+            sim,
+            [(1.0, arm, ()), (2.0, fired.append, ("s2",)), (3.0, fired.append, ("s3",))],
         )
         sim.run()
         assert fired == ["arm", "s2", "timer", "s3"]
 
-    def test_pending_counts_unmerged_backlog(self, sim):
-        sim.add_stream([(float(i), lambda: None, ()) for i in range(1, 6)])
-        assert sim.pending == 5
-        sim.step()
-        assert sim.pending == 4
-
     def test_stream_accepts_generators(self, sim):
         fired = []
-        sim.add_stream((t, fired.append, (t,)) for t in (1.0, 2.0))
+        times = [1.0, 2.0]
+        sim.add_batch_stream(
+            (t for t in times),
+            _reference_pump(sim, times, lambda i: fired.append(times[i])),
+        )
         sim.run()
         assert fired == [1.0, 2.0]
 
@@ -184,33 +193,37 @@ class TestStreams:
         sim.schedule(1.0, lambda: None)
         sim.run()
         with pytest.raises(SimulationError):
-            sim.add_stream([(0.5, lambda: None, ())])
+            _add_records(sim, [(0.5, lambda: None, ())])
 
     def test_stream_first_item_non_finite_rejected(self, sim):
         with pytest.raises(SimulationError):
-            sim.add_stream([(float("nan"), lambda: None, ())])
+            _add_records(sim, [(float("nan"), lambda: None, ())])
 
     def test_unsorted_stream_detected_lazily(self, sim):
         fired = []
-        sim.add_stream(
-            [(2.0, fired.append, ("a",)), (1.0, fired.append, ("late",))]
+        _add_records(
+            sim,
+            [(2.0, fired.append, ("a",)), (1.0, fired.append, ("late",))],
+            one_per_call=True,
         )
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="pre-sorted"):
             sim.run()
         assert fired == ["a"]
 
     def test_non_finite_mid_stream_detected_lazily(self, sim):
         fired = []
-        sim.add_stream(
-            [(1.0, fired.append, ("a",)), (float("inf"), fired.append, ("b",))]
+        _add_records(
+            sim,
+            [(1.0, fired.append, ("a",)), (float("inf"), fired.append, ("b",))],
+            one_per_call=True,
         )
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="non-finite"):
             sim.run()
         assert fired == ["a"]
 
     def test_run_until_pauses_and_resumes_mid_stream(self, sim):
         fired = []
-        sim.add_stream([(float(i), fired.append, (i,)) for i in range(1, 6)])
+        _add_records(sim, [(float(i), fired.append, (i,)) for i in range(1, 6)])
         sim.run(until=2.5)
         assert fired == [1, 2]
         assert sim.now == 2.5
@@ -218,14 +231,14 @@ class TestStreams:
         assert fired == [1, 2, 3, 4, 5]
 
     def test_events_processed_includes_stream_items(self, sim):
-        sim.add_stream([(1.0, lambda: None, ()), (2.0, lambda: None, ())])
+        _add_records(sim, [(1.0, lambda: None, ()), (2.0, lambda: None, ())])
         sim.schedule(3.0, lambda: None)
         sim.run()
         assert sim.events_processed == 3
 
     def test_stream_equivalent_to_schedule_at(self):
-        # The documented contract: add_stream == schedule_at per item in
-        # program order, for any interleaving with dynamic timers.
+        # The documented contract: a batch stream == schedule_at per item
+        # in program order, for any interleaving with dynamic timers.
         items = [(1.0, "s1"), (1.0, "s2"), (2.0, "s3"), (3.0, "s4")]
 
         def build(use_stream):
@@ -233,7 +246,7 @@ class TestStreams:
             fired = []
             sim.schedule(1.0, fired.append, "pre")
             if use_stream:
-                sim.add_stream([(t, fired.append, (v,)) for t, v in items])
+                _add_records(sim, [(t, fired.append, (v,)) for t, v in items])
             else:
                 for t, v in items:
                     sim.schedule_at(t, fired.append, v)
@@ -282,25 +295,6 @@ class TestRunUntil:
             sim.run()
 
 
-class TestStep:
-    def test_step_fires_one_event(self, sim):
-        fired = []
-        sim.schedule(1.0, fired.append, "a")
-        sim.schedule(2.0, fired.append, "b")
-        assert sim.step()
-        assert fired == ["a"]
-
-    def test_step_on_empty_queue_returns_false(self, sim):
-        assert not sim.step()
-
-    def test_step_skips_cancelled(self, sim):
-        fired = []
-        sim.schedule(1.0, fired.append, "a").cancel()
-        sim.schedule(2.0, fired.append, "b")
-        assert sim.step()
-        assert fired == ["b"]
-
-
 class TestCounters:
     def test_events_processed_counts_only_fired(self, sim):
         sim.schedule(1.0, lambda: None)
@@ -341,15 +335,15 @@ def test_property_cancelled_events_never_fire(items):
 
 def _reference_pump(sim, times, on_item):
     """A minimal conforming batch pump: the engine-side contract in
-    miniature (cap refresh after any item that schedules, ``until`` and
-    ``limit`` enforcement, clock write before side effects)."""
+    miniature (cap refresh after any item that schedules, ``until``
+    enforcement, clock write before side effects)."""
 
-    def pump(pos, base, cap_time, cap_seq, until, limit):
+    def pump(pos, base, cap_time, cap_seq, until):
         consumed = 0
         seq_mark = sim._seq_next
         size = len(times)
         i = pos
-        while i < size and consumed < limit:
+        while i < size:
             time = times[i]
             if time > until or (time, base + i) >= (cap_time, cap_seq):
                 break
@@ -364,6 +358,29 @@ def _reference_pump(sim, times, on_item):
         return consumed
 
     return pump
+
+
+def _add_records(sim, records, one_per_call=False):
+    """Add ``(time, callback, args)`` records as one batch stream.
+
+    The stream's pump is :func:`_reference_pump`, or, with
+    ``one_per_call``, a pump that fires one record per call, so the
+    engine re-checks every successor time as the cursor re-arms.
+    """
+    records = list(records)
+    times = [time for time, _callback, _args in records]
+
+    def on_item(i):
+        _time, callback, args = records[i]
+        callback(*args)
+
+    def one_item_pump(pos, base, cap_time, cap_seq, until):
+        sim._now = times[pos]
+        on_item(pos)
+        return 1
+
+    pump = one_item_pump if one_per_call else _reference_pump(sim, times, on_item)
+    return sim.add_batch_stream(times, pump)
 
 
 class TestBatchStreams:
@@ -415,25 +432,15 @@ class TestBatchStreams:
         sim.run()
         assert fired == [0, 1, 2]
 
-    def test_step_single_steps_the_batch(self, sim):
-        fired = []
-        times = [1.0, 1.0, 2.0]
-        sim.add_batch_stream(
-            times, _reference_pump(sim, times, lambda i: fired.append(i))
-        )
-        assert sim.step()
-        assert fired == [0]
-        sim.run()
-        assert fired == [0, 1, 2]
-
     def test_events_processed_counts_batch_items(self, sim):
         times = [1.0, 2.0, 3.0]
         sim.add_batch_stream(times, _reference_pump(sim, times, lambda i: None))
         sim.schedule(2.5, lambda: None)
-        assert sim.pending == 2 + len(times) - 1
+        # One cursor stands for the whole stream beside the timer.
+        assert len(sim._heap) == 2
         sim.run()
         assert sim.events_processed == 4
-        assert sim.pending == 0
+        assert sim._heap == []
 
     def test_empty_batch_stream_is_a_no_op(self, sim):
         assert sim.add_batch_stream([], lambda *a: 1) == 0
@@ -453,24 +460,15 @@ class TestBatchStreams:
         with pytest.raises(SimulationError, match="no progress"):
             sim.run()
 
-    def _single_step_pump(self, sim, times):
-        # Consume exactly one item per call so the engine's re-arm
-        # validation sees every successor timestamp.
-        def pump(pos, base, cap_time, cap_seq, until, limit):
-            sim._now = times[pos]
-            return 1
-
-        return pump
-
     def test_unsorted_stream_detected_at_rearm(self, sim):
-        times = [2.0, 1.0]
-        sim.add_batch_stream(times, self._single_step_pump(sim, times))
+        records = [(2.0, lambda: None, ()), (1.0, lambda: None, ())]
+        _add_records(sim, records, one_per_call=True)
         with pytest.raises(SimulationError, match="pre-sorted"):
             sim.run()
 
     def test_non_finite_mid_stream_detected_at_rearm(self, sim):
-        times = [1.0, float("inf")]
-        sim.add_batch_stream(times, self._single_step_pump(sim, times))
+        records = [(1.0, lambda: None, ()), (float("inf"), lambda: None, ())]
+        _add_records(sim, records, one_per_call=True)
         with pytest.raises(SimulationError, match="non-finite"):
             sim.run()
 
@@ -485,7 +483,7 @@ class TestBatchStreams:
         ref = weakref.ref(payload)
         times = [1.0]
 
-        def pump(pos, base, cap_time, cap_seq, until, limit):
+        def pump(pos, base, cap_time, cap_seq, until):
             sim._now = times[pos]
             assert payload is not None  # the closure keeps it alive
             return 1
