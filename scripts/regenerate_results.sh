@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Regenerate every full-scale table in results/ plus the scorecard.
-# One virtual year per run; ~2 minutes total on one core of a Xeon VM.
+# One virtual year per run; about a minute in total on one core of a Xeon VM.
 # Run from a checkout with PYTHONPATH=src (or the package installed).
 # The fleet campaign is not a paper table and is left out.
 set -euo pipefail

@@ -132,15 +132,15 @@ def run_scenario(
     one row of the binding table, whose resident handlers cost a few
     calls per event against the object path's dozens. What the row
     cannot express escapes through the shard's own materialization onto
-    the proxy/link/device objects, on the same code path:
+    the proxy/link/device objects, on the same code path (expiring
+    arrivals — Figs. 4–6 — stay on the row, which arms their timers):
 
-    * an expiring arrival (the row arms no expiration timer), at the
-      first one — Figs. 4–6;
     * a rank change (it resolves against the proxy's history), at
       wiring — ablation-delay;
     * a RATE arrival (the row has no credit line), at the first one;
     * observers (``--audit``, ``--trace-out``) and crash specs, at
-      wiring;
+      wiring; under other fault specs, an arrival the proxy must queue
+      or hold, or a read while the link is down;
     * an ON-LINE topic type or a delivery schedule, at wiring —
       ablation-schedule.
 

@@ -14,43 +14,48 @@ FleetColumns` that belongs to its device.
 
 Merging the records is an ordering-preserving transformation. The
 oracle schedules a device's records kind by kind (arrivals → rank
-changes → reads → outages), so their sequence numbers make the engine
-fire its events "by time; at equal times by kind in that order; within
-a kind in record order". A stable sort by time over the four
-kind-ordered, device-major columns concatenated in that order keeps
-that order for every device, and the one block it reserves has the
-total length of the oracle's per-record sequence numbers, so dynamic
-timers (always later sequence numbers)
-and pre-registered crash timers (always earlier) tie-break identically
-in both modes. Only the order between devices at an equal time moves,
-and no shared state sees it (reads, which feed the shard-wide
-``read_delay`` sketch, stay device-major in both). The payoff: the heap
-carries one cursor instead of every trace record, and the pump is
-re-entered only when a dynamic timer preempts it.
+changes → reads → outages), so the engine fires them "by time; at equal
+times by kind in that order; within a kind in record order". A stable
+sort by time over the four kind-ordered, device-major columns
+concatenated in that order keeps that order for every device, and the
+one block it reserves has the total length of the oracle's per-record
+sequence numbers, so dynamic timers (always later) and pre-registered
+crash timers (always earlier) tie-break identically in both modes. Only
+the order between devices at an equal time moves, and no shared state
+sees it (reads, which feed the shard-wide ``read_delay`` sketch, stay
+device-major in both). The heap carries one cursor instead of every
+trace record, and the pump is re-entered only when a timer preempts it.
 
 Every binding starts **array-resident**: its row is its only state and
 no per-device object exists (see :mod:`repro.fleet.columns`). The
 resident handlers cover exactly the events whose whole effect is a
-handful of row writes:
+handful of row writes plus the timers the objects would arm:
 
 * filtered and dead-on-arrival arrivals (counts only);
-* a live, non-expiring arrival: forwarded on arrival when the link is
-  up and, unless the policy is ONLINE, the client has room under the
-  prefetch limit (then nothing is queued ahead of it); otherwise pushed
-  onto the row's proxy queue. Under a fixed positive delay (§3.4, never
-  ONLINE) the arrival first waits in the delay stage: the pump arms the
-  proxy's delay timer, and :meth:`ShardBatchDispatcher._delay_timeout`
-  forwards or queues the entry on its row when it fires;
+* a live arrival: forwarded on arrival when the link is up and, unless
+  the policy is ONLINE, the client has room under the prefetch limit
+  (then nothing is queued ahead of it); otherwise queued. Under a fixed
+  positive delay (§3.4, never ONLINE) it first waits in the delay stage
+  on the proxy's delay timer (:meth:`ShardBatchDispatcher.
+  _delay_timeout`). An expiring one (§3.3) first arms the proxy's
+  expiration timer, as ``_handle_new_event`` does — also when it is
+  forwarded at once, whose forward cancels it (the row then only draws
+  its sequence number); outside ONLINE, one whose lifetime is below the
+  expiration threshold (the policy's, or the read-interval average)
+  goes to the row's holding queue, which only a READ forwards. A
+  delivered expiring entry arms the device's expiry timer
+  (``ClientDevice.receive``), cancelled when the user reads it;
 * DOWN, and UP: the queue report, the offline read log replayed as
-  ``on_read_report`` replays it (a monotone merge into the interval
-  average), the limit recompute, then the queue flushed highest-first
-  as pushes — whole under ONLINE, up to the limit otherwise;
+  ``on_read_report`` replays it, the limit recompute, then the queue
+  flushed highest-first as pushes — whole under ONLINE, up to the limit
+  otherwise (an entry due at that very time expires instead);
 * a user read while the link is up: the moving-average bookkeeping and
-  the limit recompute; when the queue is non-empty, ``on_read``'s
-  exchange on tuples (the top N queued merged with the top N held, the
-  device's copy winning rank ties; the queue's share of the first N is
-  pulled, then the queue tops the client up to the new limit, pulled
-  too); then the ranked local consume;
+  the limit recompute; with anything at the proxy, ``on_read``'s prune
+  of what is due now and its exchange on tuples (the top N of the queue
+  and the holding queue merged with the top N held, the device's copy
+  winning rank ties; the proxy's share of the first N is pulled, then
+  the queue tops the client up to the new limit); then the ranked
+  local consume, which skips an entry due now;
 * a user read while the link is down: a log entry and the local
   consume.
 
@@ -59,46 +64,30 @@ ladder: :meth:`ShardBatchDispatcher._attempt` is
 :meth:`~repro.device.link.LastHopLink._attempt` on the row — the same
 :class:`~repro.faults.FaultPlan` draws in the same order, the same
 ``sim.schedule`` calls for a retry, a jittered landing and a duplicate,
-retries parked while the link is down and resumed (zero-delay, in
-parked order) on UP — so sequence numbers, tie-breaks and
-``events_processed`` are the link's by construction. The draws are
-SHA-256 hashes, which no vector op computes, and an arithmetic
-resolution would have to re-derive every ``(time, seq)`` tie; the row
-schedules the link's timers instead. A timer that fires after its
-binding materialized hands the attempt or the landing to the objects.
-So does a delay timer: the pump arms it where ``_handle_new_event``
-does, and once the binding materialized it runs the proxy's own.
-
-The queue and the log are a clean shard's: under a fault spec an
-arrival the proxy must queue (on arrival, or when its delay ends), or a
-read while the link is down, still escapes (a queued forward would have
-to interleave with landings still in flight).
+retries parked while the link is down and resumed on UP. The draws are
+SHA-256 hashes, which no vector op computes, so the row schedules the
+link's timers rather than re-deriving every ``(time, seq)`` tie. The
+queues and the log are a clean shard's: under a fault spec an arrival
+the proxy must queue or hold, or a read while the link is down, still
+escapes (a queued forward would interleave with landings in flight).
 
 The first event outside that set calls ``materialize(d)`` — the fleet
 runner's per-device wiring plus a replay of the row into the objects —
-and hands the event to the binding's scalar callbacks
-(``proxy.on_notification``, ``links[d].set_status``,
-``clients[d].perform_read``), which own the binding for the rest of the
-run (one-way: nothing is ever re-absorbed). From then on the row's
-``network``, ``queue_size`` and ``prefetch_limit`` are stale, so the
-pump tests ``resident[d]`` before it reads any of them. The
-escapes, each a property of the input or of the row: a RATE arrival (it
-earns per-arrival credit, which a row has no line for), an expiring
-arrival (it would arm the expiration timer, which a row does not
-schedule), and a faulted row's queued arrival or offline read.
-Bindings that can never take a resident handler are materialized by the
-runner at wiring, before the streams register: all of them when the
-shard cannot keep rows (below) or its bindings are not the ON-DEMAND,
-unscheduled kind the row models (a ``run_scenario`` topic type or
-delivery schedule), and those whose input carries a rank change (a
-change resolves against the durable history of earlier arrivals, which
-a row does not keep). Materializing mid-run schedules
-nothing and reserves no sequence number — held and queued entries never
-expire, crash plans, the only wiring step that arms timers, exist only
-in shards materialized at wiring, and a row's in-flight and delay
-timers keep their sequence numbers — so
-``events_processed`` and every tie-break are unchanged by when a
-binding escapes.
+and hands the event to the binding's scalar callbacks, which own the
+binding for the rest of the run (one-way); the row's ``network``,
+``queue_size`` and ``prefetch_limit`` are stale from then on, so the
+pump tests ``resident[d]`` before it reads them. The escapes, each a
+property of the input or of the row: a RATE arrival (a row has no
+per-arrival credit line), and a faulted row's queued or held arrival
+or offline read. The runner materializes at wiring the bindings that
+can never take a resident handler: all of them when the shard cannot
+keep rows (below) or its bindings are not the ON-DEMAND, unscheduled
+kind the row models, and those whose input carries a rank change (it
+resolves against a history a row does not keep). Materializing mid-run
+schedules nothing: the objects adopt the row's pending timers, and a
+row timer that fires after its binding materialized runs the objects'
+handler, so ``events_processed`` and every tie-break are unchanged by
+when a binding escapes.
 
 Equivalence contract (pinned by ``tests/fleet/test_fleet_batch.py``):
 the pump and the scalar oracle — the fleet runner's private
@@ -116,12 +105,13 @@ rows also record the ids they read — the two return the same
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+import math
+from bisect import bisect_left, insort
+from heapq import _siftdown, _siftup, heappop, heappush
 from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.broker.message import Notification
 from repro.errors import SimulationError
 from repro.faults import FaultPlan, FaultSpec
 from repro.fleet.columns import FleetColumns, row_notification
@@ -131,7 +121,7 @@ from repro.proxy.moving_average import IntervalAverage, MovingAverage
 from repro.proxy.policies import PolicyConfig
 from repro.proxy.prefetch import BufferPrefetcher
 from repro.proxy.proxy import LastHopProxy
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, _ScheduledEvent
 from repro.types import DeliveryMode, NetworkStatus, PolicyKind
 
 _UP = NetworkStatus.UP
@@ -151,6 +141,8 @@ _OUTAGE_DOWN = 5
 _OUTAGE_UP = 6
 #: A live, non-expiring arrival entering a positive §3.4 delay stage.
 _ARRIVE_DELAYED = 7
+#: A live arrival that expires (§3.3).
+_ARRIVE_EXPIRING = 8
 
 
 class ShardBatchDispatcher:
@@ -176,7 +168,7 @@ class ShardBatchDispatcher:
         policy: PolicyConfig,
         cols: FleetColumns,
         materialize: Callable[[int], None],
-        accumulator: FleetAccumulator,
+        accumulator: Optional[FleetAccumulator],
         spec: Optional[FaultSpec],
         plan_for: Callable[[int], FaultPlan],
         recorder,
@@ -190,9 +182,9 @@ class ShardBatchDispatcher:
         self.materialize = materialize
         self.plan_for = plan_for
         #: Resident bindings stream their read ages into the same shared
-        #: pair every ``SketchedStats`` of the shard feeds.
-        self.delay_sketch = accumulator.read_delay_sketch
-        self.delay_moments = accumulator.read_delay_moments
+        #: pair every ``SketchedStats`` of the shard feeds; a shard with
+        #: no accumulator (one ``run_scenario`` device) keeps neither.
+        self.accumulator = accumulator
 
         #: Whether bindings may stay array-resident. Nothing may observe
         #: intermediate states or perturb a delivery outside the pump
@@ -202,8 +194,7 @@ class ShardBatchDispatcher:
         #: sequence numbers at wiring, before the streams).
         #: False means the runner materializes every binding at wiring.
         self.keeps_rows = (
-            recorder is None
-            and auditor is None
+            recorder is None and auditor is None
             and (spec is None or spec.crashes_per_day == 0)
         )
         self.online_kind = policy.kind is PolicyKind.ONLINE
@@ -213,9 +204,7 @@ class ShardBatchDispatcher:
         self.delay = 0.0 if self.online_kind or not policy.delay else policy.delay
         #: RATE arrivals earn forwarding credit per event, and a row has
         #: no credit line.
-        self.row_arrivals = (
-            self.keeps_rows and policy.kind is not PolicyKind.RATE
-        )
+        self.row_arrivals = self.keeps_rows and policy.kind is not PolicyKind.RATE
         #: The resident read's limit recompute (the objects' own lives
         #: in the proxy).
         self.limits = BufferPrefetcher(policy)
@@ -234,6 +223,7 @@ class ShardBatchDispatcher:
         self.m_ranks: List[float] = []
         self.m_exps: List[float] = []
         self.m_pubs: List[float] = []
+        self.m_count = 0
 
     # ------------------------------------------------------------------
     # Stream construction
@@ -274,14 +264,16 @@ class ShardBatchDispatcher:
         self._check_times("arrival", a_times)
         a_ranks = acols.ranks[order]
         a_exps = acols.expires_at[order]
+        self._check_times("expiry", a_exps[~np.isnan(a_exps)])
         below = a_ranks < threshold
         # NaN (the no-expiry sentinel) compares False, so non-expiring
         # notifications are never classified dead.
         dead = ~below & (a_exps <= a_times)
         a_codes = np.where(below, _ARRIVE_FILTERED, _ARRIVE).astype(np.uint8)
         a_codes[dead] = _ARRIVE_DEAD
+        a_codes[(a_codes == _ARRIVE) & ~np.isnan(a_exps)] = _ARRIVE_EXPIRING
         if self.delay > 0:
-            a_codes[(a_codes == _ARRIVE) & np.isnan(a_exps)] = _ARRIVE_DELAYED
+            a_codes[a_codes == _ARRIVE] = _ARRIVE_DELAYED
         a_devs = adev[order]
         a_eids = acols.event_ids[order]
 
@@ -380,6 +372,7 @@ class ShardBatchDispatcher:
         self.m_ranks = ranks[order].tolist()
         self.m_exps = exps[order].tolist()
         self.m_pubs = pubs[order].tolist()
+        self.m_count = len(self.m_times)
         self.sim.add_batch_stream(self.m_times, self._pump)
 
     # ------------------------------------------------------------------
@@ -397,7 +390,6 @@ class ShardBatchDispatcher:
         m_ints = self.m_ints
         m_ranks = self.m_ranks
         m_exps = self.m_exps
-        m_pubs = self.m_pubs
         cols = self.cols
         resident = cols.resident
         net = cols.network
@@ -405,12 +397,12 @@ class ShardBatchDispatcher:
         plimit = cols.prefetch_limit
         held = cols.held
         waiting_at = cols.proxy_queue
+        holds = cols.proxy_holding
+        timers = cols.timers
         logs = cols.read_log
         accepted = cols.accepted
         forwarded = cols.forwarded
         pulled = cols.pulled
-        filtered = cols.filtered
-        dead = cols.dead
         reads = cols.reads
         outage_reads = cols.outage_reads
         empty_reads = cols.empty_reads
@@ -420,45 +412,48 @@ class ShardBatchDispatcher:
         old_reads = cols.old_reads
         old_times = cols.old_times
         topics = cols.topics
-        links = cols.links
-        clients = cols.clients
         materialize = self.materialize
         # Fault row state: None in a clean shard, whose rows instead
         # queue arrivals and log offline reads.
         forward = None if cols.plans is None else self._forward
         clean = forward is None
         parked = cols.parked
-        on_notification = self.proxy.on_notification
+        escape = self._escape
+        arrive_expiring = self._arrive_expiring
         row_arrivals = self.row_arrivals
         online = self.online_kind
         window = self.policy.ma_window
         limit_for = self.limits.limit_for
-        push_sketch = self.delay_sketch.push
-        push_moments = self.delay_moments.push
+        acc = self.accumulator
+        push_sketch = None if acc is None else acc.read_delay_sketch.push
+        push_moments = None if acc is None else acc.read_delay_moments.push
         seq_mark = sim._seq_next
         i = pos
-        end = len(times)
+        end = self.m_count
         while i < end:
             t = times[i]
             if t > until:
                 break
             if t > cap_time or (t == cap_time and base + i >= cap_seq):
-                break
+                if not (heap and heap[0][1] == cap_seq and heap[0][2].cancelled):
+                    break
+                # A cancelled timer caps the run only for the engine to
+                # discard it: discard it here and go on.
+                heappop(heap)
+                cap_time, cap_seq = heap[0][:2] if heap else (math.inf, 0)
+                continue
             sim._now = t
             code = m_codes[i]
             d = m_devs[i]
             if code == _ARRIVE:
-                exp = m_exps[i]
-                # NaN != NaN: the no-expiry sentinel. A clean row takes
-                # every such arrival; a faulted one only those the proxy
-                # forwards on arrival.
+                entry = (-m_ranks[i], t, m_ints[i], m_exps[i])
+                # A clean row takes every such arrival; a faulted one
+                # only those the proxy forwards on arrival.
                 if (
                     resident[d]
                     and row_arrivals
-                    and exp != exp
                     and (clean or net[d] and (online or qsize[d] < plimit[d]))
                 ):
-                    entry = (-m_ranks[i], t, m_ints[i])
                     accepted[d] += 1
                     if net[d] and (online or qsize[d] < plimit[d]):
                         # Forwarded on arrival: the proxy's estimate
@@ -486,24 +481,19 @@ class ShardBatchDispatcher:
                         i += 1
                         continue
                 else:
-                    if resident[d]:
-                        materialize(d)
-                    on_notification(
-                        Notification(
-                            event_id=m_ints[i],
-                            topic=topics[d],
-                            rank=m_ranks[i],
-                            published_at=t,
-                            expires_at=None if exp != exp else exp,
-                        )
-                    )
+                    escape(d, entry)
+            elif code == _ARRIVE_EXPIRING:
+                # Arms timers if the row takes it: on to the cap refresh.
+                entry = (-m_ranks[i], t, m_ints[i], m_exps[i])
+                if not (resident[d] and row_arrivals and arrive_expiring(d, entry)):
+                    escape(d, entry)
             elif code == _OUTAGE_DOWN:
                 # (Branch order is by event frequency: a typical
                 # campaign carries several outage transitions per read.)
                 if resident[d]:
                     net[d] = 0
                 else:
-                    links[d].set_status(_DOWN)
+                    cols.links[d].set_status(_DOWN)
             elif code == _OUTAGE_UP:
                 # A resident binding runs the link's listener cascade on
                 # its row: under a fault spec its parked retries resume
@@ -539,11 +529,17 @@ class ShardBatchDispatcher:
                         waiting = waiting_at[d]
                         if waiting:
                             # try_forwarding: outgoing (ONLINE) goes
-                            # whole, prefetch up to the limit; pushes.
+                            # whole, prefetch up to the limit; pushes. An
+                            # entry due now expires at the proxy instead.
                             budget = plimit[d]
                             sent = []
                             while waiting and (online or size < budget):
-                                sent.append(heappop(waiting))
+                                entry = heappop(waiting)
+                                if entry[3] <= t:
+                                    self._disarm(d, entry[2])
+                                    cols.expired[d] += 1
+                                    continue
+                                sent.append(entry)
                                 size += 1
                             if not waiting:
                                 waiting_at[d] = None
@@ -553,150 +549,147 @@ class ShardBatchDispatcher:
                                     held[d] = sent
                                 else:
                                     holding.extend(sent)
+                                if timers[d] is not None:
+                                    self._rearm(d, sent)
                         qsize[d] = size
                 else:
-                    links[d].set_status(_UP)
+                    cols.links[d].set_status(_UP)
             elif code == _READ:
                 n = m_ints[i]
-                if resident[d]:
-                    if net[d] or clean:
-                        reads[d] += 1
-                        holding = held[d]
-                        if net[d]:
-                            # on_read: the moving-average bookkeeping,
-                            # the queue-size sync and the limit
-                            # recompute ...
-                            sizes = old_reads[d]
-                            if sizes is None:
-                                sizes = old_reads[d] = MovingAverage(window)
-                                gaps = old_times[d] = IntervalAverage(window)
-                            else:
-                                gaps = old_times[d]
-                            sizes.push(float(n))
-                            gaps.push(t)
-                            budget = plimit[d] = limit_for(sizes.value)
-                            size = len(holding) if holding else 0
-                            waiting = waiting_at[d]
-                            if waiting:
-                                # ... and, with something queued, the
-                                # exchange: slot by slot through the
-                                # top n, the device's top entry wins
-                                # rank ties and the queue's is pulled;
-                                # then the queue tops the client up to
-                                # the limit (pulled too: in the READ).
-                                if size > 1:
-                                    holding.sort()
-                                sent = []
-                                kept = 0
-                                slots = n
-                                while slots and waiting:
-                                    if (
-                                        kept < size
-                                        and holding[kept][0] <= waiting[0][0]
-                                    ):
-                                        kept += 1
-                                    else:
-                                        sent.append(heappop(waiting))
-                                    slots -= 1
-                                size += len(sent)
-                                while size < budget and waiting:
-                                    sent.append(heappop(waiting))
-                                    size += 1
-                                if not waiting:
-                                    waiting_at[d] = None
-                                if sent:
-                                    forwarded[d] += len(sent)
-                                    pulled[d] += len(sent)
-                                    if holding is None:
-                                        holding = held[d] = sent
-                                    else:
-                                        holding.extend(sent)
-                            qsize[d] = size
+                if resident[d] and (net[d] or clean):
+                    reads[d] += 1
+                    holding = held[d]
+                    if net[d]:
+                        # on_read: the moving-average bookkeeping,
+                        # the queue-size sync and the limit
+                        # recompute ...
+                        sizes = old_reads[d]
+                        if sizes is None:
+                            sizes = old_reads[d] = MovingAverage(window)
+                            gaps = old_times[d] = IntervalAverage(window)
                         else:
-                            # Offline: the device logs the read for the
-                            # next UP's report.
-                            outage_reads[d] += 1
-                            log = logs[d]
-                            if log is None:
-                                logs[d] = [(t, n)]
-                            else:
-                                log.append((t, n))
-                        # The device consumes its top-n locally
-                        # (ClientDevice._consume: everything held is at
-                        # or above the threshold and never expires).
-                        if holding and n > 0:
-                            qlen = len(holding)
-                            if qlen > 1:
+                            gaps = old_times[d]
+                        sizes.push(float(n))
+                        gaps.push(t)
+                        budget = plimit[d] = limit_for(sizes.value)
+                        size = len(holding) if holding else 0
+                        if waiting_at[d] or holds[d]:
+                            # ... and, with anything at the proxy, the
+                            # prune of what is due now and the exchange:
+                            # slot by slot through the top n, the
+                            # device's top entry wins rank ties and the
+                            # proxy's (from either queue) is pulled; the
+                            # queue then tops the client up (pulled too).
+                            if timers[d] is not None:
+                                self._prune(d, t)
+                            waiting = waiting_at[d]
+                            hold = holds[d]
+                            if size > 1:
                                 holding.sort()
-                            if n >= qlen:
-                                taken = holding
-                                held[d] = None
-                            else:
-                                taken = holding[:n]
-                                del holding[:n]
-                            total = delay_sums[d]
+                            sent = []
+                            kept = 0
+                            slots = n
+                            while slots and (waiting or hold):
+                                top = (
+                                    waiting
+                                    if not hold or waiting and waiting[0] < hold[0]
+                                    else hold
+                                )
+                                if kept < size and holding[kept][0] <= top[0][0]:
+                                    kept += 1
+                                elif top is waiting:
+                                    sent.append(heappop(waiting))
+                                else:
+                                    sent.append(hold.pop(0))
+                                slots -= 1
+                            size += len(sent)
+                            while size < budget and waiting:
+                                sent.append(heappop(waiting))
+                                size += 1
+                            if not waiting:
+                                waiting_at[d] = None
+                            if not hold:
+                                holds[d] = None
+                            if sent:
+                                forwarded[d] += len(sent)
+                                pulled[d] += len(sent)
+                                if holding is None:
+                                    holding = held[d] = sent
+                                else:
+                                    holding.extend(sent)
+                                if timers[d] is not None:
+                                    self._rearm(d, sent)
+                        qsize[d] = size
+                    else:
+                        # Offline: the device logs the read for the
+                        # next UP's report.
+                        outage_reads[d] += 1
+                        log = logs[d]
+                        if log is None:
+                            logs[d] = [(t, n)]
+                        else:
+                            log.append((t, n))
+                    # The device consumes its top-n locally
+                    # (ClientDevice._consume: everything held is at
+                    # or above the threshold; one due now is skipped).
+                    taken = None
+                    if holding and n > 0:
+                        qlen = len(holding)
+                        if qlen > 1:
+                            holding.sort()
+                        if n >= qlen:
+                            taken = holding
+                            held[d] = None
+                        else:
+                            taken = holding[:n]
+                            del holding[:n]
+                        if timers[d] is not None:
+                            taken = self._read_expiring(d, taken, t)
+                    if taken:
+                        total = delay_sums[d]
+                        if push_sketch is None:
+                            for entry in taken:
+                                total += t - entry[1]
+                        else:
                             for entry in taken:
                                 age = t - entry[1]
                                 total += age
                                 push_sketch(age)
                                 push_moments(age)
-                            delay_sums[d] = total
-                            consumed[d] += len(taken)
-                            if read_ids is not None:
-                                read_ids[d].extend([entry[2] for entry in taken])
-                        else:
-                            empty_reads[d] += 1
-                        i += 1
-                        continue
-                    materialize(d)
-                clients[d].perform_read(topics[d], n)
+                        delay_sums[d] = total
+                        consumed[d] += len(taken)
+                        if read_ids is not None:
+                            read_ids[d].extend([entry[2] for entry in taken])
+                    else:
+                        empty_reads[d] += 1
+                else:
+                    if resident[d]:
+                        materialize(d)
+                    cols.clients[d].perform_read(topics[d], n)
             elif code == _CHANGE:
-                # The runner materialized this binding at wiring: a
-                # change resolves against the proxy's durable history.
-                exp = m_exps[i]
-                on_notification(
-                    Notification(
-                        event_id=m_ints[i],
-                        topic=topics[d],
-                        rank=m_ranks[i],
-                        published_at=m_pubs[i],
-                        expires_at=None if exp != exp else exp,
-                    )
-                )
+                # Materialized at wiring: it needs the proxy's history.
+                escape(d, (-m_ranks[i], self.m_pubs[i], m_ints[i], m_exps[i]))
             elif code == _ARRIVE_DELAYED:
                 # _handle_new_event's delay stage on the row: accepted,
                 # then held back by the proxy's own timer. The schedule
                 # draws a sequence number: on to the cap refresh.
-                entry = (-m_ranks[i], t, m_ints[i])
+                entry = (-m_ranks[i], t, m_ints[i], m_exps[i])
                 if resident[d] and row_arrivals:
                     accepted[d] += 1
                     cols.delayed[d] += 1
                     sim.schedule(self.delay, self._delay_timeout, d, entry)
                 else:
-                    if resident[d]:
-                        materialize(d)
-                    on_notification(row_notification(topics[d], entry))
+                    escape(d, entry)
             else:
                 # Filtered / dead-on-arrival: counters only on a row.
-                if resident[d]:
-                    if row_arrivals:
-                        if code == _ARRIVE_FILTERED:
-                            filtered[d] += 1
-                        else:
-                            dead[d] += 1
-                        i += 1
-                        continue
-                    materialize(d)
-                exp = m_exps[i]
-                on_notification(
-                    Notification(
-                        event_id=m_ints[i],
-                        topic=topics[d],
-                        rank=m_ranks[i],
-                        published_at=t,
-                        expires_at=None if exp != exp else exp,
-                    )
-                )
+                if resident[d] and row_arrivals:
+                    if code == _ARRIVE_FILTERED:
+                        cols.filtered[d] += 1
+                    else:
+                        cols.dead[d] += 1
+                    i += 1
+                    continue
+                escape(d, (-m_ranks[i], t, m_ints[i], m_exps[i]))
             i += 1
             if sim._seq_next != seq_mark:
                 seq_mark = sim._seq_next
@@ -704,25 +697,71 @@ class ShardBatchDispatcher:
                     cap_time, cap_seq, _top = heap[0]
         return i - pos
 
+    def _escape(self, d: int, entry) -> None:
+        """Hand an arrival (or a rank change) the row cannot take to
+        binding ``d``'s objects, built first if it is still resident."""
+        if self.cols.resident[d]:
+            self.materialize(d)
+        self.proxy.on_notification(row_notification(self.cols.topics[d], entry))
+
+    def _arrive_expiring(self, d: int, entry) -> bool:
+        """``_handle_new_event`` and ``try_forwarding`` for a live
+        expiring arrival on row ``d``; False, with the row untouched,
+        when a faulted row would have to queue or hold it."""
+        cols = self.cols
+        policy = self.policy
+        online = self.online_kind
+        lifetime = entry[3] - entry[1]
+        room = cols.network[d] and (
+            online or cols.queue_size[d] < cols.prefetch_limit[d]
+        )
+        threshold = policy.expiration_threshold
+        if threshold is None:  # the read-interval average, as on_read sets it
+            threshold = policy.initial_expiration_threshold
+            if cols.old_times[d] is not None:
+                threshold = cols.old_times[d].value_or(threshold)
+        hold = not online and lifetime < threshold
+        delay = not hold and self.delay > 0
+        if cols.plans is not None and not (delay or room and not hold):
+            return False
+        cols.accepted[d] += 1
+        if not online:
+            if cols.exp_times[d] is None:
+                cols.exp_times[d] = MovingAverage(policy.ma_window)
+            cols.exp_times[d].push(lifetime)
+        if room and not hold and not delay:
+            # Forwarded at once: _do_forward cancels the proxy's timer
+            # before it can fire, so only its sequence number is drawn.
+            self.sim._seq_next += 1
+            self._deliver(d, entry)
+            return True
+        self._arm(d, entry, self._expiration_timeout)
+        if delay:
+            cols.delayed[d] += 1
+            handle = self.sim.schedule(self.delay, self._delay_timeout, d, entry)
+            cols.delay_timers[d] = {**(cols.delay_timers[d] or {}), entry[2]: handle}
+            return True
+        column = cols.proxy_holding if hold else cols.proxy_queue
+        if column[d] is None:
+            column[d] = [entry]
+        else:
+            (insort if hold else heappush)(column[d], entry)
+        return True
+
     def _delay_timeout(self, d: int, entry) -> None:
-        """:meth:`LastHopProxy._delay_timeout <repro.proxy.proxy.
-        LastHopProxy._delay_timeout>` and its ``try_forwarding`` on row
-        ``d``: the entry leaves the delay stage and is forwarded if the
-        link is up with client room (the row's queue is then empty), else
-        queued — or, on a faulted row, which never queues, the binding
-        escapes and its objects take the timeout."""
+        """``LastHopProxy._delay_timeout`` and ``try_forwarding`` on row
+        ``d``: a forward with the link up and room (the queue is then
+        empty), else the queue — or, on a faulted row, the objects."""
         cols = self.cols
         if cols.resident[d]:
             cols.delayed[d] -= 1
+            if entry[3] == entry[3]:
+                del cols.delay_timers[d][entry[2]]
+                cols.delay_timers[d] = cols.delay_timers[d] or None
             if cols.network[d] and cols.queue_size[d] < cols.prefetch_limit[d]:
-                cols.queue_size[d] += 1
-                cols.forwarded[d] += 1
-                if cols.plans is not None:
-                    self._forward(d, entry)
-                elif cols.held[d] is None:
-                    cols.held[d] = [entry]
-                else:
-                    cols.held[d].append(entry)
+                if entry[3] == entry[3]:
+                    self._disarm(d, entry[2])
+                self._deliver(d, entry)
                 return
             if cols.plans is None:
                 if cols.proxy_queue[d] is None:
@@ -735,6 +774,129 @@ class ShardBatchDispatcher:
         self.proxy._delay_timeout(
             self.proxy.topic_state(topic), row_notification(topic, entry)
         )
+
+    def _deliver(self, d: int, entry) -> None:
+        """``_do_forward`` on row ``d``: received now, or on the ladder."""
+        self.cols.queue_size[d] += 1
+        self.cols.forwarded[d] += 1
+        if self.cols.plans is None:
+            self._receive(d, entry)
+        else:
+            self._forward(d, entry)
+
+    def _receive(self, d: int, entry) -> None:
+        """:meth:`ClientDevice.receive <repro.device.device.ClientDevice.
+        receive>` on row ``d``, arming the device's expiry timer."""
+        if self.cols.held[d] is None:
+            self.cols.held[d] = [entry]
+        else:
+            self.cols.held[d].append(entry)
+        if entry[3] == entry[3]:
+            self._arm(d, entry, self._expire)
+
+    # ------------------------------------------------------------------
+    # Expiration (§3.3): the proxy's timer and the device's
+    # ------------------------------------------------------------------
+    def _expiration_timeout(self, d: int, entry) -> None:
+        """:meth:`LastHopProxy._expiration_timeout <repro.proxy.proxy.
+        LastHopProxy._expiration_timeout>` on row ``d``: the entry leaves
+        the delay stage (cancelling its timer) or its queue."""
+        cols = self.cols
+        if not cols.resident[d]:
+            topic = cols.topics[d]
+            self.proxy._expiration_timeout(
+                self.proxy.topic_state(topic), row_notification(topic, entry)
+            )
+            return
+        self._disarm(d, entry[2])
+        if entry[2] in (cols.delay_timers[d] or ()):
+            cols.delay_timers[d].pop(entry[2]).cancel()
+            cols.delay_timers[d] = cols.delay_timers[d] or None
+            cols.delayed[d] -= 1
+        else:
+            holding = cols.proxy_holding[d]
+            at = bisect_left(holding, entry) if holding else None
+            if at is not None and at < len(holding) and holding[at] is entry:
+                del holding[at]
+                cols.proxy_holding[d] = holding or None
+            else:
+                queue = cols.proxy_queue[d]
+                last = queue.pop()
+                if last is not entry:
+                    # O(log n): the last entry takes its place, and
+                    # heapq's own sift moves it up or down from there.
+                    at = queue.index(entry)
+                    queue[at] = last
+                    if at and last < queue[(at - 1) >> 1]:
+                        _siftdown(queue, 0, at)
+                    else:
+                        _siftup(queue, at)
+                cols.proxy_queue[d] = queue or None
+        cols.expired[d] += 1
+
+    def _expire(self, d: int, entry) -> None:
+        """:meth:`ClientDevice._expire <repro.device.device.ClientDevice.
+        _expire>` on row ``d``: the device drops the entry unread."""
+        cols = self.cols
+        if not cols.resident[d]:
+            cols.clients[d]._expire(entry[2])
+            return
+        self._disarm(d, entry[2])
+        cols.held[d].remove(entry)
+        cols.held[d] = cols.held[d] or None
+        cols.expired_on_device[d] += 1
+        if cols.expired_ids is not None:
+            cols.expired_ids[d].append(entry[2])
+
+    def _prune(self, d: int, now: float) -> None:
+        """``on_read``'s ``prune_expired`` on row ``d``'s two queues: what
+        is due now (its timer pends at this very time) expires at once."""
+        queued = self.cols.proxy_queue[d] or ()
+        for entry in [*queued, *(self.cols.proxy_holding[d] or ())]:
+            if entry[3] <= now:
+                self._expiration_timeout(d, entry)
+
+    def _read_expiring(self, d: int, taken: List, now: float) -> List:
+        """``ClientDevice._consume``'s top n on row ``d``: an entry due
+        now stays held; the entries read cancel their expiry timers."""
+        due = [entry for entry in taken if entry[3] <= now]
+        if due:
+            taken = [entry for entry in taken if entry not in due]
+            self.cols.held[d] = (self.cols.held[d] or []) + due
+        for entry in taken:
+            if entry[3] == entry[3]:
+                self._disarm(d, entry[2])
+        return taken
+
+    def _rearm(self, d: int, sent: List) -> None:
+        """Queued entries just forwarded, in forwarding order: each
+        expiring one's proxy timer is cancelled and the device's armed."""
+        for entry in sent:
+            if entry[3] == entry[3]:
+                self.cols.timers[d][entry[2]].cancelled = True
+                self._arm(d, entry, self._expire)
+
+    def _arm(self, d: int, entry, callback) -> None:
+        """``schedule_at(max(expires_at, now), callback, d, entry)`` as
+        the entry's timer on row ``d``, minus the finiteness check and
+        the handle: the row keeps the event and cancels it by its flag."""
+        sim = self.sim
+        when = entry[3] if entry[3] > sim._now else sim._now
+        seq = sim._seq_next
+        sim._seq_next = seq + 1
+        event = _ScheduledEvent(when, seq, callback, (d, entry))
+        heappush(sim._heap, (when, seq, event))
+        if self.cols.timers[d] is None:
+            self.cols.timers[d] = {entry[2]: event}
+        else:
+            self.cols.timers[d][entry[2]] = event
+
+    def _disarm(self, d: int, event_id) -> None:
+        """Cancel (unless it fired) and forget ``event_id``'s timer."""
+        timers = self.cols.timers[d]
+        timers[event_id].cancelled = True
+        del timers[event_id]
+        self.cols.timers[d] = timers or None
 
     # ------------------------------------------------------------------
     # The resident ack–retry ladder (shards with a crash-free spec)
@@ -809,8 +971,4 @@ class ShardBatchDispatcher:
         landing.remove(event_id)
         if not landing:
             cols.inflight[d] = None
-        holding = cols.held[d]
-        if holding is None:
-            cols.held[d] = [entry]
-        else:
-            holding.append(entry)
+        self._receive(d, entry)

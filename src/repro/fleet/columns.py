@@ -9,41 +9,40 @@ A binding lives in one of two tiers, recorded in ``resident``:
   and write the row directly — link status, the proxy's client-queue
   estimate and prefetch limit, the notifications the device holds, the
   per-device counts, the ``read_delay_sum`` partial, and the read-size /
-  read-interval averages (created on the binding's first read). A
-  clean shard's row (no fault spec) also keeps the proxy's queue for the
-  binding — the arrivals it could not forward, standing for
-  ``outgoing`` under ONLINE and ``prefetch`` otherwise — and the
-  device's offline read log, so outages and full buffers stay on the
-  row. Under a fixed positive delay the row also counts the arrivals
-  waiting in the §3.4 delay stage; the entries themselves ride on the
-  delay timers the pump arms.
+  read-interval / lifetime averages (created on first use). A clean
+  shard's row (no fault spec) also keeps the proxy's queue — standing
+  for ``outgoing`` under ONLINE and ``prefetch`` otherwise — and its
+  ``holding`` queue, and the device's offline read log. Under a fixed
+  positive delay the row counts the arrivals waiting in the §3.4 delay
+  stage; the entries ride on the delay timers the pump arms. An
+  expiring entry (§3.3) carries its ``expires_at``; its pending
+  expiration timer (the proxy's, or the device's once the device holds
+  it) is in ``timers``.
 * **Materialized** (``resident[d] == 0``): the first event the resident
   handlers cannot express makes the runner build the binding's object
   graph and replay the row into it (``ShardWiring.materialize`` in
-  :mod:`repro.fleet.runner`). From then on — one-way, for the rest of
-  the run — the objects are the binding's only state and take its
-  events on the scalar callbacks. The row keeps its counts (below) and
-  points at the objects through ``topics`` / ``stats`` / ``links`` /
-  ``clients``; its ``network``, ``queue_size`` and ``prefetch_limit``
-  go stale and are never read again.
+  :mod:`repro.fleet.runner`). From then on — one-way — the objects are
+  the binding's only state and take its events on the scalar
+  callbacks. The row keeps its counts (below) and points at the objects
+  through ``topics`` / ``stats`` / ``links`` / ``clients``; its
+  ``network``, ``queue_size`` and ``prefetch_limit`` go stale.
 
 Resident-row invariants (also :meth:`FleetColumns.verify_sync`): the
 queue is non-empty only while the link is down or, outside ONLINE, the
-client has no room (``queue_size >= prefetch_limit``) — the only states
-in which the proxy would keep an arrival; the log is non-empty only
-while the link is down (UP replays it); every accepted arrival was
-forwarded, is queued or is still delayed; every forward was read, is
-held or (under faults) has not landed.
+client has no room — the only states in which the proxy would keep an
+arrival; the log is non-empty only while the link is down; every
+accepted arrival was forwarded, is queued, held or delayed, or expired
+at the proxy; every forward was read, is held, expired on the device or
+(under faults) has not landed; every expiring entry kept has one timer.
 
 A shard with a fault spec allocates a second group of row state, which
 clean shards never pay for: the deliveries forwarded but not landed (in
 flight on the ack–retry ladder, or abandoned), the retries parked while
 the link is down, the five delivery-fault counters, and the device's
-:class:`~repro.faults.FaultPlan` (built on its first draw). The batch
-pump's resident ladder (:mod:`repro.fleet.batch`) runs on them; only a
+:class:`~repro.faults.FaultPlan` (built on its first draw). Only a
 crash-free spec keeps rows resident at all, so nothing here models a
-crash. A faulted row never queues an arrival or logs a read — both
-still escape — so its ``proxy_queue`` / ``read_log`` stay None.
+crash. A faulted row never queues or holds an arrival or logs a read
+(those escape), so its two queues and its log stay None.
 
 The row's counts keep what happened *while resident*; after
 materialization the binding's ``SketchedStats`` counts what happens
@@ -52,10 +51,9 @@ next and the fold adds the two (``FleetAccumulator.add_shard``, or
 is instead carried over into the stats object so its per-device
 left-to-right association never splits. A table built with
 ``read_ids=True`` — the one-device shard behind ``run_scenario``, whose
-§3.1 loss compares identity sets — also keeps the ids each row read;
-its forwarded ids are then those plus the ids it holds or has not
-landed, since nothing else leaves a row. A fleet campaign's table
-keeps no ids.
+§3.1 loss compares identity sets — also keeps the ids each row read or
+saw expire on the device; its forwarded ids are those plus the ids it
+holds or has not landed, since nothing else leaves a row.
 
 Per-item columns are Python lists / ``bytearray`` rather than numpy
 arrays: the pump reads them one element at a time, and every
@@ -72,14 +70,16 @@ from repro.types import EventId, TopicId
 
 
 def row_notification(topic: TopicId, entry) -> Notification:
-    """The notification a row's ``(-rank, published_at, event_id)``
-    entry stands for (rows hold only default-size, non-expiring ones)."""
-    neg_rank, published_at, event_id = entry
+    """The notification a row's ``(-rank, published_at, event_id,
+    expires_at)`` entry stands for (NaN = never expires; rows hold only
+    default-size notifications)."""
+    neg_rank, published_at, event_id, expires_at = entry
     return Notification(
         event_id=EventId(event_id),
         topic=topic,
         rank=-neg_rank,
         published_at=published_at,
+        expires_at=None if expires_at != expires_at else expires_at,
     )
 
 
@@ -87,36 +87,13 @@ class FleetColumns:
     """Per-binding state of one shard, as local-id indexed columns."""
 
     __slots__ = (
-        "devices",
-        "online",
-        "resident",
-        "network",
-        "queue_size",
-        "prefetch_limit",
-        "held",
-        "proxy_queue",
-        "read_log",
-        "accepted",
-        "delayed",
-        "forwarded",
-        "pulled",
-        "filtered",
-        "dead",
-        "reads",
-        "outage_reads",
-        "empty_reads",
-        "consumed",
-        "read_delay_sum",
-        "old_reads",
-        "old_times",
-        "topics",
-        "stats",
-        "links",
-        "clients",
-        "inflight",
-        "parked",
-        "plans",
-        "read_ids",
+        "devices", "online", "resident", "network", "queue_size",
+        "prefetch_limit", "held", "proxy_queue", "proxy_holding", "read_log",
+        "timers", "delay_timers", "exp_times", "accepted", "delayed", "expired",
+        "forwarded", "pulled", "expired_on_device", "filtered", "dead", "reads",
+        "outage_reads", "empty_reads", "consumed", "read_delay_sum",
+        "old_reads", "old_times", "topics", "stats", "links", "clients",
+        "inflight", "parked", "plans", "read_ids", "expired_ids",
     ) + DELIVERY_FAULT_FIELDS
 
     #: Payload bytes of every forward a resident row counts: the
@@ -151,30 +128,41 @@ class FleetColumns:
         #: The binding's current prefetch budget (policy-effective).
         self.prefetch_limit: List[int] = [initial_prefetch_limit] * n
         #: Notifications the device holds unread, as ``(-rank,
-        #: published_at, event_id)`` — the ranked-selection key of
-        #: :class:`~repro.proxy.queues.RankedQueue`, so a plain sort is
-        #: read order. None = nothing held. Only non-expiring
-        #: notifications are ever held here (an expiring arrival
-        #: materializes the binding), so no held entry needs an
-        #: expiration timer.
+        #: published_at, event_id, expires_at)`` (NaN = never): the
+        #: ranked-selection key of :class:`~repro.proxy.queues.
+        #: RankedQueue` first, so a plain sort is read order. None =
+        #: nothing held (so for every such column).
         self.held: List = [None] * n
-        #: The proxy's queue for the binding: a heap of the same
-        #: ``(-rank, published_at, event_id)`` entries, so ``heappop``
-        #: is ``RankedQueue.pop_highest``. None = nothing queued.
+        #: The proxy's queue, a heap of the same entries (``heappop`` is
+        #: ``RankedQueue.pop_highest``), and its ``holding`` queue of the
+        #: arrivals whose lifetime is below the expiration threshold (only
+        #: a READ forwards them), a sorted list: most of them leave on
+        #: their own timer, whose entry a bisection finds.
         self.proxy_queue: List = [None] * n
+        self.proxy_holding: List = [None] * n
         #: The device's offline read log, ``(time, n)`` per read while
-        #: the link is down, in event order. None = empty.
+        #: the link is down, in event order.
         self.read_log: List = [None] * n
-        #: Live arrivals the proxy accepted (forwarded, queued or
-        #: delayed).
+        #: ``{event_id: engine event}`` of each expiring entry's pending
+        #: expiration timer (the proxy's, or the device's once it holds
+        #: the entry), and ``{event_id: EventHandle}`` of the delay-stage
+        #: timers of the expiring entries in that stage.
+        self.timers: List = [None] * n
+        self.delay_timers: List = [None] * n
+        #: ``TopicState.exp_times``: the lifetime of every expiring
+        #: arrival taken outside ONLINE.
+        self.exp_times: List = [None] * n
+        #: Live arrivals the proxy accepted (forwarded, queued, held,
+        #: delayed, or expired at the proxy), those still in the delay
+        #: stage, and those that expired at the proxy.
         self.accepted: List[int] = [0] * n
-        #: Accepted arrivals still in the delay stage (their timers are
-        #: pending).
         self.delayed: List[int] = [0] * n
-        #: Distinct forwards, and how many of them a READ pulled (the
-        #: rest were pushed).
+        self.expired: List[int] = [0] * n
+        #: Distinct forwards, how many of them a READ pulled (the rest
+        #: were pushed), and how many expired on the device unread.
         self.forwarded: List[int] = [0] * n
         self.pulled: List[int] = [0] * n
+        self.expired_on_device: List[int] = [0] * n
         #: Arrivals filtered by the rank threshold / dead on arrival.
         self.filtered: List[int] = [0] * n
         self.dead: List[int] = [0] * n
@@ -214,11 +202,13 @@ class FleetColumns:
         for name in DELIVERY_FAULT_FIELDS:
             setattr(self, name, [0] * n if faulted else None)
 
-        #: Event ids the user read while the row was resident, in read
-        #: order — kept only for a caller that needs the identity sets
-        #: (``device_stats`` in :mod:`repro.metrics.streaming`); None in
-        #: a fleet campaign, whose fold needs only the counts.
+        #: Event ids the user read, and that expired on the device,
+        #: while the row was resident — kept only for a caller that needs
+        #: the identity sets (``device_stats`` in :mod:`repro.metrics.
+        #: streaming`); None in a fleet campaign, whose fold needs only
+        #: the counts.
         self.read_ids: Optional[List] = [[] for _ in range(n)] if read_ids else None
+        self.expired_ids = [[] for _ in range(n)] if read_ids else None
 
     @property
     def materialized_share(self) -> float:
@@ -239,14 +229,16 @@ class FleetColumns:
         the row against itself — the identities that make the replay
         into objects well defined (no objects yet, a queue only where
         the proxy would keep one, a log only while the link is down,
-        every accepted arrival forwarded, queued or delayed, every
-        forward read, held or not landed, retries parked only while the
+        every accepted arrival forwarded, queued, held, delayed or
+        expired, every forward read, held, expired or not landed, one
+        timer per expiring entry kept, retries parked only while the
         link is down, the averages present exactly when a read reached
         the proxy).
         """
         violations: List[str] = []
         row_state = [
-            self.held, self.proxy_queue, self.read_log,
+            self.held, self.proxy_queue, self.proxy_holding, self.read_log,
+            self.timers, self.delay_timers, self.exp_times,
             self.old_reads, self.old_times,
         ]
         if self.plans is not None:
@@ -268,6 +260,7 @@ class FleetColumns:
         up = self.network[d]
         held = len(self.held[d] or ())
         queued = len(self.proxy_queue[d] or ())
+        holding = len(self.proxy_holding[d] or ())
         logged = len(self.read_log[d] or ())
         if queued and up and (
             self.online or self.queue_size[d] < self.prefetch_limit[d]
@@ -278,12 +271,19 @@ class FleetColumns:
             )
         if logged and up:
             violations.append(f"device {d}: offline read log kept while the link is up")
-        if self.accepted[d] != self.forwarded[d] + queued + self.delayed[d]:
+        at_proxy = queued + holding + self.delayed[d] + self.expired[d]
+        if self.accepted[d] != self.forwarded[d] + at_proxy:
             violations.append(
                 f"device {d}: {self.accepted[d]} accepted vs "
-                f"{self.forwarded[d]} forwarded + {queued} queued + "
-                f"{self.delayed[d]} delayed"
+                f"{self.forwarded[d]} forwarded + {at_proxy} queued, held, "
+                f"delayed or expired at the proxy"
             )
+        kept = [*(self.held[d] or ()), *(self.proxy_queue[d] or ())]
+        kept += self.proxy_holding[d] or ()
+        expiring = [*(self.delay_timers[d] or ())]
+        expiring += [entry[2] for entry in kept if entry[3] == entry[3]]
+        if sorted(self.timers[d] or ()) != sorted(expiring):
+            violations.append(f"device {d}: expiration timers miss their entries")
         landing = 0
         if self.plans is not None:
             inflight = self.inflight[d] or ()
@@ -293,10 +293,11 @@ class FleetColumns:
                 violations.append(f"device {d}: retries parked while the link is up")
             if any(entry[2] not in inflight for entry, _attempt in parked):
                 violations.append(f"device {d}: a parked retry is not in flight")
-        if self.forwarded[d] != self.consumed[d] + held + landing:
+        gone = self.consumed[d] + self.expired_on_device[d]
+        if self.forwarded[d] != gone + held + landing:
             violations.append(
-                f"device {d}: {self.forwarded[d]} forwarded vs "
-                f"{self.consumed[d]} read + {held} held + {landing} not landed"
+                f"device {d}: {self.forwarded[d]} forwarded vs {gone} read or "
+                f"expired + {held} held + {landing} not landed"
             )
         # A landing after the last queue report can lift what the device
         # holds above the proxy's estimate; only a clean row is exact.
@@ -305,11 +306,11 @@ class FleetColumns:
                 f"device {d}: queue_size estimate {self.queue_size[d]} "
                 f"below the {held} notifications held"
             )
-        if self.read_ids is not None and len(self.read_ids[d]) != self.consumed[d]:
-            violations.append(
-                f"device {d}: {len(self.read_ids[d])} read ids for "
-                f"{self.consumed[d]} read"
-            )
+        if self.read_ids is not None and (
+            len(self.read_ids[d]) != self.consumed[d]
+            or len(self.expired_ids[d]) != self.expired_on_device[d]
+        ):
+            violations.append(f"device {d}: read or expired ids miss their counts")
         reads = self.reads[d]
         if self.empty_reads[d] > reads or self.outage_reads[d] > reads:
             violations.append(f"device {d}: more empty or outage reads than reads")

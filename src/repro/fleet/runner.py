@@ -70,7 +70,7 @@ from repro.proxy.prefetch import BufferPrefetcher
 from repro.proxy.proxy import LastHopProxy
 from repro.proxy.schedule import DeliverySchedule
 from repro.sim import trace_shm
-from repro.sim.engine import Simulator
+from repro.sim.engine import EventHandle, Simulator
 from repro.sim.trace import Trace
 from repro.types import (
     DeliveryMode, EventId, NetworkStatus, PolicyKind, TopicId, TopicType,
@@ -178,11 +178,12 @@ def _run_device_shard(
     — comes out of :func:`~repro.metrics.streaming.device_stats`. A
     topic type other than ON-DEMAND or a delivery schedule is wired into
     the binding, which then materializes at wiring: the row models
-    neither. It is no ``fleet-shards`` probe, and the collector stays
+    neither. It is no ``fleet-shards`` probe, keeps no accumulator (no
+    read-age sketch: ``RunResult`` reads none), and the collector stays
     on (one device allocates little). ``use_batch=False`` gives the
     scalar oracle the differential tests compare it against.
     """
-    acc, sim, proxy, cols = _run_shard(
+    _acc, sim, proxy, cols = _run_shard(
         workload, policy, fault_spec, use_batch,
         read_ids=True, topic_type=topic_type, schedule=schedule,
     )
@@ -269,13 +270,15 @@ class ShardWiring:
 
         The replay hands over what the binding's future depends on: the
         link status, the proxy's queue-size estimate and prefetch limit,
-        the read averages (and the expiration threshold derived from
-        them), the notifications the device holds, the proxy's queue
-        (into ``outgoing`` under ONLINE, ``prefetch`` otherwise) and the
-        device's offline read log, and under a fault spec the
-        deliveries not landed (forwarded, so into the forwarded sets;
-        their timers route to the objects from now on) and the parked
-        retries (onto the link). The row's counts stay behind — the fold
+        the read and lifetime averages (and the expiration threshold
+        derived from them), the notifications the device holds, the
+        proxy's queue (into ``outgoing`` under ONLINE, ``prefetch``
+        otherwise) and holding queue, handles on the pending expiration
+        and delay timers, the device's offline read log, and under a
+        fault spec the deliveries not landed (forwarded, so into the
+        forwarded sets) and the parked retries (onto the link); the
+        row's timers route to the objects from now on. The row's counts
+        stay behind — the fold
         adds them to what the stats object counts from here on — except
         ``read_delay_sum``, which moves so the per-device float sum keeps
         accumulating left to right. The row's link status, queue-size
@@ -291,8 +294,8 @@ class ShardWiring:
         device_id = self.workload.lo + index
         plan = None if self.spec is None else self.plan(index)
         stats = SketchedStats(
-            delay_sketch=acc.read_delay_sketch,
-            delay_moments=acc.read_delay_moments,
+            delay_sketch=None if acc is None else acc.read_delay_sketch,
+            delay_moments=None if acc is None else acc.read_delay_moments,
         )
         topic = device_topic(device_id)
         link, device, state = wire_device(
@@ -324,12 +327,19 @@ class ShardWiring:
                 state.forwarded.add(event_id)
                 stats.forwarded_ids.add(event_id)
             cols.held[index] = None
-        waiting = cols.proxy_queue[index]
-        if waiting is not None:
-            queue = state.outgoing if cols.online else state.prefetch
-            for entry in waiting:
-                queue.add(row_notification(topic, entry))
-            cols.proxy_queue[index] = None
+        queue = state.outgoing if cols.online else state.prefetch
+        for entry in cols.proxy_queue[index] or ():
+            queue.add(row_notification(topic, entry))
+        for entry in cols.proxy_holding[index] or ():
+            state.holding.add(row_notification(topic, entry))
+        cols.proxy_queue[index] = cols.proxy_holding[index] = None
+        for event_id, event in (cols.timers[index] or {}).items():
+            on_device = event_id in device._topic_of
+            handles = device._expiry_handles if on_device else state.expiration_handles
+            handles[event_id] = EventHandle(event)
+        state.delay_handles.update(cols.delay_timers[index] or {})
+        state.exp_times = cols.exp_times[index] or state.exp_times
+        cols.timers[index] = cols.delay_timers[index] = cols.exp_times[index] = None
         log = cols.read_log[index]
         if log is not None:
             device._offline_reads[topic] = log
@@ -422,13 +432,14 @@ def _run_shard(
     read_ids: bool = False,
     topic_type: TopicType = TopicType.ON_DEMAND,
     schedule: Optional[DeliverySchedule] = None,
-) -> Tuple[FleetAccumulator, Simulator, LastHopProxy, FleetColumns]:
+) -> Tuple[Optional[FleetAccumulator], Simulator, LastHopProxy, FleetColumns]:
     """Wire one shard and run it to the end of its workload; the caller
     folds the table and dismantles the shard."""
     obs_ctx = obs.active()
     recorder = None if obs_ctx is None else obs_ctx.recorder
     auditor = None if obs_ctx is None else obs_ctx.auditor
-    acc = FleetAccumulator()
+    # One device (read_ids) reports device_stats, which reads no sketch.
+    acc = None if read_ids else FleetAccumulator()
     sim = Simulator()
     proxy = LastHopProxy(sim, policy, recorder=recorder, auditor=auditor)
     n = workload.devices
@@ -505,8 +516,8 @@ def _final_queues(proxy: LastHopProxy, cols: FleetColumns) -> Tuple[int, int]:
     ``device.queue_size(t)`` over the materialized bindings, but
     reading the ranked queues' membership dicts directly — at 10k+
     bindings the method hops are a measurable slice of the fold. A
-    resident binding has its row's ``proxy_queue`` at the proxy and
-    holds its row's ``held``.
+    resident binding has its row's ``proxy_queue`` and ``proxy_holding``
+    at the proxy and holds its row's ``held``.
     """
     return (
         sum(
@@ -515,7 +526,7 @@ def _final_queues(proxy: LastHopProxy, cols: FleetColumns) -> Tuple[int, int]:
             + len(st.holding._items)
             for st in proxy._states.values()
         )
-        + sum(len(waiting) for waiting in cols.proxy_queue if waiting),
+        + sum(len(q) for c in (cols.proxy_queue, cols.proxy_holding) for q in c if q),
         sum(
             len(device._queues[topic]._items)
             for device, topic in zip(cols.clients, cols.topics)

@@ -144,10 +144,15 @@ class TuneParam:
                 raise ConfigurationError(
                     f"parameter {self.name!r} has no choices"
                 )
-            if len(set(map(canonical_json, self.choices))) != len(self.choices):
-                raise ConfigurationError(
-                    f"parameter {self.name!r} has duplicate choices"
-                )
+            # By value, as the sweep axes compare (so 0 == 0.0): two
+            # spellings of one value would evaluate one policy under two
+            # store keys.
+            for index, choice in enumerate(self.choices):
+                if choice in self.choices[:index]:
+                    raise ConfigurationError(
+                        f"parameter {self.name!r} has duplicate choices "
+                        f"(the value {choice!r} repeats)"
+                    )
             return
         if self.lo is None or self.hi is None:
             raise ConfigurationError(

@@ -224,9 +224,10 @@ def device_stats(table: "FleetColumns", d: int) -> RunStats:
     stats object (if the binding materialized) counted afterwards — so
     ``add_device(device_stats(table, d))`` over every ``d`` folds
     exactly as ``add_shard(table)`` does. It needs a table that recorded
-    its read ids: a resident row forwarded exactly what it read, still
-    holds, or (under faults) has not landed, since nothing else leaves
-    a row; what moved on materialization is in the stats object's sets.
+    its read and expired ids: a resident row forwarded exactly what it
+    read, saw expire on the device, still holds, or (under faults) has
+    not landed, since nothing else leaves a row; what moved on
+    materialization is in the stats object's sets.
     """
     result = RunStats()
     stats = table.stats[d]
@@ -245,7 +246,8 @@ def device_stats(table: "FleetColumns", d: int) -> RunStats:
     result.arrivals += accepted + table.filtered[d] + table.dead[d]
     result.accepted += accepted
     result.filtered += table.filtered[d]
-    result.expired_at_proxy += table.dead[d]
+    result.expired_at_proxy += table.dead[d] + table.expired[d]
+    result.expired_on_device += table.expired_on_device[d]
     result.pushed += sent - pulled
     result.pulled += pulled
     result.bytes_sent += sent * table.forward_bytes
@@ -256,6 +258,7 @@ def device_stats(table: "FleetColumns", d: int) -> RunStats:
     read = table.read_ids[d]
     result.read_ids.update(read)
     result.forwarded_ids.update(read)
+    result.forwarded_ids.update(table.expired_ids[d])
     result.forwarded_ids.update(entry[2] for entry in table.held[d] or ())
     if table.plans is not None:
         for name in DELIVERY_FAULT_FIELDS:
@@ -340,9 +343,10 @@ class FleetAccumulator:
         columns are order-free sums, so the two tiers simply add; under
         a fault spec that includes the rows' delivery-fault counters,
         and a resident row's waste is everything it forwarded and did
-        not see read — held, in flight, or abandoned. The
-        float columns must associate exactly as the sequential fold
-        does: per device, then left to right over local ids inside
+        not see read — held, expired on the device, in flight, or
+        abandoned. The float columns must associate exactly as the
+        sequential fold does: per device, then left to right over local
+        ids inside
         ``sum`` — ``read_delay_sum`` of a materialized binding lives in
         its stats object (the row's partial moved there), and a
         resident binding's other floats are the 0.0 a never-touched
@@ -363,6 +367,7 @@ class FleetAccumulator:
         pulled = sum(table.pulled)
         filtered = sum(table.filtered)
         dead = sum(table.dead)
+        expired = sum(table.expired)
         reads = sum(table.reads)
         outage_reads = sum(table.outage_reads)
         # While resident, a forward was pulled inside a READ or pushed
@@ -371,7 +376,8 @@ class FleetAccumulator:
         counters["arrivals"] += accepted + filtered + dead
         counters["accepted"] += accepted
         counters["filtered"] += filtered
-        counters["expired_at_proxy"] += dead
+        counters["expired_at_proxy"] += dead + expired
+        counters["expired_on_device"] += sum(table.expired_on_device)
         counters["pushed"] += sent - pulled
         counters["pulled"] += pulled
         counters["bytes_sent"] += sent * table.forward_bytes
@@ -406,21 +412,22 @@ class FleetAccumulator:
         wasted = 0
         push_reads = self.device_reads.push
         push_waste = self.device_waste.push
-        for stats, n_forwarded, n_read in zip(
-            stats_list, table.forwarded, table.consumed
+        for stats, n_forwarded, n_read, n_expired in zip(
+            stats_list, table.forwarded, table.consumed, table.expired_on_device
         ):
             if stats is None:
-                # Held, in flight, or abandoned on the ladder.
+                # Held, expired on the device, in flight, or abandoned
+                # on the ladder.
                 n_wasted = n_forwarded - n_read
             else:
                 forwarded_ids = stats.forwarded_ids
                 read_ids = stats.read_ids
                 # What the row forwarded and handed over unread is in
-                # ``forwarded_ids``; only what it saw read still counts
-                # from the row.
-                n_forwarded = n_read + len(forwarded_ids)
+                # ``forwarded_ids``; only what it saw read or expire
+                # still counts from the row.
+                n_forwarded = n_read + n_expired + len(forwarded_ids)
                 n_read += len(read_ids)
-                n_wasted = len(forwarded_ids - read_ids)
+                n_wasted = n_expired + len(forwarded_ids - read_ids)
             forwarded += n_forwarded
             messages_read += n_read
             wasted += n_wasted

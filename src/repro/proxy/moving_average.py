@@ -58,7 +58,9 @@ class MovingAverage:
     def push(self, value: float) -> None:
         """Record one observation."""
         values = self._values
-        if len(values) == self._window:
+        # Evictions happen only once the window is full, so a pending
+        # count answers without the len() call most pushes would make.
+        if self._evictions or len(values) == self._window:
             start = self._start
             evicted = values[start]
             values[start] = value

@@ -8,7 +8,9 @@ outage interplay) all manifest within days to weeks.
 from __future__ import annotations
 
 import sys
-from typing import Callable
+from collections import Counter
+from contextlib import contextmanager
+from typing import Callable, Iterator
 
 import pytest
 
@@ -108,3 +110,44 @@ def overflow_trace():
 def outage_trace():
     """A 30-day overflow trace with 70 % downtime."""
     return build_trace(make_config(days=30.0, outage_fraction=0.7), seed=7)
+
+
+@contextmanager
+def expiring_outcomes() -> Iterator[Counter]:
+    """Count, on the batch pump's rows, what became of expiring arrivals.
+
+    Inside the block every shard's ``ShardBatchDispatcher`` counts the
+    expiring arrivals a row forwarded at once, those that expired in
+    the proxy's holding queue, and those that expired on the device —
+    the non-vacuity check of the tests that pin expiring shapes.
+    """
+    from repro.fleet.batch import ShardBatchDispatcher
+
+    seen: Counter = Counter()
+    arrive = ShardBatchDispatcher._arrive_expiring
+    timeout = ShardBatchDispatcher._expiration_timeout
+    expire = ShardBatchDispatcher._expire
+
+    def counting_arrive(dispatcher, d, entry):
+        before = dispatcher.cols.forwarded[d]
+        taken = arrive(dispatcher, d, entry)
+        seen["forwarded at once"] += dispatcher.cols.forwarded[d] > before
+        return taken
+
+    def counting_timeout(dispatcher, d, entry):
+        seen["died in holding"] += entry in (dispatcher.cols.proxy_holding[d] or ())
+        timeout(dispatcher, d, entry)
+
+    def counting_expire(dispatcher, d, entry):
+        seen["expired on the device"] += dispatcher.cols.resident[d]
+        expire(dispatcher, d, entry)
+
+    ShardBatchDispatcher._arrive_expiring = counting_arrive
+    ShardBatchDispatcher._expiration_timeout = counting_timeout
+    ShardBatchDispatcher._expire = counting_expire
+    try:
+        yield seen
+    finally:
+        ShardBatchDispatcher._arrive_expiring = arrive
+        ShardBatchDispatcher._expiration_timeout = timeout
+        ShardBatchDispatcher._expire = expire

@@ -22,6 +22,10 @@ count is deterministic for a given interpreter.
   outages, no expirations, no rank changes) runs on the pump's resident
   handlers too: a few calls per event, against 30-odd on the object
   path it used to take.
+* **So do its expiration cells.** A fig6-shaped cell arms the proxy's
+  and the device's expiration timers from its row and takes them back
+  there, at well under the object path's 23-46 calls per event; an
+  expiring deep fleet shard stays on its rows as the plain one does.
 """
 
 import pytest
@@ -42,14 +46,17 @@ from tests.conftest import calls_per_event
 MAX_GROWTH = 1.2
 
 #: Ceiling on calls per event of the deep clean fleet shard below. On
-#: its rows it measures 3.9-4.5 (8.05 with a 60 s delay stage, whose
-#: timers are events too); with outages and full buffers materializing
-#: every binding it measured 29-52, and 43.1 with the delay stage while
-#: a fixed delay kept the whole shard off its rows.
+#: its rows it measures 3.7-4.3 (8.05 with a 60 s delay stage, whose
+#: timers are events too; 6.9-9.0 with half its arrivals expiring);
+#: with outages and full buffers materializing every binding it
+#: measured 29-52, 43.1 with the delay stage while a fixed delay kept
+#: the whole shard off its rows, and 48.7-52.6 with expiring arrivals
+#: while those escaped.
 FLEET_MAX_CALLS = 15.0
 
-#: Ceiling on calls per event of a fig2-shaped ``run_scenario`` cell. On
-#: its row it measures 2.2-5.5; the object path measured 32-67.
+#: Ceiling on calls per event of a fig2- or fig6-shaped ``run_scenario``
+#: cell. On its row a fig2 cell measures 1.7-2.5 and a fig6 cell
+#: 6.7-9.5; the object path measured 32-67 and 23.5-46.1.
 FIGURE_CELL_MAX_CALLS = 10.0
 
 
@@ -91,17 +98,43 @@ def test_deep_fleet_shard_calls_per_event(monkeypatch, policy):
     """40 devices x 14 days of the benchmark's ``fleet_deep`` shape;
     under a fixed delay every live arrival also arms and fires the delay
     stage's timer on its row."""
-    config = FleetScenarioConfig(
+    per_event = calls_per_event(
+        monkeypatch, lambda: run_fleet(_deep_config(), policy)
+    )
+    assert per_event <= FLEET_MAX_CALLS, (
+        f"{policy.describe()}: {per_event:.2f} calls/event on the deep shard"
+    )
+
+
+def _deep_config(**arrivals):
+    return FleetScenarioConfig(
         devices=40,
         seed=3,
         duration=14 * DAY,
-        arrivals=ArrivalConfig(events_per_day=32),
+        arrivals=ArrivalConfig(events_per_day=32, **arrivals),
         reads=ReadConfig(reads_per_day=4),
         outages=OutageConfig(downtime_fraction=0.3),
     )
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [
+        PolicyConfig.online(),
+        PolicyConfig.on_demand(),
+        PolicyConfig.unified(),
+        PolicyConfig.unified(expiration_threshold=4096.0),
+    ],
+    ids=lambda policy: policy.describe(),
+)
+def test_expiring_deep_fleet_shard_calls_per_event(monkeypatch, policy):
+    """The deep shape with half its arrivals expiring within a day: the
+    rows arm, cancel and fire both expiration timers themselves."""
+    config = _deep_config(expiring_fraction=0.5, expiration_mean=DAY / 4)
     per_event = calls_per_event(monkeypatch, lambda: run_fleet(config, policy))
     assert per_event <= FLEET_MAX_CALLS, (
-        f"{policy.describe()}: {per_event:.2f} calls/event on the deep shard"
+        f"{policy.describe()}: {per_event:.2f} calls/event on the expiring "
+        f"deep shard"
     )
 
 
@@ -124,4 +157,32 @@ def test_figure_cell_calls_per_event(monkeypatch, policy, outage, user_frequency
     per_event = calls_per_event(monkeypatch, lambda: run_scenario(trace, policy))
     assert per_event <= FIGURE_CELL_MAX_CALLS, (
         f"{policy.describe()}: {per_event:.2f} calls/event on a figure cell"
+    )
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [
+        PolicyConfig.online(),
+        PolicyConfig.unified(expiration_threshold=4096.0),
+        PolicyConfig.unified(expiration_threshold=262144.0),
+    ],
+    ids=lambda policy: policy.describe(),
+)
+@pytest.mark.parametrize("lifetime", [15360.0, 983040.0], ids=["exp4.3h", "exp11d"])
+def test_fig6_cell_calls_per_event(monkeypatch, policy, lifetime):
+    """30 days of one Fig. 6 cell (uf 2, 90 % outage) through
+    ``run_scenario``: every arrival expires."""
+    trace = build_trace(
+        scenario(
+            duration=30 * DAY,
+            user_frequency=2.0,
+            outage_fraction=0.9,
+            expiration_mean=lifetime,
+        ),
+        seed=0,
+    )
+    per_event = calls_per_event(monkeypatch, lambda: run_scenario(trace, policy))
+    assert per_event <= FIGURE_CELL_MAX_CALLS, (
+        f"{policy.describe()}: {per_event:.2f} calls/event on a fig6 cell"
     )

@@ -1,9 +1,11 @@
 """``run_scenario`` is a one-device fleet shard.
 
 Its one code path is the batch pump over a one-row binding table; what
-the row cannot express (expiring arrivals, rank changes, RATE credit,
-observers, crash specs, an ON-LINE topic type or a delivery schedule)
-escapes through the shard's own materialization. The reference is the
+the row cannot express (rank changes, RATE credit, observers, crash
+specs, an ON-LINE topic type or a delivery schedule, and under faults
+an arrival the proxy must queue or a read while the link is down)
+escapes through the shard's own materialization. Expiring arrivals
+(Figs. 4-6) stay on the row. The reference is the
 shard's scalar oracle on the same one-device workload, which
 materializes the binding at wiring and schedules the trace one
 ``schedule_at`` per record: the two must return the same ``RunResult``
@@ -34,23 +36,30 @@ from repro.units import DAY
 from repro.workload.arrivals import ArrivalConfig
 from repro.workload.ranks import RankChangeConfig
 from repro.workload.scenario import ScenarioConfig, build_trace
+from tests.conftest import expiring_outcomes
 
 POLICIES = {
     "online": PolicyConfig.online(),
     "on_demand": PolicyConfig.on_demand(),
     "buffer": PolicyConfig.buffer(prefetch_limit=8),
     "unified": PolicyConfig.unified(),
+    "unified-pinned": PolicyConfig.unified(expiration_threshold=4096.0),
     "rate": PolicyConfig.rate(),
     "unified-delay60": PolicyConfig.unified(delay=60.0),
 }
 
-#: The fig2 shape (overflow through outages), an expiring shape (Figs.
-#: 4-6), a rank-change shape (ablation-delay), and the fig2 trace on a
-#: scheduled ON-LINE topic (ablation-schedule).
+#: The fig2 shape (overflow through outages), two expiring shapes (half
+#: the arrivals expiring; a fig6 cell with 4.3 h lifetimes at 90 %
+#: outage), a rank-change shape (ablation-delay), and the fig2 trace on
+#: a scheduled ON-LINE topic (ablation-schedule).
 SHAPES = {
     "fig2": scenario(duration=5 * DAY, user_frequency=2.0, outage_fraction=0.5),
     "expiring": ScenarioConfig(
         duration=5 * DAY, arrivals=ArrivalConfig(expiring_fraction=0.5)
+    ),
+    "fig6": scenario(
+        duration=5 * DAY, user_frequency=2.0, outage_fraction=0.9,
+        expiration_mean=15360.0,
     ),
     "rank-change": ScenarioConfig(
         duration=5 * DAY,
@@ -111,10 +120,34 @@ class TestWhatStaysOnTheRow:
         )
         assert share == 0.0
 
+    @pytest.mark.parametrize("shape", ["expiring", "fig6"])
+    @pytest.mark.parametrize(
+        "policy", ["online", "on_demand", "unified", "unified-pinned"]
+    )
+    def test_expiring_shapes_never_leave_their_row(
+        self, monkeypatch, traces, shape, policy
+    ):
+        share = _materialized_share(
+            monkeypatch, lambda: run_scenario(traces[shape], POLICIES[policy])
+        )
+        assert share == 0.0
+
+    def test_fig6_cell_reaches_every_expiring_outcome(self, traces):
+        """Non-vacuity of the expiring cases: on its row the fig6 cell
+        under a pinned threshold forwards expiring arrivals at once,
+        holds short-lived ones until they expire at the proxy, and lets
+        forwarded ones expire on the device."""
+        with expiring_outcomes() as seen:
+            result = run_scenario(traces["fig6"], POLICIES["unified-pinned"])
+        assert seen["forwarded at once"] > 0, seen
+        assert seen["died in holding"] > 0, seen
+        assert seen["expired on the device"] > 0, seen
+        assert result.stats.expired_on_device == seen["expired on the device"]
+
     @pytest.mark.parametrize(
         "shape, kwargs",
-        [("expiring", {}), ("rank-change", {}), ("fig2", SCHEDULED_ONLINE)],
-        ids=["expiring", "rank-change", "scheduled-online"],
+        [("rank-change", {}), ("fig2", SCHEDULED_ONLINE)],
+        ids=["rank-change", "scheduled-online"],
     )
     def test_escapes_materialize_the_binding(self, monkeypatch, traces, shape, kwargs):
         share = _materialized_share(
@@ -198,7 +231,8 @@ def test_device_stats_folds_as_add_shard(policy, spec):
     """``add_device(device_stats(table, d))`` over every binding folds
     bit-identically to ``add_shard(table)``: the per-device mapping and
     the column-at-a-time fold cannot drift. The shard mixes bindings
-    that stayed on their rows, escaped mid-run (expiring arrivals) and
+    that stayed on their rows (expiring arrivals included), escaped
+    mid-run (under faults, an arrival the proxy must queue) and
     materialized at wiring (rank changes)."""
     configs = [
         scenario(duration=3 * DAY),
@@ -326,3 +360,106 @@ def test_an_outage_from_the_end_of_the_run_is_never_replayed():
     assert result == oracle
     assert result.events_processed == 5 + 2 + 2
     assert result.stats.reads_during_outage == 0
+
+
+def _timed_trace(arrivals, reads, outages=()):
+    return Trace(
+        duration=1000.0,
+        arrivals=[
+            ArrivalRecord(time=t, event_id=k, rank=rank, expires_at=expires_at)
+            for k, (t, rank, expires_at) in enumerate(arrivals)
+        ],
+        reads=[ReadRecord(time=t, count=n) for t, n in reads],
+        outages=[OutageRecord(start=a, end=b) for a, b in outages],
+    )
+
+
+#: Hand-written traces whose expiries fall on the very time of a stream
+#: event, so the timer is still pending when the event fires: an UP
+#: that finds a queued entry due, a READ that finds one queued or held
+#: at the proxy (its prune), and a READ whose top slot on the device is
+#: due (the consume skips it but spends the slot).
+DUE_NOW = {
+    "up-flush": _timed_trace(
+        [(10.0, 2.0, 100.0), (20.0, 1.0, 500.0)], [(300.0, 4)], [(5.0, 100.0)]
+    ),
+    "read-prune": _timed_trace(
+        [(10.0, 2.0, 100.0), (20.0, 1.0, 500.0), (30.0, 3.0, 60.0)],
+        [(60.0, 1), (100.0, 1), (400.0, 2)],
+    ),
+    "device-skip": _timed_trace(
+        [(10.0, 3.0, 100.0), (20.0, 1.0, 500.0)], [(100.0, 1), (200.0, 1)]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DUE_NOW))
+@pytest.mark.parametrize(
+    "policy",
+    ["online", "on_demand", "buffer", "unified", "unified-pinned"],
+)
+def test_an_expiry_due_at_a_stream_event_matches_the_oracle(name, policy):
+    trace = DUE_NOW[name]
+    # The traces' lifetimes are tens of seconds: pin the threshold there.
+    if policy == "unified-pinned":
+        policy = PolicyConfig.unified(expiration_threshold=50.0)
+    else:
+        policy = POLICIES[policy]
+    result = run_scenario(trace, policy)
+    oracle = _run_device_shard(
+        FleetWorkload.from_traces([trace]), policy, use_batch=False
+    )
+    assert result == oracle
+    assert result.stats.read_delay_sum.hex() == oracle.stats.read_delay_sum.hex()
+
+
+def test_due_now_traces_reach_each_edge():
+    """Non-vacuity of ``DUE_NOW``: the flush expires the queued entry
+    instead of forwarding it; the READ at 60 s prunes event 2 — the
+    highest-ranked, due at that instant — from the queue (on-demand) and
+    from the holding queue (pinned threshold) instead of reading it; and
+    the device's read spends its one slot on the entry due and reads
+    nothing."""
+    flushed = run_scenario(DUE_NOW["up-flush"], PolicyConfig.online()).stats
+    assert (flushed.expired_at_proxy, flushed.forwarded) == (1, 1)
+    for policy in (
+        PolicyConfig.on_demand(), PolicyConfig.unified(expiration_threshold=50.0)
+    ):
+        pruned = run_scenario(DUE_NOW["read-prune"], policy).stats
+        assert pruned.expired_at_proxy == 1 and 2 not in pruned.read_ids
+    skipped = run_scenario(DUE_NOW["device-skip"], PolicyConfig.online()).stats
+    assert (skipped.empty_reads, skipped.expired_on_device) == (1, 1)
+
+
+def test_a_lifetime_at_the_threshold_is_prefetched():
+    """``_handle_new_event`` holds only a lifetime strictly below the
+    expiration threshold: at exactly 50 s the arrival is forwarded."""
+    trace = _timed_trace([(10.0, 1.0, 60.0), (20.0, 1.0, 69.0)], [(500.0, 2)])
+    policy = PolicyConfig.unified(expiration_threshold=50.0)
+    result = run_scenario(trace, policy)
+    assert result == _run_device_shard(
+        FleetWorkload.from_traces([trace]), policy, use_batch=False
+    )
+    assert result.stats.forwarded_ids == {0}
+    assert result.stats.expired_at_proxy == 1
+
+
+@pytest.mark.parametrize("shape", ["expiring", "fig6"])
+@pytest.mark.parametrize("policy", ["online", "unified-pinned", "unified-delay60"])
+def test_rows_draw_the_objects_sequence_numbers(monkeypatch, traces, shape, policy):
+    """The row arms the objects' timers, drawing their sequence numbers —
+    the proxy's expiration timer of an arrival forwarded at once
+    included — so both runs end with the engine at one sequence number."""
+    ends = []
+    dismantle = runner_mod._dismantle_shard
+
+    def note_then_dismantle(sim, *args):
+        ends.append(sim._seq_next)
+        dismantle(sim, *args)
+
+    monkeypatch.setattr(runner_mod, "_dismantle_shard", note_then_dismantle)
+    run_scenario(traces[shape], POLICIES[policy])
+    _run_device_shard(
+        FleetWorkload.from_traces([traces[shape]]), POLICIES[policy], use_batch=False
+    )
+    assert ends[0] == ends[1]

@@ -11,9 +11,10 @@ the pump is an optimization, never an approximation — and, with
 identical sharding, on the float sums too (same devices folded in the
 same order).
 
-The matrix here sweeps (policy x fault preset x seed), the rich
-workload features the resident handlers must punt on (expiring
-arrivals, rank changes, thresholds), partitioning knobs,
+The matrix here sweeps (policy x fault preset x seed), an expiring
+shape the rows take themselves (their expiration timers and holding
+queue), the rich workload features the resident handlers must punt on
+(rank changes) or take (thresholds), partitioning knobs,
 CLI-shaped campaigns compared on their rendered JSON, and — via
 hypothesis — randomly drawn heterogeneity configs.
 ``TestMaterializationInvisible`` pins that *when* a binding leaves the
@@ -44,11 +45,12 @@ from repro.fleet.batch import ShardBatchDispatcher
 from repro.fleet.runner import FleetResult, _execute_shard
 from repro.fleet.sweep import SWEEP_POLICY_PRESETS
 from repro.proxy.policies import PolicyConfig
-from repro.units import DAY
+from repro.units import DAY, HOUR
 from repro.workload.arrivals import ArrivalConfig
 from repro.workload.outages import OutageConfig
 from repro.workload.ranks import RankChangeConfig
 from repro.workload.reads import ReadConfig
+from tests.conftest import expiring_outcomes
 
 POLICIES = {
     "buffer": lambda: PolicyConfig.buffer(prefetch_limit=4),
@@ -111,6 +113,29 @@ DEEP = dict(
 #: The policies whose rows queue and log (RATE arrivals escape).
 QUEUEING_POLICIES = ["buffer", "on_demand", "online", "unified"]
 
+#: An expiring shape (Figs. 4-6 on a fleet): most arrivals expire
+#: within hours, so rows forward expiring entries at once, queue them
+#: through outages, hold the short-lived ones at the proxy and see them
+#: expire there and on the device.
+EXPIRING = dict(
+    arrivals=ArrivalConfig(
+        events_per_day=8.0, expiring_fraction=0.6, expiration_mean=6 * HOUR
+    ),
+    reads=ReadConfig(reads_per_day=2.0),
+    outages=OutageConfig(downtime_fraction=0.3),
+    duration=2 * DAY,
+)
+
+#: The policies the expiring shape runs: ONLINE, on-demand (threshold
+#: 0, so nothing is held), and unified with a pinned threshold and with
+#: the adaptive one (the read-interval average).
+EXPIRING_POLICIES = {
+    "online": PolicyConfig.online,
+    "on_demand": PolicyConfig.on_demand,
+    "unified-pinned": lambda: PolicyConfig.unified(expiration_threshold=4 * HOUR),
+    "unified": PolicyConfig.unified,
+}
+
 
 def _both_signatures(config, policy, *, spec=None):
     """The pump's and the oracle's accumulators for one unsharded run."""
@@ -151,6 +176,18 @@ class TestDifferentialMatrix:
         config = FleetScenarioConfig(devices=120, duration=DAY, seed=seed)
         batch, scalar = _both_signatures(
             config, DELAY_POLICIES[policy_name](), spec=_spec(preset)
+        )
+        _assert_identical(batch, scalar)
+        assert batch.events_processed == scalar.events_processed
+
+    @pytest.mark.parametrize(
+        "policy_name,preset,seed",
+        list(itertools.product(sorted(EXPIRING_POLICIES), PRESETS, [0, 7])),
+    )
+    def test_expiring_shape_matches_scalar(self, policy_name, preset, seed):
+        config = FleetScenarioConfig(devices=60, seed=seed, **EXPIRING)
+        batch, scalar = _both_signatures(
+            config, EXPIRING_POLICIES[policy_name](), spec=_spec(preset)
         )
         _assert_identical(batch, scalar)
         assert batch.events_processed == scalar.events_processed
@@ -456,16 +493,19 @@ def _outputs(accumulator):
 MATRIX_CONFIG = dict(devices=120, duration=DAY)
 
 
-def _matrix_case(policy_name, preset, seed):
+def _matrix_case(policy_name, preset, seed, shape="matrix"):
     spec = _spec(preset)
+    if shape == "expiring":
+        config = FleetScenarioConfig(devices=60, seed=seed, **EXPIRING)
+        return config, EXPIRING_POLICIES[policy_name](), spec
     config = FleetScenarioConfig(seed=seed, **MATRIX_CONFIG)
     return config, ALL_POLICIES[policy_name](), spec
 
 
 @functools.lru_cache(maxsize=None)
-def _matrix_reference(policy_name, preset, seed):
+def _matrix_reference(policy_name, preset, seed, shape="matrix"):
     """Untouched batched run (checked against scalar) of a matrix cell."""
-    config, policy, spec = _matrix_case(policy_name, preset, seed)
+    config, policy, spec = _matrix_case(policy_name, preset, seed, shape)
     untouched = _outputs(_run_shard(config, policy, spec=spec).accumulator)
     scalar = _run_shard(config, policy, spec=spec, use_batch=False)
     assert untouched == _outputs(scalar.accumulator)
@@ -515,6 +555,12 @@ INVISIBLE_CASES = list(
     itertools.product(sorted(POLICIES), PRESETS, [0, 7])
 ) + list(itertools.product(sorted(DELAY_POLICIES), PRESETS, [0]))
 
+#: The expiring shape's cells the escape tests redo: every kind, clean
+#: and under the two crash-free ladders.
+EXPIRING_INVISIBLE_CASES = list(
+    itertools.product(sorted(EXPIRING_POLICIES), [None, "lossy", "slow-ladder"])
+)
+
 
 class TestMaterializationInvisible:
     """When a binding leaves the resident tier cannot be observed."""
@@ -551,6 +597,31 @@ class TestMaterializationInvisible:
         )
         assert forced.cols.verify_sync() == []
 
+    @pytest.mark.parametrize("policy_name,preset", EXPIRING_INVISIBLE_CASES)
+    @settings(
+        max_examples=4,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_drawn_subset_expiring(self, policy_name, preset, data):
+        """Rows hand pending expiration timers (the proxy's and the
+        device's), delayed and held entries and the lifetime average to
+        their objects whenever they escape; every binding wired before
+        the run is the object path too."""
+        config, policy, spec = _matrix_case(policy_name, preset, 0, "expiring")
+        reference = _matrix_reference(policy_name, preset, 0, "expiring")
+        eager = _run_shard(
+            config, policy, spec=spec, materialize=range(config.devices)
+        )
+        assert _outputs(eager.accumulator) == reference
+        subset, at_event = _draw_escape(data, config)
+        forced = _run_shard(
+            config, policy, spec=spec, materialize=subset, at_event=at_event
+        )
+        assert _outputs(forced.accumulator) == reference
+        assert forced.cols.verify_sync() == []
+
     @pytest.mark.parametrize(
         "name,policy_name",
         [("expiring-churn-threshold", p) for p in sorted(POLICIES)]
@@ -575,15 +646,17 @@ class TestMaterializationInvisible:
         assert _outputs(forced.accumulator) == _rich_reference(name, policy_name)
 
     def test_light_shard_exercises_both_tiers(self):
-        """The canonical LIGHT shape with a few expiring arrivals keeps
-        most bindings resident and pushes the bindings those arrivals
-        reach out, so one run covers both tiers."""
+        """The canonical LIGHT shape with a few expiring arrivals and a
+        few rank changes keeps most bindings resident, expiring ones
+        included, and materializes those whose input carries a change at
+        wiring, so one run covers both tiers."""
         config = FleetScenarioConfig(
             devices=600,
             seed=1,
             **dict(
                 LIGHT,
                 arrivals=ArrivalConfig(events_per_day=2, expiring_fraction=0.05),
+                rank_changes=RankChangeConfig(drop_fraction=0.05),
             ),
         )
         batch = _run_shard(config, PolicyConfig.unified())
@@ -598,7 +671,10 @@ class TestMaterializationInvisible:
     def test_materialized_rows_are_never_read(self, shape):
         """Once a binding's objects exist its row's link status,
         queue-size estimate and prefetch limit are resident-only state:
-        garbage written there right after the handoff changes nothing."""
+        garbage written there right after the handoff changes nothing.
+        (Expiring arrivals stay on a row; under ``lossy`` a row escapes
+        when the proxy must queue one.)"""
+        spec = None
         if shape == "light-expiring":
             config = FleetScenarioConfig(
                 devices=600,
@@ -611,6 +687,7 @@ class TestMaterializationInvisible:
                 ),
             )
             policy = PolicyConfig.unified()
+            spec = _spec("lossy")
         elif shape == "rate-light":
             config = FleetScenarioConfig(devices=300, seed=1, **LIGHT)
             policy = PolicyConfig.rate()
@@ -631,9 +708,9 @@ class TestMaterializationInvisible:
                 scribbled.append(index)
 
         with _patched(runner_mod.ShardWiring, "materialize", scribble):
-            batch = _run_shard(config, policy)
+            batch = _run_shard(config, policy, spec=spec)
         assert scribbled
-        scalar = _run_shard(config, policy, use_batch=False)
+        scalar = _run_shard(config, policy, spec=spec, use_batch=False)
         assert _outputs(batch.accumulator) == _outputs(scalar.accumulator)
 
     @pytest.mark.parametrize("preset", ["lossy", "reliable"])
@@ -703,10 +780,11 @@ class TestMaterializationInvisible:
     @pytest.mark.parametrize("preset", [None, "lossy"])
     def test_escapes_inherit_pending_delay_timers(self, preset):
         """Non-vacuity of the delay stage's handoff: bindings escape
-        mid-run (an expiring arrival; under faults also a delay ending
-        with no room) while delay timers they armed on their rows are
-        still pending; those timers then fire on the objects, and the
-        run still equals the scalar oracle."""
+        mid-run (every binding, by hand, halfway through a clean run; a
+        delay ending with no room under faults) while delay and
+        expiration timers they armed on their rows are still pending;
+        those timers then fire on the objects, and the run still equals
+        the scalar oracle."""
         config = FleetScenarioConfig(
             devices=150,
             duration=2 * DAY,
@@ -716,7 +794,13 @@ class TestMaterializationInvisible:
             outages=OutageConfig(downtime_fraction=0.3),
         )
         policy = PolicyConfig.unified(delay=600.0)
-        handed = {"pending": 0, "fired_on_objects": 0}
+        forced = {}
+        if preset is None:
+            forced = dict(
+                materialize=range(config.devices),
+                at_event=build_fleet_workload(config).total_events // 2,
+            )
+        handed = {"pending": 0, "fired_on_objects": 0, "expiring": 0}
         materialize = runner_mod.ShardWiring.materialize
         delay_timeout = ShardBatchDispatcher._delay_timeout
 
@@ -724,6 +808,7 @@ class TestMaterializationInvisible:
             cols = wiring.cols
             if wiring.sim._running and cols.resident[index]:
                 handed["pending"] += cols.delayed[index]
+                handed["expiring"] += len(cols.delay_timers[index] or ())
             materialize(wiring, index)
 
         def count_timeout(dispatcher, d, entry):
@@ -732,9 +817,12 @@ class TestMaterializationInvisible:
 
         with _patched(runner_mod.ShardWiring, "materialize", count_handoff), \
                 _patched(ShardBatchDispatcher, "_delay_timeout", count_timeout):
-            batch = _run_shard(config, policy, spec=_spec(preset))
+            batch = _run_shard(config, policy, spec=_spec(preset), **forced)
         assert handed["pending"] > 0 and handed["fired_on_objects"] > 0, handed
-        assert 0.0 < batch.cols.materialized_share < 1.0
+        if preset is None:
+            assert handed["expiring"] > 0, handed
+        else:
+            assert 0.0 < batch.cols.materialized_share < 1.0
         assert batch.cols.verify_sync() == []
         scalar = _run_shard(config, policy, spec=_spec(preset), use_batch=False)
         assert _outputs(batch.accumulator) == _outputs(scalar.accumulator)
@@ -787,7 +875,8 @@ def _device_view(shard, d):
         "arrivals": cols.accepted[d] + cols.filtered[d] + cols.dead[d],
         "accepted": cols.accepted[d],
         "filtered": cols.filtered[d],
-        "expired_at_proxy": cols.dead[d],
+        "expired_at_proxy": cols.dead[d] + cols.expired[d],
+        "expired_on_device": cols.expired_on_device[d],
         "pushed": cols.forwarded[d] - cols.pulled[d],
         "pulled": cols.pulled[d],
         "reads": cols.reads[d],
@@ -799,14 +888,20 @@ def _device_view(shard, d):
     if stats is None:
         view["messages_read"] = cols.consumed[d]
         view["held"] = sorted(entry[2] for entry in cols.held[d] or ())
-        view["queued"] = sorted(entry[2] for entry in cols.proxy_queue[d] or ())
+        view["queued"] = sorted(
+            entry[2]
+            for column in (cols.proxy_queue, cols.proxy_holding)
+            for entry in column[d] or ()
+        )
         view["read_log"] = list(cols.read_log[d] or ())
+        view["timers"] = sorted(cols.timers[d] or ())
         sizes, gaps = cols.old_reads[d], cols.old_times[d]
+        lifetimes = cols.exp_times[d]
     else:
         for name in (
-            "arrivals", "accepted", "filtered", "expired_at_proxy", "pushed",
-            "pulled", "reads", "read_requests", "reads_during_outage",
-            "empty_reads",
+            "arrivals", "accepted", "filtered", "expired_at_proxy",
+            "expired_on_device", "pushed", "pulled", "reads", "read_requests",
+            "reads_during_outage", "empty_reads",
         ):
             view[name] += getattr(stats, name)
         view["read_delay_sum"] = stats.read_delay_sum
@@ -820,11 +915,18 @@ def _device_view(shard, d):
             for item in queue
         )
         view["read_log"] = list(client._offline_reads.get(topic, ()))
+        view["timers"] = sorted(
+            [*state.expiration_handles, *client._expiry_handles]
+        )
         view["up"] = cols.links[d].up
         view["queue_size"] = state.queue_size
         view["prefetch_limit"] = state.prefetch_limit
         sizes, gaps = state.old_reads, state.old_times
+        lifetimes = state.exp_times
     view["read_sizes"] = None if sizes is None or not sizes.count else sizes._ordered()
+    view["lifetimes"] = (
+        None if lifetimes is None or not lifetimes.count else lifetimes._ordered()
+    )
     view["read_gaps"] = (
         None if gaps is None or gaps.last is None
         else (gaps.last, gaps._gaps._ordered())
@@ -846,7 +948,14 @@ class TestColumnSync:
     )
 
     def test_columns_in_sync_at_end_of_run(self):
-        shard = _run_shard(self.CONFIG, PolicyConfig.unified())
+        # Every third binding is pushed onto its objects halfway through.
+        middle = build_fleet_workload(self.CONFIG).total_events // 2
+        shard = _run_shard(
+            self.CONFIG,
+            PolicyConfig.unified(),
+            materialize=range(0, self.CONFIG.devices, 3),
+            at_event=middle,
+        )
         cols = shard.cols
         assert 0.0 < cols.materialized_share < 1.0
         assert cols.verify_sync() == []
@@ -897,10 +1006,35 @@ class TestColumnSync:
         for d in range(config.devices):
             assert _device_view(batch, d) == _device_view(scalar, d), d
 
+    @pytest.mark.parametrize("policy_name", sorted(EXPIRING_POLICIES))
+    def test_expiring_rows_match_scalar_replay_per_device(self, policy_name):
+        """The expiring shape never leaves a clean shard's rows, and every
+        row — its holding queue and pending timers included — is what the
+        scalar oracle's objects hold. Rows that push forward expiring
+        arrivals at once and see them expire on the device; on-demand
+        rows keep every one at the proxy; unified rows also let some
+        expire in the holding queue."""
+        config = FleetScenarioConfig(devices=60, seed=3, **EXPIRING)
+        policy = EXPIRING_POLICIES[policy_name]()
+        with expiring_outcomes() as seen:
+            batch = _run_shard(config, policy)
+        assert batch.cols.materialized_share == 0.0
+        assert batch.cols.verify_sync() == []
+        pushes = policy_name != "on_demand"
+        assert (seen["forwarded at once"] > 0) == pushes, seen
+        assert (seen["expired on the device"] > 0) == pushes, seen
+        assert (seen["died in holding"] > 0) == policy_name.startswith("unified"), seen
+        assert batch.accumulator.counters["expired_at_proxy"] > 0
+        scalar = _run_shard(config, policy, use_batch=False)
+        assert _outputs(batch.accumulator) == _outputs(scalar.accumulator)
+        for d in range(config.devices):
+            assert _device_view(batch, d) == _device_view(scalar, d), d
+
     def test_adaptive_threshold_survives_materialization(self):
-        """A binding that reads for days while resident and is then
-        pushed out by its first expiring arrival must classify that
-        arrival against the read interval it learned on its row."""
+        """A binding that reads for days on its row classifies its
+        expiring arrivals against the read interval it learned there
+        (holding the short-lived ones), and once pushed onto its objects
+        halfway through, they classify against that same interval."""
         config = FleetScenarioConfig(
             devices=150,
             duration=4 * DAY,
@@ -912,9 +1046,17 @@ class TestColumnSync:
             reads=ReadConfig(reads_per_day=6.0),
             outages=OutageConfig(downtime_fraction=0.05),
         )
-        batch = _run_shard(config, PolicyConfig.unified())
+        middle = build_fleet_workload(config).total_events // 2
         scalar = _run_shard(config, PolicyConfig.unified(), use_batch=False)
-        assert batch.accumulator.counters["expired_at_proxy"] > 0
-        assert _outputs(batch.accumulator) == _outputs(scalar.accumulator)
-        for d in range(config.devices):
-            assert _device_view(batch, d) == _device_view(scalar, d), d
+        assert scalar.accumulator.counters["expired_at_proxy"] > 0
+        for escaped in (False, True):
+            batch = _run_shard(
+                config,
+                PolicyConfig.unified(),
+                materialize=range(config.devices) if escaped else (),
+                at_event=middle if escaped else None,
+            )
+            assert batch.cols.materialized_share == float(escaped)
+            assert _outputs(batch.accumulator) == _outputs(scalar.accumulator)
+            for d in range(config.devices):
+                assert _device_view(batch, d) == _device_view(scalar, d), d

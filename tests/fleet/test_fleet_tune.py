@@ -111,6 +111,13 @@ class TestTuneParam:
         # Step shrinks but never below 1 for integer params.
         assert integer.neighbors(5, 5, 0.5) == [4, 6]
 
+    def test_choices_are_compared_by_value(self):
+        """``0`` and ``0.0`` name one delay, so one ``PolicyConfig``:
+        listing both would evaluate it under two store keys."""
+        with pytest.raises(ConfigurationError, match="duplicate choices"):
+            TuneParam("delay", choices=(0, 0.0)).validate()
+        TuneParam("delay", choices=(0.0, 60.0)).validate()
+
     def test_choice_neighbors_exclude_current(self):
         param = TuneParam("x", choices=(0.0, 60.0, 600.0))
         assert param.neighbors(60.0, 0, 0.5) == [0.0, 600.0]
@@ -602,6 +609,7 @@ class TestTuneCli:
             ["--choice", "delay=not json"],
             ["--choice", "delay="],
             ["--choice", "delay=0,Infinity"],  # the probe rejects every choice
+            ["--choice", "delay=0,0.0"],  # one value spelled twice
             ["--param", "no_such_kwarg=0:1"],
             ["--report"],  # needs --baseline
             ["--baseline", "x.sqlite"],  # needs --report
