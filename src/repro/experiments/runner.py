@@ -130,19 +130,17 @@ def run_scenario(
     The run is a one-device fleet shard
     (:func:`repro.fleet.runner._run_device_shard`): the batch pump over
     one row of the binding table, whose resident handlers cost a few
-    calls per event against the object path's dozens. What the row
-    cannot express escapes through the shard's own materialization onto
-    the proxy/link/device objects, on the same code path (expiring
-    arrivals — Figs. 4–6 — stay on the row, which arms their timers):
+    calls per event against the object path's dozens. A run the row
+    cannot express is materialized at wiring onto the proxy/link/device
+    objects, on the same code path, and runs on them throughout
+    (expiring arrivals — Figs. 4–6 — and a crash-free fault spec's
+    ack–retry ladder stay on the row, which arms their timers):
 
-    * a rank change (it resolves against the proxy's history), at
-      wiring — ablation-delay;
-    * a RATE arrival (the row has no credit line), at the first one;
-    * observers (``--audit``, ``--trace-out``) and crash specs, at
-      wiring; under other fault specs, an arrival the proxy must queue
-      or hold, or a read while the link is down;
-    * an ON-LINE topic type or a delivery schedule, at wiring —
-      ablation-schedule.
+    * a rank change (it resolves against the proxy's history) —
+      ablation-delay;
+    * RATE (the row has no credit line) — ablation-rate;
+    * observers (``--audit``, ``--trace-out``) and crash specs;
+    * an ON-LINE topic type or a delivery schedule — ablation-schedule.
 
     The result is the scalar oracle's field for field — the identity
     sets, the bits of ``read_delay_sum``, ``events_processed`` and both

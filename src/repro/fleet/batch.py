@@ -26,9 +26,11 @@ sees it (reads, which feed the shard-wide ``read_delay`` sketch, stay
 device-major in both). The heap carries one cursor instead of every
 trace record, and the pump is re-entered only when a timer preempts it.
 
-Every binding starts **array-resident**: its row is its only state and
-no per-device object exists (see :mod:`repro.fleet.columns`). The
-resident handlers cover exactly the events whose whole effect is a
+The runner decides each binding's runtime at wiring, once: it stays
+**array-resident** — its row is its only state and no per-device object
+exists (see :mod:`repro.fleet.columns`) — or it is materialized as the
+scalar oracle's objects and every event of its runs on their callbacks.
+The resident handlers cover exactly the events whose whole effect is a
 handful of row writes plus the timers the objects would arm:
 
 * filtered and dead-on-arrival arrivals (counts only);
@@ -44,7 +46,8 @@ handful of row writes plus the timers the objects would arm:
   expiration threshold (the policy's, or the read-interval average)
   goes to the row's holding queue, which only a READ forwards. A
   delivered expiring entry arms the device's expiry timer
-  (``ClientDevice.receive``), cancelled when the user reads it;
+  (``ClientDevice.receive``) when it lands, cancelled when the user
+  reads it;
 * DOWN, and UP: the queue report, the offline read log replayed as
   ``on_read_report`` replays it, the limit recompute, then the queue
   flushed highest-first as pushes — whole under ONLINE, up to the limit
@@ -59,35 +62,25 @@ handful of row writes plus the timers the objects would arm:
 * a user read while the link is down: a log entry and the local
   consume.
 
-Under a crash-free fault spec a forward runs the resident ack–retry
-ladder: :meth:`ShardBatchDispatcher._attempt` is
+Under a crash-free fault spec every forward — on arrival, at a delay
+timeout, in the UP flush and in the READ exchange — runs the resident
+ack–retry ladder: :meth:`ShardBatchDispatcher._attempt` is
 :meth:`~repro.device.link.LastHopLink._attempt` on the row — the same
 :class:`~repro.faults.FaultPlan` draws in the same order, the same
 ``sim.schedule`` calls for a retry, a jittered landing and a duplicate,
 retries parked while the link is down and resumed on UP. The draws are
 SHA-256 hashes, which no vector op computes, so the row schedules the
-link's timers rather than re-deriving every ``(time, seq)`` tie. The
-queues and the log are a clean shard's: under a fault spec an arrival
-the proxy must queue or hold, or a read while the link is down, still
-escapes (a queued forward would interleave with landings in flight).
+link's timers rather than re-deriving every ``(time, seq)`` tie. On UP
+the row corrupts its offline log with the plan's
+``corrupt_read_report`` and sorts it by time before the replay, as
+``ClientDevice._on_link_status`` and ``on_read_report`` do.
 
-The first event outside that set calls ``materialize(d)`` — the fleet
-runner's per-device wiring plus a replay of the row into the objects —
-and hands the event to the binding's scalar callbacks, which own the
-binding for the rest of the run (one-way); the row's ``network``,
-``queue_size`` and ``prefetch_limit`` are stale from then on, so the
-pump tests ``resident[d]`` before it reads them. The escapes, each a
-property of the input or of the row: a RATE arrival (a row has no
-per-arrival credit line), and a faulted row's queued or held arrival
-or offline read. The runner materializes at wiring the bindings that
-can never take a resident handler: all of them when the shard cannot
-keep rows (below) or its bindings are not the ON-DEMAND, unscheduled
-kind the row models, and those whose input carries a rank change (it
-resolves against a history a row does not keep). Materializing mid-run
-schedules nothing: the objects adopt the row's pending timers, and a
-row timer that fires after its binding materialized runs the objects'
-handler, so ``events_processed`` and every tie-break are unchanged by
-when a binding escapes.
+The runner materializes at wiring the bindings a row does not model:
+all of them when the shard cannot keep rows (below) or its bindings are
+not the ON-DEMAND, unscheduled kind the row models, and those whose
+input carries a rank change (it resolves against a history a row does
+not keep). The pump hands such a binding's stream events to its
+objects; a row timer only ever fires on a resident binding.
 
 Equivalence contract (pinned by ``tests/fleet/test_fleet_batch.py``):
 the pump and the scalar oracle — the fleet runner's private
@@ -96,7 +89,7 @@ binding at wiring and schedules each device's trace one record at a
 time — produce
 bit-identical :class:`~repro.metrics.streaming.FleetAccumulator` integer
 counters, float sums, and sketch buckets for any policy, fault preset,
-and seed, and whichever subset of bindings is materialized, whenever.
+and seed, and whichever subset of bindings is materialized at wiring.
 On one device — :func:`~repro.experiments.runner.run_scenario`, whose
 rows also record the ids they read — the two return the same
 ``RunResult`` field for field
@@ -108,6 +101,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from heapq import _siftdown, _siftup, heappop, heappush
+from operator import itemgetter
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -122,11 +116,12 @@ from repro.proxy.policies import PolicyConfig
 from repro.proxy.prefetch import BufferPrefetcher
 from repro.proxy.proxy import LastHopProxy
 from repro.sim.engine import Simulator, _ScheduledEvent
-from repro.types import DeliveryMode, NetworkStatus, PolicyKind
+from repro.types import NetworkStatus, PolicyKind
 
 _UP = NetworkStatus.UP
 _DOWN = NetworkStatus.DOWN
-_PUSHED = DeliveryMode.PUSHED
+#: The sort key of a read-log entry ``(time, n)``.
+_time_of = itemgetter(0)
 
 #: Merged-stream event codes. Arrival classification (live / filtered /
 #: dead-on-arrival) is precomputed vectorized at build time and encoded
@@ -153,9 +148,7 @@ class ShardBatchDispatcher:
     at wiring are. The dispatcher assumes the fleet runner's wiring
     shape: one topic per device, ``report_on_reconnect`` devices, and
     crash timers (if any) already scheduled — exactly what
-    ``repro.fleet.runner`` builds.
-    ``materialize(d)`` is the runner's: it builds binding ``d``'s object
-    graph from its row (a no-op once built); so is ``plan_for(d)``,
+    ``repro.fleet.runner`` builds. ``plan_for(d)`` is the runner's:
     binding ``d``'s fault plan under ``spec`` (a non-null spec, or None).
     """
 
@@ -167,7 +160,6 @@ class ShardBatchDispatcher:
         proxy: LastHopProxy,
         policy: PolicyConfig,
         cols: FleetColumns,
-        materialize: Callable[[int], None],
         accumulator: Optional[FleetAccumulator],
         spec: Optional[FaultSpec],
         plan_for: Callable[[int], FaultPlan],
@@ -179,7 +171,6 @@ class ShardBatchDispatcher:
         self.proxy = proxy
         self.policy = policy
         self.cols = cols
-        self.materialize = materialize
         self.plan_for = plan_for
         #: Resident bindings stream their read ages into the same shared
         #: pair every ``SketchedStats`` of the shard feeds; a shard with
@@ -191,20 +182,19 @@ class ShardBatchDispatcher:
         #: and the row's own timers: no observers (recorder/auditor
         #: hooks fire on the scalar callbacks only), and a spec, if any,
         #: that arms no proxy crash (crash timers must draw their
-        #: sequence numbers at wiring, before the streams).
+        #: sequence numbers at wiring, before the streams); and not RATE,
+        #: whose arrivals earn forwarding credit a row has no line for.
         #: False means the runner materializes every binding at wiring.
         self.keeps_rows = (
             recorder is None and auditor is None
             and (spec is None or spec.crashes_per_day == 0)
+            and policy.kind is not PolicyKind.RATE
         )
         self.online_kind = policy.kind is PolicyKind.ONLINE
         #: The row's §3.4 delay: a fixed positive ``policy.delay``, but 0
         #: under ONLINE, whose arrivals never reach the stage (an adaptive
         #: delay is 0 until a rank drop, and rank changes never reach rows).
         self.delay = 0.0 if self.online_kind or not policy.delay else policy.delay
-        #: RATE arrivals earn forwarding credit per event, and a row has
-        #: no credit line.
-        self.row_arrivals = self.keeps_rows and policy.kind is not PolicyKind.RATE
         #: The resident read's limit recompute (the objects' own lives
         #: in the proxy).
         self.limits = BufferPrefetcher(policy)
@@ -411,16 +401,14 @@ class ShardBatchDispatcher:
         delay_sums = cols.read_delay_sum
         old_reads = cols.old_reads
         old_times = cols.old_times
-        topics = cols.topics
-        materialize = self.materialize
-        # Fault row state: None in a clean shard, whose rows instead
-        # queue arrivals and log offline reads.
+        # Fault row state: None in a clean shard, whose forwards land at
+        # once.
         forward = None if cols.plans is None else self._forward
         clean = forward is None
         parked = cols.parked
-        escape = self._escape
+        send = self._send
+        notify = self._notify
         arrive_expiring = self._arrive_expiring
-        row_arrivals = self.row_arrivals
         online = self.online_kind
         window = self.policy.ma_window
         limit_for = self.limits.limit_for
@@ -447,13 +435,7 @@ class ShardBatchDispatcher:
             d = m_devs[i]
             if code == _ARRIVE:
                 entry = (-m_ranks[i], t, m_ints[i], m_exps[i])
-                # A clean row takes every such arrival; a faulted one
-                # only those the proxy forwards on arrival.
-                if (
-                    resident[d]
-                    and row_arrivals
-                    and (clean or net[d] and (online or qsize[d] < plimit[d]))
-                ):
+                if resident[d]:
                     accepted[d] += 1
                     if net[d] and (online or qsize[d] < plimit[d]):
                         # Forwarded on arrival: the proxy's estimate
@@ -481,12 +463,14 @@ class ShardBatchDispatcher:
                         i += 1
                         continue
                 else:
-                    escape(d, entry)
+                    notify(d, entry)
             elif code == _ARRIVE_EXPIRING:
-                # Arms timers if the row takes it: on to the cap refresh.
+                # Arms timers: on to the cap refresh.
                 entry = (-m_ranks[i], t, m_ints[i], m_exps[i])
-                if not (resident[d] and row_arrivals and arrive_expiring(d, entry)):
-                    escape(d, entry)
+                if resident[d]:
+                    arrive_expiring(d, entry)
+                else:
+                    notify(d, entry)
             elif code == _OUTAGE_DOWN:
                 # (Branch order is by event frequency: a typical
                 # campaign carries several outage transitions per read.)
@@ -511,9 +495,15 @@ class ShardBatchDispatcher:
                         size = len(holding) if holding else 0
                         log = logs[d]
                         if log is not None:
-                            # on_read_report: the log is in event order,
-                            # which its sort by time leaves unchanged.
                             logs[d] = None
+                            if not clean:
+                                # The plan's stale duplicates, then
+                                # on_read_report's sort by time (a clean
+                                # log is in event order already).
+                                plan = self.plan_for(d)
+                                log, injected = plan.corrupt_read_report(log)
+                                cols.report_entries_corrupted[d] += injected
+                                log.sort(key=_time_of)
                             sizes = old_reads[d]
                             if sizes is None:
                                 sizes = old_reads[d] = MovingAverage(window)
@@ -545,18 +535,19 @@ class ShardBatchDispatcher:
                                 waiting_at[d] = None
                             if sent:
                                 forwarded[d] += len(sent)
-                                if holding is None:
-                                    held[d] = sent
+                                if clean and timers[d] is None:
+                                    if holding is None:
+                                        held[d] = sent
+                                    else:
+                                        holding.extend(sent)
                                 else:
-                                    holding.extend(sent)
-                                if timers[d] is not None:
-                                    self._rearm(d, sent)
+                                    send(d, sent)
                         qsize[d] = size
                 else:
                     cols.links[d].set_status(_UP)
             elif code == _READ:
                 n = m_ints[i]
-                if resident[d] and (net[d] or clean):
+                if resident[d]:
                     reads[d] += 1
                     holding = held[d]
                     if net[d]:
@@ -613,12 +604,14 @@ class ShardBatchDispatcher:
                             if sent:
                                 forwarded[d] += len(sent)
                                 pulled[d] += len(sent)
-                                if holding is None:
-                                    holding = held[d] = sent
+                                if clean and timers[d] is None:
+                                    if holding is None:
+                                        holding = held[d] = sent
+                                    else:
+                                        holding.extend(sent)
                                 else:
-                                    holding.extend(sent)
-                                if timers[d] is not None:
-                                    self._rearm(d, sent)
+                                    send(d, sent)
+                                    holding = held[d]
                         qsize[d] = size
                     else:
                         # Offline: the device logs the read for the
@@ -663,33 +656,31 @@ class ShardBatchDispatcher:
                     else:
                         empty_reads[d] += 1
                 else:
-                    if resident[d]:
-                        materialize(d)
-                    cols.clients[d].perform_read(topics[d], n)
+                    cols.clients[d].perform_read(cols.topics[d], n)
             elif code == _CHANGE:
                 # Materialized at wiring: it needs the proxy's history.
-                escape(d, (-m_ranks[i], self.m_pubs[i], m_ints[i], m_exps[i]))
+                notify(d, (-m_ranks[i], self.m_pubs[i], m_ints[i], m_exps[i]))
             elif code == _ARRIVE_DELAYED:
                 # _handle_new_event's delay stage on the row: accepted,
                 # then held back by the proxy's own timer. The schedule
                 # draws a sequence number: on to the cap refresh.
                 entry = (-m_ranks[i], t, m_ints[i], m_exps[i])
-                if resident[d] and row_arrivals:
+                if resident[d]:
                     accepted[d] += 1
                     cols.delayed[d] += 1
                     sim.schedule(self.delay, self._delay_timeout, d, entry)
                 else:
-                    escape(d, entry)
+                    notify(d, entry)
             else:
                 # Filtered / dead-on-arrival: counters only on a row.
-                if resident[d] and row_arrivals:
+                if resident[d]:
                     if code == _ARRIVE_FILTERED:
                         cols.filtered[d] += 1
                     else:
                         cols.dead[d] += 1
                     i += 1
                     continue
-                escape(d, (-m_ranks[i], t, m_ints[i], m_exps[i]))
+                notify(d, (-m_ranks[i], t, m_ints[i], m_exps[i]))
             i += 1
             if sim._seq_next != seq_mark:
                 seq_mark = sim._seq_next
@@ -697,21 +688,17 @@ class ShardBatchDispatcher:
                     cap_time, cap_seq, _top = heap[0]
         return i - pos
 
-    def _escape(self, d: int, entry) -> None:
-        """Hand an arrival (or a rank change) the row cannot take to
-        binding ``d``'s objects, built first if it is still resident."""
-        if self.cols.resident[d]:
-            self.materialize(d)
+    def _notify(self, d: int, entry) -> None:
+        """``NOTIFICATION`` for an arrival (or a rank change) of binding
+        ``d``, which was materialized at wiring."""
         self.proxy.on_notification(row_notification(self.cols.topics[d], entry))
 
-    def _arrive_expiring(self, d: int, entry) -> bool:
+    def _arrive_expiring(self, d: int, entry) -> None:
         """``_handle_new_event`` and ``try_forwarding`` for a live
-        expiring arrival on row ``d``; False, with the row untouched,
-        when a faulted row would have to queue or hold it."""
+        expiring arrival on row ``d``."""
         cols = self.cols
         policy = self.policy
         online = self.online_kind
-        lifetime = entry[3] - entry[1]
         room = cols.network[d] and (
             online or cols.queue_size[d] < cols.prefetch_limit[d]
         )
@@ -720,60 +707,44 @@ class ShardBatchDispatcher:
             threshold = policy.initial_expiration_threshold
             if cols.old_times[d] is not None:
                 threshold = cols.old_times[d].value_or(threshold)
-        hold = not online and lifetime < threshold
+        hold = not online and entry[3] - entry[1] < threshold
         delay = not hold and self.delay > 0
-        if cols.plans is not None and not (delay or room and not hold):
-            return False
         cols.accepted[d] += 1
-        if not online:
-            if cols.exp_times[d] is None:
-                cols.exp_times[d] = MovingAverage(policy.ma_window)
-            cols.exp_times[d].push(lifetime)
         if room and not hold and not delay:
             # Forwarded at once: _do_forward cancels the proxy's timer
             # before it can fire, so only its sequence number is drawn.
             self.sim._seq_next += 1
             self._deliver(d, entry)
-            return True
+            return
         self._arm(d, entry, self._expiration_timeout)
         if delay:
             cols.delayed[d] += 1
             handle = self.sim.schedule(self.delay, self._delay_timeout, d, entry)
             cols.delay_timers[d] = {**(cols.delay_timers[d] or {}), entry[2]: handle}
-            return True
+            return
         column = cols.proxy_holding if hold else cols.proxy_queue
         if column[d] is None:
             column[d] = [entry]
         else:
             (insort if hold else heappush)(column[d], entry)
-        return True
 
     def _delay_timeout(self, d: int, entry) -> None:
         """``LastHopProxy._delay_timeout`` and ``try_forwarding`` on row
         ``d``: a forward with the link up and room (the queue is then
-        empty), else the queue — or, on a faulted row, the objects."""
+        empty), else the queue."""
         cols = self.cols
-        if cols.resident[d]:
-            cols.delayed[d] -= 1
+        cols.delayed[d] -= 1
+        if entry[3] == entry[3]:
+            del cols.delay_timers[d][entry[2]]
+            cols.delay_timers[d] = cols.delay_timers[d] or None
+        if cols.network[d] and cols.queue_size[d] < cols.prefetch_limit[d]:
             if entry[3] == entry[3]:
-                del cols.delay_timers[d][entry[2]]
-                cols.delay_timers[d] = cols.delay_timers[d] or None
-            if cols.network[d] and cols.queue_size[d] < cols.prefetch_limit[d]:
-                if entry[3] == entry[3]:
-                    self._disarm(d, entry[2])
-                self._deliver(d, entry)
-                return
-            if cols.plans is None:
-                if cols.proxy_queue[d] is None:
-                    cols.proxy_queue[d] = [entry]
-                else:
-                    heappush(cols.proxy_queue[d], entry)
-                return
-            self.materialize(d)
-        topic = cols.topics[d]
-        self.proxy._delay_timeout(
-            self.proxy.topic_state(topic), row_notification(topic, entry)
-        )
+                self._disarm(d, entry[2])
+            self._deliver(d, entry)
+        elif cols.proxy_queue[d] is None:
+            cols.proxy_queue[d] = [entry]
+        else:
+            heappush(cols.proxy_queue[d], entry)
 
     def _deliver(self, d: int, entry) -> None:
         """``_do_forward`` on row ``d``: received now, or on the ladder."""
@@ -783,6 +754,28 @@ class ShardBatchDispatcher:
             self._receive(d, entry)
         else:
             self._forward(d, entry)
+
+    def _send(self, d: int, sent: List) -> None:
+        """The forwards of queued entries on row ``d`` (counted by the
+        caller), in forwarding order: each expiring one's proxy timer is
+        cancelled, then the device receives it (arming its expiry timer)
+        or the ladder ships it (which arms the timer when it lands)."""
+        cols = self.cols
+        if cols.plans is not None:
+            for entry in sent:
+                if entry[3] == entry[3]:
+                    self._disarm(d, entry[2])
+                self._forward(d, entry)
+            return
+        if cols.held[d] is None:
+            cols.held[d] = sent
+        else:
+            cols.held[d].extend(sent)
+        timers = cols.timers[d]
+        for entry in sent:
+            if entry[3] == entry[3]:
+                timers[entry[2]].cancelled = True
+                self._arm(d, entry, self._expire)
 
     def _receive(self, d: int, entry) -> None:
         """:meth:`ClientDevice.receive <repro.device.device.ClientDevice.
@@ -802,12 +795,6 @@ class ShardBatchDispatcher:
         LastHopProxy._expiration_timeout>` on row ``d``: the entry leaves
         the delay stage (cancelling its timer) or its queue."""
         cols = self.cols
-        if not cols.resident[d]:
-            topic = cols.topics[d]
-            self.proxy._expiration_timeout(
-                self.proxy.topic_state(topic), row_notification(topic, entry)
-            )
-            return
         self._disarm(d, entry[2])
         if entry[2] in (cols.delay_timers[d] or ()):
             cols.delay_timers[d].pop(entry[2]).cancel()
@@ -838,9 +825,6 @@ class ShardBatchDispatcher:
         """:meth:`ClientDevice._expire <repro.device.device.ClientDevice.
         _expire>` on row ``d``: the device drops the entry unread."""
         cols = self.cols
-        if not cols.resident[d]:
-            cols.clients[d]._expire(entry[2])
-            return
         self._disarm(d, entry[2])
         cols.held[d].remove(entry)
         cols.held[d] = cols.held[d] or None
@@ -867,14 +851,6 @@ class ShardBatchDispatcher:
             if entry[3] == entry[3]:
                 self._disarm(d, entry[2])
         return taken
-
-    def _rearm(self, d: int, sent: List) -> None:
-        """Queued entries just forwarded, in forwarding order: each
-        expiring one's proxy timer is cancelled and the device's armed."""
-        for entry in sent:
-            if entry[3] == entry[3]:
-                self.cols.timers[d][entry[2]].cancelled = True
-                self._arm(d, entry, self._expire)
 
     def _arm(self, d: int, entry, callback) -> None:
         """``schedule_at(max(expires_at, now), callback, d, entry)`` as
@@ -917,11 +893,6 @@ class ShardBatchDispatcher:
         _attempt>` on row ``d``, draw for draw and schedule for
         schedule, counting into the row's fault counters."""
         cols = self.cols
-        if not cols.resident[d]:
-            cols.links[d]._attempt(
-                row_notification(cols.topics[d], entry), _PUSHED, attempt
-            )
-            return
         if not cols.network[d]:
             parked = cols.parked[d]
             if parked is None:
@@ -957,9 +928,6 @@ class ShardBatchDispatcher:
         """:meth:`ClientDevice.receive <repro.device.device.ClientDevice.
         receive>` on row ``d``."""
         cols = self.cols
-        if not cols.resident[d]:
-            cols.clients[d].receive(row_notification(cols.topics[d], entry), _PUSHED)
-            return
         landing = cols.inflight[d]
         event_id = entry[2]
         if landing is None or event_id not in landing:

@@ -1,31 +1,27 @@
 """The shard's binding table: one row per device, local-id indexed.
 
-A binding lives in one of two tiers, recorded in ``resident``:
+The fleet runner decides each binding's tier once, at wiring, and
+records it in ``resident``:
 
-* **Array-resident** (``resident[d] == 1``, every binding's initial
-  tier): row ``d`` is the binding's *only* state. No ``TopicState`` /
-  ``LastHopLink`` / ``ClientDevice`` / ``SketchedStats`` exists for it;
-  the batch pump's resident handlers (:mod:`repro.fleet.batch`) read
-  and write the row directly — link status, the proxy's client-queue
-  estimate and prefetch limit, the notifications the device holds, the
-  per-device counts, the ``read_delay_sum`` partial, and the read-size /
-  read-interval / lifetime averages (created on first use). A clean
-  shard's row (no fault spec) also keeps the proxy's queue — standing
-  for ``outgoing`` under ONLINE and ``prefetch`` otherwise — and its
-  ``holding`` queue, and the device's offline read log. Under a fixed
-  positive delay the row counts the arrivals waiting in the §3.4 delay
-  stage; the entries ride on the delay timers the pump arms. An
-  expiring entry (§3.3) carries its ``expires_at``; its pending
-  expiration timer (the proxy's, or the device's once the device holds
-  it) is in ``timers``.
-* **Materialized** (``resident[d] == 0``): the first event the resident
-  handlers cannot express makes the runner build the binding's object
-  graph and replay the row into it (``ShardWiring.materialize`` in
-  :mod:`repro.fleet.runner`). From then on — one-way — the objects are
-  the binding's only state and take its events on the scalar
-  callbacks. The row keeps its counts (below) and points at the objects
-  through ``topics`` / ``stats`` / ``links`` / ``clients``; its
-  ``network``, ``queue_size`` and ``prefetch_limit`` go stale.
+* **Array-resident** (``resident[d] == 1``): row ``d`` is the binding's
+  *only* state for the whole run. No ``TopicState`` / ``LastHopLink`` /
+  ``ClientDevice`` / ``SketchedStats`` exists for it; the batch pump's
+  resident handlers (:mod:`repro.fleet.batch`) read and write the row
+  directly — link status, the proxy's client-queue estimate and
+  prefetch limit, its queue (standing for ``outgoing`` under ONLINE and
+  ``prefetch`` otherwise) and its ``holding`` queue, the notifications
+  the device holds and its offline read log, the per-device counts, the
+  ``read_delay_sum`` partial, and the read-size / read-interval
+  averages (created on first use). Under a fixed positive delay the row
+  counts the arrivals waiting in the §3.4 delay stage; the entries ride
+  on the delay timers the pump arms. An expiring entry (§3.3) carries
+  its ``expires_at``; its pending expiration timer (the proxy's, or the
+  device's once the device holds it) is in ``timers``.
+* **Materialized** (``resident[d] == 0``): the binding's object graph,
+  built by ``ShardWiring.materialize`` in :mod:`repro.fleet.runner`
+  before the run, takes all of its events on the scalar callbacks. The
+  row points at the objects through ``topics`` / ``stats`` / ``links``
+  / ``clients`` and is otherwise never touched.
 
 Resident-row invariants (also :meth:`FleetColumns.verify_sync`): the
 queue is non-empty only while the link is down or, outside ONLINE, the
@@ -38,22 +34,20 @@ at the proxy; every forward was read, is held, expired on the device or
 A shard with a fault spec allocates a second group of row state, which
 clean shards never pay for: the deliveries forwarded but not landed (in
 flight on the ack–retry ladder, or abandoned), the retries parked while
-the link is down, the five delivery-fault counters, and the device's
+the link is down, the delivery-fault counters and the count of
+corrupted read-report entries, and the device's
 :class:`~repro.faults.FaultPlan` (built on its first draw). Only a
 crash-free spec keeps rows resident at all, so nothing here models a
-crash. A faulted row never queues or holds an arrival or logs a read
-(those escape), so its two queues and its log stay None.
+crash.
 
-The row's counts keep what happened *while resident*; after
-materialization the binding's ``SketchedStats`` counts what happens
-next and the fold adds the two (``FleetAccumulator.add_shard``, or
-``device_stats`` for one binding). The one float, ``read_delay_sum``,
-is instead carried over into the stats object so its per-device
-left-to-right association never splits. A table built with
-``read_ids=True`` — the one-device shard behind ``run_scenario``, whose
-§3.1 loss compares identity sets — also keeps the ids each row read or
-saw expire on the device; its forwarded ids are those plus the ids it
-holds or has not landed, since nothing else leaves a row.
+A binding's counts live in its row or in its ``SketchedStats``, never
+both: the fold reads the row of a resident binding and the stats object
+of a materialized one (``FleetAccumulator.add_shard``, or
+``device_stats`` for one binding). A table built with ``read_ids=True``
+— the one-device shard behind ``run_scenario``, whose §3.1 loss
+compares identity sets — also keeps the ids each row read or saw
+expire on the device; its forwarded ids are those plus the ids it holds
+or has not landed, since nothing else leaves a row.
 
 Per-item columns are Python lists / ``bytearray`` rather than numpy
 arrays: the pump reads them one element at a time, and every
@@ -89,7 +83,7 @@ class FleetColumns:
     __slots__ = (
         "devices", "online", "resident", "network", "queue_size",
         "prefetch_limit", "held", "proxy_queue", "proxy_holding", "read_log",
-        "timers", "delay_timers", "exp_times", "accepted", "delayed", "expired",
+        "timers", "delay_timers", "accepted", "delayed", "expired",
         "forwarded", "pulled", "expired_on_device", "filtered", "dead", "reads",
         "outage_reads", "empty_reads", "consumed", "read_delay_sum",
         "old_reads", "old_times", "topics", "stats", "links", "clients",
@@ -115,12 +109,10 @@ class FleetColumns:
         #: then the binding's ``outgoing`` (flushed whole on UP), else
         #: its ``prefetch`` (flushed up to the prefetch limit).
         self.online = online
-        #: 1 while the row is the binding's only state (no objects).
+        #: 1 if the row is the binding's only state (no objects).
         self.resident = bytearray(b"\x01") * n
 
         # -- resident-tier state ----------------------------------------
-        # The first three go stale on materialization; the counts below
-        # them keep what happened while resident.
         #: 1 while the binding's last-hop link is UP.
         self.network = bytearray(b"\x01") * n
         #: The proxy's estimate of the client queue occupancy.
@@ -149,9 +141,6 @@ class FleetColumns:
         #: timers of the expiring entries in that stage.
         self.timers: List = [None] * n
         self.delay_timers: List = [None] * n
-        #: ``TopicState.exp_times``: the lifetime of every expiring
-        #: arrival taken outside ONLINE.
-        self.exp_times: List = [None] * n
         #: Live arrivals the proxy accepted (forwarded, queued, held,
         #: delayed, or expired at the proxy), those still in the delay
         #: stage, and those that expired at the proxy.
@@ -173,13 +162,11 @@ class FleetColumns:
         self.empty_reads: List[int] = [0] * n
         #: Notifications read by the user.
         self.consumed: List[int] = [0] * n
-        #: Sum of read ages; moves into the stats object on
-        #: materialization (see the module docstring).
+        #: Sum of read ages.
         self.read_delay_sum: List[float] = [0.0] * n
         #: ``TopicState.old_reads`` / ``.old_times`` of the binding,
         #: created when its first read reaches the proxy (a READ, or a
-        #: replayed log entry) and adopted by the state on
-        #: materialization.
+        #: replayed log entry).
         self.old_reads: List = [None] * n
         self.old_times: List = [None] * n
 
@@ -203,7 +190,7 @@ class FleetColumns:
             setattr(self, name, [0] * n if faulted else None)
 
         #: Event ids the user read, and that expired on the device,
-        #: while the row was resident — kept only for a caller that needs
+        #: on a resident row — kept only for a caller that needs
         #: the identity sets (``device_stats`` in :mod:`repro.metrics.
         #: streaming`); None in a fleet campaign, whose fold needs only
         #: the counts.
@@ -212,7 +199,7 @@ class FleetColumns:
 
     @property
     def materialized_share(self) -> float:
-        """Fraction of the shard's bindings that left the resident tier."""
+        """Fraction of the shard's bindings materialized at wiring."""
         if not self.devices:
             return 0.0
         return 1.0 - sum(self.resident) / self.devices
@@ -224,10 +211,9 @@ class FleetColumns:
         """Check both tiers' invariants; returns human-readable
         violations (empty = in sync).
 
-        Materialized rows: that the row handed all its row state over
-        (the objects are then the binding's only state). Resident rows:
-        the row against itself — the identities that make the replay
-        into objects well defined (no objects yet, a queue only where
+        Materialized rows: that the row holds no row state (the objects
+        are the binding's only state). Resident rows: the row against
+        itself — no objects, a queue only where
         the proxy would keep one, a log only while the link is down,
         every accepted arrival forwarded, queued, held, delayed or
         expired, every forward read, held, expired or not landed, one
@@ -238,8 +224,7 @@ class FleetColumns:
         violations: List[str] = []
         row_state = [
             self.held, self.proxy_queue, self.proxy_holding, self.read_log,
-            self.timers, self.delay_timers, self.exp_times,
-            self.old_reads, self.old_times,
+            self.timers, self.delay_timers, self.old_reads, self.old_times,
         ]
         if self.plans is not None:
             row_state += [self.inflight, self.parked]
@@ -247,7 +232,7 @@ class FleetColumns:
             if self.resident[d]:
                 violations.extend(self._verify_resident(d))
             elif any(column[d] is not None for column in row_state):
-                violations.append(f"device {d}: materialized row kept row state")
+                violations.append(f"device {d}: materialized binding has row state")
         return violations
 
     def _verify_resident(self, d: int) -> List[str]:
@@ -314,8 +299,11 @@ class FleetColumns:
         reads = self.reads[d]
         if self.empty_reads[d] > reads or self.outage_reads[d] > reads:
             violations.append(f"device {d}: more empty or outage reads than reads")
-        # Every read reached the proxy but those still in the log.
+        # Every read reached the proxy but those still in the log, and
+        # a corrupted report added its duplicates.
         reported = reads - logged
+        if self.plans is not None:
+            reported += self.report_entries_corrupted[d]
         averages = self.old_reads[d]
         if (averages is None) != (self.old_times[d] is None) or (
             averages is None

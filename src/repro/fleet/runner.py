@@ -2,14 +2,14 @@
 
 A shard is one :class:`~repro.sim.engine.Simulator` carrying a single
 :class:`~repro.proxy.proxy.LastHopProxy` and one binding per device.
-A binding starts as a bare row of the shard's binding table
-(:class:`~repro.fleet.columns.FleetColumns`); its object graph — a
-compact :class:`~repro.proxy.state.TopicState` at the proxy plus a
-:class:`~repro.device.link.LastHopLink` / :class:`~repro.device.device.
-ClientDevice` pair and a ``SketchedStats`` — is built by
-:meth:`ShardWiring.materialize` only when something needs it: at wiring
-for every binding of a shard that cannot run on rows alone, mid-run for
-the bindings whose events leave the batch pump's resident handlers.
+Each binding's runtime is fixed at wiring: a bare row of the shard's
+binding table (:class:`~repro.fleet.columns.FleetColumns`) for the whole
+run, or its object graph — a compact :class:`~repro.proxy.state.
+TopicState` at the proxy plus a :class:`~repro.device.link.LastHopLink`
+/ :class:`~repro.device.device.ClientDevice` pair and a
+``SketchedStats`` — built by :meth:`ShardWiring.materialize` before the
+run: every binding of a shard that cannot run on rows alone, and those
+whose input a row does not model.
 
 The batch pump replays the shard as **one merged stream**
 (:mod:`repro.fleet.batch`), so the engine heap stays O(1) in the device
@@ -61,7 +61,7 @@ from repro.experiments import parallel
 from repro.experiments.runner import RunResult, wire_device
 from repro.faults import FaultPlan, FaultSpec
 from repro.fleet.batch import ShardBatchDispatcher
-from repro.fleet.columns import FleetColumns, row_notification
+from repro.fleet.columns import FleetColumns
 from repro.fleet.config import FleetScenarioConfig
 from repro.fleet.workload import FleetWorkload, build_fleet_workload
 from repro.metrics.streaming import FleetAccumulator, SketchedStats, device_stats
@@ -70,11 +70,9 @@ from repro.proxy.prefetch import BufferPrefetcher
 from repro.proxy.proxy import LastHopProxy
 from repro.proxy.schedule import DeliverySchedule
 from repro.sim import trace_shm
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.trace import Trace
-from repro.types import (
-    DeliveryMode, EventId, NetworkStatus, PolicyKind, TopicId, TopicType,
-)
+from repro.types import EventId, PolicyKind, TopicId, TopicType
 
 
 def device_topic(device: int) -> TopicId:
@@ -136,9 +134,9 @@ def _execute_shard(
     :func:`~repro.experiments.runner.wire_device` the scalar oracle
     uses, and the pump's merged stream preserves each device's
     within-device event order, so a device's statistics are identical
-    whether it runs on its row, on objects, or first one then the other
-    — and :func:`~repro.experiments.runner.run_scenario` is this shard
-    with one device (:func:`_run_device_shard`).
+    whether it runs on its row or on objects — and
+    :func:`~repro.experiments.runner.run_scenario` is this shard with
+    one device (:func:`_run_device_shard`).
 
     ``use_batch=False`` runs the scalar oracle instead of the batch
     pump: every binding materialized at wiring, then each device's
@@ -200,17 +198,17 @@ def _run_device_shard(
 
 
 class ShardWiring:
-    """Builds a binding's object graph the first time something needs it.
+    """Builds the object graphs of the bindings a row cannot run.
 
-    Every binding of a shard starts as a bare row of the shard's
+    Every binding of a shard has a row of the shard's
     :class:`~repro.fleet.columns.FleetColumns`. :meth:`materialize` is
     the only place the fleet builds a device's ``SketchedStats`` and,
     through :func:`~repro.experiments.runner.wire_device`, its
-    ``LastHopLink`` / ``ClientDevice`` / ``TopicState`` — for every
-    binding at wiring when the shard cannot take the resident handlers
-    (the scalar oracle, a fault spec that arms proxy crashes,
-    observers), for a single binding from inside the batch pump or a
-    row timer otherwise (:mod:`repro.fleet.batch` lists the escapes).
+    ``LastHopLink`` / ``ClientDevice`` / ``TopicState``, before the run:
+    for every binding when the shard cannot take the resident handlers
+    (the scalar oracle, RATE, a fault spec that arms proxy crashes,
+    observers, an ON-LINE topic or a delivery schedule), and for those
+    whose input carries a rank change otherwise.
     """
 
     __slots__ = (
@@ -256,109 +254,31 @@ class ShardWiring:
         return plan
 
     def materialize(self, index: int) -> None:
-        """Build binding ``index``'s objects and replay its row into them.
+        """Wire binding ``index`` as objects, before the run.
 
         The wiring is :func:`~repro.experiments.runner.wire_device`, the
         same helper :func:`~repro.experiments.runner.run_scenario` uses,
         so ctor order, listener registration order and crash timers
         match it exactly (only a shard materialized whole at wiring has
         crash plans, so the timers land before the streams register).
-        A replay of a fresh row is the identity, so a binding
-        materialized at wiring is wired exactly as if no row had ever
-        existed. One-way and idempotent: a materialized binding is left
-        alone.
-
-        The replay hands over what the binding's future depends on: the
-        link status, the proxy's queue-size estimate and prefetch limit,
-        the read and lifetime averages (and the expiration threshold
-        derived from them), the notifications the device holds, the
-        proxy's queue (into ``outgoing`` under ONLINE, ``prefetch``
-        otherwise) and holding queue, handles on the pending expiration
-        and delay timers, the device's offline read log, and under a
-        fault spec the deliveries not landed (forwarded, so into the
-        forwarded sets) and the parked retries (onto the link); the
-        row's timers route to the objects from now on. The row's counts
-        stay behind — the fold
-        adds them to what the stats object counts from here on — except
-        ``read_delay_sum``, which moves so the per-device float sum keeps
-        accumulating left to right. The row's link status, queue-size
-        estimate and prefetch limit are left stale.
+        The row was never touched, so the binding is wired exactly as if
+        no row had ever existed. Idempotent: a materialized binding is
+        left alone.
         """
         cols = self.cols
         if not cols.resident[index]:
             return
-        sim = self.sim
-        proxy = self.proxy
         acc = self.acc
-        config = self.workload.config
-        device_id = self.workload.lo + index
-        plan = None if self.spec is None else self.plan(index)
         stats = SketchedStats(
             delay_sketch=None if acc is None else acc.read_delay_sketch,
             delay_moments=None if acc is None else acc.read_delay_moments,
         )
-        topic = device_topic(device_id)
-        link, device, state = wire_device(
-            sim, proxy, topic, config.threshold, stats, plan, self.recorder,
+        topic = device_topic(self.workload.lo + index)
+        link, device, _state = wire_device(
+            self.sim, self.proxy, topic, self.workload.config.threshold, stats,
+            None if self.spec is None else self.plan(index), self.recorder,
             topic_type=self.topic_type, schedule=self.schedule,
         )
-
-        if not cols.network[index]:
-            link._status = NetworkStatus.DOWN
-            state.network = NetworkStatus.DOWN
-        state.queue_size = cols.queue_size[index]
-        state.prefetch_limit = cols.prefetch_limit[index]
-        if cols.old_reads[index] is not None:
-            state.old_reads = cols.old_reads[index]
-            state.old_times = cols.old_times[index]
-            cols.old_reads[index] = cols.old_times[index] = None
-            policy = proxy.policy
-            if policy.expiration_threshold is None:
-                state.expiration_threshold = state.old_times.value_or(
-                    policy.initial_expiration_threshold
-                )
-        held = cols.held[index]
-        if held is not None:
-            queue = device._queues[topic]
-            for entry in held:
-                event_id = entry[2]
-                queue.add(row_notification(topic, entry))
-                device._topic_of[event_id] = topic
-                state.forwarded.add(event_id)
-                stats.forwarded_ids.add(event_id)
-            cols.held[index] = None
-        queue = state.outgoing if cols.online else state.prefetch
-        for entry in cols.proxy_queue[index] or ():
-            queue.add(row_notification(topic, entry))
-        for entry in cols.proxy_holding[index] or ():
-            state.holding.add(row_notification(topic, entry))
-        cols.proxy_queue[index] = cols.proxy_holding[index] = None
-        for event_id, event in (cols.timers[index] or {}).items():
-            on_device = event_id in device._topic_of
-            handles = device._expiry_handles if on_device else state.expiration_handles
-            handles[event_id] = EventHandle(event)
-        state.delay_handles.update(cols.delay_timers[index] or {})
-        state.exp_times = cols.exp_times[index] or state.exp_times
-        cols.timers[index] = cols.delay_timers[index] = cols.exp_times[index] = None
-        log = cols.read_log[index]
-        if log is not None:
-            device._offline_reads[topic] = log
-            cols.read_log[index] = None
-        if plan is not None:
-            landing = cols.inflight[index]
-            if landing is not None:
-                state.forwarded.update(landing)
-                stats.forwarded_ids.update(landing)
-                cols.inflight[index] = None
-            waiting = cols.parked[index]
-            if waiting is not None:
-                link._parked = [
-                    (row_notification(topic, entry), DeliveryMode.PUSHED, attempt)
-                    for entry, attempt in waiting
-                ]
-                cols.parked[index] = None
-        stats.read_delay_sum = cols.read_delay_sum[index]
-
         cols.topics[index] = topic
         cols.stats[index] = stats
         cols.links[index] = link
@@ -470,7 +390,6 @@ def _run_shard(
             proxy=proxy,
             policy=policy,
             cols=cols,
-            materialize=wiring.materialize,
             accumulator=acc,
             spec=spec,
             plan_for=wiring.plan,

@@ -174,13 +174,15 @@ class RunStats:
         return "\n".join(lines)
 
 
-#: The :class:`RunStats` counters of the ack–retry delivery path (the
-#: link's drops, retries, abandons and duplicates; the device's dedup).
-#: A fleet shard under a crash-free fault spec keeps them per row.
+#: The :class:`RunStats` counters a crash-free fault spec moves: those
+#: of the ack–retry delivery path (the link's drops, retries, abandons
+#: and duplicates; the device's dedup) and the device's corrupted read
+#: reports. A fleet shard under such a spec keeps them per row.
 DELIVERY_FAULT_FIELDS = (
     "delivery_drops",
     "delivery_retries",
     "delivery_failures",
     "duplicates_delivered",
     "duplicates_deduped",
+    "report_entries_corrupted",
 )

@@ -217,17 +217,15 @@ class SketchedStats(RunStats):
 
 
 def device_stats(table: "FleetColumns", d: int) -> RunStats:
-    """Binding ``d``'s :class:`RunStats`: its row plus its stats object.
+    """Binding ``d``'s :class:`RunStats`: its stats object's if it was
+    materialized, else its row's.
 
     The per-device form of :meth:`FleetAccumulator.add_shard`'s
-    arithmetic — what the row counted while resident, added to what the
-    stats object (if the binding materialized) counted afterwards — so
-    ``add_device(device_stats(table, d))`` over every ``d`` folds
-    exactly as ``add_shard(table)`` does. It needs a table that recorded
-    its read and expired ids: a resident row forwarded exactly what it
-    read, saw expire on the device, still holds, or (under faults) has
-    not landed, since nothing else leaves a row; what moved on
-    materialization is in the stats object's sets.
+    arithmetic, so ``add_device(device_stats(table, d))`` over every
+    ``d`` folds exactly as ``add_shard(table)`` does. It needs a table
+    that recorded its read and expired ids: a resident row forwarded
+    exactly what it read, saw expire on the device, still holds, or
+    (under faults) has not landed, since nothing else leaves a row.
     """
     result = RunStats()
     stats = table.stats[d]
@@ -236,25 +234,25 @@ def device_stats(table: "FleetColumns", d: int) -> RunStats:
             setattr(result, name, getattr(stats, name))
         result.forwarded_ids.update(stats.forwarded_ids)
         result.read_ids.update(stats.read_ids)
-    else:
-        result.read_delay_sum = table.read_delay_sum[d]
+        return result
+    result.read_delay_sum = table.read_delay_sum[d]
     accepted = table.accepted[d]
     sent = table.forwarded[d]
     pulled = table.pulled[d]
     reads = table.reads[d]
     outage_reads = table.outage_reads[d]
-    result.arrivals += accepted + table.filtered[d] + table.dead[d]
-    result.accepted += accepted
-    result.filtered += table.filtered[d]
-    result.expired_at_proxy += table.dead[d] + table.expired[d]
-    result.expired_on_device += table.expired_on_device[d]
-    result.pushed += sent - pulled
-    result.pulled += pulled
-    result.bytes_sent += sent * table.forward_bytes
-    result.reads += reads
-    result.read_requests += reads - outage_reads
-    result.reads_during_outage += outage_reads
-    result.empty_reads += table.empty_reads[d]
+    result.arrivals = accepted + table.filtered[d] + table.dead[d]
+    result.accepted = accepted
+    result.filtered = table.filtered[d]
+    result.expired_at_proxy = table.dead[d] + table.expired[d]
+    result.expired_on_device = table.expired_on_device[d]
+    result.pushed = sent - pulled
+    result.pulled = pulled
+    result.bytes_sent = sent * table.forward_bytes
+    result.reads = reads
+    result.read_requests = reads - outage_reads
+    result.reads_during_outage = outage_reads
+    result.empty_reads = table.empty_reads[d]
     read = table.read_ids[d]
     result.read_ids.update(read)
     result.forwarded_ids.update(read)
@@ -262,7 +260,7 @@ def device_stats(table: "FleetColumns", d: int) -> RunStats:
     result.forwarded_ids.update(entry[2] for entry in table.held[d] or ())
     if table.plans is not None:
         for name in DELIVERY_FAULT_FIELDS:
-            setattr(result, name, getattr(result, name) + getattr(table, name)[d])
+            setattr(result, name, getattr(table, name)[d])
         result.forwarded_ids.update(table.inflight[d] or ())
     return result
 
@@ -337,18 +335,16 @@ class FleetAccumulator:
 
         Bit-identical to calling :meth:`add_device` once per device in
         local-id order on the ``RunStats`` a fully object-backed shard
-        would have produced. Each binding contributes what its row
-        counted while it was array-resident plus what its stats object
-        (None if it never materialized) counted afterwards. The integer
-        columns are order-free sums, so the two tiers simply add; under
-        a fault spec that includes the rows' delivery-fault counters,
-        and a resident row's waste is everything it forwarded and did
-        not see read — held, expired on the device, in flight, or
-        abandoned. The float columns must associate exactly as the
-        sequential fold does: per device, then left to right over local
-        ids inside
-        ``sum`` — ``read_delay_sum`` of a materialized binding lives in
-        its stats object (the row's partial moved there), and a
+        would have produced. Each binding contributes its row if it
+        stayed array-resident, its stats object if it was materialized
+        (whose row then holds only zeros). The integer columns are
+        order-free sums, so the two tiers simply add; under a fault spec
+        that includes the rows' fault counters, and a resident row's
+        waste is everything it forwarded and did not see read — held,
+        expired on the device, in flight, or abandoned. The float
+        columns must associate exactly as the sequential fold does: per
+        device, then left to right over local ids inside ``sum`` —
+        ``read_delay_sum`` comes from the row or the stats object, and a
         resident binding's other floats are the 0.0 a never-touched
         ``RunStats`` holds, which adds nothing wherever it falls in the
         order. The per-device moment pushes stay
@@ -412,22 +408,17 @@ class FleetAccumulator:
         wasted = 0
         push_reads = self.device_reads.push
         push_waste = self.device_waste.push
-        for stats, n_forwarded, n_read, n_expired in zip(
-            stats_list, table.forwarded, table.consumed, table.expired_on_device
+        for stats, n_forwarded, n_read in zip(
+            stats_list, table.forwarded, table.consumed
         ):
             if stats is None:
                 # Held, expired on the device, in flight, or abandoned
                 # on the ladder.
                 n_wasted = n_forwarded - n_read
             else:
-                forwarded_ids = stats.forwarded_ids
-                read_ids = stats.read_ids
-                # What the row forwarded and handed over unread is in
-                # ``forwarded_ids``; only what it saw read or expire
-                # still counts from the row.
-                n_forwarded = n_read + n_expired + len(forwarded_ids)
-                n_read += len(read_ids)
-                n_wasted = n_expired + len(forwarded_ids - read_ids)
+                n_forwarded = stats.forwarded
+                n_read = stats.messages_read
+                n_wasted = stats.wasted
             forwarded += n_forwarded
             messages_read += n_read
             wasted += n_wasted

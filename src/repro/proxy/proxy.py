@@ -261,7 +261,6 @@ class LastHopProxy:
         # On-demand path.
         lifetime = notification.remaining_lifetime(self._sim.now)
         if lifetime is not None:
-            state.exp_times.push(notification.lifetime or lifetime)
             self._schedule_expiration(state, notification)
         if state.schedule is not None and state.schedule.is_urgent(notification.rank):
             # "an on-demand topic interrupts (e.g. a tornado warning)".

@@ -39,7 +39,6 @@ class TopicState:
         "holding",
         "history",
         "forwarded",
-        "exp_times",
         "old_reads",
         "old_times",
         "queue_size",
@@ -92,7 +91,6 @@ class TopicState:
         self.forwarded: set = set()
 
         # Moving averages.
-        self.exp_times = MovingAverage(ma_window)      #: ``topic.exp_times``
         self.old_reads = MovingAverage(ma_window)      #: ``topic.old_reads``
         self.old_times = IntervalAverage(ma_window)    #: ``topic.old_times``
 
@@ -131,11 +129,6 @@ class TopicState:
         self.crashed_at = 0.0
 
     # ------------------------------------------------------------------
-    @property
-    def avg_exp(self) -> Optional[float]:
-        """``topic.avg_exp`` — moving average of granted lifetimes."""
-        return self.exp_times.value
-
     @property
     def mean_read_interval(self) -> Optional[float]:
         """Moving average of the time between user reads."""

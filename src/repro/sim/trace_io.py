@@ -96,9 +96,24 @@ def _int_column(stream: dict, key: str, expected_len: int) -> list:
     return values
 
 
+def _number(name: str, value):
+    """A JSON number; numpy would silently coerce ``"0.5"`` or ``true``."""
+    if type(value) is not float and type(value) is not int:
+        raise ValueError(f"{name} holds {value!r}, not a number")
+    return value
+
+
+def _float_column(stream: dict, key: str, expected_len: int = -1) -> list:
+    """A float column: every entry an int or a float, bool excluded."""
+    values = _column(stream, key, expected_len)
+    for value in values:
+        _number(f"column {key!r}", value)
+    return values
+
+
 def _rank_column(stream: dict, key: str, expected_len: int) -> list:
     """A rank column; NaN would compare false against every threshold."""
-    values = _column(stream, key, expected_len)
+    values = _float_column(stream, key, expected_len)
     for value in values:
         if value != value:
             raise ValueError(f"column {key!r} holds NaN, not a rank")
@@ -113,7 +128,7 @@ def _expires_column(stream: dict, expected_len: int) -> list:
         if value is None:
             values.append(math.nan)
             continue
-        value = float(value)
+        value = float(_number("column 'expires_at'", value))
         if not math.isfinite(value):
             raise ValueError(
                 f"column 'expires_at' holds {value!r}, not a finite time or null"
@@ -140,10 +155,10 @@ def trace_from_dict(data: dict) -> Trace:
         reads = data["reads"]
         outages = data["outages"]
         changes = data["rank_changes"]
-        arrival_times = _column(arrivals, "time")
-        read_times = _column(reads, "time")
-        outage_starts = _column(outages, "start")
-        change_times = _column(changes, "time")
+        arrival_times = _float_column(arrivals, "time")
+        read_times = _float_column(reads, "time")
+        outage_starts = _float_column(outages, "start")
+        change_times = _float_column(changes, "time")
         columns = TraceColumns(
             arrivals=ArrivalColumns.build(
                 arrival_times,
@@ -155,7 +170,7 @@ def trace_from_dict(data: dict) -> Trace:
                 read_times, _int_column(reads, "count", len(read_times))
             ),
             outages=OutageColumns.build(
-                outage_starts, _column(outages, "end", len(outage_starts))
+                outage_starts, _float_column(outages, "end", len(outage_starts))
             ),
             rank_changes=RankChangeColumns.build(
                 change_times,
@@ -167,7 +182,7 @@ def trace_from_dict(data: dict) -> Trace:
         seed = metadata.get("seed")
         if seed is not None and type(seed) is not int:
             raise ValueError(f"metadata seed {seed!r} is not an integer")
-        duration = float(data["duration"])
+        duration = float(_number("duration", data["duration"]))
         if not math.isfinite(duration):
             raise ValueError(f"duration {duration!r} is not finite")
         trace = Trace(duration=duration, metadata=metadata, columns=columns)

@@ -130,16 +130,15 @@ def expiring_outcomes() -> Iterator[Counter]:
 
     def counting_arrive(dispatcher, d, entry):
         before = dispatcher.cols.forwarded[d]
-        taken = arrive(dispatcher, d, entry)
+        arrive(dispatcher, d, entry)
         seen["forwarded at once"] += dispatcher.cols.forwarded[d] > before
-        return taken
 
     def counting_timeout(dispatcher, d, entry):
         seen["died in holding"] += entry in (dispatcher.cols.proxy_holding[d] or ())
         timeout(dispatcher, d, entry)
 
     def counting_expire(dispatcher, d, entry):
-        seen["expired on the device"] += dispatcher.cols.resident[d]
+        seen["expired on the device"] += 1
         expire(dispatcher, d, entry)
 
     ShardBatchDispatcher._arrive_expiring = counting_arrive
@@ -151,3 +150,18 @@ def expiring_outcomes() -> Iterator[Counter]:
         ShardBatchDispatcher._arrive_expiring = arrive
         ShardBatchDispatcher._expiration_timeout = timeout
         ShardBatchDispatcher._expire = expire
+
+
+@pytest.fixture
+def materialize_only_at_wiring(monkeypatch):
+    """Fail any fleet shard that materializes a binding while its
+    simulator runs: a binding's runtime is decided at wiring."""
+    from repro.fleet.runner import ShardWiring
+
+    materialize = ShardWiring.materialize
+
+    def guarded(wiring, index):
+        assert not wiring.sim._running, f"binding {index} materialized mid-run"
+        materialize(wiring, index)
+
+    monkeypatch.setattr(ShardWiring, "materialize", guarded)

@@ -56,7 +56,7 @@ FLEET_MAX_CALLS = 15.0
 
 #: Ceiling on calls per event of a fig2- or fig6-shaped ``run_scenario``
 #: cell. On its row a fig2 cell measures 1.7-2.5 and a fig6 cell
-#: 6.7-9.5; the object path measured 32-67 and 23.5-46.1.
+#: 6.2-9.5; the object path measured 32-67 and 23.5-46.1.
 FIGURE_CELL_MAX_CALLS = 10.0
 
 

@@ -1,11 +1,11 @@
 """``run_scenario`` is a one-device fleet shard.
 
-Its one code path is the batch pump over a one-row binding table; what
-the row cannot express (rank changes, RATE credit, observers, crash
-specs, an ON-LINE topic type or a delivery schedule, and under faults
-an arrival the proxy must queue or a read while the link is down)
-escapes through the shard's own materialization. Expiring arrivals
-(Figs. 4-6) stay on the row. The reference is the
+Its one code path is the batch pump over a one-row binding table; a
+binding the row cannot express (rank changes, RATE credit, observers,
+crash specs, an ON-LINE topic type or a delivery schedule) is
+materialized at wiring and never mid-run. Expiring arrivals (Figs. 4-6)
+and, under a crash-free fault spec, queued arrivals and offline reads
+stay on the row. The reference is the
 shard's scalar oracle on the same one-device workload, which
 materializes the binding at wiring and schedules the trace one
 ``schedule_at`` per record: the two must return the same ``RunResult``
@@ -24,6 +24,7 @@ from repro.experiments.runner import run_paired, run_scenario, trace_seed
 from repro.experiments.trace_cli import main as trace_main
 from repro.faults import PRESETS, FaultSpec
 from repro.fleet import runner as runner_mod
+from repro.fleet.batch import ShardBatchDispatcher
 from repro.fleet.runner import _execute_shard, _run_device_shard, _run_shard
 from repro.fleet.workload import FleetWorkload
 from repro.metrics.streaming import FleetAccumulator, device_stats
@@ -37,6 +38,8 @@ from repro.workload.arrivals import ArrivalConfig
 from repro.workload.ranks import RankChangeConfig
 from repro.workload.scenario import ScenarioConfig, build_trace
 from tests.conftest import expiring_outcomes
+
+pytestmark = pytest.mark.usefixtures("materialize_only_at_wiring")
 
 POLICIES = {
     "online": PolicyConfig.online(),
@@ -145,16 +148,32 @@ class TestWhatStaysOnTheRow:
         assert result.stats.expired_on_device == seen["expired on the device"]
 
     @pytest.mark.parametrize(
-        "shape, kwargs",
-        [("rank-change", {}), ("fig2", SCHEDULED_ONLINE)],
-        ids=["rank-change", "scheduled-online"],
+        "shape, policy, kwargs",
+        [
+            ("rank-change", "unified", {}),
+            ("fig2", "unified", SCHEDULED_ONLINE),
+            ("fig2", "rate", {}),
+        ],
+        ids=["rank-change", "scheduled-online", "rate"],
     )
-    def test_escapes_materialize_the_binding(self, monkeypatch, traces, shape, kwargs):
+    def test_escapes_materialize_the_binding(
+        self, monkeypatch, traces, shape, policy, kwargs
+    ):
+        """What a row does not model is wired as objects before any
+        stream registers."""
+        seen = []
+        register = ShardBatchDispatcher.register_streams
+
+        def note_share(dispatcher):
+            seen.append(dispatcher.cols.materialized_share)
+            register(dispatcher)
+
+        monkeypatch.setattr(ShardBatchDispatcher, "register_streams", note_share)
         share = _materialized_share(
             monkeypatch,
-            lambda: run_scenario(traces[shape], PolicyConfig.unified(), **kwargs),
+            lambda: run_scenario(traces[shape], POLICIES[policy], **kwargs),
         )
-        assert share == 1.0
+        assert seen == [share] == [1.0]
 
     def test_one_run_is_one_run_and_no_fleet_shard(self, traces):
         obs.PROBES.enabled = True
@@ -231,9 +250,9 @@ def test_device_stats_folds_as_add_shard(policy, spec):
     """``add_device(device_stats(table, d))`` over every binding folds
     bit-identically to ``add_shard(table)``: the per-device mapping and
     the column-at-a-time fold cannot drift. The shard mixes bindings
-    that stayed on their rows (expiring arrivals included), escaped
-    mid-run (under faults, an arrival the proxy must queue) and
-    materialized at wiring (rank changes)."""
+    that stayed on their rows (expiring arrivals included; under faults,
+    queued arrivals and offline reads too) and bindings materialized at
+    wiring (rank changes)."""
     configs = [
         scenario(duration=3 * DAY),
         ScenarioConfig(

@@ -13,16 +13,17 @@ same order).
 
 The matrix here sweeps (policy x fault preset x seed), an expiring
 shape the rows take themselves (their expiration timers and holding
-queue), the rich workload features the resident handlers must punt on
-(rank changes) or take (thresholds), partitioning knobs,
+queue), the rich workload features the runner materializes at wiring
+(rank changes) or the rows take (thresholds), partitioning knobs,
 CLI-shaped campaigns compared on their rendered JSON, and — via
 hypothesis — randomly drawn heterogeneity configs.
-``TestMaterializationInvisible`` pins that *when* a binding leaves the
-resident tier is unobservable: any subset materialized before the run
-or mid-pump reproduces the untouched run, and a materialized row is
-never read again. A final class pins the table's invariants with
+``TestMaterializationInvisible`` pins that *which* bindings run as
+objects is unobservable: any subset materialized at wiring reproduces
+the untouched run, and a materialized binding's row is never read. A
+final class pins the table's invariants with
 :meth:`FleetColumns.verify_sync` at end of run, per tier, and the rows
-against a per-device scalar replay.
+against a per-device scalar replay. No binding is ever materialized
+while its simulator runs (the ``materialize_only_at_wiring`` guard).
 """
 
 import dataclasses
@@ -52,6 +53,8 @@ from repro.workload.ranks import RankChangeConfig
 from repro.workload.reads import ReadConfig
 from tests.conftest import expiring_outcomes
 
+pytestmark = pytest.mark.usefixtures("materialize_only_at_wiring")
+
 POLICIES = {
     "buffer": lambda: PolicyConfig.buffer(prefetch_limit=4),
     "on_demand": PolicyConfig.on_demand,
@@ -71,25 +74,33 @@ DELAY_POLICIES = {
 #: Every named policy, for the cases parametrized over both lists.
 ALL_POLICIES = {**POLICIES, **DELAY_POLICIES}
 
-PRESETS = [None, "lossy", "chaos", "reliable", "slow-ladder"]
+PRESETS = [None, "lossy", "chaos", "reliable", "slow-ladder", "corrupt-reports"]
 
 #: A crash-free spec whose ack–retry ladder outlasts outages: with a
-#: 600 s backoff and 30 s of mean jitter, bindings that escape mid-run
-#: regularly hand over deliveries still in flight and retries parked
-#: while the link is down (``lossy`` almost never does).
+#: 600 s backoff and 30 s of mean jitter, rows regularly end an outage
+#: with deliveries still in flight and retries parked while the link is
+#: down (``lossy`` almost never does).
 SLOW_LADDER = (
     '{"loss_rate": 0.7, "max_retries": 2, "retry_base": 600, '
     '"retry_cap": 3600, "jitter_mean": 30}'
 )
+
+#: A crash-free spec that also corrupts the offline read reports: rows
+#: queue and log under it, and on UP inject the plan's stale duplicates
+#: into their logs and sort them by time before the replay.
+CORRUPT_REPORTS = (
+    '{"loss_rate": 0.3, "duplicate_rate": 0.1, "jitter_mean": 30, '
+    '"report_duplicate_rate": 0.3}'
+)
+
+_NAMED_SPECS = {"slow-ladder": SLOW_LADDER, "corrupt-reports": CORRUPT_REPORTS}
 
 
 def _spec(preset):
     """The fault spec a ``PRESETS`` entry names (None = fault-free)."""
     if preset is None:
         return None
-    return faults.FaultSpec.parse(
-        SLOW_LADDER if preset == "slow-ladder" else preset
-    )
+    return faults.FaultSpec.parse(_NAMED_SPECS.get(preset, preset))
 
 
 #: The benchmark's canonical campaign shape (``bench/workloads.py``).
@@ -110,7 +121,7 @@ DEEP = dict(
     duration=3 * DAY,
 )
 
-#: The policies whose rows queue and log (RATE arrivals escape).
+#: The policies whose rows queue and log (a RATE shard runs as objects).
 QUEUEING_POLICIES = ["buffer", "on_demand", "online", "unified"]
 
 #: An expiring shape (Figs. 4-6 on a fleet): most arrivals expire
@@ -232,7 +243,8 @@ def _rich_config(**overrides):
 
 
 class TestRichWorkloads:
-    """Workload features that exercise the escape and fallback gates."""
+    """Workload features the runner materializes at wiring (rank
+    changes) beside those the rows take."""
 
     @pytest.mark.parametrize("policy_name", sorted(POLICIES))
     def test_expiring_changes_threshold(self, policy_name):
@@ -290,8 +302,8 @@ class TestCampaignEquivalence:
 
     Clean: the plain rows. Lossy: the rows running the ack–retry ladder
     (drops, retries, jittered and duplicate landings). Slow ladder:
-    backoffs and jitter long enough that bindings escaping mid-run hand
-    over deliveries still in flight and retries parked by an outage.
+    backoffs and jitter long enough that rows carry deliveries in flight
+    and retries parked by an outage.
     Deep: the ``fleet_deep`` shape under on_demand, where every row
     queues arrivals at the proxy, runs READ exchanges against that queue
     and logs reads while its link is down.
@@ -422,56 +434,34 @@ def _patched(owner, name, replacement):
         setattr(owner, name, original)
 
 
-def _run_shard(
-    config,
-    policy,
-    *,
-    spec=None,
-    use_batch=True,
-    materialize=(),
-    at_event=None,
-):
+def _run_shard(config, policy, *, spec=None, use_batch=True, materialize=()):
     """Run one shard in-process, keeping its table for inspection.
 
-    ``materialize`` names local device ids to push out of the resident
-    tier by hand: before ``sim.run`` (``at_event`` None), or from inside
-    the pump right before merged-stream item ``at_event`` fires. The
-    teardown that would clear the object graph is skipped.
+    ``materialize`` names local device ids to wire as objects by hand,
+    right after the streams register (before ``sim.run``). The teardown
+    that would clear the object graph is skipped.
     """
     captured = {}
     register = ShardBatchDispatcher.register_streams
-    pump = ShardBatchDispatcher._pump
 
     def capture_register(dispatcher):
         captured["dispatcher"] = dispatcher
         register(dispatcher)
-        if at_event is None:
-            for d in materialize:
-                dispatcher.materialize(d)
+        for d in materialize:
+            captured["wiring"](d)
 
-    def interrupted_pump(dispatcher, pos, base, cap_time, cap_seq, until):
-        if at_event is not None and "fired" not in captured:
-            if pos < at_event:
-                # End this run right before the drawn item by capping it
-                # there (the engine re-arms the cursor; no sequence
-                # number moves).
-                if at_event < len(dispatcher.m_times):
-                    cap_time, cap_seq = min(
-                        (cap_time, cap_seq),
-                        (dispatcher.m_times[at_event], base + at_event),
-                    )
-            else:
-                captured["fired"] = True
-                for d in materialize:
-                    dispatcher.materialize(d)
-        return pump(dispatcher, pos, base, cap_time, cap_seq, until)
+    wiring_init = runner_mod.ShardWiring.__init__
+
+    def capture_wiring(wiring, *args):
+        wiring_init(wiring, *args)
+        captured["wiring"] = wiring.materialize
 
     def keep(sim, proxy, cols):
         captured["cols"] = cols
         captured["proxy"] = proxy
 
     with _patched(ShardBatchDispatcher, "register_streams", capture_register), \
-            _patched(ShardBatchDispatcher, "_pump", interrupted_pump), \
+            _patched(runner_mod.ShardWiring, "__init__", capture_wiring), \
             _patched(runner_mod, "_dismantle_shard", keep):
         accumulator = _execute_shard(
             build_fleet_workload(config), policy, spec, use_batch
@@ -536,34 +526,35 @@ def _rich_reference(name, policy_name):
     return untouched
 
 
-def _draw_escape(data, config):
-    """A hypothesis-drawn (subset, merged-stream index or None)."""
+def _draw_subset(data, config):
+    """A hypothesis-drawn subset of bindings to materialize at wiring."""
     subset = data.draw(
         st.sets(st.integers(0, config.devices - 1)), label="materialized"
     )
-    events = build_fleet_workload(config).total_events
-    at_event = data.draw(
-        st.one_of(st.none(), st.integers(0, events)), label="at_event"
-    )
-    return sorted(subset), at_event
+    return sorted(subset)
 
 
-#: The matrix cells the escape tests redo: every policy on both seeds,
-#: the delay policies (whose rows ``TestDifferentialMatrix`` already
-#: pins on both) on one.
+#: The matrix cells the materialization tests redo: every policy on both
+#: seeds, the delay policies (whose rows ``TestDifferentialMatrix``
+#: already pins on both) on one.
 INVISIBLE_CASES = list(
     itertools.product(sorted(POLICIES), PRESETS, [0, 7])
 ) + list(itertools.product(sorted(DELAY_POLICIES), PRESETS, [0]))
 
-#: The expiring shape's cells the escape tests redo: every kind, clean
-#: and under the two crash-free ladders.
+#: The expiring shape's cells the materialization tests redo: every
+#: kind, clean and under the two crash-free ladders.
 EXPIRING_INVISIBLE_CASES = list(
     itertools.product(sorted(EXPIRING_POLICIES), [None, "lossy", "slow-ladder"])
 )
 
+#: LIGHT with 5 % of its arrivals demoted later: the runner materializes
+#: the bindings whose input carries a change at wiring and keeps the
+#: rest on their rows, so one run covers both tiers.
+LIGHT_CHANGING = dict(LIGHT, rank_changes=RankChangeConfig(drop_fraction=0.05))
+
 
 class TestMaterializationInvisible:
-    """When a binding leaves the resident tier cannot be observed."""
+    """Which bindings run as objects cannot be observed."""
 
     @pytest.mark.parametrize("policy_name,preset,seed", INVISIBLE_CASES)
     def test_all_materialized_before_run_is_the_object_path(
@@ -588,9 +579,8 @@ class TestMaterializationInvisible:
     @given(data=st.data())
     def test_drawn_subset_matrix(self, policy_name, preset, seed, data):
         config, policy, spec = _matrix_case(policy_name, preset, seed)
-        subset, at_event = _draw_escape(data, config)
         forced = _run_shard(
-            config, policy, spec=spec, materialize=subset, at_event=at_event
+            config, policy, spec=spec, materialize=_draw_subset(data, config)
         )
         assert _outputs(forced.accumulator) == _matrix_reference(
             policy_name, preset, seed
@@ -605,19 +595,17 @@ class TestMaterializationInvisible:
     )
     @given(data=st.data())
     def test_drawn_subset_expiring(self, policy_name, preset, data):
-        """Rows hand pending expiration timers (the proxy's and the
-        device's), delayed and held entries and the lifetime average to
-        their objects whenever they escape; every binding wired before
-        the run is the object path too."""
+        """Expiring rows (their expiration timers, delayed and held
+        entries) beside bindings wired as objects; every binding wired
+        before the run is the object path too."""
         config, policy, spec = _matrix_case(policy_name, preset, 0, "expiring")
         reference = _matrix_reference(policy_name, preset, 0, "expiring")
         eager = _run_shard(
             config, policy, spec=spec, materialize=range(config.devices)
         )
         assert _outputs(eager.accumulator) == reference
-        subset, at_event = _draw_escape(data, config)
         forced = _run_shard(
-            config, policy, spec=spec, materialize=subset, at_event=at_event
+            config, policy, spec=spec, materialize=_draw_subset(data, config)
         )
         assert _outputs(forced.accumulator) == reference
         assert forced.cols.verify_sync() == []
@@ -635,13 +623,11 @@ class TestMaterializationInvisible:
     @given(data=st.data())
     def test_drawn_subset_rich_workloads(self, name, policy_name, data):
         config, spec = _rich_case(name)
-        subset, at_event = _draw_escape(data, config)
         forced = _run_shard(
             config,
             POLICIES[policy_name](),
             spec=spec,
-            materialize=subset,
-            at_event=at_event,
+            materialize=_draw_subset(data, config),
         )
         assert _outputs(forced.accumulator) == _rich_reference(name, policy_name)
 
@@ -654,9 +640,8 @@ class TestMaterializationInvisible:
             devices=600,
             seed=1,
             **dict(
-                LIGHT,
+                LIGHT_CHANGING,
                 arrivals=ArrivalConfig(events_per_day=2, expiring_fraction=0.05),
-                rank_changes=RankChangeConfig(drop_fraction=0.05),
             ),
         )
         batch = _run_shard(config, PolicyConfig.unified())
@@ -669,18 +654,18 @@ class TestMaterializationInvisible:
         "shape", ["light-expiring", "rate-light", "rich"]
     )
     def test_materialized_rows_are_never_read(self, shape):
-        """Once a binding's objects exist its row's link status,
-        queue-size estimate and prefetch limit are resident-only state:
-        garbage written there right after the handoff changes nothing.
-        (Expiring arrivals stay on a row; under ``lossy`` a row escapes
-        when the proxy must queue one.)"""
+        """A materialized binding's row link status, queue-size estimate
+        and prefetch limit are resident-only state: garbage written
+        there right after its wiring changes nothing. (Under ``lossy``
+        the LIGHT shape with expiring arrivals keeps its rows but for
+        the bindings whose input carries a rank change.)"""
         spec = None
         if shape == "light-expiring":
             config = FleetScenarioConfig(
                 devices=600,
                 seed=1,
                 **dict(
-                    LIGHT,
+                    LIGHT_CHANGING,
                     arrivals=ArrivalConfig(
                         events_per_day=2, expiring_fraction=0.05
                     ),
@@ -715,11 +700,14 @@ class TestMaterializationInvisible:
 
     @pytest.mark.parametrize("preset", ["lossy", "reliable"])
     def test_light_faulted_shard_exercises_both_tiers(self, preset):
-        """A crash-free fault spec keeps most bindings on their rows
-        too: the ack–retry ladder itself never escapes."""
-        config = FleetScenarioConfig(devices=600, seed=1, **LIGHT)
+        """A crash-free fault spec keeps every binding on its row whose
+        input the row models — the ack–retry ladder, the queue and the
+        offline log included; the rank changes give the second tier."""
+        config = FleetScenarioConfig(devices=600, seed=1, **LIGHT_CHANGING)
         batch = _run_shard(config, PolicyConfig.unified(), spec=_spec(preset))
-        assert 0.0 < batch.cols.materialized_share < 0.5
+        changing = int((build_fleet_workload(config).change_counts > 0).sum())
+        assert 0 < changing < config.devices // 2
+        assert config.devices - sum(batch.cols.resident) == changing
         assert batch.cols.verify_sync() == []
         scalar = _run_shard(
             config, PolicyConfig.unified(), spec=_spec(preset), use_batch=False
@@ -744,168 +732,95 @@ class TestMaterializationInvisible:
         assert materialized_at_wiring == [1.0]
         assert shard.cols.verify_sync() == []
 
-    def test_escapes_inherit_in_flight_and_parked_deliveries(self):
-        """Non-vacuity of the handoff: on the slow ladder, bindings that
-        escape mid-run carry deliveries in flight and retries parked
-        into their objects, and the run still equals the scalar oracle."""
+    @pytest.mark.parametrize("preset", ["slow-ladder", "corrupt-reports"])
+    def test_faulted_rows_queue_log_and_carry_the_ladder(self, preset):
+        """Non-vacuity of the faulted rows: on the slow ladder and under
+        corrupted reports every binding stays on its row while rows
+        queue arrivals, log offline reads and carry deliveries in flight
+        (on the slow ladder also retries parked by an outage; with
+        corruption, stale duplicates in their reports); per device the
+        rows equal the scalar oracle's objects."""
         config = FleetScenarioConfig(
             devices=150,
             duration=2 * DAY,
             seed=4,
-            arrivals=ArrivalConfig(events_per_day=4.0),
+            arrivals=ArrivalConfig(events_per_day=4.0, expiring_fraction=0.1),
             reads=ReadConfig(reads_per_day=2.0),
             outages=OutageConfig(downtime_fraction=0.3),
         )
-        spec = _spec("slow-ladder")
-        handed = {"in_flight": 0, "parked": 0}
-        materialize = runner_mod.ShardWiring.materialize
+        spec = _spec(preset)
+        seen = {"queued": 0, "logged": 0, "in_flight": 0, "parked": 0}
+        pump = ShardBatchDispatcher._pump
 
-        def count_handoff(wiring, index):
-            cols = wiring.cols
-            if wiring.sim._running and cols.resident[index]:
-                handed["in_flight"] += bool(cols.inflight[index])
-                handed["parked"] += bool(cols.parked[index])
-            materialize(wiring, index)
+        def count_at_pump_exit(dispatcher, *args):
+            done = pump(dispatcher, *args)
+            cols = dispatcher.cols
+            for d in range(cols.devices):
+                seen["queued"] += bool(cols.proxy_queue[d])
+                seen["logged"] += bool(cols.read_log[d])
+                seen["in_flight"] += bool(cols.inflight[d])
+                seen["parked"] += bool(cols.parked[d])
+            return done
 
-        with _patched(runner_mod.ShardWiring, "materialize", count_handoff):
+        with _patched(ShardBatchDispatcher, "_pump", count_at_pump_exit):
             batch = _run_shard(config, PolicyConfig.unified(), spec=spec)
-        assert handed["in_flight"] > 0 and handed["parked"] > 0, handed
+        if preset != "slow-ladder":
+            del seen["parked"]  # a short ladder rarely outlasts an outage
+        assert all(seen.values()), seen
+        assert batch.cols.materialized_share == 0.0
         assert batch.cols.verify_sync() == []
-        scalar = _run_shard(
-            config, PolicyConfig.unified(), spec=spec, use_batch=False
-        )
+        corrupted = batch.accumulator.counters["report_entries_corrupted"]
+        assert (corrupted > 0) == (preset == "corrupt-reports"), corrupted
+        scalar = _run_shard(config, PolicyConfig.unified(), spec=spec, use_batch=False)
         assert _outputs(batch.accumulator) == _outputs(scalar.accumulator)
-
-
-    @pytest.mark.parametrize("preset", [None, "lossy"])
-    def test_escapes_inherit_pending_delay_timers(self, preset):
-        """Non-vacuity of the delay stage's handoff: bindings escape
-        mid-run (every binding, by hand, halfway through a clean run; a
-        delay ending with no room under faults) while delay and
-        expiration timers they armed on their rows are still pending;
-        those timers then fire on the objects, and the run still equals
-        the scalar oracle."""
-        config = FleetScenarioConfig(
-            devices=150,
-            duration=2 * DAY,
-            seed=4,
-            arrivals=ArrivalConfig(events_per_day=8.0, expiring_fraction=0.1),
-            reads=ReadConfig(reads_per_day=2.0),
-            outages=OutageConfig(downtime_fraction=0.3),
-        )
-        policy = PolicyConfig.unified(delay=600.0)
-        forced = {}
-        if preset is None:
-            forced = dict(
-                materialize=range(config.devices),
-                at_event=build_fleet_workload(config).total_events // 2,
-            )
-        handed = {"pending": 0, "fired_on_objects": 0, "expiring": 0}
-        materialize = runner_mod.ShardWiring.materialize
-        delay_timeout = ShardBatchDispatcher._delay_timeout
-
-        def count_handoff(wiring, index):
-            cols = wiring.cols
-            if wiring.sim._running and cols.resident[index]:
-                handed["pending"] += cols.delayed[index]
-                handed["expiring"] += len(cols.delay_timers[index] or ())
-            materialize(wiring, index)
-
-        def count_timeout(dispatcher, d, entry):
-            handed["fired_on_objects"] += not dispatcher.cols.resident[d]
-            delay_timeout(dispatcher, d, entry)
-
-        with _patched(runner_mod.ShardWiring, "materialize", count_handoff), \
-                _patched(ShardBatchDispatcher, "_delay_timeout", count_timeout):
-            batch = _run_shard(config, policy, spec=_spec(preset), **forced)
-        assert handed["pending"] > 0 and handed["fired_on_objects"] > 0, handed
-        if preset is None:
-            assert handed["expiring"] > 0, handed
-        else:
-            assert 0.0 < batch.cols.materialized_share < 1.0
-        assert batch.cols.verify_sync() == []
-        scalar = _run_shard(config, policy, spec=_spec(preset), use_batch=False)
-        assert _outputs(batch.accumulator) == _outputs(scalar.accumulator)
-        for d in range(config.devices):
-            assert _device_view(batch, d) == _device_view(scalar, d), d
-
-    def test_escapes_inherit_proxy_queue_and_read_log(self):
-        """Non-vacuity of the clean handoff: rows materialized mid-pump
-        hand a non-empty proxy queue and offline read log to their
-        objects, and the run still equals the scalar oracle."""
-        config = FleetScenarioConfig(devices=40, seed=3, **DEEP)
-        middle = build_fleet_workload(config).total_events // 2
-        handed = {"queue": 0, "log": 0}
-        materialize = runner_mod.ShardWiring.materialize
-
-        def count_handoff(wiring, index):
-            cols = wiring.cols
-            if wiring.sim._running and cols.resident[index]:
-                handed["queue"] += bool(cols.proxy_queue[index])
-                handed["log"] += bool(cols.read_log[index])
-            materialize(wiring, index)
-
-        with _patched(runner_mod.ShardWiring, "materialize", count_handoff):
-            batch = _run_shard(
-                config,
-                PolicyConfig.unified(),
-                materialize=range(config.devices),
-                at_event=middle,
-            )
-        assert handed["queue"] > 0 and handed["log"] > 0, handed
-        assert batch.cols.materialized_share == 1.0
-        assert batch.cols.verify_sync() == []
-        scalar = _run_shard(config, PolicyConfig.unified(), use_batch=False)
-        assert _outputs(batch.accumulator) == _outputs(scalar.accumulator)
-        # A device reads a fixed size, so only the read-interval window
-        # shows whether the handed-over log reached the proxy.
         for d in range(config.devices):
             assert _device_view(batch, d) == _device_view(scalar, d), d
 
 
 def _device_view(shard, d):
-    """Everything one binding did and holds, whichever tier it ended in
-    (row counts plus object counts, as the fold adds them)."""
+    """Everything one binding did and holds, from its row if it stayed
+    resident, else from its objects."""
     cols = shard.cols
     stats = cols.stats[d]
-    view = {
-        "up": bool(cols.network[d]),
-        "queue_size": cols.queue_size[d],
-        "prefetch_limit": cols.prefetch_limit[d],
-        "arrivals": cols.accepted[d] + cols.filtered[d] + cols.dead[d],
-        "accepted": cols.accepted[d],
-        "filtered": cols.filtered[d],
-        "expired_at_proxy": cols.dead[d] + cols.expired[d],
-        "expired_on_device": cols.expired_on_device[d],
-        "pushed": cols.forwarded[d] - cols.pulled[d],
-        "pulled": cols.pulled[d],
-        "reads": cols.reads[d],
-        "read_requests": cols.reads[d] - cols.outage_reads[d],
-        "reads_during_outage": cols.outage_reads[d],
-        "empty_reads": cols.empty_reads[d],
-        "read_delay_sum": cols.read_delay_sum[d],
-    }
     if stats is None:
-        view["messages_read"] = cols.consumed[d]
-        view["held"] = sorted(entry[2] for entry in cols.held[d] or ())
-        view["queued"] = sorted(
-            entry[2]
-            for column in (cols.proxy_queue, cols.proxy_holding)
-            for entry in column[d] or ()
-        )
-        view["read_log"] = list(cols.read_log[d] or ())
-        view["timers"] = sorted(cols.timers[d] or ())
+        view = {
+            "up": bool(cols.network[d]),
+            "queue_size": cols.queue_size[d],
+            "prefetch_limit": cols.prefetch_limit[d],
+            "arrivals": cols.accepted[d] + cols.filtered[d] + cols.dead[d],
+            "accepted": cols.accepted[d],
+            "filtered": cols.filtered[d],
+            "expired_at_proxy": cols.dead[d] + cols.expired[d],
+            "expired_on_device": cols.expired_on_device[d],
+            "pushed": cols.forwarded[d] - cols.pulled[d],
+            "pulled": cols.pulled[d],
+            "reads": cols.reads[d],
+            "read_requests": cols.reads[d] - cols.outage_reads[d],
+            "reads_during_outage": cols.outage_reads[d],
+            "empty_reads": cols.empty_reads[d],
+            "read_delay_sum": cols.read_delay_sum[d],
+            "messages_read": cols.consumed[d],
+            "held": sorted(entry[2] for entry in cols.held[d] or ()),
+            "queued": sorted(
+                entry[2]
+                for column in (cols.proxy_queue, cols.proxy_holding)
+                for entry in column[d] or ()
+            ),
+            "read_log": list(cols.read_log[d] or ()),
+            "timers": sorted(cols.timers[d] or ()),
+        }
         sizes, gaps = cols.old_reads[d], cols.old_times[d]
-        lifetimes = cols.exp_times[d]
     else:
-        for name in (
-            "arrivals", "accepted", "filtered", "expired_at_proxy",
-            "expired_on_device", "pushed", "pulled", "reads", "read_requests",
-            "reads_during_outage", "empty_reads",
-        ):
-            view[name] += getattr(stats, name)
-        view["read_delay_sum"] = stats.read_delay_sum
-        view["messages_read"] = cols.consumed[d] + len(stats.read_ids)
+        view = {
+            name: getattr(stats, name)
+            for name in (
+                "arrivals", "accepted", "filtered", "expired_at_proxy",
+                "expired_on_device", "pushed", "pulled", "reads",
+                "read_requests", "reads_during_outage", "empty_reads",
+                "read_delay_sum",
+            )
+        }
+        view["messages_read"] = len(stats.read_ids)
         client, topic = cols.clients[d], cols.topics[d]
         state = shard.proxy.topic_state(topic)
         view["held"] = sorted(item.event_id for item in client.unread(topic))
@@ -922,11 +837,7 @@ def _device_view(shard, d):
         view["queue_size"] = state.queue_size
         view["prefetch_limit"] = state.prefetch_limit
         sizes, gaps = state.old_reads, state.old_times
-        lifetimes = state.exp_times
     view["read_sizes"] = None if sizes is None or not sizes.count else sizes._ordered()
-    view["lifetimes"] = (
-        None if lifetimes is None or not lifetimes.count else lifetimes._ordered()
-    )
     view["read_gaps"] = (
         None if gaps is None or gaps.last is None
         else (gaps.last, gaps._gaps._ordered())
@@ -935,8 +846,8 @@ def _device_view(shard, d):
 
 
 class TestColumnSync:
-    """The binding table must be consistent with itself, hand its row
-    state to the objects, and agree with a scalar replay."""
+    """The binding table must be consistent with itself and agree with a
+    scalar replay."""
 
     CONFIG = FleetScenarioConfig(
         devices=80,
@@ -948,41 +859,27 @@ class TestColumnSync:
     )
 
     def test_columns_in_sync_at_end_of_run(self):
-        # Every third binding is pushed onto its objects halfway through.
-        middle = build_fleet_workload(self.CONFIG).total_events // 2
+        """Every third binding wired as objects: both tiers keep their
+        invariants to the end, and each resident row's held entries are
+        what the device of the scalar oracle holds."""
         shard = _run_shard(
             self.CONFIG,
             PolicyConfig.unified(),
             materialize=range(0, self.CONFIG.devices, 3),
-            at_event=middle,
         )
         cols = shard.cols
         assert 0.0 < cols.materialized_share < 1.0
         assert cols.verify_sync() == []
-
-        # Row vs replay: materializing a resident row at the end must
-        # yield objects that agree with the row it was replayed from —
-        # and recompute the row's prefetch limit from the replayed
-        # averages.
-        resident = [d for d in range(cols.devices) if cols.resident[d]]
-        held = {d: len(cols.held[d] or ()) for d in resident}
-        for d in resident:
-            shard.dispatcher.materialize(d)
-        assert cols.materialized_share == 1.0
-        assert cols.verify_sync() == []
-        limits = shard.dispatcher.limits
-        for d in resident:
-            state = shard.proxy.topic_state(cols.topics[d])
-            client = cols.clients[d]
-            assert client.queue_size(cols.topics[d]) == held[d]
-            assert limits.effective_limit(state) == cols.prefetch_limit[d]
-            assert len(cols.stats[d].forwarded_ids) == held[d]
+        scalar = _run_shard(self.CONFIG, PolicyConfig.unified(), use_batch=False)
+        assert _outputs(shard.accumulator) == _outputs(scalar.accumulator)
+        for d in range(cols.devices):
+            assert _device_view(shard, d) == _device_view(scalar, d), d
 
     @pytest.mark.parametrize("policy_name", sorted(ALL_POLICIES))
     def test_rows_match_scalar_replay_per_device(self, policy_name):
-        """Per device, row + objects = what the scalar oracle's objects
-        say, down to the held and queued ids, the read log and the
-        read-size and read-interval windows."""
+        """Per device, the row (or the objects) = what the scalar
+        oracle's objects say, down to the held and queued ids, the read
+        log and the read-size and read-interval windows."""
         policy = ALL_POLICIES[policy_name]()
         batch = _run_shard(self.CONFIG, policy)
         assert batch.cols.verify_sync() == []
@@ -1029,34 +926,3 @@ class TestColumnSync:
         assert _outputs(batch.accumulator) == _outputs(scalar.accumulator)
         for d in range(config.devices):
             assert _device_view(batch, d) == _device_view(scalar, d), d
-
-    def test_adaptive_threshold_survives_materialization(self):
-        """A binding that reads for days on its row classifies its
-        expiring arrivals against the read interval it learned there
-        (holding the short-lived ones), and once pushed onto its objects
-        halfway through, they classify against that same interval."""
-        config = FleetScenarioConfig(
-            devices=150,
-            duration=4 * DAY,
-            seed=5,
-            arrivals=ArrivalConfig(
-                events_per_day=2.0, expiring_fraction=0.3,
-                expiration_mean=DAY / 12,
-            ),
-            reads=ReadConfig(reads_per_day=6.0),
-            outages=OutageConfig(downtime_fraction=0.05),
-        )
-        middle = build_fleet_workload(config).total_events // 2
-        scalar = _run_shard(config, PolicyConfig.unified(), use_batch=False)
-        assert scalar.accumulator.counters["expired_at_proxy"] > 0
-        for escaped in (False, True):
-            batch = _run_shard(
-                config,
-                PolicyConfig.unified(),
-                materialize=range(config.devices) if escaped else (),
-                at_event=middle if escaped else None,
-            )
-            assert batch.cols.materialized_share == float(escaped)
-            assert _outputs(batch.accumulator) == _outputs(scalar.accumulator)
-            for d in range(config.devices):
-                assert _device_view(batch, d) == _device_view(scalar, d), d

@@ -20,9 +20,12 @@ figures, measured with this exact protocol on CPython 3.11:
 * ``faults=lossy`` shard — 8 590 B/device while every binding of a
   faulted shard was materialized at wiring; 2 653 B/device once the
   ack–retry ladder ran on the rows, with the same ~14.7 % materialized
-  (a faulted row still escapes on a queued arrival or an offline read);
+  (a faulted row still escaped on a queued arrival or an offline read);
   2 696 B/device with the clean rows' queue, log and three count
-  columns allocated beside it. The gate is the clean one.
+  columns allocated beside it (2 010 B/device when last measured
+  beside the other figures here); 949 B/device since a faulted row
+  queues, logs and forwards its queue through the ladder itself, with
+  no binding materialized. The gate is the clean one.
 * ``unified(delay=60)`` clean shard — 8 558 B/device while a fixed
   positive delay materialized every binding at wiring; 1 394 B/device
   once the rows armed the delay stage's timers themselves, with no
@@ -34,7 +37,8 @@ figures, measured with this exact protocol on CPython 3.11:
   with no binding materialized. The gate is the clean one. The columns
   that takes raised the clean shard from 647 to 743 B/device (both
   measured at once on one host: six more per-row columns and a fourth
-  field, ``expires_at``, in every entry).
+  field, ``expires_at``, in every entry); 735 B/device once the unread
+  lifetime column went (743 before it, measured at once).
 """
 
 import gc
@@ -94,7 +98,7 @@ def test_lossy_shard_stays_on_its_rows(monkeypatch):
     per_device, materialized = _live_bytes_per_device(
         monkeypatch, FaultSpec.parse("lossy")
     )
-    assert 0.0 < materialized < 0.5
+    assert materialized < 0.02
     assert per_device <= CLEAN_GATE_BYTES, f"{per_device:.0f} B/device"
 
 

@@ -53,12 +53,6 @@ class TestTimers:
 
 
 class TestAverages:
-    def test_avg_exp_tracks_pushes(self, state):
-        assert state.avg_exp is None
-        state.exp_times.push(100.0)
-        state.exp_times.push(200.0)
-        assert state.avg_exp == pytest.approx(150.0)
-
     def test_read_averages(self, state):
         assert state.mean_read_size is None
         assert state.mean_read_interval is None

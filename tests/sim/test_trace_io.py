@@ -163,3 +163,40 @@ def test_malformed_loaded_trace_rejected(mutate, tmp_path, capsys):
     path.write_text(json.dumps(data), encoding="utf-8")
     assert main(["run", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+#: Every float column of the format, as (stream, key).
+FLOAT_COLUMNS = [
+    ("arrivals", "time"),
+    ("arrivals", "rank"),
+    ("arrivals", "expires_at"),
+    ("reads", "time"),
+    ("outages", "start"),
+    ("outages", "end"),
+    ("rank_changes", "time"),
+    ("rank_changes", "new_rank"),
+]
+
+
+@pytest.mark.parametrize(
+    "bad", ["5", "1e9", True], ids=["string", "exp-string", "bool"]
+)
+@pytest.mark.parametrize(
+    "stream,key", FLOAT_COLUMNS, ids=[f"{s}.{k}" for s, k in FLOAT_COLUMNS]
+)
+def test_float_column_holds_only_numbers(trace, stream, key, bad):
+    """A string or a bool in a float column is refused by name, not
+    coerced (``"0.5"`` to 0.5, ``true`` to 1.0)."""
+    data = trace_to_dict(trace)
+    assert data[stream][key], (stream, key)
+    data[stream][key][0] = bad
+    with pytest.raises(ConfigurationError, match=f"column '{key}' holds"):
+        trace_from_dict(data)
+
+
+@pytest.mark.parametrize("bad", ["172800", True], ids=["string", "bool"])
+def test_duration_is_a_number(trace, bad):
+    data = trace_to_dict(trace)
+    data["duration"] = bad
+    with pytest.raises(ConfigurationError, match="duration holds"):
+        trace_from_dict(data)
