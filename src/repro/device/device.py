@@ -9,7 +9,7 @@ notifications from the local queue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.broker.message import Notification
@@ -157,6 +157,11 @@ class ClientDevice:
             # idempotent at the device while the first copy is unread.
             self._stats.duplicates_deduped += 1
             return
+        # The device keeps its own copy of what crossed the hop: a later
+        # re-rank at the proxy mutates the proxy's object, and reaches
+        # the device only as a retraction (Figure 7, "tell client of
+        # rank drop").
+        notification = replace(notification)
         queue.add(notification)
         self._topic_of[notification.event_id] = notification.topic
         if notification.expires_at is not None:

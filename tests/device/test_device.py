@@ -93,6 +93,35 @@ class TestRetraction:
         device.retract(EventId(9))
         assert stats.retracted_on_device == 0
 
+    def test_device_keeps_delivered_rank_until_retraction_lands(self):
+        # The proxy boosts, then drops, an event the device already
+        # holds while the link is down: the device learns of neither
+        # and keeps reading the event at the rank it was delivered with.
+        _sim, link, device, stats, proxy = build(
+            threshold=1.0, with_proxy=PolicyConfig.online()
+        )
+        proxy.on_notification(note(1, rank=3.0))
+        assert device.top_events(TOPIC, 5) == [(EventId(1), 3.0)]
+        link.set_status(NetworkStatus.DOWN)
+        proxy.on_notification(note(1, rank=4.5))  # boost
+        proxy.on_notification(note(1, rank=0.5))  # drop below threshold
+        assert device.top_events(TOPIC, 5) == [(EventId(1), 3.0)]
+        assert [m.rank for m in device.unread(TOPIC)] == [3.0]
+        link.set_status(NetworkStatus.UP)  # the retraction lands
+        assert device.queue_size(TOPIC) == 0
+        assert stats.retracted_on_device == 1
+
+    def test_device_reads_held_event_at_delivered_rank(self):
+        _sim, link, device, stats, proxy = build(
+            threshold=1.0, with_proxy=PolicyConfig.online()
+        )
+        proxy.on_notification(note(1, rank=3.0))
+        link.set_status(NetworkStatus.DOWN)
+        proxy.on_notification(note(1, rank=0.5))  # retraction still pending
+        outcome = device.perform_read(TOPIC, 5)
+        assert [(m.event_id, m.rank) for m in outcome.consumed] == [(EventId(1), 3.0)]
+        assert stats.read_ids == {EventId(1)}
+
 
 class TestReads:
     def test_read_consumes_top_n_above_threshold(self):
