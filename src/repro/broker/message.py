@@ -13,7 +13,7 @@ notification's identity is its ``event_id`` and equality/hash follow it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro._compat import DATACLASS_SLOTS
@@ -41,13 +41,6 @@ class Notification:
     expires_at: Optional[float] = None
     payload: object = None
     size_bytes: int = DEFAULT_SIZE_BYTES
-    #: Original rank at publication, kept so rank-change handling can
-    #: distinguish drops from boosts.
-    original_rank: float = field(default=0.0)
-
-    def __post_init__(self) -> None:
-        if not self.original_rank:
-            self.original_rank = self.rank
 
     def is_expired(self, now: float) -> bool:
         """Whether the notification has expired at time ``now``."""

@@ -241,12 +241,10 @@ def _base_from_grid(spec: dict) -> FleetScenarioConfig:
 
 def _load_grid_file(path: Path) -> dict:
     try:
-        text = path.read_text(encoding="utf-8")
+        spec = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigurationError(f"cannot read grid file {path}: {exc}") from exc
-    try:
-        spec = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise ConfigurationError(f"grid file {path} is not valid JSON: {exc}") from exc
     if not isinstance(spec, dict):
         raise ConfigurationError(f"grid file {path} must hold a JSON object")

@@ -429,25 +429,18 @@ def _run_shard(
 
 
 def _final_queues(proxy: LastHopProxy, cols: FleetColumns) -> Tuple[int, int]:
-    """What the shard's proxy and devices still queue at the end.
-
-    Equivalent to summing ``topic_state(t).queued_event_count()`` /
-    ``device.queue_size(t)`` over the materialized bindings, but
-    reading the ranked queues' membership dicts directly — at 10k+
-    bindings the method hops are a measurable slice of the fold. A
-    resident binding has its row's ``proxy_queue`` and ``proxy_holding``
-    at the proxy and holds its row's ``held``.
-    """
+    """What the shard's proxy and devices still queue at the end: the
+    materialized bindings' ranked queues, plus each resident binding's
+    row — its ``proxy_queue`` and ``proxy_holding`` at the proxy, and
+    its ``held`` on the device."""
     return (
         sum(
-            len(st.outgoing._items)
-            + len(st.prefetch._items)
-            + len(st.holding._items)
+            len(st.outgoing) + len(st.prefetch) + len(st.holding)
             for st in proxy._states.values()
         )
         + sum(len(q) for c in (cols.proxy_queue, cols.proxy_holding) for q in c if q),
         sum(
-            len(device._queues[topic]._items)
+            device.queue_size(topic)
             for device, topic in zip(cols.clients, cols.topics)
             if device is not None
         )

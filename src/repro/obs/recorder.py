@@ -185,11 +185,15 @@ class TraceRecorder:
 def load_jsonl(path: Union[str, Path]) -> List[dict]:
     """Read a ``--trace-out`` export back as a list of plain dicts.
 
-    A truncated or otherwise corrupt line raises
-    :class:`~repro.errors.ConfigurationError` naming the offending line,
-    never a bare traceback from the JSON layer.
+    A file that is not UTF-8 text, or a truncated or otherwise corrupt
+    line, raises :class:`~repro.errors.ConfigurationError` naming the
+    file (and the offending line), never a bare traceback from the
+    decoding or JSON layer.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path} is not UTF-8 text: {exc}") from exc
     records: List[dict] = []
     for number, line in enumerate(lines, start=1):
         if not line.strip():

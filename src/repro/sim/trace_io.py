@@ -211,6 +211,6 @@ def load_trace(path: Union[str, Path]) -> Trace:
         data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigurationError(f"cannot read trace {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise ConfigurationError(f"{path} is not valid JSON: {exc}") from exc
     return trace_from_dict(data)

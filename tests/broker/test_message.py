@@ -49,10 +49,5 @@ class TestIdentity:
 
 
 class TestRankTracking:
-    def test_original_rank_recorded(self):
-        n = make(rank=4.0)
-        n.rank = 1.0
-        assert n.original_rank == 4.0
-
     def test_default_size(self):
         assert make().size_bytes == DEFAULT_SIZE_BYTES

@@ -702,6 +702,20 @@ class TestSweepCli:
             "online", "u-delay"
         }
 
+    def test_non_utf8_grid_file_is_typed_error(self, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_bytes(b"\xff\xfe{\x00}\x00")
+        store = tmp_path / "s.sqlite"
+        with pytest.raises(SystemExit) as excinfo:
+            fleet_sweep_cli.main(
+                ["--store", str(store), "--grid", str(grid), "--quiet"]
+            )
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: grid file" in err and "grid.json" in err
+        assert "Traceback" not in err
+        assert not store.exists()
+
     @pytest.mark.parametrize(
         "extra",
         [

@@ -152,6 +152,12 @@ class TestErrorPaths:
         with pytest.raises(ConfigurationError, match="corrupt trace record"):
             load_jsonl(path)
 
+    def test_non_utf8_file_raises_configuration_error(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(b"\xff\xfe{\x00}\x00\n")
+        with pytest.raises(ConfigurationError, match="trace.jsonl"):
+            load_jsonl(path)
+
     def test_blank_lines_are_tolerated(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text('{"kind": "forward"}\n\n\n{"kind": "retract"}\n')

@@ -256,10 +256,6 @@ class QueueMachine(RuleBasedStateMachine):
         assert popped.rank == pytest.approx(best_rank)
         del self.model[popped.event_id]
 
-    @rule()
-    def compact(self):
-        self.queue.compact()
-
     @invariant()
     def sizes_match(self):
         assert len(self.queue) == len(self.model)

@@ -1,13 +1,9 @@
 """Unit tests for the ranked queues."""
 
-import heapq
-import types
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.broker.message import Notification
-from repro.proxy import queues as queues_module
 from repro.proxy.queues import RankedQueue, highest_ranked
 from repro.types import EventId, TopicId
 
@@ -125,31 +121,20 @@ class TestRankChanges:
         assert popped.rank == 0.5
         assert queue.pop_highest() is None
 
-    def test_rank_mutated_without_reorder_is_a_ghost_until_compaction(self):
-        """Pins a modelling defect; does not fix it.
-
-        The device queue holds the very Notification object the proxy
-        re-ranks in ``_handle_rank_change``, and the proxy re-keys only
-        its own queues. After a rank change on an event the device
-        already holds (a demotion whose retraction has not crossed the
-        hop yet, or a within-threshold change) the device's only heap
-        entry carries the old rank: ``len`` counts the member, every
-        read skips it, and ``compact()`` brings it back at its new rank.
-        The fix is a change to the model's outputs, so it belongs in its
-        own change that regenerates ``results/`` (ablation-delay is the
-        table with rank changes) and compares every table.
-        """
-        ghost = note(1, 2.0)
-        queue = RankedQueue([ghost, note(2, 1.0), note(3, 0.5)])
-        ghost.rank = 3.0  # mutated in place; queue.reorder never called
-        assert len(queue) == 3
-        assert ghost in queue
-        assert [m.event_id for m in queue.top_n(3)] == [2, 3]
-        assert queue.peek_highest().event_id == 2
-        assert [m.event_id for m in queue] == [2, 3]
-        queue.compact()
+    def test_member_stays_at_the_key_it_was_added_with(self):
+        """A rank mutated in place moves a member only through
+        ``reorder``: until then every read finds it once, at the key it
+        was added with (the proxy re-keys right after each mutation, and
+        the device never sees one)."""
+        moved = note(1, 2.0)
+        queue = RankedQueue([moved, note(2, 1.0), note(3, 0.5)])
+        moved.rank = 0.1  # mutated in place; queue.reorder not called yet
         assert [m.event_id for m in queue.top_n(3)] == [1, 2, 3]
-        assert queue.pop_highest() is ghost
+        assert [m.event_id for m in queue] == [1, 2, 3]
+        assert queue.peek_highest() is moved
+        queue.reorder(moved)
+        assert [m.event_id for m in queue.top_n(3)] == [2, 3, 1]
+        assert queue.pop_highest().event_id == 2
 
 
 class TestTopN:
@@ -166,38 +151,10 @@ class TestTopN:
         assert queue.top_n(0) == []
         assert queue.top_n(-1) == []
 
-    def test_top_n_pops_live_and_stale_prefix_only(self, monkeypatch):
-        """Reads pop the real heap instead of copying it: with S stale
-        entries on top, ``top_n(n)`` pops at most n + S entries and
-        drops the S for good, so an immediate repeat pops at most n."""
-        pops = []
-
-        def heappop(heap):
-            pops.append(1)
-            return heapq.heappop(heap)
-
-        monkeypatch.setattr(
-            queues_module,
-            "heapq",
-            types.SimpleNamespace(
-                heappop=heappop, heappush=heapq.heappush, heapify=heapq.heapify
-            ),
-        )
-        queue = RankedQueue([note(i, float(i)) for i in range(100)])
-        for i in range(99, 89, -1):  # S = 10 stale entries on top
-            queue.remove(EventId(i))
-        assert queue.stale_entries == 10
-        assert [m.event_id for m in queue.top_n(5)] == [89, 88, 87, 86, 85]
-        assert len(pops) <= 5 + 10
-        assert queue.stale_entries == 0
-        pops.clear()
-        assert [m.event_id for m in queue.top_n(5)] == [89, 88, 87, 86, 85]
-        assert len(pops) <= 5
-
     def test_top_n_skips_duplicate_entries(self):
         item = note(1, 2.0)
         queue = RankedQueue([item, note(2, 1.0)])
-        queue.add(item)  # same rank: a second, identical heap entry
+        queue.add(item)  # same rank: re-adding a member re-keys it
         assert queue.top_n(3) == [item, queue.get(EventId(2))]
         assert queue.top_n(3) == [item, queue.get(EventId(2))]
 
@@ -230,15 +187,6 @@ class TestMaintenance:
         assert {m.event_id for m in expired} == {3}
         assert len(queue) == 2
 
-    def test_compact_removes_stale_entries(self):
-        queue = RankedQueue([note(i, float(i)) for i in range(20)])
-        for i in range(15):
-            queue.remove(EventId(i))
-        assert queue.stale_entries == 15  # below the auto-compact threshold
-        queue.compact()
-        assert queue.stale_entries == 0
-        assert [m.event_id for m in queue.top_n(5)] == [19, 18, 17, 16, 15]
-
     def test_prune_skips_entries_for_removed_members(self):
         queue = RankedQueue([note(1, 1.0, expires_at=10.0), note(2, 2.0, expires_at=12.0)])
         queue.remove(EventId(1))
@@ -249,7 +197,7 @@ class TestMaintenance:
     def test_prune_after_rank_churn_returns_member_once(self):
         item = note(1, 1.0, expires_at=10.0)
         queue = RankedQueue([item])
-        for rank in (2.0, 3.0, 4.0):  # each reorder re-keys both heaps
+        for rank in (2.0, 3.0, 4.0):  # each reorder re-keys the member
             item.rank = rank
             queue.reorder(item)
         expired = queue.prune_expired(now=10.0)
@@ -264,22 +212,6 @@ class TestMaintenance:
         )
         expired = queue.prune_expired(now=30.0)
         assert [m.event_id for m in expired] == [2, 3, 1]
-
-    def test_stale_entries_bounded_under_rank_churn(self):
-        """Amortized self-compaction: stale lazy-deletion entries never
-        exceed live membership plus the constant slack, no matter how
-        long rank churn goes on."""
-        items = [note(i, float(i), expires_at=1e9) for i in range(50)]
-        queue = RankedQueue(items)
-        for round_number in range(200):
-            for item in items:
-                item.rank = float((item.event_id * 7 + round_number) % 97)
-                queue.reorder(item)
-            assert queue.stale_entries <= len(queue) + 16
-        assert len(queue) == 50
-        # Churn must not corrupt ranked selection.
-        best = queue.top_n(3)
-        assert [m.rank for m in best] == sorted((m.rank for m in items), reverse=True)[:3]
 
 
 @given(

@@ -86,6 +86,12 @@ class TestErrors:
         with pytest.raises(ConfigurationError, match="JSON"):
             load_trace(path)
 
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")  # a UTF-16 byte-order mark
+        with pytest.raises(ConfigurationError, match="utf16.json"):
+            load_trace(path)
+
     def test_json_list_payload_rejected(self, tmp_path):
         """Valid JSON that is not an object must be a typed error."""
         with pytest.raises(ConfigurationError, match="JSON object"):
