@@ -139,6 +139,11 @@ _ARRIVE_DELAYED = 7
 #: A live arrival that expires (§3.3).
 _ARRIVE_EXPIRING = 8
 
+#: Stream items the pump boxes into Python lists at a time: the merged
+#: stream stays in numpy columns, so a shard's peak memory grows by
+#: their ~45 B per event rather than ~215 B of boxed list items.
+BLOCK = 4096
+
 
 class ShardBatchDispatcher:
     """Drives one fleet shard through the engine's batch-pop API.
@@ -199,21 +204,18 @@ class ShardBatchDispatcher:
         #: in the proxy).
         self.limits = BufferPrefetcher(policy)
 
-        # Merged columnar stream (filled by register_streams). Plain
-        # lists: per-item reads in the pump stay unboxed.
-        self.m_times: List[float] = []
-        self.m_codes: List[int] = []
-        self.m_devs: List[int] = []
-        #: Integer payload: event id (arrivals, changes), read count
-        #: (reads), unused (outages).
-        self.m_ints: List[int] = []
-        #: Float payloads: rank / expires-at (NaN = never) for arrivals
-        #: and changes; published-at for changes only (arrivals publish
-        #: at their own timestamp).
-        self.m_ranks: List[float] = []
-        self.m_exps: List[float] = []
-        self.m_pubs: List[float] = []
+        #: Merged columnar stream (filled by register_streams): sorted
+        #: numpy columns — times, codes, devices, the integer payload
+        #: (event id for arrivals and changes, read count for reads),
+        #: and the float payloads rank, expires-at (NaN = never) and
+        #: published-at (changes only; arrivals publish at their own
+        #: timestamp). The pump boxes ``BLOCK`` items of every column at
+        #: a time into ``block`` (lists: per-item reads stay unboxed),
+        #: starting at stream position ``block_lo``.
+        self.m_columns: tuple = ()
         self.m_count = 0
+        self.block: tuple = ((),) * 7
+        self.block_lo = 0
 
     # ------------------------------------------------------------------
     # Stream construction
@@ -248,7 +250,7 @@ class ShardBatchDispatcher:
         threshold = wl.config.threshold
 
         acols = wl.arrivals
-        adev = np.repeat(np.arange(n), wl.arrival_counts)
+        adev = np.repeat(np.arange(n, dtype=np.int32), wl.arrival_counts)
         order = np.argsort(acols.times, kind="stable")
         a_times = acols.times[order]
         self._check_times("arrival", a_times)
@@ -280,12 +282,13 @@ class ShardBatchDispatcher:
             # is (device, event id): ids are unique within a device but
             # need not ascend (a hand-written trace) or be unique across
             # devices (``FleetWorkload.from_traces``).
-            c_devs = np.repeat(np.arange(n), wl.change_counts)[order]
+            c_devs = np.repeat(np.arange(n, dtype=np.int32), wl.change_counts)[order]
             ids, index = np.unique(
                 np.concatenate([acols.event_ids, c_eids]), return_inverse=True
             )
-            a_keys = adev * ids.size + index[: adev.size]
-            c_keys = c_devs * ids.size + index[adev.size :]
+            width = np.int64(ids.size)  # int64 keys: devices are int32
+            a_keys = adev * width + index[: adev.size]
+            c_keys = c_devs * width + index[adev.size :]
             by_key = np.argsort(a_keys, kind="stable")
             pos = np.searchsorted(a_keys, c_keys, sorter=by_key)
             if not (pos < a_keys.size).all() or not np.array_equal(
@@ -298,15 +301,12 @@ class ShardBatchDispatcher:
             c_pubs = acols.times[src]
             c_exps = acols.expires_at[src]
         else:
-            c_times = np.empty(0)
+            c_times = c_ranks = c_pubs = c_exps = np.empty(0)
             c_eids = np.empty(0, dtype=np.int64)
-            c_ranks = np.empty(0)
-            c_devs = np.empty(0, dtype=np.int64)
-            c_pubs = np.empty(0)
-            c_exps = np.empty(0)
+            c_devs = np.empty(0, dtype=np.int32)
 
         rcols = wl.reads
-        ridx = np.repeat(np.arange(n), wl.read_counts)
+        ridx = np.repeat(np.arange(n, dtype=np.int32), wl.read_counts)
         order = np.argsort(rcols.times, kind="stable")
         r_times = rcols.times[order]
         self._check_times("read", r_times)
@@ -314,7 +314,7 @@ class ShardBatchDispatcher:
         r_counts = rcols.counts[order]
 
         ocols = wl.outages
-        oidx = np.repeat(np.arange(n), wl.outage_counts)
+        oidx = np.repeat(np.arange(n, dtype=np.int32), wl.outage_counts)
         ev_times = np.concatenate([ocols.starts, ocols.ends])
         ev_dev = np.concatenate([oidx, oidx])
         is_down = np.concatenate(
@@ -332,38 +332,43 @@ class ShardBatchDispatcher:
         o_codes = np.where(
             is_down[order], _OUTAGE_DOWN, _OUTAGE_UP
         ).astype(np.uint8)
+        del oidx, ev_times, ev_dev, is_down, down, keep
 
-        na = a_times.size
-        nc = c_times.size
-        nr = r_times.size
-        zr = np.zeros(nr)
-        zo = np.zeros(o_times.size)
-        times = np.concatenate([a_times, c_times, r_times, o_times])
-        codes = np.concatenate([
-            a_codes,
-            np.full(nc, _CHANGE, dtype=np.uint8),
-            np.full(nr, _READ, dtype=np.uint8),
-            o_codes,
-        ])
-        devs = np.concatenate([a_devs, c_devs, r_devs, o_devs])
-        ints = np.concatenate([a_eids, c_eids, r_counts, zo.astype(np.int64)])
-        ranks = np.concatenate([a_ranks, c_ranks, zr, zo])
-        exps = np.concatenate([a_exps, c_exps, zr, zo])
-        pubs = np.concatenate([np.zeros(na), c_pubs, zr, zo])
-
+        # One list of per-kind pieces per column, in the merged column
+        # order; each column is gathered and its pieces dropped before
+        # the next, so at most one unsorted concatenation is alive.
+        na, nc, nr, no = a_times.size, c_times.size, r_times.size, o_times.size
+        pieces = [
+            [a_times, c_times, r_times, o_times],
+            [
+                a_codes,
+                np.full(nc, _CHANGE, dtype=np.uint8),
+                np.full(nr, _READ, dtype=np.uint8),
+                o_codes,
+            ],
+            [a_devs, c_devs, r_devs, o_devs],
+            [a_eids, c_eids, r_counts, np.zeros(no, dtype=np.int64)],
+            [a_ranks, c_ranks, np.zeros(nr + no)],
+            [a_exps, c_exps, np.zeros(nr + no)],
+            [np.zeros(na), c_pubs, np.zeros(nr + no)],
+        ]
+        del a_times, c_times, r_times, o_times, a_codes, o_codes, a_devs
+        del c_devs, r_devs, o_devs, a_eids, c_eids, r_counts, a_ranks
+        del c_ranks, a_exps, c_exps, c_pubs
+        times, pieces[0] = np.concatenate(pieces[0]), None
         # Stable by time: ties keep concatenation order = registration
         # order across kinds, per-kind order within a kind — the scalar
         # engine's exact (time, seq) order.
         order = np.argsort(times, kind="stable")
-        self.m_times = times[order].tolist()
-        self.m_codes = codes[order].tolist()
-        self.m_devs = devs[order].tolist()
-        self.m_ints = ints[order].tolist()
-        self.m_ranks = ranks[order].tolist()
-        self.m_exps = exps[order].tolist()
-        self.m_pubs = pubs[order].tolist()
-        self.m_count = len(self.m_times)
-        self.sim.add_batch_stream(self.m_times, self._pump)
+        columns = [times[order]]
+        del times
+        for k in range(1, len(pieces)):
+            column, pieces[k] = np.concatenate(pieces[k]), None
+            columns.append(column[order])
+            del column
+        self.m_columns = tuple(columns)
+        self.m_count = order.size
+        self.sim.add_batch_stream(columns[0], self._pump)
 
     # ------------------------------------------------------------------
     # The pump (engine batch-pop contract; see Simulator.add_batch_stream)
@@ -374,12 +379,8 @@ class ShardBatchDispatcher:
     ) -> int:
         sim = self.sim
         heap = sim._heap
-        times = self.m_times
-        m_codes = self.m_codes
-        m_devs = self.m_devs
-        m_ints = self.m_ints
-        m_ranks = self.m_ranks
-        m_exps = self.m_exps
+        lo = self.block_lo
+        times, m_codes, m_devs, m_ints, m_ranks, m_exps, m_pubs = self.block
         cols = self.cols
         resident = cols.resident
         net = cols.network
@@ -416,19 +417,40 @@ class ShardBatchDispatcher:
         push_sketch = None if acc is None else acc.read_delay_sketch.push
         push_moments = None if acc is None else acc.read_delay_moments.push
         seq_mark = sim._seq_next
-        i = pos
+        # ``i`` indexes the boxed block, which starts at stream position
+        # ``lo``; the cap's sequence number is the block index ``cap_i``.
+        i = pos - lo
+        stop = len(times)
         end = self.m_count
-        while i < end:
+        cap_i = cap_seq - base - lo
+        while True:
+            if i == stop:
+                # Leaving the block: box the next one. A drained stream is
+                # never re-entered; free it, since row timers left in the
+                # heap can hold this dispatcher in a cycle after the run.
+                lo += i
+                i = 0
+                if lo >= end:
+                    self.m_columns = self.block = ()
+                    break
+                self.block_lo = lo
+                self.block = block = tuple(
+                    column[lo : lo + BLOCK].tolist() for column in self.m_columns
+                )
+                times, m_codes, m_devs, m_ints, m_ranks, m_exps, m_pubs = block
+                stop = len(times)
+                cap_i = cap_seq - base - lo
             t = times[i]
             if t > until:
                 break
-            if t > cap_time or (t == cap_time and base + i >= cap_seq):
+            if t > cap_time or (t == cap_time and i >= cap_i):
                 if not (heap and heap[0][1] == cap_seq and heap[0][2].cancelled):
                     break
                 # A cancelled timer caps the run only for the engine to
                 # discard it: discard it here and go on.
                 heappop(heap)
                 cap_time, cap_seq = heap[0][:2] if heap else (math.inf, 0)
+                cap_i = cap_seq - base - lo
                 continue
             sim._now = t
             code = m_codes[i]
@@ -659,7 +681,7 @@ class ShardBatchDispatcher:
                     cols.clients[d].perform_read(cols.topics[d], n)
             elif code == _CHANGE:
                 # Materialized at wiring: it needs the proxy's history.
-                notify(d, (-m_ranks[i], self.m_pubs[i], m_ints[i], m_exps[i]))
+                notify(d, (-m_ranks[i], m_pubs[i], m_ints[i], m_exps[i]))
             elif code == _ARRIVE_DELAYED:
                 # _handle_new_event's delay stage on the row: accepted,
                 # then held back by the proxy's own timer. The schedule
@@ -686,7 +708,8 @@ class ShardBatchDispatcher:
                 seq_mark = sim._seq_next
                 if heap:
                     cap_time, cap_seq, _top = heap[0]
-        return i - pos
+                    cap_i = cap_seq - base - lo
+        return lo + i - pos
 
     def _notify(self, d: int, entry) -> None:
         """``NOTIFICATION`` for an arrival (or a rank change) of binding

@@ -102,6 +102,7 @@ class FleetColumns:
         faulted: bool = False,
         online: bool = False,
         read_ids: bool = False,
+        expiring: bool = True,
     ) -> None:
         n = devices
         self.devices = n
@@ -129,9 +130,13 @@ class FleetColumns:
         #: ``RankedQueue.pop_highest``), and its ``holding`` queue of the
         #: arrivals whose lifetime is below the expiration threshold (only
         #: a READ forwards them), a sorted list: most of them leave on
-        #: their own timer, whose entry a bisection finds.
+        #: their own timer, whose entry a bisection finds. The holding
+        #: queue and both timer columns below hold only expiring
+        #: entries: without ``expiring`` the three are one shared list
+        #: that stays None.
+        shared = None if expiring else [None] * n
         self.proxy_queue: List = [None] * n
-        self.proxy_holding: List = [None] * n
+        self.proxy_holding: List = shared or [None] * n
         #: The device's offline read log, ``(time, n)`` per read while
         #: the link is down, in event order.
         self.read_log: List = [None] * n
@@ -139,8 +144,8 @@ class FleetColumns:
         #: expiration timer (the proxy's, or the device's once it holds
         #: the entry), and ``{event_id: EventHandle}`` of the delay-stage
         #: timers of the expiring entries in that stage.
-        self.timers: List = [None] * n
-        self.delay_timers: List = [None] * n
+        self.timers: List = shared or [None] * n
+        self.delay_timers: List = shared or [None] * n
         #: Live arrivals the proxy accepted (forwarded, queued, held,
         #: delayed, or expired at the proxy), those still in the delay
         #: stage, and those that expired at the proxy.

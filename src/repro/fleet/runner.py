@@ -373,6 +373,7 @@ def _run_shard(
         faulted=spec is not None,
         online=policy.kind is PolicyKind.ONLINE,
         read_ids=read_ids,
+        expiring=not np.isnan(workload.arrivals.expires_at).all(),
     )
     wiring = ShardWiring(
         sim, proxy, acc, workload, cols, spec, recorder, topic_type, schedule

@@ -9,7 +9,8 @@ ranked last: ``pop_highest`` is a ``list.pop()``, ``top_n(N)`` a slice.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left, insort
+import math
+from bisect import bisect_left, bisect_right, insort
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.broker.message import Notification
@@ -40,8 +41,10 @@ class RankedQueue:
         self._keys: List[Tuple[float, float, int]] = []
         self._key_of: Dict[EventId, Tuple[float, float, int]] = {}
         self._items: Dict[EventId, Notification] = {}
-        #: ``expires_at`` of the members that can expire.
+        #: ``expires_at`` of the members that can expire, and their
+        #: ``(expires_at, event_id)`` sorted: a prune pops its due prefix.
         self._expires: Dict[EventId, float] = {}
+        self._expiry: List[Tuple[float, EventId]] = []
         for item in items:
             self.add(item)
 
@@ -55,6 +58,7 @@ class RankedQueue:
         self._items[event_id] = notification
         if notification.expires_at is not None:
             self._expires[event_id] = notification.expires_at
+            insort(self._expiry, (notification.expires_at, event_id))
 
     def remove(self, event_id: EventId) -> Optional[Notification]:
         """Remove by id. Returns the notification or None if absent."""
@@ -62,8 +66,14 @@ class RankedQueue:
         if item is not None:
             keys = self._keys
             del keys[bisect_left(keys, self._key_of.pop(event_id))]
-            self._expires.pop(event_id, None)
+            self._forget_expiry(event_id)
         return item
+
+    def _forget_expiry(self, event_id: EventId) -> None:
+        expires_at = self._expires.pop(event_id, None)
+        if expires_at is not None:
+            expiry = self._expiry
+            del expiry[bisect_left(expiry, (expires_at, event_id))]
 
     def reorder(self, notification: Notification) -> None:
         """Re-key a member whose rank changed. No-op if absent."""
@@ -76,7 +86,7 @@ class RankedQueue:
             return None
         event_id = -self._keys.pop()[2]
         del self._key_of[event_id]
-        self._expires.pop(event_id, None)
+        self._forget_expiry(event_id)
         return self._items.pop(event_id)
 
     def peek_highest(self) -> Optional[Notification]:
@@ -93,13 +103,14 @@ class RankedQueue:
 
     def prune_expired(self, now: float) -> List[Notification]:
         """Drop every expired member, returning them (for accounting) in
-        ``(expires_at, event_id)`` order; scans only the members that
-        can expire."""
-        due = sorted(
-            (expires_at, event_id)
-            for event_id, expires_at in self._expires.items()
-            if now >= expires_at
-        )
+        ``(expires_at, event_id)`` order: the due prefix of the sorted
+        expiry list, found by bisection."""
+        expiry = self._expiry
+        cut = bisect_right(expiry, (now, math.inf))
+        due = expiry[:cut]
+        del expiry[:cut]
+        for _expires_at, event_id in due:
+            del self._expires[event_id]
         return [self.remove(event_id) for _expires_at, event_id in due]
 
     def get(self, event_id: EventId) -> Optional[Notification]:

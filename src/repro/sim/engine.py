@@ -34,6 +34,8 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro._compat import DATACLASS_SLOTS
 from repro.errors import SimulationError
 
@@ -191,7 +193,11 @@ class Simulator:
         stream reserves a contiguous block of sequence numbers, so its
         ordering against timers and other streams is identical to
         calling ``schedule_at`` for every item, in order, at the point
-        the stream is added — only the dispatch is batched.
+        the stream is added — only the dispatch is batched. A list or a
+        float64 numpy array is kept as is, without a copy (the fleet's
+        merged stream stays a numpy column); any other iterable is
+        listed. The cursor's heap key is ``float(times[pos])``, so heap
+        keys, and the caps a pump is handed, stay Python floats.
 
         When the stream's cursor is the earliest pending event, the
         engine calls ``pump(pos, base, cap_time, cap_seq, until)`` once
@@ -216,10 +222,11 @@ class Simulator:
         trusted engine-adjacent code; :mod:`repro.fleet.batch` is the
         reference implementation. Returns the item count.
         """
-        times = times if isinstance(times, list) else list(times)
-        if not times:
+        if not isinstance(times, (list, np.ndarray)):
+            times = list(times)
+        if not len(times):
             return 0
-        first = times[0]
+        first = float(times[0])
         if not math.isfinite(first):
             raise SimulationError(f"stream starts at non-finite time {first!r}")
         if first < self._now:
@@ -252,7 +259,7 @@ class Simulator:
                 cursor.stream = None
             stream.entry = None
             return
-        time = times[pos]
+        time = float(times[pos])
         if not math.isfinite(time):
             raise SimulationError(
                 f"stream item {pos} has non-finite time {time!r}"

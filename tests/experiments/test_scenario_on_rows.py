@@ -23,6 +23,7 @@ from repro.experiments.figures.common import scenario
 from repro.experiments.runner import run_paired, run_scenario, trace_seed
 from repro.experiments.trace_cli import main as trace_main
 from repro.faults import PRESETS, FaultSpec
+from repro.fleet import batch as batch_mod
 from repro.fleet import runner as runner_mod
 from repro.fleet.batch import ShardBatchDispatcher
 from repro.fleet.runner import _execute_shard, _run_device_shard, _run_shard
@@ -99,6 +100,23 @@ def _materialized_share(monkeypatch, action):
 @pytest.mark.parametrize("policy", list(POLICIES))
 @pytest.mark.parametrize("shape", [*SHAPES, "scheduled-online"])
 def test_run_scenario_matches_scalar_oracle(traces, shape, policy, fault):
+    _check_against_oracle(traces, shape, policy, fault)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("fault", [None, "lossy", "chaos"])
+@pytest.mark.parametrize("policy", list(POLICIES))
+@pytest.mark.parametrize("shape", [*SHAPES, "scheduled-online"])
+def test_run_scenario_matches_scalar_oracle_across_blocks(
+    monkeypatch, traces, shape, policy, fault, block
+):
+    """The same, with the pump boxing its stream one or seven items at
+    a time: expiry timers preempt it on and across block edges."""
+    monkeypatch.setattr(batch_mod, "BLOCK", block)
+    _check_against_oracle(traces, shape, policy, fault)
+
+
+def _check_against_oracle(traces, shape, policy, fault):
     trace = traces["fig2" if shape == "scheduled-online" else shape]
     kwargs = SCHEDULED_ONLINE if shape == "scheduled-online" else {}
     spec = None if fault is None else PRESETS[fault]

@@ -36,6 +36,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.fleet.batch as batch_mod
 import repro.fleet.runner as runner_mod
 from repro import faults
 from repro.errors import SimulationError
@@ -368,6 +369,37 @@ class TestCampaignEquivalence:
             for use_batch in (True, False)
         )
         assert batch == scalar
+
+
+@pytest.fixture(params=[1, 7])
+def small_blocks(request, monkeypatch):
+    """Box the merged stream one or seven items at a time, so timer
+    preemptions, cancelled-timer discards and ``run(until)`` land on
+    and across the pump's block edges."""
+    monkeypatch.setattr(batch_mod, "BLOCK", request.param)
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestDifferentialMatrixAcrossBlocks(TestDifferentialMatrix):
+    """The differential matrix with small pump blocks."""
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestCampaignEquivalenceAcrossBlocks(TestCampaignEquivalence):
+    """The rendered campaigns with small pump blocks."""
+
+
+def test_drained_stream_is_freed():
+    """Row timers left in the heap keep the dispatcher alive after the
+    run, so the pump drops the stream's columns and block once drained."""
+    shard = _run_shard(
+        FleetScenarioConfig(devices=60, seed=3, **EXPIRING), PolicyConfig.unified()
+    )
+    assert any(
+        getattr(event.callback, "__self__", None) is shard.dispatcher
+        for _time, _seq, event in shard.dispatcher.sim._heap
+    )
+    assert shard.dispatcher.m_columns == () and shard.dispatcher.block == ()
 
 
 # One strategy per heterogeneity axis; hypothesis shrinks toward the
@@ -902,6 +934,24 @@ class TestColumnSync:
         scalar = _run_shard(config, policy, use_batch=False)
         for d in range(config.devices):
             assert _device_view(batch, d) == _device_view(scalar, d), d
+
+    def test_expiring_columns_are_shared_only_without_expiring_arrivals(self):
+        """A shard with no expiring arrival points its holding queue and
+        both timer columns at one list that stays None; an expiring
+        shard keeps three, and both stay in sync (delay stage included)."""
+        policy = PolicyConfig.unified(delay=60.0)
+        clean = _run_shard(FleetScenarioConfig(devices=30, seed=3, **DEEP), policy)
+        cols = clean.cols
+        assert cols.proxy_holding is cols.timers is cols.delay_timers
+        assert cols.timers == [None] * cols.devices
+        assert cols.verify_sync() == []
+        expiring = _run_shard(
+            FleetScenarioConfig(devices=60, seed=3, **EXPIRING), policy
+        )
+        cols = expiring.cols
+        columns = (cols.proxy_holding, cols.timers, cols.delay_timers)
+        assert len({id(column) for column in columns}) == 3
+        assert cols.verify_sync() == []
 
     @pytest.mark.parametrize("policy_name", sorted(EXPIRING_POLICIES))
     def test_expiring_rows_match_scalar_replay_per_device(self, policy_name):

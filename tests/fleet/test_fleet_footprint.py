@@ -38,7 +38,20 @@ figures, measured with this exact protocol on CPython 3.11:
   that takes raised the clean shard from 647 to 743 B/device (both
   measured at once on one host: six more per-row columns and a fourth
   field, ``expires_at``, in every entry); 735 B/device once the unread
-  lifetime column went (743 before it, measured at once).
+  lifetime column went (743 before it, measured at once); 719 B/device
+  once a shard with no expiring arrival points its holding queue and
+  both timer columns at one shared list (735 before it, measured at
+  once). The 5 %-expiring shard read 1 475 B/device while its drained
+  merged stream stayed alive with the dispatcher its pending timers
+  hold; 767 B/device since the pump frees the stream once drained.
+
+The deep gate reads the traced *peak* instead, per processed event, on
+``fleet_deep``'s per-device load (40 devices x 14 days, 32 arrivals + 4
+reads per device-day, 30 % downtime, seed 1, unified): 295 B/event
+while the merged stream was boxed into Python lists whole, at
+registration, its peak set there; 153 B/event since the stream stays in
+numpy columns and the pump boxes one block at a time. The gate is
+200 B/event.
 """
 
 import gc
@@ -114,3 +127,32 @@ def test_expiring_shard_stays_on_its_rows(monkeypatch):
     per_device, materialized = _live_bytes_per_device(monkeypatch, expiring=0.05)
     assert materialized < 0.02
     assert per_device <= CLEAN_GATE_BYTES, f"{per_device:.0f} B/device"
+
+
+#: The deep shape: ``fleet_deep``'s per-device load on 40 devices.
+DEEP_CONFIG = FleetScenarioConfig(
+    devices=40,
+    seed=1,
+    duration=14 * DAY,
+    arrivals=ArrivalConfig(events_per_day=32),
+    reads=ReadConfig(reads_per_day=4),
+    outages=OutageConfig(downtime_fraction=0.3),
+)
+
+DEEP_PEAK_GATE_BYTES = 200
+
+
+def test_deep_shard_peak_stays_under_200_b_per_event():
+    """The traced peak over a deep shard, per processed event: the
+    merged stream stays in numpy columns and is boxed a block at a
+    time, so the peak no longer carries every event as boxed lists."""
+    workload = build_fleet_workload(DEEP_CONFIG)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        accumulator = runner_mod._execute_shard(workload, PolicyConfig.unified())
+        _live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    per_event = peak / accumulator.events_processed
+    assert per_event <= DEEP_PEAK_GATE_BYTES, f"{per_event:.0f} B/event"

@@ -156,3 +156,64 @@ def test_pop_sequence_matches_sorted_reference(ops):
         popped.append(queue.pop_highest())
     assert popped == expected
     assert queue.pop_highest() is None
+
+
+_prune_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.integers(0, 15), _ranks, _lifetimes),
+        st.tuples(st.just("remove"), st.integers(0, 15)),
+        st.tuples(st.just("rerank"), st.integers(0, 15), _ranks),
+        st.tuples(st.just("pop")),
+        st.tuples(st.just("prune"), st.floats(0.0, 120.0)),
+    ),
+    min_size=1,
+    max_size=80,
+)
+
+
+@given(_prune_ops)
+@settings(max_examples=200)
+def test_prune_expired_matches_brute_force(ops):
+    """``prune_expired`` pops the due prefix of its sorted expiry list;
+    a scan of every member finds the same notifications, in the same
+    ``(expires_at, event_id)`` order, after any mix of adds (a re-add
+    may change the lifetime), removals, reorders and pops."""
+    queue = RankedQueue()
+    model = {}
+    for op in ops:
+        if op[0] == "add":
+            _, raw_id, rank, lifetime = op
+            published_at = _published_at(raw_id)
+            item = Notification(
+                event_id=EventId(raw_id),
+                topic=TopicId("t"),
+                rank=rank,
+                published_at=published_at,
+                expires_at=None if lifetime is None else published_at + lifetime,
+            )
+            queue.add(item)
+            model[item.event_id] = item
+        elif op[0] == "remove":
+            assert queue.remove(EventId(op[1])) is model.pop(EventId(op[1]), None)
+        elif op[0] == "rerank":
+            item = model.get(EventId(op[1]))
+            if item is not None:
+                item.rank = op[2]
+                queue.reorder(item)
+        elif op[0] == "pop":
+            best = _reference(model, 1)
+            assert queue.pop_highest() is (best[0] if best else None)
+            if best:
+                del model[best[0].event_id]
+        else:
+            now = op[1]
+            due = sorted(
+                (m for m in model.values() if m.is_expired(now)),
+                key=lambda m: (m.expires_at, m.event_id),
+            )
+            pruned = queue.prune_expired(now)
+            assert [id(m) for m in pruned] == [id(m) for m in due]
+            for item in due:
+                del model[item.event_id]
+        assert len(queue) == len(model)
+    assert list(queue) == _reference(model, len(model))

@@ -1,5 +1,6 @@
 """Unit tests for the discrete-event engine."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -441,6 +442,38 @@ class TestBatchStreams:
         sim.run()
         assert sim.events_processed == 4
         assert sim._heap == []
+
+    def test_float64_array_is_kept_and_keys_stay_floats(self, sim):
+        """An array stream is kept, not listed; the cursor's heap keys
+        (at registration and on every re-arm) and the caps a pump is
+        handed are Python floats, not numpy scalars."""
+        times = np.array([1.0, 2.0, 3.0])
+        other = np.array([1.5, 2.5])
+        seen = []
+
+        def one_item_pump(column):
+            def pump(pos, base, cap_time, cap_seq, until):
+                seen.append(cap_time)
+                seen.extend(key for key, _seq, _event in sim._heap)
+                sim._now = float(column[pos])
+                return 1
+
+            return pump
+
+        sim.add_batch_stream(times, one_item_pump(times))
+        sim.add_batch_stream(other, one_item_pump(other))
+        first, second = sorted(
+            (entry[2].stream for entry in sim._heap), key=lambda s: s.base
+        )
+        assert first.times is times and second.times is other
+        seen.extend(key for key, _seq, _event in sim._heap)
+        sim.run(until=2.0)
+        seen.append(sim.now)
+        sim.run()
+        seen.append(sim.now)
+        assert sim.events_processed == 5
+        assert len(seen) == 2 + 5 + 4 + 1 + 1
+        assert all(type(value) is float for value in seen), seen
 
     def test_empty_batch_stream_is_a_no_op(self, sim):
         assert sim.add_batch_stream([], lambda *a: 1) == 0
